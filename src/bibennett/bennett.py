@@ -3,6 +3,12 @@
 All kinematic quantities are rational functions of the half-tangent design
 parameters (a1, a2), the scale k and the motion parameter tau, so every
 operation here is exact when called with Fractions.
+
+Poses (``frame``, ``planar_frame``) come from a two-column kernel that
+applies the sparse chain factors to the reference point and direction only,
+fraction-free for rational input.  The chains (``dh_chain``,
+``planar_chain``) and both closure residuals keep the full 4x4 product, so
+they check the kernel independently.
 """
 
 from __future__ import annotations
@@ -14,11 +20,10 @@ from fractions import Fraction
 from .algebra import (
     Mat4,
     det3,
-    mat_direction,
+    is_exact,
     mat_identity,
     mat_max_abs_diff,
     mat_mul,
-    mat_point,
     nullspace_dimension,
     nullspace_vector,
     v_add,
@@ -189,17 +194,105 @@ class Pose:
         return {label: ax.direction for label, ax in self.axes.items()}
 
 
-def _pose_from_mats(tau, mats) -> Pose:
-    axes = {}
-    for label, m in zip(AXIS_LABELS, mats):
-        axes[label] = Axis(label, mat_point(m), mat_direction(m))
+# The pose kernel.  A pose needs only the point column M e0 and the
+# direction column M e1 of M12, M23 and M34, so the sparse factors of the
+# chain are applied right to left to e0 and e1 instead of being multiplied
+# out as 4x4 matrices.  Each factor carries its own denominator h:
+#
+#   link  (c, s, off, h): the twist with cos c/h and sin s/h, then the
+#                         offset off/h (twist_step; a planar twist is the
+#                         link with cos +-1, sin 0 and offset d)
+#   joint (c, s, h):      the rotation with cos c/h and sin s/h
+#                         (rot_about_x)
+#
+# When every scalar is an int or a Fraction the entries are integers (a
+# half-tangent p/q enters as q^2 - p^2, 2pq and q^2 + p^2), and each output
+# is one Fraction over the w component of M e0, the product of all h: the
+# fraction-free scheme of Bareiss (Math. Comp. 22, 1968).  Any other scalar
+# type runs the same code with h = 1.
+
+def _rotation(t, exact):
+    """Joint factor (c, s, h) of the rotation with half-tangent t."""
+    if exact:
+        p, q = t.numerator, t.denominator
+        return q * q - p * p, 2 * p * q, q * q + p * p
+    den = 1 + t * t
+    return (1 - t * t) / den, 2 * t / den, 1
+
+
+def _bennett_link(a, k, exact):
+    """(cos, sin, offset) of the link with half-tangent twist a and offset
+    k sin(alpha)."""
+    c, s, h = _rotation(a, exact)
+    if exact:
+        c, s = Fraction(c, h), Fraction(s, h)
+    return c, s, k * s
+
+
+def _link_factor(link, exact):
+    """Kernel factor (c, s, off, h) of a link given as (cos, sin, offset)."""
+    c, s, off = link
+    if not exact:
+        return c, s, off, 1
+    h = math.lcm(c.denominator, s.denominator, off.denominator)
+    return (c.numerator * (h // c.denominator),
+            s.numerator * (h // s.denominator),
+            off.numerator * (h // off.denominator), h)
+
+
+def _apply_link(factor, v):
+    c, s, off, h = factor
+    w, x, y, z = v
+    return (h * w, c * x - s * y, s * x + c * y, off * w + h * z)
+
+
+def _apply_joint(factor, v):
+    c, s, h = factor
+    w, x, y, z = v
+    return (h * w, h * x, c * y + s * z, c * z - s * y)
+
+
+def _kernel_axis(label, factors, exact) -> Axis:
+    """Axis of the product of ``factors`` ((apply, factor) pairs, leftmost
+    first) from its columns on e0 and e1."""
+    columns = []
+    for v in ((1, 0, 0, 0), (0, 1, 0, 0)):
+        for apply, factor in reversed(factors):
+            v = apply(factor, v)
+        columns.append(v)
+    (den, *point), (_, *direction) = columns
+    if exact:
+        return Axis(label, tuple(Fraction(n, den) for n in point),
+                    tuple(Fraction(n, den) for n in direction))
+    # mat_mul sums start from int 0 and so never end on -0.0; starting from
+    # 0 here as well keeps the float zeros equal to those of dh_chain
+    return Axis(label, tuple(0 + n for n in point),
+                tuple(0 + n for n in direction))
+
+
+def _chain_pose(tau, link1, link2, t12, t23) -> Pose:
+    """Pose of the chain link1 J(t12) link2 J(t23) link1 at tau."""
+    exact = all(is_exact(v) for v in (*link1, *link2, t12, t23))
+    l1 = (_apply_link, _link_factor(link1, exact))
+    l2 = (_apply_link, _link_factor(link2, exact))
+    j12 = (_apply_joint, _rotation(t12, exact))
+    j23 = (_apply_joint, _rotation(t23, exact))
+    cos1, sin1, off1 = link1
+    axes = {
+        (1, 4): Axis((1, 4), (0, 0, 0), (1, 0, 0)),
+        (1, 2): Axis((1, 2), (0, 0, off1), (cos1, sin1, 0)),
+        (2, 3): _kernel_axis((2, 3), (l1, j12, l2), exact),
+        (3, 4): _kernel_axis((3, 4), (l1, j12, l2, j23, l1), exact),
+    }
     return Pose(tau, axes)
 
 
 def frame(design: BennettDesign, tau) -> Pose:
     """Points F_ij and unit directions r_ij of all four axes at tau."""
-    m12, m23, m34 = dh_chain(design, tau)
-    return _pose_from_mats(tau, (mat_identity(), m12, m23, m34))
+    t12, t23 = _joint_half_tangents(design, tau)
+    exact = all(is_exact(v) for v in (design.a1, design.a2, design.k))
+    return _chain_pose(tau, _bennett_link(design.a1, design.k, exact),
+                       _bennett_link(design.a2, design.k, exact), t12, t23)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +360,13 @@ def planar_chain(pd: PlanarDesign, tau):
 
 
 def planar_frame(pd: PlanarDesign, tau) -> Pose:
-    m12, m23, m34 = planar_chain(pd, tau)
-    return _pose_from_mats(tau, (mat_identity(), m12, m23, m34))
+    """Points and unit directions of all four axes of a planar loop at tau."""
+    if tau == 0:
+        raise PoleError("tau = 0 is a pole of the substitution t_{1,2} = K / tau")
+    a1_pi, a2_pi = _PLANAR_ALPHAS[pd.case]
+    link1 = (-1 if a1_pi else 1, 0, pd.d1)
+    link2 = (-1 if a2_pi else 1, 0, pd.d2)
+    return _chain_pose(tau, link1, link2, planar_K(pd) / tau, tau)
 
 
 def planar_loop_closure_residual(pd: PlanarDesign, tau):

@@ -65,7 +65,10 @@ def _load_config(args) -> Config:
                 f"config {args.config!r} is neither a file nor a bundled fixture"
             )
         text = resource.read_text(encoding="utf-8")
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("top-level value must be an object")
     for key in ("tau", "mode"):

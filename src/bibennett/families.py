@@ -464,7 +464,7 @@ class NoRealBranchError(ValueError):
 def coupled_pose(bib: BiBennett, tau, tau_bar=None) -> CoupledPose:
     """Resolve the coupling at tau (solving for tau_bar when not supplied)."""
     pose = bib.loop().pose(tau)
-    quad = bib.loop().quad(tau)
+    quad = points_on_axes(pose, bib.mu)
     if bib.family in ("A", "B", "TrivialLineSym"):
         hat = halfturn_partner(pose, quad)
         return CoupledPose(tau, tau, pose, quad, pose, quad,
@@ -481,7 +481,7 @@ def coupled_pose(bib: BiBennett, tau, tau_bar=None) -> CoupledPose:
             raise NoRealBranchError(f"no real tau_bar at tau = {tau}")
         tau_bar = roots[0]
     bar_pose = bib.bar_loop().pose(tau_bar)
-    bar_quad = bib.bar_loop().quad(tau_bar)
+    bar_quad = points_on_axes(bar_pose, bib.bar_mu)
     delta = align_isometry(bar_quad, quad)
     hat_axes = {label: delta.apply_axis(ax)
                 for label, ax in bar_pose.axes.items()}

@@ -31,6 +31,7 @@ from .families import (
     SkewQuad,
     align_isometry,
     coupled_pose,
+    isogram_residuals,  # re-exported for callers of this module
 )
 
 ISO_TOL = 1e-10
@@ -68,12 +69,6 @@ class CertificateReport:
             out.append(f"  [{mark}] {r.label:28s} {abs(float(r.value)):.3e}"
                        f" (tol {r.tolerance:g})")
         return out
-
-
-def isogram_residuals(quad: SkewQuad):
-    """Differences of opposite squared side lengths (two values)."""
-    s = quad.side_sq()
-    return (abs(s[0] - s[2]), abs(s[1] - s[3]))
 
 
 # ---------------------------------------------------------------------------

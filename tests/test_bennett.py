@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from bibennett.algebra import mat_direction, mat_identity, mat_point
 from bibennett.bennett import (
     AXIS_LABELS,
     BennettDesign,
@@ -11,12 +14,14 @@ from bibennett.bennett import (
     PLANAR_CASES,
     PlanarDesign,
     PoleError,
+    dh_chain,
     frame,
     indicatrix,
     loop_closure_residual,
     opposite_axes_intersect,
     planar_frame,
     planar_K,
+    planar_chain,
     planar_loop_closure_residual,
     regulus_residual,
     symmetry_line,
@@ -135,3 +140,65 @@ def test_symmetry_line_halfturn():
     point, direction = symmetry_line(pose)
     assert any(abs(float(c)) > 0 for c in direction)
     assert symmetry_residual(pose) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the two-column pose kernel against the full matrix chain
+# ---------------------------------------------------------------------------
+
+_NONZERO = st.builds(F, st.integers(-40, 40).filter(bool), st.integers(1, 30))
+_POSITIVE = st.builds(F, st.integers(1, 40), st.integers(1, 30))
+_SCALE = st.one_of(st.just(F(0)), st.just(0), _POSITIVE)
+_KERNEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def _chain_values(mats):
+    """Point and direction entries of (identity, M12, M23, M34), flattened."""
+    return [x for m in (mat_identity(),) + tuple(mats)
+            for x in mat_point(m) + mat_direction(m)]
+
+
+def _pose_values(pose):
+    return [x for label in AXIS_LABELS
+            for x in pose.axes[label].point + pose.axes[label].direction]
+
+
+def _typed(values):
+    return [(type(x), x) for x in values]
+
+
+def _close(values, reference):
+    return all(abs(x - y) <= 1e-12 for x, y in zip(values, reference))
+
+
+@_KERNEL_SETTINGS
+@given(_POSITIVE, _POSITIVE, _SCALE, _NONZERO)
+def test_frame_matches_dh_chain(a1, a2, k, tau):
+    assume(a1 != a2)
+    design = BennettDesign(a1, a2, k)
+    assert _typed(_pose_values(frame(design, tau))) == _typed(
+        _chain_values(dh_chain(design, tau)))
+    fdesign = BennettDesign(float(a1), float(a2), float(k))
+    assert _close(_pose_values(frame(fdesign, float(tau))),
+                  _chain_values(dh_chain(fdesign, float(tau))))
+
+
+@_KERNEL_SETTINGS
+@given(_POSITIVE, _POSITIVE, st.sampled_from(PLANAR_CASES), _NONZERO)
+def test_planar_frame_matches_planar_chain(d1, d2, case, tau):
+    assume(d1 != d2)
+    pd = PlanarDesign(d1, d2, case)
+    assert _typed(_pose_values(planar_frame(pd, tau))) == _typed(
+        _chain_values(planar_chain(pd, tau)))
+    fpd = PlanarDesign(float(d1), float(d2), case)
+    assert _close(_pose_values(planar_frame(fpd, float(tau))),
+                  _chain_values(planar_chain(fpd, float(tau))))
+
+
+@_KERNEL_SETTINGS
+@given(_POSITIVE, _POSITIVE, _SCALE, st.sampled_from(PLANAR_CASES))
+def test_kernel_tau_zero_is_pole(a, d, k, case):
+    with pytest.raises(PoleError):
+        frame(BennettDesign(a, a + 1, k), F(0))
+    with pytest.raises(PoleError):
+        planar_frame(PlanarDesign(d, d + 1, case), 0)

@@ -43,6 +43,13 @@ def test_validate_bad_config_file(tmp_path, capsys):
     assert "family" in capsys.readouterr().err
 
 
+def test_validate_malformed_json_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"family": "C",')
+    assert main(["validate", "-c", str(path)]) == EXIT_INPUT
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 def test_construct_prints_pose(capsys):
     assert main(["construct", "-c", "fig6"]) == EXIT_OK
     out = capsys.readouterr().out
