@@ -26,6 +26,13 @@ def is_exact(x) -> bool:
     return isinstance(x, (Fraction, int))
 
 
+def div(n, d):
+    """n / d, kept exact for two ints (which ``/`` would turn into a float)."""
+    if isinstance(n, int) and isinstance(d, int):
+        return Fraction(n, d)
+    return n / d
+
+
 def parse_scalar(value, exact: bool):
     """Parse a config number: int, float, or a "p/q" string.
 
@@ -122,10 +129,6 @@ def mat_mul(a: Mat4, b: Mat4) -> Mat4:
     )
 
 
-def mat_vec(m: Mat4, v):
-    return tuple(sum(m[i][k] * v[k] for k in range(4)) for i in range(4))
-
-
 def mat_max_abs_diff(a: Mat4, b: Mat4):
     return max(abs(a[i][j] - b[i][j]) for i in range(4) for j in range(4))
 
@@ -144,38 +147,15 @@ def mat_direction(m: Mat4):
 # dense exact linear solves
 # ---------------------------------------------------------------------------
 
-def solve_linear(a, b):
-    """Solve a square system by Gaussian elimination; exact for Fraction input.
-
-    Raises ValueError on a singular matrix.
-    """
-    n = len(a)
-    m = [list(row) + [bv] for row, bv in zip(a, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular linear system")
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
-
-
-def nullspace_vector(rows, ncols):
-    """One nullspace vector of a (possibly rectangular) system, or None.
-
-    Returns the vector obtained by setting the first free column to 1; exact
-    with Fraction entries.
-    """
-    m = [list(r) for r in rows]
+def _row_reduce(m, ncols):
+    """Gauss-Jordan elimination of the first ``ncols`` columns of the row
+    list ``m``, in place; returns the pivot columns, one per pivot row."""
     nrows = len(m)
     pivots = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
         piv = next((rr for rr in range(r, nrows) if m[rr][c] != 0), None)
         if piv is None:
             continue
@@ -187,9 +167,29 @@ def nullspace_vector(rows, ncols):
                 f = m[rr][c]
                 m[rr] = [x - f * y for x, y in zip(m[rr], m[r])]
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+    return pivots
+
+
+def solve_linear(a, b):
+    """Solve a square system by Gaussian elimination; exact for Fraction input.
+
+    Raises ValueError on a singular matrix.
+    """
+    n = len(a)
+    m = [list(row) + [bv] for row, bv in zip(a, b)]
+    if len(_row_reduce(m, n)) < n:
+        raise ValueError("singular linear system")
+    return [m[r][n] for r in range(n)]
+
+
+def nullspace_vector(rows, ncols):
+    """One nullspace vector of a (possibly rectangular) system, or None.
+
+    Returns the vector obtained by setting the first free column to 1; exact
+    with Fraction entries.
+    """
+    m = [list(r) for r in rows]
+    pivots = _row_reduce(m, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     if not free:
         return None
@@ -202,24 +202,7 @@ def nullspace_vector(rows, ncols):
 
 
 def nullspace_dimension(rows, ncols) -> int:
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    rank = 0
-    for c in range(ncols):
-        piv = next((rr for rr in range(rank, nrows) if m[rr][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][c]
-        m[rank] = [x / pv for x in m[rank]]
-        for rr in range(nrows):
-            if rr != rank and m[rr][c] != 0:
-                f = m[rr][c]
-                m[rr] = [x - f * y for x, y in zip(m[rr], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return ncols - rank
+    return ncols - len(_row_reduce([list(r) for r in rows], ncols))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .algebra import (
     interpolate_polynomial,
     sylvester_resultant,
 )
-from .bennett import BennettDesign, frame
+from .bennett import BennettDesign, frame, transmission_K
 from .families import MuSet, points_on_axes
 from .properties import CertificateReport, ResidualEntry
 
@@ -76,29 +76,9 @@ class CoplanarityExpansion:
         return (self.c0, self.c1, self.c2, self.c3, self.c4)
 
 
-def _det4(columns):
-    """Determinant of the 4x4 matrix with a unit top row and the given three-
-    dimensional points as the remaining rows of each column."""
-    mat = [[1, 1, 1, 1]] + [[columns[j][i] for j in range(4)] for i in range(3)]
-
-    def det3(m):
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-
-    total = 0
-    for j in range(4):
-        minor = [[mat[i][jj] for jj in range(4) if jj != j] for i in range(1, 4)]
-        total += (-1) ** j * mat[0][j] * det3(minor)
-    return total
-
-
 def coplanarity_determinant(design: BennettDesign, mu: MuSet, tau):
     """Determinant testing coplanarity of the four anchor points at ``tau``."""
-    points = points_on_axes(frame(design, tau), mu)
-    return _det4([points[(1, 4)], points[(1, 2)], points[(2, 3)], points[(3, 4)]])
+    return points_on_axes(frame(design, tau), mu).orientation_det()
 
 
 def _check_structural_factor(a1, a2):
@@ -114,7 +94,7 @@ def _coeff_evaluator(a1, a2):
     _check_structural_factor(a1, a2)
     exact = isinstance(a1, (Fraction, int)) and isinstance(a2, (Fraction, int))
     design = BennettDesign(a1, a2, Fraction(1) if exact else 1.0)
-    big_k = (a1 + a2) / (a1 - a2)
+    big_k = transmission_K(design)
     # Degree checks need exact equality, so the float path interpolates on
     # the minimal node set only (the degree bound is established exactly).
     taus = _TAU_NODES + _TAU_CHECKS if exact else _TAU_NODES
@@ -125,10 +105,7 @@ def _coeff_evaluator(a1, a2):
 
     def coeffs(mu: MuSet):
         def cleared(tau):
-            points = points_on_axes(frames[tau], mu)
-            det = _det4(
-                [points[(1, 4)], points[(1, 2)], points[(2, 3)], points[(3, 4)]]
-            )
+            det = points_on_axes(frames[tau], mu).orientation_det()
             return det * (tau * tau + big_k * big_k) * (1 + tau * tau)
 
         n = interpolate_polynomial(cleared, 4, list(taus))

@@ -1,14 +1,18 @@
-"""Single Bennett loops: parameters, DH chain, closure, limits, symmetries.
+"""Single Bennett loops and their planar limits: parameters, DH chain,
+closure, symmetries.
 
-All kinematic quantities are rational functions of the half-tangent design
-parameters (a1, a2), the scale k and the motion parameter tau, so every
-operation here is exact when called with Fractions.
+All kinematic quantities are rational functions of the design parameters and
+the motion parameter tau, so every operation here is exact when called with
+Fractions or ints.
 
-Poses (``frame``, ``planar_frame``) come from a two-column kernel that
-applies the sparse chain factors to the reference point and direction only,
-fraction-free for rational input.  The chains (``dh_chain``,
-``planar_chain``) and both closure residuals keep the full 4x4 product, so
-they check the kernel independently.
+A planar loop is the Bennett loop with its twists pinned to 0 or pi, so the
+two kinds of design differ only in what they answer to ``links()`` (the two
+links as (cos, sin, offset)) and ``transmission()``; ``dh_chain``,
+``loop_closure_residual`` and ``frame`` take either.  Poses (``frame``) come
+from a two-column kernel that applies the sparse chain factors to the
+reference point and direction only, fraction-free for rational input.  The
+chain and the closure residual keep the full 4x4 product, so they check the
+kernel independently.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from fractions import Fraction
 
 from .algebra import (
     Mat4,
-    det3,
+    div,
     is_exact,
     mat_identity,
     mat_max_abs_diff,
@@ -38,6 +42,9 @@ from .algebra import (
 FLOAT_TOL = 1e-9
 
 AXIS_LABELS = ((1, 4), (1, 2), (2, 3), (3, 4))
+
+# axis relabelling by the half-turn about the symmetry line of a loop or quad
+SWAP = {(1, 4): (2, 3), (2, 3): (1, 4), (1, 2): (3, 4), (3, 4): (1, 2)}
 
 
 class ConventionError(ValueError):
@@ -78,11 +85,18 @@ class BennettDesign:
 
     @property
     def d1(self):
-        return self.k * 2 * self.a1 / (1 + self.a1 * self.a1)
+        return div(self.k * 2 * self.a1, 1 + self.a1 * self.a1)
 
     @property
     def d2(self):
-        return self.k * 2 * self.a2 / (1 + self.a2 * self.a2)
+        return div(self.k * 2 * self.a2, 1 + self.a2 * self.a2)
+
+    def links(self):
+        """The links (cos, sin, offset) of twist alpha_i and offset d_i."""
+        return _bennett_link(self.a1, self.k), _bennett_link(self.a2, self.k)
+
+    def transmission(self):
+        return transmission_K(self)
 
 
 def validate(a1, a2, k) -> BennettDesign:
@@ -100,24 +114,89 @@ def validate(a1, a2, k) -> BennettDesign:
 
 def transmission_K(design: BennettDesign):
     """Constant product t_{1,2} t_{2,3} along the flex."""
-    return (design.a1 + design.a2) / (design.a1 - design.a2)
+    return div(design.a1 + design.a2, design.a1 - design.a2)
 
 
 def transmission_K_alt(design: BennettDesign):
     """Transmission ratio in the reversed-orientation convention
     (a2 replaced by -1/a2)."""
-    return (1 - design.a1 * design.a2) / (1 + design.a1 * design.a2)
+    return div(1 - design.a1 * design.a2, 1 + design.a1 * design.a2)
+
+
+PLANAR_CASES = ("1a", "1b", "2a", "2b")
+
+# cosines of the pinned twist angles: -1 for alpha = pi, 1 for alpha = 0
+_PLANAR_COS = {"1a": (-1, -1), "1b": (-1, 1), "2a": (1, 1), "2b": (1, -1)}
+
+
+@dataclass(frozen=True)
+class PlanarDesign:
+    """Planar 4R limit: free distances d1, d2 with twists pinned to 0 or pi."""
+
+    d1: object
+    d2: object
+    case: str
+
+    def __post_init__(self):
+        if self.case not in PLANAR_CASES:
+            raise ValueError(f"unknown planar case {self.case!r}")
+        if self.d1 <= 0 or self.d2 <= 0:
+            raise ConventionError("planar distances must be positive")
+
+    @property
+    def is_antiparallelogram(self) -> bool:
+        return self.case in ("1a", "2a")
+
+    def links(self):
+        """The links (cos, sin, offset) of the pinned twists, offsets d_i."""
+        cos1, cos2 = _PLANAR_COS[self.case]
+        return (cos1, 0, self.d1), (cos2, 0, self.d2)
+
+    def transmission(self):
+        return planar_K(self)
+
+
+def planar_K(pd: PlanarDesign):
+    """Limit of the transmission ratio for each pinned-twist case."""
+    if pd.case in ("1a", "2a"):
+        if pd.d1 == pd.d2:
+            raise PoleError(
+                "d1 == d2 (rhombus) is a pole of the planar transmission ratio")
+        num = pd.d1 + pd.d2
+        return div(num, pd.d2 - pd.d1 if pd.case == "1a" else pd.d1 - pd.d2)
+    return 1 if pd.case == "1b" else -1
 
 
 # ---------------------------------------------------------------------------
 # DH matrices with half-angle substitution
 # ---------------------------------------------------------------------------
 
+def _rotation(t, exact):
+    """(c, s, h): cos c/h and sin s/h of the angle with half-tangent t."""
+    if exact:
+        p, q = t.numerator, t.denominator
+        return q * q - p * p, 2 * p * q, q * q + p * p
+    den = 1 + t * t
+    return (1 - t * t) / den, 2 * t / den, 1
+
+
+def _cos_sin(t):
+    """Cosine and sine of the angle with half-tangent t."""
+    exact = is_exact(t)
+    c, s, h = _rotation(t, exact)
+    return (Fraction(c, h), Fraction(s, h)) if exact else (c, s)
+
+
+def _bennett_link(a, k):
+    """(cos, sin, offset) of the link with half-tangent twist a and offset
+    k sin(alpha)."""
+    c, s = _cos_sin(a)
+    return c, s, k * s
+
+
 def rot_about_x(t) -> Mat4:
     """Joint rotation through the angle with half-tangent t."""
-    den = 1 + t * t
-    c = (1 - t * t) / den
-    s = 2 * t / den
+    c, s = _cos_sin(t)
     return (
         (1, 0, 0, 0),
         (0, 1, 0, 0),
@@ -126,44 +205,52 @@ def rot_about_x(t) -> Mat4:
     )
 
 
-def twist_step(a, k) -> Mat4:
-    """Link transform for half-tangent twist a and offset d = k sin(alpha)."""
-    den = 1 + a * a
-    c = (1 - a * a) / den
-    s = 2 * a / den
+def _link_matrix(link) -> Mat4:
+    """Link transform: the twist with cosine c and sine s, then the offset."""
+    c, s, off = link
     return (
         (1, 0, 0, 0),
         (0, c, -s, 0),
         (0, s, c, 0),
-        (k * s, 0, 0, 1),
+        (off, 0, 0, 1),
     )
 
 
-def _joint_half_tangents(design: BennettDesign, tau):
+def _joint_half_tangents(design, tau):
     if tau == 0:
         raise PoleError(
             "tau = 0 is a pole of the substitution t_{1,2} = K / tau")
-    return transmission_K(design) / tau, tau
+    return div(design.transmission(), tau), tau
 
 
-def dh_chain(design: BennettDesign, tau):
-    """Axis transforms (M12, M23, M34) relative to the frame fixed on axis (1,4)."""
+def dh_chain(design, tau):
+    """Axis transforms (M12, M23, M34) relative to the frame fixed on axis
+    (1,4), for a BennettDesign or a PlanarDesign."""
     t12, t23 = _joint_half_tangents(design, tau)
-    m12 = twist_step(design.a1, design.k)
-    m23 = mat_mul(mat_mul(m12, rot_about_x(t12)), twist_step(design.a2, design.k))
-    m34 = mat_mul(mat_mul(m23, rot_about_x(t23)), twist_step(design.a1, design.k))
-    return m12, m23, m34
+    link1, link2 = (_link_matrix(link) for link in design.links())
+    m23 = mat_mul(mat_mul(link1, rot_about_x(t12)), link2)
+    m34 = mat_mul(mat_mul(m23, rot_about_x(t23)), link1)
+    return link1, m23, m34
 
 
-def loop_closure_residual(design: BennettDesign, tau):
+planar_chain = dh_chain
+
+
+def loop_closure_residual(design, tau):
     """Max-abs deviation of the full 8-factor chain product from the identity."""
     t12, t23 = _joint_half_tangents(design, tau)
     _, _, m34 = dh_chain(design, tau)
     closed = mat_mul(
-        mat_mul(mat_mul(m34, rot_about_x(-t12)), twist_step(design.a2, design.k)),
+        mat_mul(mat_mul(m34, rot_about_x(-t12)),
+                _link_matrix(design.links()[1])),
         rot_about_x(-t23),
     )
     return mat_max_abs_diff(closed, mat_identity())
+
+
+def planar_loop_closure_residual(pd: PlanarDesign, tau):
+    """Closure residual of a planar loop (the chain of ``dh_chain``)."""
+    return loop_closure_residual(pd, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +287,7 @@ class Pose:
 # out as 4x4 matrices.  Each factor carries its own denominator h:
 #
 #   link  (c, s, off, h): the twist with cos c/h and sin s/h, then the
-#                         offset off/h (twist_step; a planar twist is the
-#                         link with cos +-1, sin 0 and offset d)
+#                         offset off/h (_link_matrix)
 #   joint (c, s, h):      the rotation with cos c/h and sin s/h
 #                         (rot_about_x)
 #
@@ -210,24 +296,6 @@ class Pose:
 # is one Fraction over the w component of M e0, the product of all h: the
 # fraction-free scheme of Bareiss (Math. Comp. 22, 1968).  Any other scalar
 # type runs the same code with h = 1.
-
-def _rotation(t, exact):
-    """Joint factor (c, s, h) of the rotation with half-tangent t."""
-    if exact:
-        p, q = t.numerator, t.denominator
-        return q * q - p * p, 2 * p * q, q * q + p * p
-    den = 1 + t * t
-    return (1 - t * t) / den, 2 * t / den, 1
-
-
-def _bennett_link(a, k, exact):
-    """(cos, sin, offset) of the link with half-tangent twist a and offset
-    k sin(alpha)."""
-    c, s, h = _rotation(a, exact)
-    if exact:
-        c, s = Fraction(c, h), Fraction(s, h)
-    return c, s, k * s
-
 
 def _link_factor(link, exact):
     """Kernel factor (c, s, off, h) of a link given as (cos, sin, offset)."""
@@ -270,8 +338,11 @@ def _kernel_axis(label, factors, exact) -> Axis:
                 tuple(0 + n for n in direction))
 
 
-def _chain_pose(tau, link1, link2, t12, t23) -> Pose:
-    """Pose of the chain link1 J(t12) link2 J(t23) link1 at tau."""
+def frame(design, tau) -> Pose:
+    """Points F_ij and unit directions r_ij of all four axes at tau: the
+    pose of the chain link1 J(t12) link2 J(t23) link1 of ``dh_chain``."""
+    t12, t23 = _joint_half_tangents(design, tau)
+    link1, link2 = design.links()
     exact = all(is_exact(v) for v in (*link1, *link2, t12, t23))
     l1 = (_apply_link, _link_factor(link1, exact))
     l2 = (_apply_link, _link_factor(link2, exact))
@@ -287,97 +358,9 @@ def _chain_pose(tau, link1, link2, t12, t23) -> Pose:
     return Pose(tau, axes)
 
 
-def frame(design: BennettDesign, tau) -> Pose:
-    """Points F_ij and unit directions r_ij of all four axes at tau."""
-    t12, t23 = _joint_half_tangents(design, tau)
-    exact = all(is_exact(v) for v in (design.a1, design.a2, design.k))
-    return _chain_pose(tau, _bennett_link(design.a1, design.k, exact),
-                       _bennett_link(design.a2, design.k, exact), t12, t23)
-
-
-# ---------------------------------------------------------------------------
-# planar limits
-# ---------------------------------------------------------------------------
-
-PLANAR_CASES = ("1a", "1b", "2a", "2b")
-
-# pinned twist angles: True means alpha = pi, False means alpha = 0
-_PLANAR_ALPHAS = {"1a": (True, True), "1b": (True, False),
-                  "2a": (False, False), "2b": (False, True)}
-
-
-@dataclass(frozen=True)
-class PlanarDesign:
-    """Planar 4R limit: free distances d1, d2 with twists pinned to 0 or pi."""
-
-    d1: object
-    d2: object
-    case: str
-
-    def __post_init__(self):
-        if self.case not in PLANAR_CASES:
-            raise ValueError(f"unknown planar case {self.case!r}")
-        if self.d1 <= 0 or self.d2 <= 0:
-            raise ConventionError("planar distances must be positive")
-
-    @property
-    def is_antiparallelogram(self) -> bool:
-        return self.case in ("1a", "2a")
-
-
-def planar_K(pd: PlanarDesign):
-    """Limit of the transmission ratio for each pinned-twist case."""
-    if pd.case in ("1a", "2a"):
-        if pd.d1 == pd.d2:
-            raise PoleError(
-                "d1 == d2 (rhombus) is a pole of the planar transmission ratio")
-        num = pd.d1 + pd.d2
-        return num / (pd.d2 - pd.d1) if pd.case == "1a" else num / (pd.d1 - pd.d2)
-    return 1 if pd.case == "1b" else -1
-
-
-def _planar_twist(alpha_is_pi: bool, d) -> Mat4:
-    s = -1 if alpha_is_pi else 1
-    return (
-        (1, 0, 0, 0),
-        (0, s, 0, 0),
-        (0, 0, s, 0),
-        (d, 0, 0, 1),
-    )
-
-
-def planar_chain(pd: PlanarDesign, tau):
-    if tau == 0:
-        raise PoleError("tau = 0 is a pole of the substitution t_{1,2} = K / tau")
-    a1_pi, a2_pi = _PLANAR_ALPHAS[pd.case]
-    t12 = planar_K(pd) / tau
-    t1 = _planar_twist(a1_pi, pd.d1)
-    t2 = _planar_twist(a2_pi, pd.d2)
-    m12 = t1
-    m23 = mat_mul(mat_mul(m12, rot_about_x(t12)), t2)
-    m34 = mat_mul(mat_mul(m23, rot_about_x(tau)), t1)
-    return m12, m23, m34
-
-
 def planar_frame(pd: PlanarDesign, tau) -> Pose:
     """Points and unit directions of all four axes of a planar loop at tau."""
-    if tau == 0:
-        raise PoleError("tau = 0 is a pole of the substitution t_{1,2} = K / tau")
-    a1_pi, a2_pi = _PLANAR_ALPHAS[pd.case]
-    link1 = (-1 if a1_pi else 1, 0, pd.d1)
-    link2 = (-1 if a2_pi else 1, 0, pd.d2)
-    return _chain_pose(tau, link1, link2, planar_K(pd) / tau, tau)
-
-
-def planar_loop_closure_residual(pd: PlanarDesign, tau):
-    t12 = planar_K(pd) / tau
-    a1_pi, a2_pi = _PLANAR_ALPHAS[pd.case]
-    _, _, m34 = planar_chain(pd, tau)
-    closed = mat_mul(
-        mat_mul(mat_mul(m34, rot_about_x(-t12)), _planar_twist(a2_pi, pd.d2)),
-        rot_about_x(-tau),
-    )
-    return mat_max_abs_diff(closed, mat_identity())
+    return frame(pd, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +497,8 @@ def symmetry_residual(pose: Pose):
     """Max deviation of the half-turn about the symmetry line from the axis
     swap (1,4)<->(2,3), (1,2)<->(3,4); exactly zero for Bennett poses."""
     lp, ld = symmetry_line(pose)
-    swap = {(1, 4): (2, 3), (2, 3): (1, 4), (1, 2): (3, 4), (3, 4): (1, 2)}
     worst = 0
-    for label, target in swap.items():
+    for label, target in SWAP.items():
         src = pose.axes[label]
         dst = pose.axes[target]
         img_p = half_turn_point(src.point, lp, ld)

@@ -17,22 +17,17 @@ import os
 import sys
 
 from .appendix import verify_nonexistence
-from .bennett import (
-    PlanarDesign,
-    PoleError,
-    loop_closure_residual,
-    planar_loop_closure_residual,
-)
+from .bennett import PoleError, frame, loop_closure_residual
 from .families import NoRealBranchError, coupled_pose
 from .io_export import (
     Config,
     ConfigError,
+    as_bibennett,
     build_structure,
+    certify,
     export_obj,
     parse_config,
     sweep_report,
-    _as_bibennett,
-    _certify,
 )
 from .limits import LimitStructure, verify_labels
 
@@ -56,17 +51,19 @@ def _load_config(args) -> Config:
     if args.config is None:
         raise ConfigError("a config is required: pass -c/--config")
     if os.path.exists(args.config):
-        with open(args.config, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(args.config, "rb") as handle:
+            raw = handle.read()
     else:
         resource = fixture_path(args.config)
         if not resource.is_file():
             raise ConfigError(
                 f"config {args.config!r} is neither a file nor a bundled fixture"
             )
-        text = resource.read_text(encoding="utf-8")
+        raw = resource.read_bytes()
     try:
-        data = json.loads(text)
+        data = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -94,10 +91,6 @@ def _require_tau(config: Config):
     return config.tau
 
 
-def _fmt(value):
-    return str(value)
-
-
 def _print_report(report) -> None:
     for line in report.lines():
         print(line)
@@ -107,7 +100,7 @@ def _cmd_validate(args) -> int:
     config = _load_config(args)
     structure = build_structure(config)
     print(f"config ok: family {config.family}, mode {config.mode}")
-    bib = _as_bibennett(structure)
+    bib = as_bibennett(structure)
     if isinstance(structure, LimitStructure):
         print(f"limit kind {structure.kind}, labels "
               f"{sorted(structure.labels)}")
@@ -122,18 +115,13 @@ def _cmd_construct(args) -> int:
     config = _load_config(args)
     structure = build_structure(config)
     tau = _require_tau(config)
-    bib = _as_bibennett(structure)
-    out = {"family": config.family, "tau": _fmt(tau)}
+    bib = as_bibennett(structure)
+    out = {"family": config.family, "tau": str(tau)}
     if bib is None:
-        from .families import Loop, MuSet
-
-        pose = Loop(structure, MuSet(0, 0, 0, 0)).pose(tau)
-        if isinstance(structure, PlanarDesign):
-            residual = planar_loop_closure_residual(structure, tau)
-        else:
-            residual = loop_closure_residual(structure, tau)
+        pose = frame(structure, tau)
+        residual = loop_closure_residual(structure, tau)
         print(f"loop closure residual: {residual}")
-        out["closure_residual"] = _fmt(residual)
+        out["closure_residual"] = str(residual)
         out["axes"] = _axes_dict(pose.axes)
     else:
         cp = coupled_pose(bib, tau)
@@ -142,7 +130,7 @@ def _cmd_construct(args) -> int:
         for label in ((1, 4), (1, 2), (2, 3), (3, 4)):
             coords = " ".join(f"{float(c):+.6f}" for c in cp.quad[label])
             print(f"P{label[0]}{label[1]}: {coords}")
-        out["tau_bar"] = _fmt(cp.tau_bar)
+        out["tau_bar"] = str(cp.tau_bar)
         out["axes"] = _axes_dict(cp.pose.axes)
         out["hat_axes"] = _axes_dict(cp.hat_axes)
     if args.out:
@@ -180,11 +168,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_certify(args) -> int:
     config = _load_config(args)
     structure = build_structure(config)
-    bib = _as_bibennett(structure)
-    if bib is None:
+    if as_bibennett(structure) is None:
         raise ConfigError(f"family {config.family!r} has no coupling to certify")
     tau = _require_tau(config)
-    name, report = _certify(structure, bib, tau, config.tol)
+    name, report = certify(structure, tau, config.tol)
     _print_report(report)
     if args.out:
         _write_report(args.out, name, report)

@@ -10,18 +10,16 @@ orientation-preserving isometry with a companion motion parameter tau_bar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .algebra import (
     DegenerateResultantError,
-    Poly,
     Quadratic2,
     det3,
     fit_rational,
-    is_exact,
     resultant_tau_bar,
     sqrt_scalar,
     v_add,
@@ -40,13 +38,10 @@ from .bennett import (
     frame,
     half_turn_direction,
     half_turn_point,
-    planar_frame,
     validate,
 )
 
 FAMILIES = ("A", "B", "C", "TrivialLineSym")
-
-_SWAP = {(1, 4): (2, 3), (2, 3): (1, 4), (1, 2): (3, 4), (3, 4): (1, 2)}
 
 
 class NoRealFamilyError(ValueError):
@@ -121,6 +116,7 @@ class SkewQuad:
         return (v_dist_sq(self.p14, self.p23), v_dist_sq(self.p12, self.p34))
 
     def orientation_det(self):
+        """Signed volume (times six) of the tetrahedron P14, P12, P23, P34."""
         return det3(
             v_sub(self.p12, self.p14),
             v_sub(self.p23, self.p14),
@@ -144,8 +140,6 @@ class Loop:
     mu: MuSet
 
     def pose(self, tau) -> Pose:
-        if isinstance(self.design, PlanarDesign):
-            return planar_frame(self.design, tau)
         return frame(self.design, tau)
 
     def quad(self, tau) -> SkewQuad:
@@ -499,19 +493,13 @@ _FIT_POINTS = [Fraction(n) for n in (1, 2, 3, 4, -1, -2, -3, 5, -4)] + [
 
 def _exact_loop(loop: Loop) -> Loop:
     """Rationalize a loop's parameters; floats convert without rounding."""
-    design = loop.design
-    if isinstance(design, PlanarDesign):
-        scalars = (design.d1, design.d2)
-    else:
-        scalars = (design.a1, design.a2, design.k)
-    if not any(isinstance(v, float) for v in scalars + loop.mu.as_tuple()):
+    scalars = {name: v for name, v in vars(loop.design).items()
+               if not isinstance(v, str)}  # PlanarDesign.case is a label
+    if not any(isinstance(v, float)
+               for v in (*scalars.values(), *loop.mu.as_tuple())):
         return loop
-    if isinstance(design, PlanarDesign):
-        design = PlanarDesign(Fraction(design.d1), Fraction(design.d2),
-                              design.case)
-    else:
-        design = BennettDesign(Fraction(design.a1), Fraction(design.a2),
-                               Fraction(design.k))
+    design = replace(loop.design,
+                     **{name: Fraction(v) for name, v in scalars.items()})
     return Loop(design, MuSet(*(Fraction(m) for m in loop.mu.as_tuple())))
 
 

@@ -24,17 +24,15 @@ from .bennett import (
     DegenerateDesignError,
     PLANAR_CASES,
     PlanarDesign,
+    frame,
     half_turn_point,
     loop_closure_residual,
-    planar_loop_closure_residual,
     validate,
 )
 from .families import (
     BiBennett,
-    Loop,
     MuSet,
     NoRealBranchError,
-    NoRealFamilyError,
     coupled_pose,
     family_c,
     isogram_residuals,
@@ -63,10 +61,6 @@ class ConfigError(ValueError):
 
 SCHEMA_VERSION = 1
 
-FAMILIES = ("single", "planar", "A", "B", "C", "trivial",
-            "A-prismatic", "B-prismatic", "C-prismatic",
-            "A-pyramidal", "B-pyramidal", "C-pyramidal")
-
 
 @dataclass(frozen=True)
 class Config:
@@ -93,22 +87,57 @@ class Config:
 
 
 _COMMON_KEYS = {"schema", "family", "tau", "tau_samples", "mode", "tol"}
-_FAMILY_KEYS = {
-    "single": ({"a1", "a2", "k"}, set()),
-    "planar": ({"case", "d1", "d2"}, set()),
-    "A": ({"k", "mu14", "mu12", "mu23", "mu34"}, set()),
-    "B": ({"a1", "a2", "k", "mu23", "mu34"}, set()),
-    "C": ({"a1", "a2", "k", "mu14", "mu12"}, {"s", "branch"}),
-    "trivial": ({"a1", "a2", "k", "mu23", "mu34"}, set()),
-    "A-prismatic": ({"case", "d1", "d2", "mu12", "mu23", "mu34"}, set()),
-    "B-prismatic": ({"case", "d1", "d2", "mu23", "mu34"}, set()),
-    "C-prismatic": ({"case", "d1", "d2", "mu14", "mu12"}, {"s", "branch"}),
-    "A-pyramidal": ({"mu14", "mu12", "mu23", "mu34"}, set()),
-    "B-pyramidal": ({"a1", "a2", "mu23", "mu34"}, set()),
-    "C-pyramidal": ({"a1", "a2", "mu14", "mu12"}, {"s", "branch"}),
+
+# Every config family: its required keys, its optional keys, and the builder
+# of the structure it describes from a Config (a BennettDesign or
+# PlanarDesign for one loop, a BiBennett for a coupling, a LimitStructure
+# for a limit).
+FAMILIES = {
+    "single": ({"a1", "a2", "k"}, set(),
+               lambda c: validate(c.a1, c.a2, c.k)),
+    "planar": ({"case", "d1", "d2"}, set(),
+               lambda c: PlanarDesign(c.d1, c.d2, c.case)),
+    "A": ({"k", "mu14", "mu12", "mu23", "mu34"}, set(),
+          lambda c: make_family_a(MuSet(c.mu14, c.mu12, c.mu23, c.mu34),
+                                  k=c.k)),
+    "B": ({"a1", "a2", "k", "mu23", "mu34"}, set(),
+          lambda c: make_family_b(c.mu23, c.mu34, validate(c.a1, c.a2, c.k))),
+    "C": ({"a1", "a2", "k", "mu14", "mu12"}, {"s", "branch"},
+          lambda c: family_c(validate(c.a1, c.a2, c.k), c.mu14, c.mu12,
+                             c.s, c.branch)),
+    "trivial": ({"a1", "a2", "k", "mu23", "mu34"}, set(),
+                lambda c: make_trivial(c.mu23, c.mu34,
+                                       validate(c.a1, c.a2, c.k))),
+    "A-prismatic": ({"case", "d1", "d2", "mu12", "mu23", "mu34"}, set(),
+                    lambda c: prismatic_limit_AB("A", c.case, c.d1, c.d2,
+                                                 mu12=c.mu12, mu23=c.mu23,
+                                                 mu34=c.mu34)),
+    "B-prismatic": ({"case", "d1", "d2", "mu23", "mu34"}, set(),
+                    lambda c: prismatic_limit_AB("B", c.case, c.d1, c.d2,
+                                                 mu23=c.mu23, mu34=c.mu34)),
+    "C-prismatic": ({"case", "d1", "d2", "mu14", "mu12"}, {"s", "branch"},
+                    lambda c: prismatic_limit_C(c.case, c.d1, c.d2, c.mu14,
+                                                c.mu12, c.s, c.branch)),
+    "A-pyramidal": ({"mu14", "mu12", "mu23", "mu34"}, set(),
+                    lambda c: pyramidal_limit(
+                        "A", mu=MuSet(c.mu14, c.mu12, c.mu23, c.mu34))),
+    "B-pyramidal": ({"a1", "a2", "mu23", "mu34"}, set(),
+                    lambda c: pyramidal_limit("B", a1=c.a1, a2=c.a2,
+                                              mu23=c.mu23, mu34=c.mu34)),
+    "C-pyramidal": ({"a1", "a2", "mu14", "mu12"}, {"s", "branch"},
+                    lambda c: pyramidal_limit("C", a1=c.a1, a2=c.a2,
+                                              mu14=c.mu14, mu12=c.mu12,
+                                              s=c.s, branch=c.branch)),
 }
 _SCALAR_KEYS = ("a1", "a2", "k", "d1", "d2",
                 "mu14", "mu12", "mu23", "mu34", "tau")
+
+
+def _convert(key, convert, value):
+    try:
+        return convert(value)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"key {key!r}: {exc}") from exc
 
 
 def parse_config(text: str) -> Config:
@@ -122,11 +151,11 @@ def parse_config(text: str) -> Config:
     if data.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"'schema' must be {SCHEMA_VERSION}")
     family = data.get("family")
-    if family not in _FAMILY_KEYS:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise ConfigError(
-            f"'family' must be one of {sorted(_FAMILY_KEYS)}, got {family!r}"
+            f"'family' must be one of {sorted(FAMILIES)}, got {family!r}"
         )
-    required, optional = _FAMILY_KEYS[family]
+    required, optional, _ = FAMILIES[family]
     allowed = _COMMON_KEYS | required | optional
     for key in data:
         if key not in allowed:
@@ -139,13 +168,14 @@ def parse_config(text: str) -> Config:
     if mode not in ("exact", "float"):
         raise ConfigError("'mode' must be 'exact' or 'float'")
     exact = mode == "exact"
+
+    def scalar(v):
+        return parse_scalar(v, exact)
+
     values = {"family": family, "mode": mode}
     for key in _SCALAR_KEYS:
         if key in data:
-            try:
-                values[key] = parse_scalar(data[key], exact)
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
-                raise ConfigError(f"key {key!r}: {exc}") from exc
+            values[key] = _convert(key, scalar, data[key])
     if "case" in data:
         if data["case"] not in PLANAR_CASES and data["case"] not in ("anti", "para"):
             raise ConfigError(
@@ -158,12 +188,13 @@ def parse_config(text: str) -> Config:
                 raise ConfigError(f"{key!r} must be -1 or 1")
             values[key] = data[key]
     if "tol" in data:
-        values["tol"] = float(data["tol"])
+        values["tol"] = _convert("tol", float, data["tol"])
     if "tau_samples" in data:
         raw = data["tau_samples"]
         if not isinstance(raw, list) or not raw:
             raise ConfigError("'tau_samples' must be a non-empty list")
-        values["tau_samples"] = tuple(parse_scalar(v, exact) for v in raw)
+        values["tau_samples"] = tuple(_convert("tau_samples", scalar, v)
+                                      for v in raw)
     config = Config(**values)
     _validate_convention(config)
     return config
@@ -171,19 +202,18 @@ def parse_config(text: str) -> Config:
 
 def _validate_convention(config: Config) -> None:
     """Reject designs the constructions exclude, naming the violated rule."""
-    if config.family in ("single", "B", "C", "trivial",
-                        "B-pyramidal", "C-pyramidal"):
+    required = FAMILIES[config.family][0]
+    if {"a1", "a2"} <= required:
         try:
             k = config.k if config.k is not None else 0
             validate(config.a1, config.a2, k)
         except (DegenerateDesignError, ConventionError) as exc:
             raise ConfigError(f"invalid design: {exc}") from exc
-    if config.case in PLANAR_CASES or config.family.endswith("prismatic"):
-        if config.d1 is not None and config.d1 == config.d2:
-            raise ConfigError(
-                "invalid design: equal offsets d1 = d2 put the planar "
-                "transmission at a pole"
-            )
+    if "d1" in required and config.d1 == config.d2:
+        raise ConfigError(
+            "invalid design: equal offsets d1 = d2 put the planar "
+            "transmission at a pole"
+        )
 
 
 def serialize_config(config: Config) -> str:
@@ -196,10 +226,8 @@ def serialize_config(config: Config) -> str:
             data[key] = _scalar_str(value)
     if config.case is not None:
         data["case"] = config.case
-    required, optional = _FAMILY_KEYS[config.family]
-    for key in ("s", "branch"):
-        if key in optional:
-            data[key] = getattr(config, key)
+    for key in FAMILIES[config.family][1]:
+        data[key] = getattr(config, key)
     if config.tol is not None:
         data["tol"] = config.tol
     if config.tau_samples is not None:
@@ -223,48 +251,15 @@ def load_config(path) -> Config:
 # ---------------------------------------------------------------------------
 
 def build_structure(config: Config):
-    """Instantiate the object a config describes.
-
-    Returns a BennettDesign or PlanarDesign for the single-loop families, a
-    BiBennett for the couplings, and a LimitStructure for the limit kinds.
-    """
-    c = config
-    if c.family == "single":
-        return validate(c.a1, c.a2, c.k)
-    if c.family == "planar":
-        return PlanarDesign(c.d1, c.d2, c.case)
+    """Instantiate the object a config describes, by the builder of its
+    family in FAMILIES."""
+    if config.family not in FAMILIES:
+        raise ConfigError(f"unsupported family {config.family!r}")
     try:
-        if c.family == "A":
-            return make_family_a(MuSet(c.mu14, c.mu12, c.mu23, c.mu34), k=c.k)
-        if c.family == "B":
-            return make_family_b(c.mu23, c.mu34, validate(c.a1, c.a2, c.k))
-        if c.family == "trivial":
-            return make_trivial(c.mu23, c.mu34, validate(c.a1, c.a2, c.k))
-        if c.family == "C":
-            return family_c(validate(c.a1, c.a2, c.k), c.mu14, c.mu12,
-                            c.s, c.branch)
-        if c.family == "A-prismatic":
-            return prismatic_limit_AB("A", c.case, c.d1, c.d2, mu12=c.mu12,
-                                      mu23=c.mu23, mu34=c.mu34)
-        if c.family == "B-prismatic":
-            return prismatic_limit_AB("B", c.case, c.d1, c.d2,
-                                      mu23=c.mu23, mu34=c.mu34)
-        if c.family == "C-prismatic":
-            return prismatic_limit_C(c.case, c.d1, c.d2, c.mu14, c.mu12,
-                                     c.s, c.branch)
-        if c.family == "A-pyramidal":
-            return pyramidal_limit("A",
-                                   mu=MuSet(c.mu14, c.mu12, c.mu23, c.mu34))
-        if c.family == "B-pyramidal":
-            return pyramidal_limit("B", a1=c.a1, a2=c.a2,
-                                   mu23=c.mu23, mu34=c.mu34)
-        if c.family == "C-pyramidal":
-            return pyramidal_limit("C", a1=c.a1, a2=c.a2, mu14=c.mu14,
-                                   mu12=c.mu12, s=c.s, branch=c.branch)
-    except (DegenerateDesignError, ConventionError, NoRealFamilyError,
-            ValueError) as exc:
-        raise ConfigError(f"cannot build family {c.family!r}: {exc}") from exc
-    raise ConfigError(f"unsupported family {c.family!r}")
+        return FAMILIES[config.family][2](config)
+    except ValueError as exc:
+        raise ConfigError(
+            f"cannot build family {config.family!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +295,8 @@ def hp_patch(quad, n: int):
     return vertices, faces
 
 
-_HALFTURN_LABEL_SWAP = {(1, 4): (2, 3), (2, 3): (1, 4),
-                        (1, 2): (3, 4), (3, 4): (1, 2)}
-
-
-def _as_bibennett(structure):
+def as_bibennett(structure):
+    """The coupling of a BiBennett or LimitStructure; None for one loop."""
     if isinstance(structure, LimitStructure):
         return structure.bibennett
     if isinstance(structure, BiBennett):
@@ -375,12 +367,11 @@ def coupling_ribbons(bib: BiBennett, tau, tau_bar=None, width_factor=0.1):
 def export_obj_text(structure, tau, patch_n: int = 4,
                     width_factor: float = 0.1) -> str:
     """Deterministic OBJ text for a structure at drive value tau."""
-    bib = _as_bibennett(structure)
+    bib = as_bibennett(structure)
     if bib is not None:
         ribbons = coupling_ribbons(bib, tau, width_factor=width_factor)
     elif isinstance(structure, (BennettDesign, PlanarDesign)):
-        pose = Loop(structure, MuSet(0, 0, 0, 0)).pose(tau)
-        ribbons = _single_loop_ribbons(pose, width_factor)
+        ribbons = _single_loop_ribbons(frame(structure, tau), width_factor)
     else:
         raise TypeError(f"cannot export {type(structure).__name__}")
     lines = []
@@ -416,24 +407,18 @@ _EMPTY_BRANCH = "no-real-branch"
 _POLE = "pole"
 
 
-def _closure(design, tau):
-    if isinstance(design, PlanarDesign):
-        return planar_loop_closure_residual(design, tau)
-    return loop_closure_residual(design, tau)
-
-
-def _certify(structure, bib, tau, tol):
+def certify(structure, tau, tol):
+    """(certificate name, report) for a coupling or limit structure at tau;
+    ``tol`` None keeps the certificate's own tolerance."""
     if isinstance(structure, LimitStructure):
         return "limit-labels", verify_labels(structure, tau)
+    bib = as_bibennett(structure)
+    kw = {"tol": tol} if tol is not None else {}
     if bib.family == "A":
-        return "isogonal", isogonal_certificate(bib, tau, **_tol_kw(tol))
+        return "isogonal", isogonal_certificate(bib, tau, **kw)
     if bib.family in ("B", "TrivialLineSym"):
-        return "deltoidal", deltoidal_certificate(bib, tau, **_tol_kw(tol))
-    return "halfturn", halfturn_certificate(bib, tau, **_tol_kw(tol))
-
-
-def _tol_kw(tol):
-    return {"tol": tol} if tol is not None else {}
+        return "deltoidal", deltoidal_certificate(bib, tau, **kw)
+    return "halfturn", halfturn_certificate(bib, tau, **kw)
 
 
 def sweep_report(config: Config, tau_samples=None):
@@ -447,7 +432,7 @@ def sweep_report(config: Config, tau_samples=None):
     if samples is None:
         raise ConfigError("no tau samples: pass tau_samples or set it in the config")
     structure = build_structure(config)
-    bib = _as_bibennett(structure)
+    bib = as_bibennett(structure)
     if bib is None:
         raise ConfigError(f"family {config.family!r} has no coupling to sweep")
     rows = []
@@ -467,14 +452,15 @@ def sweep_report(config: Config, tau_samples=None):
                        certificate="", verdict="")
             rows.append(row)
             continue
-        name, report = _certify(structure, bib, tau, config.tol)
+        name, report = certify(structure, tau, config.tol)
         side = max(abs(float(r)) for r in isogram_residuals(cp.quad))
         row.update(
             status="ok",
             tau_bar=_scalar_str(cp.tau_bar),
-            closure_residual=_scalar_str(_closure(bib.design, tau)),
+            closure_residual=_scalar_str(
+                loop_closure_residual(bib.design, tau)),
             bar_closure_residual=_scalar_str(
-                _closure(bib.bar_design, cp.tau_bar)),
+                loop_closure_residual(bib.bar_design, cp.tau_bar)),
             side_residual=side,
             certificate=name,
             verdict="pass" if report.verdict else "fail",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     det3,
@@ -19,13 +18,12 @@ from .algebra import (
     v_cross,
     v_dot,
     v_norm,
-    v_norm_sq,
     v_scale,
     v_sub,
 )
 from .bennett import (
     AXIS_LABELS,
-    BennettDesign,
+    SWAP,
     PlanarDesign,
     half_turn_point,
     validate,
@@ -76,7 +74,9 @@ class LimitStructure:
 
 
 def _planar_design(case: str, d1, d2) -> PlanarDesign:
-    return PlanarDesign(d1, d2, {"anti": "2a", "para": "2b"}[case])
+    if case not in ("anti", "para"):
+        raise ValueError("case must be 'anti' or 'para'")
+    return PlanarDesign(d1, d2, "2a" if case == "anti" else "2b")
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +91,6 @@ def prismatic_limit_AB(family: str, case: str, d1, d2,
     mu14 = mu23, mu12 = mu34 is the family-B pattern (anti case only) and the
     solved branches mu14 = mu12 -+ mu23 +- mu34 extend the family-A limits.
     """
-    if case not in ("anti", "para"):
-        raise ValueError("case must be 'anti' or 'para'")
     pd = _planar_design(case, d1, d2)
     if family == "B":
         if case == "para":
@@ -165,10 +163,6 @@ def _floats(v):
     return tuple(float(x) for x in v)
 
 
-def _all_axes(cp):
-    return list(cp.pose.axes.values()) + list(cp.hat_axes.values())
-
-
 def prism_parallel_residual(cp) -> float:
     """Largest sine of the angle between the edges within each prism.
 
@@ -209,9 +203,8 @@ def _line_symmetry_residual(cp) -> float:
     carry the first tube's axes onto the hat axes."""
     lp, ld = quad_symmetry_line(cp.quad)
     lp, ld = _floats(lp), _floats(ld)
-    swap = {(1, 4): (2, 3), (2, 3): (1, 4), (1, 2): (3, 4), (3, 4): (1, 2)}
     worst = 0.0
-    for label, target in swap.items():
+    for label, target in SWAP.items():
         img = half_turn_point(_floats(cp.quad[label]), lp, ld)
         worst = max(worst, math.dist(img, _floats(cp.quad[target])))
     for label, ax in cp.pose.axes.items():
@@ -265,36 +258,35 @@ def _reflection_residual(swapped_pairs, inplane_pair) -> float:
     return worst
 
 
+def _arcs(center, targets):
+    """Spherical side arcs between the rays from ``center`` to consecutive
+    ``targets`` (float points)."""
+    rays = []
+    for t in targets:
+        v = v_sub(t, center)
+        rays.append(v_scale(1.0 / v_norm(v), v))
+    return [math.acos(max(-1.0, min(1.0, v_dot(rays[j], rays[(j + 1) % 4]))))
+            for j in range(4)]
+
+
 def _vertex_arcs_pyramid(cp, center):
     """Spherical side arcs of the bipyramid vertex figure at a quad vertex:
     rays toward the previous vertex, the apex, the next vertex, the hat apex."""
     order = list(AXIS_LABELS)
     i = order.index(center)
     apex, apex_hat = _apexes(cp)
-    c = _floats(cp.quad[center])
-    targets = [
+    return _arcs(_floats(cp.quad[center]), [
         _floats(cp.quad[order[(i - 1) % 4]]),
         _floats(apex),
         _floats(cp.quad[order[(i + 1) % 4]]),
         _floats(apex_hat),
-    ]
-    rays = []
-    for t in targets:
-        v = v_sub(t, c)
-        rays.append(v_scale(1.0 / v_norm(v), v))
-    return [math.acos(max(-1.0, min(1.0, v_dot(rays[j], rays[(j + 1) % 4]))))
-            for j in range(4)]
+    ])
 
 
 def _apex_arcs(cp, hat: bool):
     apex, apex_hat = _apexes(cp)
-    c = _floats(apex_hat if hat else apex)
-    rays = []
-    for label in AXIS_LABELS:
-        v = v_sub(_floats(cp.quad[label]), c)
-        rays.append(v_scale(1.0 / v_norm(v), v))
-    return [math.acos(max(-1.0, min(1.0, v_dot(rays[j], rays[(j + 1) % 4]))))
-            for j in range(4)]
+    return _arcs(_floats(apex_hat if hat else apex),
+                 [_floats(cp.quad[label]) for label in AXIS_LABELS])
 
 
 def _vertex_class(arcs, tol: float) -> str:
@@ -313,7 +305,6 @@ def _vertex_class(arcs, tol: float) -> str:
 def _flat_pose_pattern_residual(cp) -> float:
     """Congruence of the two orthogonal prism cross-sections (the hallmark of
     the two-flat-pose prismatic class)."""
-    axes = _all_axes(cp)
     d = _floats(cp.pose.axes[(1, 4)].direction)
     d = v_scale(1.0 / v_norm(d), d)
 
@@ -329,7 +320,6 @@ def _flat_pose_pattern_residual(cp) -> float:
         vals += [math.dist(pts[0], pts[2]), math.dist(pts[1], pts[3])]
         return sorted(vals)
 
-    _ = axes
     return max(abs(a - b) for a, b in zip(shape(own), shape(hat)))
 
 
@@ -373,10 +363,8 @@ def verify_labels(structure: LimitStructure, tau,
         residuals.append(ResidualEntry(
             "axes parallel", prism_parallel_residual(cp), PARALLEL_TOL))
     else:
-        apex, _ = _apexes(cp)
         worst = max(v_norm(_floats(ax.point)) for ax in cp.pose.axes.values())
         residuals.append(ResidualEntry("anchors copunctal", worst, tol))
-        _ = apex
     for label in sorted(structure.labels):
         residuals.extend(_label_residuals(label, cp, tol))
     return CertificateReport(f"labels[{','.join(sorted(structure.labels))}]",

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     det3,
     solve_linear,
     v_add,
     v_cross,
-    v_dist_sq,
     v_dot,
     v_norm,
     v_norm_sq,
@@ -127,33 +125,32 @@ def _iso_delto_residuals(cp: CoupledPose, center, opposite, prev_n, next_n):
     return iso1, iso2, iso3, delto1, delto2
 
 
+def _vertex_certificate(name, labels, bib, tau, tol) -> CertificateReport:
+    """The residuals of :func:`_iso_delto_residuals` named in ``labels``
+    (label -> index) at all four quad vertices."""
+    cp = coupled_pose(bib, tau)
+    residuals = []
+    for roles in _vertex_roles():
+        values = _iso_delto_residuals(cp, *roles)
+        tag = f"P{roles[0][0]}{roles[0][1]}"
+        for label, index in labels.items():
+            residuals.append(
+                ResidualEntry(f"{label} @ {tag}", values[index], tol))
+    return CertificateReport(name, tuple(residuals))
+
+
 def isogonal_certificate(bib: BiBennett, tau, tol: float = ISO_TOL
                          ) -> CertificateReport:
     """Equal-opposite-angle certificate at all four quad vertices."""
-    cp = coupled_pose(bib, tau)
-    residuals = []
-    for center, opposite, prev_n, next_n in _vertex_roles():
-        iso1, iso2, iso3, _, _ = _iso_delto_residuals(
-            cp, center, opposite, prev_n, next_n)
-        tag = f"P{center[0]}{center[1]}"
-        residuals.append(ResidualEntry(f"iso1 @ {tag}", iso1, tol))
-        residuals.append(ResidualEntry(f"iso2 @ {tag}", iso2, tol))
-        residuals.append(ResidualEntry(f"iso3 @ {tag}", iso3, tol))
-    return CertificateReport("isogonal", tuple(residuals))
+    return _vertex_certificate("isogonal", {"iso1": 0, "iso2": 1, "iso3": 2},
+                               bib, tau, tol)
 
 
 def deltoidal_certificate(bib: BiBennett, tau, tol: float = ISO_TOL
                           ) -> CertificateReport:
     """Equal-adjacent-angle certificate at all four quad vertices."""
-    cp = coupled_pose(bib, tau)
-    residuals = []
-    for center, opposite, prev_n, next_n in _vertex_roles():
-        _, _, _, delto1, delto2 = _iso_delto_residuals(
-            cp, center, opposite, prev_n, next_n)
-        tag = f"P{center[0]}{center[1]}"
-        residuals.append(ResidualEntry(f"delto1 @ {tag}", delto1, tol))
-        residuals.append(ResidualEntry(f"delto2 @ {tag}", delto2, tol))
-    return CertificateReport("deltoidal", tuple(residuals))
+    return _vertex_certificate("deltoidal", {"delto1": 3, "delto2": 4},
+                               bib, tau, tol)
 
 
 def deltoidal_numerators(a1, a2, mu14, mu12, mu23, mu34):

@@ -202,3 +202,42 @@ def test_kernel_tau_zero_is_pole(a, d, k, case):
         frame(BennettDesign(a, a + 1, k), F(0))
     with pytest.raises(PoleError):
         planar_frame(PlanarDesign(d, d + 1, case), 0)
+
+
+# ---------------------------------------------------------------------------
+# one chain for Bennett and planar loops, exact for ints as well
+# ---------------------------------------------------------------------------
+
+_EXACT_POSITIVE = st.one_of(_POSITIVE, st.integers(1, 40))
+_EXACT_NONZERO = st.one_of(_NONZERO, st.integers(-40, 40).filter(bool))
+
+
+@_KERNEL_SETTINGS
+@given(_EXACT_POSITIVE, _EXACT_POSITIVE, _SCALE, _EXACT_NONZERO,
+       st.sampled_from(PLANAR_CASES))
+def test_one_chain_closes_exactly(a1, a2, k, tau, case):
+    assume(a1 != a2)
+    assert loop_closure_residual(BennettDesign(a1, a2, k), tau) == 0
+    assert loop_closure_residual(PlanarDesign(a1, a2, case), tau) == 0
+
+
+def test_int_designs_stay_exact():
+    bennett = validate(2, 1, 1)
+    assert transmission_K(bennett) == 3
+    assert transmission_K_alt(bennett) == F(-1, 3)
+    assert (bennett.d1, bennett.d2) == (F(4, 5), 1)
+    assert planar_K(PlanarDesign(2, 1, "1a")) == -3
+    for value in (transmission_K(bennett), transmission_K_alt(bennett),
+                  bennett.d1, bennett.d2, planar_K(PlanarDesign(2, 1, "2a"))):
+        assert isinstance(value, Fraction)
+    designs = [bennett, validate(3, 1, 0)]
+    designs += [PlanarDesign(2, 1, case) for case in PLANAR_CASES]
+    for design in designs:
+        for tau in (F(1, 2), 3):
+            pose = frame(design, tau)
+            for label in ((2, 3), (3, 4)):
+                axis = pose.axes[label]
+                assert all(isinstance(x, Fraction)
+                           for x in axis.point + axis.direction)
+            residual = loop_closure_residual(design, tau)
+            assert residual == 0 and not isinstance(residual, float)

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bibennett.cli import (
     EXIT_CERTIFICATE,
@@ -12,6 +14,7 @@ from bibennett.cli import (
     fixture_path,
     main,
 )
+from bibennett.io_export import FAMILIES
 
 
 def test_fixture_path_variants():
@@ -48,6 +51,81 @@ def test_validate_malformed_json_is_input_error(tmp_path, capsys):
     path.write_text('{"family": "C",')
     assert main(["validate", "-c", str(path)]) == EXIT_INPUT
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_validate_non_utf8_config_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"schema": 1}')
+    assert main(["validate", "-c", str(path)]) == EXIT_INPUT
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    {"family": "planar", "case": "anti", "d1": "1/2", "d2": "1"},
+    {"family": "planar", "case": "1a", "d1": "-1", "d2": "1"},
+    {"family": "C-prismatic", "case": "1a", "d1": "1/2", "d2": "1",
+     "mu14": "1", "mu12": "1/2"},
+    {"family": ["A"]},
+    {"family": "single", "a1": "1/2", "a2": "1/3", "k": "1", "tol": "x"},
+    {"family": "single", "a1": "1/2", "a2": "1/3", "k": "1",
+     "tau_samples": [[1]]},
+])
+def test_bad_inputs_are_input_errors(tmp_path, capsys, config):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": 1, **config}))
+    assert main(["validate", "-c", str(path)]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
+_NUMBER = st.one_of(
+    st.builds("{}/{}".format, st.integers(-4, 4), st.integers(1, 4)),
+    st.integers(-2, 3),
+)
+_VALUES = {
+    "case": st.sampled_from(["anti", "para", "1a", "1b", "2a", "2b"]),
+    "s": st.sampled_from([-1, 1]),
+    "branch": st.sampled_from([-1, 1]),
+    "mode": st.sampled_from(["exact", "float"]),
+    "tau_samples": st.lists(_NUMBER, min_size=1, max_size=2),
+    "tol": st.sampled_from([1e-9, 1e-6]),
+}
+_JUNK = st.sampled_from(["x", "1/0", None, [], [[1]], {"a": 1}, 2.5])
+_ALL_KEYS = sorted({key for required, optional, _ in FAMILIES.values()
+                    for key in required | optional}
+                   | set(_VALUES) | {"tau", "unknown"})
+
+
+@st.composite
+def _fuzzed_config(draw, family):
+    """A config of ``family`` with values of the right kind for each key
+    (mismatched cases, zeros and negatives included), then at most one key
+    dropped, added or set to a value of the wrong kind."""
+    required, optional, _ = FAMILIES.get(family, (set(), set(), None))
+    extra = optional | {"tau", "tau_samples", "tol", "mode"}
+    keys = required | draw(st.sets(st.sampled_from(sorted(extra))))
+    data = {"schema": 1, "family": family}
+    for key in sorted(keys):
+        data[key] = draw(_VALUES.get(key, _NUMBER))
+    mutation = draw(st.sampled_from(["none", "drop", "add", "junk"]))
+    key = draw(st.sampled_from(_ALL_KEYS))
+    if mutation == "drop":
+        data.pop(key, None)
+    elif mutation == "add":
+        data[key] = draw(_VALUES.get(key, _NUMBER))
+    elif mutation == "junk":
+        data[key] = draw(_JUNK)
+    return data
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES) + ["D"])
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_configs_keep_the_exit_code_contract(tmp_path, family, data):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(data.draw(_fuzzed_config(family))))
+    assert main(["validate", "-c", str(path)]) in (
+        EXIT_OK, EXIT_CERTIFICATE, EXIT_INPUT)
 
 
 def test_construct_prints_pose(capsys):

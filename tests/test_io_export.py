@@ -5,9 +5,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from bibennett.bennett import PLANAR_CASES
 from bibennett.cli import fixture_path
 from bibennett.io_export import (
+    FAMILIES,
     ConfigError,
     build_structure,
     coupling_ribbons,
@@ -36,6 +40,42 @@ def test_round_trip_all_fixtures():
     for name in ("fig3", "fig4", "fig5", "fig6", "fig8a", "fig8b", "fig9a"):
         config = _fixture(name)
         assert parse_config(serialize_config(config)) == config
+
+
+_RATIONAL = st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9))
+_POSITIVE = st.builds("{}/{}".format, st.integers(1, 9), st.integers(1, 9))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_round_trip_generated_configs(family, data):
+    required, optional, _ = FAMILIES[family]
+    raw = {"schema": 1, "family": family,
+           "mode": data.draw(st.sampled_from(["exact", "float"]))}
+    for key in sorted(required | optional):
+        if key == "case":
+            cases = PLANAR_CASES if family == "planar" else ("anti", "para")
+            raw[key] = data.draw(st.sampled_from(cases))
+        elif key in ("s", "branch"):
+            if data.draw(st.booleans()):
+                raw[key] = data.draw(st.sampled_from([-1, 1]))
+        elif key in ("a1", "a2", "k", "d1", "d2"):
+            raw[key] = data.draw(_POSITIVE)
+        else:
+            raw[key] = data.draw(_RATIONAL)
+    if data.draw(st.booleans()):
+        raw["tau"] = data.draw(_RATIONAL)
+    if data.draw(st.booleans()):
+        raw["tau_samples"] = data.draw(st.lists(_RATIONAL, min_size=1,
+                                                max_size=3))
+    if data.draw(st.booleans()):
+        raw["tol"] = data.draw(st.sampled_from([1e-9, 1e-6]))
+    try:
+        config = parse_config(json.dumps(raw))
+    except ConfigError:
+        assume(False)
+    assert parse_config(serialize_config(config)) == config
 
 
 def test_parse_rejects_bad_schema():
