@@ -373,14 +373,13 @@ class IndicatrixReport:
     classification: str  # "V-hedral" | "anti-V-hedral" | "other"
 
 
-def indicatrix(design: BennettDesign, tau=Fraction(1, 2),
-               classify_ambiguous: bool = False) -> IndicatrixReport:
+def indicatrix(design: BennettDesign, tau=Fraction(1, 2)) -> IndicatrixReport:
     """Spherical image of the axis directions (the k = 0 limit).
 
     Opposite arcs of a Bennett indicatrix are equal, giving the pattern
     (alpha1, alpha2, alpha1, alpha2).  When a1 a2 = 1 the adjacent arcs are
     additionally supplementary and the vertex class is ambiguous; it is
-    reported as "other" unless ``classify_ambiguous`` is set.
+    reported as "other".
     """
     spherical = frame(BennettDesign(design.a1, design.a2, 0), tau)
     dirs = [spherical.axis(*label).direction for label in AXIS_LABELS]
@@ -394,10 +393,8 @@ def indicatrix(design: BennettDesign, tau=Fraction(1, 2),
     opposite_supp = (abs(arcs[0] + arcs[2] - math.pi) < tol
                      and abs(arcs[1] + arcs[3] - math.pi) < tol)
     adjacent_supp = abs(arcs[0] + arcs[1] - math.pi) < tol
-    if opposite_equal and adjacent_supp and not classify_ambiguous:
-        label = "other"
-    elif opposite_equal:
-        label = "V-hedral"
+    if opposite_equal:
+        label = "other" if adjacent_supp else "V-hedral"
     elif opposite_supp:
         label = "anti-V-hedral"
     else:
@@ -440,7 +437,7 @@ def _quadric_value(q, point):
     return sum(c * v for c, v in zip(q, _quadric_row(point)))
 
 
-def regulus_residual(pose: Pose, tol: float = FLOAT_TOL):
+def regulus_residual(pose: Pose):
     """Deviation of axis (3,4) from the quadric spanned by the other three axes.
 
     Zero for every Bennett pose; raises DegenerateQuadricError when the first

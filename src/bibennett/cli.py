@@ -25,6 +25,7 @@ from .io_export import (
     as_bibennett,
     build_structure,
     certify,
+    config_object,
     export_obj,
     parse_config,
     sweep_report,
@@ -60,14 +61,7 @@ def _load_config(args) -> Config:
                 f"config {args.config!r} is neither a file nor a bundled fixture"
             )
         raw = resource.read_bytes()
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("top-level value must be an object")
+    data = config_object(raw)
     for key in ("tau", "mode"):
         value = getattr(args, key, None)
         if value is not None:
@@ -78,7 +72,10 @@ def _load_config(args) -> Config:
             data[key] = value
     tol = getattr(args, "tol", None)
     if tol is None and TOL_ENV in os.environ:
-        tol = float(os.environ[TOL_ENV])
+        try:
+            tol = float(os.environ[TOL_ENV])
+        except ValueError as exc:
+            raise ConfigError(f"${TOL_ENV}: {exc}") from exc
     if tol is not None:
         data["tol"] = tol
     return parse_config(json.dumps(data))

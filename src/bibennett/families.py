@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import (
     DegenerateResultantError,
     Quadratic2,
@@ -371,27 +369,29 @@ class RigidMotion:
                     self.apply_direction(ax.direction))
 
 
-def _frame_matrix(quad: SkewQuad):
-    """Orthonormal frame from the tetrahedron edges (Gram-Schmidt)."""
-    e1 = np.array([float(x) for x in v_sub(quad.p12, quad.p14)])
-    e2 = np.array([float(x) for x in v_sub(quad.p23, quad.p14)])
-    u1 = e1 / np.linalg.norm(e1)
-    u2 = e2 - np.dot(e2, u1) * u1
-    n2 = np.linalg.norm(u2)
-    if n2 < 1e-12:
-        raise DegenerateQuadError("collinear quad edges; no spatial frame")
-    u2 /= n2
-    u3 = np.cross(u1, u2)
-    return np.column_stack([u1, u2, u3])
-
-
 def align_isometry(src: SkewQuad, dst: SkewQuad, tol: float = 1e-9) -> RigidMotion:
     """Isometry delta with delta(src vertices) = dst vertices.
 
     Direct when the two tetrahedra have the same orientation, reversing
     (orientation -1) otherwise.  Raises NotIsometricError when the six
-    pairwise distances disagree.
+    pairwise distances disagree.  This float alignment is the one place the
+    package uses numpy, imported on first use.
     """
+    import numpy as np
+
+    def frame_matrix(quad: SkewQuad):
+        """Orthonormal frame from the tetrahedron edges (Gram-Schmidt)."""
+        e1 = np.array([float(x) for x in v_sub(quad.p12, quad.p14)])
+        e2 = np.array([float(x) for x in v_sub(quad.p23, quad.p14)])
+        u1 = e1 / np.linalg.norm(e1)
+        u2 = e2 - np.dot(e2, u1) * u1
+        n2 = np.linalg.norm(u2)
+        if n2 < 1e-12:
+            raise DegenerateQuadError("collinear quad edges; no spatial frame")
+        u2 /= n2
+        u3 = np.cross(u1, u2)
+        return np.column_stack([u1, u2, u3])
+
     pairs = [((1, 4), (1, 2)), ((1, 2), (2, 3)), ((2, 3), (3, 4)),
              ((3, 4), (1, 4)), ((1, 4), (2, 3)), ((1, 2), (3, 4))]
     for a, b in pairs:
@@ -401,8 +401,8 @@ def align_isometry(src: SkewQuad, dst: SkewQuad, tol: float = 1e-9) -> RigidMoti
         if abs(ds - dd) > tol * scale:
             raise NotIsometricError(
                 f"distance {a}-{b} differs: {ds} vs {dd}")
-    fs = _frame_matrix(src)
-    fd = _frame_matrix(dst)
+    fs = frame_matrix(src)
+    fd = frame_matrix(dst)
     sign = 1
     vol_s = float(src.orientation_det())
     vol_d = float(dst.orientation_det())

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,19 +136,30 @@ _SCALAR_KEYS = ("a1", "a2", "k", "d1", "d2",
 
 def _convert(key, convert, value):
     try:
-        return convert(value)
+        result = convert(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ConfigError(f"key {key!r}: {exc}") from exc
+    if isinstance(result, float) and not math.isfinite(result):
+        raise ConfigError(f"key {key!r}: {value!r} is not a finite number")
+    return result
 
 
-def parse_config(text: str) -> Config:
-    """Parse and validate a JSON configuration."""
+def config_object(raw) -> dict:
+    """The top-level JSON object of a config given as text or UTF-8 bytes."""
     try:
-        data = json.loads(text)
+        data = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("top-level value must be an object")
+    return data
+
+
+def parse_config(text) -> Config:
+    """Parse and validate a JSON configuration (text or UTF-8 bytes)."""
+    data = config_object(text)
     if data.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"'schema' must be {SCHEMA_VERSION}")
     family = data.get("family")
@@ -242,7 +254,8 @@ def _scalar_str(value):
 
 
 def load_config(path) -> Config:
-    with open(path, "r", encoding="utf-8") as handle:
+    """Parse and validate the config file at ``path``."""
+    with open(path, "rb") as handle:
         return parse_config(handle.read())
 
 
@@ -304,21 +317,24 @@ def as_bibennett(structure):
     return None
 
 
-def _single_loop_ribbons(pose, width_factor):
+# Ribbon width as a fraction of the mean quad edge length.
+RIBBON_WIDTH = 0.1
+
+
+def _single_loop_ribbons(pose):
     """Ribbon quads for one uncoupled loop, anchored at the frame origins."""
     points = pose.points()
     return _ribbons_from_anchors("tube1", points,
-                                 {l: pose.axes[l].direction for l in points},
-                                 width_factor)
+                                 {l: pose.axes[l].direction for l in points})
 
 
-def _ribbons_from_anchors(group_prefix, anchors, directions, width_factor):
+def _ribbons_from_anchors(group_prefix, anchors, directions):
     labels = list(AXIS_LABELS)
     mean_edge = sum(
         _dist(anchors[labels[i]], anchors[labels[(i + 1) % 4]])
         for i in range(4)
     ) / 4.0
-    width = width_factor * mean_edge
+    width = RIBBON_WIDTH * mean_edge
     ribbons = []
     for i in range(4):
         la, lb = labels[i], labels[(i + 1) % 4]
@@ -343,14 +359,13 @@ def _unit(v):
     return tuple(float(x) / norm for x in v)
 
 
-def coupling_ribbons(bib: BiBennett, tau, tau_bar=None, width_factor=0.1):
+def coupling_ribbons(bib: BiBennett, tau, tau_bar=None):
     """Ribbon quads of both tubes of a coupling: 8 ribbons, 4 per tube,
     each spanned between consecutive anchor points offset along the axes."""
     cp = coupled_pose(bib, tau, tau_bar)
     quad_points = {l: cp.quad[l] for l in AXIS_LABELS}
     directions = {l: cp.pose.axes[l].direction for l in AXIS_LABELS}
-    ribbons = _ribbons_from_anchors("tube1", quad_points, directions,
-                                    width_factor)
+    ribbons = _ribbons_from_anchors("tube1", quad_points, directions)
     if cp.delta is not None:
         hat_anchors = {l: cp.delta.apply_point(cp.bar_quad[l])
                        for l in AXIS_LABELS}
@@ -359,19 +374,17 @@ def coupling_ribbons(bib: BiBennett, tau, tau_bar=None, width_factor=0.1):
         hat_anchors = {l: half_turn_point(cp.quad[l], point, direction)
                        for l in AXIS_LABELS}
     hat_directions = {l: cp.hat_axes[l].direction for l in AXIS_LABELS}
-    ribbons += _ribbons_from_anchors("tube2", hat_anchors, hat_directions,
-                                     width_factor)
+    ribbons += _ribbons_from_anchors("tube2", hat_anchors, hat_directions)
     return ribbons
 
 
-def export_obj_text(structure, tau, patch_n: int = 4,
-                    width_factor: float = 0.1) -> str:
+def export_obj_text(structure, tau, patch_n: int = 4) -> str:
     """Deterministic OBJ text for a structure at drive value tau."""
     bib = as_bibennett(structure)
     if bib is not None:
-        ribbons = coupling_ribbons(bib, tau, width_factor=width_factor)
+        ribbons = coupling_ribbons(bib, tau)
     elif isinstance(structure, (BennettDesign, PlanarDesign)):
-        ribbons = _single_loop_ribbons(frame(structure, tau), width_factor)
+        ribbons = _single_loop_ribbons(frame(structure, tau))
     else:
         raise TypeError(f"cannot export {type(structure).__name__}")
     lines = []
@@ -387,10 +400,9 @@ def export_obj_text(structure, tau, patch_n: int = 4,
     return "\n".join(lines) + "\n"
 
 
-def export_obj(structure, tau, path, patch_n: int = 4,
-               width_factor: float = 0.1) -> None:
+def export_obj(structure, tau, path, patch_n: int = 4) -> None:
     """Write the OBJ mesh of a structure to ``path``."""
-    text = export_obj_text(structure, tau, patch_n, width_factor)
+    text = export_obj_text(structure, tau, patch_n)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, product
 
 from .algebra import (
     det3,
@@ -170,12 +171,8 @@ def deltoidal_numerators(a1, a2, mu14, mu12, mu23, mu34):
 def _adjacent_roles():
     """(v, w, prev of v, opposite of v) quadruples for each adjacent vertex
     pair (v, w) in cyclic order."""
-    order = list(AXIS_LABELS)
-    out = []
-    for i in range(4):
-        out.append((order[i], order[(i + 1) % 4],
-                    order[(i - 1) % 4], order[(i + 2) % 4]))
-    return out
+    return [(v, w, prev_v, opp_v)
+            for v, opp_v, prev_v, w in _vertex_roles()]
 
 
 def hat_points(quad: SkewQuad, bar_quad: SkewQuad, bar_point, scheme: int):
@@ -356,48 +353,59 @@ def _spherical_sides(dirs):
     return out
 
 
+def star_invariant_gap(star_a, star_b) -> float:
+    """Largest difference between the rotation invariants (six pairwise dot
+    products, four triple products) of two stars of four directions,
+    minimised over the signs of star b's directions (axes are lines).
+
+    For a star spanning space it is zero exactly when one rotation maps each
+    line of star a onto the matching line of star b.  As -I fixes every
+    line, a line star and its mirror image are always so related.
+    """
+    pairs = list(combinations(range(4), 2))
+    triples = list(combinations(range(4), 3))
+
+    def invariants(star):
+        return ([v_dot(star[i], star[j]) for i, j in pairs],
+                [det3(*(star[i] for i in t)) for t in triples])
+
+    dots_a, dets_a = invariants(star_a)
+    dots_b, dets_b = invariants(star_b)
+    best = math.inf
+    for signs in product((1, -1), repeat=4):
+        gap = max(
+            max(abs(x - signs[i] * signs[j] * y)
+                for (i, j), x, y in zip(pairs, dots_a, dots_b)),
+            max(abs(x - signs[i] * signs[j] * signs[k] * y)
+                for (i, j, k), x, y in zip(triples, dets_a, dets_b)),
+        )
+        best = min(best, gap)
+    return best
+
+
 def indicatrix_relation(bib: BiBennett, tau, tau_bar=None,
                         tol: float = HALFTURN_TOL) -> CertificateReport:
     """Spherical vertex figures of a family-C coupling.
 
     Opposite centers carry directly isometric indicatrices (one rotation
-    matches both direction stars); adjacent centers carry the same spherical
-    four-bar in two different motion modes (equal side multisets, different
-    vertex configurations).
+    matches both direction stars, see :func:`star_invariant_gap`); adjacent
+    centers carry the same spherical four-bar in two different motion modes
+    (equal side multisets, different vertex configurations).
     """
-    import numpy as np
-
     cp = coupled_pose(bib, tau, tau_bar)
+    stars = {label: _vertex_star_directions(cp, label) for label in AXIS_LABELS}
     residuals = []
     order = list(AXIS_LABELS)
     for i in range(2):
         a, b = order[i], order[(i + 2) % 4]
-        da = _vertex_star_directions(cp, a)
-        db = _vertex_star_directions(cp, b)
-        # best orthogonal map sending star a to star b, sign-insensitive per
-        # direction (axes are lines, not rays)
-        ma = np.array(da).T
-        best = math.inf
-        for signs in _sign_choices():
-            mb = np.array([v_scale(s, d) for s, d in zip(signs, db)]).T
-            u, _, vt = np.linalg.svd(mb @ ma.T)
-            rot = u @ vt
-            if np.linalg.det(rot) < 0:
-                u[:, -1] = -u[:, -1]
-                rot = u @ vt
-            best = min(best, float(np.max(np.abs(rot @ ma - mb))))
+        gap = star_invariant_gap(stars[a], stars[b])
         tag = f"P{a[0]}{a[1]}~P{b[0]}{b[1]}"
-        residuals.append(ResidualEntry(f"opposite rotation @ {tag}", best, tol))
+        residuals.append(ResidualEntry(f"opposite rotation @ {tag}", gap, tol))
     for i in range(4):
         a, b = order[i], order[(i + 1) % 4]
-        sa = sorted(_spherical_sides(_vertex_star_directions(cp, a)))
-        sb = sorted(_spherical_sides(_vertex_star_directions(cp, b)))
+        sa = sorted(_spherical_sides(stars[a]))
+        sb = sorted(_spherical_sides(stars[b]))
         gap = max(abs(x - y) for x, y in zip(sa, sb))
         tag = f"P{a[0]}{a[1]}~P{b[0]}{b[1]}"
         residuals.append(ResidualEntry(f"adjacent sides @ {tag}", gap, tol))
     return CertificateReport("indicatrix", tuple(residuals))
-
-
-def _sign_choices():
-    from itertools import product
-    return list(product((1, -1), repeat=4))

@@ -1,6 +1,9 @@
 """Unit tests for the plane-symmetric non-existence suite."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -113,7 +116,33 @@ def test_sturm_root_counts():
     assert count_real_roots([F(4), F(0), F(-5), F(0), F(1)]) == 4
 
 
+def test_sturm_root_counts_on_float_coefficients():
+    # the [grid] entries count on float coefficients, taken at their exact
+    # rational values; x^2 + x/2 - 2 has one positive root, so a count of
+    # zero there is not vacuous
+    assert count_positive_roots([-2.0, 0.5, 1.0]) == 1
+    assert count_positive_roots([2.0, -3.0, 1.0]) == 2
+    assert count_positive_roots([2.0, 0.5, 1.0]) == 0
+    # a double root counts once: (x - 1/2)^2
+    assert count_positive_roots([0.25, -1.0, 1.0]) == 1
+
+
 def test_nonexistence_suite_passes():
     report = verify_nonexistence(samples=4, grid=20)
     assert report.verdict, report.lines()
     assert len(report.residuals) == 13
+
+
+def test_import_and_appendix_load_no_numpy():
+    src = Path(__import__("bibennett").__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import bibennett\n"
+        "assert 'numpy' not in sys.modules, 'import bibennett loads numpy'\n"
+        "bibennett.verify_nonexistence(samples=1, grid=5)\n"
+        "assert 'numpy' not in sys.modules, 'the appendix loads numpy'\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -1,6 +1,7 @@
 """Command-line interface tests driven through main(argv)."""
 
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -217,6 +218,25 @@ def test_tol_env_default(tmp_path, monkeypatch):
     assert code == EXIT_CERTIFICATE
     code = main(["certify", "-c", "fig6", "--mode", "float", "--tol", "1e-9"])
     assert code == EXIT_OK
+
+
+def test_bad_tol_env_is_input_error(monkeypatch, capsys):
+    monkeypatch.setenv(TOL_ENV, "abc")
+    assert main(["validate", "-c", "fig6"]) == EXIT_INPUT
+    assert TOL_ENV in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("key", ["a1", "tau", "tol"])
+def test_non_finite_float_scalars_are_input_errors(tmp_path, capsys, key,
+                                                   value):
+    config = {"schema": 1, "family": "single", "mode": "float",
+              "a1": 0.5, "a2": 1 / 3, "k": 1.0, "tau": 0.5}
+    config[key] = value
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(config))
+    assert main(["construct", "-c", str(path)]) == EXIT_INPUT
+    assert "not a finite number" in capsys.readouterr().err
 
 
 def test_exact_and_float_agree_on_fixtures():

@@ -114,6 +114,13 @@ def test_parse_rejects_equal_planar_offsets():
         parse_config(text)
 
 
+def test_load_config_rejects_non_utf8_file(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"schema": 1}')
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_config(path)
+
+
 def test_float_mode_scalars():
     text = json.dumps({"schema": 1, "family": "single", "a1": "1/2",
                        "a2": "1/3", "k": "1", "mode": "float"})

@@ -19,6 +19,7 @@ from bibennett.properties import (
     halfturn_certificate,
     indicatrix_relation,
     isogonal_certificate,
+    star_invariant_gap,
 )
 
 F = Fraction
@@ -71,6 +72,52 @@ def test_halfturn_certificate_rejects_wrong_companion():
 def test_indicatrix_relation_family_c():
     report = indicatrix_relation(FAMILY_C, F(9, 10))
     assert report.verdict, report.lines()
+
+
+# four lines in general position (not unit: the invariants need no norms)
+_STAR = ((F(1), F(0), F(0)), (F(1), F(2), F(0)),
+         (F(0), F(1), F(3)), (F(2), F(-1), F(1)))
+
+
+def _rotation(w, x, y, z):
+    """Rotation matrix of the (unnormalised) rational quaternion w+xi+yj+zk."""
+    n = w * w + x * x + y * y + z * z
+    return (
+        ((w * w + x * x - y * y - z * z) / n, 2 * (x * y - w * z) / n,
+         2 * (x * z + w * y) / n),
+        (2 * (x * y + w * z) / n, (w * w - x * x + y * y - z * z) / n,
+         2 * (y * z - w * x) / n),
+        (2 * (x * z - w * y) / n, 2 * (y * z + w * x) / n,
+         (w * w - x * x - y * y + z * z) / n),
+    )
+
+
+def _apply(m, v):
+    return tuple(sum(m[i][j] * v[j] for j in range(3)) for i in range(3))
+
+
+def test_star_invariants_accept_rotated_sign_flipped_star():
+    rot = _rotation(F(1), F(2), F(-1), F(3))
+    signs = (1, -1, -1, 1)
+    image = tuple(tuple(s * c for c in _apply(rot, d))
+                  for s, d in zip(signs, _STAR))
+    assert star_invariant_gap(_STAR, image) == 0
+    floats = tuple(tuple(float(c) for c in d) for d in image)
+    assert star_invariant_gap(_STAR, floats) < 1e-12
+
+
+def test_star_invariants_cannot_tell_a_line_star_from_its_mirror():
+    # the directions are lines, so negating all four turns the reflection
+    # z -> -z into the half-turn about the z axis: a mirror image of a line
+    # star is a rotated, sign-flipped copy of it
+    mirror = tuple((x, y, -z) for x, y, z in _STAR)
+    assert star_invariant_gap(_STAR, mirror) == 0
+
+
+def test_star_invariants_reject_a_different_star():
+    rot = _rotation(F(3), F(0), F(1), F(-2))
+    bent = _STAR[:3] + ((F(2), F(-1), F(2)),)
+    assert star_invariant_gap(_STAR, tuple(_apply(rot, d) for d in bent)) > 1
 
 
 def test_certificates_on_random_instances():
