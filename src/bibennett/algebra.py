@@ -471,15 +471,6 @@ class Quadratic2:
         if len(self.coeff) != 3 or any(len(r) != 3 for r in self.coeff):
             raise ValueError("Quadratic2 needs a 3x3 coefficient array")
 
-    def __call__(self, tau, tau_bar):
-        return sum(
-            self.coeff[i][j] * tau ** i * tau_bar ** j
-            for i in range(3) for j in range(3)
-        )
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for row in self.coeff for c in row)
-
     def tau_bar_coefficients(self):
         """Three Polys in tau: coefficients of tau_bar^0, tau_bar^1, tau_bar^2."""
         out = []
@@ -492,38 +483,16 @@ class Quadratic2:
 def resultant_tau_bar(p: Quadratic2, q: Quadratic2) -> Poly:
     """Sylvester resultant of two bidegree-(2,2) polynomials w.r.t. tau_bar.
 
-    Returns a Poly in tau of degree at most 8.  Raises
+    Returns a Poly in tau of degree at most 8, from the closed form
+    (p2 q0 - p0 q2)^2 - (p2 q1 - p1 q2)(p1 q0 - p0 q1) of the resultant of
+    two quadratics p2 x^2 + p1 x + p0 and q2 x^2 + q1 x + q0.  Raises
     DegenerateResultantError when both leading tau_bar^2 coefficients vanish
     identically.
     """
-    pc = p.tau_bar_coefficients()
-    qc = q.tau_bar_coefficients()
-    if pc[2].is_zero() and qc[2].is_zero():
+    p0, p1, p2 = p.tau_bar_coefficients()
+    q0, q1, q2 = q.tau_bar_coefficients()
+    if p2.is_zero() and q2.is_zero():
         raise DegenerateResultantError(
             "both inputs have identically zero tau_bar^2 coefficient")
-    zero = Poly(("tau",))
-    m = [
-        [pc[2], pc[1], pc[0], zero],
-        [zero, pc[2], pc[1], pc[0]],
-        [qc[2], qc[1], qc[0], zero],
-        [zero, qc[2], qc[1], qc[0]],
-    ]
-    return _det4_poly(m)
-
-
-def _det4_poly(m):
-    def det2(a, b, c, d):
-        return a * d - b * c
-
-    total = Poly(("tau",))
-    for j in range(4):
-        cols = [jj for jj in range(4) if jj != j]
-        minor = [[m[i][jj] for jj in cols] for i in range(1, 4)]
-        d3 = (
-            minor[0][0] * det2(minor[1][1], minor[1][2], minor[2][1], minor[2][2])
-            - minor[0][1] * det2(minor[1][0], minor[1][2], minor[2][0], minor[2][2])
-            + minor[0][2] * det2(minor[1][0], minor[1][1], minor[2][0], minor[2][1])
-        )
-        term = m[0][j] * d3
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    outer = p2 * q0 - p0 * q2
+    return outer * outer - (p2 * q1 - p1 * q2) * (p1 * q0 - p0 * q1)

@@ -71,9 +71,6 @@ class CoplanarityExpansion:
     c3: Fraction
     c4: Fraction
 
-    def coefficients(self):
-        return (self.c0, self.c1, self.c2, self.c3, self.c4)
-
 
 def coplanarity_determinant(design: BennettDesign, mu: MuSet, tau):
     """Determinant testing coplanarity of the four anchor points at ``tau``."""

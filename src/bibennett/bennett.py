@@ -76,14 +76,6 @@ class BennettDesign:
     k: object
 
     @property
-    def alpha1(self) -> float:
-        return 2.0 * math.atan(float(self.a1))
-
-    @property
-    def alpha2(self) -> float:
-        return 2.0 * math.atan(float(self.a2))
-
-    @property
     def d1(self):
         return div(self.k * 2 * self.a1, 1 + self.a1 * self.a1)
 
@@ -142,10 +134,6 @@ class PlanarDesign:
             raise ValueError(f"unknown planar case {self.case!r}")
         if self.d1 <= 0 or self.d2 <= 0:
             raise ConventionError("planar distances must be positive")
-
-    @property
-    def is_antiparallelogram(self) -> bool:
-        return self.case in ("1a", "2a")
 
     def links(self):
         """The links (cos, sin, offset) of the pinned twists, offsets d_i."""
@@ -277,9 +265,6 @@ class Pose:
     def points(self) -> dict:
         return {label: ax.point for label, ax in self.axes.items()}
 
-    def directions(self) -> dict:
-        return {label: ax.direction for label, ax in self.axes.items()}
-
 
 # The pose kernel.  A pose needs only the point column M e0 and the
 # direction column M e1 of M12, M23 and M34, so the sparse factors of the
@@ -373,15 +358,16 @@ class IndicatrixReport:
     classification: str  # "V-hedral" | "anti-V-hedral" | "other"
 
 
-def indicatrix(design: BennettDesign, tau=Fraction(1, 2)) -> IndicatrixReport:
-    """Spherical image of the axis directions (the k = 0 limit).
+def indicatrix(design: BennettDesign) -> IndicatrixReport:
+    """Spherical image of the axis directions (the k = 0 limit), whose arcs
+    do not depend on the motion parameter.
 
     Opposite arcs of a Bennett indicatrix are equal, giving the pattern
     (alpha1, alpha2, alpha1, alpha2).  When a1 a2 = 1 the adjacent arcs are
     additionally supplementary and the vertex class is ambiguous; it is
     reported as "other".
     """
-    spherical = frame(BennettDesign(design.a1, design.a2, 0), tau)
+    spherical = frame(BennettDesign(design.a1, design.a2, 0), Fraction(1, 2))
     dirs = [spherical.axis(*label).direction for label in AXIS_LABELS]
     arcs = []
     for idx in range(4):
@@ -414,12 +400,13 @@ def _pluecker_side(axis_a: Axis, axis_b: Axis):
     return v_dot(axis_a.direction, mb) + v_dot(axis_b.direction, ma)
 
 
-def opposite_axes_intersect(pose: Pose, tol: float = FLOAT_TOL) -> dict:
+def opposite_axes_intersect(pose: Pose) -> dict:
     """Whether each pair of opposite axes meets; true for all tau iff a1 a2 = 1."""
     out = {}
     for pair in (((1, 4), (2, 3)), ((1, 2), (3, 4))):
         side = _pluecker_side(pose.axes[pair[0]], pose.axes[pair[1]])
-        out[pair] = side == 0 if isinstance(side, (Fraction, int)) else abs(side) < tol
+        out[pair] = (side == 0 if isinstance(side, (Fraction, int))
+                     else abs(side) < FLOAT_TOL)
     return out
 
 

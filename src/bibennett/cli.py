@@ -30,7 +30,7 @@ from .io_export import (
     parse_config,
     sweep_report,
 )
-from .limits import LimitStructure, verify_labels
+from .limits import LimitStructure
 
 EXIT_OK = 0
 EXIT_CERTIFICATE = 1
@@ -86,11 +86,6 @@ def _require_tau(config: Config):
         raise ConfigError("this subcommand needs a tau: set it in the config "
                           "or pass --tau")
     return config.tau
-
-
-def _print_report(report) -> None:
-    for line in report.lines():
-        print(line)
 
 
 def _cmd_validate(args) -> int:
@@ -168,11 +163,7 @@ def _cmd_certify(args) -> int:
     if as_bibennett(structure) is None:
         raise ConfigError(f"family {config.family!r} has no coupling to certify")
     tau = _require_tau(config)
-    name, report = certify(structure, tau, config.tol)
-    _print_report(report)
-    if args.out:
-        _write_report(args.out, name, report)
-    return EXIT_OK if report.verdict else EXIT_CERTIFICATE
+    return _report(args, *certify(config, structure, tau))
 
 
 def _cmd_limits(args) -> int:
@@ -185,19 +176,11 @@ def _cmd_limits(args) -> int:
     tau = _require_tau(config)
     print(f"kind {structure.kind} from family {structure.source_family}; "
           f"labels {sorted(structure.labels)}")
-    report = verify_labels(structure, tau)
-    _print_report(report)
-    if args.out:
-        _write_report(args.out, "limit-labels", report)
-    return EXIT_OK if report.verdict else EXIT_CERTIFICATE
+    return _report(args, *certify(config, structure, tau))
 
 
 def _cmd_appendix(args) -> int:
-    report = verify_nonexistence()
-    _print_report(report)
-    if args.out:
-        _write_report(args.out, "nonexistence", report)
-    return EXIT_OK if report.verdict else EXIT_CERTIFICATE
+    return _report(args, "nonexistence", verify_nonexistence())
 
 
 def _cmd_export(args) -> int:
@@ -210,19 +193,25 @@ def _cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _write_report(path, name, report) -> None:
-    data = {
-        "name": name,
-        "verdict": bool(report.verdict),
-        "residuals": [
-            {"label": r.label, "value": float(r.value),
-             "tolerance": r.tolerance, "passed": bool(r.passed)}
-            for r in report.residuals
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+def _report(args, name, report) -> int:
+    """Print a certificate report, write it as JSON to ``--out`` when given,
+    and return the exit code of its verdict."""
+    for line in report.lines():
+        print(line)
+    if args.out:
+        data = {
+            "name": name,
+            "verdict": bool(report.verdict),
+            "residuals": [
+                {"label": r.label, "value": float(r.value),
+                 "tolerance": r.tolerance, "passed": bool(r.passed)}
+                for r in report.residuals
+            ],
+        }
+        with open(args.out, "w", encoding="utf-8") as handle:
+            json.dump(data, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    return EXIT_OK if report.verdict else EXIT_CERTIFICATE
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -202,23 +202,6 @@ def quad_symmetry_line(quad: SkewQuad):
     return m1, d
 
 
-def halfturn_partner(pose: Pose, quad: SkewQuad, tol: float = 1e-9) -> Pose:
-    """Axes of the partner tube: the half-turn image of the pose about the
-    symmetry line of the quad."""
-    res = isogram_residuals(quad)
-    if any(float(abs(r)) > tol for r in res):
-        raise ValueError("quad is not a skew isogram; no line symmetry")
-    lp, ld = quad_symmetry_line(quad)
-    axes = {}
-    for label, ax in pose.axes.items():
-        axes[label] = Axis(
-            label,
-            half_turn_point(ax.point, lp, ld),
-            half_turn_direction(ax.direction, ld),
-        )
-    return Pose(pose.tau, axes)
-
-
 def isogram_residuals(quad: SkewQuad):
     """Absolute differences of the two pairs of opposite squared side lengths."""
     s = quad.side_sq()
@@ -299,10 +282,6 @@ class CouplingQuartic:
     c: object
     d: object
 
-    def __call__(self, tau, tau_bar):
-        t2, b2 = tau * tau, tau_bar * tau_bar
-        return self.a * t2 * b2 + self.b * t2 + self.c * b2 + self.d
-
 
 def coupling_quartic(design, mu14, mu12) -> CouplingQuartic:
     """The biquadratic relation between tau and tau_bar for family C.
@@ -340,11 +319,35 @@ def solve_bar_tau(q: CouplingQuartic, tau):
 
 
 # ---------------------------------------------------------------------------
-# rigid alignment of two quads
+# partner maps: the half-turn and the rigid alignment of two quads
 # ---------------------------------------------------------------------------
 
+class _AxisMap:
+    """An isometry acting on axes through its point and direction maps."""
+
+    def apply_axis(self, ax: Axis) -> Axis:
+        return Axis(ax.label, self.apply_point(ax.point),
+                    self.apply_direction(ax.direction))
+
+
 @dataclass(frozen=True)
-class RigidMotion:
+class HalfTurn(_AxisMap):
+    """Half-turn about the line through ``point`` with direction
+    ``direction``; exact for rational input."""
+
+    point: tuple
+    direction: tuple
+    orientation = 1
+
+    def apply_point(self, p):
+        return half_turn_point(p, self.point, self.direction)
+
+    def apply_direction(self, d):
+        return half_turn_direction(d, self.direction)
+
+
+@dataclass(frozen=True)
+class RigidMotion(_AxisMap):
     """Isometry of 3-space as a homogeneous transform (column convention)."""
 
     transform: tuple  # Mat4
@@ -364,12 +367,12 @@ class RigidMotion:
             for i in (1, 2, 3)
         )
 
-    def apply_axis(self, ax: Axis) -> Axis:
-        return Axis(ax.label, self.apply_point(ax.point),
-                    self.apply_direction(ax.direction))
+
+# Relative tolerance of the float alignment's distance and residual checks.
+ALIGN_TOL = 1e-9
 
 
-def align_isometry(src: SkewQuad, dst: SkewQuad, tol: float = 1e-9) -> RigidMotion:
+def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
     """Isometry delta with delta(src vertices) = dst vertices.
 
     Direct when the two tetrahedra have the same orientation, reversing
@@ -398,7 +401,7 @@ def align_isometry(src: SkewQuad, dst: SkewQuad, tol: float = 1e-9) -> RigidMoti
         ds = float(v_dist_sq(src[a], src[b]))
         dd = float(v_dist_sq(dst[a], dst[b]))
         scale = max(1.0, abs(ds), abs(dd))
-        if abs(ds - dd) > tol * scale:
+        if abs(ds - dd) > ALIGN_TOL * scale:
             raise NotIsometricError(
                 f"distance {a}-{b} differs: {ds} vs {dd}")
     fs = frame_matrix(src)
@@ -423,7 +426,7 @@ def align_isometry(src: SkewQuad, dst: SkewQuad, tol: float = 1e-9) -> RigidMoti
                   tuple(float(x) for x in dst[lab]))
         for lab in AXIS_LABELS
     )
-    if worst > 10 * tol * max(1.0, abs(vol_s) ** (1 / 3)):
+    if worst > 10 * ALIGN_TOL * max(1.0, abs(vol_s) ** (1 / 3)):
         raise NotIsometricError(f"alignment residual {worst} too large")
     return motion
 
@@ -436,9 +439,11 @@ def align_isometry(src: SkewQuad, dst: SkewQuad, tol: float = 1e-9) -> RigidMoti
 class CoupledPose:
     """Both tubes at matched motion parameters, glued along the shared quad.
 
-    ``hat_axes`` are the axes of the partner tube moved into the frame of the
-    first tube; for family C they are delta(bar axes), for families A/B the
-    half-turn image of the first tube's own axes.
+    ``delta`` carries the partner tube onto the shared quad: the half-turn
+    about the quad's symmetry line for families A, B and the trivial branch
+    (whose partner is the first tube itself, at tau_bar = tau), the rigid
+    alignment of the bar quad for family C.  ``hat_axes`` are the bar axes
+    moved by ``delta`` into the frame of the first tube.
     """
 
     tau: object
@@ -448,7 +453,7 @@ class CoupledPose:
     bar_pose: Pose
     bar_quad: SkewQuad
     hat_axes: dict
-    delta: object  # RigidMotion or None for the exact half-turn families
+    delta: object  # HalfTurn or RigidMotion
 
 
 class NoRealBranchError(ValueError):
@@ -460,23 +465,24 @@ def coupled_pose(bib: BiBennett, tau, tau_bar=None) -> CoupledPose:
     pose = bib.loop().pose(tau)
     quad = points_on_axes(pose, bib.mu)
     if bib.family in ("A", "B", "TrivialLineSym"):
-        hat = halfturn_partner(pose, quad)
-        return CoupledPose(tau, tau, pose, quad, pose, quad,
-                           dict(hat.axes), None)
-    if tau_bar is None:
-        if isinstance(bib.design, PlanarDesign):
-            roots = planar_bar_tau(bib, tau)
-        else:
-            q = coupling_quartic(bib.design, bib.mu.mu14, bib.mu.mu12)
-            roots = solve_bar_tau(q, tau)
-        roots = [r for r in roots
-                 if (r > 0) == (bib.branch > 0) or r == 0] or roots
-        if not roots:
-            raise NoRealBranchError(f"no real tau_bar at tau = {tau}")
-        tau_bar = roots[0]
-    bar_pose = bib.bar_loop().pose(tau_bar)
-    bar_quad = points_on_axes(bar_pose, bib.bar_mu)
-    delta = align_isometry(bar_quad, quad)
+        tau_bar, bar_pose, bar_quad = tau, pose, quad
+        delta = HalfTurn(*quad_symmetry_line(quad))
+    else:
+        if tau_bar is None:
+            if isinstance(bib.design, PlanarDesign):
+                roots = planar_bar_tau(bib, tau)
+            else:
+                q = coupling_quartic(bib.design, bib.mu.mu14, bib.mu.mu12)
+                roots = solve_bar_tau(q, tau)
+            # both solvers return root sets closed under negation, so the
+            # requested branch is empty only when there is no root at all
+            roots = [r for r in roots if (r > 0) == (bib.branch > 0) or r == 0]
+            if not roots:
+                raise NoRealBranchError(f"no real tau_bar at tau = {tau}")
+            tau_bar = roots[0]
+        bar_pose = bib.bar_loop().pose(tau_bar)
+        bar_quad = points_on_axes(bar_pose, bib.bar_mu)
+        delta = align_isometry(bar_quad, quad)
     hat_axes = {label: delta.apply_axis(ax)
                 for label, ax in bar_pose.axes.items()}
     return CoupledPose(tau, tau_bar, pose, quad, bar_pose, bar_quad,
@@ -608,10 +614,8 @@ def planar_bar_tau(bib: BiBennett, tau):
 
 
 def _real_quadratic_roots(c2, c1, c0):
-    if c2 == 0:
-        if c1 == 0:
-            return []
-        return [-c0 / c1]
+    if c2 == 0:  # the diagonals are even in tau_bar, so c1 is 0 as well
+        return []
     disc = c1 * c1 - 4 * c2 * c0
     if disc < 0:
         return []
@@ -623,14 +627,14 @@ def _real_quadratic_roots(c2, c1, c0):
 # 6R loops
 # ---------------------------------------------------------------------------
 
-def extract_6r_loops(bib: BiBennett, tau, tau_bar=None):
+def extract_6r_loops(bib: BiBennett, tau):
     """The four 6R loops inside a coupled pose.
 
     Each loop omits one axis label from both tubes and traverses the three
     remaining axes of the first tube followed by the three remaining hat
     axes; returned as a list of four 6-element Axis sequences.
     """
-    cp = coupled_pose(bib, tau, tau_bar)
+    cp = coupled_pose(bib, tau)
     loops = []
     for omitted in AXIS_LABELS:
         kept = [label for label in AXIS_LABELS if label != omitted]

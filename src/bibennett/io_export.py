@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import parse_scalar
 from .bennett import (
@@ -26,7 +27,6 @@ from .bennett import (
     PLANAR_CASES,
     PlanarDesign,
     frame,
-    half_turn_point,
     loop_closure_residual,
     validate,
 )
@@ -40,7 +40,6 @@ from .families import (
     make_family_a,
     make_family_b,
     make_trivial,
-    quad_symmetry_line,
 )
 from .limits import (
     LimitStructure,
@@ -89,46 +88,74 @@ class Config:
 
 _COMMON_KEYS = {"schema", "family", "tau", "tau_samples", "mode", "tol"}
 
-# Every config family: its required keys, its optional keys, and the builder
-# of the structure it describes from a Config (a BennettDesign or
-# PlanarDesign for one loop, a BiBennett for a coupling, a LimitStructure
-# for a limit).
+
+class Family(NamedTuple):
+    """A config family: its required and optional keys, the builder of the
+    structure it describes from a Config (a BennettDesign or PlanarDesign for
+    one loop, a BiBennett for a coupling, a LimitStructure for a limit), and
+    its certificate as (report name, check) or None.  A check takes the
+    structure, tau and an optional ``tol``."""
+
+    required: set
+    optional: set
+    build: object
+    certificate: tuple = None
+
+
+_DELTOIDAL = ("deltoidal", deltoidal_certificate)
+_LIMIT_LABELS = ("limit-labels", verify_labels)
+
+# Every config family, the one place one is defined.
 FAMILIES = {
-    "single": ({"a1", "a2", "k"}, set(),
-               lambda c: validate(c.a1, c.a2, c.k)),
-    "planar": ({"case", "d1", "d2"}, set(),
-               lambda c: PlanarDesign(c.d1, c.d2, c.case)),
-    "A": ({"k", "mu14", "mu12", "mu23", "mu34"}, set(),
-          lambda c: make_family_a(MuSet(c.mu14, c.mu12, c.mu23, c.mu34),
-                                  k=c.k)),
-    "B": ({"a1", "a2", "k", "mu23", "mu34"}, set(),
-          lambda c: make_family_b(c.mu23, c.mu34, validate(c.a1, c.a2, c.k))),
-    "C": ({"a1", "a2", "k", "mu14", "mu12"}, {"s", "branch"},
-          lambda c: family_c(validate(c.a1, c.a2, c.k), c.mu14, c.mu12,
-                             c.s, c.branch)),
-    "trivial": ({"a1", "a2", "k", "mu23", "mu34"}, set(),
-                lambda c: make_trivial(c.mu23, c.mu34,
-                                       validate(c.a1, c.a2, c.k))),
-    "A-prismatic": ({"case", "d1", "d2", "mu12", "mu23", "mu34"}, set(),
-                    lambda c: prismatic_limit_AB("A", c.case, c.d1, c.d2,
-                                                 mu12=c.mu12, mu23=c.mu23,
-                                                 mu34=c.mu34)),
-    "B-prismatic": ({"case", "d1", "d2", "mu23", "mu34"}, set(),
-                    lambda c: prismatic_limit_AB("B", c.case, c.d1, c.d2,
-                                                 mu23=c.mu23, mu34=c.mu34)),
-    "C-prismatic": ({"case", "d1", "d2", "mu14", "mu12"}, {"s", "branch"},
-                    lambda c: prismatic_limit_C(c.case, c.d1, c.d2, c.mu14,
-                                                c.mu12, c.s, c.branch)),
-    "A-pyramidal": ({"mu14", "mu12", "mu23", "mu34"}, set(),
-                    lambda c: pyramidal_limit(
-                        "A", mu=MuSet(c.mu14, c.mu12, c.mu23, c.mu34))),
-    "B-pyramidal": ({"a1", "a2", "mu23", "mu34"}, set(),
-                    lambda c: pyramidal_limit("B", a1=c.a1, a2=c.a2,
-                                              mu23=c.mu23, mu34=c.mu34)),
-    "C-pyramidal": ({"a1", "a2", "mu14", "mu12"}, {"s", "branch"},
-                    lambda c: pyramidal_limit("C", a1=c.a1, a2=c.a2,
-                                              mu14=c.mu14, mu12=c.mu12,
-                                              s=c.s, branch=c.branch)),
+    "single": Family({"a1", "a2", "k"}, set(),
+                     lambda c: validate(c.a1, c.a2, c.k)),
+    "planar": Family({"case", "d1", "d2"}, set(),
+                     lambda c: PlanarDesign(c.d1, c.d2, c.case)),
+    "A": Family({"k", "mu14", "mu12", "mu23", "mu34"}, set(),
+                lambda c: make_family_a(MuSet(c.mu14, c.mu12, c.mu23, c.mu34),
+                                        k=c.k),
+                ("isogonal", isogonal_certificate)),
+    "B": Family({"a1", "a2", "k", "mu23", "mu34"}, set(),
+                lambda c: make_family_b(c.mu23, c.mu34,
+                                        validate(c.a1, c.a2, c.k)),
+                _DELTOIDAL),
+    "C": Family({"a1", "a2", "k", "mu14", "mu12"}, {"s", "branch"},
+                lambda c: family_c(validate(c.a1, c.a2, c.k), c.mu14, c.mu12,
+                                   c.s, c.branch),
+                ("halfturn", halfturn_certificate)),
+    "trivial": Family({"a1", "a2", "k", "mu23", "mu34"}, set(),
+                      lambda c: make_trivial(c.mu23, c.mu34,
+                                             validate(c.a1, c.a2, c.k)),
+                      _DELTOIDAL),
+    "A-prismatic": Family({"case", "d1", "d2", "mu12", "mu23", "mu34"}, set(),
+                          lambda c: prismatic_limit_AB(
+                              "A", c.case, c.d1, c.d2, mu12=c.mu12,
+                              mu23=c.mu23, mu34=c.mu34),
+                          _LIMIT_LABELS),
+    "B-prismatic": Family({"case", "d1", "d2", "mu23", "mu34"}, set(),
+                          lambda c: prismatic_limit_AB(
+                              "B", c.case, c.d1, c.d2, mu23=c.mu23,
+                              mu34=c.mu34),
+                          _LIMIT_LABELS),
+    "C-prismatic": Family({"case", "d1", "d2", "mu14", "mu12"},
+                          {"s", "branch"},
+                          lambda c: prismatic_limit_C(c.case, c.d1, c.d2,
+                                                      c.mu14, c.mu12, c.s,
+                                                      c.branch),
+                          _LIMIT_LABELS),
+    "A-pyramidal": Family({"mu14", "mu12", "mu23", "mu34"}, set(),
+                          lambda c: pyramidal_limit(
+                              "A", mu=MuSet(c.mu14, c.mu12, c.mu23, c.mu34)),
+                          _LIMIT_LABELS),
+    "B-pyramidal": Family({"a1", "a2", "mu23", "mu34"}, set(),
+                          lambda c: pyramidal_limit("B", a1=c.a1, a2=c.a2,
+                                                    mu23=c.mu23, mu34=c.mu34),
+                          _LIMIT_LABELS),
+    "C-pyramidal": Family({"a1", "a2", "mu14", "mu12"}, {"s", "branch"},
+                          lambda c: pyramidal_limit(
+                              "C", a1=c.a1, a2=c.a2, mu14=c.mu14,
+                              mu12=c.mu12, s=c.s, branch=c.branch),
+                          _LIMIT_LABELS),
 }
 _SCALAR_KEYS = ("a1", "a2", "k", "d1", "d2",
                 "mu14", "mu12", "mu23", "mu34", "tau")
@@ -167,12 +194,12 @@ def parse_config(text) -> Config:
         raise ConfigError(
             f"'family' must be one of {sorted(FAMILIES)}, got {family!r}"
         )
-    required, optional, _ = FAMILIES[family]
-    allowed = _COMMON_KEYS | required | optional
+    row = FAMILIES[family]
+    allowed = _COMMON_KEYS | row.required | row.optional
     for key in data:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} for family {family!r}")
-    for key in required:
+    for key in row.required:
         if key not in data:
             raise ConfigError(f"family {family!r} requires key {key!r}")
 
@@ -214,7 +241,7 @@ def parse_config(text) -> Config:
 
 def _validate_convention(config: Config) -> None:
     """Reject designs the constructions exclude, naming the violated rule."""
-    required = FAMILIES[config.family][0]
+    required = FAMILIES[config.family].required
     if {"a1", "a2"} <= required:
         try:
             k = config.k if config.k is not None else 0
@@ -238,7 +265,7 @@ def serialize_config(config: Config) -> str:
             data[key] = _scalar_str(value)
     if config.case is not None:
         data["case"] = config.case
-    for key in FAMILIES[config.family][1]:
+    for key in FAMILIES[config.family].optional:
         data[key] = getattr(config, key)
     if config.tol is not None:
         data["tol"] = config.tol
@@ -269,7 +296,7 @@ def build_structure(config: Config):
     if config.family not in FAMILIES:
         raise ConfigError(f"unsupported family {config.family!r}")
     try:
-        return FAMILIES[config.family][2](config)
+        return FAMILIES[config.family].build(config)
     except ValueError as exc:
         raise ConfigError(
             f"cannot build family {config.family!r}: {exc}") from exc
@@ -359,20 +386,14 @@ def _unit(v):
     return tuple(float(x) / norm for x in v)
 
 
-def coupling_ribbons(bib: BiBennett, tau, tau_bar=None):
+def coupling_ribbons(bib: BiBennett, tau):
     """Ribbon quads of both tubes of a coupling: 8 ribbons, 4 per tube,
     each spanned between consecutive anchor points offset along the axes."""
-    cp = coupled_pose(bib, tau, tau_bar)
+    cp = coupled_pose(bib, tau)
     quad_points = {l: cp.quad[l] for l in AXIS_LABELS}
     directions = {l: cp.pose.axes[l].direction for l in AXIS_LABELS}
     ribbons = _ribbons_from_anchors("tube1", quad_points, directions)
-    if cp.delta is not None:
-        hat_anchors = {l: cp.delta.apply_point(cp.bar_quad[l])
-                       for l in AXIS_LABELS}
-    else:
-        point, direction = quad_symmetry_line(cp.quad)
-        hat_anchors = {l: half_turn_point(cp.quad[l], point, direction)
-                       for l in AXIS_LABELS}
+    hat_anchors = {l: cp.delta.apply_point(cp.bar_quad[l]) for l in AXIS_LABELS}
     hat_directions = {l: cp.hat_axes[l].direction for l in AXIS_LABELS}
     ribbons += _ribbons_from_anchors("tube2", hat_anchors, hat_directions)
     return ribbons
@@ -419,18 +440,13 @@ _EMPTY_BRANCH = "no-real-branch"
 _POLE = "pole"
 
 
-def certify(structure, tau, tol):
-    """(certificate name, report) for a coupling or limit structure at tau;
-    ``tol`` None keeps the certificate's own tolerance."""
-    if isinstance(structure, LimitStructure):
-        return "limit-labels", verify_labels(structure, tau)
-    bib = as_bibennett(structure)
-    kw = {"tol": tol} if tol is not None else {}
-    if bib.family == "A":
-        return "isogonal", isogonal_certificate(bib, tau, **kw)
-    if bib.family in ("B", "TrivialLineSym"):
-        return "deltoidal", deltoidal_certificate(bib, tau, **kw)
-    return "halfturn", halfturn_certificate(bib, tau, **kw)
+def certify(config: Config, structure, tau):
+    """(report name, report) of the certificate that FAMILIES gives the
+    config's family, for its structure at tau; the config's ``tol``, when
+    set, replaces the check's own tolerance."""
+    name, check = FAMILIES[config.family].certificate
+    kw = {"tol": config.tol} if config.tol is not None else {}
+    return name, check(structure, tau, **kw)
 
 
 def sweep_report(config: Config, tau_samples=None):
@@ -464,7 +480,7 @@ def sweep_report(config: Config, tau_samples=None):
                        certificate="", verdict="")
             rows.append(row)
             continue
-        name, report = certify(structure, tau, config.tol)
+        name, report = certify(config, structure, tau)
         side = max(abs(float(r)) for r in isogram_residuals(cp.quad))
         row.update(
             status="ok",

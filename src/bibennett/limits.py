@@ -183,10 +183,7 @@ def prism_parallel_residual(cp) -> float:
 def _apexes(cp):
     """Apex of each tube in a pyramidal structure."""
     origin = (0, 0, 0)
-    if cp.delta is None:
-        lp, ld = quad_symmetry_line(cp.quad)
-        return origin, half_turn_point(origin, lp, ld)
-    return origin, cp.delta.apply_point((0.0, 0.0, 0.0))
+    return origin, cp.delta.apply_point(origin)
 
 
 def _coplanarity_residual(quad) -> float:

@@ -1,5 +1,6 @@
 """Unit tests for the exact/float scalar and polynomial toolbox."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -172,3 +173,23 @@ def test_resultant_tau_bar_generic():
     res = resultant_tau_bar(a, b)
     assert res.degree("tau") <= 8
     assert not res.is_zero()
+
+
+def test_resultant_tau_bar_matches_sylvester_at_samples():
+    rng = random.Random(5)
+
+    def form():
+        return Quadratic2(tuple(
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                  for _ in range(3)) for _ in range(3)))
+
+    for _ in range(20):
+        a, b = form(), form()
+        res = resultant_tau_bar(a, b)
+        for tau in (Fraction(-3, 2), Fraction(1, 3), Fraction(2)):
+            # the tau_bar coefficients of each form at this tau, ascending
+            pa, pb = ([sum(f.coeff[i][j] * tau ** i for i in range(3))
+                       for j in range(3)] for f in (a, b))
+            if pa[2] == 0 or pb[2] == 0:
+                continue  # a dropped degree changes the Sylvester matrix
+            assert res(tau=tau) == sylvester_resultant(pa, pb)

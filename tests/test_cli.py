@@ -1,5 +1,6 @@
 """Command-line interface tests driven through main(argv)."""
 
+import hashlib
 import json
 import math
 
@@ -91,7 +92,7 @@ _VALUES = {
     "tol": st.sampled_from([1e-9, 1e-6]),
 }
 _JUNK = st.sampled_from(["x", "1/0", None, [], [[1]], {"a": 1}, 2.5])
-_ALL_KEYS = sorted({key for required, optional, _ in FAMILIES.values()
+_ALL_KEYS = sorted({key for required, optional, *_ in FAMILIES.values()
                     for key in required | optional}
                    | set(_VALUES) | {"tau", "unknown"})
 
@@ -101,7 +102,7 @@ def _fuzzed_config(draw, family):
     """A config of ``family`` with values of the right kind for each key
     (mismatched cases, zeros and negatives included), then at most one key
     dropped, added or set to a value of the wrong kind."""
-    required, optional, _ = FAMILIES.get(family, (set(), set(), None))
+    required, optional, *_ = FAMILIES.get(family, (set(), set(), None))
     extra = optional | {"tau", "tau_samples", "tol", "mode"}
     keys = required | draw(st.sets(st.sampled_from(sorted(extra))))
     data = {"schema": 1, "family": family}
@@ -244,3 +245,72 @@ def test_exact_and_float_agree_on_fixtures():
         exact = main(["certify", "-c", name])
         floaty = main(["certify", "-c", name, "--mode", "float"])
         assert exact == floaty == EXIT_OK, name
+
+
+def test_construct_single_loop_report(tmp_path, capsys):
+    out = tmp_path / "construct.json"
+    assert main(["construct", "-c", "fig3", "--out", str(out)]) == EXIT_OK
+    data = json.loads(out.read_text())
+    assert data["closure_residual"] == "0"
+    assert sorted(data["axes"]) == ["12", "14", "23", "34"]
+
+
+@pytest.mark.parametrize("command", ["limits", "certify"])
+def test_tol_reaches_limit_predicates(tmp_path, capsys, command):
+    out = tmp_path / "labels.json"
+    assert main([command, "-c", "fig8a", "--tol", "1e-3",
+                 "--out", str(out)]) == EXIT_OK
+    tolerances = {r["label"]: r["tolerance"]
+                  for r in json.loads(out.read_text())["residuals"]}
+    # the parallelism of the prism edges keeps its own fixed tolerance
+    assert tolerances.pop("axes parallel") == 1e-12
+    assert tolerances.pop("III2ii: not a parallelogram") == 0.5
+    assert tolerances and set(tolerances.values()) == {1e-3}
+
+
+# SHA-256 of the sweep standard output and of the exported OBJ file of every
+# bundled fixture; any byte drift in either fails here.
+FIXTURE_DIGESTS = {
+    ("fig3", "export"):
+        "2eef2ff93d15220a875c5deeec10ca6705216c9ffee92e0bc97e32e5c549b554",
+    ("fig4", "export"):
+        "6963a3c353cdc940e10d1959b202b1b19d0fa8c8ad8eaf0942db9c7dc4e0fd43",
+    ("fig4", "sweep"):
+        "8623dfd1cd32a97fd3a7e8da676a09807557f4bf14372633060093ff2bf83d19",
+    ("fig5", "export"):
+        "f78a03f2da73bbaefec4c18f0c5b98c04d707b904fad5cc3f6ddca2503d38af6",
+    ("fig5", "sweep"):
+        "3f25d5dd4733f6a91d39e0686edb1506ebf450a6041dc91fabcaea5872ebfbb4",
+    ("fig6", "export"):
+        "c91ec1c4f82ea66cb51cc608cc75e5128e315fd3b110d5ab4d15ac7511925361",
+    ("fig6", "sweep"):
+        "98b7702a57b540c6294102479e69a85d6731f7fbb8031989623ecfd9ae44674c",
+    ("fig7", "export"):
+        "c91ec1c4f82ea66cb51cc608cc75e5128e315fd3b110d5ab4d15ac7511925361",
+    ("fig7", "sweep"):
+        "98b7702a57b540c6294102479e69a85d6731f7fbb8031989623ecfd9ae44674c",
+    ("fig8a", "export"):
+        "0c84d66347c868da458e46a6d490626febdc117fd4d2f452a8ba38bd7630d800",
+    ("fig8a", "sweep"):
+        "58f9462836ce784c75b5283fb1ac58ff42025b9abcd6873211ed9abe43fd5c58",
+    ("fig8b", "export"):
+        "6e8ec40a85b88436261b26da7e724ecce444e1a6ea89519d2cbc76be2d39845b",
+    ("fig8b", "sweep"):
+        "8c019fd66ea3b1a892f37cdfd7e17a6ff0ae8d6e6fb569e42394127895ac1511",
+    ("fig9a", "export"):
+        "6feca759535950a468fa8e0cc82937098d69fa0a0de5b079e832c49e300f4435",
+    ("fig9a", "sweep"):
+        "41f0ee0ac7d8bb788e7f394fe4f91f88acdeb82535008a77d86620e490a99058",
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(FIXTURE_DIGESTS))
+def test_fixture_output_digests(tmp_path, capsys, name, command):
+    argv = [command, "-c", name]
+    if command == "export":
+        path = tmp_path / f"{name}.obj"
+        argv += ["--out", str(path)]
+    assert main(argv) == EXIT_OK
+    stdout = capsys.readouterr().out
+    data = path.read_bytes() if command == "export" else stdout.encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == FIXTURE_DIGESTS[name, command]

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bibennett.bennett import BennettDesign, validate
 from bibennett.families import (
@@ -19,6 +21,7 @@ from bibennett.families import (
     coupled_pose,
     coupling_quartic,
     detect_trivial,
+    diagonal_rational,
     extract_6r_loops,
     family_a,
     family_b,
@@ -168,3 +171,43 @@ def test_six_joint_loops():
     assert len(loops) == 4
     for axes in loops:
         assert len(axes) == 6
+
+
+# ---------------------------------------------------------------------------
+# the companion solvers return root sets closed under negation
+# ---------------------------------------------------------------------------
+
+_POSITIVE = st.builds(F, st.integers(1, 30), st.integers(1, 20))
+_NONZERO = st.builds(F, st.integers(-30, 30).filter(bool), st.integers(1, 20))
+_SIGN = st.sampled_from((-1, 1))
+_ROOT_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _closed_under_negation(roots):
+    return sorted(roots) == sorted(-r for r in roots)
+
+
+@_ROOT_SETTINGS
+@given(_POSITIVE, _POSITIVE, st.one_of(st.just(F(0)), _POSITIVE),
+       _POSITIVE, _POSITIVE, _NONZERO)
+def test_bennett_companion_roots_closed_under_negation(a1, a2, k, mu14, mu12,
+                                                       tau):
+    assume(a1 != a2)
+    q = coupling_quartic(validate(a1, a2, k), mu14, mu12)
+    assume(q.a * tau * tau + q.c != 0)
+    assert _closed_under_negation(solve_bar_tau(q, tau))
+
+
+@_ROOT_SETTINGS
+@given(st.sampled_from(("anti", "para")), _POSITIVE, _POSITIVE, _POSITIVE,
+       _POSITIVE, _SIGN, _SIGN, _NONZERO)
+def test_prismatic_companion_roots_closed_under_negation(case, d1, d2, mu14,
+                                                         mu12, s, branch, tau):
+    assume(d1 != d2)
+    bib = prismatic_limit_C(case, d1, d2, mu14, mu12, s, branch).bibennett
+    # the squared diagonals of a planar quad are even in the drive value,
+    # which is why the roots pair up
+    for which in (0, 1):
+        num, den = diagonal_rational(bib.bar_loop(), which)
+        assert num[1] == den[1] == 0
+    assert _closed_under_negation(planar_bar_tau(bib, tau))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bibennett.bennett import PLANAR_CASES
+from bibennett.bennett import PLANAR_CASES, SWAP
 from bibennett.cli import fixture_path
 from bibennett.io_export import (
     FAMILIES,
@@ -23,7 +23,7 @@ from bibennett.io_export import (
     sweep_report,
     SWEEP_HEADER,
 )
-from bibennett.families import BiBennett, coupled_pose
+from bibennett.families import BiBennett, HalfTurn, coupled_pose
 
 F = Fraction
 
@@ -50,7 +50,7 @@ _POSITIVE = st.builds("{}/{}".format, st.integers(1, 9), st.integers(1, 9))
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_round_trip_generated_configs(family, data):
-    required, optional, _ = FAMILIES[family]
+    required, optional, *_ = FAMILIES[family]
     raw = {"schema": 1, "family": family,
            "mode": data.draw(st.sampled_from(["exact", "float"]))}
     for key in sorted(required | optional):
@@ -262,3 +262,17 @@ def test_sweep_requires_samples():
 def test_sweep_rejects_single_loop():
     with pytest.raises(ConfigError):
         sweep_report(_fixture("fig3"), tau_samples=(F(3, 5),))
+
+
+@pytest.mark.parametrize("name", ["fig4", "fig5"])
+def test_half_turn_partner_of_line_symmetric_fixtures(name):
+    config = _fixture(name)
+    bib = build_structure(config)
+    cp = coupled_pose(bib, config.tau)
+    assert isinstance(cp.delta, HalfTurn) and cp.delta.orientation == 1
+    for label, partner in SWAP.items():
+        assert cp.delta.apply_point(cp.quad[label]) == cp.quad[partner]
+    for label, axis in cp.pose.axes.items():
+        assert cp.hat_axes[label] == cp.delta.apply_axis(axis)
+    text = export_obj_text(bib, config.tau)
+    assert sum(1 for line in text.splitlines() if line.startswith("g ")) == 8
