@@ -9,7 +9,6 @@ here, so the exact path stays radical-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -209,14 +208,12 @@ def nullspace_dimension(rows, ncols) -> int:
 # univariate interpolation and rational-function fitting
 # ---------------------------------------------------------------------------
 
-def interpolate_polynomial(fun, degree: int, points=None, checks: int = 2):
+def interpolate_polynomial(fun, degree: int, points):
     """Coefficients (ascending) of the degree-``degree`` polynomial matching
-    ``fun`` on ``degree+1`` sample points, verified on ``checks`` extra points.
+    ``fun`` on the first ``degree+1`` of ``points``, verified on the rest.
 
     Exact when ``fun`` returns exact scalars at exact points.
     """
-    if points is None:
-        points = [Fraction(i + 1, 2) for i in range(degree + 1 + checks)]
     xs = list(points)
     ys = [fun(x) for x in xs]
     n = degree + 1
@@ -228,16 +225,15 @@ def interpolate_polynomial(fun, degree: int, points=None, checks: int = 2):
     return coeffs
 
 
-def fit_rational(fun, num_deg: int, den_deg: int, points=None, checks: int = 3):
-    """Fit fun(x) = N(x)/M(x) with the given degrees by exact interpolation.
+def fit_rational(fun, num_deg: int, den_deg: int, points):
+    """Fit fun(x) = N(x)/M(x) with the given degrees by exact interpolation
+    on the first num_deg + den_deg + 2 of ``points``.
 
     Returns (num_coeffs, den_coeffs) ascending, with the trailing nonzero
     denominator coefficient normalized to 1.  Raises DegreeBoundError when the
-    verification points disagree with the fit.
+    remaining (verification) points disagree with the fit.
     """
     need = num_deg + den_deg + 2
-    if points is None:
-        points = [Fraction(2 * i + 1, 3) for i in range(need + checks)]
     xs = list(points)
     ys = [fun(x) for x in xs]
     rows = []
@@ -264,144 +260,16 @@ def fit_rational(fun, num_deg: int, den_deg: int, points=None, checks: int = 3):
 
 
 # ---------------------------------------------------------------------------
-# sparse multivariate polynomials
+# polynomial identities
 # ---------------------------------------------------------------------------
 
-class Poly:
-    """Sparse multivariate polynomial over exact scalars.
-
-    Terms map exponent tuples to coefficients; zero coefficients are never
-    stored.  Only the operations needed here are provided (no factorization,
-    no Groebner machinery).
-    """
-
-    __slots__ = ("variables", "terms")
-
-    def __init__(self, variables, terms=None):
-        self.variables = tuple(variables)
-        self.terms = {}
-        if terms:
-            for exp, c in terms.items():
-                if c != 0:
-                    self.terms[tuple(exp)] = c
-
-    @classmethod
-    def constant(cls, variables, value):
-        p = cls(variables)
-        if value != 0:
-            p.terms[(0,) * len(p.variables)] = value
-        return p
-
-    @classmethod
-    def variable(cls, variables, name):
-        variables = tuple(variables)
-        exp = [0] * len(variables)
-        exp[variables.index(name)] = 1
-        return cls(variables, {tuple(exp): Fraction(1)})
-
-    def _check(self, other):
-        if self.variables != other.variables:
-            raise ValueError("polynomials over different variable lists")
-
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.constant(self.variables, other)
-        self._check(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, 0) + c
-        return Poly(self.variables, terms)
-
-    def __neg__(self):
-        return Poly(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.constant(self.variables, other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.constant(self.variables, other)
-        self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                terms[exp] = terms.get(exp, 0) + c1 * c2
-        return Poly(self.variables, terms)
-
-    __rmul__ = __mul__
-    __radd__ = __add__
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self, name: str) -> int:
-        idx = self.variables.index(name)
-        return max((e[idx] for e in self.terms), default=0)
-
-    def __call__(self, **values):
-        total = 0
-        for exp, c in self.terms.items():
-            term = c
-            for name, e in zip(self.variables, exp):
-                if e:
-                    term *= values[name] ** e
-            total += term
-        return total
-
-    def coefficients(self, name: str):
-        """Ascending coefficient list w.r.t. one variable; entries are Polys
-        in the remaining variables."""
-        idx = self.variables.index(name)
-        rest = tuple(v for v in self.variables if v != name)
-        out = [Poly(rest) for _ in range(self.degree(name) + 1)]
-        for exp, c in self.terms.items():
-            rexp = tuple(e for i, e in enumerate(exp) if i != idx)
-            out[exp[idx]].terms[rexp] = out[exp[idx]].terms.get(rexp, 0) + c
-        for p in out:
-            p.terms = {e: c for e, c in p.terms.items() if c != 0}
-        return out
-
-    def __repr__(self):
-        return f"Poly({self.variables}, {self.terms})"
-
-
-def poly_identity_zero(p: Poly, degree_bounds) -> bool:
-    """Decide whether p is the zero polynomial by exact evaluation on an
-    interpolation-complete grid.
-
-    ``degree_bounds`` maps each variable to an upper bound of its degree in p;
-    a grid of (bound+1) distinct rationals per variable is then a proof, not a
-    probabilistic test.  Raises DegreeBoundError when a stored exponent
-    exceeds its bound.
-    """
-    for name in p.variables:
-        if p.degree(name) > degree_bounds[name]:
-            raise DegreeBoundError(
-                f"degree bound for {name} below actual degree {p.degree(name)}")
-    grids = [
-        [Fraction(i + 1, 2) for i in range(degree_bounds[name] + 1)]
-        for name in p.variables
-    ]
-    for point in product(*grids):
-        if p(**dict(zip(p.variables, point))) != 0:
-            return False
-    return True
-
-
 def function_identity_zero(fun, var_names, degree_bounds) -> bool:
-    """Grid-based zero test for a black-box polynomial function.
+    """Decide whether a polynomial function, a callable taking keyword scalar
+    arguments, is identically zero by exact evaluation on a grid.
 
-    Same contract as :func:`poly_identity_zero` but for a callable taking
-    keyword scalar arguments; correctness of the verdict rests on the caller's
-    degree bounds.
+    ``degree_bounds`` maps each variable to an upper bound of its degree; a
+    grid of (bound+1) distinct rationals per variable is then a proof, not a
+    probabilistic test.  The verdict rests on the caller's degree bounds.
     """
     grids = [
         [Fraction(2 * i + 1, 3) for i in range(degree_bounds[name] + 1)]
@@ -461,38 +329,41 @@ def sylvester_resultant(p, q):
     return det
 
 
-@dataclass(frozen=True)
-class Quadratic2:
-    """Bidegree-(2,2) polynomial in (tau, tau_bar): coeff[i][j] tau^i tau_bar^j."""
-
-    coeff: tuple  # 3x3 nested tuple
-
-    def __post_init__(self):
-        if len(self.coeff) != 3 or any(len(r) != 3 for r in self.coeff):
-            raise ValueError("Quadratic2 needs a 3x3 coefficient array")
-
-    def tau_bar_coefficients(self):
-        """Three Polys in tau: coefficients of tau_bar^0, tau_bar^1, tau_bar^2."""
-        out = []
-        for j in range(3):
-            out.append(Poly(("tau",), {(i,): self.coeff[i][j]
-                                       for i in range(3) if self.coeff[i][j] != 0}))
-        return out
+def _poly_mul(a, b):
+    """Product of two ascending coefficient lists, skipping zero terms."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
 
 
-def resultant_tau_bar(p: Quadratic2, q: Quadratic2) -> Poly:
-    """Sylvester resultant of two bidegree-(2,2) polynomials w.r.t. tau_bar.
+def _poly_sub(a, b):
+    """Difference of two ascending coefficient lists of equal length."""
+    return [x - y for x, y in zip(a, b)]
 
-    Returns a Poly in tau of degree at most 8, from the closed form
+
+def resultant_tau_bar(p, q):
+    """Sylvester resultant w.r.t. tau_bar of two bidegree-(2,2) polynomials
+    given as 3x3 nested lists, ``coeff[i][j]`` of tau^i tau_bar^j.
+
+    Returns the nine coefficients (tau^0 .. tau^8) of the closed form
     (p2 q0 - p0 q2)^2 - (p2 q1 - p1 q2)(p1 q0 - p0 q1) of the resultant of
-    two quadratics p2 x^2 + p1 x + p0 and q2 x^2 + q1 x + q0.  Raises
+    two quadratics p2 x^2 + p1 x + p0 and q2 x^2 + q1 x + q0, where each pj
+    is the coefficient list in tau of tau_bar^j.  Raises
     DegenerateResultantError when both leading tau_bar^2 coefficients vanish
     identically.
     """
-    p0, p1, p2 = p.tau_bar_coefficients()
-    q0, q1, q2 = q.tau_bar_coefficients()
-    if p2.is_zero() and q2.is_zero():
+    p0, p1, p2 = ([row[j] for row in p] for j in range(3))
+    q0, q1, q2 = ([row[j] for row in q] for j in range(3))
+    if not any(p2) and not any(q2):
         raise DegenerateResultantError(
             "both inputs have identically zero tau_bar^2 coefficient")
-    outer = p2 * q0 - p0 * q2
-    return outer * outer - (p2 * q1 - p1 * q2) * (p1 * q0 - p0 * q1)
+    outer = _poly_sub(_poly_mul(p2, q0), _poly_mul(p0, q2))
+    return _poly_sub(
+        _poly_mul(outer, outer),
+        _poly_mul(_poly_sub(_poly_mul(p2, q1), _poly_mul(p1, q2)),
+                  _poly_sub(_poly_mul(p1, q0), _poly_mul(p0, q1))),
+    )

@@ -160,8 +160,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_certify(args) -> int:
     config = _load_config(args)
     structure = build_structure(config)
-    if as_bibennett(structure) is None:
-        raise ConfigError(f"family {config.family!r} has no coupling to certify")
     tau = _require_tau(config)
     return _report(args, *certify(config, structure, tau))
 

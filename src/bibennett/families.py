@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .algebra import (
     DegenerateResultantError,
-    Quadratic2,
     det3,
     fit_rational,
     resultant_tau_bar,
@@ -170,11 +169,10 @@ def family_a(mu: MuSet):
     return sqrt_scalar(a1_sq), sqrt_scalar(a2_sq)
 
 
-def family_b(mu23, mu34, design: BennettDesign) -> MuSet:
+def family_b(mu23, mu34) -> MuSet:
     """The mu-pattern (mu23, mu34, mu23, mu34), an isogram for any design."""
     if mu23 == 0 and mu34 == 0:
         raise TrivialQuadError("mu23 = mu34 = 0 collapses the quad onto F")
-    _ = design  # any valid design works; kept in the signature for intent
     return MuSet(mu23, mu34, mu23, mu34)
 
 
@@ -250,7 +248,7 @@ def make_family_a(mu: MuSet, k=1) -> BiBennett:
 
 
 def make_family_b(mu23, mu34, design: BennettDesign) -> BiBennett:
-    mu = family_b(mu23, mu34, design)
+    mu = family_b(mu23, mu34)
     return BiBennett("B", design, mu, design, mu)
 
 
@@ -521,16 +519,14 @@ def diagonal_rational(loop: Loop, which: int):
     def f(tau):
         return loop.quad(tau).diag_sq()[which]
 
-    return fit_rational(f, 2, 2, points=_FIT_POINTS, checks=3)
+    return fit_rational(f, 2, 2, _FIT_POINTS)
 
 
-def _coupling_form(num, den, bar_num, bar_den) -> Quadratic2:
-    """N(tau) Mbar(tau_bar) - Nbar(tau_bar) M(tau) as a bidegree-(2,2) form."""
-    coeff = tuple(
-        tuple(num[i] * bar_den[j] - bar_num[j] * den[i] for j in range(3))
-        for i in range(3)
-    )
-    return Quadratic2(coeff)
+def _coupling_form(num, den, bar_num, bar_den):
+    """N(tau) Mbar(tau_bar) - Nbar(tau_bar) M(tau) as a bidegree-(2,2) form,
+    the 3x3 nested list of its coefficients of tau^i tau_bar^j."""
+    return [[num[i] * bar_den[j] - bar_num[j] * den[i] for j in range(3)]
+            for i in range(3)]
 
 
 @dataclass(frozen=True)
@@ -578,42 +574,28 @@ def necessary_conditions(loop: Loop, bar_loop: Loop) -> NecessaryReport:
         bnum, bden = diagonal_rational(bar_loop, which)
         forms.append(_coupling_form(num, den, bnum, bden))
     try:
-        res = resultant_tau_bar(forms[0], forms[1])
-        coeffs = res.coefficients("tau") if not res.is_zero() else []
-        flat = [c.terms.get((), 0) for c in coeffs]
-        flat += [0] * (9 - len(flat))
-        degenerate = res.is_zero()
+        coeffs = resultant_tau_bar(forms[0], forms[1])
     except DegenerateResultantError:
-        flat = [0] * 9
-        degenerate = True
-    return NecessaryReport(side_res, tuple(flat[:9]), degenerate)
+        coeffs = [0] * 9
+    return NecessaryReport(side_res, tuple(coeffs), not any(coeffs))
 
 
 def planar_bar_tau(bib: BiBennett, tau):
     """Companion parameters for a family-C coupling in the prismatic limit.
 
-    Solve both diagonal-matching conditions exactly for tau_bar and return
-    their common real roots.
+    Solve the first diagonal-matching condition exactly for tau_bar and
+    return its real roots, largest first; the rigid alignment of the two
+    quads in :func:`coupled_pose` then checks all six distances.
     """
-    loop, bar_loop = bib.loop(), bib.bar_loop()
-    roots_per_diag = []
-    for which in (0, 1):
-        target = loop.quad(tau).diag_sq()[which]
-        bnum, bden = diagonal_rational(bar_loop, which)
-        # bnum(tb)/bden(tb) = target  ->  quadratic in tb
-        c2 = bnum[2] - target * bden[2]
-        c1 = bnum[1] - target * bden[1]
-        c0 = bnum[0] - target * bden[0]
-        roots_per_diag.append(_real_quadratic_roots(c2, c1, c0))
-    out = []
-    for r in roots_per_diag[0]:
-        if any(abs(float(r) - float(r2)) < 1e-9 for r2 in roots_per_diag[1]):
-            out.append(r)
-    out.sort(key=float, reverse=True)
-    return out
+    target = bib.loop().quad(tau).diag_sq()[0]
+    bnum, bden = diagonal_rational(bib.bar_loop(), 0)
+    # bnum(tb)/bden(tb) = target  ->  quadratic in tb
+    roots = _real_quadratic_roots(
+        *(n - target * d for n, d in zip(bnum, bden)))
+    return sorted(roots, key=float, reverse=True)
 
 
-def _real_quadratic_roots(c2, c1, c0):
+def _real_quadratic_roots(c0, c1, c2):
     if c2 == 0:  # the diagonals are even in tau_bar, so c1 is 0 as well
         return []
     disc = c1 * c1 - 4 * c2 * c0

@@ -443,8 +443,12 @@ _POLE = "pole"
 def certify(config: Config, structure, tau):
     """(report name, report) of the certificate that FAMILIES gives the
     config's family, for its structure at tau; the config's ``tol``, when
-    set, replaces the check's own tolerance."""
-    name, check = FAMILIES[config.family].certificate
+    set, replaces the check's own tolerance.  Raises ConfigError for a
+    family without a certificate."""
+    certificate = FAMILIES[config.family].certificate
+    if certificate is None:
+        raise ConfigError(f"family {config.family!r} has no coupling to certify")
+    name, check = certificate
     kw = {"tol": config.tol} if config.tol is not None else {}
     return name, check(structure, tau, **kw)
 

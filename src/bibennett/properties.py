@@ -387,10 +387,12 @@ def indicatrix_relation(bib: BiBennett, tau, tau_bar=None,
                         tol: float = HALFTURN_TOL) -> CertificateReport:
     """Spherical vertex figures of a family-C coupling.
 
-    Opposite centers carry directly isometric indicatrices (one rotation
-    matches both direction stars, see :func:`star_invariant_gap`); adjacent
-    centers carry the same spherical four-bar in two different motion modes
-    (equal side multisets, different vertex configurations).
+    Opposite centers carry congruent indicatrices: one rotation matches the
+    lines of both direction stars (see :func:`star_invariant_gap`).  As the
+    directions are taken as lines, a line star always matches its mirror
+    image, so the check cannot tell a direct from a reversing congruence.
+    Adjacent centers carry the same spherical four-bar in two different
+    motion modes (equal side multisets, different vertex configurations).
     """
     cp = coupled_pose(bib, tau, tau_bar)
     stars = {label: _vertex_star_directions(cp, label) for label in AXIS_LABELS}
@@ -400,7 +402,7 @@ def indicatrix_relation(bib: BiBennett, tau, tau_bar=None,
         a, b = order[i], order[(i + 2) % 4]
         gap = star_invariant_gap(stars[a], stars[b])
         tag = f"P{a[0]}{a[1]}~P{b[0]}{b[1]}"
-        residuals.append(ResidualEntry(f"opposite rotation @ {tag}", gap, tol))
+        residuals.append(ResidualEntry(f"opposite congruence @ {tag}", gap, tol))
     for i in range(4):
         a, b = order[i], order[(i + 1) % 4]
         sa = sorted(_spherical_sides(stars[a]))

@@ -8,8 +8,6 @@ import pytest
 from bibennett.algebra import (
     DegenerateResultantError,
     DegreeBoundError,
-    Poly,
-    Quadratic2,
     fit_rational,
     function_identity_zero,
     interpolate_polynomial,
@@ -20,7 +18,6 @@ from bibennett.algebra import (
     nullspace_dimension,
     nullspace_vector,
     parse_scalar,
-    poly_identity_zero,
     resultant_tau_bar,
     solve_linear,
     sqrt_scalar,
@@ -82,7 +79,7 @@ def test_interpolate_polynomial_exact():
     def fun(x):
         return 3 * x * x - x + F(1, 2)
 
-    coeffs = interpolate_polynomial(fun, 2, [F(0), F(1), F(2)], [F(3), F(5)])
+    coeffs = interpolate_polynomial(fun, 2, [F(0), F(1), F(2), F(3), F(5)])
     assert coeffs == [F(1, 2), F(-1), F(3)]
 
 
@@ -98,7 +95,7 @@ def test_fit_rational_recovers_ratio():
         return (1 + x * x) / (2 - x)
 
     num, den = fit_rational(fun, 2, 1,
-                            [F(1), F(3), F(4), F(5), F(6)], [F(7), F(9)])
+                            [F(1), F(3), F(4), F(5), F(6), F(7), F(9)])
     # normalized representative of the same ratio
     for x in (F(10), F(1, 3)):
         lhs = sum(c * x ** i for i, c in enumerate(num))
@@ -109,31 +106,7 @@ def test_fit_rational_recovers_ratio():
 def test_fit_rational_degree_violation():
     with pytest.raises(DegreeBoundError):
         fit_rational(lambda x: x ** 4, 2, 0,
-                     [F(1), F(2), F(3), F(5)], [F(7), F(9)])
-
-
-def test_poly_arithmetic_and_identity():
-    names = ("x", "y")
-    x = Poly.variable(names, "x")
-    y = Poly.variable(names, "y")
-    p = (x + y) * (x - y) - x * x + y * y
-    assert p.is_zero()
-    q = x * x + Poly.constant(names, 2) * x * y
-    assert q.degree("x") == 2
-    assert q(x=F(1), y=F(2)) == 5
-    assert poly_identity_zero(p, {"x": 2, "y": 2})
-
-
-def test_poly_coefficients_by_variable():
-    names = ("x", "y")
-    x = Poly.variable(names, "x")
-    y = Poly.variable(names, "y")
-    q = x * x * y + x + Poly.constant(names, 3)
-    coeffs = q.coefficients("x")
-    assert len(coeffs) == 3
-    assert coeffs[0](y=F(5)) == 3
-    assert coeffs[1](y=F(5)) == 1
-    assert coeffs[2](y=F(5)) == 5
+                     [F(1), F(2), F(3), F(5), F(7), F(9)])
 
 
 def test_function_identity_zero():
@@ -159,37 +132,34 @@ def test_sylvester_resultant_common_root():
 
 def test_resultant_tau_bar_degenerate():
     # both forms lacking the leading companion-degree term is degenerate
-    coeffs = ((F(1), F(0), F(0)), (F(0), F(2), F(0)), (F(1), F(0), F(0)))
-    q = Quadratic2(coeffs)
+    q = [[F(1), F(0), F(0)], [F(0), F(2), F(0)], [F(1), F(0), F(0)]]
     with pytest.raises(DegenerateResultantError):
         resultant_tau_bar(q, q)
 
 
 def test_resultant_tau_bar_generic():
-    a = Quadratic2(((F(1), F(0), F(1)), (F(0), F(1), F(0)),
-                    (F(2), F(0), F(1))))
-    b = Quadratic2(((F(2), F(1), F(1)), (F(1), F(0), F(0)),
-                    (F(1), F(0), F(2))))
+    a = [[F(1), F(0), F(1)], [F(0), F(1), F(0)], [F(2), F(0), F(1)]]
+    b = [[F(2), F(1), F(1)], [F(1), F(0), F(0)], [F(1), F(0), F(2)]]
     res = resultant_tau_bar(a, b)
-    assert res.degree("tau") <= 8
-    assert not res.is_zero()
+    assert len(res) == 9  # degree at most 8 in tau
+    assert any(res)
 
 
 def test_resultant_tau_bar_matches_sylvester_at_samples():
     rng = random.Random(5)
 
     def form():
-        return Quadratic2(tuple(
-            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                  for _ in range(3)) for _ in range(3)))
+        return [[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                 for _ in range(3)] for _ in range(3)]
 
     for _ in range(20):
         a, b = form(), form()
         res = resultant_tau_bar(a, b)
         for tau in (Fraction(-3, 2), Fraction(1, 3), Fraction(2)):
             # the tau_bar coefficients of each form at this tau, ascending
-            pa, pb = ([sum(f.coeff[i][j] * tau ** i for i in range(3))
+            pa, pb = ([sum(f[i][j] * tau ** i for i in range(3))
                        for j in range(3)] for f in (a, b))
             if pa[2] == 0 or pb[2] == 0:
                 continue  # a dropped degree changes the Sylvester matrix
-            assert res(tau=tau) == sylvester_resultant(pa, pb)
+            value = sum(c * tau ** i for i, c in enumerate(res))
+            assert value == sylvester_resultant(pa, pb)

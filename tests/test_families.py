@@ -8,12 +8,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bibennett.bennett import BennettDesign, validate
+from bibennett.algebra import is_exact
+from bibennett.bennett import (
+    PLANAR_CASES,
+    BennettDesign,
+    PlanarDesign,
+    validate,
+)
 from bibennett.families import (
     BiBennett,
     ExcludedBranchError,
     Loop,
     MuSet,
+    NoRealBranchError,
     NoRealFamilyError,
     SkewQuad,
     align_isometry,
@@ -53,7 +60,7 @@ def test_family_a_no_real_solution():
 
 
 def test_family_b_offsets():
-    mu = family_b(F(2, 3), F(1, 2), DESIGN)
+    mu = family_b(F(2, 3), F(1, 2))
     assert mu.mu23 == F(2, 3) and mu.mu34 == F(1, 2)
     bib = make_family_b(F(2, 3), F(1, 2), DESIGN)
     # the two isogram side conditions hold exactly along the motion
@@ -211,3 +218,31 @@ def test_prismatic_companion_roots_closed_under_negation(case, d1, d2, mu14,
         num, den = diagonal_rational(bib.bar_loop(), which)
         assert num[1] == den[1] == 0
     assert _closed_under_negation(planar_bar_tau(bib, tau))
+
+
+@_ROOT_SETTINGS
+@given(st.sampled_from(PLANAR_CASES), _POSITIVE, _POSITIVE, _NONZERO,
+       _NONZERO, _SIGN, _SIGN, _NONZERO, st.booleans())
+def test_planar_companion_satisfies_link_quartic(case, d1, d2, mu14, mu12, s,
+                                                 branch, tau, floating):
+    # (dm e) t^2 b^2 + (dm e + 2 d1 d2) t^2 + (dm e - 2 d1 d2) b^2 + dm e = 0
+    # with e = 1 - c1 c2 from the pinned twists and dm = mu14^2 - mu12^2
+    assume(d1 != d2 or case in ("1b", "2b"))  # a rhombus is a pole of 1a, 2a
+    conv = float if floating else F
+    design = PlanarDesign(conv(d1), conv(d2), case)
+    bib = family_c(design, conv(mu14), conv(mu12), s, branch)
+    try:
+        b = coupled_pose(bib, conv(tau)).tau_bar
+    except NoRealBranchError:
+        assume(False)
+    (c1, _, _), (c2, _, _) = design.links()
+    e = 1 - c1 * c2
+    dm = bib.mu.mu14 ** 2 - bib.mu.mu12 ** 2
+    dd = 2 * design.d1 * design.d2
+    t = conv(tau)
+    terms = (dm * e * t * t * b * b, (dm * e + dd) * t * t,
+             (dm * e - dd) * b * b, dm * e)
+    if is_exact(b):
+        assert sum(terms) == 0
+    else:
+        assert abs(sum(terms)) <= 1e-12 * sum(abs(x) for x in terms)

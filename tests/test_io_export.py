@@ -14,6 +14,7 @@ from bibennett.io_export import (
     FAMILIES,
     ConfigError,
     build_structure,
+    certify,
     coupling_ribbons,
     export_obj_text,
     hp_patch,
@@ -262,6 +263,12 @@ def test_sweep_requires_samples():
 def test_sweep_rejects_single_loop():
     with pytest.raises(ConfigError):
         sweep_report(_fixture("fig3"), tau_samples=(F(3, 5),))
+
+
+def test_certify_rejects_single_loop():
+    config = _fixture("fig3")
+    with pytest.raises(ConfigError, match="has no coupling to certify"):
+        certify(config, build_structure(config), config.tau)
 
 
 @pytest.mark.parametrize("name", ["fig4", "fig5"])
