@@ -9,10 +9,12 @@ A planar loop is the Bennett loop with its twists pinned to 0 or pi, so the
 two kinds of design differ only in what they answer to ``links()`` (the two
 links as (cos, sin, offset)) and ``transmission()``; ``dh_chain``,
 ``loop_closure_residual`` and ``frame`` take either.  Poses (``frame``) come
-from a two-column kernel that applies the sparse chain factors to the
-reference point and direction only, fraction-free for rational input.  The
-chain and the closure residual keep the full 4x4 product, so they check the
-kernel independently.
+from a kernel that applies the sparse chain factors to the reference point
+and direction only, fraction-free for rational input.  For exact input the
+closure residual runs through the same kernel, applying the eight factors of
+the closed chain to the four basis vectors.  ``dh_chain`` keeps the full 4x4
+product: the closure residual uses it for float and mixed input, and the
+tests use it as the reference the kernel is checked against.
 """
 
 from __future__ import annotations
@@ -225,7 +227,22 @@ planar_chain = dh_chain
 
 
 def loop_closure_residual(design, tau):
-    """Max-abs deviation of the full 8-factor chain product from the identity."""
+    """Max-abs deviation of the 8-factor chain product link1 J(t12) link2
+    J(t23) link1 J(-t12) link2 J(-t23) from the identity.
+
+    Exact input runs through the pose kernel and gives a Fraction; any other
+    input multiplies out the 4x4 matrices of ``dh_chain``.
+    """
+    _, exact, (l1, j12, l2, j23) = _kernel_factors(design, tau)
+    if exact:
+        factors = (l1, j12, l2, j23, l1, _inverse_joint(j12), l2,
+                   _inverse_joint(j23))
+        columns = _apply_factors(factors, _BASIS)
+        # every factor scales w by its h, so e0 ends with w = their product
+        den = columns[0][0]
+        return Fraction(max(abs(v - den * (i == j))
+                            for j, column in enumerate(columns)
+                            for i, v in enumerate(column)), den)
     t12, t23 = _joint_half_tangents(design, tau)
     _, _, m34 = dh_chain(design, tau)
     closed = mat_mul(
@@ -280,7 +297,8 @@ class Pose:
 # half-tangent p/q enters as q^2 - p^2, 2pq and q^2 + p^2), and each output
 # is one Fraction over the w component of M e0, the product of all h: the
 # fraction-free scheme of Bareiss (Math. Comp. 22, 1968).  Any other scalar
-# type runs the same code with h = 1.
+# type runs the same code with h = 1.  The exact closure residual applies
+# the eight factors of the closed chain to all four basis vectors.
 
 def _link_factor(link, exact):
     """Kernel factor (c, s, off, h) of a link given as (cos, sin, offset)."""
@@ -305,15 +323,43 @@ def _apply_joint(factor, v):
     return (h * w, h * x, c * y + s * z, c * z - s * y)
 
 
+def _inverse_joint(joint):
+    """The joint factor of the opposite angle."""
+    apply, (c, s, h) = joint
+    return apply, (c, -s, h)
+
+
+_BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def _apply_factors(factors, vectors):
+    """Images of ``vectors`` under the product of ``factors`` ((apply,
+    factor) pairs, leftmost first)."""
+    images = []
+    for v in vectors:
+        for apply, factor in reversed(factors):
+            v = apply(factor, v)
+        images.append(v)
+    return images
+
+
+def _kernel_factors(design, tau):
+    """The first link (cos, sin, offset) of ``design``, whether its chain at
+    tau is exact, and the kernel factors (link1, J(t12), link2, J(t23)) as
+    (apply, factor) pairs."""
+    t12, t23 = _joint_half_tangents(design, tau)
+    link1, link2 = design.links()
+    exact = all(is_exact(v) for v in (*link1, *link2, t12, t23))
+    return link1, exact, ((_apply_link, _link_factor(link1, exact)),
+                          (_apply_joint, _rotation(t12, exact)),
+                          (_apply_link, _link_factor(link2, exact)),
+                          (_apply_joint, _rotation(t23, exact)))
+
+
 def _kernel_axis(label, factors, exact) -> Axis:
     """Axis of the product of ``factors`` ((apply, factor) pairs, leftmost
     first) from its columns on e0 and e1."""
-    columns = []
-    for v in ((1, 0, 0, 0), (0, 1, 0, 0)):
-        for apply, factor in reversed(factors):
-            v = apply(factor, v)
-        columns.append(v)
-    (den, *point), (_, *direction) = columns
+    (den, *point), (_, *direction) = _apply_factors(factors, _BASIS[:2])
     if exact:
         return Axis(label, tuple(Fraction(n, den) for n in point),
                     tuple(Fraction(n, den) for n in direction))
@@ -326,13 +372,7 @@ def _kernel_axis(label, factors, exact) -> Axis:
 def frame(design, tau) -> Pose:
     """Points F_ij and unit directions r_ij of all four axes at tau: the
     pose of the chain link1 J(t12) link2 J(t23) link1 of ``dh_chain``."""
-    t12, t23 = _joint_half_tangents(design, tau)
-    link1, link2 = design.links()
-    exact = all(is_exact(v) for v in (*link1, *link2, t12, t23))
-    l1 = (_apply_link, _link_factor(link1, exact))
-    l2 = (_apply_link, _link_factor(link2, exact))
-    j12 = (_apply_joint, _rotation(t12, exact))
-    j23 = (_apply_joint, _rotation(t23, exact))
+    link1, exact, (l1, j12, l2, j23) = _kernel_factors(design, tau)
     cos1, sin1, off1 = link1
     axes = {
         (1, 4): Axis((1, 4), (0, 0, 0), (1, 0, 0)),

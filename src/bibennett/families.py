@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     DegenerateResultantError,
@@ -239,6 +240,13 @@ class BiBennett:
 
     def bar_loop(self) -> Loop:
         return Loop(self.bar_design, self.bar_mu)
+
+    @cached_property
+    def _bar_diagonal_fit(self):
+        """:func:`diagonal_rational` of the bar loop's first diagonal, which
+        :func:`planar_bar_tau` matches at every tau; fitted once per
+        coupling."""
+        return diagonal_rational(self.bar_loop(), 0)
 
 
 def make_family_a(mu: MuSet, k=1) -> BiBennett:
@@ -588,7 +596,7 @@ def planar_bar_tau(bib: BiBennett, tau):
     quads in :func:`coupled_pose` then checks all six distances.
     """
     target = bib.loop().quad(tau).diag_sq()[0]
-    bnum, bden = diagonal_rational(bib.bar_loop(), 0)
+    bnum, bden = bib._bar_diagonal_fit
     # bnum(tb)/bden(tb) = target  ->  quadratic in tb
     roots = _real_quadratic_roots(
         *(n - target * d for n, d in zip(bnum, bden)))

@@ -42,16 +42,19 @@ from .families import (
     make_trivial,
 )
 from .limits import (
+    PREDICATE_TOL,
     LimitStructure,
+    label_check,
     prismatic_limit_AB,
     prismatic_limit_C,
     pyramidal_limit,
-    verify_labels,
 )
 from .properties import (
-    deltoidal_certificate,
-    halfturn_certificate,
-    isogonal_certificate,
+    HALFTURN_TOL,
+    ISO_TOL,
+    deltoidal_check,
+    halfturn_check,
+    isogonal_check,
 )
 
 
@@ -93,8 +96,10 @@ class Family(NamedTuple):
     """A config family: its required and optional keys, the builder of the
     structure it describes from a Config (a BennettDesign or PlanarDesign for
     one loop, a BiBennett for a coupling, a LimitStructure for a limit), and
-    its certificate as (report name, check) or None.  A check takes the
-    structure, tau and an optional ``tol``."""
+    its certificate as (report name, check, default tolerance) or None.  A
+    check is a pure function of one CoupledPose of the structure's coupling
+    and a tolerance, ``check(cp, tol)``; the limit-label check also reads the
+    labels of its LimitStructure, ``check(structure, cp, tol)``."""
 
     required: set
     optional: set
@@ -102,8 +107,8 @@ class Family(NamedTuple):
     certificate: tuple = None
 
 
-_DELTOIDAL = ("deltoidal", deltoidal_certificate)
-_LIMIT_LABELS = ("limit-labels", verify_labels)
+_DELTOIDAL = ("deltoidal", deltoidal_check, ISO_TOL)
+_LIMIT_LABELS = ("limit-labels", label_check, PREDICATE_TOL)
 
 # Every config family, the one place one is defined.
 FAMILIES = {
@@ -114,7 +119,7 @@ FAMILIES = {
     "A": Family({"k", "mu14", "mu12", "mu23", "mu34"}, set(),
                 lambda c: make_family_a(MuSet(c.mu14, c.mu12, c.mu23, c.mu34),
                                         k=c.k),
-                ("isogonal", isogonal_certificate)),
+                ("isogonal", isogonal_check, ISO_TOL)),
     "B": Family({"a1", "a2", "k", "mu23", "mu34"}, set(),
                 lambda c: make_family_b(c.mu23, c.mu34,
                                         validate(c.a1, c.a2, c.k)),
@@ -122,7 +127,7 @@ FAMILIES = {
     "C": Family({"a1", "a2", "k", "mu14", "mu12"}, {"s", "branch"},
                 lambda c: family_c(validate(c.a1, c.a2, c.k), c.mu14, c.mu12,
                                    c.s, c.branch),
-                ("halfturn", halfturn_certificate)),
+                ("halfturn", halfturn_check, HALFTURN_TOL)),
     "trivial": Family({"a1", "a2", "k", "mu23", "mu34"}, set(),
                       lambda c: make_trivial(c.mu23, c.mu34,
                                              validate(c.a1, c.a2, c.k)),
@@ -445,12 +450,20 @@ def certify(config: Config, structure, tau):
     config's family, for its structure at tau; the config's ``tol``, when
     set, replaces the check's own tolerance.  Raises ConfigError for a
     family without a certificate."""
-    certificate = FAMILIES[config.family].certificate
-    if certificate is None:
+    if FAMILIES[config.family].certificate is None:
         raise ConfigError(f"family {config.family!r} has no coupling to certify")
-    name, check = certificate
-    kw = {"tol": config.tol} if config.tol is not None else {}
-    return name, check(structure, tau, **kw)
+    return _certify_pose(config, structure,
+                         coupled_pose(as_bibennett(structure), tau))
+
+
+def _certify_pose(config: Config, structure, cp):
+    """:func:`certify` on ``cp``, a coupled pose of the structure."""
+    name, check, tol = FAMILIES[config.family].certificate
+    if config.tol is not None:
+        tol = config.tol
+    if isinstance(structure, LimitStructure):
+        return name, check(structure, cp, tol)
+    return name, check(cp, tol)
 
 
 def sweep_report(config: Config, tau_samples=None):
@@ -484,7 +497,7 @@ def sweep_report(config: Config, tau_samples=None):
                        certificate="", verdict="")
             rows.append(row)
             continue
-        name, report = certify(config, structure, tau)
+        name, report = _certify_pose(config, structure, cp)
         side = max(abs(float(r)) for r in isogram_residuals(cp.quad))
         row.update(
             status="ok",

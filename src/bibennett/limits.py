@@ -353,8 +353,13 @@ def _sym_plane_parallel_edges_residual(cp) -> float:
 
 def verify_labels(structure: LimitStructure, tau,
                   tol: float = PREDICATE_TOL) -> CertificateReport:
-    """Re-derive every emitted class label from the configured geometry."""
-    cp = coupled_pose(structure.bibennett, tau)
+    """:func:`label_check` of the structure's coupling posed at tau."""
+    return label_check(structure, coupled_pose(structure.bibennett, tau), tol)
+
+
+def label_check(structure: LimitStructure, cp, tol) -> CertificateReport:
+    """Re-derive every emitted class label of ``structure`` from ``cp``, a
+    coupled pose of its coupling."""
     residuals = []
     if structure.kind.startswith("Prismatic"):
         residuals.append(ResidualEntry(

@@ -4,6 +4,11 @@ Families A and B carry isogonal respectively deltoidal spherical vertex
 figures; family C's adjacent vertices are related by a half-turn.  Each
 displayed condition of the underlying arguments is evaluated as one named
 residual so that a certificate is a direct numerical transcript of the claim.
+
+Each certificate is a pure function of one ``CoupledPose`` and a tolerance
+(``isogonal_check``, ``deltoidal_check``, ``halfturn_check``), so a caller
+that already holds the pose does not solve it again; the public
+``*_certificate`` functions pose the coupling at tau and run the check.
 """
 
 from __future__ import annotations
@@ -126,10 +131,10 @@ def _iso_delto_residuals(cp: CoupledPose, center, opposite, prev_n, next_n):
     return iso1, iso2, iso3, delto1, delto2
 
 
-def _vertex_certificate(name, labels, bib, tau, tol) -> CertificateReport:
+def _vertex_certificate(name, labels, cp: CoupledPose, tol
+                        ) -> CertificateReport:
     """The residuals of :func:`_iso_delto_residuals` named in ``labels``
     (label -> index) at all four quad vertices."""
-    cp = coupled_pose(bib, tau)
     residuals = []
     for roles in _vertex_roles():
         values = _iso_delto_residuals(cp, *roles)
@@ -140,18 +145,28 @@ def _vertex_certificate(name, labels, bib, tau, tol) -> CertificateReport:
     return CertificateReport(name, tuple(residuals))
 
 
-def isogonal_certificate(bib: BiBennett, tau, tol: float = ISO_TOL
-                         ) -> CertificateReport:
+def isogonal_check(cp: CoupledPose, tol) -> CertificateReport:
     """Equal-opposite-angle certificate at all four quad vertices."""
     return _vertex_certificate("isogonal", {"iso1": 0, "iso2": 1, "iso3": 2},
-                               bib, tau, tol)
+                               cp, tol)
+
+
+def deltoidal_check(cp: CoupledPose, tol) -> CertificateReport:
+    """Equal-adjacent-angle certificate at all four quad vertices."""
+    return _vertex_certificate("deltoidal", {"delto1": 3, "delto2": 4},
+                               cp, tol)
+
+
+def isogonal_certificate(bib: BiBennett, tau, tol: float = ISO_TOL
+                         ) -> CertificateReport:
+    """:func:`isogonal_check` of the coupling posed at tau."""
+    return isogonal_check(coupled_pose(bib, tau), tol)
 
 
 def deltoidal_certificate(bib: BiBennett, tau, tol: float = ISO_TOL
                           ) -> CertificateReport:
-    """Equal-adjacent-angle certificate at all four quad vertices."""
-    return _vertex_certificate("deltoidal", {"delto1": 3, "delto2": 4},
-                               bib, tau, tol)
+    """:func:`deltoidal_check` of the coupling posed at tau."""
+    return deltoidal_check(coupled_pose(bib, tau), tol)
 
 
 def deltoidal_numerators(a1, a2, mu14, mu12, mu23, mu34):
@@ -219,6 +234,12 @@ def _reflect_across_plane(point, p0, p1, p2):
 
 def halfturn_certificate(bib: BiBennett, tau, tau_bar=None,
                          tol: float = HALFTURN_TOL) -> CertificateReport:
+    """:func:`halfturn_check` of the coupling posed at tau (and tau_bar, when
+    given)."""
+    return halfturn_check(coupled_pose(bib, tau, tau_bar), tol)
+
+
+def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:
     """Half-turn relating adjacent vertices of a family-C coupling.
 
     Checks, at each adjacent vertex pair (v, w):
@@ -233,7 +254,6 @@ def halfturn_certificate(bib: BiBennett, tau, tau_bar=None,
       that it does not extend to the remaining quad vertices, those being
       related by a reflection instead.
     """
-    cp = coupled_pose(bib, tau, tau_bar)
     residuals = []
     bar_quad = cp.bar_quad
     quad = cp.quad

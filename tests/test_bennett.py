@@ -6,7 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bibennett.algebra import mat_direction, mat_identity, mat_point
+from bibennett.algebra import (
+    div,
+    is_exact,
+    mat_direction,
+    mat_identity,
+    mat_max_abs_diff,
+    mat_mul,
+    mat_point,
+)
 from bibennett.bennett import (
     AXIS_LABELS,
     BennettDesign,
@@ -24,6 +32,7 @@ from bibennett.bennett import (
     planar_chain,
     planar_loop_closure_residual,
     regulus_residual,
+    rot_about_x,
     symmetry_line,
     symmetry_residual,
     transmission_K,
@@ -241,3 +250,37 @@ def test_int_designs_stay_exact():
                            for x in axis.point + axis.direction)
             residual = loop_closure_residual(design, tau)
             assert residual == 0 and not isinstance(residual, float)
+
+
+# ---------------------------------------------------------------------------
+# the closure residual against the full matrix chain
+# ---------------------------------------------------------------------------
+
+def _chain_closure_residual(design, tau):
+    """Residual of link1 J(t12) link2 J(t23) link1 J(-t12) link2 J(-t23),
+    the eight 4x4 matrices multiplied out."""
+    t12 = div(design.transmission(), tau)
+    c, s, off = design.links()[1]
+    link2 = ((1, 0, 0, 0), (0, c, -s, 0), (0, s, c, 0), (off, 0, 0, 1))
+    _, _, m34 = dh_chain(design, tau)
+    closed = mat_mul(mat_mul(mat_mul(m34, rot_about_x(-t12)), link2),
+                     rot_about_x(-tau))
+    return mat_max_abs_diff(closed, mat_identity())
+
+
+@_KERNEL_SETTINGS
+@given(_EXACT_POSITIVE, _EXACT_POSITIVE, _SCALE, _EXACT_NONZERO,
+       st.sampled_from(PLANAR_CASES))
+def test_closure_residual_matches_chain(a1, a2, k, tau, case):
+    assume(a1 != a2)
+    for design in (BennettDesign(a1, a2, k), PlanarDesign(a1, a2, case)):
+        residual = loop_closure_residual(design, tau)
+        assert _typed([residual]) == _typed(
+            [_chain_closure_residual(design, tau)])
+        assert type(residual) is Fraction
+        # float tau, with an exact and with a float design, keeps the chain
+        fdesign = type(design)(*(float(v) if is_exact(v) else v
+                                 for v in vars(design).values()))
+        for d in (design, fdesign):
+            assert repr(loop_closure_residual(d, float(tau))) == repr(
+                _chain_closure_residual(d, float(tau)))

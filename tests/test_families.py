@@ -1,7 +1,6 @@
 """Unit tests for the coupling families and the necessary-condition oracle."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,19 +10,15 @@ from hypothesis import strategies as st
 from bibennett.algebra import is_exact
 from bibennett.bennett import (
     PLANAR_CASES,
-    BennettDesign,
     PlanarDesign,
     validate,
 )
 from bibennett.families import (
-    BiBennett,
     ExcludedBranchError,
     Loop,
     MuSet,
     NoRealBranchError,
     NoRealFamilyError,
-    SkewQuad,
-    align_isometry,
     bar_tau_squared,
     coupled_pose,
     coupling_quartic,

@@ -2,17 +2,20 @@
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bibennett import families
 from bibennett.bennett import PLANAR_CASES, SWAP
 from bibennett.cli import fixture_path
 from bibennett.io_export import (
     FAMILIES,
     ConfigError,
+    as_bibennett,
     build_structure,
     certify,
     coupling_ribbons,
@@ -24,7 +27,13 @@ from bibennett.io_export import (
     sweep_report,
     SWEEP_HEADER,
 )
-from bibennett.families import BiBennett, HalfTurn, coupled_pose
+from bibennett.families import HalfTurn, coupled_pose
+from bibennett.limits import LimitStructure, verify_labels
+from bibennett.properties import (
+    deltoidal_certificate,
+    halfturn_certificate,
+    isogonal_certificate,
+)
 
 F = Fraction
 
@@ -283,3 +292,70 @@ def test_half_turn_partner_of_line_symmetric_fixtures(name):
         assert cp.hat_axes[label] == cp.delta.apply_axis(axis)
     text = export_obj_text(bib, config.tau)
     assert sum(1 for line in text.splitlines() if line.startswith("g ")) == 8
+
+
+# ---------------------------------------------------------------------------
+# one coupled pose per sweep row, certificates as functions of the pose
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, name):
+    """Arguments of every call of ``families.<name>``, through whichever
+    package module makes it."""
+    original = getattr(families, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if (module_name.startswith("bibennett")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sweep_poses_each_row_once(monkeypatch):
+    poses = _count_calls(monkeypatch, "coupled_pose")
+    fits = _count_calls(monkeypatch, "diagonal_rational")
+    _, report = sweep_report(_fixture("fig6"))
+    assert len(report["rows"]) == 3
+    assert len(poses) == 3
+    # the prismatic family-C bar loop does not depend on tau: one fit
+    _, report = sweep_report(_fixture("fig8b"))
+    assert [row["status"] for row in report["rows"]] == [
+        "no-real-branch", "ok", "ok"]
+    assert len(fits) == 1
+
+
+_PUBLIC_CERTIFICATES = {
+    "isogonal": isogonal_certificate,
+    "deltoidal": deltoidal_certificate,
+    "halfturn": halfturn_certificate,
+    "limit-labels": verify_labels,
+}
+
+
+def _typed_report(report):
+    return report.name, [(r.label, type(r.value), r.value, r.tolerance)
+                         for r in report.residuals]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize(
+    "name", ["fig4", "fig5", "fig6", "fig7", "fig8a", "fig8b", "fig9a"])
+def test_pose_checks_match_public_certificates(name, mode):
+    data = json.loads(fixture_path(name).read_text())
+    config = parse_config(json.dumps(dict(data, mode=mode)))
+    structure = build_structure(config)
+    report_name, check, default_tol = FAMILIES[config.family].certificate
+    public = _PUBLIC_CERTIFICATES[report_name]
+    cp = coupled_pose(as_bibennett(structure), config.tau)
+    context = (structure,) if isinstance(structure, LimitStructure) else ()
+    assert _typed_report(check(*context, cp, default_tol)) == _typed_report(
+        public(structure, config.tau))
+    assert _typed_report(check(*context, cp, 1e-3)) == _typed_report(
+        public(structure, config.tau, tol=1e-3))
+    name_, report = certify(config, structure, config.tau)
+    assert (name_, _typed_report(report)) == (
+        report_name, _typed_report(public(structure, config.tau)))

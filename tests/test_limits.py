@@ -7,7 +7,6 @@ import pytest
 from bibennett.families import MuSet, TrivialQuadError, coupled_pose
 from bibennett.limits import (
     CLASS_LABELS,
-    LimitStructure,
     prism_parallel_residual,
     prismatic_limit_AB,
     prismatic_limit_C,
