@@ -17,7 +17,6 @@ from .bennett import (
     PlanarDesign,
     PoleError,
     Pose,
-    dh_chain,
     frame,
     indicatrix,
     loop_closure_residual,

@@ -111,35 +111,15 @@ def det3(r0, r1, r2):
 
 
 # ---------------------------------------------------------------------------
-# 4x4 homogeneous transforms, convention: column vectors (w, x, y, z)^T
+# 4x4 homogeneous transforms
 # ---------------------------------------------------------------------------
 
-Mat4 = tuple
-
-
-def mat_identity() -> Mat4:
-    return tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
-
-
-def mat_mul(a: Mat4, b: Mat4) -> Mat4:
+def mat_mul(a, b):
+    """Product of two 4x4 matrices given as row tuples."""
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
         for i in range(4)
     )
-
-
-def mat_max_abs_diff(a: Mat4, b: Mat4):
-    return max(abs(a[i][j] - b[i][j]) for i in range(4) for j in range(4))
-
-
-def mat_point(m: Mat4):
-    """Image of the reference point: the (x, y, z) part of M (1,0,0,0)^T."""
-    return (m[1][0], m[2][0], m[3][0])
-
-
-def mat_direction(m: Mat4):
-    """Image of the reference direction: the (x, y, z) part of M (0,1,0,0)^T."""
-    return (m[1][1], m[2][1], m[3][1])
 
 
 # ---------------------------------------------------------------------------

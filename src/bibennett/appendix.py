@@ -72,11 +72,6 @@ class CoplanarityExpansion:
     c4: Fraction
 
 
-def coplanarity_determinant(design: BennettDesign, mu: MuSet, tau):
-    """Determinant testing coplanarity of the four anchor points at ``tau``."""
-    return points_on_axes(frame(design, tau), mu).orientation_det()
-
-
 def _check_structural_factor(a1, a2):
     if a1 * a2 * (a1 - a2) * (a1 + a2) == 0:
         raise StructuralFactorError(

@@ -7,14 +7,12 @@ Fractions or ints.
 
 A planar loop is the Bennett loop with its twists pinned to 0 or pi, so the
 two kinds of design differ only in what they answer to ``links()`` (the two
-links as (cos, sin, offset)) and ``transmission()``; ``dh_chain``,
-``loop_closure_residual`` and ``frame`` take either.  Poses (``frame``) come
-from a kernel that applies the sparse chain factors to the reference point
-and direction only, fraction-free for rational input.  For exact input the
-closure residual runs through the same kernel, applying the eight factors of
-the closed chain to the four basis vectors.  ``dh_chain`` keeps the full 4x4
-product: the closure residual uses it for float and mixed input, and the
-tests use it as the reference the kernel is checked against.
+links as (cos, sin, offset)) and ``transmission()``; ``frame`` and
+``loop_closure_residual`` take either.  Both run through one kernel that
+applies the sparse factors of the DH chain to basis vectors, fraction-free
+for rational input: ``frame`` applies the open chain to the reference point
+and direction, and ``loop_closure_residual`` applies the eight factors of
+the closed chain to the four basis rows.
 """
 
 from __future__ import annotations
@@ -24,12 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    Mat4,
     div,
     is_exact,
-    mat_identity,
-    mat_max_abs_diff,
-    mat_mul,
     nullspace_dimension,
     nullspace_vector,
     v_add,
@@ -158,7 +152,7 @@ def planar_K(pd: PlanarDesign):
 
 
 # ---------------------------------------------------------------------------
-# DH matrices with half-angle substitution
+# DH factors with half-angle substitution
 # ---------------------------------------------------------------------------
 
 def _rotation(t, exact):
@@ -184,28 +178,6 @@ def _bennett_link(a, k):
     return c, s, k * s
 
 
-def rot_about_x(t) -> Mat4:
-    """Joint rotation through the angle with half-tangent t."""
-    c, s = _cos_sin(t)
-    return (
-        (1, 0, 0, 0),
-        (0, 1, 0, 0),
-        (0, 0, c, s),
-        (0, 0, -s, c),
-    )
-
-
-def _link_matrix(link) -> Mat4:
-    """Link transform: the twist with cosine c and sine s, then the offset."""
-    c, s, off = link
-    return (
-        (1, 0, 0, 0),
-        (0, c, -s, 0),
-        (0, s, c, 0),
-        (off, 0, 0, 1),
-    )
-
-
 def _joint_half_tangents(design, tau):
     if tau == 0:
         raise PoleError(
@@ -213,48 +185,31 @@ def _joint_half_tangents(design, tau):
     return div(design.transmission(), tau), tau
 
 
-def dh_chain(design, tau):
-    """Axis transforms (M12, M23, M34) relative to the frame fixed on axis
-    (1,4), for a BennettDesign or a PlanarDesign."""
-    t12, t23 = _joint_half_tangents(design, tau)
-    link1, link2 = (_link_matrix(link) for link in design.links())
-    m23 = mat_mul(mat_mul(link1, rot_about_x(t12)), link2)
-    m34 = mat_mul(mat_mul(m23, rot_about_x(t23)), link1)
-    return link1, m23, m34
-
-
-planar_chain = dh_chain
-
-
 def loop_closure_residual(design, tau):
     """Max-abs deviation of the 8-factor chain product link1 J(t12) link2
     J(t23) link1 J(-t12) link2 J(-t23) from the identity.
 
-    Exact input runs through the pose kernel and gives a Fraction; any other
-    input multiplies out the 4x4 matrices of ``dh_chain``.
+    The kernel applies the factors to the four basis rows left to right:
+    the multiplied-out 4x4 product row by row, without its zero terms.
+    Exact input gives a Fraction.
     """
     _, exact, (l1, j12, l2, j23) = _kernel_factors(design, tau)
-    if exact:
-        factors = (l1, j12, l2, j23, l1, _inverse_joint(j12), l2,
-                   _inverse_joint(j23))
-        columns = _apply_factors(factors, _BASIS)
-        # every factor scales w by its h, so e0 ends with w = their product
-        den = columns[0][0]
-        return Fraction(max(abs(v - den * (i == j))
-                            for j, column in enumerate(columns)
-                            for i, v in enumerate(column)), den)
-    t12, t23 = _joint_half_tangents(design, tau)
-    _, _, m34 = dh_chain(design, tau)
-    closed = mat_mul(
-        mat_mul(mat_mul(m34, rot_about_x(-t12)),
-                _link_matrix(design.links()[1])),
-        rot_about_x(-t23),
-    )
-    return mat_max_abs_diff(closed, mat_identity())
+    factors = (l1, j12, l2, j23, l1, _inverse_joint(j12), l2,
+               _inverse_joint(j23))
+    rows = []
+    for row in _BASIS:
+        for (_, apply), factor in factors:
+            row = apply(factor, row)
+        rows.append(row)
+    # every factor scales w by its h, so e0 ends with w = their product
+    den = rows[0][0]
+    gap = max(abs(v - den * (i == j))
+              for i, row in enumerate(rows) for j, v in enumerate(row))
+    return Fraction(gap, den) if exact else gap
 
 
 def planar_loop_closure_residual(pd: PlanarDesign, tau):
-    """Closure residual of a planar loop (the chain of ``dh_chain``)."""
+    """Closure residual of a planar loop."""
     return loop_closure_residual(pd, tau)
 
 
@@ -283,22 +238,26 @@ class Pose:
         return {label: ax.point for label, ax in self.axes.items()}
 
 
-# The pose kernel.  A pose needs only the point column M e0 and the
-# direction column M e1 of M12, M23 and M34, so the sparse factors of the
-# chain are applied right to left to e0 and e1 instead of being multiplied
-# out as 4x4 matrices.  Each factor carries its own denominator h:
+# The kernel.  A pose needs only the point column M e0 and the direction
+# column M e1 of M12, M23 and M34, so the sparse factors of the chain are
+# applied right to left to e0 and e1 instead of being multiplied out as 4x4
+# matrices.  Each factor carries its own denominator h; in the convention of
+# column vectors (w, x, y, z) they are
 #
-#   link  (c, s, off, h): the twist with cos c/h and sin s/h, then the
-#                         offset off/h (_link_matrix)
-#   joint (c, s, h):      the rotation with cos c/h and sin s/h
-#                         (rot_about_x)
+#   link  (c, s, off, h):  [[h, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0],
+#                           [off, 0, 0, h]], the twist with cos c/h and
+#                          sin s/h, then the offset off/h along x
+#   joint (c, s, h):       [[h, 0, 0, 0], [0, h, 0, 0], [0, 0, c, s],
+#                           [0, 0, -s, c]], the rotation about x with cos c/h
+#                          and sin s/h
 #
 # When every scalar is an int or a Fraction the entries are integers (a
 # half-tangent p/q enters as q^2 - p^2, 2pq and q^2 + p^2), and each output
 # is one Fraction over the w component of M e0, the product of all h: the
 # fraction-free scheme of Bareiss (Math. Comp. 22, 1968).  Any other scalar
-# type runs the same code with h = 1.  The exact closure residual applies
-# the eight factors of the closed chain to all four basis vectors.
+# type runs the same code with h = 1.  The closure residual applies the
+# eight factors of the closed chain to the four basis rows, left to right,
+# so its float sums are those of the multiplied-out 4x4 product.
 
 def _link_factor(link, exact):
     """Kernel factor (c, s, off, h) of a link given as (cos, sin, offset)."""
@@ -311,33 +270,51 @@ def _link_factor(link, exact):
             off.numerator * (h // off.denominator), h)
 
 
-def _apply_link(factor, v):
+def _link_column(factor, v):
     c, s, off, h = factor
     w, x, y, z = v
     return (h * w, c * x - s * y, s * x + c * y, off * w + h * z)
 
 
-def _apply_joint(factor, v):
+def _link_row(factor, v):
+    c, s, off, h = factor
+    w, x, y, z = v
+    return (w * h + z * off, x * c + y * s, y * c - x * s, z * h)
+
+
+def _joint_column(factor, v):
     c, s, h = factor
     w, x, y, z = v
     return (h * w, h * x, c * y + s * z, c * z - s * y)
 
 
+def _joint_row(factor, v):
+    c, s, h = factor
+    w, x, y, z = v
+    return (w * h, x * h, y * c - z * s, y * s + z * c)
+
+
+# a factor is a (kind, values) pair; its kind applies it to a column vector
+# (from the left) and to a row vector (from the right)
+_LINK = (_link_column, _link_row)
+_JOINT = (_joint_column, _joint_row)
+
+
 def _inverse_joint(joint):
     """The joint factor of the opposite angle."""
-    apply, (c, s, h) = joint
-    return apply, (c, -s, h)
+    kind, (c, s, h) = joint
+    return kind, (c, -s, h)
 
 
 _BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def _apply_factors(factors, vectors):
-    """Images of ``vectors`` under the product of ``factors`` ((apply,
-    factor) pairs, leftmost first)."""
+    """Images of the column ``vectors`` under the product of ``factors``
+    ((kind, values) pairs, leftmost first)."""
     images = []
     for v in vectors:
-        for apply, factor in reversed(factors):
+        for (apply, _), factor in reversed(factors):
             v = apply(factor, v)
         images.append(v)
     return images
@@ -346,32 +323,34 @@ def _apply_factors(factors, vectors):
 def _kernel_factors(design, tau):
     """The first link (cos, sin, offset) of ``design``, whether its chain at
     tau is exact, and the kernel factors (link1, J(t12), link2, J(t23)) as
-    (apply, factor) pairs."""
+    (kind, values) pairs."""
     t12, t23 = _joint_half_tangents(design, tau)
     link1, link2 = design.links()
     exact = all(is_exact(v) for v in (*link1, *link2, t12, t23))
-    return link1, exact, ((_apply_link, _link_factor(link1, exact)),
-                          (_apply_joint, _rotation(t12, exact)),
-                          (_apply_link, _link_factor(link2, exact)),
-                          (_apply_joint, _rotation(t23, exact)))
+    return link1, exact, ((_LINK, _link_factor(link1, exact)),
+                          (_JOINT, _rotation(t12, exact)),
+                          (_LINK, _link_factor(link2, exact)),
+                          (_JOINT, _rotation(t23, exact)))
 
 
 def _kernel_axis(label, factors, exact) -> Axis:
-    """Axis of the product of ``factors`` ((apply, factor) pairs, leftmost
+    """Axis of the product of ``factors`` ((kind, values) pairs, leftmost
     first) from its columns on e0 and e1."""
     (den, *point), (_, *direction) = _apply_factors(factors, _BASIS[:2])
     if exact:
         return Axis(label, tuple(Fraction(n, den) for n in point),
                     tuple(Fraction(n, den) for n in direction))
-    # mat_mul sums start from int 0 and so never end on -0.0; starting from
-    # 0 here as well keeps the float zeros equal to those of dh_chain
+    # the sums of a 4x4 matrix product start from int 0 and so never end on
+    # -0.0; starting from 0 here as well keeps the float zeros of a pose
+    # equal to those of the multiplied-out chain
     return Axis(label, tuple(0 + n for n in point),
                 tuple(0 + n for n in direction))
 
 
 def frame(design, tau) -> Pose:
     """Points F_ij and unit directions r_ij of all four axes at tau: the
-    pose of the chain link1 J(t12) link2 J(t23) link1 of ``dh_chain``."""
+    pose of the DH chain link1 J(t12) link2 J(t23) link1, for a
+    BennettDesign or a PlanarDesign."""
     link1, exact, (l1, j12, l2, j23) = _kernel_factors(design, tau)
     cos1, sin1, off1 = link1
     axes = {

@@ -356,7 +356,7 @@ class HalfTurn(_AxisMap):
 class RigidMotion(_AxisMap):
     """Isometry of 3-space as a homogeneous transform (column convention)."""
 
-    transform: tuple  # Mat4
+    transform: tuple  # 4x4 rows acting on (w, x, y, z) columns
     orientation: int  # +1 direct, -1 reversing
 
     def apply_point(self, p):
@@ -381,10 +381,12 @@ ALIGN_TOL = 1e-9
 def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
     """Isometry delta with delta(src vertices) = dst vertices.
 
-    Direct when the two tetrahedra have the same orientation, reversing
-    (orientation -1) otherwise.  Raises NotIsometricError when the six
-    pairwise distances disagree.  This float alignment is the one place the
-    package uses numpy, imported on first use.
+    Reversing (orientation -1) when the two tetrahedra have opposite
+    orientations, each with a volume above ALIGN_TOL times the cube of the
+    longest distance; direct otherwise, so rounding noise on a (near)
+    coplanar pair never mirrors the alignment.  Raises NotIsometricError
+    when the six pairwise distances disagree.  This float alignment is the
+    one place the package uses numpy, imported on first use.
     """
     import numpy as np
 
@@ -403,6 +405,7 @@ def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
 
     pairs = [((1, 4), (1, 2)), ((1, 2), (2, 3)), ((2, 3), (3, 4)),
              ((3, 4), (1, 4)), ((1, 4), (2, 3)), ((1, 2), (3, 4))]
+    longest_sq = 0.0
     for a, b in pairs:
         ds = float(v_dist_sq(src[a], src[b]))
         dd = float(v_dist_sq(dst[a], dst[b]))
@@ -410,12 +413,14 @@ def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
         if abs(ds - dd) > ALIGN_TOL * scale:
             raise NotIsometricError(
                 f"distance {a}-{b} differs: {ds} vs {dd}")
+        longest_sq = max(longest_sq, ds, dd)
     fs = frame_matrix(src)
     fd = frame_matrix(dst)
     sign = 1
     vol_s = float(src.orientation_det())
     vol_d = float(dst.orientation_det())
-    if vol_s * vol_d < 0:
+    flat = ALIGN_TOL * longest_sq ** 1.5
+    if vol_s * vol_d < 0 and min(abs(vol_s), abs(vol_d)) > flat:
         sign = -1
         fs = fs.copy()
         fs[:, 2] = -fs[:, 2]
@@ -466,26 +471,26 @@ class NoRealBranchError(ValueError):
     """No real companion parameter tau_bar at this tau."""
 
 
-def coupled_pose(bib: BiBennett, tau, tau_bar=None) -> CoupledPose:
-    """Resolve the coupling at tau (solving for tau_bar when not supplied)."""
+def coupled_pose(bib: BiBennett, tau) -> CoupledPose:
+    """Resolve the coupling at tau, solving for tau_bar on the coupling's
+    branch."""
     pose = bib.loop().pose(tau)
     quad = points_on_axes(pose, bib.mu)
     if bib.family in ("A", "B", "TrivialLineSym"):
         tau_bar, bar_pose, bar_quad = tau, pose, quad
         delta = HalfTurn(*quad_symmetry_line(quad))
     else:
-        if tau_bar is None:
-            if isinstance(bib.design, PlanarDesign):
-                roots = planar_bar_tau(bib, tau)
-            else:
-                q = coupling_quartic(bib.design, bib.mu.mu14, bib.mu.mu12)
-                roots = solve_bar_tau(q, tau)
-            # both solvers return root sets closed under negation, so the
-            # requested branch is empty only when there is no root at all
-            roots = [r for r in roots if (r > 0) == (bib.branch > 0) or r == 0]
-            if not roots:
-                raise NoRealBranchError(f"no real tau_bar at tau = {tau}")
-            tau_bar = roots[0]
+        if isinstance(bib.design, PlanarDesign):
+            roots = planar_bar_tau(bib, tau)
+        else:
+            q = coupling_quartic(bib.design, bib.mu.mu14, bib.mu.mu12)
+            roots = solve_bar_tau(q, tau)
+        # both solvers return root sets closed under negation, so the
+        # requested branch is empty only when there is no root at all
+        roots = [r for r in roots if (r > 0) == (bib.branch > 0) or r == 0]
+        if not roots:
+            raise NoRealBranchError(f"no real tau_bar at tau = {tau}")
+        tau_bar = roots[0]
         bar_pose = bib.bar_loop().pose(tau_bar)
         bar_quad = points_on_axes(bar_pose, bib.bar_mu)
         delta = align_isometry(bar_quad, quad)

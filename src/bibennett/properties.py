@@ -19,7 +19,6 @@ from itertools import combinations, product
 
 from .algebra import (
     det3,
-    solve_linear,
     v_add,
     v_cross,
     v_dot,
@@ -35,7 +34,6 @@ from .families import (
     SkewQuad,
     align_isometry,
     coupled_pose,
-    isogram_residuals,  # re-exported for callers of this module
 )
 
 ISO_TOL = 1e-10
@@ -190,40 +188,35 @@ def _adjacent_roles():
             for v, opp_v, prev_v, w in _vertex_roles()]
 
 
-def hat_points(quad: SkewQuad, bar_quad: SkewQuad, bar_point, scheme: int):
-    """Transfer a point of the bar tube onto the first tube barycentrically.
+def hat_points(quad: SkewQuad, bar_quad: SkewQuad, bar_points):
+    """Transfer points of the bar tube onto the first tube through the
+    affine frames of the two quads.
 
-    The point is written over the bar quad in the affine basis of the given
-    scheme (23 or 34) and re-assembled with the same coefficients over the
-    first quad; exact for rational input.
+    Each point is written in the frame (p14; e1, e2, n) of the bar quad,
+    with e1 = p12 - p14, e2 = p23 - p14 and n = e1 x e2, and re-assembled
+    with the same coordinates in that frame of the first quad.  The
+    coordinates are the dot products with the dual basis (e2 x n, n x e1, n)
+    / |n|^2, so no pivot is chosen.  The frame spans space whenever e1 and
+    e2 are not parallel, planar quads included; for a direct isometry
+    carrying the bar quad onto the first quad the transfer is that
+    isometry.  Exact for rational input.
     """
-    if scheme == 23:
-        base = bar_quad.p23
-        basis = (v_sub(bar_quad.p34, bar_quad.p23),
-                 v_sub(bar_quad.p12, bar_quad.p23),
-                 v_sub(bar_quad.p14, bar_quad.p34))
-        tgt_base = quad.p23
-        tgt_basis = (v_sub(quad.p34, quad.p23),
-                     v_sub(quad.p12, quad.p23),
-                     v_sub(quad.p14, quad.p34))
-    elif scheme == 34:
-        base = bar_quad.p23
-        basis = (v_sub(bar_quad.p23, bar_quad.p34),
-                 v_sub(bar_quad.p14, bar_quad.p34),
-                 v_sub(bar_quad.p12, bar_quad.p23))
-        tgt_base = quad.p23
-        tgt_basis = (v_sub(quad.p23, quad.p34),
-                     v_sub(quad.p14, quad.p34),
-                     v_sub(quad.p12, quad.p23))
-    else:
-        raise ValueError("scheme must be 23 or 34")
-    rows = [[basis[0][i], basis[1][i], basis[2][i]] for i in range(3)]
-    rhs = list(v_sub(bar_point, base))
-    xi, eta, zeta = solve_linear(rows, rhs)
-    out = tgt_base
-    for coef, vec in zip((xi, eta, zeta), tgt_basis):
-        out = v_add(out, v_scale(coef, vec))
-    return out
+    def frame_vectors(q: SkewQuad):
+        e1, e2 = v_sub(q.p12, q.p14), v_sub(q.p23, q.p14)
+        return e1, e2, v_cross(e1, e2)
+
+    e1, e2, n = frame_vectors(bar_quad)
+    duals = (v_cross(e2, n), v_cross(n, e1), n)
+    norm_sq = v_norm_sq(n)
+    target = frame_vectors(quad)
+    images = []
+    for point in bar_points:
+        rel = v_sub(point, bar_quad.p14)
+        image = quad.p14
+        for dual, vec in zip(duals, target):
+            image = v_add(image, v_scale(v_dot(rel, dual) / norm_sq, vec))
+        images.append(image)
+    return images
 
 
 def _reflect_across_plane(point, p0, p1, p2):
@@ -232,11 +225,10 @@ def _reflect_across_plane(point, p0, p1, p2):
     return v_sub(point, v_scale(coef, n))
 
 
-def halfturn_certificate(bib: BiBennett, tau, tau_bar=None,
-                         tol: float = HALFTURN_TOL) -> CertificateReport:
-    """:func:`halfturn_check` of the coupling posed at tau (and tau_bar, when
-    given)."""
-    return halfturn_check(coupled_pose(bib, tau, tau_bar), tol)
+def halfturn_certificate(bib: BiBennett, tau, tol: float = HALFTURN_TOL
+                         ) -> CertificateReport:
+    """:func:`halfturn_check` of the coupling posed at tau."""
+    return halfturn_check(coupled_pose(bib, tau), tol)
 
 
 def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:
@@ -246,17 +238,24 @@ def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:
 
     * four tau-free angle equalities between rotary joints around v and w
       (each tube against the bar copy in its own frame),
-    * the equality of the diagonal angles at v and w via barycentric
-      transfer of the bar anchor points,
+    * the equality of the diagonal angles at v and w,
     * the orientation equality of the two anchor tetrahedra,
     * existence of the half-turn itself (aligning (v, w, F_v, Fhat_v) with
       (w, v, Fhat_w, F_w)), its involution property, and the negative check
       that it does not extend to the remaining quad vertices, those being
-      related by a reflection instead.
+      related by a reflection instead; the negative check asks for a gap
+      above ``tol`` times the longest side of the quad,
+
+    and that the hat anchors Fhat23 and Fhat34 agree with the transfer of
+    the bar anchors through the affine frames of the two quads
+    (:func:`hat_points`).
     """
     residuals = []
     bar_quad = cp.bar_quad
     quad = cp.quad
+    corners = [tuple(float(x) for x in p) for p in quad.vertices()]
+    min_gap = tol * max(math.dist(p, q)
+                        for p, q in zip(corners, corners[1:] + corners[:1]))
     for v, w, prev_v, opp_v in _adjacent_roles():
         tag = f"P{v[0]}{v[1]}-P{w[0]}{w[1]}"
         pv, pw = quad[v], quad[w]
@@ -279,7 +278,7 @@ def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:
               - v_dot(v_sub(bu, bv), v_sub(bfv, bv)))
         for i, g in enumerate((g1, g2, g3, g4), start=1):
             residuals.append(ResidualEntry(f"angle{i} @ {tag}", g, tol))
-        # diagonal angle equality via barycentric transfer of the bar anchors
+        # diagonal angle equality at the hat anchors
         fhat_v = cp.hat_axes[v].point
         fhat_w = cp.hat_axes[w].point
         diag = (v_dot(v_sub(fv, pv), v_sub(fhat_v, pv))
@@ -304,7 +303,7 @@ def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:
         gap = math.dist(img, tuple(float(x) for x in po))
         residuals.append(ResidualEntry(
             f"rho(P{prev_v[0]}{prev_v[1]}) != P{opp_v[0]}{opp_v[1]} @ {tag}",
-            0.0 if gap > 1e-6 else 1.0, 0.5))
+            0.0 if gap > min_gap else 1.0, 0.5))
         # ... those two points are related by a reflection instead
         mirrored = _reflect_across_plane(
             tuple(float(x) for x in img),
@@ -314,16 +313,15 @@ def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:
         residuals.append(ResidualEntry(
             f"reflection relation @ {tag}",
             math.dist(mirrored, tuple(float(x) for x in po)), tol))
-    # the barycentric transfer must agree with the rigid alignment
-    fhat23 = hat_points(quad, bar_quad, cp.bar_pose.axes[(2, 3)].point, 23)
-    fhat34 = hat_points(quad, bar_quad, cp.bar_pose.axes[(3, 4)].point, 34)
-    for label, direct, transferred in (
-        ("Fhat23 transfer", cp.hat_axes[(2, 3)].point, fhat23),
-        ("Fhat34 transfer", cp.hat_axes[(3, 4)].point, fhat34),
-    ):
-        gap = math.dist(tuple(float(x) for x in direct),
-                        tuple(float(x) for x in transferred))
-        residuals.append(ResidualEntry(label, gap, tol))
+    # the frame transfer must agree with the rigid alignment
+    labels = ((2, 3), (3, 4))
+    transferred = hat_points(quad, bar_quad,
+                             [cp.bar_pose.axes[label].point for label in labels])
+    for label, point in zip(labels, transferred):
+        gap = math.dist(tuple(float(x) for x in cp.hat_axes[label].point),
+                        tuple(float(x) for x in point))
+        residuals.append(ResidualEntry(
+            f"Fhat{label[0]}{label[1]} transfer", gap, tol))
     return CertificateReport("halfturn", tuple(residuals))
 
 
@@ -403,8 +401,8 @@ def star_invariant_gap(star_a, star_b) -> float:
     return best
 
 
-def indicatrix_relation(bib: BiBennett, tau, tau_bar=None,
-                        tol: float = HALFTURN_TOL) -> CertificateReport:
+def indicatrix_relation(bib: BiBennett, tau, tol: float = HALFTURN_TOL
+                        ) -> CertificateReport:
     """Spherical vertex figures of a family-C coupling.
 
     Opposite centers carry congruent indicatrices: one rotation matches the
@@ -414,7 +412,7 @@ def indicatrix_relation(bib: BiBennett, tau, tau_bar=None,
     Adjacent centers carry the same spherical four-bar in two different
     motion modes (equal side multisets, different vertex configurations).
     """
-    cp = coupled_pose(bib, tau, tau_bar)
+    cp = coupled_pose(bib, tau)
     stars = {label: _vertex_star_directions(cp, label) for label in AXIS_LABELS}
     residuals = []
     order = list(AXIS_LABELS)

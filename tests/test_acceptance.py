@@ -34,6 +34,7 @@ from bibennett.families import (
     coupling_quartic,
     family_a,
     family_c,
+    isogram_residuals,
     make_family_a,
     make_family_b,
     necessary_conditions,
@@ -56,7 +57,6 @@ from bibennett.properties import (
     deltoidal_certificate,
     halfturn_certificate,
     isogonal_certificate,
-    isogram_residuals,
 )
 
 F = Fraction

@@ -13,19 +13,17 @@ from bibennett.appendix import (
     constrained_mu_product,
     constrained_resultant_target,
     coplanarity_coeffs,
-    coplanarity_determinant,
     count_positive_roots,
     count_real_roots,
     quartic_g1,
     quartic_g2,
-    quartic_g3,
     splitting_f1,
     splitting_f2,
     verify_nonexistence,
 )
 from bibennett.algebra import sylvester_resultant
-from bibennett.bennett import BennettDesign
-from bibennett.families import MuSet
+from bibennett.bennett import BennettDesign, frame
+from bibennett.families import MuSet, points_on_axes
 
 F = Fraction
 
@@ -42,8 +40,8 @@ def test_zero_offset_determinant_nonzero():
     # with all offsets zero the anchor quad is the skew frame isogram, which
     # is generically non-planar
     design = BennettDesign(F(1, 2), F(1, 3), F(1))
-    det = coplanarity_determinant(design, MuSet(F(0), F(0), F(0), F(0)),
-                                  F(9, 10))
+    det = points_on_axes(frame(design, F(9, 10)),
+                         MuSet(F(0), F(0), F(0), F(0))).orientation_det()
     assert det != 0
 
 

@@ -6,15 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bibennett.algebra import (
-    div,
-    is_exact,
-    mat_direction,
-    mat_identity,
-    mat_max_abs_diff,
-    mat_mul,
-    mat_point,
-)
+from bibennett.algebra import div, is_exact, mat_mul
 from bibennett.bennett import (
     AXIS_LABELS,
     BennettDesign,
@@ -22,17 +14,14 @@ from bibennett.bennett import (
     PLANAR_CASES,
     PlanarDesign,
     PoleError,
-    dh_chain,
     frame,
     indicatrix,
     loop_closure_residual,
     opposite_axes_intersect,
     planar_frame,
     planar_K,
-    planar_chain,
     planar_loop_closure_residual,
     regulus_residual,
-    rot_about_x,
     symmetry_line,
     symmetry_residual,
     transmission_K,
@@ -152,6 +141,49 @@ def test_symmetry_line_halfturn():
 
 
 # ---------------------------------------------------------------------------
+# the reference: the DH chain multiplied out as 4x4 matrices, in the
+# convention of column vectors (w, x, y, z)
+# ---------------------------------------------------------------------------
+
+IDENTITY = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+
+
+def _cos_sin(t):
+    """Cosine and sine of the angle with half-tangent t, exact for ints."""
+    den = 1 + t * t
+    return div(1 - t * t, den), div(2 * t, den)
+
+
+def rot_about_x(t):
+    """Joint rotation through the angle with half-tangent t."""
+    c, s = _cos_sin(t)
+    return ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, c, s), (0, 0, -s, c))
+
+
+def _link_matrix(link):
+    """Link transform: the twist with cosine c and sine s, then the offset."""
+    c, s, off = link
+    return ((1, 0, 0, 0), (0, c, -s, 0), (0, s, c, 0), (off, 0, 0, 1))
+
+
+def dh_chain(design, tau):
+    """Axis transforms (M12, M23, M34) relative to the frame fixed on axis
+    (1,4), for a BennettDesign or a PlanarDesign."""
+    t12 = div(design.transmission(), tau)
+    link1, link2 = (_link_matrix(link) for link in design.links())
+    m23 = mat_mul(mat_mul(link1, rot_about_x(t12)), link2)
+    m34 = mat_mul(mat_mul(m23, rot_about_x(tau)), link1)
+    return link1, m23, m34
+
+
+planar_chain = dh_chain
+
+
+def _max_abs_diff(a, b):
+    return max(abs(a[i][j] - b[i][j]) for i in range(4) for j in range(4))
+
+
+# ---------------------------------------------------------------------------
 # the two-column pose kernel against the full matrix chain
 # ---------------------------------------------------------------------------
 
@@ -163,8 +195,8 @@ _KERNEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 def _chain_values(mats):
     """Point and direction entries of (identity, M12, M23, M34), flattened."""
-    return [x for m in (mat_identity(),) + tuple(mats)
-            for x in mat_point(m) + mat_direction(m)]
+    return [x for m in (IDENTITY,) + tuple(mats)
+            for x in (m[1][0], m[2][0], m[3][0], m[1][1], m[2][1], m[3][1])]
 
 
 def _pose_values(pose):
@@ -265,7 +297,7 @@ def _chain_closure_residual(design, tau):
     _, _, m34 = dh_chain(design, tau)
     closed = mat_mul(mat_mul(mat_mul(m34, rot_about_x(-t12)), link2),
                      rot_about_x(-tau))
-    return mat_max_abs_diff(closed, mat_identity())
+    return _max_abs_diff(closed, IDENTITY)
 
 
 @_KERNEL_SETTINGS

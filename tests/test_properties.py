@@ -4,11 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bibennett.bennett import validate
+from bibennett.bennett import PoleError, validate
 from bibennett.families import (
     MuSet,
+    NoRealBranchError,
     NotIsometricError,
+    align_isometry,
     family_c,
     make_family_a,
     make_family_b,
@@ -65,8 +69,11 @@ def test_halfturn_certificate_all_branches():
 
 
 def test_halfturn_certificate_rejects_wrong_companion():
+    # the bar quad posed at a tau_bar off the coupling relation is not
+    # congruent to the shared quad, so no partner isometry exists
+    quad = FAMILY_C.loop().quad(F(9, 10))
     with pytest.raises(NotIsometricError):
-        halfturn_certificate(FAMILY_C, F(9, 10), tau_bar=0.5)
+        align_isometry(FAMILY_C.bar_loop().quad(0.5), quad)
 
 
 def test_indicatrix_relation_family_c():
@@ -134,3 +141,60 @@ def test_certificates_on_random_instances():
         bib = make_family_b(mu23, mu34, design)
         assert deltoidal_certificate(bib, F(9, 10)).verdict
         count += 1
+
+
+# ---------------------------------------------------------------------------
+# the half-turn certificate on random family-C couplings
+# ---------------------------------------------------------------------------
+
+_POSITIVE = st.builds(F, st.integers(1, 30), st.integers(1, 20))
+_OFFSET = st.builds(F, st.integers(-30, 30).filter(bool), st.integers(1, 20))
+_TAU = st.builds(F, st.integers(-40, 40).filter(bool), st.integers(1, 12))
+
+
+def _family_c_certificates(a1, a2, k, mu14, mu12, s, branch, tau, scalar):
+    design = validate(scalar(a1), scalar(a2), scalar(k))
+    bib = family_c(design, scalar(mu14), scalar(mu12), s, branch)
+    return halfturn_certificate(bib, scalar(tau))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_POSITIVE, _POSITIVE, st.one_of(st.just(F(0)), _POSITIVE), _OFFSET,
+       _OFFSET, st.sampled_from((1, -1)), st.sampled_from((1, -1)), _TAU)
+def test_halfturn_certificate_passes_on_family_c(a1, a2, k, mu14, mu12, s,
+                                                 branch, tau):
+    # mu14 = -mu12 zeroes dm = mu14^2 - mu12^2, the family-B pattern, where
+    # the coupling relation degenerates to tau_bar = +-tau
+    assume(a1 != a2 and mu14 * mu14 != mu12 * mu12)
+    for scalar in (F, float):
+        try:
+            report = _family_c_certificates(a1, a2, k, mu14, mu12, s,
+                                            branch, tau, scalar)
+        except (NoRealBranchError, PoleError):
+            assume(False)
+        assert report.verdict, (scalar, report.lines())
+
+
+def test_halfturn_certificate_on_spherical_planar_quad():
+    # k = 0: the shared quad is planar, where the barycentric transfer of
+    # the bar anchors was singular
+    args = (F(1), F(9), F(0), F(5, 8), F(2, 3), 1, -1, F(16, 7))
+    for scalar in (F, float):
+        assert _family_c_certificates(*args, scalar).verdict
+
+
+def test_halfturn_certificate_on_near_equal_diagonals():
+    # the two diagonals differ by 8.2e-7, below the absolute 1e-6 that the
+    # negative check "rho(P..) != P.." once asked for
+    args = (F(2), F(7, 3), F(4, 9), F(-1, 7), F(-8, 11), -1, -1, F(36, 7))
+    for scalar in (F, float):
+        assert _family_c_certificates(*args, scalar).verdict
+
+
+def test_halfturn_frame_transfer_with_a_rounding_zero():
+    # in float mode the first frame vector of the bar quad has the x
+    # component -5.6e-17 where the exact value is 0; an elimination that
+    # takes it as the pivot moved Fhat23 by 6.3
+    args = (F(1, 2), F(1), F(11, 9), F(-2, 3), F(-2, 5), -1, -1, F(-9, 5))
+    for scalar in (F, float):
+        assert _family_c_certificates(*args, scalar).verdict
