@@ -29,6 +29,7 @@ from .bennett import (
 from .families import (
     BiBennett,
     CoupledPose,
+    DegenerateCouplingError,
     Loop,
     MuSet,
     NoRealBranchError,
@@ -56,7 +57,7 @@ from .properties import (
     isogonal_certificate,
 )
 from .limits import (
-    LimitStructure,
+    limit_kind,
     prismatic_limit_AB,
     prismatic_limit_C,
     pyramidal_limit,

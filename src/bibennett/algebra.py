@@ -128,15 +128,23 @@ def mat_mul(a, b):
 
 def _row_reduce(m, ncols):
     """Gauss-Jordan elimination of the first ``ncols`` columns of the row
-    list ``m``, in place; returns the pivot columns, one per pivot row."""
+    list ``m``, in place; returns the pivot columns, one per pivot row.
+
+    A column holding a float pivots on its largest entry (partial pivoting),
+    so rounding noise on an exact zero is never a pivot; an exact column
+    pivots on its first nonzero entry."""
     nrows = len(m)
     pivots = []
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        piv = next((rr for rr in range(r, nrows) if m[rr][c] != 0), None)
-        if piv is None:
+        rows = range(r, nrows)
+        if any(isinstance(m[rr][c], float) for rr in rows):
+            piv = max(rows, key=lambda rr: abs(m[rr][c]))
+        else:
+            piv = next((rr for rr in rows if m[rr][c] != 0), r)
+        if m[piv][c] == 0:
             continue
         m[r], m[piv] = m[piv], m[r]
         pv = m[r][c]

@@ -18,11 +18,10 @@ import sys
 
 from .appendix import verify_nonexistence
 from .bennett import PoleError, frame, loop_closure_residual
-from .families import NoRealBranchError, coupled_pose
+from .families import BiBennett, NoRealBranchError, coupled_pose
 from .io_export import (
     Config,
     ConfigError,
-    as_bibennett,
     build_structure,
     certify,
     config_object,
@@ -30,7 +29,7 @@ from .io_export import (
     parse_config,
     sweep_report,
 )
-from .limits import LimitStructure
+from .limits import limit_kind
 
 EXIT_OK = 0
 EXIT_CERTIFICATE = 1
@@ -92,14 +91,13 @@ def _cmd_validate(args) -> int:
     config = _load_config(args)
     structure = build_structure(config)
     print(f"config ok: family {config.family}, mode {config.mode}")
-    bib = as_bibennett(structure)
-    if isinstance(structure, LimitStructure):
-        print(f"limit kind {structure.kind}, labels "
-              f"{sorted(structure.labels)}")
-    if bib is not None:
-        print(f"design: {bib.design}")
-    else:
-        print(f"design: {structure}")
+    design = structure
+    if isinstance(structure, BiBennett):
+        if structure.labels:
+            print(f"limit kind {limit_kind(structure)}, labels "
+                  f"{sorted(structure.labels)}")
+        design = structure.design
+    print(f"design: {design}")
     return EXIT_OK
 
 
@@ -107,16 +105,15 @@ def _cmd_construct(args) -> int:
     config = _load_config(args)
     structure = build_structure(config)
     tau = _require_tau(config)
-    bib = as_bibennett(structure)
     out = {"family": config.family, "tau": str(tau)}
-    if bib is None:
+    if not isinstance(structure, BiBennett):
         pose = frame(structure, tau)
         residual = loop_closure_residual(structure, tau)
         print(f"loop closure residual: {residual}")
         out["closure_residual"] = str(residual)
         out["axes"] = _axes_dict(pose.axes)
     else:
-        cp = coupled_pose(bib, tau)
+        cp = coupled_pose(structure, tau)
         print(f"tau     = {tau}")
         print(f"tau_bar = {cp.tau_bar}")
         for label in ((1, 4), (1, 2), (2, 3), (3, 4)):
@@ -167,12 +164,12 @@ def _cmd_certify(args) -> int:
 def _cmd_limits(args) -> int:
     config = _load_config(args)
     structure = build_structure(config)
-    if not isinstance(structure, LimitStructure):
+    if not (isinstance(structure, BiBennett) and structure.labels):
         raise ConfigError(
             f"family {config.family!r} is not a prismatic or pyramidal limit"
         )
     tau = _require_tau(config)
-    print(f"kind {structure.kind} from family {structure.source_family}; "
+    print(f"kind {limit_kind(structure)} from family {structure.family}; "
           f"labels {sorted(structure.labels)}")
     return _report(args, *certify(config, structure, tau))
 

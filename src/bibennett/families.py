@@ -63,6 +63,12 @@ class DegenerateQuadError(ValueError):
     """Coplanar/degenerate tetrahedron where a spatial frame is required."""
 
 
+class DegenerateCouplingError(ValueError):
+    """Family-C offsets with mu14^2 = mu12^2: the coupling relation
+    degenerates to tau_bar = +-tau and the offsets form the family-B
+    pattern."""
+
+
 # ---------------------------------------------------------------------------
 # quads on axes
 # ---------------------------------------------------------------------------
@@ -218,7 +224,9 @@ class BiBennett:
     For families A, B and the trivial branch the partner tube is the
     half-turn image of the first (the bar loop is a congruent copy, coupled at
     tau_bar = tau).  For family C the bar loop carries swapped offsets and a
-    genuinely different companion parameter tau_bar.
+    genuinely different companion parameter tau_bar.  A coupling in a
+    prismatic or pyramidal limit carries its symmetry class ``labels``
+    (see :mod:`bibennett.limits`); a plain coupling carries none.
     """
 
     family: str
@@ -228,6 +236,7 @@ class BiBennett:
     bar_mu: MuSet
     s: int = 1
     branch: int = -1  # sign of the tau_bar root followed by default
+    labels: frozenset = frozenset()
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -270,6 +279,10 @@ def family_c(design, mu14, mu12, s: int, branch: int = -1) -> BiBennett:
     the first tube and s-scaled swapped offsets on the second."""
     if s not in (-1, 1):
         raise ValueError("s must be -1 or +1")
+    if mu14 * mu14 == mu12 * mu12:
+        raise DegenerateCouplingError(
+            "mu14^2 = mu12^2 degenerates the coupling relation to "
+            "tau_bar = +-tau")
     mu = MuSet(mu14, mu12, mu14, mu12)
     bar_mu = MuSet(s * mu12, s * mu14, s * mu12, s * mu14)
     return BiBennett("C", design, mu, design, bar_mu, s=s, branch=branch)
@@ -454,9 +467,11 @@ class CoupledPose:
     about the quad's symmetry line for families A, B and the trivial branch
     (whose partner is the first tube itself, at tau_bar = tau), the rigid
     alignment of the bar quad for family C.  ``hat_axes`` are the bar axes
-    moved by ``delta`` into the frame of the first tube.
+    moved by ``delta`` into the frame of the first tube; ``bib`` is the
+    coupling posed.
     """
 
+    bib: BiBennett
     tau: object
     tau_bar: object
     pose: Pose
@@ -496,7 +511,7 @@ def coupled_pose(bib: BiBennett, tau) -> CoupledPose:
         delta = align_isometry(bar_quad, quad)
     hat_axes = {label: delta.apply_axis(ax)
                 for label, ax in bar_pose.axes.items()}
-    return CoupledPose(tau, tau_bar, pose, quad, bar_pose, bar_quad,
+    return CoupledPose(bib, tau, tau_bar, pose, quad, bar_pose, bar_quad,
                        hat_axes, delta)
 
 

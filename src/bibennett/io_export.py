@@ -43,7 +43,6 @@ from .families import (
 )
 from .limits import (
     PREDICATE_TOL,
-    LimitStructure,
     label_check,
     prismatic_limit_AB,
     prismatic_limit_C,
@@ -95,11 +94,10 @@ _COMMON_KEYS = {"schema", "family", "tau", "tau_samples", "mode", "tol"}
 class Family(NamedTuple):
     """A config family: its required and optional keys, the builder of the
     structure it describes from a Config (a BennettDesign or PlanarDesign for
-    one loop, a BiBennett for a coupling, a LimitStructure for a limit), and
-    its certificate as (report name, check, default tolerance) or None.  A
-    check is a pure function of one CoupledPose of the structure's coupling
-    and a tolerance, ``check(cp, tol)``; the limit-label check also reads the
-    labels of its LimitStructure, ``check(structure, cp, tol)``."""
+    one loop, a BiBennett for a coupling, a labelled BiBennett for a limit),
+    and its certificate as (report name, check, default tolerance) or None.
+    A check is a pure function of one CoupledPose of the coupling and a
+    tolerance, ``check(cp, tol)``."""
 
     required: set
     optional: set
@@ -149,17 +147,17 @@ FAMILIES = {
                                                       c.branch),
                           _LIMIT_LABELS),
     "A-pyramidal": Family({"mu14", "mu12", "mu23", "mu34"}, set(),
-                          lambda c: pyramidal_limit(
-                              "A", mu=MuSet(c.mu14, c.mu12, c.mu23, c.mu34)),
+                          lambda c: pyramidal_limit(make_family_a(
+                              MuSet(c.mu14, c.mu12, c.mu23, c.mu34), k=0)),
                           _LIMIT_LABELS),
     "B-pyramidal": Family({"a1", "a2", "mu23", "mu34"}, set(),
-                          lambda c: pyramidal_limit("B", a1=c.a1, a2=c.a2,
-                                                    mu23=c.mu23, mu34=c.mu34),
+                          lambda c: pyramidal_limit(make_family_b(
+                              c.mu23, c.mu34, validate(c.a1, c.a2, 0))),
                           _LIMIT_LABELS),
     "C-pyramidal": Family({"a1", "a2", "mu14", "mu12"}, {"s", "branch"},
-                          lambda c: pyramidal_limit(
-                              "C", a1=c.a1, a2=c.a2, mu14=c.mu14,
-                              mu12=c.mu12, s=c.s, branch=c.branch),
+                          lambda c: pyramidal_limit(family_c(
+                              validate(c.a1, c.a2, 0), c.mu14, c.mu12, c.s,
+                              c.branch)),
                           _LIMIT_LABELS),
 }
 _SCALAR_KEYS = ("a1", "a2", "k", "d1", "d2",
@@ -340,15 +338,6 @@ def hp_patch(quad, n: int):
     return vertices, faces
 
 
-def as_bibennett(structure):
-    """The coupling of a BiBennett or LimitStructure; None for one loop."""
-    if isinstance(structure, LimitStructure):
-        return structure.bibennett
-    if isinstance(structure, BiBennett):
-        return structure
-    return None
-
-
 # Ribbon width as a fraction of the mean quad edge length.
 RIBBON_WIDTH = 0.1
 
@@ -406,9 +395,8 @@ def coupling_ribbons(bib: BiBennett, tau):
 
 def export_obj_text(structure, tau, patch_n: int = 4) -> str:
     """Deterministic OBJ text for a structure at drive value tau."""
-    bib = as_bibennett(structure)
-    if bib is not None:
-        ribbons = coupling_ribbons(bib, tau)
+    if isinstance(structure, BiBennett):
+        ribbons = coupling_ribbons(structure, tau)
     elif isinstance(structure, (BennettDesign, PlanarDesign)):
         ribbons = _single_loop_ribbons(frame(structure, tau))
     else:
@@ -452,18 +440,13 @@ def certify(config: Config, structure, tau):
     family without a certificate."""
     if FAMILIES[config.family].certificate is None:
         raise ConfigError(f"family {config.family!r} has no coupling to certify")
-    return _certify_pose(config, structure,
-                         coupled_pose(as_bibennett(structure), tau))
+    return _certify_pose(config, coupled_pose(structure, tau))
 
 
-def _certify_pose(config: Config, structure, cp):
-    """:func:`certify` on ``cp``, a coupled pose of the structure."""
+def _certify_pose(config: Config, cp):
+    """:func:`certify` on ``cp``, a coupled pose of the config's coupling."""
     name, check, tol = FAMILIES[config.family].certificate
-    if config.tol is not None:
-        tol = config.tol
-    if isinstance(structure, LimitStructure):
-        return name, check(structure, cp, tol)
-    return name, check(cp, tol)
+    return name, check(cp, tol if config.tol is None else config.tol)
 
 
 def sweep_report(config: Config, tau_samples=None):
@@ -476,9 +459,8 @@ def sweep_report(config: Config, tau_samples=None):
     samples = tau_samples if tau_samples is not None else config.tau_samples
     if samples is None:
         raise ConfigError("no tau samples: pass tau_samples or set it in the config")
-    structure = build_structure(config)
-    bib = as_bibennett(structure)
-    if bib is None:
+    bib = build_structure(config)
+    if not isinstance(bib, BiBennett):
         raise ConfigError(f"family {config.family!r} has no coupling to sweep")
     rows = []
     for tau in samples:
@@ -497,7 +479,7 @@ def sweep_report(config: Config, tau_samples=None):
                        certificate="", verdict="")
             rows.append(row)
             continue
-        name, report = _certify_pose(config, structure, cp)
+        name, report = _certify_pose(config, cp)
         side = max(abs(float(r)) for r in isogram_residuals(cp.quad))
         row.update(
             status="ok",

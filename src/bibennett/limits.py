@@ -2,15 +2,16 @@
 
 Sending all axes parallel turns a Bennett tube into a quadrilateral prism,
 sending the scale k to zero into a quadrilateral pyramid.  The coupling
-constructions survive both limits; this module builds them and re-verifies the
-symmetry class labels of the limiting structures by direct geometric
-predicates rather than trusting the construction path.
+constructions survive both limits; this module builds them as couplings that
+carry their symmetry class labels, and re-verifies those labels by direct
+geometric predicates rather than trusting the construction path.  The kind
+of limit is read off the design (:func:`limit_kind`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 from .algebra import (
     det3,
@@ -26,7 +27,6 @@ from .bennett import (
     SWAP,
     PlanarDesign,
     half_turn_point,
-    validate,
 )
 from .families import (
     BiBennett,
@@ -35,8 +35,6 @@ from .families import (
     coupled_pose,
     detect_trivial,
     family_c,
-    make_family_a,
-    make_family_b,
     quad_symmetry_line,
 )
 from .properties import CertificateReport, ResidualEntry
@@ -44,33 +42,24 @@ from .properties import CertificateReport, ResidualEntry
 PARALLEL_TOL = 1e-12
 PREDICATE_TOL = 1e-9
 
-KINDS = ("PrismaticAnti", "PrismaticPara", "Pyramidal")
-
 CLASS_LABELS = ("I1", "I2", "I3", "III1", "III2i", "III2ii",
                 "III3", "III4i", "III4ii")
 
+_PRISMATIC_KINDS = {"2a": "PrismaticAnti", "2b": "PrismaticPara"}
 
-@dataclass(frozen=True)
-class LimitStructure:
-    """A coupling in a prismatic or pyramidal limit with its class labels.
+# Class labels of the pyramidal (k = 0) limit of each family.
+_PYRAMIDAL_LABELS = {"A": frozenset({"I1", "I3"}),
+                     "B": frozenset({"I1", "I2"}),
+                     "C": frozenset({"I2"})}
 
-    ``isogonal_compatible`` records whether the extra factor condition that
-    narrows the general prismatic solution set down to isogonal (family-A
-    style) vertices holds; None when not applicable.
-    """
 
-    kind: str
-    source_family: str
-    bibennett: BiBennett
-    labels: frozenset
-    isogonal_compatible: object = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown limit kind {self.kind!r}")
-        bad = set(self.labels) - set(CLASS_LABELS)
-        if bad:
-            raise ValueError(f"labels outside the taxonomy: {sorted(bad)}")
+def limit_kind(bib: BiBennett):
+    """The limit a coupling sits in, read off its design: PrismaticAnti
+    (planar case 2a), PrismaticPara (case 2b) or Pyramidal (a Bennett design
+    with k = 0); None for any other design."""
+    if isinstance(bib.design, PlanarDesign):
+        return _PRISMATIC_KINDS.get(bib.design.case)
+    return "Pyramidal" if bib.design.k == 0 else None
 
 
 def _planar_design(case: str, d1, d2) -> PlanarDesign:
@@ -84,12 +73,14 @@ def _planar_design(case: str, d1, d2) -> PlanarDesign:
 # ---------------------------------------------------------------------------
 
 def prismatic_limit_AB(family: str, case: str, d1, d2,
-                       mu12=None, mu23=None, mu34=None) -> LimitStructure:
+                       mu12=None, mu23=None, mu34=None) -> BiBennett:
     """Prismatic limit of the line-symmetric couplings.
 
     In the planar limit the isogram conditions factor; the branch
     mu14 = mu23, mu12 = mu34 is the family-B pattern (anti case only) and the
     solved branches mu14 = mu12 -+ mu23 +- mu34 extend the family-A limits.
+    On the anti branch, the extra factor condition that narrows the general
+    solution set down to isogonal (family-A style) vertices adds III3.
     """
     pd = _planar_design(case, d1, d2)
     if family == "B":
@@ -98,9 +89,8 @@ def prismatic_limit_AB(family: str, case: str, d1, d2,
                 "the parallelogramic branch of this pattern maps the prism "
                 "onto itself (trivial)")
         mu = MuSet(mu23, mu34, mu23, mu34)
-        bib = BiBennett("B", pd, mu, pd, mu)
-        return LimitStructure("PrismaticAnti", "B", bib,
-                              frozenset({"III1", "III2ii"}))
+        return BiBennett("B", pd, mu, pd, mu,
+                         labels=frozenset({"III1", "III2ii"}))
     if family != "A":
         raise ValueError("family must be 'A' or 'B'")
     if case == "anti":
@@ -108,51 +98,36 @@ def prismatic_limit_AB(family: str, case: str, d1, d2,
         extra = ((d1 * mu12 - d1 * mu23 - d2 * mu23 + d2 * mu34)
                  * (d1 * mu12 - d1 * mu23 + d2 * mu23 - d2 * mu34))
         labels = {"III1"}
-        kind = "PrismaticAnti"
     else:
         mu14 = mu12 + mu23 - mu34
         extra = ((d1 * mu12 + d1 * mu23 + d2 * mu23 - d2 * mu34)
                  * (d1 * mu12 + d1 * mu23 - d2 * mu23 + d2 * mu34))
         labels = {"III1", "III4ii"}
-        kind = "PrismaticPara"
     mu = MuSet(mu14, mu12, mu23, mu34)
     if detect_trivial(mu):
         raise TrivialQuadError("mu-set is the trivial self-symmetric pattern")
     isogonal = extra == 0 if not isinstance(extra, float) else abs(extra) < 1e-12
     if case == "anti" and isogonal:
         labels.add("III3")
-    bib = BiBennett("A", pd, mu, pd, mu)
-    return LimitStructure(kind, "A", bib, frozenset(labels), isogonal)
+    return BiBennett("A", pd, mu, pd, mu, labels=frozenset(labels))
 
 
 def prismatic_limit_C(case: str, d1, d2, mu14, mu12, s: int,
-                      branch: int = 1) -> LimitStructure:
+                      branch: int = 1) -> BiBennett:
     """Prismatic limit of family C; the coupled prism shares both distances."""
-    pd = _planar_design(case, d1, d2)
-    bib = family_c(pd, mu14, mu12, s, branch)
+    bib = family_c(_planar_design(case, d1, d2), mu14, mu12, s, branch)
     label = "III2ii" if case == "anti" else "III4ii"
-    kind = "PrismaticAnti" if case == "anti" else "PrismaticPara"
-    return LimitStructure(kind, "C", bib, frozenset({label}))
+    return replace(bib, labels=frozenset({label}))
 
 
-def pyramidal_limit(family: str, *, mu=None, mu23=None, mu34=None,
-                    a1=None, a2=None, mu14=None, mu12=None,
-                    s: int = 1, branch: int = -1) -> LimitStructure:
-    """Pyramidal (k = 0) limit: same constructions with all anchors copunctal."""
-    if family == "A":
-        bib = make_family_a(mu, k=0)
-        labels = {"I1", "I3"}
-    elif family == "B":
-        design = validate(a1, a2, 0)
-        bib = make_family_b(mu23, mu34, design)
-        labels = {"I1", "I2"}
-    elif family == "C":
-        design = validate(a1, a2, 0)
-        bib = family_c(design, mu14, mu12, s, branch)
-        labels = {"I2"}
-    else:
+def pyramidal_limit(bib: BiBennett) -> BiBennett:
+    """Pyramidal (k = 0) limit: ``bib``, a k = 0 coupling of family A, B or
+    C (all anchors copunctal), labelled with its family's classes."""
+    if isinstance(bib.design, PlanarDesign) or bib.design.k != 0:
+        raise ValueError("a pyramidal limit needs a Bennett design with k = 0")
+    if bib.family not in _PYRAMIDAL_LABELS:
         raise ValueError("family must be 'A', 'B' or 'C'")
-    return LimitStructure("Pyramidal", family, bib, frozenset(labels))
+    return replace(bib, labels=_PYRAMIDAL_LABELS[bib.family])
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +161,8 @@ def _apexes(cp):
     return origin, cp.delta.apply_point(origin)
 
 
-def _coplanarity_residual(quad) -> float:
-    verts = [_floats(v) for v in quad.vertices()]
+def _coplanarity_residual(cp) -> float:
+    verts = [_floats(v) for v in cp.quad.vertices()]
     e1 = v_sub(verts[1], verts[0])
     e2 = v_sub(verts[2], verts[0])
     e3 = v_sub(verts[3], verts[0])
@@ -320,17 +295,21 @@ def _flat_pose_pattern_residual(cp) -> float:
     return max(abs(a - b) for a, b in zip(shape(own), shape(hat)))
 
 
-def _is_parallelogram_residual(quad) -> float:
+def _is_parallelogram_residual(cp) -> float:
+    quad = cp.quad
     a = v_sub(_floats(quad.p12), _floats(quad.p14))
     b = v_sub(_floats(quad.p23), _floats(quad.p34))
     return math.dist(a, b)
 
 
-def _antiparallelogram_residuals(quad):
-    s = [math.sqrt(float(x)) for x in quad.side_sq()]
-    eq = max(abs(s[0] - s[2]), abs(s[1] - s[3]))
-    not_para = _is_parallelogram_residual(quad)
-    return eq, not_para
+def _not_parallelogram_residual(cp) -> float:
+    """0 when the quad is clearly not a parallelogram, else 1."""
+    return 0.0 if _is_parallelogram_residual(cp) > 1e-6 else 1.0
+
+
+def _antiparallelogram_sides_residual(cp) -> float:
+    s = [math.sqrt(float(x)) for x in cp.quad.side_sq()]
+    return max(abs(s[0] - s[2]), abs(s[1] - s[3]))
 
 
 def _sym_plane_parallel_edges_residual(cp) -> float:
@@ -351,73 +330,70 @@ def _sym_plane_parallel_edges_residual(cp) -> float:
 # label verification
 # ---------------------------------------------------------------------------
 
-def verify_labels(structure: LimitStructure, tau,
+def _i3_residual(cp) -> float:
+    """0 when two opposite vertex pairs of the bipyramid are V-hedral and
+    one is anti-V-hedral, else 1."""
+    classes = [_vertex_class(_vertex_arcs_pyramid(cp, center), 1e-7)
+               for center in AXIS_LABELS]
+    classes.append(_vertex_class(_apex_arcs(cp, False), 1e-7))
+    classes.append(_vertex_class(_apex_arcs(cp, True), 1e-7))
+    # opposite pairs: (P14,P23), (P12,P34), (apex, apex_hat)
+    pair_classes = [
+        (classes[0], classes[2]), (classes[1], classes[3]),
+        (classes[4], classes[5]),
+    ]
+    v_pairs = sum(1 for a, b in pair_classes
+                  if a in ("V", "both") and b in ("V", "both"))
+    anti_pairs = sum(1 for a, b in pair_classes
+                     if a in ("anti", "both") and b in ("anti", "both"))
+    return 0.0 if v_pairs >= 2 and anti_pairs >= 1 else 1.0
+
+
+# Each class label's certificate entries: (entry name, predicate of a
+# CoupledPose, fixed tolerance or None for the caller's tolerance).
+_LABEL_ENTRIES = {
+    "I1": (("I1: line symmetry", _line_symmetry_residual, None),),
+    "I2": (("I2: plane symmetry", _plane_symmetry_residual, None),),
+    "I3": (("I3: two V-hedral pairs + one anti-V-hedral", _i3_residual,
+            0.5),),
+    "III1": (("III1: line symmetry", _line_symmetry_residual, None),),
+    "III2ii": (
+        ("III2ii: vertices coplanar", _coplanarity_residual, None),
+        ("III2ii: anti-parallelogram sides",
+         _antiparallelogram_sides_residual, None),
+        ("III2ii: not a parallelogram", _not_parallelogram_residual, 0.5),
+        ("III2ii: symmetry plane parallel to edges",
+         _sym_plane_parallel_edges_residual, None),
+    ),
+    "III3": (("III3: congruent cross-sections", _flat_pose_pattern_residual,
+              None),),
+    "III4ii": (
+        ("III4ii: vertices coplanar", _coplanarity_residual, None),
+        ("III4ii: parallelogram", _is_parallelogram_residual, None),
+    ),
+}
+
+
+def verify_labels(bib: BiBennett, tau,
                   tol: float = PREDICATE_TOL) -> CertificateReport:
-    """:func:`label_check` of the structure's coupling posed at tau."""
-    return label_check(structure, coupled_pose(structure.bibennett, tau), tol)
+    """:func:`label_check` of the labelled coupling posed at tau."""
+    return label_check(coupled_pose(bib, tau), tol)
 
 
-def label_check(structure: LimitStructure, cp, tol) -> CertificateReport:
-    """Re-derive every emitted class label of ``structure`` from ``cp``, a
-    coupled pose of its coupling."""
-    residuals = []
-    if structure.kind.startswith("Prismatic"):
-        residuals.append(ResidualEntry(
-            "axes parallel", prism_parallel_residual(cp), PARALLEL_TOL))
+def label_check(cp, tol) -> CertificateReport:
+    """Re-derive every class label of the coupling ``cp.bib`` from ``cp``,
+    a coupled pose of it."""
+    labels = sorted(cp.bib.labels)
+    if isinstance(cp.bib.design, PlanarDesign):
+        residuals = [ResidualEntry(
+            "axes parallel", prism_parallel_residual(cp), PARALLEL_TOL)]
     else:
         worst = max(v_norm(_floats(ax.point)) for ax in cp.pose.axes.values())
-        residuals.append(ResidualEntry("anchors copunctal", worst, tol))
-    for label in sorted(structure.labels):
-        residuals.extend(_label_residuals(label, cp, tol))
-    return CertificateReport(f"labels[{','.join(sorted(structure.labels))}]",
-                             tuple(residuals))
-
-
-def _label_residuals(label: str, cp, tol: float):
-    if label in ("III1", "I1"):
-        return [ResidualEntry(f"{label}: line symmetry",
-                              _line_symmetry_residual(cp), tol)]
-    if label == "III2ii":
-        eq, not_para = _antiparallelogram_residuals(cp.quad)
-        return [
-            ResidualEntry("III2ii: vertices coplanar",
-                          _coplanarity_residual(cp.quad), tol),
-            ResidualEntry("III2ii: anti-parallelogram sides", eq, tol),
-            ResidualEntry("III2ii: not a parallelogram",
-                          0.0 if not_para > 1e-6 else 1.0, 0.5),
-            ResidualEntry("III2ii: symmetry plane parallel to edges",
-                          _sym_plane_parallel_edges_residual(cp), tol),
-        ]
-    if label == "III3":
-        return [ResidualEntry("III3: congruent cross-sections",
-                              _flat_pose_pattern_residual(cp), tol)]
-    if label == "III4ii":
-        return [
-            ResidualEntry("III4ii: vertices coplanar",
-                          _coplanarity_residual(cp.quad), tol),
-            ResidualEntry("III4ii: parallelogram",
-                          _is_parallelogram_residual(cp.quad), tol),
-        ]
-    if label == "I2":
-        return [ResidualEntry("I2: plane symmetry",
-                              _plane_symmetry_residual(cp), tol)]
-    if label == "I3":
-        classes = []
-        for center in AXIS_LABELS:
-            classes.append(_vertex_class(
-                _vertex_arcs_pyramid(cp, center), 1e-7))
-        classes.append(_vertex_class(_apex_arcs(cp, False), 1e-7))
-        classes.append(_vertex_class(_apex_arcs(cp, True), 1e-7))
-        # opposite pairs: (P14,P23), (P12,P34), (apex, apex_hat)
-        pair_classes = [
-            (classes[0], classes[2]), (classes[1], classes[3]),
-            (classes[4], classes[5]),
-        ]
-        v_pairs = sum(1 for a, b in pair_classes
-                      if a in ("V", "both") and b in ("V", "both"))
-        anti_pairs = sum(1 for a, b in pair_classes
-                         if a in ("anti", "both") and b in ("anti", "both"))
-        ok = v_pairs >= 2 and anti_pairs >= 1
-        return [ResidualEntry("I3: two V-hedral pairs + one anti-V-hedral",
-                              0.0 if ok else 1.0, 0.5)]
-    raise ValueError(f"no predicate for label {label!r}")
+        residuals = [ResidualEntry("anchors copunctal", worst, tol)]
+    for label in labels:
+        if label not in _LABEL_ENTRIES:
+            raise ValueError(f"no predicate for label {label!r}")
+        residuals.extend(
+            ResidualEntry(name, predicate(cp), tol if fixed is None else fixed)
+            for name, predicate, fixed in _LABEL_ENTRIES[label])
+    return CertificateReport(f"labels[{','.join(labels)}]", tuple(residuals))

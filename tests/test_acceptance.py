@@ -188,12 +188,12 @@ def test_criterion_3_family_c_regressions():
     # [DERIVED] prismatic anti case (1/2, 1/3) with mu14 = 2/3, mu12 = 1/2:
     # tau = 3/4 maps to tau_bar = 3/4 exactly
     anti = prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1)
-    assert F(3, 4) in planar_bar_tau(anti.bibennett, F(3, 4))
+    assert F(3, 4) in planar_bar_tau(anti, F(3, 4))
     # [DERIVED] prismatic para case (2/3, 3/4) with mu14 = 1/3, mu12 = 1/2:
     # tau = 3/4 maps to tau_bar = -sqrt(15281)/413
     para = prismatic_limit_C("para", F(2, 3), F(3, 4), F(1, 3), F(1, 2), 1,
                              branch=-1)
-    roots = planar_bar_tau(para.bibennett, F(3, 4))
+    roots = planar_bar_tau(para, F(3, 4))
     target = -(15281 ** 0.5) / 413
     assert any(abs(float(r) - target) < 1e-10 for r in roots)
     assert time.monotonic() - start < 5.0
@@ -208,16 +208,16 @@ def _flex_instances_a(rng):
     for _ in range(24):
         out.append(make_family_a(_rand_family_a_mu(rng)))
     for _ in range(3):
-        out.append(pyramidal_limit("A", mu=_rand_family_a_mu(rng)).bibennett)
+        out.append(pyramidal_limit(make_family_a(_rand_family_a_mu(rng), k=0)))
     out.append(prismatic_limit_AB("A", "anti", F(1, 2), F(1, 3),
                                   mu12=F(1, 4), mu23=F(2, 3),
-                                  mu34=F(1, 2)).bibennett)
+                                  mu34=F(1, 2)))
     out.append(prismatic_limit_AB("A", "para", F(1, 2), F(1, 3),
                                   mu12=F(1, 4), mu23=F(2, 3),
-                                  mu34=F(1, 2)).bibennett)
+                                  mu34=F(1, 2)))
     out.append(prismatic_limit_AB("A", "anti", F(1, 2), F(1, 3),
                                   mu12=F(1), mu23=F(3, 5),
-                                  mu34=F(0)).bibennett)
+                                  mu34=F(0)))
     return out
 
 
@@ -228,13 +228,13 @@ def _flex_instances_b(rng):
                                  _rand_fraction(rng, signed=True),
                                  _rand_design(rng)))
     for _ in range(3):
-        out.append(pyramidal_limit(
-            "B", a1=F(2, 5), a2=F(3, 7),
-            mu23=_rand_fraction(rng), mu34=_rand_fraction(rng)).bibennett)
+        out.append(pyramidal_limit(make_family_b(
+            _rand_fraction(rng), _rand_fraction(rng),
+            validate(F(2, 5), F(3, 7), 0))))
     out.append(prismatic_limit_AB("B", "anti", F(1, 2), F(1, 3),
-                                  mu23=F(2, 3), mu34=F(1, 2)).bibennett)
+                                  mu23=F(2, 3), mu34=F(1, 2)))
     out.append(prismatic_limit_AB("B", "anti", F(3, 5), F(1, 4),
-                                  mu23=F(1, 3), mu34=F(5, 4)).bibennett)
+                                  mu23=F(1, 3), mu34=F(5, 4)))
     return out
 
 
@@ -248,9 +248,9 @@ def _flex_instances_c(rng):
         out.append((family_c(design, mu14, mu12, 1), taus))
     for bib in (
         prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3),
-                          F(1, 2), 1).bibennett,
+                          F(1, 2), 1),
         prismatic_limit_C("para", F(2, 3), F(3, 4), F(1, 3),
-                          F(1, 2), 1, branch=-1).bibennett,
+                          F(1, 2), 1, branch=-1),
     ):
         taus = _valid_taus(bib)
         assert taus is not None

@@ -66,6 +66,12 @@ def test_solve_linear_exact():
     assert x == [F(1), F(3)]
 
 
+def test_solve_linear_float_pivots_on_the_largest_entry():
+    # a first-nonzero pivot would divide by 1e-17 and return [0, 1]
+    x = solve_linear([[1e-17, 1.0], [1.0, 1.0]], [1.0, 2.0])
+    assert x == pytest.approx([1.0, 1.0], rel=1e-12)
+
+
 def test_nullspace():
     rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)]]
     assert nullspace_dimension(rows, 3) == 2

@@ -79,6 +79,21 @@ def test_bad_inputs_are_input_errors(tmp_path, capsys, config):
     assert "input error" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("family, keys", [
+    ("C", {"a1": "1/2", "a2": "1/3", "k": "1"}),
+    ("C-pyramidal", {"a1": "1/2", "a2": "1/3"}),
+    ("C-prismatic", {"case": "anti", "d1": "1/2", "d2": "1/3"}),
+])
+@pytest.mark.parametrize("mu12", ["2/3", "-2/3"])
+def test_family_c_with_equal_offset_squares_is_input_error(
+        tmp_path, capsys, family, keys, mu12):
+    path = tmp_path / "dm0.json"
+    path.write_text(json.dumps({"schema": 1, "family": family, **keys,
+                                "mu14": "2/3", "mu12": mu12}))
+    assert main(["validate", "-c", str(path)]) == EXIT_INPUT
+    assert "mu14^2 = mu12^2" in capsys.readouterr().err
+
 _NUMBER = st.one_of(
     st.builds("{}/{}".format, st.integers(-4, 4), st.integers(1, 4)),
     st.integers(-2, 3),
@@ -314,3 +329,64 @@ def test_fixture_output_digests(tmp_path, capsys, name, command):
     stdout = capsys.readouterr().out
     data = path.read_bytes() if command == "export" else stdout.encode("utf-8")
     assert hashlib.sha256(data).hexdigest() == FIXTURE_DIGESTS[name, command]
+
+
+# SHA-256 over the exit code, standard output and standard error of
+# validate, construct, certify and limits on every bundled fixture in each
+# mode, and of the appendix's standard output; any byte drift in a report,
+# a message or an exit code fails here.
+GOLDEN_DIGESTS = {
+    ("fig3", "exact"):
+        "82c392aa79b2e57c30ec16f2b2d5b85bc8dfce5e8e5580773471a9e6ac728526",
+    ("fig3", "float"):
+        "19769c56e6be2d8f2432dc786abdeac4082aaa154db93b3a6122af1bdcf6a6a8",
+    ("fig4", "exact"):
+        "073809c8c07d715ef5c79bf8efa110261dc498a9cafa1248353f754107ea2827",
+    ("fig4", "float"):
+        "cc69767a2c6ca7a136985991ee99ff2c3c177efe8871129fe7219df4e627e2ed",
+    ("fig5", "exact"):
+        "62d9f7a010e7ad1e1a0f64179d78e277fad0fea41f5caec528ef69920e673e30",
+    ("fig5", "float"):
+        "8880591a79e8822254f29c7ac7919f47806e97fefbba6e63c65017d794aacffc",
+    ("fig6", "exact"):
+        "7c267521e3962fda97bcee2d55176c87b1ddbdcff97af896d9f8203e0821e106",
+    ("fig6", "float"):
+        "c5f41a100a2feb558b759385ca54f11e8e8effec1055a39a7f4a56c1ab24dde6",
+    ("fig7", "exact"):
+        "7c267521e3962fda97bcee2d55176c87b1ddbdcff97af896d9f8203e0821e106",
+    ("fig7", "float"):
+        "c5f41a100a2feb558b759385ca54f11e8e8effec1055a39a7f4a56c1ab24dde6",
+    ("fig8a", "exact"):
+        "3a2163a411d8b9a0492efd882a3ce48cebe0b02992a3b756510e311fc57befd1",
+    ("fig8a", "float"):
+        "c06b1070073a95a4aeeb0408940b3286ea9a767ffb89d341cc76fb858363ea53",
+    ("fig8b", "exact"):
+        "7a35d0f4a7a8f9c25d4c8af422331a14b7a2f95a4a96818fb3d8cef2136774dc",
+    ("fig8b", "float"):
+        "d2d2b0d3e3c1ad0b5d6c5503c83b0fea21f7a62d335947e8cfb465c70864506e",
+    ("fig9a", "exact"):
+        "aa1fc8a3342b6009a8752a5d1b27ee66fe21e9424236d872c579cdf83279067f",
+    ("fig9a", "float"):
+        "423dab0312a4946355b9bf20aabceb182bb03610832f30e4df9089ae0c681b64",
+    "appendix":
+        "80dc7b23d8be6c46346c91758a9777a5394c28c5574b768d550c496219b06dc8",
+}
+
+
+@pytest.mark.parametrize("name, mode",
+                         sorted(k for k in GOLDEN_DIGESTS if k != "appendix"))
+def test_fixture_report_digests(capsys, name, mode):
+    digest = hashlib.sha256()
+    for command in ("validate", "construct", "certify", "limits"):
+        code = main([command, "-c", name, "--mode", mode])
+        captured = capsys.readouterr()
+        digest.update(
+            f"{command} {code}\n{captured.out}\0{captured.err}\0".encode())
+    assert digest.hexdigest() == GOLDEN_DIGESTS[name, mode]
+
+
+def test_appendix_report_digest(capsys):
+    assert main(["appendix"]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_DIGESTS[
+        "appendix"]

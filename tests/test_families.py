@@ -14,6 +14,7 @@ from bibennett.bennett import (
     validate,
 )
 from bibennett.families import (
+    DegenerateCouplingError,
     ExcludedBranchError,
     Loop,
     MuSet,
@@ -127,12 +128,12 @@ def test_coupled_pose_branch_sign():
 
 def test_planar_companion_reference():
     anti = prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1)
-    roots = planar_bar_tau(anti.bibennett, F(3, 4))
+    roots = planar_bar_tau(anti, F(3, 4))
     assert F(3, 4) in roots
     para = prismatic_limit_C("para", F(2, 3), F(3, 4), F(1, 3), F(1, 2), 1,
                              branch=-1)
     value = -math.sqrt(15281) / 413
-    roots = planar_bar_tau(para.bibennett, F(3, 4))
+    roots = planar_bar_tau(para, F(3, 4))
     assert min(abs(float(r) - value) for r in roots) < 1e-10
 
 
@@ -175,6 +176,18 @@ def test_six_joint_loops():
         assert len(axes) == 6
 
 
+
+@pytest.mark.parametrize("conv", [F, float])
+@pytest.mark.parametrize("mu12", [F(2, 3), F(-2, 3)])
+@pytest.mark.parametrize("design", [DESIGN, validate(F(1, 2), F(1, 3), F(0)),
+                                    PlanarDesign(F(1, 2), F(1, 3), "2a")])
+def test_family_c_rejects_equal_offset_squares(design, mu12, conv):
+    # dm = mu14^2 - mu12^2 = 0 degenerates the coupling relation to
+    # tau_bar = +-tau, with offsets in the family-B pattern
+    for s in (1, -1):
+        with pytest.raises(DegenerateCouplingError):
+            family_c(design, conv(F(2, 3)), conv(mu12), s)
+
 # ---------------------------------------------------------------------------
 # the companion solvers return root sets closed under negation
 # ---------------------------------------------------------------------------
@@ -206,7 +219,11 @@ def test_bennett_companion_roots_closed_under_negation(a1, a2, k, mu14, mu12,
 def test_prismatic_companion_roots_closed_under_negation(case, d1, d2, mu14,
                                                          mu12, s, branch, tau):
     assume(d1 != d2)
-    bib = prismatic_limit_C(case, d1, d2, mu14, mu12, s, branch).bibennett
+    if mu14 * mu14 == mu12 * mu12:
+        with pytest.raises(DegenerateCouplingError):
+            prismatic_limit_C(case, d1, d2, mu14, mu12, s, branch)
+        return
+    bib = prismatic_limit_C(case, d1, d2, mu14, mu12, s, branch)
     # the squared diagonals of a planar quad are even in the drive value,
     # which is why the roots pair up
     for which in (0, 1):
@@ -225,6 +242,10 @@ def test_planar_companion_satisfies_link_quartic(case, d1, d2, mu14, mu12, s,
     assume(d1 != d2 or case in ("1b", "2b"))  # a rhombus is a pole of 1a, 2a
     conv = float if floating else F
     design = PlanarDesign(conv(d1), conv(d2), case)
+    if mu14 * mu14 == mu12 * mu12:
+        with pytest.raises(DegenerateCouplingError):
+            family_c(design, conv(mu14), conv(mu12), s, branch)
+        return
     bib = family_c(design, conv(mu14), conv(mu12), s, branch)
     try:
         b = coupled_pose(bib, conv(tau)).tau_bar

@@ -39,3 +39,40 @@ def test_scan_finds_an_unused_import():
     source = ("import math\nimport os.path\nfrom sys import argv, path\n\n"
               "print(os.sep, path)\n")
     assert _unused_imports(source) == [(1, "math"), (3, "argv")]
+
+
+# Keyword parameters with defaults in the package: the count may fall, never
+# rise.  Lower it whenever a defaulted parameter goes.
+MAX_DEFAULTED_PARAMETERS = 23
+
+
+def _defaulted_parameters(source: str):
+    """(function name, number of parameters with a default) of each function
+    or lambda of ``source`` that has any."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            args = node.args
+            count = len(args.defaults) + sum(
+                1 for default in args.kw_defaults if default is not None)
+            if count:
+                found.append((getattr(node, "name", "<lambda>"), count))
+    return found
+
+
+def test_defaulted_parameters_do_not_grow():
+    found = [(f"{path.name}:{name}", count)
+             for path in sorted((ROOT / "src" / "bibennett").glob("*.py"))
+             for name, count in _defaulted_parameters(path.read_text("utf-8"))]
+    total = sum(count for _, count in found)
+    assert total <= MAX_DEFAULTED_PARAMETERS, (
+        f"{total} defaulted parameters, at most {MAX_DEFAULTED_PARAMETERS}: "
+        + ", ".join(f"{name} ({count})" for name, count in found))
+
+
+def test_defaulted_parameter_scan():
+    source = ("def f(a, b=1, *, c, d=2):\n    pass\n\n"
+              "g = lambda x=0: x\n\ndef h(a):\n    pass\n")
+    assert sorted(_defaulted_parameters(source)) == [("<lambda>", 1),
+                                                     ("f", 2)]

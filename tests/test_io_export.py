@@ -15,7 +15,6 @@ from bibennett.cli import fixture_path
 from bibennett.io_export import (
     FAMILIES,
     ConfigError,
-    as_bibennett,
     build_structure,
     certify,
     coupling_ribbons,
@@ -28,7 +27,7 @@ from bibennett.io_export import (
     SWEEP_HEADER,
 )
 from bibennett.families import HalfTurn, coupled_pose
-from bibennett.limits import LimitStructure, verify_labels
+from bibennett.limits import verify_labels
 from bibennett.properties import (
     deltoidal_certificate,
     halfturn_certificate,
@@ -350,11 +349,10 @@ def test_pose_checks_match_public_certificates(name, mode):
     structure = build_structure(config)
     report_name, check, default_tol = FAMILIES[config.family].certificate
     public = _PUBLIC_CERTIFICATES[report_name]
-    cp = coupled_pose(as_bibennett(structure), config.tau)
-    context = (structure,) if isinstance(structure, LimitStructure) else ()
-    assert _typed_report(check(*context, cp, default_tol)) == _typed_report(
+    cp = coupled_pose(structure, config.tau)
+    assert _typed_report(check(cp, default_tol)) == _typed_report(
         public(structure, config.tau))
-    assert _typed_report(check(*context, cp, 1e-3)) == _typed_report(
+    assert _typed_report(check(cp, 1e-3)) == _typed_report(
         public(structure, config.tau, tol=1e-3))
     name_, report = certify(config, structure, config.tau)
     assert (name_, _typed_report(report)) == (

@@ -3,10 +3,22 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bibennett.families import MuSet, TrivialQuadError, coupled_pose
+from bibennett.bennett import PoleError, validate
+from bibennett.families import (
+    MuSet,
+    NoRealBranchError,
+    TrivialQuadError,
+    coupled_pose,
+    family_c,
+    make_family_a,
+    make_family_b,
+)
 from bibennett.limits import (
     CLASS_LABELS,
+    limit_kind,
     prism_parallel_residual,
     prismatic_limit_AB,
     prismatic_limit_C,
@@ -43,7 +55,6 @@ def test_prismatic_a_anti_isogonal_compatible_branch():
     # mu chosen so the extra factor condition holds: III3 joins the labels
     st = prismatic_limit_AB("A", "anti", F(1, 2), F(1, 3),
                             mu12=F(1), mu23=F(3, 5), mu34=F(0))
-    assert st.isogonal_compatible
     assert "III3" in st.labels
     assert verify_labels(st, TAU).verdict
 
@@ -70,20 +81,21 @@ def test_prismatic_b_para_is_trivial():
 
 def test_prism_directions_parallel_per_tube():
     st = prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1)
-    cp = coupled_pose(st.bibennett, TAU)
+    cp = coupled_pose(st, TAU)
     assert prism_parallel_residual(cp) < 1e-12
 
 
 def test_pyramidal_labels():
-    a = pyramidal_limit("A", mu=MuSet(F(37, 40), F(7, 8), F(1), F(1, 2)))
+    a = pyramidal_limit(make_family_a(MuSet(F(37, 40), F(7, 8), F(1),
+                                            F(1, 2)), k=0))
     assert a.labels == {"I1", "I3"}
     assert verify_labels(a, TAU).verdict
-    b = pyramidal_limit("B", a1=F(1, 2), a2=F(1, 3),
-                        mu23=F(2, 3), mu34=F(1, 2))
+    b = pyramidal_limit(make_family_b(F(2, 3), F(1, 2),
+                                      validate(F(1, 2), F(1, 3), 0)))
     assert b.labels == {"I1", "I2"}
     assert verify_labels(b, TAU).verdict
-    c = pyramidal_limit("C", a1=F(1, 2), a2=F(1, 3), mu14=F(2, 3),
-                        mu12=F(1, 2), s=1, branch=-1)
+    c = pyramidal_limit(family_c(validate(F(1, 2), F(1, 3), 0), F(2, 3),
+                                 F(1, 2), 1, -1))
     assert c.labels == {"I2"}
     assert verify_labels(c, TAU).verdict
 
@@ -98,13 +110,83 @@ def test_limit_quad_sides_rigid():
         prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1),
         prismatic_limit_AB("A", "para", F(1, 2), F(1, 3),
                            mu12=F(1, 4), mu23=F(2, 3), mu34=F(1, 2)),
-        pyramidal_limit("C", a1=F(1, 2), a2=F(1, 3), mu14=F(2, 3),
-                        mu12=F(1, 2), s=1, branch=-1),
+        pyramidal_limit(family_c(validate(F(1, 2), F(1, 3), 0), F(2, 3),
+                                 F(1, 2), 1, -1)),
     ]
     for st in structures:
         base = None
         for tau in (F(1, 4), F(1, 2), F(9, 10), F(2)):
-            sides = st.bibennett.loop().quad(tau).side_sq()
+            sides = st.loop().quad(tau).side_sq()
             if base is None:
                 base = sides
             assert sides == base
+
+
+# ---------------------------------------------------------------------------
+# the label table on random limits, drawn as the limits_sweep benchmark
+# draws its configs
+# ---------------------------------------------------------------------------
+
+_Q = st.builds(F, st.integers(1, 12), st.integers(1, 12))
+_SIGN = st.sampled_from((1, -1))
+_SIGNED = st.builds(lambda q, sign: sign * q, _Q, _SIGN)
+_PAIR = st.tuples(_Q, _Q).filter(lambda pair: pair[0] != pair[1])
+_TAU_POOL = tuple(F(n, 7) for n in range(1, 45)) + tuple(
+    F(-n, 5) for n in range(1, 20))
+_KINDS = {"anti": "PrismaticAnti", "para": "PrismaticPara",
+          None: "Pyramidal"}
+
+
+@st.composite
+def _limit(draw, family, case):
+    """A labelled coupling of config ``family`` (prismatic ``case``)."""
+    d1, d2 = draw(_PAIR)
+    if family == "A-prismatic":
+        m12, m23, m34 = draw(_SIGNED), draw(_SIGNED), draw(_SIGNED)
+        try:
+            bib = prismatic_limit_AB("A", case, d1, d2, mu12=m12, mu23=m23,
+                                     mu34=m34)
+        except TrivialQuadError:
+            assume(False)
+    elif family == "B-prismatic":
+        bib = prismatic_limit_AB("B", case, d1, d2, mu23=draw(_SIGNED),
+                                 mu34=draw(_SIGNED))
+    elif family == "C-prismatic":
+        m14, m12 = draw(_PAIR)
+        bib = prismatic_limit_C(case, d1, d2, m14, m12, draw(_SIGN),
+                                draw(_SIGN))
+    elif family == "A-pyramidal":
+        mu = MuSet(*(draw(_SIGNED) for _ in range(4)))
+        try:
+            bib = pyramidal_limit(make_family_a(mu, k=0))
+        except ValueError:  # no real half-tangents, or an excluded branch
+            assume(False)
+    elif family == "B-pyramidal":
+        bib = pyramidal_limit(make_family_b(draw(_SIGNED), draw(_SIGNED),
+                                            validate(d1, d2, 0)))
+    else:
+        m14, m12 = draw(_PAIR)
+        s = draw(_SIGN)
+        bib = pyramidal_limit(family_c(validate(d1, d2, 0), s * m14, s * m12,
+                                       s, draw(_SIGN)))
+    return bib
+
+
+@pytest.mark.parametrize("family, case", [
+    ("A-prismatic", "anti"), ("A-prismatic", "para"), ("B-prismatic", "anti"),
+    ("C-prismatic", "anti"), ("C-prismatic", "para"), ("A-pyramidal", None),
+    ("B-pyramidal", None), ("C-pyramidal", None)])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_random_limits_verify_their_labels(family, case, data):
+    bib = data.draw(_limit(family, case))
+    assert limit_kind(bib) == _KINDS[case]
+    assert bib.family == family[0]
+    for tau in data.draw(st.permutations(_TAU_POOL)):
+        try:
+            report = verify_labels(bib, tau)
+        except (NoRealBranchError, PoleError):
+            continue
+        assert report.verdict, (tau, report.lines())
+        return
+    assume(False)
