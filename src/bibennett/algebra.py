@@ -130,20 +130,16 @@ def _row_reduce(m, ncols):
     """Gauss-Jordan elimination of the first ``ncols`` columns of the row
     list ``m``, in place; returns the pivot columns, one per pivot row.
 
-    A column holding a float pivots on its largest entry (partial pivoting),
-    so rounding noise on an exact zero is never a pivot; an exact column
-    pivots on its first nonzero entry."""
+    Each column pivots on its largest entry (partial pivoting), so rounding
+    noise on an exact zero is never a pivot; exact results do not depend on
+    the pivot, since the reduced row echelon form is unique."""
     nrows = len(m)
     pivots = []
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        rows = range(r, nrows)
-        if any(isinstance(m[rr][c], float) for rr in rows):
-            piv = max(rows, key=lambda rr: abs(m[rr][c]))
-        else:
-            piv = next((rr for rr in rows if m[rr][c] != 0), r)
+        piv = max(range(r, nrows), key=lambda rr: abs(m[rr][c]))
         if m[piv][c] == 0:
             continue
         m[r], m[piv] = m[piv], m[r]

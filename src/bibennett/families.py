@@ -234,9 +234,9 @@ class BiBennett:
     mu: MuSet
     bar_design: object
     bar_mu: MuSet
+    labels: frozenset
     s: int = 1
     branch: int = -1  # sign of the tau_bar root followed by default
-    labels: frozenset = frozenset()
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -261,17 +261,18 @@ class BiBennett:
 def make_family_a(mu: MuSet, k=1) -> BiBennett:
     a1, a2 = family_a(mu)
     design = validate(a1, a2, k)
-    return BiBennett("A", design, mu, design, mu)
+    return BiBennett("A", design, mu, design, mu, frozenset())
 
 
 def make_family_b(mu23, mu34, design: BennettDesign) -> BiBennett:
     mu = family_b(mu23, mu34)
-    return BiBennett("B", design, mu, design, mu)
+    return BiBennett("B", design, mu, design, mu, frozenset())
 
 
 def make_trivial(mu23, mu34, design: BennettDesign) -> BiBennett:
     mu = MuSet(-mu23, -mu34, mu23, mu34)
-    return BiBennett("TrivialLineSym", design, mu, design, mu)
+    return BiBennett("TrivialLineSym", design, mu, design, mu,
+                     frozenset())
 
 
 def family_c(design, mu14, mu12, s: int, branch: int = -1) -> BiBennett:
@@ -285,7 +286,8 @@ def family_c(design, mu14, mu12, s: int, branch: int = -1) -> BiBennett:
             "tau_bar = +-tau")
     mu = MuSet(mu14, mu12, mu14, mu12)
     bar_mu = MuSet(s * mu12, s * mu14, s * mu12, s * mu14)
-    return BiBennett("C", design, mu, design, bar_mu, s=s, branch=branch)
+    return BiBennett("C", design, mu, design, bar_mu, frozenset(), s=s,
+                     branch=branch)
 
 
 # ---------------------------------------------------------------------------

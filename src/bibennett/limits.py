@@ -42,9 +42,6 @@ from .properties import CertificateReport, ResidualEntry
 PARALLEL_TOL = 1e-12
 PREDICATE_TOL = 1e-9
 
-CLASS_LABELS = ("I1", "I2", "I3", "III1", "III2i", "III2ii",
-                "III3", "III4i", "III4ii")
-
 _PRISMATIC_KINDS = {"2a": "PrismaticAnti", "2b": "PrismaticPara"}
 
 # Class labels of the pyramidal (k = 0) limit of each family.
@@ -89,8 +86,7 @@ def prismatic_limit_AB(family: str, case: str, d1, d2,
                 "the parallelogramic branch of this pattern maps the prism "
                 "onto itself (trivial)")
         mu = MuSet(mu23, mu34, mu23, mu34)
-        return BiBennett("B", pd, mu, pd, mu,
-                         labels=frozenset({"III1", "III2ii"}))
+        return BiBennett("B", pd, mu, pd, mu, frozenset({"III1", "III2ii"}))
     if family != "A":
         raise ValueError("family must be 'A' or 'B'")
     if case == "anti":
@@ -109,7 +105,7 @@ def prismatic_limit_AB(family: str, case: str, d1, d2,
     isogonal = extra == 0 if not isinstance(extra, float) else abs(extra) < 1e-12
     if case == "anti" and isogonal:
         labels.add("III3")
-    return BiBennett("A", pd, mu, pd, mu, labels=frozenset(labels))
+    return BiBennett("A", pd, mu, pd, mu, frozenset(labels))
 
 
 def prismatic_limit_C(case: str, d1, d2, mu14, mu12, s: int,
@@ -382,8 +378,10 @@ def verify_labels(bib: BiBennett, tau,
 
 def label_check(cp, tol) -> CertificateReport:
     """Re-derive every class label of the coupling ``cp.bib`` from ``cp``,
-    a coupled pose of it."""
+    a coupled pose of it; a coupling without labels is rejected."""
     labels = sorted(cp.bib.labels)
+    if not labels:
+        raise ValueError("the coupling carries no class labels")
     if isinstance(cp.bib.design, PlanarDesign):
         residuals = [ResidualEntry(
             "axes parallel", prism_parallel_residual(cp), PARALLEL_TOL)]

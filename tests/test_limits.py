@@ -17,7 +17,7 @@ from bibennett.families import (
     make_family_b,
 )
 from bibennett.limits import (
-    CLASS_LABELS,
+    _LABEL_ENTRIES,
     limit_kind,
     prism_parallel_residual,
     prismatic_limit_AB,
@@ -102,7 +102,13 @@ def test_pyramidal_labels():
 
 def test_labels_are_known():
     st = prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1)
-    assert st.labels <= set(CLASS_LABELS)
+    assert st.labels <= set(_LABEL_ENTRIES)
+
+
+def test_unlabelled_coupling_is_rejected():
+    plain = make_family_a(MuSet(F(37, 40), F(7, 8), F(1), F(1, 2)), k=0)
+    with pytest.raises(ValueError, match="no class labels"):
+        verify_labels(plain, TAU)
 
 
 def test_limit_quad_sides_rigid():
