@@ -18,7 +18,6 @@ from .bennett import (
     PoleError,
     Pose,
     frame,
-    indicatrix,
     loop_closure_residual,
     planar_frame,
     planar_K,
@@ -37,7 +36,6 @@ from .families import (
     SkewQuad,
     coupled_pose,
     coupling_quartic,
-    extract_6r_loops,
     family_a,
     family_b,
     family_c,
@@ -53,7 +51,6 @@ from .properties import (
     ResidualEntry,
     deltoidal_certificate,
     halfturn_certificate,
-    indicatrix_relation,
     isogonal_certificate,
 )
 from .limits import (

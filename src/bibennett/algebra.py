@@ -132,7 +132,8 @@ def _row_reduce(m, ncols):
 
     Each column pivots on its largest entry (partial pivoting), so rounding
     noise on an exact zero is never a pivot; exact results do not depend on
-    the pivot, since the reduced row echelon form is unique."""
+    the pivot, since the reduced row echelon form is unique.  An int pivot
+    divides as a Fraction, so int rows stay exact."""
     nrows = len(m)
     pivots = []
     for c in range(ncols):
@@ -144,6 +145,8 @@ def _row_reduce(m, ncols):
             continue
         m[r], m[piv] = m[piv], m[r]
         pv = m[r][c]
+        if isinstance(pv, int):
+            pv = Fraction(pv)
         m[r] = [x / pv for x in m[r]]
         for rr in range(nrows):
             if rr != r and m[rr][c] != 0:
@@ -182,10 +185,6 @@ def nullspace_vector(rows, ncols):
     for i, c in enumerate(pivots):
         vec[c] = -m[i][fc]
     return vec
-
-
-def nullspace_dimension(rows, ncols) -> int:
-    return ncols - len(_row_reduce([list(r) for r in rows], ncols))
 
 
 # ---------------------------------------------------------------------------

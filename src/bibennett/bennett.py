@@ -18,18 +18,17 @@ the closed chain to the four basis rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 
 from .algebra import (
     div,
     is_exact,
-    nullspace_dimension,
     nullspace_vector,
     v_add,
     v_cross,
     v_dot,
-    v_norm,
     v_norm_sq,
     v_scale,
     v_sub,
@@ -103,12 +102,6 @@ def validate(a1, a2, k) -> BennettDesign:
 def transmission_K(design: BennettDesign):
     """Constant product t_{1,2} t_{2,3} along the flex."""
     return div(design.a1 + design.a2, design.a1 - design.a2)
-
-
-def transmission_K_alt(design: BennettDesign):
-    """Transmission ratio in the reversed-orientation convention
-    (a2 replaced by -1/a2)."""
-    return div(1 - design.a1 * design.a2, 1 + design.a1 * design.a2)
 
 
 PLANAR_CASES = ("1a", "1b", "2a", "2b")
@@ -226,13 +219,12 @@ class Axis:
 
 @dataclass(frozen=True)
 class Pose:
-    """A configured loop at motion parameter tau: all four axes as (F, r)."""
+    """A configured loop at motion parameter tau: all four axes as (F, r);
+    ``design`` is the loop posed."""
 
+    design: object  # BennettDesign or PlanarDesign
     tau: object
     axes: dict  # label -> Axis
-
-    def axis(self, i, j) -> Axis:
-        return self.axes[(i, j)]
 
     def points(self) -> dict:
         return {label: ax.point for label, ax in self.axes.items()}
@@ -359,7 +351,7 @@ def frame(design, tau) -> Pose:
         (2, 3): _kernel_axis((2, 3), (l1, j12, l2), exact),
         (3, 4): _kernel_axis((3, 4), (l1, j12, l2, j23, l1), exact),
     }
-    return Pose(tau, axes)
+    return Pose(design, tau, axes)
 
 
 def planar_frame(pd: PlanarDesign, tau) -> Pose:
@@ -368,65 +360,15 @@ def planar_frame(pd: PlanarDesign, tau) -> Pose:
 
 
 # ---------------------------------------------------------------------------
-# spherical indicatrix
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IndicatrixReport:
-    arcs: tuple  # four side arcs of the spherical image, radians
-    classification: str  # "V-hedral" | "anti-V-hedral" | "other"
-
-
-def indicatrix(design: BennettDesign) -> IndicatrixReport:
-    """Spherical image of the axis directions (the k = 0 limit), whose arcs
-    do not depend on the motion parameter.
-
-    Opposite arcs of a Bennett indicatrix are equal, giving the pattern
-    (alpha1, alpha2, alpha1, alpha2).  When a1 a2 = 1 the adjacent arcs are
-    additionally supplementary and the vertex class is ambiguous; it is
-    reported as "other".
-    """
-    spherical = frame(BennettDesign(design.a1, design.a2, 0), Fraction(1, 2))
-    dirs = [spherical.axis(*label).direction for label in AXIS_LABELS]
-    arcs = []
-    for idx in range(4):
-        u = dirs[idx]
-        v = dirs[(idx + 1) % 4]
-        arcs.append(math.acos(max(-1.0, min(1.0, float(v_dot(u, v))))))
-    tol = 1e-9
-    opposite_equal = (abs(arcs[0] - arcs[2]) < tol and abs(arcs[1] - arcs[3]) < tol)
-    opposite_supp = (abs(arcs[0] + arcs[2] - math.pi) < tol
-                     and abs(arcs[1] + arcs[3] - math.pi) < tol)
-    adjacent_supp = abs(arcs[0] + arcs[1] - math.pi) < tol
-    if opposite_equal:
-        label = "other" if adjacent_supp else "V-hedral"
-    elif opposite_supp:
-        label = "anti-V-hedral"
-    else:
-        label = "other"
-    return IndicatrixReport(tuple(arcs), label)
-
-
-# ---------------------------------------------------------------------------
 # line geometry: intersections, regulus, symmetry line
 # ---------------------------------------------------------------------------
 
-def _pluecker_side(axis_a: Axis, axis_b: Axis):
+def pluecker_product(axis_a: Axis, axis_b: Axis):
     """Reciprocal product of the two axis lines; zero iff they intersect
     (or are parallel)."""
     ma = v_cross(axis_a.point, axis_a.direction)
     mb = v_cross(axis_b.point, axis_b.direction)
     return v_dot(axis_a.direction, mb) + v_dot(axis_b.direction, ma)
-
-
-def opposite_axes_intersect(pose: Pose) -> dict:
-    """Whether each pair of opposite axes meets; true for all tau iff a1 a2 = 1."""
-    out = {}
-    for pair in (((1, 4), (2, 3)), ((1, 2), (3, 4))):
-        side = _pluecker_side(pose.axes[pair[0]], pose.axes[pair[1]])
-        out[pair] = (side == 0 if isinstance(side, (Fraction, int))
-                     else abs(side) < FLOAT_TOL)
-    return out
 
 
 class DegenerateQuadricError(ValueError):
@@ -446,23 +388,27 @@ def _quadric_value(q, point):
 def regulus_residual(pose: Pose):
     """Deviation of axis (3,4) from the quadric spanned by the other three axes.
 
-    Zero for every Bennett pose; raises DegenerateQuadricError when the first
-    three axes are not pairwise skew (the a1 a2 = 1 subset, where the regulus
-    splits into two pencils of lines).
+    Zero for every Bennett pose.  Three pairwise skew lines lie on exactly
+    one quadric; raises DegenerateQuadricError when two of the first three
+    axes meet instead (their Pluecker product is 0, or below FLOAT_TOL in
+    float arithmetic): at k = 0, where all axes pass through the origin, and
+    on the a1 a2 = 1 subset, where opposite axes meet and the regulus splits
+    into two pencils of lines.
     """
+    first = [pose.axes[label] for label in AXIS_LABELS[:3]]
+    for a, b in combinations(first, 2):
+        side = pluecker_product(a, b)
+        if side == 0 or not is_exact(side) and abs(side) < FLOAT_TOL:
+            raise DegenerateQuadricError(
+                f"axes {a.label} and {b.label} meet; the regulus through "
+                "axes (1,4), (1,2), (2,3) is degenerate")
     spans = []
-    for label in AXIS_LABELS[:3]:
-        ax = pose.axes[label]
+    for ax in first:
         p0 = ax.point
         p1 = v_add(p0, ax.direction)
         p2 = v_add(p0, v_scale(2, ax.direction))
         spans.extend([p0, p1, p2])
-    rows = [_quadric_row(p) for p in spans]
-    if nullspace_dimension(rows, 10) != 1:
-        raise DegenerateQuadricError(
-            "axes (1,4), (1,2), (2,3) do not span a unique quadric; "
-            "the regulus is degenerate")
-    q = nullspace_vector(rows, 10)
+    q = nullspace_vector([_quadric_row(p) for p in spans], 10)
     ax4 = pose.axes[(3, 4)]
     vals = [_quadric_value(q, v_add(ax4.point, v_scale(s, ax4.direction)))
             for s in (0, 1, 2)]
@@ -474,8 +420,14 @@ def symmetry_line(pose: Pose):
     """Point and direction of the line through the two diagonal midpoints.
 
     Every Bennett pose admits a half-turn about this line swapping axes
-    (1,4) <-> (2,3) and (1,2) <-> (3,4).
+    (1,4) <-> (2,3) and (1,2) <-> (3,4).  At k = 0 every anchor, and with
+    it the line's point, sits at the origin; anchors scale with k and
+    directions do not, so the direction is that of the k = 1 line.
     """
+    if pose.design.k == 0:
+        _, direction = symmetry_line(frame(replace(pose.design, k=1),
+                                           pose.tau))
+        return (0, 0, 0), direction
     half = Fraction(1, 2)
     p = pose.points()
     m1 = v_scale(half, v_add(p[(1, 4)], p[(2, 3)]))
@@ -497,8 +449,10 @@ def half_turn_direction(direction, line_dir):
 
 
 def symmetry_residual(pose: Pose):
-    """Max deviation of the half-turn about the symmetry line from the axis
-    swap (1,4)<->(2,3), (1,2)<->(3,4); exactly zero for Bennett poses."""
+    """Largest coordinate by which the half-turn about the symmetry line
+    misses the axis swap (1,4)<->(2,3), (1,2)<->(3,4); exactly zero for
+    Bennett poses.  No square root is taken, so exact input gives an exact
+    0."""
     lp, ld = symmetry_line(pose)
     worst = 0
     for label, target in SWAP.items():
@@ -508,7 +462,7 @@ def symmetry_residual(pose: Pose):
         img_d = half_turn_direction(src.direction, ld)
         # the image must lie on the target line with the same or opposite
         # direction: compare via cross products to stay orientation-free
-        worst = max(worst,
-                    v_norm(v_cross(v_sub(img_p, dst.point), dst.direction)),
-                    v_norm(v_cross(img_d, dst.direction)))
+        gaps = (v_cross(v_sub(img_p, dst.point), dst.direction)
+                + v_cross(img_d, dst.direction))
+        worst = max(worst, *(abs(g) for g in gaps))
     return worst

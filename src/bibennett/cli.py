@@ -37,7 +37,10 @@ EXIT_INPUT = 2
 
 TOL_ENV = "BIBENNETT_TOL"
 
-_MATH_ERRORS = (PoleError, NoRealBranchError, ValueError, ZeroDivisionError)
+# The math failures a valid config can reach: a drive value on a pole, and
+# a family-C drive value without a real companion parameter.  Any other
+# exception is a defect and propagates.
+_MATH_ERRORS = (PoleError, NoRealBranchError)
 
 
 def fixture_path(name: str):
@@ -179,6 +182,8 @@ def _cmd_appendix(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    if args.patch_n < 1:
+        raise ConfigError("--patch-n must be at least 1")
     config = _load_config(args)
     structure = build_structure(config)
     tau = _require_tau(config)

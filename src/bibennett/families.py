@@ -69,6 +69,11 @@ class DegenerateCouplingError(ValueError):
     pattern."""
 
 
+class ZeroOffsetError(ValueError):
+    """A zero quad offset puts a quad vertex on its anchor (at k = 0, on the
+    apex), where the coupling's certificate cannot pass."""
+
+
 # ---------------------------------------------------------------------------
 # quads on axes
 # ---------------------------------------------------------------------------
@@ -277,13 +282,20 @@ def make_trivial(mu23, mu34, design: BennettDesign) -> BiBennett:
 
 def family_c(design, mu14, mu12, s: int, branch: int = -1) -> BiBennett:
     """Family C: same design twice, quad offsets (mu14, mu12, mu14, mu12) on
-    the first tube and s-scaled swapped offsets on the second."""
+    the first tube and s-scaled swapped offsets on the second.
+
+    Rejects mu14^2 = mu12^2, and on a Bennett design a zero offset; a
+    planar design keeps zero offsets, which its label certificate passes."""
     if s not in (-1, 1):
         raise ValueError("s must be -1 or +1")
     if mu14 * mu14 == mu12 * mu12:
         raise DegenerateCouplingError(
             "mu14^2 = mu12^2 degenerates the coupling relation to "
             "tau_bar = +-tau")
+    if mu14 * mu12 == 0 and isinstance(design, BennettDesign):
+        raise ZeroOffsetError(
+            "mu14 mu12 = 0 puts two quad vertices on their anchors, where "
+            "the half-turn certificate's planes and frames degenerate")
     mu = MuSet(mu14, mu12, mu14, mu12)
     bar_mu = MuSet(s * mu12, s * mu14, s * mu12, s * mu14)
     return BiBennett("C", design, mu, design, bar_mu, frozenset(), s=s,
@@ -633,24 +645,3 @@ def _real_quadratic_roots(c0, c1, c2):
         return []
     root = sqrt_scalar(disc)
     return [(-c1 + root) / (2 * c2), (-c1 - root) / (2 * c2)]
-
-
-# ---------------------------------------------------------------------------
-# 6R loops
-# ---------------------------------------------------------------------------
-
-def extract_6r_loops(bib: BiBennett, tau):
-    """The four 6R loops inside a coupled pose.
-
-    Each loop omits one axis label from both tubes and traverses the three
-    remaining axes of the first tube followed by the three remaining hat
-    axes; returned as a list of four 6-element Axis sequences.
-    """
-    cp = coupled_pose(bib, tau)
-    loops = []
-    for omitted in AXIS_LABELS:
-        kept = [label for label in AXIS_LABELS if label != omitted]
-        seq = [cp.pose.axes[label] for label in kept]
-        seq += [cp.hat_axes[label] for label in reversed(kept)]
-        loops.append(tuple(seq))
-    return loops

@@ -51,9 +51,11 @@ from .limits import (
 from .properties import (
     HALFTURN_TOL,
     ISO_TOL,
+    bennett_loop_check,
     deltoidal_check,
     halfturn_check,
     isogonal_check,
+    planar_loop_check,
 )
 
 
@@ -95,14 +97,14 @@ class Family(NamedTuple):
     """A config family: its required and optional keys, the builder of the
     structure it describes from a Config (a BennettDesign or PlanarDesign for
     one loop, a BiBennett for a coupling, a labelled BiBennett for a limit),
-    and its certificate as (report name, check, default tolerance) or None.
-    A check is a pure function of one CoupledPose of the coupling and a
-    tolerance, ``check(cp, tol)``."""
+    and its certificate as (report name, check, default tolerance).  A check
+    is a pure function of one pose of the structure and a tolerance,
+    ``check(pose, tol)``: a Pose of a loop, a CoupledPose of a coupling."""
 
     required: set
     optional: set
     build: object
-    certificate: tuple = None
+    certificate: tuple
 
 
 _DELTOIDAL = ("deltoidal", deltoidal_check, ISO_TOL)
@@ -111,9 +113,11 @@ _LIMIT_LABELS = ("limit-labels", label_check, PREDICATE_TOL)
 # Every config family, the one place one is defined.
 FAMILIES = {
     "single": Family({"a1", "a2", "k"}, set(),
-                     lambda c: validate(c.a1, c.a2, c.k)),
+                     lambda c: validate(c.a1, c.a2, c.k),
+                     ("bennett-loop", bennett_loop_check, ISO_TOL)),
     "planar": Family({"case", "d1", "d2"}, set(),
-                     lambda c: PlanarDesign(c.d1, c.d2, c.case)),
+                     lambda c: PlanarDesign(c.d1, c.d2, c.case),
+                     ("planar-loop", planar_loop_check, ISO_TOL)),
     "A": Family({"k", "mu14", "mu12", "mu23", "mu34"}, set(),
                 lambda c: make_family_a(MuSet(c.mu14, c.mu12, c.mu23, c.mu34),
                                         k=c.k),
@@ -435,18 +439,18 @@ _POLE = "pole"
 
 def certify(config: Config, structure, tau):
     """(report name, report) of the certificate that FAMILIES gives the
-    config's family, for its structure at tau; the config's ``tol``, when
-    set, replaces the check's own tolerance.  Raises ConfigError for a
-    family without a certificate."""
-    if FAMILIES[config.family].certificate is None:
-        raise ConfigError(f"family {config.family!r} has no coupling to certify")
-    return _certify_pose(config, coupled_pose(structure, tau))
+    config's family, for its structure posed at tau: a loop by
+    :func:`frame`, a coupling by :func:`coupled_pose`.  The config's
+    ``tol``, when set, replaces the check's own tolerance."""
+    pose = (coupled_pose(structure, tau) if isinstance(structure, BiBennett)
+            else frame(structure, tau))
+    return _certify_pose(config, pose)
 
 
-def _certify_pose(config: Config, cp):
-    """:func:`certify` on ``cp``, a coupled pose of the config's coupling."""
+def _certify_pose(config: Config, pose):
+    """:func:`certify` on ``pose``, a pose of the config's structure."""
     name, check, tol = FAMILIES[config.family].certificate
-    return name, check(cp, tol if config.tol is None else config.tol)
+    return name, check(pose, tol if config.tol is None else config.tol)
 
 
 def sweep_report(config: Config, tau_samples=None):

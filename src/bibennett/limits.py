@@ -32,6 +32,7 @@ from .families import (
     BiBennett,
     MuSet,
     TrivialQuadError,
+    ZeroOffsetError,
     coupled_pose,
     detect_trivial,
     family_c,
@@ -118,11 +119,15 @@ def prismatic_limit_C(case: str, d1, d2, mu14, mu12, s: int,
 
 def pyramidal_limit(bib: BiBennett) -> BiBennett:
     """Pyramidal (k = 0) limit: ``bib``, a k = 0 coupling of family A, B or
-    C (all anchors copunctal), labelled with its family's classes."""
+    C (all anchors copunctal), labelled with its family's classes.  A zero
+    offset is rejected: its quad vertex would sit on the apex."""
     if isinstance(bib.design, PlanarDesign) or bib.design.k != 0:
         raise ValueError("a pyramidal limit needs a Bennett design with k = 0")
     if bib.family not in _PYRAMIDAL_LABELS:
         raise ValueError("family must be 'A', 'B' or 'C'")
+    if 0 in bib.mu.as_tuple():
+        raise ZeroOffsetError(
+            "a zero offset puts its quad vertex on the apex of the pyramid")
     return replace(bib, labels=_PYRAMIDAL_LABELS[bib.family])
 
 

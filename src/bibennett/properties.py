@@ -8,32 +8,41 @@ residual so that a certificate is a direct numerical transcript of the claim.
 Each certificate is a pure function of one ``CoupledPose`` and a tolerance
 (``isogonal_check``, ``deltoidal_check``, ``halfturn_check``), so a caller
 that already holds the pose does not solve it again; the public
-``*_certificate`` functions pose the coupling at tau and run the check.
+``*_certificate`` functions pose the coupling at tau and run the check.  A
+single loop certifies its own pose the same way: ``bennett_loop_check`` and
+``planar_loop_check`` are pure functions of one ``Pose``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
 
 from .algebra import (
     det3,
     v_add,
     v_cross,
     v_dot,
-    v_norm,
     v_norm_sq,
     v_scale,
     v_sub,
 )
-from .bennett import AXIS_LABELS
+from .bennett import (
+    AXIS_LABELS,
+    DegenerateQuadricError,
+    Pose,
+    loop_closure_residual,
+    pluecker_product,
+    regulus_residual,
+    symmetry_residual,
+)
 from .families import (
     BiBennett,
     CoupledPose,
     SkewQuad,
     align_isometry,
     coupled_pose,
+    isogram_residuals,
 )
 
 ISO_TOL = 1e-10
@@ -165,16 +174,6 @@ def deltoidal_certificate(bib: BiBennett, tau, tol: float = ISO_TOL
                           ) -> CertificateReport:
     """:func:`deltoidal_check` of the coupling posed at tau."""
     return deltoidal_check(coupled_pose(bib, tau), tol)
-
-
-def deltoidal_numerators(a1, a2, mu14, mu12, mu23, mu34):
-    """The two cleared numerators of the adjacent-angle conditions.
-
-    Both vanish identically on the mu-pattern (mu23, mu34, mu23, mu34).
-    """
-    n1 = (mu14 - mu12 - mu23 + mu34) * a2 + mu14 + mu12 - mu23 - mu34
-    n2 = (mu14 + mu12 - mu23 - mu34) * a1 + mu14 - mu12 - mu23 + mu34
-    return n1, n2
 
 
 # ---------------------------------------------------------------------------
@@ -337,95 +336,45 @@ def _compose_sq(motion) -> float:
 
 
 # ---------------------------------------------------------------------------
-# spherical indicatrix relations of family C
+# single-loop certificates
 # ---------------------------------------------------------------------------
 
-def _vertex_star_directions(cp: CoupledPose, center):
-    """Unit directions of the four edges meeting at a quad vertex, in the
-    cyclic order: quad edge to previous neighbor, own axis, quad edge to next
-    neighbor, hat axis."""
-    order = list(AXIS_LABELS)
-    i = order.index(center)
-    prev_n, next_n = order[(i - 1) % 4], order[(i + 1) % 4]
-    c = cp.quad[center]
-
-    def unit(v):
-        n = v_norm(v)
-        return tuple(float(x) / n for x in v)
-
-    return (
-        unit(v_sub(cp.quad[prev_n], c)),
-        tuple(float(x) for x in cp.pose.axes[center].direction),
-        unit(v_sub(cp.quad[next_n], c)),
-        tuple(float(x) for x in cp.hat_axes[center].direction),
-    )
-
-
-def _spherical_sides(dirs):
-    """Arcs between cyclically consecutive unit directions (line angles, so
-    each arc is folded into [0, pi/2])."""
-    out = []
-    for i in range(4):
-        c = abs(sum(a * b for a, b in zip(dirs[i], dirs[(i + 1) % 4])))
-        out.append(math.acos(min(1.0, c)))
-    return out
+def bennett_loop_check(pose: Pose, tol) -> CertificateReport:
+    """Bennett's facts about his loop at one pose of a BennettDesign
+    (G. T. Bennett, "The skew isogram mechanism", Proc. London Math. Soc.
+    13, 1914): the chain closes, the half-turn about the symmetry line swaps
+    opposite axes, and the axes lie on a regulus.  Where the regulus
+    degenerates (k = 0, or a1 a2 = 1) opposite axes meet instead, and their
+    two Pluecker products take its place."""
+    residuals = [
+        ResidualEntry("closure",
+                      loop_closure_residual(pose.design, pose.tau), tol),
+        ResidualEntry("symmetry half-turn", symmetry_residual(pose), tol),
+    ]
+    try:
+        residuals.append(ResidualEntry("regulus", regulus_residual(pose), tol))
+    except DegenerateQuadricError:
+        for a, b in (((1, 4), (2, 3)), ((1, 2), (3, 4))):
+            residuals.append(ResidualEntry(
+                f"axes {a[0]}{a[1]} and {b[0]}{b[1]} meet",
+                pluecker_product(pose.axes[a], pose.axes[b]), tol))
+    return CertificateReport("bennett-loop", tuple(residuals))
 
 
-def star_invariant_gap(star_a, star_b) -> float:
-    """Largest difference between the rotation invariants (six pairwise dot
-    products, four triple products) of two stars of four directions,
-    minimised over the signs of star b's directions (axes are lines).
-
-    For a star spanning space it is zero exactly when one rotation maps each
-    line of star a onto the matching line of star b.  As -I fixes every
-    line, a line star and its mirror image are always so related.
-    """
-    pairs = list(combinations(range(4), 2))
-    triples = list(combinations(range(4), 3))
-
-    def invariants(star):
-        return ([v_dot(star[i], star[j]) for i, j in pairs],
-                [det3(*(star[i] for i in t)) for t in triples])
-
-    dots_a, dets_a = invariants(star_a)
-    dots_b, dets_b = invariants(star_b)
-    best = math.inf
-    for signs in product((1, -1), repeat=4):
-        gap = max(
-            max(abs(x - signs[i] * signs[j] * y)
-                for (i, j), x, y in zip(pairs, dots_a, dots_b)),
-            max(abs(x - signs[i] * signs[j] * signs[k] * y)
-                for (i, j, k), x, y in zip(triples, dets_a, dets_b)),
-        )
-        best = min(best, gap)
-    return best
-
-
-def indicatrix_relation(bib: BiBennett, tau, tol: float = HALFTURN_TOL
-                        ) -> CertificateReport:
-    """Spherical vertex figures of a family-C coupling.
-
-    Opposite centers carry congruent indicatrices: one rotation matches the
-    lines of both direction stars (see :func:`star_invariant_gap`).  As the
-    directions are taken as lines, a line star always matches its mirror
-    image, so the check cannot tell a direct from a reversing congruence.
-    Adjacent centers carry the same spherical four-bar in two different
-    motion modes (equal side multisets, different vertex configurations).
-    """
-    cp = coupled_pose(bib, tau)
-    stars = {label: _vertex_star_directions(cp, label) for label in AXIS_LABELS}
-    residuals = []
-    order = list(AXIS_LABELS)
-    for i in range(2):
-        a, b = order[i], order[(i + 2) % 4]
-        gap = star_invariant_gap(stars[a], stars[b])
-        tag = f"P{a[0]}{a[1]}~P{b[0]}{b[1]}"
-        residuals.append(ResidualEntry(f"opposite congruence @ {tag}", gap, tol))
-    for i in range(4):
-        a, b = order[i], order[(i + 1) % 4]
-        sa = sorted(_spherical_sides(stars[a]))
-        sb = sorted(_spherical_sides(stars[b]))
-        gap = max(abs(x - y) for x, y in zip(sa, sb))
-        tag = f"P{a[0]}{a[1]}~P{b[0]}{b[1]}"
-        residuals.append(ResidualEntry(f"adjacent sides @ {tag}", gap, tol))
-    return CertificateReport("indicatrix", tuple(residuals))
+def planar_loop_check(pose: Pose, tol) -> CertificateReport:
+    """A planar loop at one pose: the chain closes, the axes are parallel,
+    the anchors are coplanar and their opposite sides are equal, so they
+    form a parallelogram or an antiparallelogram."""
+    axes = [pose.axes[label] for label in AXIS_LABELS]
+    anchors = SkewQuad(*(ax.point for ax in axes))
+    parallel = max(abs(c) for ax in axes[1:]
+                   for c in v_cross(axes[0].direction, ax.direction))
+    side_a, side_b = isogram_residuals(anchors)
+    return CertificateReport("planar-loop", (
+        ResidualEntry("closure",
+                      loop_closure_residual(pose.design, pose.tau), tol),
+        ResidualEntry("axes parallel", parallel, tol),
+        ResidualEntry("anchors coplanar", anchors.orientation_det(), tol),
+        ResidualEntry("sides 14-12 = 23-34", side_a, tol),
+        ResidualEntry("sides 12-23 = 34-14", side_b, tol),
+    ))

@@ -13,7 +13,6 @@ from bibennett.algebra import (
     interpolate_polynomial,
     is_exact,
     mat_mul,
-    nullspace_dimension,
     nullspace_vector,
     parse_scalar,
     resultant_tau_bar,
@@ -66,6 +65,13 @@ def test_solve_linear_exact():
     assert x == [F(1), F(3)]
 
 
+def test_solve_linear_int_rows_stay_exact():
+    # an int pivot divides as a Fraction: int / int would give a float
+    x = solve_linear([[2, 1], [1, 3]], [1, 2])
+    assert x == [F(1, 5), F(3, 5)]
+    assert all(type(v) is Fraction for v in x)
+
+
 def test_solve_linear_float_pivots_on_the_largest_entry():
     # a first-nonzero pivot would divide by 1e-17 and return [0, 1]
     x = solve_linear([[1e-17, 1.0], [1.0, 1.0]], [1.0, 2.0])
@@ -74,7 +80,6 @@ def test_solve_linear_float_pivots_on_the_largest_entry():
 
 def test_nullspace():
     rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)]]
-    assert nullspace_dimension(rows, 3) == 2
     vec = nullspace_vector(rows, 3)
     assert any(v != 0 for v in vec)
     assert sum(r * v for r, v in zip(rows[0], vec)) == 0

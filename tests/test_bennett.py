@@ -11,21 +11,20 @@ from bibennett.bennett import (
     AXIS_LABELS,
     BennettDesign,
     DegenerateDesignError,
+    DegenerateQuadricError,
     PLANAR_CASES,
     PlanarDesign,
     PoleError,
     frame,
-    indicatrix,
     loop_closure_residual,
-    opposite_axes_intersect,
     planar_frame,
     planar_K,
     planar_loop_closure_residual,
+    pluecker_product,
     regulus_residual,
     symmetry_line,
     symmetry_residual,
     transmission_K,
-    transmission_K_alt,
     validate,
 )
 
@@ -46,7 +45,6 @@ def test_angles_and_offsets():
 
 def test_transmission_values():
     assert transmission_K(DESIGN) == F(5)
-    assert transmission_K_alt(DESIGN) == F(5, 7)
 
 
 def test_loop_closure_exact_zero():
@@ -110,22 +108,10 @@ def test_planar_frame_directions():
         assert all(c == 0 for c in cross)
 
 
-def test_indicatrix_classification():
-    report = indicatrix(DESIGN)
-    # opposite arcs equal: the spherical image is a spherical anti-
-    # parallelogram, i.e. a V-hedral vertex pattern
-    assert report.classification == "V-hedral"
-    assert report.arcs[0] == pytest.approx(report.arcs[2], abs=1e-12)
-    assert report.arcs[1] == pytest.approx(report.arcs[3], abs=1e-12)
-    # a1*a2 = 1 is the ambiguous case, reported as "other" by default
-    amb = indicatrix(BennettDesign(F(1, 2), F(2), F(1)))
-    assert amb.classification == "other"
-
-
 def test_opposite_axes_skew():
     pose = frame(DESIGN, F(9, 10))
-    meets = opposite_axes_intersect(pose)
-    assert meets == {((1, 4), (2, 3)): False, ((1, 2), (3, 4)): False}
+    for a, b in (((1, 4), (2, 3)), ((1, 2), (3, 4))):
+        assert pluecker_product(pose.axes[a], pose.axes[b]) != 0
 
 
 def test_regulus_unique():
@@ -138,6 +124,31 @@ def test_symmetry_line_halfturn():
     point, direction = symmetry_line(pose)
     assert any(abs(float(c)) > 0 for c in direction)
     assert symmetry_residual(pose) < 1e-12
+
+
+def test_regulus_residual_is_exact():
+    residual = regulus_residual(frame(DESIGN, F(9, 10)))
+    assert residual == 0 and type(residual) is Fraction
+
+
+@pytest.mark.parametrize("conv", [F, float])
+@pytest.mark.parametrize("a2, k", [(F(2), F(1)), (F(1, 3), F(0))])
+def test_regulus_degenerates_where_axes_meet(conv, a2, k):
+    # opposite axes meet when a1 a2 = 1, and all axes meet at k = 0
+    pose = frame(BennettDesign(conv(F(1, 2)), conv(a2), conv(k)),
+                 conv(F(9, 10)))
+    with pytest.raises(DegenerateQuadricError):
+        regulus_residual(pose)
+
+
+def test_symmetry_line_at_zero_scale():
+    # every anchor sits at the origin; the line keeps the k = 1 direction
+    pose = frame(BennettDesign(F(1, 2), F(1, 3), F(0)), F(9, 10))
+    point, direction = symmetry_line(pose)
+    assert point == (0, 0, 0)
+    assert direction == symmetry_line(frame(DESIGN, F(9, 10)))[1]
+    residual = symmetry_residual(pose)
+    assert residual == 0 and not isinstance(residual, float)
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +276,10 @@ def test_one_chain_closes_exactly(a1, a2, k, tau, case):
 def test_int_designs_stay_exact():
     bennett = validate(2, 1, 1)
     assert transmission_K(bennett) == 3
-    assert transmission_K_alt(bennett) == F(-1, 3)
     assert (bennett.d1, bennett.d2) == (F(4, 5), 1)
     assert planar_K(PlanarDesign(2, 1, "1a")) == -3
-    for value in (transmission_K(bennett), transmission_K_alt(bennett),
-                  bennett.d1, bennett.d2, planar_K(PlanarDesign(2, 1, "2a"))):
+    for value in (transmission_K(bennett), bennett.d1, bennett.d2,
+                  planar_K(PlanarDesign(2, 1, "2a"))):
         assert isinstance(value, Fraction)
     designs = [bennett, validate(3, 1, 0)]
     designs += [PlanarDesign(2, 1, case) for case in PLANAR_CASES]

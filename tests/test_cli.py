@@ -145,6 +145,37 @@ def test_fuzzed_configs_keep_the_exit_code_contract(tmp_path, family, data):
         EXIT_OK, EXIT_CERTIFICATE, EXIT_INPUT)
 
 
+@st.composite
+def _family_config(draw):
+    """A config of a random FAMILIES row with a value of the right kind for
+    every key (zeros, +-1 and equal pairs included) and a random mode."""
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    required, optional, *_ = FAMILIES[family]
+    cases = (["1a", "1b", "2a", "2b"] if family == "planar"
+             else ["anti", "para"])
+    data = {"schema": 1, "family": family, "tau": draw(_NUMBER),
+            "mode": draw(_VALUES["mode"])}
+    for key in sorted(required | optional):
+        data[key] = draw(st.sampled_from(cases) if key == "case"
+                         else _VALUES.get(key, _NUMBER))
+    return data
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_family_config(),
+       command=st.sampled_from(["validate", "construct", "sweep", "certify",
+                                "limits", "export"]))
+def test_subcommands_keep_the_exit_code_contract(tmp_path, capsys, config,
+                                                 command):
+    # an exception other than the named math errors escapes main and fails
+    # the test
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "-c", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) in (EXIT_OK, EXIT_CERTIFICATE, EXIT_INPUT)
+
+
 def test_construct_prints_pose(capsys):
     assert main(["construct", "-c", "fig6"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -195,8 +226,40 @@ def test_certify_branch_override(capsys):
     assert "PASS" in out
 
 
-def test_certify_rejects_single_loop(capsys):
-    assert main(["certify", "-c", "fig3"]) == EXIT_INPUT
+def test_certify_single_and_planar_loops(tmp_path, capsys):
+    singles = [("1/2", "1/3", "1"), ("1/2", "2", "1"), ("1/2", "1/3", "0")]
+    for mode in ("exact", "float"):
+        assert main(["certify", "-c", "fig3", "--mode", mode]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("planar-loop: PASS")
+        for a1, a2, k in singles:
+            path = tmp_path / "single.json"
+            path.write_text(json.dumps({
+                "schema": 1, "family": "single", "a1": a1, "a2": a2, "k": k,
+                "tau": "9/10", "mode": mode}))
+            out = tmp_path / "cert.json"
+            assert main(["certify", "-c", str(path), "--out", str(out)]
+                        ) == EXIT_OK
+            assert capsys.readouterr().out.startswith("bennett-loop: PASS")
+            data = json.loads(out.read_text())
+            assert data["name"] == "bennett-loop" and data["verdict"]
+            labels = [r["label"] for r in data["residuals"]]
+            # the regulus degenerates where opposite axes meet: a1 a2 = 1
+            # (second design) and k = 0 (third)
+            assert labels == ["closure", "symmetry half-turn"] + (
+                ["regulus"] if (a2, k) == ("1/3", "1") else
+                ["axes 14 and 23 meet", "axes 12 and 34 meet"])
+
+
+@pytest.mark.parametrize("command", ["certify", "limits", "sweep"])
+def test_pyramidal_zero_offset_is_input_error(tmp_path, capsys, command):
+    # the quad vertex of a zero offset sits on the apex, where the label
+    # predicates divide by its distance to the apex
+    path = tmp_path / "apex.json"
+    path.write_text(json.dumps({
+        "schema": 1, "family": "A-pyramidal", "mu14": "1/2", "mu12": "1/2",
+        "mu23": "0", "mu34": "-1/3", "tau": "-3"}))
+    assert main([command, "-c", str(path)]) == EXIT_INPUT
+    assert "apex" in capsys.readouterr().err
 
 
 def test_limits_fixture(capsys):
@@ -224,6 +287,13 @@ def test_export_obj(tmp_path, capsys):
     text = out.read_text()
     assert text.count("g ") == 8
     assert sum(1 for l in text.splitlines() if l.startswith("v ")) == 8 * 9
+
+
+def test_export_patch_density_is_input_error(tmp_path, capsys):
+    out = tmp_path / "mesh.obj"
+    assert main(["export", "-c", "fig6", "--out", str(out),
+                 "--patch-n", "0"]) == EXIT_INPUT
+    assert "--patch-n" in capsys.readouterr().err
 
 
 def test_tol_env_default(tmp_path, monkeypatch):
@@ -337,9 +407,9 @@ def test_fixture_output_digests(tmp_path, capsys, name, command):
 # a message or an exit code fails here.
 GOLDEN_DIGESTS = {
     ("fig3", "exact"):
-        "82c392aa79b2e57c30ec16f2b2d5b85bc8dfce5e8e5580773471a9e6ac728526",
+        "e834e5f2bd06145bbab9b412ffee90da23490151f15779d96abe539929915b6d",
     ("fig3", "float"):
-        "19769c56e6be2d8f2432dc786abdeac4082aaa154db93b3a6122af1bdcf6a6a8",
+        "8a4b4c666ba260e1432570f999dbed9722e5e15ed0fd8fb884c2512390e25625",
     ("fig4", "exact"):
         "073809c8c07d715ef5c79bf8efa110261dc498a9cafa1248353f754107ea2827",
     ("fig4", "float"):

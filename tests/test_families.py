@@ -20,12 +20,12 @@ from bibennett.families import (
     MuSet,
     NoRealBranchError,
     NoRealFamilyError,
+    ZeroOffsetError,
     bar_tau_squared,
     coupled_pose,
     coupling_quartic,
     detect_trivial,
     diagonal_rational,
-    extract_6r_loops,
     family_a,
     family_b,
     family_c,
@@ -168,13 +168,19 @@ def test_necessary_conditions_reject_perturbation():
     assert not report.all_zero()
 
 
-def test_six_joint_loops():
-    bib = family_c(DESIGN, F(2, 3), F(1, 4), 1)
-    loops = extract_6r_loops(bib, F(9, 10))
-    assert len(loops) == 4
-    for axes in loops:
-        assert len(axes) == 6
-
+@pytest.mark.parametrize("conv", [F, float])
+@pytest.mark.parametrize("k", [F(1), F(0)])
+def test_family_c_rejects_zero_offsets_on_bennett_designs(k, conv):
+    # a zero offset puts two quad vertices on their anchors: mu12 = 0 made
+    # the half-turn certificate divide by zero, mu14 = 0 left its alignment
+    # without a frame
+    design = validate(F(1, 2), F(1, 3), conv(k))
+    for mu14, mu12 in ((F(0), F(1, 4)), (F(2, 3), F(0))):
+        with pytest.raises(ZeroOffsetError):
+            family_c(design, conv(mu14), conv(mu12), 1)
+    # the prismatic limit certifies its labels with a zero offset
+    bib = family_c(PlanarDesign(F(1, 2), F(1), "2a"), F(0), F(1, 4), 1)
+    assert bib.mu.mu14 == 0
 
 
 @pytest.mark.parametrize("conv", [F, float])

@@ -1,8 +1,11 @@
 """Source hygiene: no module of the package or of the tests imports a name
-it never uses.  The package's ``__init__`` is exempt, since its imports are
+it never uses, no public function or class of the package is used only by
+the tests, and the package's defaulted parameters do not grow.  The
+package's ``__init__`` is exempt from the first two, since its imports are
 the public re-exports."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,7 +47,7 @@ def test_scan_finds_an_unused_import():
 # Keyword parameters with defaults in the package, counting the defaulted
 # fields of dataclasses and NamedTuples, which are constructor parameters
 # too: the count may fall, never rise.  Lower it whenever one goes.
-MAX_DEFAULTED_PARAMETERS = 42
+MAX_DEFAULTED_PARAMETERS = 40
 
 
 def _is_record(node) -> bool:
@@ -95,3 +98,53 @@ def test_defaulted_parameter_scan():
               "class Plain:\n    a: int = 0\n")
     assert sorted(_defaulted_parameters(source)) == [
         ("<lambda>", 1), ("R", 1), ("T", 2), ("f", 2)]
+
+
+def _test_only_names(sources, texts):
+    """Public top-level functions and classes of the modules ``sources``
+    (file name -> source) that no other top-level statement of any of them
+    reads and no string of ``texts`` names as a word."""
+    defined, reads = [], []
+    for name, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((name, stmt.name))
+            reads.append((stmt, {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute))}))
+    unused = []
+    for module, name in defined:
+        if name.startswith("_"):
+            continue
+        if any(name in names and getattr(stmt, "name", None) != name
+               for stmt, names in reads):
+            continue
+        if any(re.search(rf"\b{name}\b", text) for text in texts):
+            continue
+        unused.append(f"{module}:{name}")
+    return sorted(unused)
+
+
+def test_no_public_name_is_test_only():
+    package = {path.name: path.read_text("utf-8")
+               for path in sorted((ROOT / "src" / "bibennett").glob("*.py"))
+               if path.name != "__init__.py"}
+    texts = [path.read_text("utf-8")
+             for path in sorted((ROOT / "bench").glob("*.py"))]
+    # the README's code spans, not its prose
+    texts += re.findall(r"`([^`]*)`", (ROOT / "README.md").read_text("utf-8"))
+    assert _test_only_names(package, texts) == []
+
+
+def test_test_only_scan():
+    sources = {
+        "a.py": "def f():\n    return g()\n\n"
+                "def g():\n    return 1\n\n"
+                "def loop(n):\n    return loop(n - 1)\n\n"
+                "class Error(ValueError):\n    pass\n\n"
+                "def _private():\n    pass\n",
+        "b.py": "import a\n\nx = a.f()\n",
+    }
+    assert _test_only_names(sources, []) == ["a.py:Error", "a.py:loop"]
+    assert _test_only_names(sources, ["raises `Error`"]) == ["a.py:loop"]

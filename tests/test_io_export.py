@@ -273,10 +273,20 @@ def test_sweep_rejects_single_loop():
         sweep_report(_fixture("fig3"), tau_samples=(F(3, 5),))
 
 
-def test_certify_rejects_single_loop():
-    config = _fixture("fig3")
-    with pytest.raises(ConfigError, match="has no coupling to certify"):
-        certify(config, build_structure(config), config.tau)
+def test_certify_poses_loops_exactly():
+    # a loop is posed by frame and checked by its family's loop check; in
+    # exact mode every residual is an exact 0
+    singles = [{"a1": "1/2", "a2": a2, "k": k, "tau": "9/10"}
+               for a2, k in (("1/3", "1"), ("2", "1"), ("1/3", "0"))]
+    configs = [_fixture("fig3")] + [
+        parse_config(json.dumps({"schema": 1, "family": "single", **keys}))
+        for keys in singles]
+    for config in configs:
+        name, report = certify(config, build_structure(config), config.tau)
+        assert name == FAMILIES[config.family].certificate[0]
+        assert report.verdict, report.lines()
+        assert all(type(r.value) in (int, Fraction) and r.value == 0
+                   for r in report.residuals), report.lines()
 
 
 @pytest.mark.parametrize("name", ["fig4", "fig5"])

@@ -1,13 +1,22 @@
 """Unit tests for the vertex and coupling certificates."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bibennett.bennett import PoleError, validate
+from bibennett.algebra import v_add
+from bibennett.bennett import (
+    PLANAR_CASES,
+    Axis,
+    PlanarDesign,
+    PoleError,
+    frame,
+    validate,
+)
 from bibennett.families import (
     MuSet,
     NoRealBranchError,
@@ -18,12 +27,12 @@ from bibennett.families import (
     make_family_b,
 )
 from bibennett.properties import (
+    ISO_TOL,
+    bennett_loop_check,
     deltoidal_certificate,
-    deltoidal_numerators,
     halfturn_certificate,
-    indicatrix_relation,
     isogonal_certificate,
-    star_invariant_gap,
+    planar_loop_check,
 )
 
 F = Fraction
@@ -53,13 +62,6 @@ def test_family_b_vertices_not_isogonal():
     assert not report.verdict
 
 
-def test_deltoidal_numerators_vanish_for_b():
-    mu = FAMILY_B.mu
-    values = deltoidal_numerators(F(1, 2), F(1, 3), mu.mu14, mu.mu12,
-                                  mu.mu23, mu.mu34)
-    assert all(v == 0 for v in values)
-
-
 def test_halfturn_certificate_all_branches():
     for s in (1, -1):
         for branch in (1, -1):
@@ -76,57 +78,6 @@ def test_halfturn_certificate_rejects_wrong_companion():
         align_isometry(FAMILY_C.bar_loop().quad(0.5), quad)
 
 
-def test_indicatrix_relation_family_c():
-    report = indicatrix_relation(FAMILY_C, F(9, 10))
-    assert report.verdict, report.lines()
-
-
-# four lines in general position (not unit: the invariants need no norms)
-_STAR = ((F(1), F(0), F(0)), (F(1), F(2), F(0)),
-         (F(0), F(1), F(3)), (F(2), F(-1), F(1)))
-
-
-def _rotation(w, x, y, z):
-    """Rotation matrix of the (unnormalised) rational quaternion w+xi+yj+zk."""
-    n = w * w + x * x + y * y + z * z
-    return (
-        ((w * w + x * x - y * y - z * z) / n, 2 * (x * y - w * z) / n,
-         2 * (x * z + w * y) / n),
-        (2 * (x * y + w * z) / n, (w * w - x * x + y * y - z * z) / n,
-         2 * (y * z - w * x) / n),
-        (2 * (x * z - w * y) / n, 2 * (y * z + w * x) / n,
-         (w * w - x * x - y * y + z * z) / n),
-    )
-
-
-def _apply(m, v):
-    return tuple(sum(m[i][j] * v[j] for j in range(3)) for i in range(3))
-
-
-def test_star_invariants_accept_rotated_sign_flipped_star():
-    rot = _rotation(F(1), F(2), F(-1), F(3))
-    signs = (1, -1, -1, 1)
-    image = tuple(tuple(s * c for c in _apply(rot, d))
-                  for s, d in zip(signs, _STAR))
-    assert star_invariant_gap(_STAR, image) == 0
-    floats = tuple(tuple(float(c) for c in d) for d in image)
-    assert star_invariant_gap(_STAR, floats) < 1e-12
-
-
-def test_star_invariants_cannot_tell_a_line_star_from_its_mirror():
-    # the directions are lines, so negating all four turns the reflection
-    # z -> -z into the half-turn about the z axis: a mirror image of a line
-    # star is a rotated, sign-flipped copy of it
-    mirror = tuple((x, y, -z) for x, y, z in _STAR)
-    assert star_invariant_gap(_STAR, mirror) == 0
-
-
-def test_star_invariants_reject_a_different_star():
-    rot = _rotation(F(3), F(0), F(1), F(-2))
-    bent = _STAR[:3] + ((F(2), F(-1), F(2)),)
-    assert star_invariant_gap(_STAR, tuple(_apply(rot, d) for d in bent)) > 1
-
-
 def test_certificates_on_random_instances():
     rng = random.Random(5)
     count = 0
@@ -141,6 +92,31 @@ def test_certificates_on_random_instances():
         bib = make_family_b(mu23, mu34, design)
         assert deltoidal_certificate(bib, F(9, 10)).verdict
         count += 1
+
+
+# ---------------------------------------------------------------------------
+# single-loop certificates
+# ---------------------------------------------------------------------------
+
+def test_bennett_loop_check_rejects_a_moved_axis():
+    pose = frame(DESIGN, F(9, 10))
+    axis = pose.axes[(3, 4)]
+    moved = Axis(axis.label, v_add(axis.point, (0, 0, F(1, 10))),
+                 axis.direction)
+    report = bennett_loop_check(
+        replace(pose, axes={**pose.axes, (3, 4): moved}), ISO_TOL)
+    assert [r.label for r in report.failed()] == ["symmetry half-turn",
+                                                  "regulus"]
+
+
+@pytest.mark.parametrize("case", PLANAR_CASES)
+def test_planar_loop_check_is_exact(case):
+    for tau in (F(3, 5), F(-7, 3)):
+        pose = frame(PlanarDesign(F(1, 2), F(1), case), tau)
+        report = planar_loop_check(pose, ISO_TOL)
+        assert report.verdict, report.lines()
+        assert all(type(r.value) in (int, Fraction) and r.value == 0
+                   for r in report.residuals), report.lines()
 
 
 # ---------------------------------------------------------------------------
