@@ -33,19 +33,17 @@ def div(n, d):
 
 
 def parse_scalar(value, exact: bool):
-    """Parse a config number: int, float, or a "p/q" string.
+    """Parse a config number: int, float, or a "p/q" or decimal string.
 
-    In exact mode everything becomes a Fraction (decimal strings included,
-    via their exact binary-free decimal value); in float mode, a float.
+    In exact mode everything becomes the Fraction it denotes, without
+    rounding: a float gives its binary value (0.1 is not 1/10), and a
+    decimal string its decimal value.  In float mode, a float.
     """
-    if isinstance(value, str):
-        frac = Fraction(value)
-    elif isinstance(value, (int, Fraction)):
-        frac = Fraction(value)
-    elif isinstance(value, float):
-        return Fraction(value).limit_denominator(10**12) if exact else value
-    else:
+    if isinstance(value, float):
+        return Fraction(value) if exact else value
+    if not isinstance(value, (str, int, Fraction)):
         raise TypeError(f"cannot parse scalar from {value!r}")
+    frac = Fraction(value)
     return frac if exact else float(frac)
 
 

@@ -64,11 +64,7 @@ def _load_config(args) -> Config:
             )
         raw = resource.read_bytes()
     data = config_object(raw)
-    for key in ("tau", "mode"):
-        value = getattr(args, key, None)
-        if value is not None:
-            data[key] = value
-    for key in ("branch", "s"):
+    for key in ("tau", "mode", "branch", "s"):
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value

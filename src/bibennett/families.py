@@ -12,12 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 
 from .algebra import (
     DegenerateResultantError,
     det3,
-    fit_rational,
     resultant_tau_bar,
     sqrt_scalar,
     v_add,
@@ -254,13 +252,6 @@ class BiBennett:
 
     def bar_loop(self) -> Loop:
         return Loop(self.bar_design, self.bar_mu)
-
-    @cached_property
-    def _bar_diagonal_fit(self):
-        """:func:`diagonal_rational` of the bar loop's first diagonal, which
-        :func:`planar_bar_tau` matches at every tau; fitted once per
-        coupling."""
-        return diagonal_rational(self.bar_loop(), 0)
 
 
 def make_family_a(mu: MuSet, k=1) -> BiBennett:
@@ -533,10 +524,6 @@ def coupled_pose(bib: BiBennett, tau) -> CoupledPose:
 # exact diagonal-distance rational functions and the necessary conditions
 # ---------------------------------------------------------------------------
 
-_FIT_POINTS = [Fraction(n) for n in (1, 2, 3, 4, -1, -2, -3, 5, -4)] + [
-    Fraction(1, 2), Fraction(3, 2), Fraction(5, 2), Fraction(-5, 3)]
-
-
 def _exact_loop(loop: Loop) -> Loop:
     """Rationalize a loop's parameters; floats convert without rounding."""
     scalars = {name: v for name, v in vars(loop.design).items()
@@ -553,15 +540,30 @@ def diagonal_rational(loop: Loop, which: int):
     """Exact (numerator, denominator) coefficient lists (ascending, degree 2)
     of the squared diagonal which in {0, 1} as a function of tau.
 
-    The fit is exact interpolation, so float parameters are first converted
-    to the rationals they represent.
+    Two links (c_a, s_a, d_a), (c_b, s_b, d_b) joined by a joint of angle
+    theta put the points at offsets m_a, m_b on their outer axes at squared
+    distance E + P cos(theta) + Q sin(theta).  Diagonal 0 (P14-P23) spans
+    links 1, 2 around the joint with half-tangent K/tau (K the transmission
+    ratio); diagonal 1 (P12-P34) spans links 2, 1 around the joint with
+    half-tangent tau, since the joint at axis (1,2) fixes P12.  Float
+    parameters are first converted to the rationals they represent.
     """
     loop = _exact_loop(loop)
-
-    def f(tau):
-        return loop.quad(tau).diag_sq()[which]
-
-    return fit_rational(f, 2, 2, _FIT_POINTS)
+    link1, link2 = loop.design.links()
+    mu = loop.mu
+    if which == 0:
+        (ca, sa, da), (cb, sb, db), ma, mb = link1, link2, mu.mu14, mu.mu23
+    else:
+        (ca, sa, da), (cb, sb, db), ma, mb = link2, link1, mu.mu12, mu.mu34
+    e = da * da + db * db + ma * ma + mb * mb - 2 * ma * mb * ca * cb
+    p = 2 * da * db + 2 * ma * mb * sa * sb
+    q = 2 * ma * sa * db - 2 * mb * sb * da
+    if which == 0:
+        kk = loop.design.transmission()
+        num, den = [kk * kk * (e - p), 2 * kk * q, e + p], [kk * kk, 0, 1]
+    else:
+        num, den = [e + p, 2 * q, e - p], [1, 0, 1]
+    return [Fraction(c) for c in num], [Fraction(c) for c in den]
 
 
 def _coupling_form(num, den, bar_num, bar_den):
@@ -630,7 +632,7 @@ def planar_bar_tau(bib: BiBennett, tau):
     quads in :func:`coupled_pose` then checks all six distances.
     """
     target = bib.loop().quad(tau).diag_sq()[0]
-    bnum, bden = bib._bar_diagonal_fit
+    bnum, bden = diagonal_rational(bib.bar_loop(), 0)
     # bnum(tb)/bden(tb) = target  ->  quadratic in tb
     roots = _real_quadratic_roots(
         *(n - target * d for n, d in zip(bnum, bden)))

@@ -169,6 +169,8 @@ _SCALAR_KEYS = ("a1", "a2", "k", "d1", "d2",
 
 
 def _convert(key, convert, value):
+    if isinstance(value, bool):
+        raise ConfigError(f"key {key!r}: {value!r} is not a number")
     try:
         result = convert(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
@@ -230,8 +232,8 @@ def parse_config(text) -> Config:
         values["case"] = data["case"]
     for key in ("s", "branch"):
         if key in data:
-            if data[key] not in (-1, 1):
-                raise ConfigError(f"{key!r} must be -1 or 1")
+            if type(data[key]) is not int or data[key] not in (-1, 1):
+                raise ConfigError(f"{key!r} must be the integer -1 or 1")
             values[key] = data[key]
     if "tol" in data:
         values["tol"] = _convert("tol", float, data["tol"])

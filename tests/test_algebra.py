@@ -33,6 +33,9 @@ def test_parse_scalar_exact_and_float():
     assert parse_scalar("2/3", False) == pytest.approx(2 / 3)
     assert parse_scalar(5, True) == F(5)
     assert parse_scalar(0.5, True) == F(1, 2)
+    # a float is the binary rational it holds; a decimal string its decimal
+    assert parse_scalar(0.1, True) == F(0.1) != F(1, 10)
+    assert parse_scalar("0.1", True) == F(1, 10)
 
 
 def test_sqrt_scalar_exact_square():

@@ -325,6 +325,45 @@ def test_non_finite_float_scalars_are_input_errors(tmp_path, capsys, key,
     assert "not a finite number" in capsys.readouterr().err
 
 
+_BOOLEAN_BASES = {
+    "C": {"a1": "1/2", "a2": "1/3", "k": "1", "mu14": "2/3", "mu12": "1/4",
+          "s": 1, "branch": -1},
+    "C-prismatic": {"case": "anti", "d1": "1/2", "d2": "1", "mu14": "2/3",
+                    "mu12": "1/4"},
+    "B": {"a1": "1/2", "a2": "1/3", "k": "1", "mu23": "2/3", "mu34": "1/4"},
+}
+
+
+_KEYS_BY_FAMILY = (
+    [("C", key) for key in ("a1", "a2", "k", "mu14", "mu12", "tau",
+                            "tau_samples", "s", "branch", "tol")]
+    + [("C-prismatic", "d1"), ("C-prismatic", "d2"), ("B", "mu23"),
+       ("B", "mu34")])
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("family, key, value", [
+    *((family, key, value) for family, key in _KEYS_BY_FAMILY
+      for value in (True, False)),
+    # s and branch take only the integers -1 and 1: a float sign would
+    # turn the exact bar offsets into floats
+    *(("C", key, value) for key in ("s", "branch") for value in (1.0, -1.0)),
+])
+def test_booleans_and_float_signs_are_input_errors(tmp_path, capsys, family,
+                                                     key, value, mode):
+    config = {"schema": 1, "family": family, "mode": mode,
+              **_BOOLEAN_BASES[family], "tau": "3/5",
+              "tau_samples": ["1/2", "3/4"], "tol": 1e-9}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["validate", "-c", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    config[key] = ["1/2", value] if key == "tau_samples" else value
+    path.write_text(json.dumps(config))
+    assert main(["validate", "-c", str(path)]) == EXIT_INPUT
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_exact_and_float_agree_on_fixtures():
     for name in ("fig4", "fig5", "fig6", "fig8a", "fig8b", "fig9a"):
         exact = main(["certify", "-c", name])

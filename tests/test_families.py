@@ -1,6 +1,7 @@
 """Unit tests for the coupling families and the necessary-condition oracle."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -268,3 +269,52 @@ def test_planar_companion_satisfies_link_quartic(case, d1, d2, mu14, mu12, s,
         assert sum(terms) == 0
     else:
         assert abs(sum(terms)) <= 1e-12 * sum(abs(x) for x in terms)
+
+
+def _bennett_design(a1, a2, k):
+    assume(a1 != a2)
+    return validate(a1, a2, k)
+
+
+def _planar_design(case, d1, d2):
+    assume(d1 != d2 or case in ("1b", "2b"))  # a rhombus is a pole of 1a, 2a
+    return PlanarDesign(d1, d2, case)
+
+
+_DESIGNS = st.one_of(
+    st.builds(_bennett_design, _POSITIVE, _POSITIVE,
+              st.one_of(st.just(F(0)), _POSITIVE)),
+    st.builds(_planar_design, st.sampled_from(PLANAR_CASES), _POSITIVE,
+              _POSITIVE),
+)
+_OFFSETS = st.builds(MuSet, *[st.builds(F, st.integers(-30, 30),
+                                        st.integers(1, 20))] * 4)
+
+
+def _converted(loop, conv):
+    """The loop with every scalar parameter passed through conv."""
+    scalars = {name: conv(v) for name, v in vars(loop.design).items()
+               if not isinstance(v, str)}  # PlanarDesign.case is a label
+    return Loop(replace(loop.design, **scalars),
+                MuSet(*map(conv, loop.mu.as_tuple())))
+
+
+def _value(coeffs, x):
+    return sum(c * x ** i for i, c in enumerate(coeffs))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_DESIGNS, _OFFSETS, _NONZERO, st.sampled_from((0, 1)))
+def test_diagonal_rational_is_the_squared_diagonal(design, mu, tau, which):
+    loop = Loop(design, mu)
+    num, den = diagonal_rational(loop, which)
+    assert all(type(c) is F for c in num + den)
+    kk = design.transmission()
+    assert den == ([kk * kk, 0, 1] if which == 0 else [1, 0, 1])
+    assert _value(num, tau) / _value(den, tau) == \
+        loop.quad(tau).diag_sq()[which]
+    # float parameters give the coefficients of the rationals they hold
+    floating = _converted(loop, float)
+    coeffs = diagonal_rational(floating, which)
+    assert all(type(c) is F for c in coeffs[0] + coeffs[1])
+    assert coeffs == diagonal_rational(_converted(floating, F), which)
