@@ -435,16 +435,16 @@ def symmetry_line(pose: Pose):
     return m1, v_sub(m2, m1)
 
 
-def half_turn_point(point, line_point, line_dir):
-    """Image of a point under the half-turn about the given line (exact when
-    called with Fractions)."""
+def half_turn_point(point, line_point, line_dir, dir_norm_sq):
+    """Image of a point under the half-turn about the given line, of squared
+    direction norm ``dir_norm_sq`` (exact when called with Fractions)."""
     rel = v_sub(point, line_point)
-    coef = v_dot(rel, line_dir) / v_norm_sq(line_dir)
+    coef = v_dot(rel, line_dir) / dir_norm_sq
     return v_sub(v_add(v_scale(2, line_point), v_scale(2 * coef, line_dir)), point)
 
 
-def half_turn_direction(direction, line_dir):
-    coef = v_dot(direction, line_dir) / v_norm_sq(line_dir)
+def half_turn_direction(direction, line_dir, dir_norm_sq):
+    coef = v_dot(direction, line_dir) / dir_norm_sq
     return v_sub(v_scale(2 * coef, line_dir), direction)
 
 
@@ -454,12 +454,13 @@ def symmetry_residual(pose: Pose):
     Bennett poses.  No square root is taken, so exact input gives an exact
     0."""
     lp, ld = symmetry_line(pose)
+    ld_sq = v_norm_sq(ld)
     worst = 0
     for label, target in SWAP.items():
         src = pose.axes[label]
         dst = pose.axes[target]
-        img_p = half_turn_point(src.point, lp, ld)
-        img_d = half_turn_direction(src.direction, ld)
+        img_p = half_turn_point(src.point, lp, ld, ld_sq)
+        img_d = half_turn_direction(src.direction, ld, ld_sq)
         # the image must lie on the target line with the same or opposite
         # direction: compare via cross products to stay orientation-free
         gaps = (v_cross(v_sub(img_p, dst.point), dst.direction)

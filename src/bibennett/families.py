@@ -21,6 +21,7 @@ from .algebra import (
     v_add,
     v_cross,
     v_dist_sq,
+    v_norm_sq,
     v_scale,
     v_sub,
 )
@@ -357,17 +358,18 @@ class _AxisMap:
 @dataclass(frozen=True)
 class HalfTurn(_AxisMap):
     """Half-turn about the line through ``point`` with direction
-    ``direction``; exact for rational input."""
+    ``direction`` of squared norm ``norm_sq``; exact for rational input."""
 
     point: tuple
     direction: tuple
+    norm_sq: object
     orientation = 1
 
     def apply_point(self, p):
-        return half_turn_point(p, self.point, self.direction)
+        return half_turn_point(p, self.point, self.direction, self.norm_sq)
 
     def apply_direction(self, d):
-        return half_turn_direction(d, self.direction)
+        return half_turn_direction(d, self.direction, self.norm_sq)
 
 
 @dataclass(frozen=True)
@@ -403,8 +405,8 @@ def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
     orientations, each with a volume above ALIGN_TOL times the cube of the
     longest distance; direct otherwise, so rounding noise on a (near)
     coplanar pair never mirrors the alignment.  Raises NotIsometricError
-    when the six pairwise distances disagree.  This float alignment is the
-    one place the package uses numpy, imported on first use.
+    when the six pairwise distances disagree.  Gates and transform are
+    Python floats; numpy, imported on first use, builds the frames.
     """
     import numpy as np
 
@@ -418,43 +420,38 @@ def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
         if n2 < 1e-12:
             raise DegenerateQuadError("collinear quad edges; no spatial frame")
         u2 /= n2
-        u3 = np.cross(u1, u2)
-        return np.column_stack([u1, u2, u3])
+        return np.column_stack([u1, u2, v_cross(u1, u2)])
 
+    fsrc, fdst = (SkewQuad(*(tuple(map(float, p)) for p in q.vertices()))
+                  for q in (src, dst))
     pairs = [((1, 4), (1, 2)), ((1, 2), (2, 3)), ((2, 3), (3, 4)),
              ((3, 4), (1, 4)), ((1, 4), (2, 3)), ((1, 2), (3, 4))]
     longest_sq = 0.0
     for a, b in pairs:
-        ds = float(v_dist_sq(src[a], src[b]))
-        dd = float(v_dist_sq(dst[a], dst[b]))
+        ds = v_dist_sq(fsrc[a], fsrc[b])
+        dd = v_dist_sq(fdst[a], fdst[b])
         scale = max(1.0, abs(ds), abs(dd))
         if abs(ds - dd) > ALIGN_TOL * scale:
-            raise NotIsometricError(
-                f"distance {a}-{b} differs: {ds} vs {dd}")
+            raise NotIsometricError(  # reports the rounded exact distances
+                f"distance {a}-{b} differs: {float(v_dist_sq(src[a], src[b]))}"
+                f" vs {float(v_dist_sq(dst[a], dst[b]))}")
         longest_sq = max(longest_sq, ds, dd)
     fs = frame_matrix(src)
     fd = frame_matrix(dst)
     sign = 1
-    vol_s = float(src.orientation_det())
-    vol_d = float(dst.orientation_det())
+    vol_s = fsrc.orientation_det()
+    vol_d = fdst.orientation_det()
     flat = ALIGN_TOL * longest_sq ** 1.5
     if vol_s * vol_d < 0 and min(abs(vol_s), abs(vol_d)) > flat:
         sign = -1
         fs = fs.copy()
         fs[:, 2] = -fs[:, 2]
     rot = fd @ fs.T
-    ps = np.array([float(x) for x in src.p14])
-    pd = np.array([float(x) for x in dst.p14])
-    trans = pd - rot @ ps
-    m = [[1.0, 0.0, 0.0, 0.0]]
-    for i in range(3):
-        m.append([trans[i]] + [rot[i][j] for j in range(3)])
-    motion = RigidMotion(tuple(tuple(r) for r in m), sign)
-    worst = max(
-        math.dist(motion.apply_point(tuple(float(x) for x in src[lab])),
-                  tuple(float(x) for x in dst[lab]))
-        for lab in AXIS_LABELS
-    )
+    trans = np.array(fdst.p14) - rot @ np.array(fsrc.p14)
+    rows = ((t, *r) for t, r in zip(trans.tolist(), rot.tolist()))
+    motion = RigidMotion(((1.0, 0.0, 0.0, 0.0), *rows), sign)
+    worst = max(math.dist(motion.apply_point(fsrc[lab]), fdst[lab])
+                for lab in AXIS_LABELS)
     if worst > 10 * ALIGN_TOL * max(1.0, abs(vol_s) ** (1 / 3)):
         raise NotIsometricError(f"alignment residual {worst} too large")
     return motion
@@ -498,7 +495,8 @@ def coupled_pose(bib: BiBennett, tau) -> CoupledPose:
     quad = points_on_axes(pose, bib.mu)
     if bib.family in ("A", "B", "TrivialLineSym"):
         tau_bar, bar_pose, bar_quad = tau, pose, quad
-        delta = HalfTurn(*quad_symmetry_line(quad))
+        line_point, line_dir = quad_symmetry_line(quad)
+        delta = HalfTurn(line_point, line_dir, v_norm_sq(line_dir))
     else:
         if isinstance(bib.design, PlanarDesign):
             roots = planar_bar_tau(bib, tau)

@@ -19,6 +19,7 @@ from .algebra import (
     v_cross,
     v_dot,
     v_norm,
+    v_norm_sq,
     v_scale,
     v_sub,
 )
@@ -176,12 +177,13 @@ def _line_symmetry_residual(cp) -> float:
     carry the first tube's axes onto the hat axes."""
     lp, ld = quad_symmetry_line(cp.quad)
     lp, ld = _floats(lp), _floats(ld)
+    ld_sq = v_norm_sq(ld)
     worst = 0.0
     for label, target in SWAP.items():
-        img = half_turn_point(_floats(cp.quad[label]), lp, ld)
+        img = half_turn_point(_floats(cp.quad[label]), lp, ld, ld_sq)
         worst = max(worst, math.dist(img, _floats(cp.quad[target])))
     for label, ax in cp.pose.axes.items():
-        img_p = half_turn_point(_floats(ax.point), lp, ld)
+        img_p = half_turn_point(_floats(ax.point), lp, ld, ld_sq)
         hat = cp.hat_axes[label]
         hp, hd = _floats(hat.point), _floats(hat.direction)
         # image point must lie on the hat axis (direction may flip)

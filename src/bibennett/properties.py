@@ -101,67 +101,65 @@ def _vertex_roles():
 # line-symmetric vertex certificates (opposite / adjacent angle equalities)
 # ---------------------------------------------------------------------------
 
-def _iso_delto_residuals(cp: CoupledPose, center, opposite, prev_n, next_n):
-    """The raw residuals at one vertex of a line-symmetric coupling.
-
-    With c the center vertex, o its opposite, u and w its neighbors, and
-    r_c, r_o the axis directions at c and o, the opposite-angle conditions
-    cleared of their (pairwise equal) normalizers read::
+def _isogonal_residuals(sides, dots):
+    """The opposite-angle conditions of :func:`_vertex_certificate`,
+    cleared of their (pairwise equal) normalizers::
 
         iso1 = <u-c, r_c>^2 |u-o|^2 - <u-o, r_o>^2 |u-c|^2
         iso2 = <w-c, r_c>^2 |w-o|^2 - <w-o, r_o>^2 |w-c|^2
         iso3 = <u-c, r_c> <w-o, r_o> |u-o|^2 - <u-o, r_o> <w-c, r_c> |u-c|^2
 
-    and the adjacent-angle (kite) conditions::
+    Radical-free because the isogram equalities identify the cleared
+    denominators and the axis directions are exactly unit vectors.
+    """
+    uc_c, wc_c, uo_o, wo_o = dots
+    n_uc, n_wc, n_uo, n_wo = (v_norm_sq(side) for side in sides)
+    return {"iso1": uc_c ** 2 * n_uo - uo_o ** 2 * n_uc,
+            "iso2": wc_c ** 2 * n_wo - wo_o ** 2 * n_wc,
+            "iso3": uc_c * wo_o * n_uo - uo_o * wc_c * n_uc}
+
+
+def _deltoidal_residuals(sides, dots):
+    """The adjacent-angle (kite) conditions of :func:`_vertex_certificate`::
 
         delto1 = <u-c, r_c> - <w-o, r_o>
         delto2 = <w-c, r_c> - <u-o, r_o>
-
-    All five are radical-free because the isogram equalities identify the
-    cleared denominators and the axis directions are exactly unit vectors.
     """
-    quad = cp.quad
-    c, o = quad[center], quad[opposite]
-    u, w = quad[prev_n], quad[next_n]
-    r_c = cp.pose.axes[center].direction
-    r_o = cp.pose.axes[opposite].direction
-    uc, uo = v_sub(u, c), v_sub(u, o)
-    wc, wo = v_sub(w, c), v_sub(w, o)
-    iso1 = (v_dot(uc, r_c) ** 2 * v_norm_sq(uo)
-            - v_dot(uo, r_o) ** 2 * v_norm_sq(uc))
-    iso2 = (v_dot(wc, r_c) ** 2 * v_norm_sq(wo)
-            - v_dot(wo, r_o) ** 2 * v_norm_sq(wc))
-    iso3 = (v_dot(uc, r_c) * v_dot(wo, r_o) * v_norm_sq(uo)
-            - v_dot(uo, r_o) * v_dot(wc, r_c) * v_norm_sq(uc))
-    delto1 = v_dot(uc, r_c) - v_dot(wo, r_o)
-    delto2 = v_dot(wc, r_c) - v_dot(uo, r_o)
-    return iso1, iso2, iso3, delto1, delto2
+    uc_c, wc_c, uo_o, wo_o = dots
+    return {"delto1": uc_c - wo_o, "delto2": wc_c - uo_o}
 
 
-def _vertex_certificate(name, labels, cp: CoupledPose, tol
+def _vertex_certificate(name, residuals, cp: CoupledPose, tol
                         ) -> CertificateReport:
-    """The residuals of :func:`_iso_delto_residuals` named in ``labels``
-    (label -> index) at all four quad vertices."""
-    residuals = []
-    for roles in _vertex_roles():
-        values = _iso_delto_residuals(cp, *roles)
-        tag = f"P{roles[0][0]}{roles[0][1]}"
-        for label, index in labels.items():
-            residuals.append(
-                ResidualEntry(f"{label} @ {tag}", values[index], tol))
-    return CertificateReport(name, tuple(residuals))
+    """The labelled values ``residuals(sides, dots)`` at all four quad
+    vertices of a line-symmetric coupling.
+
+    With c the vertex, o its opposite, u and w its neighbors, and r_c, r_o
+    the axis directions at c and o, ``sides`` are (u-c, w-c, u-o, w-o) and
+    ``dots`` are (<u-c, r_c>, <w-c, r_c>, <u-o, r_o>, <w-o, r_o>), each
+    computed once per vertex.
+    """
+    quad, axes = cp.quad, cp.pose.axes
+    entries = []
+    for center, opposite, prev_n, next_n in _vertex_roles():
+        c, o, u, w = (quad[lab] for lab in (center, opposite, prev_n, next_n))
+        r_c, r_o = axes[center].direction, axes[opposite].direction
+        sides = (v_sub(u, c), v_sub(w, c), v_sub(u, o), v_sub(w, o))
+        dots = [v_dot(side, r) for side, r in zip(sides, (r_c, r_c, r_o, r_o))]
+        for label, value in residuals(sides, dots).items():
+            entries.append(ResidualEntry(
+                f"{label} @ P{center[0]}{center[1]}", value, tol))
+    return CertificateReport(name, tuple(entries))
 
 
 def isogonal_check(cp: CoupledPose, tol) -> CertificateReport:
     """Equal-opposite-angle certificate at all four quad vertices."""
-    return _vertex_certificate("isogonal", {"iso1": 0, "iso2": 1, "iso3": 2},
-                               cp, tol)
+    return _vertex_certificate("isogonal", _isogonal_residuals, cp, tol)
 
 
 def deltoidal_check(cp: CoupledPose, tol) -> CertificateReport:
     """Equal-adjacent-angle certificate at all four quad vertices."""
-    return _vertex_certificate("deltoidal", {"delto1": 3, "delto2": 4},
-                               cp, tol)
+    return _vertex_certificate("deltoidal", _deltoidal_residuals, cp, tol)
 
 
 def isogonal_certificate(bib: BiBennett, tau, tol: float = ISO_TOL

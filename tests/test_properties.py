@@ -8,30 +8,40 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bibennett.algebra import v_add
+from bibennett.algebra import v_add, v_dot, v_norm_sq, v_sub
 from bibennett.bennett import (
+    AXIS_LABELS,
     PLANAR_CASES,
     Axis,
+    DegenerateDesignError,
     PlanarDesign,
     PoleError,
     frame,
     validate,
 )
 from bibennett.families import (
+    ExcludedBranchError,
     MuSet,
     NoRealBranchError,
+    NoRealFamilyError,
     NotIsometricError,
+    TrivialQuadError,
     align_isometry,
+    coupled_pose,
     family_c,
     make_family_a,
     make_family_b,
 )
 from bibennett.properties import (
+    HALFTURN_TOL,
     ISO_TOL,
     bennett_loop_check,
     deltoidal_certificate,
+    deltoidal_check,
     halfturn_certificate,
+    halfturn_check,
     isogonal_certificate,
+    isogonal_check,
     planar_loop_check,
 )
 
@@ -174,3 +184,94 @@ def test_halfturn_frame_transfer_with_a_rounding_zero():
     args = (F(1, 2), F(1), F(11, 9), F(-2, 3), F(-2, 5), -1, -1, F(-9, 5))
     for scalar in (F, float):
         assert _family_c_certificates(*args, scalar).verdict
+
+
+def _scalar_types(cp, report):
+    """Types of every residual value, partner-map transform entry and hat
+    axis coordinate of a family-C pose and its half-turn report."""
+    values = [r.value for r in report.residuals]
+    values += [x for row in cp.delta.transform for x in row]
+    for ax in cp.hat_axes.values():
+        values += [*ax.point, *ax.direction]
+    return {type(x) for x in values}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_POSITIVE, _POSITIVE, st.one_of(st.just(F(0)), _POSITIVE), _OFFSET,
+       _OFFSET, st.sampled_from((1, -1)), st.sampled_from((1, -1)), _TAU)
+def test_no_numpy_scalar_reaches_a_family_c_report(a1, a2, k, mu14, mu12, s,
+                                                   branch, tau):
+    assume(a1 != a2 and mu14 * mu14 != mu12 * mu12)
+    for scalar in (F, float):
+        design = validate(scalar(a1), scalar(a2), scalar(k))
+        bib = family_c(design, scalar(mu14), scalar(mu12), s, branch)
+        try:
+            cp = coupled_pose(bib, scalar(tau))
+        except (NoRealBranchError, PoleError):
+            assume(False)
+        types = _scalar_types(cp, halfturn_check(cp, HALFTURN_TOL))
+        assert types <= {int, Fraction, float}, (scalar, types)
+
+
+# ---------------------------------------------------------------------------
+# the vertex certificates against their spelled-out formulas
+# ---------------------------------------------------------------------------
+
+def _reference_vertex_residuals(cp, center, opposite, prev_n, next_n):
+    """iso1, iso2, iso3, delto1, delto2 at one vertex, each written out in
+    full as in the certificate's docstrings."""
+    quad = cp.quad
+    c, o = quad[center], quad[opposite]
+    u, w = quad[prev_n], quad[next_n]
+    r_c = cp.pose.axes[center].direction
+    r_o = cp.pose.axes[opposite].direction
+    uc, uo = v_sub(u, c), v_sub(u, o)
+    wc, wo = v_sub(w, c), v_sub(w, o)
+    return {
+        "iso1": (v_dot(uc, r_c) ** 2 * v_norm_sq(uo)
+                 - v_dot(uo, r_o) ** 2 * v_norm_sq(uc)),
+        "iso2": (v_dot(wc, r_c) ** 2 * v_norm_sq(wo)
+                 - v_dot(wo, r_o) ** 2 * v_norm_sq(wc)),
+        "iso3": (v_dot(uc, r_c) * v_dot(wo, r_o) * v_norm_sq(uo)
+                 - v_dot(uo, r_o) * v_dot(wc, r_c) * v_norm_sq(uc)),
+        "delto1": v_dot(uc, r_c) - v_dot(wo, r_o),
+        "delto2": v_dot(wc, r_c) - v_dot(uo, r_o),
+    }
+
+
+def _reference_vertex_entries(cp):
+    """Label -> reference value over the four vertices, in cyclic order."""
+    entries = {}
+    for i, center in enumerate(AXIS_LABELS):
+        roles = [AXIS_LABELS[(i + shift) % 4] for shift in (0, 2, -1, 1)]
+        for label, value in _reference_vertex_residuals(cp, *roles).items():
+            entries[f"{label} @ P{center[0]}{center[1]}"] = value
+    return entries
+
+
+def _line_symmetric_coupling(family, a1, a2, k, mu, scalar):
+    if family == "A":
+        return make_family_a(MuSet(*map(scalar, mu)), k=scalar(k))
+    design = validate(scalar(a1), scalar(a2), scalar(k))
+    return make_family_b(scalar(mu[0]), scalar(mu[1]), design)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from("AB"), _POSITIVE, _POSITIVE,
+       st.one_of(st.just(F(0)), _POSITIVE), st.lists(_OFFSET, min_size=4,
+                                                      max_size=4), _TAU)
+def test_vertex_checks_equal_their_formulas(family, a1, a2, k, mu, tau):
+    assume(family == "A" or a1 != a2)
+    for scalar in (F, float):
+        try:
+            bib = _line_symmetric_coupling(family, a1, a2, k, mu, scalar)
+            cp = coupled_pose(bib, scalar(tau))
+        except (NoRealFamilyError, ExcludedBranchError, TrivialQuadError,
+                DegenerateDesignError, PoleError):
+            assume(False)
+        reference = _reference_vertex_entries(cp)
+        for check in (isogonal_check, deltoidal_check):
+            for entry in check(cp, ISO_TOL).residuals:
+                expected = reference[entry.label]
+                assert type(entry.value) is type(expected), entry.label
+                assert entry.value == expected, (scalar, entry.label)
