@@ -92,12 +92,22 @@ def v_norm_sq(a):
     return v_dot(a, a)
 
 
-def v_norm(a) -> float:
-    return math.sqrt(float(v_norm_sq(a)))
-
-
 def v_dist_sq(a, b):
     return v_norm_sq(v_sub(a, b))
+
+
+def clear_denominators(vectors):
+    """(integer vectors, D): ``vectors`` over one positive denominator D,
+    floats among exact coordinates converted without rounding.  Vectors of
+    floats and ints come back as they are, with D = 1.0."""
+    coords = [x for v in vectors for x in v]
+    kinds = set(map(type, coords))
+    if float in kinds and Fraction not in kinds:
+        return vectors, 1.0
+    ratios = [x.as_integer_ratio() for x in coords]
+    den = math.lcm(*(d for _, d in ratios))
+    ints = [n * (den // d) for n, d in ratios]
+    return [tuple(ints[i:i + 3]) for i in range(0, len(ints), 3)], den
 
 
 def det3(r0, r1, r2):

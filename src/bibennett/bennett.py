@@ -38,6 +38,13 @@ FLOAT_TOL = 1e-9
 
 AXIS_LABELS = ((1, 4), (1, 2), (2, 3), (3, 4))
 
+# position of each label in the cyclic order of the quad
+AXIS_INDEX = {label: i for i, label in enumerate(AXIS_LABELS)}
+
+# (center, opposite, previous, next) labels of each quad vertex
+VERTEX_ROLES = tuple((AXIS_LABELS[i], AXIS_LABELS[i - 2], AXIS_LABELS[i - 1],
+                      AXIS_LABELS[i - 3]) for i in range(4))
+
 # axis relabelling by the half-turn about the symmetry line of a loop or quad
 SWAP = {(1, 4): (2, 3), (2, 3): (1, 4), (1, 2): (3, 4), (3, 4): (1, 2)}
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .algebra import (
     DegenerateResultantError,
     det3,
+    is_exact,
     resultant_tau_bar,
     sqrt_scalar,
     v_add,
@@ -26,7 +27,9 @@ from .algebra import (
     v_sub,
 )
 from .bennett import (
+    AXIS_INDEX,
     AXIS_LABELS,
+    FLOAT_TOL,
     Axis,
     BennettDesign,
     PlanarDesign,
@@ -87,8 +90,7 @@ class MuSet:
     mu34: object
 
     def __getitem__(self, label):
-        return {(1, 4): self.mu14, (1, 2): self.mu12,
-                (2, 3): self.mu23, (3, 4): self.mu34}[label]
+        return self.as_tuple()[AXIS_INDEX[label]]
 
     def as_tuple(self):
         return (self.mu14, self.mu12, self.mu23, self.mu34)
@@ -104,8 +106,7 @@ class SkewQuad:
     p34: tuple
 
     def __getitem__(self, label):
-        return {(1, 4): self.p14, (1, 2): self.p12,
-                (2, 3): self.p23, (3, 4): self.p34}[label]
+        return self.vertices()[AXIS_INDEX[label]]
 
     def vertices(self):
         return (self.p14, self.p12, self.p23, self.p34)
@@ -197,14 +198,17 @@ def quad_symmetry_line(quad: SkewQuad):
     """Symmetry line of a skew isogram.
 
     Generically the line through the midpoints of the two diagonals; when the
-    quad is a parallelogram (coincident midpoints) the half-turn axis is the
-    normal of the quad plane through the common midpoint.
+    quad is a parallelogram (midpoints coincide; as floats, within FLOAT_TOL
+    times the largest diagonal coordinate) the half-turn axis is the normal
+    of the quad plane through the common midpoint.
     """
     half = Fraction(1, 2)
     m1 = v_scale(half, v_add(quad.p14, quad.p23))
     m2 = v_scale(half, v_add(quad.p12, quad.p34))
     d = v_sub(m2, m1)
-    if d == (0, 0, 0):
+    gap = max(map(abs, d))
+    if gap == 0 or not is_exact(gap) and gap <= FLOAT_TOL * max(
+            map(abs, v_sub(quad.p23, quad.p14) + v_sub(quad.p34, quad.p12))):
         d = v_cross(v_sub(quad.p12, quad.p14), v_sub(quad.p23, quad.p14))
         if d == (0, 0, 0):
             raise DegenerateQuadError("quad degenerates to a segment")
@@ -239,14 +243,13 @@ class BiBennett:
     bar_design: object
     bar_mu: MuSet
     labels: frozenset
-    s: int = 1
     branch: int = -1  # sign of the tau_bar root followed by default
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.s not in (-1, 1) or self.branch not in (-1, 1):
-            raise ValueError("s and branch must be -1 or +1")
+        if self.branch not in (-1, 1):
+            raise ValueError("branch must be -1 or +1")
 
     def loop(self) -> Loop:
         return Loop(self.design, self.mu)
@@ -290,7 +293,7 @@ def family_c(design, mu14, mu12, s: int, branch: int = -1) -> BiBennett:
             "the half-turn certificate's planes and frames degenerate")
     mu = MuSet(mu14, mu12, mu14, mu12)
     bar_mu = MuSet(s * mu12, s * mu14, s * mu12, s * mu14)
-    return BiBennett("C", design, mu, design, bar_mu, frozenset(), s=s,
+    return BiBennett("C", design, mu, design, bar_mu, frozenset(),
                      branch=branch)
 
 

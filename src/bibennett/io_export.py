@@ -237,6 +237,8 @@ def parse_config(text) -> Config:
             values[key] = data[key]
     if "tol" in data:
         values["tol"] = _convert("tol", float, data["tol"])
+        if values["tol"] < 0:
+            raise ConfigError(f"'tol' must be nonnegative: {values['tol']}")
     if "tau_samples" in data:
         raw = data["tau_samples"]
         if not isinstance(raw, list) or not raw:
@@ -257,7 +259,8 @@ def _validate_convention(config: Config) -> None:
             validate(config.a1, config.a2, k)
         except (DegenerateDesignError, ConventionError) as exc:
             raise ConfigError(f"invalid design: {exc}") from exc
-    if "d1" in required and config.d1 == config.d2:
+    # the planar transmission ratio (planar_K) has a pole at the rhombus
+    if config.case in ("1a", "2a", "anti") and config.d1 == config.d2:
         raise ConfigError(
             "invalid design: equal offsets d1 = d2 put the planar "
             "transmission at a pole"

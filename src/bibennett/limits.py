@@ -10,36 +10,36 @@ of limit is read off the design (:func:`limit_kind`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
+from itertools import combinations
 
 from .algebra import (
-    det3,
+    clear_denominators,
+    div,
     v_add,
     v_cross,
     v_dot,
-    v_norm,
     v_norm_sq,
     v_scale,
     v_sub,
 )
 from .bennett import (
     AXIS_LABELS,
-    SWAP,
+    VERTEX_ROLES,
     PlanarDesign,
-    half_turn_point,
 )
 from .families import (
     BiBennett,
     MuSet,
+    SkewQuad,
     TrivialQuadError,
     ZeroOffsetError,
     coupled_pose,
     detect_trivial,
     family_c,
-    quad_symmetry_line,
+    isogram_residuals,
 )
-from .properties import CertificateReport, ResidualEntry
+from .properties import CertificateReport, ResidualEntry, parallel_residual
 
 PARALLEL_TOL = 1e-12
 PREDICATE_TOL = 1e-9
@@ -95,18 +95,15 @@ def prismatic_limit_AB(family: str, case: str, d1, d2,
         mu14 = mu12 - mu23 + mu34
         extra = ((d1 * mu12 - d1 * mu23 - d2 * mu23 + d2 * mu34)
                  * (d1 * mu12 - d1 * mu23 + d2 * mu23 - d2 * mu34))
-        labels = {"III1"}
+        isogonal = (abs(extra) < 1e-12 if isinstance(extra, float)
+                    else extra == 0)
+        labels = {"III1", "III3"} if isogonal else {"III1"}
     else:
         mu14 = mu12 + mu23 - mu34
-        extra = ((d1 * mu12 + d1 * mu23 + d2 * mu23 - d2 * mu34)
-                 * (d1 * mu12 + d1 * mu23 - d2 * mu23 + d2 * mu34))
         labels = {"III1", "III4ii"}
     mu = MuSet(mu14, mu12, mu23, mu34)
     if detect_trivial(mu):
         raise TrivialQuadError("mu-set is the trivial self-symmetric pattern")
-    isogonal = extra == 0 if not isinstance(extra, float) else abs(extra) < 1e-12
-    if case == "anti" and isogonal:
-        labels.add("III3")
     return BiBennett("A", pd, mu, pd, mu, frozenset(labels))
 
 
@@ -135,225 +132,211 @@ def pyramidal_limit(bib: BiBennett) -> BiBennett:
 # ---------------------------------------------------------------------------
 # geometric predicates for the class labels
 # ---------------------------------------------------------------------------
+# Each predicate is a division-free polynomial in the points of one
+# CoupledPose, cleared to integers over one denominator D; its value is
+# formed once, over a power of D and a scale (the largest coordinate of a
+# vector, which keeps a length a length).  Exact points, with any float
+# among them (family-C hat points) read exactly, give an exact value; float
+# points run the same code with D = 1.0.  A yes/no decision tests 0 exactly
+# when no point it reads is a float, and within ``tol`` otherwise.
 
-def _floats(v):
-    return tuple(float(x) for x in v)
-
-
-def prism_parallel_residual(cp) -> float:
-    """Largest sine of the angle between the edges within each prism.
-
-    Each tube becomes a prism on its own; like the two apexes of a
-    bipyramid, the two prisms of a coupled pair keep distinct directions.
-    """
-    worst = 0.0
-    for group in (cp.pose.axes.values(), cp.hat_axes.values()):
-        axes = list(group)
-        ref = _floats(axes[0].direction)
-        ref = v_scale(1.0 / v_norm(ref), ref)
-        for ax in axes[1:]:
-            d = _floats(ax.direction)
-            worst = max(worst, v_norm(v_cross(ref, d)) / v_norm(d))
-    return worst
+def _ratio(num, den):
+    """num / den; 0/0 reads 0, as a scale vanishes only with its residual."""
+    return div(num, den) if den else num
 
 
-def _apexes(cp):
-    """Apex of each tube in a pyramidal structure."""
-    origin = (0, 0, 0)
-    return origin, cp.delta.apply_point(origin)
+def _vanishes(num, den, tol, exact) -> bool:
+    return num == 0 if exact else abs(div(num, den)) <= tol
 
 
-def _coplanarity_residual(cp) -> float:
-    verts = [_floats(v) for v in cp.quad.vertices()]
-    e1 = v_sub(verts[1], verts[0])
-    e2 = v_sub(verts[2], verts[0])
-    e3 = v_sub(verts[3], verts[0])
-    scale = max(v_norm(e) for e in (e1, e2, e3)) ** 3
-    return abs(det3(e1, e2, e3)) / scale
+def _exact(points) -> bool:
+    return not any(isinstance(x, float) for p in points for x in p)
 
 
-def _line_symmetry_residual(cp) -> float:
-    """Half-turn about the quad symmetry line must swap the quad vertices and
-    carry the first tube's axes onto the hat axes."""
-    lp, ld = quad_symmetry_line(cp.quad)
-    lp, ld = _floats(lp), _floats(ld)
-    ld_sq = v_norm_sq(ld)
-    worst = 0.0
-    for label, target in SWAP.items():
-        img = half_turn_point(_floats(cp.quad[label]), lp, ld, ld_sq)
-        worst = max(worst, math.dist(img, _floats(cp.quad[target])))
-    for label, ax in cp.pose.axes.items():
-        img_p = half_turn_point(_floats(ax.point), lp, ld, ld_sq)
-        hat = cp.hat_axes[label]
-        hp, hd = _floats(hat.point), _floats(hat.direction)
-        # image point must lie on the hat axis (direction may flip)
-        worst = max(worst, v_norm(v_cross(v_sub(img_p, hp), hd)) / v_norm(hd))
-    return worst
+def _largest(vectors):
+    return max(abs(c) for v in vectors for c in v)
 
 
-def _plane_symmetry_residual(cp) -> float:
-    """Best residual over the three choices of the vertex pair contained in
-    the symmetry plane (the other two opposite pairs get reflected)."""
-    apex, apex_hat = _apexes(cp)
-    pairs = [
-        (_floats(cp.quad[(1, 4)]), _floats(cp.quad[(2, 3)])),
-        (_floats(cp.quad[(1, 2)]), _floats(cp.quad[(3, 4)])),
-        (_floats(apex), _floats(apex_hat)),
-    ]
-    best = math.inf
-    for keep in range(3):
-        swapped = [pairs[i] for i in range(3) if i != keep]
-        res = _reflection_residual(swapped, pairs[keep])
-        best = min(best, res)
-    return best
+def _cleared(cp, *points):
+    """(quad, points, D): the quad of ``cp`` and ``points`` cleared to D."""
+    cleared, den = clear_denominators([*cp.quad.vertices(), *points])
+    return SkewQuad(*cleared[:4]), cleared[4:], den
 
 
-def _reflection_residual(swapped_pairs, inplane_pair) -> float:
-    (u1, u2), (w1, w2) = swapped_pairs
-    n = v_sub(u1, u2)
-    nn = v_norm(n)
-    if nn < 1e-14:
-        n = v_sub(w1, w2)
-        nn = v_norm(n)
-        if nn < 1e-14:
-            # both swapped pairs coincide: any plane through them works
-            return 0.0
-    n = v_scale(1.0 / nn, n)
-    offset = v_dot(n, v_scale(0.5, v_add(u1, u2)))
-    worst = 0.0
-    # second pair reflects across the same plane
-    m = v_sub(w1, w2)
-    mn = v_norm(m)
-    if mn > 1e-14:
-        worst = max(worst, v_norm(v_cross(n, v_scale(1.0 / mn, m))))
-    worst = max(worst, abs(v_dot(n, v_scale(0.5, v_add(w1, w2))) - offset))
-    # in-plane pair lies in the plane
-    for p in inplane_pair:
-        worst = max(worst, abs(v_dot(n, p) - offset))
-    return worst
+def _anchors(cp):
+    """The anchors of the first tube, then the hat anchors; ``[::4]`` are
+    the anchors (1,4), the apexes of a pyramidal limit."""
+    return ([cp.pose.axes[label].point for label in AXIS_LABELS]
+            + [cp.hat_axes[label].point for label in AXIS_LABELS])
 
 
-def _arcs(center, targets):
-    """Spherical side arcs between the rays from ``center`` to consecutive
-    ``targets`` (float points)."""
-    rays = []
-    for t in targets:
-        v = v_sub(t, center)
-        rays.append(v_scale(1.0 / v_norm(v), v))
-    return [math.acos(max(-1.0, min(1.0, v_dot(rays[j], rays[(j + 1) % 4]))))
-            for j in range(4)]
+def prism_parallel_residual(cp):
+    """Largest coordinate of the cross products of each prism's first (unit)
+    edge direction with its others.  Each tube becomes a prism on its own;
+    like the two apexes of a bipyramid, the two keep distinct directions."""
+    axes = [*cp.pose.axes.values(), *cp.hat_axes.values()]
+    dirs, den = clear_denominators([ax.direction for ax in axes])
+    return div(max(parallel_residual(dirs[:4]), parallel_residual(dirs[4:])),
+               den * den)
 
 
-def _vertex_arcs_pyramid(cp, center):
-    """Spherical side arcs of the bipyramid vertex figure at a quad vertex:
-    rays toward the previous vertex, the apex, the next vertex, the hat apex."""
-    order = list(AXIS_LABELS)
-    i = order.index(center)
-    apex, apex_hat = _apexes(cp)
-    return _arcs(_floats(cp.quad[center]), [
-        _floats(cp.quad[order[(i - 1) % 4]]),
-        _floats(apex),
-        _floats(cp.quad[order[(i + 1) % 4]]),
-        _floats(apex_hat),
-    ])
+def _coplanarity_residual(cp, tol):
+    """Orientation determinant over the cube of the largest coordinate of
+    the edges from P14."""
+    quad, _, _ = _cleared(cp)
+    edges = [v_sub(v, quad.p14) for v in quad.vertices()[1:]]
+    return _ratio(abs(quad.orientation_det()), _largest(edges) ** 3)
 
 
-def _apex_arcs(cp, hat: bool):
-    apex, apex_hat = _apexes(cp)
-    return _arcs(_floats(apex_hat if hat else apex),
-                 [_floats(cp.quad[label]) for label in AXIS_LABELS])
+def _antiparallelogram_sides_residual(cp, tol):
+    """Largest difference of opposite squared sides over the largest side
+    coordinate."""
+    quad, _, den = _cleared(cp)
+    v = quad.vertices()
+    sides = [v_sub(v[i - 1], v[i]) for i in range(4)]
+    return _ratio(max(isogram_residuals(quad)), _largest(sides) * den)
 
 
-def _vertex_class(arcs, tol: float) -> str:
-    v_hedral = (abs(arcs[0] - arcs[2]) < tol and abs(arcs[1] - arcs[3]) < tol)
-    anti = (abs(arcs[0] + arcs[2] - math.pi) < tol
-            and abs(arcs[1] + arcs[3] - math.pi) < tol)
-    if v_hedral and not anti:
-        return "V"
-    if anti and not v_hedral:
-        return "anti"
-    if anti and v_hedral:
-        return "both"
-    return "other"
+def _parallelogram_gap(cp):
+    """(largest coordinate of P12 - P14 - (P23 - P34), D)."""
+    quad, _, den = _cleared(cp)
+    gap = v_sub(v_sub(quad.p12, quad.p14), v_sub(quad.p23, quad.p34))
+    return max(map(abs, gap)), den
 
 
-def _flat_pose_pattern_residual(cp) -> float:
-    """Congruence of the two orthogonal prism cross-sections (the hallmark of
-    the two-flat-pose prismatic class)."""
-    d = _floats(cp.pose.axes[(1, 4)].direction)
-    d = v_scale(1.0 / v_norm(d), d)
-
-    def project(p):
-        p = _floats(p)
-        return v_sub(p, v_scale(v_dot(p, d), d))
-
-    own = [project(cp.pose.axes[label].point) for label in AXIS_LABELS]
-    hat = [project(cp.hat_axes[label].point) for label in AXIS_LABELS]
-
-    def shape(pts):
-        vals = [math.dist(pts[i], pts[(i + 1) % 4]) for i in range(4)]
-        vals += [math.dist(pts[0], pts[2]), math.dist(pts[1], pts[3])]
-        return sorted(vals)
-
-    return max(abs(a - b) for a, b in zip(shape(own), shape(hat)))
+def _is_parallelogram_residual(cp, tol):
+    return div(*_parallelogram_gap(cp))
 
 
-def _is_parallelogram_residual(cp) -> float:
-    quad = cp.quad
-    a = v_sub(_floats(quad.p12), _floats(quad.p14))
-    b = v_sub(_floats(quad.p23), _floats(quad.p34))
-    return math.dist(a, b)
+def _not_parallelogram_residual(cp, tol) -> int:
+    """0 when the quad is not a parallelogram, else 1."""
+    return int(_vanishes(*_parallelogram_gap(cp), tol,
+                         _exact(cp.quad.vertices())))
 
 
-def _not_parallelogram_residual(cp) -> float:
-    """0 when the quad is clearly not a parallelogram, else 1."""
-    return 0.0 if _is_parallelogram_residual(cp) > 1e-6 else 1.0
-
-
-def _antiparallelogram_sides_residual(cp) -> float:
-    s = [math.sqrt(float(x)) for x in cp.quad.side_sq()]
-    return max(abs(s[0] - s[2]), abs(s[1] - s[3]))
-
-
-def _sym_plane_parallel_edges_residual(cp) -> float:
+def _sym_plane_parallel_edges_residual(cp, tol):
     """The symmetry plane of the coplanar anti-parallelogram must be parallel
-    to the prism edges."""
-    lp, ld = quad_symmetry_line(cp.quad)
-    verts = [_floats(v) for v in cp.quad.vertices()]
-    normal = v_cross(v_sub(verts[1], verts[0]), v_sub(verts[2], verts[0]))
-    plane_normal = v_cross(_floats(ld), normal)
-    edge = _floats(cp.pose.axes[(1, 4)].direction)
-    denom = v_norm(plane_normal) * v_norm(edge)
-    if denom < 1e-14:
-        return math.inf
-    return abs(v_dot(plane_normal, edge)) / denom
+    to the prism edges.  It swaps P14 <-> P23 and P12 <-> P34, so it bisects
+    both diagonals at right angles, and the edge direction r14 is normal to
+    both: largest |diagonal . r14| over the largest coordinates of the
+    diagonals and of r14."""
+    quad, (edge,), _ = _cleared(cp, cp.pose.axes[(1, 4)].direction)
+    diagonals = (v_sub(quad.p23, quad.p14), v_sub(quad.p34, quad.p12))
+    return _ratio(max(abs(v_dot(d, edge)) for d in diagonals),
+                  _largest(diagonals) * _largest([edge]))
+
+
+def _line_symmetry_residual(cp, tol):
+    """The half-turn ``cp.delta`` about the quad's symmetry line must swap
+    opposite quad vertices and carry each anchor onto its hat anchor.  The
+    half-turn about the line through m with direction l maps x to y iff
+    (x - y).l = 0 and (x + y - 2m) x l = 0: largest term over the largest
+    coordinate of l."""
+    quad, (m, line, *points), den = _cleared(
+        cp, cp.delta.point, cp.delta.direction, *_anchors(cp))
+    two_m, terms = v_scale(2, m), []
+    for x, y in [(quad.p14, quad.p23), (quad.p12, quad.p34),
+                 *zip(points[:4], points[4:])]:
+        terms.append(v_dot(v_sub(x, y), line))
+        terms.extend(v_cross(v_sub(v_add(x, y), two_m), line))
+    return _ratio(max(map(abs, terms)), _largest([line]) * den)
+
+
+def _mirror_residual(swapped, fixed, den):
+    """A mirror swapping both point pairs ``swapped`` and containing both
+    points ``fixed``.  The mirror of u1 <-> u2 is n.(2x - u1 - u2) = 0 with
+    n = u1 - u2; for either swapped pair, the other's difference must be
+    parallel to n and its sum, like twice each fixed point, on that plane.
+    Largest term over the largest coordinate of the two differences."""
+    normals = [v_sub(*pair) for pair in swapped]
+    sums = [v_add(*pair) for pair in swapped]
+    terms = [*v_cross(*normals),
+             v_dot(normals[0], v_sub(sums[1], sums[0])),
+             v_dot(normals[1], v_sub(sums[0], sums[1]))]
+    for p in fixed:
+        terms += [v_dot(n, v_sub(v_scale(2, p), s))
+                  for n, s in zip(normals, sums)]
+    return _ratio(max(map(abs, terms)), _largest(normals) * den)
+
+
+def _plane_symmetry_residual(cp, tol):
+    """Best residual over the three choices of the opposite pair of the
+    bipyramid in the mirror, (P14, P23), (P12, P34) or the apexes; the
+    mirror swaps the other two pairs."""
+    quad, (apex, apex_hat), den = _cleared(cp, *_anchors(cp)[::4])
+    pairs = [(quad.p14, quad.p23), (quad.p12, quad.p34), (apex, apex_hat)]
+    return min(_mirror_residual(pairs[:i] + pairs[i + 1:], pairs[i], den)
+               for i in range(3))
+
+
+def _flat_pose_pattern_residual(cp, tol):
+    """Congruence of the two orthogonal prism cross-sections (the hallmark of
+    the two-flat-pose prismatic class).  Projected along the edge direction
+    r = r14, two anchors lie |(x - y) x r| / |r| apart, so the sorted
+    |(x - y) x r|^2 over the sides and diagonals of the two sections must
+    agree: largest difference over the largest coordinate of those cross
+    products times that of r."""
+    points, den = clear_denominators(
+        [*_anchors(cp), cp.pose.axes[(1, 4)].direction])
+    edge = points[8]
+    crosses = [[v_cross(v_sub(x, y), edge) for x, y in combinations(sec, 2)]
+               for sec in (points[:4], points[4:8])]
+    own, hat = (sorted(map(v_norm_sq, c)) for c in crosses)
+    return _ratio(max(abs(a - b) for a, b in zip(own, hat)),
+                  _largest(crosses[0] + crosses[1]) * _largest([edge]) * den)
+
+
+def _vertex_class(center, targets, tol, exact):
+    """(V-hedral, anti-V-hedral): the spherical quadrilateral of the rays
+    r_j from ``center`` to the four ``targets`` has equal, resp.
+    supplementary, opposite side arcs.  Arc j has cosine
+    c_j = d_j / sqrt(n_j n_{j+1}), d_j = <r_j, r_{j+1}>, n_j = |r_j|^2; on
+    [0, pi] equal arcs have equal cosines and supplementary arcs opposite
+    ones, and c_j = +-c_{j+2} iff d_j^2 n_{j+2} n_{j+3} = d_{j+2}^2 n_j n_{j+1}
+    with the sign of d_j d_{j+2}, unless c_j^2 vanishes (then both hold)."""
+    rays = [v_sub(t, center) for t in targets]
+    dots = [v_dot(rays[j], rays[j - 3]) for j in range(4)]
+    norms = [v_norm_sq(r) for r in rays]
+    v_hedral = anti = True
+    for j in (0, 1):
+        n_a, n_b = norms[j] * norms[j + 1], norms[j + 2] * norms[j - 1]
+        if not _vanishes(dots[j] ** 2 * n_b - dots[j + 2] ** 2 * n_a,
+                         n_a * n_b, tol, exact):
+            return False, False
+        if not _vanishes(dots[j] ** 2, n_a, tol, exact):
+            sign = dots[j] * dots[j + 2]
+            v_hedral, anti = v_hedral and sign > 0, anti and sign < 0
+    return v_hedral, anti
 
 
 # ---------------------------------------------------------------------------
 # label verification
 # ---------------------------------------------------------------------------
 
-def _i3_residual(cp) -> float:
+def _i3_residual(cp, tol) -> int:
     """0 when two opposite vertex pairs of the bipyramid are V-hedral and
-    one is anti-V-hedral, else 1."""
-    classes = [_vertex_class(_vertex_arcs_pyramid(cp, center), 1e-7)
-               for center in AXIS_LABELS]
-    classes.append(_vertex_class(_apex_arcs(cp, False), 1e-7))
-    classes.append(_vertex_class(_apex_arcs(cp, True), 1e-7))
-    # opposite pairs: (P14,P23), (P12,P34), (apex, apex_hat)
-    pair_classes = [
-        (classes[0], classes[2]), (classes[1], classes[3]),
-        (classes[4], classes[5]),
-    ]
-    v_pairs = sum(1 for a, b in pair_classes
-                  if a in ("V", "both") and b in ("V", "both"))
-    anti_pairs = sum(1 for a, b in pair_classes
-                     if a in ("anti", "both") and b in ("anti", "both"))
-    return 0.0 if v_pairs >= 2 and anti_pairs >= 1 else 1.0
+    one is anti-V-hedral, else 1.  A quad vertex's figure runs through its
+    previous neighbor, the apex, its next neighbor and the hat apex; an
+    apex's through the quad vertices."""
+    apexes = _anchors(cp)[::4]
+    exact = _exact([*cp.quad.vertices(), *apexes])
+    quad, (apex, apex_hat), _ = _cleared(cp, *apexes)
+    classes = {
+        center: _vertex_class(quad[center],
+                              (quad[prev_n], apex, quad[next_n], apex_hat),
+                              tol, exact)
+        for center, _, prev_n, next_n in VERTEX_ROLES}
+    pair_classes = [(classes[center], classes[opposite])
+                    for center, opposite, _, _ in VERTEX_ROLES[:2]]
+    pair_classes.append(tuple(_vertex_class(a, quad.vertices(), tol, exact)
+                              for a in (apex, apex_hat)))
+    v_pairs = sum(a[0] and b[0] for a, b in pair_classes)
+    anti_pairs = sum(a[1] and b[1] for a, b in pair_classes)
+    return 0 if v_pairs >= 2 and anti_pairs >= 1 else 1
 
 
 # Each class label's certificate entries: (entry name, predicate of a
-# CoupledPose, fixed tolerance or None for the caller's tolerance).
+# CoupledPose and the tolerance, fixed tolerance or None for the caller's).
 _LABEL_ENTRIES = {
     "I1": (("I1: line symmetry", _line_symmetry_residual, None),),
     "I2": (("I2: plane symmetry", _plane_symmetry_residual, None),),
@@ -392,13 +375,15 @@ def label_check(cp, tol) -> CertificateReport:
     if isinstance(cp.bib.design, PlanarDesign):
         residuals = [ResidualEntry(
             "axes parallel", prism_parallel_residual(cp), PARALLEL_TOL)]
-    else:
-        worst = max(v_norm(_floats(ax.point)) for ax in cp.pose.axes.values())
-        residuals = [ResidualEntry("anchors copunctal", worst, tol)]
+    else:  # the largest anchor coordinate: the apex is the origin
+        points, den = clear_denominators(_anchors(cp)[:4])
+        residuals = [ResidualEntry("anchors copunctal",
+                                   div(_largest(points), den), tol)]
     for label in labels:
         if label not in _LABEL_ENTRIES:
             raise ValueError(f"no predicate for label {label!r}")
         residuals.extend(
-            ResidualEntry(name, predicate(cp), tol if fixed is None else fixed)
+            ResidualEntry(name, predicate(cp, tol),
+                          tol if fixed is None else fixed)
             for name, predicate, fixed in _LABEL_ENTRIES[label])
     return CertificateReport(f"labels[{','.join(labels)}]", tuple(residuals))

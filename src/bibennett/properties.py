@@ -29,6 +29,7 @@ from .algebra import (
 )
 from .bennett import (
     AXIS_LABELS,
+    VERTEX_ROLES,
     DegenerateQuadricError,
     Pose,
     loop_closure_residual,
@@ -83,21 +84,6 @@ class CertificateReport:
 
 
 # ---------------------------------------------------------------------------
-# vertex roles: walking the quad cyclically
-# ---------------------------------------------------------------------------
-
-def _vertex_roles():
-    """(center, opposite, prev neighbor, next neighbor) label quadruples for
-    the four cyclic index shifts."""
-    order = list(AXIS_LABELS)  # (1,4), (1,2), (2,3), (3,4)
-    rolls = []
-    for i in range(4):
-        rolls.append((order[i], order[(i + 2) % 4],
-                      order[(i - 1) % 4], order[(i + 1) % 4]))
-    return rolls
-
-
-# ---------------------------------------------------------------------------
 # line-symmetric vertex certificates (opposite / adjacent angle equalities)
 # ---------------------------------------------------------------------------
 
@@ -141,7 +127,7 @@ def _vertex_certificate(name, residuals, cp: CoupledPose, tol
     """
     quad, axes = cp.quad, cp.pose.axes
     entries = []
-    for center, opposite, prev_n, next_n in _vertex_roles():
+    for center, opposite, prev_n, next_n in VERTEX_ROLES:
         c, o, u, w = (quad[lab] for lab in (center, opposite, prev_n, next_n))
         r_c, r_o = axes[center].direction, axes[opposite].direction
         sides = (v_sub(u, c), v_sub(w, c), v_sub(u, o), v_sub(w, o))
@@ -178,11 +164,9 @@ def deltoidal_certificate(bib: BiBennett, tau, tol: float = ISO_TOL
 # family-C adjacent-vertex half-turn certificate
 # ---------------------------------------------------------------------------
 
-def _adjacent_roles():
-    """(v, w, prev of v, opposite of v) quadruples for each adjacent vertex
-    pair (v, w) in cyclic order."""
-    return [(v, w, prev_v, opp_v)
-            for v, opp_v, prev_v, w in _vertex_roles()]
+# (v, w, prev of v, opposite of v) for each adjacent vertex pair (v, w)
+_ADJACENT_ROLES = tuple((v, w, prev_v, opp_v)
+                        for v, opp_v, prev_v, w in VERTEX_ROLES)
 
 
 def hat_points(quad: SkewQuad, bar_quad: SkewQuad, bar_points):
@@ -253,7 +237,7 @@ def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:
     corners = [tuple(float(x) for x in p) for p in quad.vertices()]
     min_gap = tol * max(math.dist(p, q)
                         for p, q in zip(corners, corners[1:] + corners[:1]))
-    for v, w, prev_v, opp_v in _adjacent_roles():
+    for v, w, prev_v, opp_v in _ADJACENT_ROLES:
         tag = f"P{v[0]}{v[1]}-P{w[0]}{w[1]}"
         pv, pw = quad[v], quad[w]
         bv, bw = bar_quad[v], bar_quad[w]
@@ -359,14 +343,21 @@ def bennett_loop_check(pose: Pose, tol) -> CertificateReport:
     return CertificateReport("bennett-loop", tuple(residuals))
 
 
+def parallel_residual(directions):
+    """Largest coordinate of the cross products of the first of
+    ``directions`` with the others: 0 iff all are parallel.  No square root
+    is taken, so exact input gives an exact value."""
+    first, *rest = directions
+    return max(abs(c) for d in rest for c in v_cross(first, d))
+
+
 def planar_loop_check(pose: Pose, tol) -> CertificateReport:
     """A planar loop at one pose: the chain closes, the axes are parallel,
     the anchors are coplanar and their opposite sides are equal, so they
     form a parallelogram or an antiparallelogram."""
     axes = [pose.axes[label] for label in AXIS_LABELS]
     anchors = SkewQuad(*(ax.point for ax in axes))
-    parallel = max(abs(c) for ax in axes[1:]
-                   for c in v_cross(axes[0].direction, ax.direction))
+    parallel = parallel_residual([ax.direction for ax in axes])
     side_a, side_b = isogram_residuals(anchors)
     return CertificateReport("planar-loop", (
         ResidualEntry("closure",

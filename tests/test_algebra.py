@@ -8,6 +8,7 @@ import pytest
 from bibennett.algebra import (
     DegenerateResultantError,
     DegreeBoundError,
+    clear_denominators,
     fit_rational,
     function_identity_zero,
     interpolate_polynomial,
@@ -52,6 +53,17 @@ def test_vector_helpers_exact():
     assert v_dot(a, b) == 32
     assert v_cross(a, b) == (F(-3), F(6), F(-3))
     assert v_norm_sq(a) == 14
+
+
+def test_clear_denominators():
+    # one denominator for every coordinate; a float among exact coordinates
+    # converts without rounding, vectors of floats and ints stay as they are
+    ints, den = clear_denominators([(F(1, 2), 0, 3), (F(-2, 3), 0.25, 1)])
+    assert (ints, den) == ([(6, 0, 36), (-8, 3, 12)], 12)
+    ints, den = clear_denominators([(F(1, 3), 0.1, 0)])
+    assert F(ints[0][1], den) == F(0.1) and F(ints[0][0], den) == F(1, 3)
+    floats = [(0.5, 0, 1.0)]
+    assert clear_denominators(floats) == (floats, 1.0)
 
 
 def test_mat_mul_identity():

@@ -148,7 +148,8 @@ def test_fuzzed_configs_keep_the_exit_code_contract(tmp_path, family, data):
 @st.composite
 def _family_config(draw):
     """A config of a random FAMILIES row with a value of the right kind for
-    every key (zeros, +-1 and equal pairs included) and a random mode."""
+    every key (zeros, +-1 and equal pairs included) and a random mode; a
+    planar or prismatic config is a rhombus, d1 = d2, in one draw of two."""
     family = draw(st.sampled_from(sorted(FAMILIES)))
     required, optional, *_ = FAMILIES[family]
     cases = (["1a", "1b", "2a", "2b"] if family == "planar"
@@ -158,6 +159,8 @@ def _family_config(draw):
     for key in sorted(required | optional):
         data[key] = draw(st.sampled_from(cases) if key == "case"
                          else _VALUES.get(key, _NUMBER))
+    if "d1" in data and draw(st.booleans()):
+        data["d2"] = data["d1"]
     return data
 
 
@@ -310,6 +313,25 @@ def test_bad_tol_env_is_input_error(monkeypatch, capsys):
     monkeypatch.setenv(TOL_ENV, "abc")
     assert main(["validate", "-c", "fig6"]) == EXIT_INPUT
     assert TOL_ENV in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["config", "--tol", TOL_ENV])
+def test_negative_tol_is_input_error(tmp_path, monkeypatch, capsys, source):
+    argv = ["certify", "-c", "fig4"]
+    if source == "config":
+        config = json.loads(fixture_path("fig4").read_text())
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps({**config, "tol": -1}))
+        argv = ["certify", "-c", str(path)]
+    elif source == "--tol":
+        argv += ["--tol", "-1"]
+    else:
+        monkeypatch.setenv(TOL_ENV, "-1e-9")
+    assert main(argv) == EXIT_INPUT
+    assert "'tol' must be nonnegative" in capsys.readouterr().err
+    # a zero tolerance stays valid: fig4's exact residuals are exact zeros
+    monkeypatch.delenv(TOL_ENV, raising=False)
+    assert main(["certify", "-c", "fig4", "--tol", "0"]) == EXIT_OK
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -466,17 +488,17 @@ GOLDEN_DIGESTS = {
     ("fig7", "float"):
         "c5f41a100a2feb558b759385ca54f11e8e8effec1055a39a7f4a56c1ab24dde6",
     ("fig8a", "exact"):
-        "3a2163a411d8b9a0492efd882a3ce48cebe0b02992a3b756510e311fc57befd1",
+        "8cd8febd610a153bc1607911fd057a6d7da903dceed12ced758b43fd9744f267",
     ("fig8a", "float"):
-        "c06b1070073a95a4aeeb0408940b3286ea9a767ffb89d341cc76fb858363ea53",
+        "4d3f8904eae057c6c582d24ea817bd586027a484ddf0e6ffc21e4b235ad11fd1",
     ("fig8b", "exact"):
-        "7a35d0f4a7a8f9c25d4c8af422331a14b7a2f95a4a96818fb3d8cef2136774dc",
+        "4e21853782c4d2152b5d63ba3a86c858ac9ed9203a98e280b8c3298b1b99677a",
     ("fig8b", "float"):
-        "d2d2b0d3e3c1ad0b5d6c5503c83b0fea21f7a62d335947e8cfb465c70864506e",
+        "52057f9339544b90c77aef18ce9d2712eef0c42734234f8b07d52a81ee48661c",
     ("fig9a", "exact"):
-        "aa1fc8a3342b6009a8752a5d1b27ee66fe21e9424236d872c579cdf83279067f",
+        "11fcba84ca569027a9c260a3206390c5dc89d9bd8b1a2baa473755df588fda98",
     ("fig9a", "float"):
-        "423dab0312a4946355b9bf20aabceb182bb03610832f30e4df9089ae0c681b64",
+        "9fd20728f6dd5c3861cb327d049d3b1b404656851f44918cf9c54c1556dd3618",
     "appendix":
         "80dc7b23d8be6c46346c91758a9777a5394c28c5574b768d550c496219b06dc8",
 }

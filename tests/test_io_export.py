@@ -123,6 +123,18 @@ def test_parse_rejects_equal_planar_offsets():
         parse_config(text)
 
 
+@pytest.mark.parametrize("family, case", [
+    ("planar", "1b"), ("planar", "2b"), ("C-prismatic", "para")])
+def test_parse_accepts_a_rhombus_off_the_pole(family, case):
+    # only cases 1a, 2a and anti have a transmission pole at d1 = d2
+    data = {"schema": 1, "family": family, "case": case, "d1": "1/2",
+            "d2": "1/2"}
+    if family != "planar":
+        data.update(mu14="1/3", mu12="1/2")
+    config = parse_config(json.dumps(data))
+    assert config.d1 == config.d2 == Fraction(1, 2)
+
+
 def test_load_config_rejects_non_utf8_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_bytes(b'\xff\xfe{"schema": 1}')

@@ -1,15 +1,18 @@
 """Unit tests for the prismatic and pyramidal limit structures."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bibennett.bennett import PoleError, validate
+from bibennett.algebra import v_add, v_sub
+from bibennett.bennett import AXIS_LABELS, PoleError, validate
 from bibennett.families import (
     MuSet,
     NoRealBranchError,
+    SkewQuad,
     TrivialQuadError,
     coupled_pose,
     family_c,
@@ -18,6 +21,9 @@ from bibennett.families import (
 )
 from bibennett.limits import (
     _LABEL_ENTRIES,
+    PREDICATE_TOL,
+    _mirror_residual,
+    label_check,
     limit_kind,
     prism_parallel_residual,
     prismatic_limit_AB,
@@ -196,3 +202,135 @@ def test_random_limits_verify_their_labels(family, case, data):
         assert report.verdict, (tau, report.lines())
         return
     assume(False)
+
+
+# ---------------------------------------------------------------------------
+# exact labels: every entry an exact 0 on exact input, the float verdict the
+# same, and each entry refuted by a move of a point it reads
+# ---------------------------------------------------------------------------
+
+def _family_a_offsets(a1, a2, sign, s2, s3):
+    """Offsets whose family-A half-tangents are the rationals (a1, a2): the
+    sums s1 = mu14 - mu12 + mu23 - mu34, s2 = mu14 - mu12 - mu23 + mu34,
+    s3 = mu14 + mu12 + mu23 + mu34 and s4 = mu14 + mu12 - mu23 - mu34 give
+    a1^2 = -s1 s2 / (s3 s4) and a2^2 = -s4 s1 / (s3 s2), which hold for
+    s1 = -sign a1 a2 s3 and s4 = sign s2 a2 / a1."""
+    s1, s4 = -sign * a1 * a2 * s3, sign * s2 * a2 / a1
+    return MuSet((s1 + s2 + s3 + s4) / 4, (-s1 - s2 + s3 + s4) / 4,
+                 (s1 - s2 + s3 - s4) / 4, (-s1 + s2 + s3 - s4) / 4)
+
+
+@st.composite
+def _exact_limit(draw, family, case):
+    """A builder of a labelled A or B limit with rational design, taking the
+    scalar conversion (identity for exact, float) as its argument."""
+    d1, d2 = draw(_PAIR)
+    if family == "A-prismatic":
+        mus = draw(st.tuples(_SIGNED, _SIGNED, _SIGNED))
+        return lambda cv: prismatic_limit_AB(
+            "A", case, cv(d1), cv(d2), *(cv(m) for m in mus))
+    if family == "B-prismatic":
+        mus = draw(st.tuples(_SIGNED, _SIGNED))
+        return lambda cv: prismatic_limit_AB(
+            "B", case, cv(d1), cv(d2), None, *(cv(m) for m in mus))
+    if family == "A-pyramidal":
+        mu = _family_a_offsets(d1, d2, draw(_SIGN), draw(_SIGNED),
+                               draw(_SIGNED))
+        return lambda cv: pyramidal_limit(make_family_a(
+            MuSet(*map(cv, mu.as_tuple())), k=0))
+    m23, m34 = draw(_SIGNED), draw(_SIGNED)
+    return lambda cv: pyramidal_limit(make_family_b(
+        cv(m23), cv(m34), validate(cv(d1), cv(d2), 0)))
+
+
+@pytest.mark.parametrize("family, case", [
+    ("A-prismatic", "anti"), ("A-prismatic", "para"), ("B-prismatic", "anti"),
+    ("A-pyramidal", None), ("B-pyramidal", None)])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_exact_limits_read_exact_zeros(family, case, data):
+    build = data.draw(_exact_limit(family, case))
+    try:
+        bib = build(lambda x: x)
+    except ValueError:  # the trivial pattern, or a zero pyramid offset
+        assume(False)
+    tau = data.draw(st.sampled_from(_TAU_POOL))
+    report = verify_labels(bib, tau)
+    for entry in report.residuals:
+        assert type(entry.value) in (int, F) and entry.value == 0, entry
+    assert verify_labels(build(float), float(tau)).verdict == report.verdict
+
+
+# The points each entry reads, by the entry name after its "label: "
+# prefix: "quad" the quad vertices, "hats" every hat anchor, "hat apex" the
+# hat anchor (1,4) only.
+_READS = {
+    "axes parallel": set(), "anchors copunctal": set(),
+    "line symmetry": {"quad", "hats", "hat apex"},
+    "plane symmetry": {"quad", "hat apex"},
+    "two V-hedral pairs + one anti-V-hedral": {"quad", "hat apex"},
+    "vertices coplanar": {"quad"}, "anti-parallelogram sides": {"quad"},
+    "not a parallelogram": {"parallelogram move"},
+    "symmetry plane parallel to edges": {"quad"}, "parallelogram": {"quad"},
+    "congruent cross-sections": {"hats", "hat apex"},
+}
+_MOVE = (F(1, 3), F(-1, 5), F(1, 7))
+_LABELLED = [
+    prismatic_limit_AB("A", "anti", F(1, 2), F(1, 3), mu12=F(1), mu23=F(3, 5),
+                       mu34=F(0)),
+    prismatic_limit_AB("A", "para", F(1, 2), F(1, 3), mu12=F(1, 4),
+                       mu23=F(2, 3), mu34=F(1, 2)),
+    prismatic_limit_AB("B", "anti", F(1, 2), F(1, 3), mu23=F(2, 3),
+                       mu34=F(1, 2)),
+    prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1),
+    prismatic_limit_C("para", F(2, 3), F(3, 4), F(1, 3), F(1, 2), 1, -1),
+    pyramidal_limit(make_family_a(MuSet(F(37, 40), F(7, 8), F(1), F(1, 2)),
+                                  k=0)),
+    pyramidal_limit(make_family_b(F(2, 3), F(1, 2),
+                                  validate(F(1, 2), F(1, 3), 0))),
+    pyramidal_limit(family_c(validate(F(1, 2), F(1, 3), 0), F(2, 3),
+                             F(1, 2), 1, -1)),
+]
+
+
+def _failed(cp, reads):
+    """The entries of the label check of ``cp`` that fail, and those of its
+    labels that read one of ``reads``."""
+    report = label_check(cp, PREDICATE_TOL)
+    expected = {r.label for r in report.residuals
+                if _READS[r.label.partition(": ")[2] or r.label] & reads}
+    return {r.label for r in report.failed()}, expected
+
+
+@pytest.mark.parametrize("bib", _LABELLED, ids=lambda b: "-".join(
+    [b.family, limit_kind(b), *sorted(b.labels)]))
+def test_moved_points_refute_the_labels_that_read_them(bib):
+    cp = coupled_pose(bib, TAU)
+    assert label_check(cp, PREDICATE_TOL).verdict
+    for label in AXIS_LABELS:
+        vertices = dict(zip(AXIS_LABELS, cp.quad.vertices()))
+        vertices[label] = v_add(vertices[label], _MOVE)
+        failed, expected = _failed(
+            replace(cp, quad=SkewQuad(*vertices.values())), {"quad"})
+        assert failed == expected, ("quad", label)
+        hat = cp.hat_axes[label]
+        hat_axes = {**cp.hat_axes, label: replace(
+            hat, point=v_add(hat.point, _MOVE))}
+        failed, expected = _failed(replace(cp, hat_axes=hat_axes), {
+            "hats", "hat apex"} if label == (1, 4) else {"hats"})
+        assert failed == expected, ("hat", label)
+    # a quad that is not a parallelogram is made one by moving P12 onto
+    # P14 + P23 - P34
+    p12 = v_add(cp.quad.p14, v_sub(cp.quad.p23, cp.quad.p34))
+    failed, expected = _failed(replace(cp, quad=replace(cp.quad, p12=p12)),
+                               {"parallelogram move"})
+    assert expected <= failed
+
+
+def test_mirror_needs_one_plane_for_both_swapped_pairs():
+    # the x = 0 plane swaps u1, u2 and the y = 0 plane swaps w1, w2; both
+    # contain the fixed points and both midpoints, so only the parallelism
+    # of the two differences tells that no one mirror swaps both pairs
+    u, fixed = ((1, 0, 0), (-1, 0, 0)), ((0, 0, 1), (0, 0, -1))
+    assert _mirror_residual((u, ((0, 1, 0), (0, -1, 0))), fixed, 1) == 2
+    assert _mirror_residual((u, ((1, 1, 0), (-1, 1, 0))), fixed, 1) == 0
