@@ -9,8 +9,10 @@ here, so the exact path stays radical-free.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import islice, product
 
 
 class DegenerateResultantError(ValueError):
@@ -19,6 +21,10 @@ class DegenerateResultantError(ValueError):
 
 class DegreeBoundError(ValueError):
     """A sampled value contradicts the supplied degree bounds."""
+
+
+class InterpolationNodeError(ValueError):
+    """Fewer interpolation points than the degree needs, or a repeated node."""
 
 
 def is_exact(x) -> bool:
@@ -97,17 +103,18 @@ def v_dist_sq(a, b):
 
 
 def clear_denominators(vectors):
-    """(integer vectors, D): ``vectors`` over one positive denominator D,
-    floats among exact coordinates converted without rounding.  Vectors of
-    floats and ints come back as they are, with D = 1.0."""
+    """(integer vectors, D): ``vectors`` (of any lengths) over one positive
+    denominator D, floats among exact coordinates converted without
+    rounding.  Vectors of floats and ints come back as they are, with
+    D = 1.0."""
     coords = [x for v in vectors for x in v]
     kinds = set(map(type, coords))
     if float in kinds and Fraction not in kinds:
         return vectors, 1.0
     ratios = [x.as_integer_ratio() for x in coords]
     den = math.lcm(*(d for _, d in ratios))
-    ints = [n * (den // d) for n, d in ratios]
-    return [tuple(ints[i:i + 3]) for i in range(0, len(ints), 3)], den
+    ints = iter([n * (den // d) for n, d in ratios])
+    return [tuple(islice(ints, len(v))) for v in vectors], den
 
 
 def det3(r0, r1, r2):
@@ -199,17 +206,41 @@ def nullspace_vector(rows, ncols):
 # univariate interpolation and rational-function fitting
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=32)  # the appendix uses four node tuples
+def _inverse_vandermonde(nodes):
+    """(exact, float) inverse of the Vandermonde matrix of ``nodes``, as row
+    tuples: row j gives coefficient j from the values at the nodes.  Float
+    nodes are taken at their exact binary values, and the float inverse is
+    the exact one rounded once.  Built on first use, never at import."""
+    n = len(nodes)
+    m = [[Fraction(x) ** j for j in range(n)]
+         + [Fraction(int(i == k)) for k in range(n)]
+         for i, x in enumerate(nodes)]
+    _row_reduce(m, n)
+    exact = tuple(tuple(row[n:]) for row in m)
+    return exact, tuple(tuple(map(float, row)) for row in exact)
+
+
 def interpolate_polynomial(fun, degree: int, points):
     """Coefficients (ascending) of the degree-``degree`` polynomial matching
     ``fun`` on the first ``degree+1`` of ``points``, verified on the rest.
 
-    Exact when ``fun`` returns exact scalars at exact points.
+    The coefficients are the exact inverse Vandermonde matrix of the first
+    ``degree+1`` points, built once per node tuple, times the values: exact
+    when ``fun`` returns exact scalars at exact points, and otherwise the
+    same inverse rounded to floats.  Raises InterpolationNodeError on too
+    few points or a repeated node.
     """
     xs = list(points)
-    ys = [fun(x) for x in xs]
     n = degree + 1
-    vander = [[xs[i] ** j for j in range(n)] for i in range(n)]
-    coeffs = solve_linear(vander, ys[:n])
+    nodes = tuple(xs[:n])
+    if len(nodes) < n or len(set(nodes)) < n:
+        raise InterpolationNodeError(
+            f"degree {degree} needs {n} distinct points, got {nodes}")
+    ys = [fun(x) for x in xs]
+    exact, rounded = _inverse_vandermonde(nodes)
+    inverse = exact if all(map(is_exact, nodes + tuple(ys[:n]))) else rounded
+    coeffs = [sum(w * y for w, y in zip(row, ys)) for row in inverse]
     for x, y in zip(xs[n:], ys[n:]):
         if sum(coeffs[j] * x ** j for j in range(n)) != y:
             raise DegreeBoundError(f"function is not a degree-{degree} polynomial")
@@ -278,7 +309,12 @@ def function_identity_zero(fun, var_names, degree_bounds) -> bool:
 
 def sylvester_resultant(p, q):
     """Resultant of two univariate polynomials given as ascending coefficient
-    lists of scalars; exact for Fraction input."""
+    lists of scalars; exact for Fraction input.
+
+    The Sylvester determinant is taken by Bareiss fraction-free elimination
+    (Math. Comp. 22, 1968) on p and q cleared to integers over one
+    denominator each, and divided by the row scales once; floats run the
+    same elimination with scale 1.0 and true division."""
     p = list(p)
     q = list(q)
     while p and p[-1] == 0:
@@ -287,37 +323,39 @@ def sylvester_resultant(p, q):
         q.pop()
     if len(p) < 2 and len(q) < 2:
         raise DegenerateResultantError("both polynomials are constant")
+    (p,), p_den = clear_denominators([p])
+    (q,), q_den = clear_denominators([q])
     m = len(p) - 1
     n = len(q) - 1
+    if m < 0 or n < 0:  # the zero polynomial shares every root
+        return div(0, p_den * q_den)
+    scale = p_den ** n * q_den ** m
     size = m + n
-    rows = []
-    for i in range(n):
-        row = [0] * size
-        for j, c in enumerate(reversed(p)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [0] * size
-        for j, c in enumerate(reversed(q)):
-            row[i + j] = c
-        rows.append(row)
-    # bareiss-free: plain fraction Gaussian determinant
-    det = Fraction(1) if all(is_exact(c) for c in p + q) else 1.0
-    a = [r[:] for r in rows]
+    a = []
+    for coeffs, count in ((p, n), (q, m)):
+        for i in range(count):
+            row = [0] * size
+            row[i:i + len(coeffs)] = reversed(coeffs)
+            a.append(row)
+    # integer rows divide exactly; a float row makes every quotient a float
+    exact = isinstance(p_den, int) and isinstance(q_den, int)
+    divide = operator.floordiv if exact else operator.truediv
+    sign, prev = 1, 1
     for c in range(size):
         piv = next((r for r in range(c, size) if a[r][c] != 0), None)
         if piv is None:
-            return det * 0
+            return div(0 * prev, scale)
         if piv != c:
             a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = a[c][c]
+            sign = -sign
+        pv = a[c][c]
         for r in range(c + 1, size):
-            if a[r][c] != 0:
-                f = a[r][c] / inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return det
+            f = a[r][c]
+            a[r] = [0] * (c + 1) + [
+                divide(pv * x - f * y, prev)
+                for x, y in zip(a[r][c + 1:], a[c][c + 1:])]
+        prev = pv
+    return div(sign * prev, scale)
 
 
 def _poly_mul(a, b):

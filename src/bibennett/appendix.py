@@ -17,19 +17,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
+    clear_denominators,
+    det3,
     function_identity_zero,
     interpolate_polynomial,
     is_exact,
     sylvester_resultant,
+    v_add,
+    v_scale,
+    v_sub,
 )
-from .bennett import BennettDesign, frame, transmission_K
-from .families import MuSet, points_on_axes
+from .bennett import AXIS_LABELS, BennettDesign, frame, transmission_K
+from .families import MuSet
 from .properties import CertificateReport, ResidualEntry
 
 
 class StructuralFactorError(ValueError):
     """A structural factor a1*a2*(a1-a2)*(a1+a2) vanishes, so the coefficient
     normalisation of the coplanarity expansion is undefined."""
+
+
+class ZeroPolynomialError(ValueError):
+    """A root count was asked of the zero polynomial, which vanishes at
+    every point."""
 
 
 # Interpolation nodes for the degree-4 drive polynomial hidden inside the
@@ -79,9 +89,34 @@ def _check_structural_factor(a1, a2):
         )
 
 
+def _cleared_drive(design, big_k, tau):
+    """(anchors, directions, weight) of the drive frame at ``tau``: the four
+    anchor points and directions in axis order, cleared to integers over one
+    denominator D, and the weight (tau^2 + K^2)(1 + tau^2) / D^3, which
+    clears the coplanarity determinant's denominator in tau."""
+    pose = frame(design, tau)
+    axes = [pose.axes[label] for label in AXIS_LABELS]
+    vectors, den = clear_denominators([ax.point for ax in axes]
+                                      + [ax.direction for ax in axes])
+    weight = (tau * tau + big_k * big_k) * (1 + tau * tau) / den ** 3
+    return vectors[:4], vectors[4:], weight
+
+
+def _cleared_determinant(drive, offsets, den):
+    """den^3 times the weighted coplanarity determinant of the quad at the
+    offsets ``offsets`` / ``den`` on the cleared ``drive``: the orientation
+    determinant of the points den*F + offset*r, integers on exact input,
+    times the drive's weight."""
+    anchors, directions, weight = drive
+    p14, p12, p23, p34 = (v_add(v_scale(den, point), v_scale(m, direction))
+                          for point, direction, m
+                          in zip(anchors, directions, offsets))
+    return det3(v_sub(p12, p14), v_sub(p23, p14), v_sub(p34, p14)) * weight
+
+
 def _coeff_evaluator(a1, a2):
     """Closure computing normalised expansion coefficients for varying offsets
-    with the drive frames computed only once."""
+    with the drive frames computed and cleared only once."""
     _check_structural_factor(a1, a2)
     exact = is_exact(a1) and is_exact(a2)
     design = BennettDesign(a1, a2, Fraction(1) if exact else 1.0)
@@ -91,21 +126,21 @@ def _coeff_evaluator(a1, a2):
     taus = _TAU_NODES + _TAU_CHECKS if exact else _TAU_NODES
     if not exact:
         taus = tuple(float(t) for t in taus)
-    frames = {tau: frame(design, tau) for tau in taus}
+    drives = {tau: _cleared_drive(design, big_k, tau) for tau in taus}
     lam = -((1 + a1 * a1) ** 2) * (1 + a2 * a2) ** 2 * (a1 - a2) ** 2
 
     def coeffs(mu: MuSet):
-        def cleared(tau):
-            det = points_on_axes(frames[tau], mu).orientation_det()
-            return det * (tau * tau + big_k * big_k) * (1 + tau * tau)
-
-        n = interpolate_polynomial(cleared, 4, list(taus))
+        (offsets,), den = clear_denominators([mu.as_tuple()])
+        n = interpolate_polynomial(
+            lambda tau: _cleared_determinant(drives[tau], offsets, den),
+            4, taus)
+        scale = lam / den ** 3
         return (
-            lam * n[0] / (a1 + a2) ** 2,
-            -lam * n[1] / (a1 * a2 * (a1 + a2)),
-            lam * n[2],
-            -lam * n[3] / (a1 * a2 * (a1 - a2)),
-            lam * n[4] / (a1 - a2) ** 2,
+            scale * n[0] / (a1 + a2) ** 2,
+            -scale * n[1] / (a1 * a2 * (a1 + a2)),
+            scale * n[2],
+            -scale * n[3] / (a1 * a2 * (a1 - a2)),
+            scale * n[4] / (a1 - a2) ** 2,
         )
 
     return coeffs
@@ -241,11 +276,15 @@ def count_positive_roots(poly) -> int:
     the open interval (0, oo), via a Sturm chain.
 
     Float coefficients are taken at their exact rational values, so the
-    count is exact for the polynomial the floats denote."""
+    count is exact for the polynomial the floats denote.  Raises
+    ZeroPolynomialError on the zero polynomial, every point of which is a
+    root."""
     p = [Fraction(c) for c in poly]
     while p and p[-1] == 0:
         p.pop()
-    while p and p[0] == 0:
+    if not p:
+        raise ZeroPolynomialError("the zero polynomial has no finite root count")
+    while p[0] == 0:
         p.pop(0)
     if len(p) < 2:
         return 0
@@ -385,13 +424,20 @@ def _equal_offsets_entry(rng, samples):
 
 def _first_quartic_entry(grid):
     """The first resultant factor is a sum of squares plus one, hence at least
-    one everywhere; a positivity grid cross-checks the closed form."""
-    worst = 0.0
-    for i in range(grid):
-        for j in range(grid):
-            a1 = Fraction(5 * (i + 1), grid)
-            a2 = Fraction(5 * (j + 1), grid)
-            if quartic_g1(a1, a2) < 1:
+    one everywhere: quartic_g1 - 1 = (a1*a2)^2 + 2*a2^2 is proved as a
+    polynomial identity (degree at most 2 in a1 and a2), and a positivity
+    grid of a1, a2 = 5*i/grid, 5*j/grid cross-checks the cleared form
+    grid^4 * (quartic_g1 - 1) on the integer numerators."""
+
+    def gap(a1, a2):
+        return quartic_g1(a1, a2) - 1 - ((a1 * a2) ** 2 + 2 * a2 * a2)
+
+    proved = function_identity_zero(gap, ("a1", "a2"), {"a1": 2, "a2": 2})
+    worst = 0.0 if proved else 1.0
+    numerators = range(5, 5 * grid + 1, 5)
+    for n1 in numerators:
+        for n2 in numerators:
+            if (n1 * n2) ** 2 + 2 * (n2 * grid) ** 2 < 0:
                 worst = 1.0
     return ResidualEntry("first quartic positive [closed form + grid]", worst, 0.0)
 
@@ -422,7 +468,10 @@ def _second_factor_exact_entry(swapped):
         if swapped:
             a1, a2 = a2, a1
         p0, _ = constrained_case_polynomials(a1, a2, swapped)
-        if count_real_roots(p0) != 0:
+        try:
+            if count_real_roots(p0) != 0:
+                worst = 1.0
+        except ZeroPolynomialError:  # every offset would be a root
             worst = 1.0
     tag = "swapped" if swapped else "direct"
     return ResidualEntry(f"second quartic roots {tag} [exact points]", worst, 0.0)
@@ -446,14 +495,18 @@ def _grid_entry(label, curve, grid, swapped):
         # Coefficients that are pure interpolation noise are stripped at both
         # ends: a vanishing low-order block only adds roots at offset zero,
         # which a valid coupling excludes.  The Sturm count then runs on the
-        # exact rational values of the remaining float coefficients.
+        # exact rational values of the remaining float coefficients; a zero
+        # scale, or a strip that leaves nothing, is the zero polynomial.
         even = [poly[k] for k in range(0, len(poly), 2)]
         scale = max(abs(c) for c in even)
         while even and abs(even[-1]) <= 1e-9 * scale:
             even.pop()
         while even and abs(even[0]) <= 1e-9 * scale:
             even.pop(0)
-        if count_positive_roots(even):
+        try:
+            if count_positive_roots(even):
+                worst = 1.0
+        except ZeroPolynomialError:
             worst = 1.0
     return ResidualEntry(label, worst, 0.0)
 

@@ -4,10 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibennett.algebra import (
     DegenerateResultantError,
     DegreeBoundError,
+    InterpolationNodeError,
+    _inverse_vandermonde,
     clear_denominators,
     fit_rational,
     function_identity_zero,
@@ -23,6 +27,12 @@ from bibennett.algebra import (
     v_cross,
     v_dot,
     v_norm_sq,
+)
+from bibennett.appendix import (
+    _OFFSET_CHECKS,
+    _OFFSET_NODES,
+    _TAU_CHECKS,
+    _TAU_NODES,
 )
 
 F = Fraction
@@ -64,6 +74,9 @@ def test_clear_denominators():
     assert F(ints[0][1], den) == F(0.1) and F(ints[0][0], den) == F(1, 3)
     floats = [(0.5, 0, 1.0)]
     assert clear_denominators(floats) == (floats, 1.0)
+    # vectors keep their lengths
+    assert clear_denominators([(F(1, 2), 1, F(1, 3), 0), (F(1, 4),)]) == (
+        [(6, 12, 4, 0), (3,)], 12)
 
 
 def test_mat_mul_identity():
@@ -115,6 +128,77 @@ def test_interpolate_degree_violation():
                                [F(0), F(1), F(2), F(3)])
 
 
+def _gauss_jordan_interpolation(fun, degree, points):
+    """Reference: the Vandermonde system of the first degree+1 points solved
+    by Gauss-Jordan elimination with first-nonzero pivots."""
+    n = degree + 1
+    m = [[x ** j for j in range(n)] + [fun(x)] for x in points[:n]]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if m[r][c] != 0)
+        m[c], m[piv] = m[piv], m[c]
+        m[c] = [v / m[c][c] for v in m[c]]
+        for r in range(n):
+            if r != c:
+                m[r] = [v - m[r][c] * w for v, w in zip(m[r], m[c])]
+    return [row[n] for row in m]
+
+
+_RATIONAL = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+_APPENDIX_NODES = st.sampled_from([_TAU_NODES + _TAU_CHECKS,
+                                   _OFFSET_NODES + _OFFSET_CHECKS])
+_INTERPOLATION_SETTINGS = settings(max_examples=120, deadline=None,
+                                   derandomize=True)
+
+
+@st.composite
+def _poly_and_nodes(draw):
+    """(ascending coefficients of degree at most ``degree``, degree, nodes):
+    random distinct rational nodes with two checks, or an appendix tuple."""
+    if draw(st.booleans()):
+        nodes = draw(_APPENDIX_NODES)
+        degree = len(nodes) - 3
+    else:
+        degree = draw(st.integers(0, 6))
+        nodes = tuple(draw(st.lists(_RATIONAL, min_size=degree + 3,
+                                    max_size=degree + 3, unique=True)))
+    coeffs = draw(st.lists(_RATIONAL, min_size=degree + 1,
+                           max_size=degree + 1))
+    return coeffs, degree, nodes
+
+
+def _evaluate(coeffs):
+    return lambda x: sum(c * x ** i for i, c in enumerate(coeffs))
+
+
+@_INTERPOLATION_SETTINGS
+@given(_poly_and_nodes(), st.integers(-9, 9).filter(bool))
+def test_interpolation_matches_gauss_jordan(case, lead):
+    coeffs, degree, nodes = case
+    got = interpolate_polynomial(_evaluate(coeffs), degree, nodes)
+    reference = _gauss_jordan_interpolation(_evaluate(coeffs), degree, nodes)
+    assert [(type(c), c) for c in got] == [(type(c), c) for c in reference]
+    assert got == coeffs and all(type(c) is Fraction for c in got)
+    # float values come from the same inverse rounded once
+    floats = interpolate_polynomial(
+        lambda x: float(_evaluate(coeffs)(x)), degree, nodes[:degree + 1])
+    assert all(type(c) is float for c in floats)
+    scale = max(1, *map(abs, coeffs))
+    assert all(abs(c - e) <= 1e-6 * scale for c, e in zip(floats, coeffs))
+    with pytest.raises(DegreeBoundError):
+        interpolate_polynomial(_evaluate(coeffs + [F(lead)]), degree, nodes)
+
+
+def test_interpolation_node_errors_come_before_the_inverse():
+    built = _inverse_vandermonde.cache_info().misses
+    with pytest.raises(InterpolationNodeError):
+        interpolate_polynomial(lambda x: x, 2, [F(0), F(1)])
+    with pytest.raises(InterpolationNodeError):
+        interpolate_polynomial(lambda x: x, 2, [F(0), F(1), F(1), F(2)])
+    with pytest.raises(InterpolationNodeError):
+        interpolate_polynomial(lambda x: x, 1, [0.5, F(1, 2)])
+    assert _inverse_vandermonde.cache_info().misses == built
+
+
 def test_fit_rational_recovers_ratio():
     def fun(x):
         return (1 + x * x) / (2 - x)
@@ -153,6 +237,82 @@ def test_sylvester_resultant_common_root():
     r = [2, -3, 1]  # (x-1)(x-2)
     s = [12, -7, 1]  # (x-3)(x-4)
     assert sylvester_resultant([F(c) for c in r], [F(c) for c in s]) != 0
+
+
+def _gaussian_resultant(p, q):
+    """Reference: the Sylvester determinant of trimmed p and q by fraction
+    Gaussian elimination with first-nonzero pivots."""
+    p, q = list(p), list(q)
+    while p and p[-1] == 0:
+        p.pop()
+    while q and q[-1] == 0:
+        q.pop()
+    m, n = len(p) - 1, len(q) - 1
+    size = m + n
+    a = []
+    for coeffs, count in ((p, n), (q, m)):
+        for i in range(count):
+            row = [0] * size
+            for j, c in enumerate(reversed(coeffs)):
+                row[i + j] = c
+            a.append(row)
+    det = Fraction(1) if all(is_exact(c) for c in p + q) else 1.0
+    for c in range(size):
+        piv = next((r for r in range(c, size) if a[r][c] != 0), None)
+        if piv is None:
+            return det * 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, size):
+            if a[r][c] != 0:
+                f = a[r][c] / a[c][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def test_sylvester_resultant_matches_gaussian_determinant():
+    rng = random.Random(11)
+
+    def rational():
+        return F(rng.randint(-9, 9), rng.randint(1, 7))
+
+    def poly(degree):
+        return [rational() for _ in range(degree)] + [
+            F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))]
+
+    pairs = []
+    for _ in range(60):
+        pairs.append((poly(rng.randint(0, 5)), poly(rng.randint(1, 5))))
+    # a shared factor x - r gives a zero resultant; so does a zero pivot
+    root = [-F(2, 3), F(1)]
+    pairs.append(([c * 2 for c in _poly_mul(root, poly(2))],
+                  _poly_mul(root, poly(3))))
+    pairs.append(([F(1), F(0), F(1)], [F(0), F(1)]))
+    for p, q in pairs:
+        got = sylvester_resultant(p, q)
+        reference = _gaussian_resultant(p, q)
+        assert (type(got), got) == (type(reference), reference)
+    assert sylvester_resultant(pairs[60][0], pairs[60][1]) == 0
+    # int coefficients stay exact (the reference's int / int is a float)
+    assert _gaussian_resultant([1, 2, 3], [4, 5]) == 33.0
+    got = sylvester_resultant([1, 2, 3], [4, 5])
+    assert (type(got), got) == (Fraction, 33)
+    # floats run the same elimination and stay floats
+    fp, fq = ([float(c) for c in x] for x in pairs[0])
+    got = sylvester_resultant(fp, fq)
+    assert type(got) is float
+    assert got == pytest.approx(float(_gaussian_resultant(*pairs[0])),
+                                rel=1e-9)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def test_resultant_tau_bar_degenerate():

@@ -6,9 +6,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import bibennett.appendix as appendix
 from bibennett.appendix import (
     StructuralFactorError,
+    ZeroPolynomialError,
+    _cleared_determinant,
+    _cleared_drive,
+    _grid_entry,
+    _offset_polynomials,
+    _second_curve,
+    _second_factor_exact_entry,
+    _third_curve,
     constrained_case_polynomials,
     constrained_mu_product,
     constrained_resultant_target,
@@ -21,8 +32,8 @@ from bibennett.appendix import (
     splitting_f2,
     verify_nonexistence,
 )
-from bibennett.algebra import sylvester_resultant
-from bibennett.bennett import BennettDesign, frame
+from bibennett.algebra import clear_denominators, sylvester_resultant
+from bibennett.bennett import BennettDesign, frame, transmission_K
 from bibennett.families import MuSet, points_on_axes
 
 F = Fraction
@@ -123,6 +134,76 @@ def test_sturm_root_counts_on_float_coefficients():
     assert count_positive_roots([2.0, 0.5, 1.0]) == 0
     # a double root counts once: (x - 1/2)^2
     assert count_positive_roots([0.25, -1.0, 1.0]) == 1
+
+
+def test_zero_polynomial_has_no_root_count():
+    with pytest.raises(ZeroPolynomialError):
+        count_positive_roots([0, 0, 0])
+    with pytest.raises(ZeroPolynomialError):
+        count_positive_roots([])
+    with pytest.raises(ZeroPolynomialError):
+        count_real_roots([0] * 7)
+    with pytest.raises(ZeroPolynomialError):
+        count_real_roots([0.0] * 7)
+    # a nonzero constant has no root, and a root at zero is not positive
+    assert count_positive_roots([F(3)]) == 0
+    assert count_positive_roots([0, 0, F(1)]) == 0
+
+
+def test_zero_constrained_polynomial_fails_the_exact_entry(monkeypatch):
+    monkeypatch.setattr(appendix, "constrained_case_polynomials",
+                        lambda a1, a2, swapped: ([F(0)] * 7, [F(0)] * 7))
+    for swapped in (False, True):
+        assert _second_factor_exact_entry(swapped).value == 1.0
+
+
+def test_zero_grid_polynomial_fails_the_grid_entry(monkeypatch):
+    # a zero scale strips every coefficient: the zero polynomial again
+    monkeypatch.setattr(appendix, "_offset_polynomials",
+                        lambda a1, a2, swapped, indices: ([0.0] * 7,))
+    entry = _grid_entry("zero [grid]", _second_curve, 3, False)
+    assert entry.value == 1.0 and not entry.passed
+
+
+_POSITIVE = st.builds(F, st.integers(1, 40), st.integers(1, 30))
+_OFFSET = st.builds(F, st.integers(-40, 40), st.integers(1, 30))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_POSITIVE, _POSITIVE, st.lists(_OFFSET, min_size=4, max_size=4),
+       _OFFSET.filter(bool))
+def test_cleared_determinant_matches_orientation_det(a1, a2, offsets, tau):
+    assume(a1 != a2)
+    design = BennettDesign(a1, a2, F(1))
+    big_k = transmission_K(design)
+    mu = MuSet(*offsets)
+    (ints,), den = clear_denominators([mu.as_tuple()])
+    value = _cleared_determinant(_cleared_drive(design, big_k, tau), ints,
+                                 den)
+    reference = (points_on_axes(frame(design, tau), mu).orientation_det()
+                 * (tau * tau + big_k * big_k) * (1 + tau * tau))
+    assert type(value) is Fraction
+    assert value == reference * den ** 3
+
+
+def test_grid_strip_removes_only_noise():
+    # the strip of each [grid] polynomial cuts at 1e-9 * scale; what it
+    # removes must be interpolation noise, well below that cut
+    worst = 0.0
+    for curve in (_second_curve, _third_curve):
+        for swapped in (False, True):
+            for i in range(100):
+                a1, a2 = curve(i, 100)
+                if swapped:
+                    a1, a2 = a2, a1
+                (poly,) = _offset_polynomials(a1, a2, swapped, (0,))
+                even = list(poly[0::2])
+                scale = max(map(abs, even))
+                while even and abs(even[-1]) <= 1e-9 * scale:
+                    worst = max(worst, abs(even.pop()) / scale)
+                while even and abs(even[0]) <= 1e-9 * scale:
+                    worst = max(worst, abs(even.pop(0)) / scale)
+    assert worst < 2e-10
 
 
 def test_nonexistence_suite_passes():
