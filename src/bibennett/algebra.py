@@ -206,7 +206,7 @@ def nullspace_vector(rows, ncols):
 # univariate interpolation and rational-function fitting
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)  # the appendix uses four node tuples
+@lru_cache(maxsize=32)  # the appendix uses five node tuples
 def _inverse_vandermonde(nodes):
     """(exact, float) inverse of the Vandermonde matrix of ``nodes``, as row
     tuples: row j gives coefficient j from the values at the nodes.  Float

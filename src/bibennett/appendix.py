@@ -5,23 +5,24 @@ moving anchor points to stay coplanar for every drive parameter.  Expanding
 that coplanarity determinant in the drive half-tangent gives five coefficient
 conditions whose case analysis rules every candidate out.  This module
 recomputes the expansion with rational arithmetic and re-derives each step of
-the case analysis, labelling every entry of the resulting report with the
-strength of the argument used (polynomial identity, exact sampling, or grid).
+the case analysis in exact arithmetic, labelling every entry of the
+resulting report with the strength of the argument used: a polynomial
+identity, exact sampling, or a whole-curve proof by exact root counts.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .algebra import (
+    DegreeBoundError,
     clear_denominators,
     det3,
     function_identity_zero,
     interpolate_polynomial,
-    is_exact,
     sylvester_resultant,
     v_add,
     v_scale,
@@ -53,9 +54,9 @@ _TAU_NODES = (
 )
 _TAU_CHECKS = (Fraction(9, 10), Fraction(4, 5))
 
-# Nodes in the free anchor offset used to interpolate the (even) degree-6
+# Nodes in the free anchor offset used to interpolate the (even) degree-4
 # polynomials of the two constrained cases, plus degree-confirming extras.
-_OFFSET_NODES = tuple(Fraction(i + 1, 2) for i in range(7))
+_OFFSET_NODES = tuple(Fraction(i + 1, 2) for i in range(5))
 _OFFSET_CHECKS = (Fraction(9, 2), Fraction(11, 3))
 
 
@@ -80,13 +81,6 @@ class CoplanarityExpansion:
     c2: Fraction
     c3: Fraction
     c4: Fraction
-
-
-def _check_structural_factor(a1, a2):
-    if a1 * a2 * (a1 - a2) * (a1 + a2) == 0:
-        raise StructuralFactorError(
-            "a1*a2*(a1-a2)*(a1+a2) must be nonzero to normalise the expansion"
-        )
 
 
 def _cleared_drive(design, big_k, tau):
@@ -115,17 +109,15 @@ def _cleared_determinant(drive, offsets, den):
 
 
 def _coeff_evaluator(a1, a2):
-    """Closure computing normalised expansion coefficients for varying offsets
-    with the drive frames computed and cleared only once."""
-    _check_structural_factor(a1, a2)
-    exact = is_exact(a1) and is_exact(a2)
-    design = BennettDesign(a1, a2, Fraction(1) if exact else 1.0)
+    """Closure computing normalised expansion coefficients for varying exact
+    offsets of the exact design (a1, a2), with the drive frames computed and
+    cleared only once."""
+    if a1 * a2 * (a1 - a2) * (a1 + a2) == 0:
+        raise StructuralFactorError(
+            "a1*a2*(a1-a2)*(a1+a2) must be nonzero to normalise the expansion")
+    design = BennettDesign(a1, a2, Fraction(1))
     big_k = transmission_K(design)
-    # Degree checks need exact equality, so the float path interpolates on
-    # the minimal node set only (the degree bound is established exactly).
-    taus = _TAU_NODES + _TAU_CHECKS if exact else _TAU_NODES
-    if not exact:
-        taus = tuple(float(t) for t in taus)
+    taus = _TAU_NODES + _TAU_CHECKS
     drives = {tau: _cleared_drive(design, big_k, tau) for tau in taus}
     lam = -((1 + a1 * a1) ** 2) * (1 + a2 * a2) ** 2 * (a1 - a2) ** 2
 
@@ -150,8 +142,11 @@ def coplanarity_coeffs(a1, a2, mu: MuSet) -> CoplanarityExpansion:
     """Normalised quartic coefficients of the coplanarity determinant.
 
     Works with the scale factor pinned to one; requires the structural factor
-    ``a1*a2*(a1-a2)*(a1+a2)`` to be nonzero.
+    ``a1*a2*(a1-a2)*(a1+a2)`` to be nonzero.  Float parameters are first
+    converted to the rationals they represent.
     """
+    a1, a2 = Fraction(a1), Fraction(a2)
+    mu = MuSet(*map(Fraction, mu.as_tuple()))
     c0, c1, c2, c3, c4 = _coeff_evaluator(a1, a2)(mu)
     return CoplanarityExpansion(a1=a1, a2=a2, mu=mu, c0=c0, c1=c1, c2=c2, c3=c3, c4=c4)
 
@@ -201,37 +196,32 @@ def constrained_mu_product(a1, a2, swapped: bool = False):
     return -factor(a1, a2, 0) / ((1 + a1 * a1) * (1 + a2 * a2))
 
 
-def _offset_polynomials(a1, a2, swapped, indices):
-    """Ascending coefficients, in the free offset x, of x^2 times each
-    expansion coefficient named in ``indices`` on the constrained case; only
-    exact designs confirm the degree bound on extra nodes."""
+def constrained_case_polynomials(a1, a2, swapped: bool = False):
+    """The two even polynomials of degree 4 (in the one remaining free
+    offset x) whose simultaneous vanishing the constrained case would
+    require: ascending coefficients of x^2 times the constant and the
+    quadratic expansion coefficients.
+
+    The determinant is linear in each offset, and the offsets are x, x,
+    P/x and P/x for the forced product P, so x^2 times each coefficient has
+    degree at most 4; extra nodes confirm the bound.  Float twists are
+    first converted to the rationals they represent.
+    """
+    a1, a2 = Fraction(a1), Fraction(a2)
     coeffs = _coeff_evaluator(a1, a2)
-    product = constrained_mu_product(a1, a2, swapped)
-    if is_exact(a1) and is_exact(a2):
-        nodes = list(_OFFSET_NODES + _OFFSET_CHECKS)
-    else:
-        nodes = [float(v) for v in _OFFSET_NODES]
+    forced = constrained_mu_product(a1, a2, swapped)
+    nodes = _OFFSET_NODES + _OFFSET_CHECKS
 
     def expansion(x):
         if swapped:
-            return coeffs(MuSet(product / x, x, x, product / x))
-        return coeffs(MuSet(x, x, product / x, product / x))
+            return coeffs(MuSet(forced / x, x, x, forced / x))
+        return coeffs(MuSet(x, x, forced / x, forced / x))
 
     values = {x: expansion(x) for x in nodes}
     return tuple(
-        interpolate_polynomial(lambda x: x * x * values[x][index], 6, nodes)
-        for index in indices
+        interpolate_polynomial(lambda x: x * x * values[x][index], 4, nodes)
+        for index in (0, 2)
     )
-
-
-def constrained_case_polynomials(a1, a2, swapped: bool = False):
-    """The two even degree-6 polynomials (in the one remaining free offset)
-    whose simultaneous vanishing the constrained case would require.
-
-    Returns ascending coefficient lists of the cleared constant and quadratic
-    expansion coefficients.
-    """
-    return _offset_polynomials(a1, a2, swapped, (0, 2))
 
 
 def constrained_resultant_target(a1, a2, swapped: bool = False):
@@ -311,244 +301,247 @@ def count_real_roots(poly) -> int:
     ascending coefficients."""
     if any(c != 0 for c in poly[1::2]):
         raise ValueError("expected an even polynomial")
-    cubic = list(poly[0::2])
     # Real offsets come in +/- pairs from positive roots of the even part.
-    return 2 * count_positive_roots(cubic)
+    return 2 * count_positive_roots(list(poly[0::2]))
 
 
 # ---------------------------------------------------------------------------
 # verification suite
 # ---------------------------------------------------------------------------
 
-def _random_fraction(rng, lo=1, hi=9):
-    return Fraction(rng.randint(lo, hi), rng.randint(lo, hi))
+# Sample counts of the entries that check random rational designs.
+_SAMPLES = 12
+_RESULTANT_SAMPLES = 2
+
+_MU_GRID = (Fraction(1, 3), Fraction(1))
+
+# The 5 x 5 grid of twists (a1, a2) on which the even part of each
+# constrained polynomial is interpolated in (A, B) = (a1^2, a2^2), then
+# off-grid twists, one with a negative a1 and one with a negative a2.
+_TWISTS = tuple((Fraction(n1), Fraction(1, n2))
+                for n1 in range(1, 6) for n2 in range(2, 7)) + (
+    (Fraction(-6), Fraction(1, 7)), (Fraction(7), Fraction(-1, 8)))
+_TWIST_DEGREE = 4
+
+# The resultant-factor curves as (numerator, denominator) of A and of B,
+# linear in a parameter t that covers the whole curve as t runs over
+# (0, oo): the second factor vanishes on B = A/(A+2) (A = t), the third on
+# B = (A-1)/(A+3) (A = 1 + t, where B > 0).  On a curve, a polynomial of
+# degree 4 in A and in B has degree at most 8 in t: nine nodes fix it.
+_CURVES = {
+    "second": lambda t: ((t, 1), (t, t + 2)),
+    "third": lambda t: ((1 + t, 1), (t, t + 4)),
+}
+_CURVE_NODES = tuple(range(1, 2 * _TWIST_DEGREE + 2))
+
+
+def _random_fraction(rng):
+    return Fraction(rng.randint(1, 9), rng.randint(1, 9))
 
 
 def _random_design(rng):
     while True:
         a1 = _random_fraction(rng)
         a2 = _random_fraction(rng)
-        if a1 != a2 and a1 * a2 != 0:
+        if a1 != a2:
             return a1, a2
 
 
-# Rational points on the curve a2^2*(a1^2+2) = a1^2, where the second
-# resultant factor vanishes; solutions of p^2 + 2q^2 = r^2 give (p/q, p/r).
-_SECOND_FACTOR_POINTS = (
-    (Fraction(1, 2), Fraction(1, 3)),
-    (Fraction(7, 4), Fraction(7, 9)),
-    (Fraction(17, 6), Fraction(17, 19)),
-)
-
-_MU_GRID = (Fraction(1, 3), Fraction(1))
-
-
-def _offset_split_entry(rng, samples):
+def _offset_split_entry(rng):
     """Exact check that the difference of the extreme expansion coefficients
     equals -16*a1*a2*(a1-a2)*(a1+a2)*(mu14*mu23 - mu12*mu34).
 
     The determinant is linear in each offset, so a full grid over two values
     per offset proves the identity in the offsets for each sampled design.
     """
-    worst = 0.0
-    for _ in range(samples):
+    worst = 0
+    for _ in range(_SAMPLES):
         a1, a2 = _random_design(rng)
         coeffs = _coeff_evaluator(a1, a2)
-        for m14 in _MU_GRID:
-            for m12 in _MU_GRID:
-                for m23 in _MU_GRID:
-                    for m34 in _MU_GRID:
-                        c = coeffs(MuSet(m14, m12, m23, m34))
-                        rhs = (
-                            -16 * a1 * a2 * (a1 - a2) * (a1 + a2)
-                            * (m14 * m23 - m12 * m34)
-                        )
-                        worst = max(worst, abs(float(c[0] - c[4] - rhs)))
-    return ResidualEntry("offset product split [exact grid]", worst, 0.0)
+        for m14, m12, m23, m34 in product(_MU_GRID, repeat=4):
+            c = coeffs(MuSet(m14, m12, m23, m34))
+            rhs = (-16 * a1 * a2 * (a1 - a2) * (a1 + a2)
+                   * (m14 * m23 - m12 * m34))
+            worst = max(worst, abs(c[0] - c[4] - rhs))
+    return ResidualEntry("offset product split [exact grid]", worst, 0)
 
 
-def _odd_factor_entry(rng, samples):
+def _odd_factor_entry(rng):
     """Exact check of the factorisations of the odd expansion coefficients
     after eliminating the fourth offset."""
-    worst = 0.0
-    for _ in range(samples):
+    worst = 0
+    for _ in range(_SAMPLES):
         a1, a2 = _random_design(rng)
-        coeffs = _coeff_evaluator(a1, a2)
         m14, m12, m23 = (_random_fraction(rng) for _ in range(3))
-        c = coeffs(MuSet(m14, m12, m23, m14 * m23 / m12))
-        product = m14 * m23
+        c = _coeff_evaluator(a1, a2)(MuSet(m14, m12, m23, m14 * m23 / m12))
+        mu_product = m14 * m23
         lhs_minus = m12 * (c[1] - c[3])
         lhs_plus = m12 * (c[1] + c[3])
-        rhs_minus = 16 * a2 * (m12 + m23) * (m14 - m12) * splitting_f1(a1, a2, product)
-        rhs_plus = 16 * a1 * (m12 - m23) * (m14 + m12) * splitting_f2(a1, a2, product)
-        worst = max(worst, abs(float(lhs_minus - rhs_minus)))
-        worst = max(worst, abs(float(lhs_plus - rhs_plus)))
-    return ResidualEntry("odd coefficient factors [exact]", worst, 0.0)
+        rhs_minus = (16 * a2 * (m12 + m23) * (m14 - m12)
+                     * splitting_f1(a1, a2, mu_product))
+        rhs_plus = (16 * a1 * (m12 - m23) * (m14 + m12)
+                    * splitting_f2(a1, a2, mu_product))
+        worst = max(worst, abs(lhs_minus - rhs_minus),
+                    abs(lhs_plus - rhs_plus))
+    return ResidualEntry("odd coefficient factors [exact]", worst, 0)
 
 
-def _splitting_difference_entry(rng, samples=1000):
-    """The two splitting factors differ by 4*(a1^2 - a2^2), verified both as a
-    polynomial identity (degree at most 2 in a1 and a2, 1 in m, so a grid of
-    3 x 3 x 2 rationals proves it) and over random rationals."""
-
-    def gap(a1, a2, m):
-        return (splitting_f1(a1, a2, m) - splitting_f2(a1, a2, m)
-                - 4 * (a1 * a1 - a2 * a2))
-
-    proved = function_identity_zero(gap, ("a1", "a2", "m"),
-                                    {"a1": 2, "a2": 2, "m": 1})
-    worst = 0.0 if proved else 1.0
-    for _ in range(samples):
-        x1, x2, xm = (_random_fraction(rng) for _ in range(3))
-        worst = max(worst, abs(float(gap(x1, x2, xm))))
-    return ResidualEntry("splitting difference [identity]", worst, 0.0)
+def _identity_entry(label, gap, degree_bounds):
+    """An entry proving ``gap`` identically zero by exact evaluation on a
+    grid that its degree bounds make complete."""
+    proved = function_identity_zero(gap, tuple(degree_bounds), degree_bounds)
+    return ResidualEntry(label, 0 if proved else 1, 0)
 
 
-def _equal_offsets_entry(rng, samples):
+def _equal_offsets_entry(rng):
     """With all offsets equal, the leading coefficient reduces to the factor
     4*a1^2*a2^2*mu^2*(a1^2 - a2^2) up to this module's normalisation (-4),
     which cannot vanish for a valid design with a nonzero offset."""
-    worst = 0.0
+    worst = 0
     cases = [(Fraction(1, 2), Fraction(1, 3), Fraction(1))]
-    for _ in range(samples):
-        a1, a2 = _random_design(rng)
-        cases.append((a1, a2, _random_fraction(rng)))
+    for _ in range(_SAMPLES):
+        cases.append((*_random_design(rng), _random_fraction(rng)))
     for a1, a2, m in cases:
         c = _coeff_evaluator(a1, a2)(MuSet(m, m, m, m))
         factor = 4 * a1 * a1 * a2 * a2 * m * m * (a1 * a1 - a2 * a2)
-        worst = max(worst, abs(float(c[4] + 4 * factor)))
-        if a1 * a1 != a2 * a2 and c[4] == 0:
-            worst = max(worst, 1.0)
-    return ResidualEntry("equal offsets coefficient [exact]", worst, 0.0)
+        worst = max(worst, abs(c[4] + 4 * factor))
+    return ResidualEntry("equal offsets coefficient [exact]", worst, 0)
 
 
-def _first_quartic_entry(grid):
-    """The first resultant factor is a sum of squares plus one, hence at least
-    one everywhere: quartic_g1 - 1 = (a1*a2)^2 + 2*a2^2 is proved as a
-    polynomial identity (degree at most 2 in a1 and a2), and a positivity
-    grid of a1, a2 = 5*i/grid, 5*j/grid cross-checks the cleared form
-    grid^4 * (quartic_g1 - 1) on the integer numerators."""
-
-    def gap(a1, a2):
-        return quartic_g1(a1, a2) - 1 - ((a1 * a2) ** 2 + 2 * a2 * a2)
-
-    proved = function_identity_zero(gap, ("a1", "a2"), {"a1": 2, "a2": 2})
-    worst = 0.0 if proved else 1.0
-    numerators = range(5, 5 * grid + 1, 5)
-    for n1 in numerators:
-        for n2 in numerators:
-            if (n1 * n2) ** 2 + 2 * (n2 * grid) ** 2 < 0:
-                worst = 1.0
-    return ResidualEntry("first quartic positive [closed form + grid]", worst, 0.0)
-
-
-def _resultant_entry(rng, samples, swapped):
+def _resultant_entry(rng, swapped):
     """Exact check of the printed factorisation of the constrained-case
     resultant at random rational designs."""
-    worst = 0.0
-    done = 0
-    while done < samples:
+    worst = 0
+    for _ in range(_RESULTANT_SAMPLES):
         a1, a2 = _random_design(rng)
-        if a1 * a1 == a2 * a2:
-            continue
         p0, p2 = constrained_case_polynomials(a1, a2, swapped)
-        res = sylvester_resultant(list(p0), list(p2))
         target = constrained_resultant_target(a1, a2, swapped)
-        worst = max(worst, abs(float(res - target)))
-        done += 1
+        worst = max(worst, abs(sylvester_resultant(p0, p2) - target))
     tag = "swapped" if swapped else "direct"
-    return ResidualEntry(f"resultant factorisation {tag} [exact]", worst, 0.0)
+    return ResidualEntry(f"resultant factorisation {tag} [exact]", worst, 0)
 
 
-def _second_factor_exact_entry(swapped):
-    """At exact rational points of the second-factor curve the remaining even
-    polynomial has no real root, proved by a Sturm count."""
-    worst = 0.0
-    for a1, a2 in _SECOND_FACTOR_POINTS:
-        if swapped:
-            a1, a2 = a2, a1
-        p0, _ = constrained_case_polynomials(a1, a2, swapped)
-        try:
-            if count_real_roots(p0) != 0:
-                worst = 1.0
-        except ZeroPolynomialError:  # every offset would be a root
-            worst = 1.0
-    tag = "swapped" if swapped else "direct"
-    return ResidualEntry(f"second quartic roots {tag} [exact points]", worst, 0.0)
+def _evaluate_squares(poly, a, b):
+    """d_a^I d_b^J times the polynomial with coefficients poly[i][j] of
+    A^i B^j (i <= I, j <= J) at A = n_a/d_a and B = n_b/d_b, given as
+    ``a`` = (n_a, d_a) and ``b`` = (n_b, d_b)."""
+    (na, da), (nb, db) = a, b
+    top_a, top_b = len(poly) - 1, len(poly[0]) - 1
+    return sum(c * na ** i * da ** (top_a - i) * nb ** j * db ** (top_b - j)
+               for i, row in enumerate(poly) for j, c in enumerate(row))
 
 
-def _grid_entry(label, curve, grid, swapped):
-    """Grid verification that along a resultant-factor curve the remaining
-    polynomial keeps no real offset root (argument strength: grid only).
+def _fit_squares(values, degree):
+    """Coefficient grids poly[i][j] of A^i B^j (i, j <= ``degree``) of the
+    polynomials in (A, B) taking the value lists of ``values`` ({(A, B):
+    list}).  The first (degree+1)^2 keys form a tensor grid, on which the
+    polynomials are interpolated exactly; each further key confirms them,
+    and a disagreement raises DegreeBoundError."""
+    points = list(values)
+    size = (degree + 1) ** 2
+    a_nodes, b_nodes = (tuple(dict.fromkeys(axis))
+                        for axis in zip(*points[:size]))
+    fits = []
+    for k in range(len(values[points[0]])):
+        rows = {b: interpolate_polynomial(lambda a: values[a, b][k], degree,
+                                          a_nodes) for b in b_nodes}
+        fits.append([interpolate_polynomial(lambda b: rows[b][i], degree,
+                                            b_nodes)
+                     for i in range(degree + 1)])
+    if any([_evaluate_squares(p, (a, 1), (b, 1)) for p in fits] != values[a, b]
+           for a, b in points[size:]):
+        raise DegreeBoundError(f"values are not of degree {degree} in A, B")
+    return fits
 
-    The swapped case exchanges the twist roles of each curve point, as
-    :func:`_second_factor_exact_entry` does.
+
+def _constrained_entry(swapped):
+    """(entry, even part) of the constrained polynomial p0 of one case.
+
+    p0 is even in the offset x, so p0 = (e0 + e1*y + e2*y^2) / W with
+    y = x^2 and the weight W = (1+A)^2 (1+B) in the direct case and
+    (1+A) (1+B)^2 in the swapped one, (A, B) = (a1^2, a2^2).  Parity: p0 is
+    unchanged under a1 -> -a1 and under a2 -> -a2, so each e_k is a function
+    of (A, B).  Degree bound: each e_k is a polynomial of degree at most 4
+    in A and at most 4 in B.  The e_k are interpolated once on the 5 x 5
+    grid of ``_TWISTS``, and its off-grid twists, one with a negative a1
+    and one with a negative a2, confirm the bound and the parity (else
+    DegreeBoundError).  The entry fails when p0 has an odd coefficient at
+    any twist; the even part comes back as the coefficient grids of e0, e1
+    and e2.
     """
-    worst = 0.0
-    for i in range(grid):
-        a1, a2 = curve(i, grid)
-        if swapped:
-            a1, a2 = a2, a1
-        (poly,) = _offset_polynomials(a1, a2, swapped, (0,))
-        # The polynomial is even; a nonzero real offset exists exactly when
-        # its even part has a positive real root in the squared offset.
-        # Coefficients that are pure interpolation noise are stripped at both
-        # ends: a vanishing low-order block only adds roots at offset zero,
-        # which a valid coupling excludes.  The Sturm count then runs on the
-        # exact rational values of the remaining float coefficients; a zero
-        # scale, or a strip that leaves nothing, is the zero polynomial.
-        even = [poly[k] for k in range(0, len(poly), 2)]
-        scale = max(abs(c) for c in even)
-        while even and abs(even[-1]) <= 1e-9 * scale:
-            even.pop()
-        while even and abs(even[0]) <= 1e-9 * scale:
-            even.pop(0)
-        try:
-            if count_positive_roots(even):
-                worst = 1.0
-        except ZeroPolynomialError:
-            worst = 1.0
-    return ResidualEntry(label, worst, 0.0)
+    worst = 0
+    values = {}
+    for a1, a2 in _TWISTS:
+        p0, _ = constrained_case_polynomials(a1, a2, swapped)
+        worst = max([worst, *map(abs, p0[1::2])])
+        big_a, big_b = a1 * a1, a2 * a2
+        weight = ((1 + big_a) * (1 + big_b)
+                  * (1 + (big_b if swapped else big_a)))
+        values[big_a, big_b] = [weight * c for c in p0[0::2]]
+    tag = "swapped" if swapped else "direct"
+    entry = ResidualEntry(f"constrained polynomial {tag} [identity]", worst, 0)
+    return entry, _fit_squares(values, _TWIST_DEGREE)
 
 
-def _second_curve(i, grid):
-    a1 = 5.0 * (i + 1) / grid
-    return a1, a1 / math.sqrt(a1 * a1 + 2.0)
+def _curve_entry(label, even, curve, swapped):
+    """Proof that along a whole resultant-factor curve the constrained
+    polynomial keeps no nonzero real offset root.
+
+    On the curve, each coefficient of the even part ``even`` times the
+    curve's positive denominators is a polynomial q_k of degree at most 8 in
+    the curve parameter t > 0 (the swapped case exchanges A and B).  If at
+    least one q_k is not identically zero, none that is has a root in
+    (0, oo) (a Sturm count), and all these share the sign of q_k(1), the
+    sum of the coefficients, then e0 + e1*y + e2*y^2 has that sign for
+    every y > 0 at every point of the curve (Descartes' rule of signs), so
+    no real offset x = +-sqrt(y) is a root.  On the second curve all three
+    keep one sign; on the third e0 and e1 vanish identically.
+    """
+
+    def on_curve(poly, t):
+        a, b = curve(t)
+        return _evaluate_squares(poly, *((b, a) if swapped else (a, b)))
+
+    polys = [q for q in (interpolate_polynomial(
+        lambda t: on_curve(poly, t), 2 * _TWIST_DEGREE, _CURVE_NODES)
+        for poly in even) if any(q)]
+    proved = (len({sum(q) > 0 for q in polys}) == 1
+              and not any(map(count_positive_roots, polys)))
+    return ResidualEntry(label, 0 if proved else 1, 0)
 
 
-def _third_curve(i, grid):
-    a1 = 1.0 + 4.0 * (i + 1) / grid
-    return a1, math.sqrt((a1 * a1 - 1.0) / (a1 * a1 + 3.0))
-
-
-def verify_nonexistence(samples: int = 12, grid: int = 100
-                        ) -> CertificateReport:
+def verify_nonexistence() -> CertificateReport:
     """Run the full case analysis ruling out plane-symmetric couplings.
 
     Each report entry is tagged with its argument strength: ``identity`` for
-    polynomial identities, ``exact``/``exact grid``/``exact points`` for exact
-    rational evaluation, and ``grid`` for dense float sampling where no exact
-    parametrisation of the constraint curve exists.  The random designs come
-    from a fixed seed, so the report is reproducible.
+    polynomial identities (resting on their stated degree bounds),
+    ``exact``/``exact grid`` for exact evaluation at rational designs, and
+    ``curve proof`` for exact root counts along a whole constraint curve.
+    Every value is exact.  The random designs come from a fixed seed, so the
+    report is reproducible.
     """
     rng = random.Random(0)
+    constrained = [_constrained_entry(swapped) for swapped in (False, True)]
     entries = [
-        _offset_split_entry(rng, samples),
-        _odd_factor_entry(rng, samples),
-        _splitting_difference_entry(rng),
-        _equal_offsets_entry(rng, samples),
-        _first_quartic_entry(grid),
-        _resultant_entry(rng, 2, swapped=False),
-        _resultant_entry(rng, 2, swapped=True),
-        _second_factor_exact_entry(swapped=False),
-        _second_factor_exact_entry(swapped=True),
-        _grid_entry("second quartic roots direct [grid]",
-                    _second_curve, grid, False),
-        _grid_entry("second quartic roots swapped [grid]",
-                    _second_curve, grid, True),
-        _grid_entry("third quartic roots direct [grid]",
-                    _third_curve, grid, False),
-        _grid_entry("third quartic roots swapped [grid]",
-                    _third_curve, grid, True),
+        _offset_split_entry(rng),
+        _odd_factor_entry(rng),
+        _identity_entry("splitting difference [identity]",
+                        lambda a1, a2, m: splitting_f1(a1, a2, m)
+                        - splitting_f2(a1, a2, m) - 4 * (a1 * a1 - a2 * a2),
+                        {"a1": 2, "a2": 2, "m": 1}),
+        _equal_offsets_entry(rng),
+        # quartic_g1 - 1 is a sum of squares, so quartic_g1 >= 1
+        _identity_entry("first quartic positive [identity]",
+                        lambda a1, a2: quartic_g1(a1, a2) - 1
+                        - (a1 * a2) ** 2 - 2 * a2 * a2, {"a1": 2, "a2": 2}),
+        _resultant_entry(rng, swapped=False),
+        _resultant_entry(rng, swapped=True),
+        *(entry for entry, _ in constrained),
     ]
+    for name, curve in _CURVES.items():
+        for (_, even), swapped in zip(constrained, (False, True)):
+            tag = "swapped" if swapped else "direct"
+            entries.append(_curve_entry(
+                f"{name} quartic roots {tag} [curve proof]", even, curve,
+                swapped))
     return CertificateReport("plane-symmetric non-existence", tuple(entries))

@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 
 import bibennett.appendix as appendix
 from bibennett.appendix import (
+    _CURVES,
     StructuralFactorError,
     ZeroPolynomialError,
     _cleared_determinant,
     _cleared_drive,
-    _grid_entry,
-    _offset_polynomials,
-    _second_curve,
-    _second_factor_exact_entry,
-    _third_curve,
+    _constrained_entry,
+    _curve_entry,
+    _fit_squares,
     constrained_case_polynomials,
     constrained_mu_product,
     constrained_resultant_target,
@@ -32,7 +31,11 @@ from bibennett.appendix import (
     splitting_f2,
     verify_nonexistence,
 )
-from bibennett.algebra import clear_denominators, sylvester_resultant
+from bibennett.algebra import (
+    DegreeBoundError,
+    clear_denominators,
+    sylvester_resultant,
+)
 from bibennett.bennett import BennettDesign, frame, transmission_K
 from bibennett.families import MuSet, points_on_axes
 
@@ -54,6 +57,14 @@ def test_zero_offset_determinant_nonzero():
     det = points_on_axes(frame(design, F(9, 10)),
                          MuSet(F(0), F(0), F(0), F(0))).orientation_det()
     assert det != 0
+
+
+def test_float_twists_take_their_exact_values():
+    exact = coplanarity_coeffs(F(1, 2), F(1, 4),
+                               MuSet(F(1, 2), F(3, 4), F(5, 4), F(-3, 2)))
+    floats = coplanarity_coeffs(0.5, 0.25, MuSet(0.5, 0.75, 1.25, -1.5))
+    assert floats == exact
+    assert type(floats.c0) is Fraction
 
 
 def test_equal_offsets_leading_coefficient():
@@ -126,9 +137,8 @@ def test_sturm_root_counts():
 
 
 def test_sturm_root_counts_on_float_coefficients():
-    # the [grid] entries count on float coefficients, taken at their exact
-    # rational values; x^2 + x/2 - 2 has one positive root, so a count of
-    # zero there is not vacuous
+    # float coefficients are taken at their exact rational values;
+    # x^2 + x/2 - 2 has one positive root
     assert count_positive_roots([-2.0, 0.5, 1.0]) == 1
     assert count_positive_roots([2.0, -3.0, 1.0]) == 2
     assert count_positive_roots([2.0, 0.5, 1.0]) == 0
@@ -150,19 +160,85 @@ def test_zero_polynomial_has_no_root_count():
     assert count_positive_roots([0, 0, F(1)]) == 0
 
 
-def test_zero_constrained_polynomial_fails_the_exact_entry(monkeypatch):
+def _squares(terms):
+    """5 x 5 coefficient grid in (A, B) = (a1^2, a2^2) with the terms
+    {(i, j): coefficient of A^i B^j}."""
+    return [[F(terms.get((i, j), 0)) for j in range(5)] for i in range(5)]
+
+
+def test_zero_constrained_polynomial_fails_the_curve_proofs(monkeypatch):
+    # a zero p0 is even, so the identity entry holds, but every offset is a
+    # root: no curve entry may pass
     monkeypatch.setattr(appendix, "constrained_case_polynomials",
-                        lambda a1, a2, swapped: ([F(0)] * 7, [F(0)] * 7))
+                        lambda a1, a2, swapped: ([F(0)] * 5, [F(0)] * 5))
     for swapped in (False, True):
-        assert _second_factor_exact_entry(swapped).value == 1.0
+        entry, even = _constrained_entry(swapped)
+        assert entry.passed
+        for curve in _CURVES.values():
+            assert _curve_entry("zero", even, curve, swapped).value == 1.0
 
 
-def test_zero_grid_polynomial_fails_the_grid_entry(monkeypatch):
-    # a zero scale strips every coefficient: the zero polynomial again
-    monkeypatch.setattr(appendix, "_offset_polynomials",
-                        lambda a1, a2, swapped, indices: ([0.0] * 7,))
-    entry = _grid_entry("zero [grid]", _second_curve, 3, False)
+def test_zero_even_part_fails_the_curve_entry():
+    zero = [_squares({})] * 3
+    entry = _curve_entry("zero [curve proof]", zero, _CURVES["second"], False)
     assert entry.value == 1.0 and not entry.passed
+
+
+@pytest.mark.parametrize("name", sorted(_CURVES))
+@pytest.mark.parametrize("swapped", (False, True))
+def test_curve_entry_fails_on_a_root_in_its_interval(name, swapped):
+    curve = _CURVES[name]
+    one = _squares({(0, 0): 1})
+    a_axis, b_axis = _squares({(1, 0): 1}), _squares({(0, 1): 1})
+    # control: 1 + A*y + B*y^2 is positive for y > 0 on every curve
+    assert _curve_entry("ok", [one, a_axis, b_axis], curve, swapped).passed
+    # (A - 2)(A - 3) + y^2 (or the same in B for the swapped case) changes
+    # sign at A = 2, which both curves pass through
+    quadratic = _squares({(0, 0): 6, (1, 0): -5, (2, 0): 1} if not swapped
+                         else {(0, 0): 6, (0, 1): -5, (0, 2): 1})
+    zero = _squares({})
+    assert not _curve_entry("root", [quadratic, zero, one], curve,
+                            swapped).passed
+    # y^2 - 1 keeps each coefficient's sign but has the root y = 1
+    minus_one = _squares({(0, 0): -1})
+    assert not _curve_entry("root", [minus_one, zero, one], curve,
+                            swapped).passed
+
+
+def test_fit_squares_recovers_and_confirms_its_degree():
+    grid = [(F(a), F(1, b)) for a in range(1, 6) for b in range(2, 7)]
+    checks = [(F(7), F(1, 8)), (F(9), F(3))]
+
+    def values(fun):
+        return {(a, b): [fun(a, b), 3 * fun(a, b)] for a, b in grid + checks}
+
+    fit = _fit_squares(values(lambda a, b: a ** 4 * b - 2 * b ** 3 + 1), 4)
+    assert fit[0] == _squares({(4, 1): 1, (0, 3): -2, (0, 0): 1})
+    assert fit[1] == _squares({(4, 1): 3, (0, 3): -6, (0, 0): 3})
+    with pytest.raises(DegreeBoundError):
+        _fit_squares(values(lambda a, b: a ** 5 * b), 4)
+    with pytest.raises(DegreeBoundError):
+        _fit_squares(values(lambda a, b: a * b ** 5), 4)
+
+
+def test_non_even_constrained_polynomial_fails_the_identity_entry(
+        monkeypatch):
+    monkeypatch.setattr(appendix, "constrained_case_polynomials",
+                        lambda a1, a2, swapped: ([F(1), F(1), F(1), F(0),
+                                                  F(0)], [F(0)] * 5))
+    for swapped in (False, True):
+        entry, _ = _constrained_entry(swapped)
+        assert entry.value == 1.0 and not entry.passed
+
+
+def test_constrained_polynomial_is_even_in_the_offset_and_the_twists():
+    # the parity the identity entry rests on, at a design off its grid
+    a1, a2 = F(3, 2), F(2, 7)
+    for swapped in (False, True):
+        polys = constrained_case_polynomials(a1, a2, swapped)
+        assert not any(polys[0][1::2]) and not any(polys[1][1::2])
+        for b1, b2 in ((-a1, a2), (a1, -a2), (-a1, -a2)):
+            assert constrained_case_polynomials(b1, b2, swapped) == polys
 
 
 _POSITIVE = st.builds(F, st.integers(1, 40), st.integers(1, 30))
@@ -186,30 +262,13 @@ def test_cleared_determinant_matches_orientation_det(a1, a2, offsets, tau):
     assert value == reference * den ** 3
 
 
-def test_grid_strip_removes_only_noise():
-    # the strip of each [grid] polynomial cuts at 1e-9 * scale; what it
-    # removes must be interpolation noise, well below that cut
-    worst = 0.0
-    for curve in (_second_curve, _third_curve):
-        for swapped in (False, True):
-            for i in range(100):
-                a1, a2 = curve(i, 100)
-                if swapped:
-                    a1, a2 = a2, a1
-                (poly,) = _offset_polynomials(a1, a2, swapped, (0,))
-                even = list(poly[0::2])
-                scale = max(map(abs, even))
-                while even and abs(even[-1]) <= 1e-9 * scale:
-                    worst = max(worst, abs(even.pop()) / scale)
-                while even and abs(even[0]) <= 1e-9 * scale:
-                    worst = max(worst, abs(even.pop(0)) / scale)
-    assert worst < 2e-10
-
-
 def test_nonexistence_suite_passes():
-    report = verify_nonexistence(samples=4, grid=20)
+    report = verify_nonexistence()
     assert report.verdict, report.lines()
     assert len(report.residuals) == 13
+    tags = {entry.label[entry.label.index("["):]
+            for entry in report.residuals}
+    assert tags == {"[exact grid]", "[exact]", "[identity]", "[curve proof]"}
 
 
 def test_import_and_appendix_load_no_numpy():
@@ -219,7 +278,7 @@ def test_import_and_appendix_load_no_numpy():
         f"sys.path.insert(0, {str(src)!r})\n"
         "import bibennett\n"
         "assert 'numpy' not in sys.modules, 'import bibennett loads numpy'\n"
-        "bibennett.verify_nonexistence(samples=1, grid=5)\n"
+        "bibennett.verify_nonexistence()\n"
         "assert 'numpy' not in sys.modules, 'the appendix loads numpy'\n"
     )
     done = subprocess.run([sys.executable, "-c", code],
