@@ -206,19 +206,18 @@ def nullspace_vector(rows, ncols):
 # univariate interpolation and rational-function fitting
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)  # the appendix uses five node tuples
+@lru_cache(maxsize=32)  # the appendix uses four node tuples
 def _inverse_vandermonde(nodes):
-    """(exact, float) inverse of the Vandermonde matrix of ``nodes``, as row
-    tuples: row j gives coefficient j from the values at the nodes.  Float
-    nodes are taken at their exact binary values, and the float inverse is
-    the exact one rounded once.  Built on first use, never at import."""
+    """Exact inverse of the Vandermonde matrix of ``nodes``, as row tuples:
+    row j gives coefficient j from the values at the nodes.  Float nodes are
+    taken at their exact binary values.  Built on first use, never at
+    import."""
     n = len(nodes)
     m = [[Fraction(x) ** j for j in range(n)]
          + [Fraction(int(i == k)) for k in range(n)]
          for i, x in enumerate(nodes)]
     _row_reduce(m, n)
-    exact = tuple(tuple(row[n:]) for row in m)
-    return exact, tuple(tuple(map(float, row)) for row in exact)
+    return tuple(tuple(row[n:]) for row in m)
 
 
 def interpolate_polynomial(fun, degree: int, points):
@@ -227,9 +226,9 @@ def interpolate_polynomial(fun, degree: int, points):
 
     The coefficients are the exact inverse Vandermonde matrix of the first
     ``degree+1`` points, built once per node tuple, times the values: exact
-    when ``fun`` returns exact scalars at exact points, and otherwise the
-    same inverse rounded to floats.  Raises InterpolationNodeError on too
-    few points or a repeated node.
+    when ``fun`` returns exact scalars, and floats when it returns floats,
+    each weight rounded once by its product with a float value.  Raises
+    InterpolationNodeError on too few points or a repeated node.
     """
     xs = list(points)
     n = degree + 1
@@ -238,9 +237,8 @@ def interpolate_polynomial(fun, degree: int, points):
         raise InterpolationNodeError(
             f"degree {degree} needs {n} distinct points, got {nodes}")
     ys = [fun(x) for x in xs]
-    exact, rounded = _inverse_vandermonde(nodes)
-    inverse = exact if all(map(is_exact, nodes + tuple(ys[:n]))) else rounded
-    coeffs = [sum(w * y for w, y in zip(row, ys)) for row in inverse]
+    coeffs = [sum(w * y for w, y in zip(row, ys))
+              for row in _inverse_vandermonde(nodes)]
     for x, y in zip(xs[n:], ys[n:]):
         if sum(coeffs[j] * x ** j for j in range(n)) != y:
             raise DegreeBoundError(f"function is not a degree-{degree} polynomial")

@@ -6,16 +6,17 @@ that coplanarity determinant in the drive half-tangent gives five coefficient
 conditions whose case analysis rules every candidate out.  This module
 recomputes the expansion with rational arithmetic and re-derives each step of
 the case analysis in exact arithmetic, labelling every entry of the
-resulting report with the strength of the argument used: a polynomial
-identity, exact sampling, or a whole-curve proof by exact root counts.
+resulting report with its argument's strength: a polynomial identity, exact
+evaluation at fixed twists, or a whole-curve proof by exact root counts.
 """
 
 from __future__ import annotations
 
-import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from math import prod
+from operator import mul, sub
 
 from .algebra import (
     DegreeBoundError,
@@ -53,11 +54,6 @@ _TAU_NODES = (
     Fraction(5, 7),
 )
 _TAU_CHECKS = (Fraction(9, 10), Fraction(4, 5))
-
-# Nodes in the free anchor offset used to interpolate the (even) degree-4
-# polynomials of the two constrained cases, plus degree-confirming extras.
-_OFFSET_NODES = tuple(Fraction(i + 1, 2) for i in range(5))
-_OFFSET_CHECKS = (Fraction(9, 2), Fraction(11, 3))
 
 
 @dataclass(frozen=True)
@@ -108,10 +104,17 @@ def _cleared_determinant(drive, offsets, den):
     return det3(v_sub(p12, p14), v_sub(p23, p14), v_sub(p34, p14)) * weight
 
 
-def _coeff_evaluator(a1, a2):
-    """Closure computing normalised expansion coefficients for varying exact
-    offsets of the exact design (a1, a2), with the drive frames computed and
-    cleared only once."""
+def _expansion_forms(a1, a2):
+    """The normalised coefficients c0 ... c4 of the exact design (a1, a2) as
+    multilinear forms in the offsets: ``forms[k][mask]`` is the coefficient
+    in c_k of the product of the offsets whose bits are set in ``mask``, bit
+    i standing for offset i of (mu14, mu12, mu23, mu34).
+
+    Each anchor is one row of the 4x4 orientation determinant, so the
+    determinant is linear in each offset and its values at the 16 corners
+    {0, 1}^4 fix it.  Each corner is interpolated in tau (extra nodes
+    confirm the degree bound), and inclusion-exclusion over the corners
+    gives the coefficients."""
     if a1 * a2 * (a1 - a2) * (a1 + a2) == 0:
         raise StructuralFactorError(
             "a1*a2*(a1-a2)*(a1+a2) must be nonzero to normalise the expansion")
@@ -119,23 +122,19 @@ def _coeff_evaluator(a1, a2):
     big_k = transmission_K(design)
     taus = _TAU_NODES + _TAU_CHECKS
     drives = {tau: _cleared_drive(design, big_k, tau) for tau in taus}
+    n = [interpolate_polynomial(
+        lambda tau: _cleared_determinant(
+            drives[tau], [mask >> i & 1 for i in range(4)], 1), 4, taus)
+        for mask in range(16)]
+    for bit in (1, 2, 4, 8):
+        for mask in range(16):
+            if mask & bit:
+                n[mask] = list(map(sub, n[mask], n[mask ^ bit]))
     lam = -((1 + a1 * a1) ** 2) * (1 + a2 * a2) ** 2 * (a1 - a2) ** 2
-
-    def coeffs(mu: MuSet):
-        (offsets,), den = clear_denominators([mu.as_tuple()])
-        n = interpolate_polynomial(
-            lambda tau: _cleared_determinant(drives[tau], offsets, den),
-            4, taus)
-        scale = lam / den ** 3
-        return (
-            scale * n[0] / (a1 + a2) ** 2,
-            -scale * n[1] / (a1 * a2 * (a1 + a2)),
-            scale * n[2],
-            -scale * n[3] / (a1 * a2 * (a1 - a2)),
-            scale * n[4] / (a1 - a2) ** 2,
-        )
-
-    return coeffs
+    scales = (lam / (a1 + a2) ** 2, -lam / (a1 * a2 * (a1 + a2)), lam,
+              -lam / (a1 * a2 * (a1 - a2)), lam / (a1 - a2) ** 2)
+    return tuple([scale * coeffs[k] for coeffs in n]
+                 for k, scale in enumerate(scales))
 
 
 def coplanarity_coeffs(a1, a2, mu: MuSet) -> CoplanarityExpansion:
@@ -147,7 +146,10 @@ def coplanarity_coeffs(a1, a2, mu: MuSet) -> CoplanarityExpansion:
     """
     a1, a2 = Fraction(a1), Fraction(a2)
     mu = MuSet(*map(Fraction, mu.as_tuple()))
-    c0, c1, c2, c3, c4 = _coeff_evaluator(a1, a2)(mu)
+    monomials = [prod(m for i, m in enumerate(mu.as_tuple()) if mask >> i & 1)
+                 for mask in range(16)]
+    c0, c1, c2, c3, c4 = (sum(map(mul, form, monomials))
+                          for form in _expansion_forms(a1, a2))
     return CoplanarityExpansion(a1=a1, a2=a2, mu=mu, c0=c0, c1=c1, c2=c2, c3=c3, c4=c4)
 
 
@@ -200,28 +202,28 @@ def constrained_case_polynomials(a1, a2, swapped: bool = False):
     """The two even polynomials of degree 4 (in the one remaining free
     offset x) whose simultaneous vanishing the constrained case would
     require: ascending coefficients of x^2 times the constant and the
-    quadratic expansion coefficients.
-
-    The determinant is linear in each offset, and the offsets are x, x,
-    P/x and P/x for the forced product P, so x^2 times each coefficient has
-    degree at most 4; extra nodes confirm the bound.  Float twists are
-    first converted to the rationals they represent.
+    quadratic expansion coefficients.  Float twists are first converted to
+    the rationals they represent.
     """
     a1, a2 = Fraction(a1), Fraction(a2)
-    coeffs = _coeff_evaluator(a1, a2)
+    return _constrained_polynomials(_expansion_forms(a1, a2), a1, a2, swapped)
+
+
+def _constrained_polynomials(forms, a1, a2, swapped):
+    """:func:`constrained_case_polynomials` read off the expansion forms of
+    (a1, a2).  The offsets are x, x, P/x, P/x (direct) or P/x, x, x, P/x
+    (swapped) for the forced product P, so a monomial of a form with i
+    offsets x and j offsets P/x adds its coefficient times P^j to the
+    coefficient of x^(2+i-j)."""
     forced = constrained_mu_product(a1, a2, swapped)
-    nodes = _OFFSET_NODES + _OFFSET_CHECKS
-
-    def expansion(x):
-        if swapped:
-            return coeffs(MuSet(forced / x, x, x, forced / x))
-        return coeffs(MuSet(x, x, forced / x, forced / x))
-
-    values = {x: expansion(x) for x in nodes}
-    return tuple(
-        interpolate_polynomial(lambda x: x * x * values[x][index], 4, nodes)
-        for index in (0, 2)
-    )
+    over_x = 0b1001 if swapped else 0b1100  # the offsets P/x
+    polys = ([0] * 5, [0] * 5)
+    for mask in range(16):
+        j = (mask & over_x).bit_count()
+        power = 2 + mask.bit_count() - 2 * j
+        for poly, form in zip(polys, (forms[0], forms[2])):
+            poly[power] += form[mask] * forced ** j
+    return polys
 
 
 def constrained_resultant_target(a1, a2, swapped: bool = False):
@@ -309,15 +311,11 @@ def count_real_roots(poly) -> int:
 # verification suite
 # ---------------------------------------------------------------------------
 
-# Sample counts of the entries that check random rational designs.
-_SAMPLES = 12
-_RESULTANT_SAMPLES = 2
-
-_MU_GRID = (Fraction(1, 3), Fraction(1))
-
-# The 5 x 5 grid of twists (a1, a2) on which the even part of each
-# constrained polynomial is interpolated in (A, B) = (a1^2, a2^2), then
-# off-grid twists, one with a negative a1 and one with a negative a2.
+# The twists (a1, a2) at which every entry reads the expansion forms: a
+# 5 x 5 grid, on which each identity entry's gaps vanish and the even part
+# of each constrained polynomial is interpolated in (A, B) = (a1^2, a2^2),
+# then off-grid twists, one with a negative a1 and one with a negative a2,
+# that confirm the degree bounds.
 _TWISTS = tuple((Fraction(n1), Fraction(1, n2))
                 for n1 in range(1, 6) for n2 in range(2, 7)) + (
     (Fraction(-6), Fraction(1, 7)), (Fraction(7), Fraction(-1, 8)))
@@ -335,55 +333,66 @@ _CURVES = {
 _CURVE_NODES = tuple(range(1, 2 * _TWIST_DEGREE + 2))
 
 
-def _random_fraction(rng):
-    return Fraction(rng.randint(1, 9), rng.randint(1, 9))
+def _gap_entry(label, forms, gaps):
+    """An entry proving an identity between the expansion forms:
+    ``gaps(a1, a2, twist_forms)`` lists its coefficient gaps in the offsets
+    at one twist, and the value is the largest |gap| over ``forms``
+    ({(a1, a2): twist_forms}).
 
-
-def _random_design(rng):
-    while True:
-        a1 = _random_fraction(rng)
-        a2 = _random_fraction(rng)
-        if a1 != a2:
-            return a1, a2
-
-
-def _offset_split_entry(rng):
-    """Exact check that the difference of the extreme expansion coefficients
-    equals -16*a1*a2*(a1-a2)*(a1+a2)*(mu14*mu23 - mu12*mu34).
-
-    The determinant is linear in each offset, so a full grid over two values
-    per offset proves the identity in the offsets for each sampled design.
+    Degree bound: the coefficients of c0 and c4 have degree at most 4 in a1
+    and in a2, those of c1 and c3 at most 3, so each gap, printed side
+    included, is a polynomial of degree at most 4 in a1 and in a2.  Zeros on
+    the 5 x 5 grid of ``_TWISTS`` then prove it zero, and the off-grid
+    twists confirm the bound.
     """
-    worst = 0
-    for _ in range(_SAMPLES):
-        a1, a2 = _random_design(rng)
-        coeffs = _coeff_evaluator(a1, a2)
-        for m14, m12, m23, m34 in product(_MU_GRID, repeat=4):
-            c = coeffs(MuSet(m14, m12, m23, m34))
-            rhs = (-16 * a1 * a2 * (a1 - a2) * (a1 + a2)
-                   * (m14 * m23 - m12 * m34))
-            worst = max(worst, abs(c[0] - c[4] - rhs))
-    return ResidualEntry("offset product split [exact grid]", worst, 0)
+    worst = max(abs(gap) for (a1, a2), twist_forms in forms.items()
+                for gap in gaps(a1, a2, twist_forms))
+    return ResidualEntry(label, worst, 0)
 
 
-def _odd_factor_entry(rng):
-    """Exact check of the factorisations of the odd expansion coefficients
-    after eliminating the fourth offset."""
-    worst = 0
-    for _ in range(_SAMPLES):
-        a1, a2 = _random_design(rng)
-        m14, m12, m23 = (_random_fraction(rng) for _ in range(3))
-        c = _coeff_evaluator(a1, a2)(MuSet(m14, m12, m23, m14 * m23 / m12))
-        mu_product = m14 * m23
-        lhs_minus = m12 * (c[1] - c[3])
-        lhs_plus = m12 * (c[1] + c[3])
-        rhs_minus = (16 * a2 * (m12 + m23) * (m14 - m12)
-                     * splitting_f1(a1, a2, mu_product))
-        rhs_plus = (16 * a1 * (m12 - m23) * (m14 + m12)
-                    * splitting_f2(a1, a2, mu_product))
-        worst = max(worst, abs(lhs_minus - rhs_minus),
-                    abs(lhs_plus - rhs_plus))
-    return ResidualEntry("odd coefficient factors [exact]", worst, 0)
+def _offset_split_gaps(a1, a2, forms):
+    """c0 - c4 = -16*a1*a2*(a1-a2)*(a1+a2)*(mu14*mu23 - mu12*mu34), by
+    coefficient in the offsets."""
+    scale = 16 * a1 * a2 * (a1 - a2) * (a1 + a2)
+    target = {0b0101: -scale, 0b1010: scale}
+    return [c0 - c4 - target.get(mask, 0)
+            for mask, (c0, c4) in enumerate(zip(forms[0], forms[4]))]
+
+
+def _odd_factor_gaps(a1, a2, forms):
+    """The factorisations of the odd coefficients once mu34 is eliminated as
+    mu14*mu23/mu12, by coefficient of mu14^i mu12^j mu23^k, keyed (i, j, k):
+
+        mu12*(c1 - c3) = 16*a2*(mu12 + mu23)*(mu14 - mu12)*f1(mu14*mu23)
+        mu12*(c1 + c3) = 16*a1*(mu12 - mu23)*(mu14 + mu12)*f2(mu14*mu23)
+    """
+    gaps = []
+    for sign, a, factor in ((1, a2, splitting_f1), (-1, a1, splitting_f2)):
+        poly = defaultdict(int)
+        for mask, (c1, c3) in enumerate(zip(forms[1], forms[3])):
+            b14, b12, b23, b34 = (mask >> i & 1 for i in range(4))
+            poly[b14 + b34, 1 + b12 - b34, b23 + b34] += c1 - sign * c3
+        # (mu12 + sign*mu23)*(mu14 - sign*mu12) times beta + alpha*mu14*mu23
+        beta = factor(a1, a2, 0)
+        alpha = factor(a1, a2, 1) - beta
+        for (i, j, k), c in (((1, 1, 0), 1), ((0, 2, 0), -sign),
+                             ((1, 0, 1), sign), ((0, 1, 1), -1)):
+            poly[i, j, k] -= 16 * a * c * beta
+            poly[i + 1, j, k + 1] -= 16 * a * c * alpha
+        gaps += poly.values()
+    return gaps
+
+
+def _equal_offsets_gaps(a1, a2, forms):
+    """With all offsets equal to m, c4 is the factor
+    4*a1^2*a2^2*m^2*(a1^2 - a2^2) up to this module's normalisation (-4),
+    which cannot vanish for a valid design with a nonzero offset; by
+    coefficient of m^k, the sum of c4's coefficients over masks of k bits."""
+    sums = [0] * 5
+    for mask, c4 in enumerate(forms[4]):
+        sums[mask.bit_count()] += c4
+    sums[2] += 16 * a1 * a1 * a2 * a2 * (a1 * a1 - a2 * a2)
+    return sums
 
 
 def _identity_entry(label, gap, degree_bounds):
@@ -393,30 +402,14 @@ def _identity_entry(label, gap, degree_bounds):
     return ResidualEntry(label, 0 if proved else 1, 0)
 
 
-def _equal_offsets_entry(rng):
-    """With all offsets equal, the leading coefficient reduces to the factor
-    4*a1^2*a2^2*mu^2*(a1^2 - a2^2) up to this module's normalisation (-4),
-    which cannot vanish for a valid design with a nonzero offset."""
-    worst = 0
-    cases = [(Fraction(1, 2), Fraction(1, 3), Fraction(1))]
-    for _ in range(_SAMPLES):
-        cases.append((*_random_design(rng), _random_fraction(rng)))
-    for a1, a2, m in cases:
-        c = _coeff_evaluator(a1, a2)(MuSet(m, m, m, m))
-        factor = 4 * a1 * a1 * a2 * a2 * m * m * (a1 * a1 - a2 * a2)
-        worst = max(worst, abs(c[4] + 4 * factor))
-    return ResidualEntry("equal offsets coefficient [exact]", worst, 0)
-
-
-def _resultant_entry(rng, swapped):
+def _resultant_entry(forms, swapped):
     """Exact check of the printed factorisation of the constrained-case
-    resultant at random rational designs."""
-    worst = 0
-    for _ in range(_RESULTANT_SAMPLES):
-        a1, a2 = _random_design(rng)
-        p0, p2 = constrained_case_polynomials(a1, a2, swapped)
-        target = constrained_resultant_target(a1, a2, swapped)
-        worst = max(worst, abs(sylvester_resultant(p0, p2) - target))
+    resultant at every twist of ``forms``."""
+    worst = max(
+        abs(sylvester_resultant(*_constrained_polynomials(
+            twist_forms, a1, a2, swapped))
+            - constrained_resultant_target(a1, a2, swapped))
+        for (a1, a2), twist_forms in forms.items())
     tag = "swapped" if swapped else "direct"
     return ResidualEntry(f"resultant factorisation {tag} [exact]", worst, 0)
 
@@ -454,8 +447,9 @@ def _fit_squares(values, degree):
     return fits
 
 
-def _constrained_entry(swapped):
-    """(entry, even part) of the constrained polynomial p0 of one case.
+def _constrained_entry(forms, swapped):
+    """(entry, even part) of the constrained polynomial p0 of one case,
+    read off ``forms`` ({(a1, a2): twist_forms}, in ``_TWISTS`` order).
 
     p0 is even in the offset x, so p0 = (e0 + e1*y + e2*y^2) / W with
     y = x^2 and the weight W = (1+A)^2 (1+B) in the direct case and
@@ -463,7 +457,7 @@ def _constrained_entry(swapped):
     unchanged under a1 -> -a1 and under a2 -> -a2, so each e_k is a function
     of (A, B).  Degree bound: each e_k is a polynomial of degree at most 4
     in A and at most 4 in B.  The e_k are interpolated once on the 5 x 5
-    grid of ``_TWISTS``, and its off-grid twists, one with a negative a1
+    grid of the twists, and the off-grid twists, one with a negative a1
     and one with a negative a2, confirm the bound and the parity (else
     DegreeBoundError).  The entry fails when p0 has an odd coefficient at
     any twist; the even part comes back as the coefficient grids of e0, e1
@@ -471,8 +465,8 @@ def _constrained_entry(swapped):
     """
     worst = 0
     values = {}
-    for a1, a2 in _TWISTS:
-        p0, _ = constrained_case_polynomials(a1, a2, swapped)
+    for (a1, a2), twist_forms in forms.items():
+        p0, _ = _constrained_polynomials(twist_forms, a1, a2, swapped)
         worst = max([worst, *map(abs, p0[1::2])])
         big_a, big_b = a1 * a1, a2 * a2
         weight = ((1 + big_a) * (1 + big_b)
@@ -514,28 +508,32 @@ def verify_nonexistence() -> CertificateReport:
     """Run the full case analysis ruling out plane-symmetric couplings.
 
     Each report entry is tagged with its argument strength: ``identity`` for
-    polynomial identities (resting on their stated degree bounds),
-    ``exact``/``exact grid`` for exact evaluation at rational designs, and
-    ``curve proof`` for exact root counts along a whole constraint curve.
-    Every value is exact.  The random designs come from a fixed seed, so the
-    report is reproducible.
+    polynomial identities (resting on their stated degree bounds), ``exact``
+    for exact evaluation at every twist of ``_TWISTS``, and ``curve proof``
+    for exact root counts along a whole constraint curve.  The expansion
+    forms of each twist are built once per call, and every entry reads
+    them.  Every value is exact, and nothing is drawn at random.
     """
-    rng = random.Random(0)
-    constrained = [_constrained_entry(swapped) for swapped in (False, True)]
+    forms = {twist: _expansion_forms(*twist) for twist in _TWISTS}
+    constrained = [_constrained_entry(forms, swapped)
+                   for swapped in (False, True)]
     entries = [
-        _offset_split_entry(rng),
-        _odd_factor_entry(rng),
+        _gap_entry("offset product split [identity]", forms,
+                   _offset_split_gaps),
+        _gap_entry("odd coefficient factors [identity]", forms,
+                   _odd_factor_gaps),
         _identity_entry("splitting difference [identity]",
                         lambda a1, a2, m: splitting_f1(a1, a2, m)
                         - splitting_f2(a1, a2, m) - 4 * (a1 * a1 - a2 * a2),
                         {"a1": 2, "a2": 2, "m": 1}),
-        _equal_offsets_entry(rng),
+        _gap_entry("equal offsets coefficient [identity]", forms,
+                   _equal_offsets_gaps),
         # quartic_g1 - 1 is a sum of squares, so quartic_g1 >= 1
         _identity_entry("first quartic positive [identity]",
                         lambda a1, a2: quartic_g1(a1, a2) - 1
                         - (a1 * a2) ** 2 - 2 * a2 * a2, {"a1": 2, "a2": 2}),
-        _resultant_entry(rng, swapped=False),
-        _resultant_entry(rng, swapped=True),
+        _resultant_entry(forms, swapped=False),
+        _resultant_entry(forms, swapped=True),
         *(entry for entry, _ in constrained),
     ]
     for name, curve in _CURVES.items():

@@ -28,12 +28,7 @@ from bibennett.algebra import (
     v_dot,
     v_norm_sq,
 )
-from bibennett.appendix import (
-    _OFFSET_CHECKS,
-    _OFFSET_NODES,
-    _TAU_CHECKS,
-    _TAU_NODES,
-)
+from bibennett.appendix import _TAU_CHECKS, _TAU_NODES, _TWISTS
 
 F = Fraction
 
@@ -144,8 +139,11 @@ def _gauss_jordan_interpolation(fun, degree, points):
 
 
 _RATIONAL = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
-_APPENDIX_NODES = st.sampled_from([_TAU_NODES + _TAU_CHECKS,
-                                   _OFFSET_NODES + _OFFSET_CHECKS])
+# the tau nodes, and the squared twists on and off the appendix's grid
+_APPENDIX_NODES = st.sampled_from(
+    [_TAU_NODES + _TAU_CHECKS]
+    + [tuple(dict.fromkeys(twist[i] ** 2 for twist in _TWISTS))
+       for i in (0, 1)])
 _INTERPOLATION_SETTINGS = settings(max_examples=120, deadline=None,
                                    derandomize=True)
 
@@ -178,10 +176,14 @@ def test_interpolation_matches_gauss_jordan(case, lead):
     reference = _gauss_jordan_interpolation(_evaluate(coeffs), degree, nodes)
     assert [(type(c), c) for c in got] == [(type(c), c) for c in reference]
     assert got == coeffs and all(type(c) is Fraction for c in got)
-    # float values come from the same inverse rounded once
+    # float values meet the exact inverse, and each product rounds its
+    # weight once: the same bits as a table of the inverse rounded once
     floats = interpolate_polynomial(
         lambda x: float(_evaluate(coeffs)(x)), degree, nodes[:degree + 1])
-    assert all(type(c) is float for c in floats)
+    ys = [float(_evaluate(coeffs)(x)) for x in nodes[:degree + 1]]
+    rounded = [sum(float(w) * y for w, y in zip(row, ys))
+               for row in _inverse_vandermonde(nodes[:degree + 1])]
+    assert [c.hex() for c in floats] == [c.hex() for c in rounded]
     scale = max(1, *map(abs, coeffs))
     assert all(abs(c - e) <= 1e-6 * scale for c, e in zip(floats, coeffs))
     with pytest.raises(DegreeBoundError):

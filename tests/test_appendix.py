@@ -12,13 +12,20 @@ from hypothesis import strategies as st
 import bibennett.appendix as appendix
 from bibennett.appendix import (
     _CURVES,
+    _TAU_CHECKS,
+    _TAU_NODES,
+    _TWISTS,
     StructuralFactorError,
     ZeroPolynomialError,
     _cleared_determinant,
     _cleared_drive,
     _constrained_entry,
     _curve_entry,
+    _equal_offsets_gaps,
     _fit_squares,
+    _gap_entry,
+    _odd_factor_gaps,
+    _offset_split_gaps,
     constrained_case_polynomials,
     constrained_mu_product,
     constrained_resultant_target,
@@ -34,6 +41,7 @@ from bibennett.appendix import (
 from bibennett.algebra import (
     DegreeBoundError,
     clear_denominators,
+    interpolate_polynomial,
     sylvester_resultant,
 )
 from bibennett.bennett import BennettDesign, frame, transmission_K
@@ -169,10 +177,11 @@ def _squares(terms):
 def test_zero_constrained_polynomial_fails_the_curve_proofs(monkeypatch):
     # a zero p0 is even, so the identity entry holds, but every offset is a
     # root: no curve entry may pass
-    monkeypatch.setattr(appendix, "constrained_case_polynomials",
-                        lambda a1, a2, swapped: ([F(0)] * 5, [F(0)] * 5))
+    monkeypatch.setattr(appendix, "_constrained_polynomials",
+                        lambda forms, a1, a2, swapped: ([F(0)] * 5,
+                                                        [F(0)] * 5))
     for swapped in (False, True):
-        entry, even = _constrained_entry(swapped)
+        entry, even = _constrained_entry(dict.fromkeys(_TWISTS), swapped)
         assert entry.passed
         for curve in _CURVES.values():
             assert _curve_entry("zero", even, curve, swapped).value == 1.0
@@ -223,11 +232,12 @@ def test_fit_squares_recovers_and_confirms_its_degree():
 
 def test_non_even_constrained_polynomial_fails_the_identity_entry(
         monkeypatch):
-    monkeypatch.setattr(appendix, "constrained_case_polynomials",
-                        lambda a1, a2, swapped: ([F(1), F(1), F(1), F(0),
-                                                  F(0)], [F(0)] * 5))
+    monkeypatch.setattr(appendix, "_constrained_polynomials",
+                        lambda forms, a1, a2, swapped: ([F(1), F(1), F(1),
+                                                         F(0), F(0)],
+                                                        [F(0)] * 5))
     for swapped in (False, True):
-        entry, _ = _constrained_entry(swapped)
+        entry, _ = _constrained_entry(dict.fromkeys(_TWISTS), swapped)
         assert entry.value == 1.0 and not entry.passed
 
 
@@ -243,6 +253,99 @@ def test_constrained_polynomial_is_even_in_the_offset_and_the_twists():
 
 _POSITIVE = st.builds(F, st.integers(1, 40), st.integers(1, 30))
 _OFFSET = st.builds(F, st.integers(-40, 40), st.integers(1, 30))
+
+
+_TWIST = st.builds(F, st.integers(-40, 40).filter(bool), st.integers(1, 30))
+_OFFSET_OR_ZERO = st.one_of(st.just(F(0)), _OFFSET)
+
+
+def _tau_interpolation(a1, a2, mu):
+    """Reference: c0 ... c4 at the offsets ``mu``, by interpolating in tau
+    the cleared determinant at those offsets and normalising as the
+    CoplanarityExpansion docstring states."""
+    design = BennettDesign(a1, a2, F(1))
+    big_k = transmission_K(design)
+    (offsets,), den = clear_denominators([mu.as_tuple()])
+    n = interpolate_polynomial(
+        lambda tau: _cleared_determinant(_cleared_drive(design, big_k, tau),
+                                         offsets, den),
+        4, _TAU_NODES + _TAU_CHECKS)
+    scale = -((1 + a1 * a1) ** 2) * (1 + a2 * a2) ** 2 * (a1 - a2) ** 2
+    scale /= den ** 3
+    return (scale * n[0] / (a1 + a2) ** 2,
+            -scale * n[1] / (a1 * a2 * (a1 + a2)),
+            scale * n[2],
+            -scale * n[3] / (a1 * a2 * (a1 - a2)),
+            scale * n[4] / (a1 - a2) ** 2)
+
+
+def _offset_interpolation(a1, a2, swapped):
+    """Reference: the constrained polynomials by interpolating x^2 times c0
+    and c2 in the free offset x, each from its own tau interpolation."""
+    forced = constrained_mu_product(a1, a2, swapped)
+    nodes = tuple(F(i + 1, 2) for i in range(5)) + (F(9, 2), F(11, 3))
+
+    def offsets(x):
+        if swapped:
+            return MuSet(forced / x, x, x, forced / x)
+        return MuSet(x, x, forced / x, forced / x)
+
+    values = {x: _tau_interpolation(a1, a2, offsets(x)) for x in nodes}
+    return tuple(
+        interpolate_polynomial(lambda x: x * x * values[x][k], 4, nodes)
+        for k in (0, 2))
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_TWIST, _TWIST, st.lists(_OFFSET_OR_ZERO, min_size=4, max_size=4))
+def test_expansion_forms_match_the_tau_interpolation(a1, a2, offsets):
+    assume(a1 * a2 * (a1 - a2) * (a1 + a2) != 0)
+    exp = coplanarity_coeffs(a1, a2, MuSet(*offsets))
+    assert _typed((exp.c0, exp.c1, exp.c2, exp.c3, exp.c4)) == _typed(
+        _tau_interpolation(a1, a2, MuSet(*offsets)))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(_TWIST, _TWIST, st.booleans())
+def test_constrained_polynomials_match_the_offset_interpolation(a1, a2,
+                                                                swapped):
+    assume(a1 * a2 * (a1 - a2) * (a1 + a2) != 0)
+    got = constrained_case_polynomials(a1, a2, swapped)
+    reference = _offset_interpolation(a1, a2, swapped)
+    assert type(got) is tuple and all(type(p) is list for p in got)
+    assert [_typed(p) for p in got] == [_typed(p) for p in reference]
+
+
+_GAP_ENTRIES = {"split": _offset_split_gaps, "odd": _odd_factor_gaps,
+                "equal": _equal_offsets_gaps}
+
+
+@pytest.fixture(scope="module")
+def twist_forms():
+    return {twist: appendix._expansion_forms(*twist) for twist in _TWISTS}
+
+
+def _failing(forms):
+    return {name for name, gaps in _GAP_ENTRIES.items()
+            if not _gap_entry(name, forms, gaps).passed}
+
+
+@pytest.mark.parametrize("twist", (_TWISTS[7], _TWISTS[-1]))
+@pytest.mark.parametrize("k, failing", ((0, {"split"}), (1, {"odd"}),
+                                        (3, {"odd"}),
+                                        (4, {"split", "equal"})))
+def test_a_perturbed_form_fails_the_entries_that_read_it(twist_forms, twist,
+                                                         k, failing):
+    assert _failing(twist_forms) == set()
+    forms = dict(twist_forms)
+    perturbed = [list(form) for form in forms[twist]]
+    perturbed[k][0b0110] += F(1, 1000)
+    forms[twist] = tuple(perturbed)
+    assert _failing(forms) == failing
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -268,7 +371,21 @@ def test_nonexistence_suite_passes():
     assert len(report.residuals) == 13
     tags = {entry.label[entry.label.index("["):]
             for entry in report.residuals}
-    assert tags == {"[exact grid]", "[exact]", "[identity]", "[curve proof]"}
+    assert tags == {"[exact]", "[identity]", "[curve proof]"}
+    assert all(type(entry.value) in (int, F) for entry in report.residuals)
+
+
+def test_a_call_builds_the_forms_once_per_twist(monkeypatch):
+    built = []
+    build = appendix._expansion_forms
+
+    def counted(a1, a2):
+        built.append((a1, a2))
+        return build(a1, a2)
+
+    monkeypatch.setattr(appendix, "_expansion_forms", counted)
+    assert verify_nonexistence().verdict
+    assert len(built) == 27 and set(built) == set(_TWISTS)
 
 
 def test_import_and_appendix_load_no_numpy():

@@ -500,7 +500,7 @@ GOLDEN_DIGESTS = {
     ("fig9a", "float"):
         "9fd20728f6dd5c3861cb327d049d3b1b404656851f44918cf9c54c1556dd3618",
     "appendix":
-        "f02da2b91fdc88fa5e37bb53c6f5fb8aad6c03e4069052f3bf835a2fe4cd2660",
+        "3ac16a845d07ce7b1002f8611508ab123dce535d31527499088ee2a737813995",
 }
 
 
