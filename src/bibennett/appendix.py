@@ -402,14 +402,12 @@ def _identity_entry(label, gap, degree_bounds):
     return ResidualEntry(label, 0 if proved else 1, 0)
 
 
-def _resultant_entry(forms, swapped):
+def _resultant_entry(polys, swapped):
     """Exact check of the printed factorisation of the constrained-case
-    resultant at every twist of ``forms``."""
-    worst = max(
-        abs(sylvester_resultant(*_constrained_polynomials(
-            twist_forms, a1, a2, swapped))
-            - constrained_resultant_target(a1, a2, swapped))
-        for (a1, a2), twist_forms in forms.items())
+    resultant at every twist of ``polys`` ({(a1, a2): (p0, p2)})."""
+    worst = max(abs(sylvester_resultant(p0, p2)
+                    - constrained_resultant_target(a1, a2, swapped))
+                for (a1, a2), (p0, p2) in polys.items())
     tag = "swapped" if swapped else "direct"
     return ResidualEntry(f"resultant factorisation {tag} [exact]", worst, 0)
 
@@ -447,9 +445,9 @@ def _fit_squares(values, degree):
     return fits
 
 
-def _constrained_entry(forms, swapped):
+def _constrained_entry(polys, swapped):
     """(entry, even part) of the constrained polynomial p0 of one case,
-    read off ``forms`` ({(a1, a2): twist_forms}, in ``_TWISTS`` order).
+    from ``polys`` ({(a1, a2): (p0, p2)}, in ``_TWISTS`` order).
 
     p0 is even in the offset x, so p0 = (e0 + e1*y + e2*y^2) / W with
     y = x^2 and the weight W = (1+A)^2 (1+B) in the direct case and
@@ -465,8 +463,7 @@ def _constrained_entry(forms, swapped):
     """
     worst = 0
     values = {}
-    for (a1, a2), twist_forms in forms.items():
-        p0, _ = _constrained_polynomials(twist_forms, a1, a2, swapped)
+    for (a1, a2), (p0, _) in polys.items():
         worst = max([worst, *map(abs, p0[1::2])])
         big_a, big_b = a1 * a1, a2 * a2
         weight = ((1 + big_a) * (1 + big_b)
@@ -511,12 +508,13 @@ def verify_nonexistence() -> CertificateReport:
     polynomial identities (resting on their stated degree bounds), ``exact``
     for exact evaluation at every twist of ``_TWISTS``, and ``curve proof``
     for exact root counts along a whole constraint curve.  The expansion
-    forms of each twist are built once per call, and every entry reads
-    them.  Every value is exact, and nothing is drawn at random.
+    forms and the constrained polynomials of each twist are built once per
+    call.  Every value is exact, and nothing is drawn at random.
     """
     forms = {twist: _expansion_forms(*twist) for twist in _TWISTS}
-    constrained = [_constrained_entry(forms, swapped)
-                   for swapped in (False, True)]
+    polys = {s: {t: _constrained_polynomials(forms[t], *t, s) for t in _TWISTS}
+             for s in (False, True)}
+    constrained = [_constrained_entry(p, s) for s, p in polys.items()]
     entries = [
         _gap_entry("offset product split [identity]", forms,
                    _offset_split_gaps),
@@ -532,8 +530,7 @@ def verify_nonexistence() -> CertificateReport:
         _identity_entry("first quartic positive [identity]",
                         lambda a1, a2: quartic_g1(a1, a2) - 1
                         - (a1 * a2) ** 2 - 2 * a2 * a2, {"a1": 2, "a2": 2}),
-        _resultant_entry(forms, swapped=False),
-        _resultant_entry(forms, swapped=True),
+        *(_resultant_entry(p, s) for s, p in polys.items()),
         *(entry for entry, _ in constrained),
     ]
     for name, curve in _CURVES.items():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     DegenerateResultantError,
@@ -472,8 +473,8 @@ class CoupledPose:
     about the quad's symmetry line for families A, B and the trivial branch
     (whose partner is the first tube itself, at tau_bar = tau), the rigid
     alignment of the bar quad for family C.  ``hat_axes`` are the bar axes
-    moved by ``delta`` into the frame of the first tube; ``bib`` is the
-    coupling posed.
+    moved by ``delta`` into the frame of the first tube, on first read;
+    ``bib`` is the coupling posed.
     """
 
     bib: BiBennett
@@ -483,8 +484,12 @@ class CoupledPose:
     quad: SkewQuad
     bar_pose: Pose
     bar_quad: SkewQuad
-    hat_axes: dict
     delta: object  # HalfTurn or RigidMotion
+
+    @cached_property
+    def hat_axes(self) -> dict:
+        return {label: self.delta.apply_axis(ax)
+                for label, ax in self.bar_pose.axes.items()}
 
 
 class NoRealBranchError(ValueError):
@@ -515,10 +520,8 @@ def coupled_pose(bib: BiBennett, tau) -> CoupledPose:
         bar_pose = bib.bar_loop().pose(tau_bar)
         bar_quad = points_on_axes(bar_pose, bib.bar_mu)
         delta = align_isometry(bar_quad, quad)
-    hat_axes = {label: delta.apply_axis(ax)
-                for label, ax in bar_pose.axes.items()}
     return CoupledPose(bib, tau, tau_bar, pose, quad, bar_pose, bar_quad,
-                       hat_axes, delta)
+                       delta)
 
 
 # ---------------------------------------------------------------------------

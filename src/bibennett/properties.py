@@ -19,7 +19,9 @@ import math
 from dataclasses import dataclass
 
 from .algebra import (
+    clear_denominators,
     det3,
+    div,
     v_add,
     v_cross,
     v_dot,
@@ -115,7 +117,14 @@ def _deltoidal_residuals(sides, dots):
     return {"delto1": uc_c - wo_o, "delto2": wc_c - uo_o}
 
 
-def _vertex_certificate(name, residuals, cp: CoupledPose, tol
+def _tube_integers(vectors):
+    """:func:`clear_denominators` of an exact tube; a tube that holds a float
+    keeps its coordinates (D = 1): clearing would read its floats exactly."""
+    exact = not any(isinstance(x, float) for v in vectors for x in v)
+    return clear_denominators(vectors) if exact else (vectors, 1)
+
+
+def _vertex_certificate(name, residuals, power, cp: CoupledPose, tol
                         ) -> CertificateReport:
     """The labelled values ``residuals(sides, dots)`` at all four quad
     vertices of a line-symmetric coupling.
@@ -123,29 +132,34 @@ def _vertex_certificate(name, residuals, cp: CoupledPose, tol
     With c the vertex, o its opposite, u and w its neighbors, and r_c, r_o
     the axis directions at c and o, ``sides`` are (u-c, w-c, u-o, w-o) and
     ``dots`` are (<u-c, r_c>, <w-c, r_c>, <u-o, r_o>, <w-o, r_o>), each
-    computed once per vertex.
+    computed once per vertex on the vertices and directions cleared to one
+    D (:func:`_tube_integers`): each residual is an integer over D^power.
     """
-    quad, axes = cp.quad, cp.pose.axes
+    cleared, den = _tube_integers([*cp.quad.vertices(), *(
+        cp.pose.axes[label].direction for label in AXIS_LABELS)])
+    quad = dict(zip(AXIS_LABELS, cleared))
+    axes = dict(zip(AXIS_LABELS, cleared[4:]))
+    scale = den ** power
     entries = []
     for center, opposite, prev_n, next_n in VERTEX_ROLES:
         c, o, u, w = (quad[lab] for lab in (center, opposite, prev_n, next_n))
-        r_c, r_o = axes[center].direction, axes[opposite].direction
+        r_c, r_o = axes[center], axes[opposite]
         sides = (v_sub(u, c), v_sub(w, c), v_sub(u, o), v_sub(w, o))
         dots = [v_dot(side, r) for side, r in zip(sides, (r_c, r_c, r_o, r_o))]
         for label, value in residuals(sides, dots).items():
             entries.append(ResidualEntry(
-                f"{label} @ P{center[0]}{center[1]}", value, tol))
+                f"{label} @ P{center[0]}{center[1]}", div(value, scale), tol))
     return CertificateReport(name, tuple(entries))
 
 
 def isogonal_check(cp: CoupledPose, tol) -> CertificateReport:
     """Equal-opposite-angle certificate at all four quad vertices."""
-    return _vertex_certificate("isogonal", _isogonal_residuals, cp, tol)
+    return _vertex_certificate("isogonal", _isogonal_residuals, 6, cp, tol)
 
 
 def deltoidal_check(cp: CoupledPose, tol) -> CertificateReport:
     """Equal-adjacent-angle certificate at all four quad vertices."""
-    return _vertex_certificate("deltoidal", _deltoidal_residuals, cp, tol)
+    return _vertex_certificate("deltoidal", _deltoidal_residuals, 2, cp, tol)
 
 
 def isogonal_certificate(bib: BiBennett, tau, tol: float = ISO_TOL
@@ -163,11 +177,6 @@ def deltoidal_certificate(bib: BiBennett, tau, tol: float = ISO_TOL
 # ---------------------------------------------------------------------------
 # family-C adjacent-vertex half-turn certificate
 # ---------------------------------------------------------------------------
-
-# (v, w, prev of v, opposite of v) for each adjacent vertex pair (v, w)
-_ADJACENT_ROLES = tuple((v, w, prev_v, opp_v)
-                        for v, opp_v, prev_v, w in VERTEX_ROLES)
-
 
 def hat_points(quad: SkewQuad, bar_quad: SkewQuad, bar_points):
     """Transfer points of the bar tube onto the first tube through the
@@ -232,36 +241,27 @@ def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:
     (:func:`hat_points`).
     """
     residuals = []
-    bar_quad = cp.bar_quad
     quad = cp.quad
-    corners = [tuple(float(x) for x in p) for p in quad.vertices()]
-    min_gap = tol * max(math.dist(p, q)
-                        for p, q in zip(corners, corners[1:] + corners[:1]))
-    for v, w, prev_v, opp_v in _ADJACENT_ROLES:
+    fquad = {label: tuple(map(float, quad[label])) for label in AXIS_LABELS}
+    fhat = {lab: tuple(map(float, a.point)) for lab, a in cp.hat_axes.items()}
+    min_gap = tol * max(math.dist(fquad[v], fquad[w])
+                        for v, _, _, w in VERTEX_ROLES)
+    angles = _anchor_angles(quad, cp.pose)
+    bar_angles = _anchor_angles(cp.bar_quad, cp.bar_pose)
+    for v, opp_v, prev_v, w in VERTEX_ROLES:  # w is the next neighbor of v
         tag = f"P{v[0]}{v[1]}-P{w[0]}{w[1]}"
         pv, pw = quad[v], quad[w]
-        bv, bw = bar_quad[v], bar_quad[w]
-        fv = cp.pose.axes[v].point
-        fw = cp.pose.axes[w].point
-        bfv = cp.bar_pose.axes[v].point
-        bfw = cp.bar_pose.axes[w].point
-        pu, bu = quad[prev_v], bar_quad[prev_v]
-        po, bo = quad[opp_v], bar_quad[opp_v]
+        fv, fw = cp.pose.axes[v].point, cp.pose.axes[w].point
         # tau-free angle equalities between the two tubes, each in its own
-        # frame; the cleared normalizers agree by the shared side conditions
-        g1 = (v_dot(v_sub(pw, pv), v_sub(fv, pv))
-              - v_dot(v_sub(bv, bw), v_sub(bfw, bw)))
-        g2 = (v_dot(v_sub(pu, pv), v_sub(fv, pv))
-              - v_dot(v_sub(bo, bw), v_sub(bfw, bw)))
-        g3 = (v_dot(v_sub(pv, pw), v_sub(fw, pw))
-              - v_dot(v_sub(bw, bv), v_sub(bfv, bv)))
-        g4 = (v_dot(v_sub(po, pw), v_sub(fw, pw))
-              - v_dot(v_sub(bu, bv), v_sub(bfv, bv)))
-        for i, g in enumerate((g1, g2, g3, g4), start=1):
-            residuals.append(ResidualEntry(f"angle{i} @ {tag}", g, tol))
+        # frame; the cleared normalizers agree by the shared side conditions.
+        # The bar tube's terms swap v with w and prev_v with opp_v.
+        pairs = ((v, w), (v, prev_v), (w, v), (w, opp_v))
+        for i in range(4):
+            residuals.append(ResidualEntry(
+                f"angle{i + 1} @ {tag}",
+                angles[pairs[i]] - bar_angles[pairs[i - 2]], tol))
         # diagonal angle equality at the hat anchors
-        fhat_v = cp.hat_axes[v].point
-        fhat_w = cp.hat_axes[w].point
+        fhat_v, fhat_w = cp.hat_axes[v].point, cp.hat_axes[w].point
         diag = (v_dot(v_sub(fv, pv), v_sub(fhat_v, pv))
                 - v_dot(v_sub(fw, pw), v_sub(fhat_w, pw)))
         residuals.append(ResidualEntry(f"diag @ {tag}", diag, tol))
@@ -270,51 +270,51 @@ def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:
                   - det3(v_sub(pv, pw), v_sub(fhat_w, pw), v_sub(fw, pw)))
         residuals.append(ResidualEntry(f"orient @ {tag}", orient, tol))
         # the half-turn itself
-        src = SkewQuad(pv, pw, fv, fhat_v)
-        dst = SkewQuad(pw, pv, fhat_w, fw)
-        rho = align_isometry(src, dst)
-        sq = _compose_sq(rho)
+        rho = align_isometry(SkewQuad(pv, pw, fv, fhat_v),
+                             SkewQuad(pw, pv, fhat_w, fw))
         residuals.append(ResidualEntry(
-            f"rho involution @ {tag}", sq, INVOLUTION_TOL))
+            f"rho involution @ {tag}", _compose_sq(rho), INVOLUTION_TOL))
         residuals.append(ResidualEntry(
             f"rho direct @ {tag}", rho.orientation - 1, 0.0))
         # negative check: rho must not map the previous neighbor of v onto
         # the opposite vertex ...
-        img = rho.apply_point(tuple(float(x) for x in pu))
-        gap = math.dist(img, tuple(float(x) for x in po))
+        img = rho.apply_point(fquad[prev_v])
+        gap = math.dist(img, fquad[opp_v])
         residuals.append(ResidualEntry(
             f"rho(P{prev_v[0]}{prev_v[1]}) != P{opp_v[0]}{opp_v[1]} @ {tag}",
             0.0 if gap > min_gap else 1.0, 0.5))
         # ... those two points are related by a reflection instead
-        mirrored = _reflect_across_plane(
-            tuple(float(x) for x in img),
-            tuple(float(x) for x in pw),
-            tuple(float(x) for x in fw),
-            tuple(float(x) for x in fhat_w))
+        mirrored = _reflect_across_plane(img, fquad[w],
+                                         tuple(map(float, fw)), fhat[w])
         residuals.append(ResidualEntry(
             f"reflection relation @ {tag}",
-            math.dist(mirrored, tuple(float(x) for x in po)), tol))
+            math.dist(mirrored, fquad[opp_v]), tol))
     # the frame transfer must agree with the rigid alignment
     labels = ((2, 3), (3, 4))
-    transferred = hat_points(quad, bar_quad,
+    transferred = hat_points(quad, cp.bar_quad,
                              [cp.bar_pose.axes[label].point for label in labels])
-    for label, point in zip(labels, transferred):
-        gap = math.dist(tuple(float(x) for x in cp.hat_axes[label].point),
-                        tuple(float(x) for x in point))
-        residuals.append(ResidualEntry(
-            f"Fhat{label[0]}{label[1]} transfer", gap, tol))
+    for (i, j), point in zip(labels, transferred):
+        residuals.append(ResidualEntry(f"Fhat{i}{j} transfer", math.dist(
+            fhat[i, j], tuple(map(float, point))), tol))
     return CertificateReport("halfturn", tuple(residuals))
+
+
+def _anchor_angles(quad: SkewQuad, pose: Pose):
+    """{(x, y): <P_y - P_x, F_x - P_x>} for each quad vertex P_x, anchor F_x
+    and neighbor P_y, each an integer over D^2 (:func:`_tube_integers`)."""
+    cleared, den = _tube_integers(
+        [*quad.vertices(), *(pose.axes[lab].point for lab in AXIS_LABELS)])
+    return {(AXIS_LABELS[i], AXIS_LABELS[j]): div(v_dot(
+        v_sub(cleared[j], cleared[i]), v_sub(cleared[4 + i], cleared[i])),
+        den * den) for i in range(4) for j in ((i - 1) % 4, (i + 1) % 4)}
 
 
 def _compose_sq(motion) -> float:
     """Max displacement of rho(rho(x)) over a probe set (0 for an involution)."""
     probes = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
               (0.0, 0.0, 1.0), (1.0, 1.0, 1.0)]
-    worst = 0.0
-    for p in probes:
-        q = motion.apply_point(motion.apply_point(p))
-        worst = max(worst, math.dist(tuple(float(x) for x in q), p))
-    return worst
+    return max(math.dist(motion.apply_point(motion.apply_point(p)), p)
+               for p in probes)
 
 
 # ---------------------------------------------------------------------------

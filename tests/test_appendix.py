@@ -174,14 +174,12 @@ def _squares(terms):
     return [[F(terms.get((i, j), 0)) for j in range(5)] for i in range(5)]
 
 
-def test_zero_constrained_polynomial_fails_the_curve_proofs(monkeypatch):
+def test_zero_constrained_polynomial_fails_the_curve_proofs():
     # a zero p0 is even, so the identity entry holds, but every offset is a
     # root: no curve entry may pass
-    monkeypatch.setattr(appendix, "_constrained_polynomials",
-                        lambda forms, a1, a2, swapped: ([F(0)] * 5,
-                                                        [F(0)] * 5))
+    polys = dict.fromkeys(_TWISTS, ([F(0)] * 5, [F(0)] * 5))
     for swapped in (False, True):
-        entry, even = _constrained_entry(dict.fromkeys(_TWISTS), swapped)
+        entry, even = _constrained_entry(polys, swapped)
         assert entry.passed
         for curve in _CURVES.values():
             assert _curve_entry("zero", even, curve, swapped).value == 1.0
@@ -230,14 +228,11 @@ def test_fit_squares_recovers_and_confirms_its_degree():
         _fit_squares(values(lambda a, b: a * b ** 5), 4)
 
 
-def test_non_even_constrained_polynomial_fails_the_identity_entry(
-        monkeypatch):
-    monkeypatch.setattr(appendix, "_constrained_polynomials",
-                        lambda forms, a1, a2, swapped: ([F(1), F(1), F(1),
-                                                         F(0), F(0)],
-                                                        [F(0)] * 5))
+def test_non_even_constrained_polynomial_fails_the_identity_entry():
+    polys = dict.fromkeys(_TWISTS, ([F(1), F(1), F(1), F(0), F(0)],
+                                    [F(0)] * 5))
     for swapped in (False, True):
-        entry, _ = _constrained_entry(dict.fromkeys(_TWISTS), swapped)
+        entry, _ = _constrained_entry(polys, swapped)
         assert entry.value == 1.0 and not entry.passed
 
 
@@ -386,6 +381,21 @@ def test_a_call_builds_the_forms_once_per_twist(monkeypatch):
     monkeypatch.setattr(appendix, "_expansion_forms", counted)
     assert verify_nonexistence().verdict
     assert len(built) == 27 and set(built) == set(_TWISTS)
+
+
+def test_a_call_builds_the_constrained_polynomials_once_per_case(
+        monkeypatch):
+    built = []
+    build = appendix._constrained_polynomials
+
+    def counted(forms, a1, a2, swapped):
+        built.append((a1, a2, swapped))
+        return build(forms, a1, a2, swapped)
+
+    monkeypatch.setattr(appendix, "_constrained_polynomials", counted)
+    assert verify_nonexistence().verdict
+    assert sorted(built) == sorted((*twist, swapped) for twist in _TWISTS
+                                   for swapped in (False, True))
 
 
 def test_import_and_appendix_load_no_numpy():

@@ -37,7 +37,11 @@ from bibennett.families import (
     planar_bar_tau,
     solve_bar_tau,
 )
-from bibennett.limits import prismatic_limit_C
+from bibennett.limits import (
+    prismatic_limit_AB,
+    prismatic_limit_C,
+    pyramidal_limit,
+)
 
 F = Fraction
 DESIGN = validate(F(1, 2), F(1, 3), F(1))
@@ -318,3 +322,39 @@ def test_diagonal_rational_is_the_squared_diagonal(design, mu, tau, which):
     coeffs = diagonal_rational(floating, which)
     assert all(type(c) is F for c in coeffs[0] + coeffs[1])
     assert coeffs == diagonal_rational(_converted(floating, F), which)
+
+
+def _couplings(conv):
+    """A coupling of each family, the trivial branch and each kind of limit,
+    its scalars converted by ``conv``."""
+    design = validate(conv(F(1, 2)), conv(F(1, 3)), conv(F(1)))
+    apex = validate(conv(F(1, 2)), conv(F(1, 3)), conv(F(0)))
+    return [
+        make_family_a(MuSet(*map(conv, (F(37, 40), F(7, 8), F(1), F(1, 2))))),
+        make_family_b(conv(F(2, 3)), conv(F(1, 2)), design),
+        family_c(design, conv(F(2, 3)), conv(F(1, 4)), 1),
+        make_trivial(conv(F(2, 3)), conv(F(1, 2)), design),
+        prismatic_limit_AB("A", "anti", conv(F(1, 2)), conv(F(1, 3)),
+                           mu12=conv(F(1)), mu23=conv(F(3, 5)),
+                           mu34=conv(F(0))),
+        prismatic_limit_C("para", conv(F(2, 3)), conv(F(3, 4)), conv(F(1, 3)),
+                          conv(F(1, 2)), 1, -1),
+        pyramidal_limit(make_family_b(conv(F(2, 3)), conv(F(1, 2)), apex)),
+        pyramidal_limit(family_c(apex, conv(F(2, 3)), conv(F(1, 2)), 1, -1)),
+    ]
+
+
+def _typed_axes(axes):
+    return {label: [(type(x), x) for x in (*ax.point, *ax.direction)]
+            for label, ax in axes.items()}
+
+
+@pytest.mark.parametrize("conv", (F, float))
+def test_hat_axes_on_first_read_equal_the_eager_map(conv):
+    for bib in _couplings(conv):
+        cp = coupled_pose(bib, conv(F(3, 4)))
+        eager = {label: cp.delta.apply_axis(ax)
+                 for label, ax in cp.bar_pose.axes.items()}
+        assert "hat_axes" not in vars(cp)
+        assert _typed_axes(cp.hat_axes) == _typed_axes(eager), bib.family
+        assert cp.hat_axes is cp.hat_axes

@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bibennett.algebra import v_add, v_dot, v_norm_sq, v_sub
@@ -21,6 +21,7 @@ from bibennett.bennett import (
 )
 from bibennett.families import (
     ExcludedBranchError,
+    _AxisMap,
     MuSet,
     NoRealBranchError,
     NoRealFamilyError,
@@ -260,6 +261,9 @@ def _line_symmetric_coupling(family, a1, a2, k, mu, scalar):
 @given(st.sampled_from("AB"), _POSITIVE, _POSITIVE,
        st.one_of(st.just(F(0)), _POSITIVE), st.lists(_OFFSET, min_size=4,
                                                       max_size=4), _TAU)
+# a family-A mu-set whose twists are irrational: floats in exact mode, so
+# the exact vertex P14 sits among float ones
+@example("A", F(1), F(1), F(1), [F(3, 2), F(1, 2), F(1), F(-1, 3)], F(7, 5))
 def test_vertex_checks_equal_their_formulas(family, a1, a2, k, mu, tau):
     assume(family == "A" or a1 != a2)
     for scalar in (F, float):
@@ -275,3 +279,115 @@ def test_vertex_checks_equal_their_formulas(family, a1, a2, k, mu, tau):
                 expected = reference[entry.label]
                 assert type(entry.value) is type(expected), entry.label
                 assert entry.value == expected, (scalar, entry.label)
+        # a tube holding a float is not cleared: its residuals stay floats
+        assert (isinstance(bib.design.a1, float)
+                == (type(reference["iso1 @ P14"]) is float))
+
+
+def test_vertex_certificates_build_no_hat_axis(monkeypatch):
+    built = []
+    apply_axis = _AxisMap.apply_axis
+
+    def counted(self, ax):
+        built.append(ax.label)
+        return apply_axis(self, ax)
+
+    monkeypatch.setattr(_AxisMap, "apply_axis", counted)
+    for scalar in (F, float):
+        for family, mu, check in (
+                ("A", (F(37, 40), F(7, 8), F(1), F(1, 2)), isogonal_check),
+                ("B", (F(2, 3), F(1, 2)), deltoidal_check)):
+            bib = _line_symmetric_coupling(family, F(1, 2), F(1, 3), F(1),
+                                           mu, scalar)
+            cp = coupled_pose(bib, scalar(F(7, 5)))
+            assert check(cp, ISO_TOL).verdict
+        assert built == []
+    # the half-turn certificate reads the hat axes: each is built once
+    assert halfturn_certificate(FAMILY_C, F(7, 5)).verdict
+    assert sorted(built) == sorted(AXIS_LABELS)
+
+
+# ---------------------------------------------------------------------------
+# the half-turn angle entries against their spelled-out formulas
+# ---------------------------------------------------------------------------
+
+def _reference_angle_entries(cp):
+    """angle1..angle4 at each adjacent vertex pair (v, w), each written out
+    in full on the points of both tubes."""
+    quad, bar_quad = cp.quad, cp.bar_quad
+    entries = {}
+    for i, v in enumerate(AXIS_LABELS):
+        w, prev_v, opp_v = (AXIS_LABELS[(i + shift) % 4] for shift in (1, 3, 2))
+        pv, pw, pu, po = quad[v], quad[w], quad[prev_v], quad[opp_v]
+        bv, bw, bu, bo = (bar_quad[v], bar_quad[w], bar_quad[prev_v],
+                          bar_quad[opp_v])
+        fv, fw = cp.pose.axes[v].point, cp.pose.axes[w].point
+        bfv, bfw = cp.bar_pose.axes[v].point, cp.bar_pose.axes[w].point
+        values = (v_dot(v_sub(pw, pv), v_sub(fv, pv))
+                  - v_dot(v_sub(bv, bw), v_sub(bfw, bw)),
+                  v_dot(v_sub(pu, pv), v_sub(fv, pv))
+                  - v_dot(v_sub(bo, bw), v_sub(bfw, bw)),
+                  v_dot(v_sub(pv, pw), v_sub(fw, pw))
+                  - v_dot(v_sub(bw, bv), v_sub(bfv, bv)),
+                  v_dot(v_sub(po, pw), v_sub(fw, pw))
+                  - v_dot(v_sub(bu, bv), v_sub(bfv, bv)))
+        for n, value in enumerate(values, start=1):
+            entries[f"angle{n} @ P{v[0]}{v[1]}-P{w[0]}{w[1]}"] = value
+    return entries
+
+
+# (a1, a2, k, mu14, mu12, tau) with a rational tau_bar.  The coupling
+# relation is homogeneous in (k, mu14, mu12) and even in each, so tau_bar
+# stays rational when they are scaled together or their signs flip.
+_RATIONAL_BAR = (
+    (F(1, 3), F(2, 3), F(0), F(5, 6), F(1, 2), F(1)),
+    (F(1, 3), F(1), F(0), F(13, 40), F(1, 2), F(3)),
+    (F(1, 2), F(3, 2), F(0), F(5, 8), F(1, 2), F(1)),
+    (F(1, 3), F(1, 2), F(1, 2), F(2, 3), F(1, 3), F(3)),
+    (F(2, 3), F(2), F(1), F(1, 2), F(1), F(3)),
+    (F(1, 3), F(1), F(2), F(-2), F(-1), F(2, 3)),
+)
+
+
+def _scaled(params, scale, sign14, sign12):
+    a1, a2, k, mu14, mu12, tau = params
+    return a1, a2, scale * k, sign14 * scale * mu14, sign12 * scale * mu12, tau
+
+
+_SIGN = st.sampled_from((1, -1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.builds(_scaled, st.sampled_from(_RATIONAL_BAR), _POSITIVE, _SIGN,
+              _SIGN),
+    st.tuples(_POSITIVE, _POSITIVE, st.one_of(st.just(F(0)), _POSITIVE),
+              _OFFSET, _OFFSET, _TAU)), _SIGN, _SIGN)
+@example(_RATIONAL_BAR[0], 1, 1)
+@example(_RATIONAL_BAR[3], -1, -1)
+@example((F(1, 2), F(1, 3), F(1), F(2, 3), F(1, 4), F(7, 5)), 1, 1)
+def test_halfturn_angle_entries_equal_their_formulas(params, s, branch):
+    a1, a2, k, mu14, mu12, tau = params
+    assume(a1 != a2 and mu14 * mu14 != mu12 * mu12)
+    for scalar in (F, float):
+        design = validate(scalar(a1), scalar(a2), scalar(k))
+        bib = family_c(design, scalar(mu14), scalar(mu12), s, branch)
+        try:
+            cp = coupled_pose(bib, scalar(tau))
+        except (NoRealBranchError, PoleError):
+            assume(False)
+        reference = _reference_angle_entries(cp)
+        entries = {entry.label: entry.value
+                   for entry in halfturn_check(cp, HALFTURN_TOL).residuals
+                   if entry.label.startswith("angle")}
+        assert entries.keys() == reference.keys()
+        for label, value in entries.items():
+            assert type(value) is type(reference[label]), (scalar, label)
+            assert value == reference[label], (scalar, label)
+        if scalar is F:
+            # an irrational tau_bar leaves float anchors on axes 23 and 34
+            # of the bar tube among its exact ones: the entries reading
+            # them keep the float value of the formulas
+            types = {type(value) for value in entries.values()}
+            assert types == ({F, float} if isinstance(cp.tau_bar, float)
+                             else {F}), types
