@@ -54,7 +54,8 @@ class ConventionError(ValueError):
 
 
 class DegenerateDesignError(ValueError):
-    """a1 == a2: the transmission relation degenerates."""
+    """a1 == a2, or a planar rhombus d1 == d2 in case 1a or 2a: the
+    transmission ratio is infinite."""
 
 
 class PoleError(ValueError):
@@ -130,6 +131,9 @@ class PlanarDesign:
             raise ValueError(f"unknown planar case {self.case!r}")
         if self.d1 <= 0 or self.d2 <= 0:
             raise ConventionError("planar distances must be positive")
+        if self.case in ("1a", "2a") and self.d1 == self.d2:
+            raise DegenerateDesignError(
+                "d1 == d2 (rhombus) makes the transmission ratio infinite")
 
     def links(self):
         """The links (cos, sin, offset) of the pinned twists, offsets d_i."""
@@ -143,9 +147,6 @@ class PlanarDesign:
 def planar_K(pd: PlanarDesign):
     """Limit of the transmission ratio for each pinned-twist case."""
     if pd.case in ("1a", "2a"):
-        if pd.d1 == pd.d2:
-            raise PoleError(
-                "d1 == d2 (rhombus) is a pole of the planar transmission ratio")
         num = pd.d1 + pd.d2
         return div(num, pd.d2 - pd.d1 if pd.case == "1a" else pd.d1 - pd.d2)
     return 1 if pd.case == "1b" else -1

@@ -3,9 +3,10 @@
 Subcommands cover validation, construction, drive sweeps, certificates, limit
 label verification, the plane-symmetric non-existence suite, and OBJ export.
 Exit codes: 0 on success or all certificates passing, 1 on a certificate or
-math failure, 2 on input errors.  The environment variable ``BIBENNETT_TOL``
-supplies a default residual tolerance when neither the config nor ``--tol``
-sets one.
+math failure, 2 on input errors: a config that breaks the schema, or whose
+design its family's builder rejects.  A sweep keeps a drive value on a pole,
+or without a real companion parameter, as a marked row.  ``--tol`` overrides
+the config's residual tolerance.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ EXIT_OK = 0
 EXIT_CERTIFICATE = 1
 EXIT_INPUT = 2
 
-TOL_ENV = "BIBENNETT_TOL"
-
 # The math failures a valid config can reach: a drive value on a pole, and
 # a family-C drive value without a real companion parameter.  Any other
 # exception is a defect and propagates.
@@ -64,18 +63,10 @@ def _load_config(args) -> Config:
             )
         raw = resource.read_bytes()
     data = config_object(raw)
-    for key in ("tau", "mode", "branch", "s"):
+    for key in ("tau", "mode", "branch", "s", "tol"):
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
-    tol = getattr(args, "tol", None)
-    if tol is None and TOL_ENV in os.environ:
-        try:
-            tol = float(os.environ[TOL_ENV])
-        except ValueError as exc:
-            raise ConfigError(f"${TOL_ENV}: {exc}") from exc
-    if tol is not None:
-        data["tol"] = tol
     return parse_config(json.dumps(data))
 
 
@@ -139,11 +130,7 @@ def _axes_dict(axes) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    config = _load_config(args)
-    samples = config.tau_samples
-    if samples is None and config.tau is not None:
-        samples = (config.tau,)
-    csv_text, report = sweep_report(config, samples)
+    csv_text, report = sweep_report(_load_config(args))
     print(csv_text, end="")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -237,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--s", type=int, choices=(-1, 1))
             p.add_argument("--mode", choices=("exact", "float"))
             p.add_argument("--tol", type=float,
-                           help="residual tolerance override "
-                                f"(default from ${TOL_ENV})")
+                           help="residual tolerance override")
         p.add_argument("--out", help="write a machine-readable report or mesh")
         if name == "export":
             p.add_argument("--patch-n", dest="patch_n", type=int, default=4,

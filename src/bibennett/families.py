@@ -228,7 +228,8 @@ def isogram_residuals(quad: SkewQuad):
 
 @dataclass(frozen=True)
 class BiBennett:
-    """A coupled pair of Bennett tubes.
+    """A coupled pair of Bennett tubes of one design, with quad offsets
+    ``mu`` on the first tube and ``bar_mu`` on the partner.
 
     For families A, B and the trivial branch the partner tube is the
     half-turn image of the first (the bar loop is a congruent copy, coupled at
@@ -241,7 +242,6 @@ class BiBennett:
     family: str
     design: object
     mu: MuSet
-    bar_design: object
     bar_mu: MuSet
     labels: frozenset
     branch: int = -1  # sign of the tau_bar root followed by default
@@ -252,28 +252,32 @@ class BiBennett:
         if self.branch not in (-1, 1):
             raise ValueError("branch must be -1 or +1")
 
+    @property
+    def bar_design(self):
+        """The partner tube's design, the coupling's one design."""
+        return self.design
+
     def loop(self) -> Loop:
         return Loop(self.design, self.mu)
 
     def bar_loop(self) -> Loop:
-        return Loop(self.bar_design, self.bar_mu)
+        return Loop(self.design, self.bar_mu)
 
 
 def make_family_a(mu: MuSet, k=1) -> BiBennett:
     a1, a2 = family_a(mu)
     design = validate(a1, a2, k)
-    return BiBennett("A", design, mu, design, mu, frozenset())
+    return BiBennett("A", design, mu, mu, frozenset())
 
 
 def make_family_b(mu23, mu34, design: BennettDesign) -> BiBennett:
     mu = family_b(mu23, mu34)
-    return BiBennett("B", design, mu, design, mu, frozenset())
+    return BiBennett("B", design, mu, mu, frozenset())
 
 
 def make_trivial(mu23, mu34, design: BennettDesign) -> BiBennett:
     mu = MuSet(-mu23, -mu34, mu23, mu34)
-    return BiBennett("TrivialLineSym", design, mu, design, mu,
-                     frozenset())
+    return BiBennett("TrivialLineSym", design, mu, mu, frozenset())
 
 
 def family_c(design, mu14, mu12, s: int, branch: int = -1) -> BiBennett:
@@ -294,8 +298,7 @@ def family_c(design, mu14, mu12, s: int, branch: int = -1) -> BiBennett:
             "the half-turn certificate's planes and frames degenerate")
     mu = MuSet(mu14, mu12, mu14, mu12)
     bar_mu = MuSet(s * mu12, s * mu14, s * mu12, s * mu14)
-    return BiBennett("C", design, mu, design, bar_mu, frozenset(),
-                     branch=branch)
+    return BiBennett("C", design, mu, bar_mu, frozenset(), branch=branch)
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +573,17 @@ def diagonal_rational(loop: Loop, which: int):
     return [Fraction(c) for c in num], [Fraction(c) for c in den]
 
 
+def _side_sq(loop: Loop):
+    """Squared sides 14-12, 12-23, 23-34, 34-14 of the loop's quad, which do
+    not depend on tau: side i spans link i mod 2 + 1, (c, s, d), between the
+    points at offsets m_a, m_b on its two axes, at squared distance
+    d^2 + m_a^2 + m_b^2 - 2 m_a m_b c."""
+    links = loop.design.links() * 2
+    mu = loop.mu.as_tuple()
+    return tuple(Fraction(d * d + ma * ma + mb * mb - 2 * ma * mb * c)
+                 for (c, _, d), ma, mb in zip(links, mu, mu[1:] + mu[:1]))
+
+
 def _coupling_form(num, den, bar_num, bar_den):
     """N(tau) Mbar(tau_bar) - Nbar(tau_bar) M(tau) as a bidegree-(2,2) form,
     the 3x3 nested list of its coefficients of tau^i tau_bar^j."""
@@ -584,14 +598,16 @@ class NecessaryReport:
     Four tau-free side conditions plus the nine coefficients of the
     degree-8 elimination of tau_bar from the two diagonal conditions.  For
     the known families the two diagonal conditions are proportional, which
-    makes the eliminant identically zero; this shows up as
-    ``degenerate_resultant`` (shared quadratic factor) rather than a
-    coefficient-wise accident.
+    makes the eliminant identically zero.
     """
 
     side_residuals: tuple  # 4 scalars
     resultant_coeffs: tuple  # 9 scalars (tau^0 .. tau^8)
-    degenerate_resultant: bool
+
+    @property
+    def degenerate_resultant(self) -> bool:
+        """Whether every coefficient of the eliminant is zero."""
+        return not any(self.resultant_coeffs)
 
     def residuals(self):
         return self.side_residuals + self.resultant_coeffs
@@ -601,20 +617,10 @@ class NecessaryReport:
 
 
 def necessary_conditions(loop: Loop, bar_loop: Loop) -> NecessaryReport:
-    """Evaluate the 13-equation necessary system for flexible coupling.
-
-    Exact when both loops carry Fraction parameters.
-    """
-    probe = Fraction(7, 5)
-    sides = loop.quad(probe).side_sq()
-    bar_sides = bar_loop.quad(probe).side_sq()
-    # sides of a Bennett quad do not depend on tau; double-check that before
-    # treating the single probe as representative
-    probe2 = Fraction(-8, 7)
-    if loop.quad(probe2).side_sq() != sides and not any(
-            isinstance(s, float) for s in sides):
-        raise ValueError("side lengths unexpectedly depend on tau")
-    side_res = tuple(s - b for s, b in zip(sides, bar_sides))
+    """Evaluate the 13-equation necessary system for flexible coupling,
+    exactly: float parameters convert to the rationals they represent."""
+    loop, bar_loop = _exact_loop(loop), _exact_loop(bar_loop)
+    side_res = tuple(s - b for s, b in zip(_side_sq(loop), _side_sq(bar_loop)))
 
     forms = []
     for which in (0, 1):
@@ -625,7 +631,7 @@ def necessary_conditions(loop: Loop, bar_loop: Loop) -> NecessaryReport:
         coeffs = resultant_tau_bar(forms[0], forms[1])
     except DegenerateResultantError:
         coeffs = [0] * 9
-    return NecessaryReport(side_res, tuple(coeffs), not any(coeffs))
+    return NecessaryReport(side_res, tuple(coeffs))
 
 
 def planar_bar_tau(bib: BiBennett, tau):

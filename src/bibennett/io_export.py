@@ -22,10 +22,8 @@ from .algebra import parse_scalar
 from .bennett import (
     AXIS_LABELS,
     BennettDesign,
-    ConventionError,
-    DegenerateDesignError,
-    PLANAR_CASES,
     PlanarDesign,
+    PoleError,
     frame,
     loop_closure_residual,
     validate,
@@ -194,7 +192,9 @@ def config_object(raw) -> dict:
 
 
 def parse_config(text) -> Config:
-    """Parse and validate a JSON configuration (text or UTF-8 bytes)."""
+    """Parse a JSON configuration (text or UTF-8 bytes) and check its
+    schema: the keys of its family and the type of each number, sign and
+    sample list.  :func:`build_structure` checks the case and the design."""
     data = config_object(text)
     if data.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"'schema' must be {SCHEMA_VERSION}")
@@ -225,10 +225,6 @@ def parse_config(text) -> Config:
         if key in data:
             values[key] = _convert(key, scalar, data[key])
     if "case" in data:
-        if data["case"] not in PLANAR_CASES and data["case"] not in ("anti", "para"):
-            raise ConfigError(
-                f"'case' must be a planar case {PLANAR_CASES} or anti/para"
-            )
         values["case"] = data["case"]
     for key in ("s", "branch"):
         if key in data:
@@ -245,26 +241,7 @@ def parse_config(text) -> Config:
             raise ConfigError("'tau_samples' must be a non-empty list")
         values["tau_samples"] = tuple(_convert("tau_samples", scalar, v)
                                       for v in raw)
-    config = Config(**values)
-    _validate_convention(config)
-    return config
-
-
-def _validate_convention(config: Config) -> None:
-    """Reject designs the constructions exclude, naming the violated rule."""
-    required = FAMILIES[config.family].required
-    if {"a1", "a2"} <= required:
-        try:
-            k = config.k if config.k is not None else 0
-            validate(config.a1, config.a2, k)
-        except (DegenerateDesignError, ConventionError) as exc:
-            raise ConfigError(f"invalid design: {exc}") from exc
-    # the planar transmission ratio (planar_K) has a pole at the rhombus
-    if config.case in ("1a", "2a", "anti") and config.d1 == config.d2:
-        raise ConfigError(
-            "invalid design: equal offsets d1 = d2 put the planar "
-            "transmission at a pole"
-        )
+    return Config(**values)
 
 
 def serialize_config(config: Config) -> str:
@@ -293,7 +270,7 @@ def _scalar_str(value):
 
 
 def load_config(path) -> Config:
-    """Parse and validate the config file at ``path``."""
+    """Parse the config file at ``path`` by :func:`parse_config`."""
     with open(path, "rb") as handle:
         return parse_config(handle.read())
 
@@ -304,7 +281,7 @@ def load_config(path) -> Config:
 
 def build_structure(config: Config):
     """Instantiate the object a config describes, by the builder of its
-    family in FAMILIES."""
+    family in FAMILIES, which rejects a design its construction excludes."""
     if config.family not in FAMILIES:
         raise ConfigError(f"unsupported family {config.family!r}")
     try:
@@ -458,49 +435,44 @@ def _certify_pose(config: Config, pose):
     return name, check(pose, tol if config.tol is None else config.tol)
 
 
-def sweep_report(config: Config, tau_samples=None):
-    """Tabulate a coupling over drive values.
+def sweep_report(config: Config):
+    """Tabulate a coupling over the config's drive values: its
+    ``tau_samples``, else its ``tau``.
 
-    Returns ``(csv_text, report_dict)``; the dict mirrors the CSV rows.  Rows
-    at the transmission pole tau = 0 are kept with a marker and no data; rows
-    whose companion parameter has no real branch are marked likewise.
+    Returns ``(csv_text, report_dict)``; the dict mirrors the CSV rows.  A
+    row whose pose is at a pole (of the joint-angle substitution at tau = 0
+    or at tau_bar = 0, or of the tau_bar relation) is kept with a marker and
+    no data; a row whose companion parameter has no real branch likewise.
     """
-    samples = tau_samples if tau_samples is not None else config.tau_samples
-    if samples is None:
-        raise ConfigError("no tau samples: pass tau_samples or set it in the config")
+    if config.tau_samples is None and config.tau is None:
+        raise ConfigError("no tau samples: set tau_samples or tau in the config")
     bib = build_structure(config)
     if not isinstance(bib, BiBennett):
         raise ConfigError(f"family {config.family!r} has no coupling to sweep")
+    blank = dict.fromkeys(SWEEP_HEADER, "")
     rows = []
-    for tau in samples:
-        row = {"tau": _scalar_str(tau)}
-        if tau == 0:
-            row.update(status=_POLE, tau_bar="", closure_residual="",
-                       bar_closure_residual="", side_residual="",
-                       certificate="", verdict="")
-            rows.append(row)
-            continue
+    for tau in config.tau_samples or (config.tau,):
+        row = dict(blank, tau=_scalar_str(tau))
         try:
             cp = coupled_pose(bib, tau)
+        except PoleError:
+            row["status"] = _POLE
         except NoRealBranchError:
-            row.update(status=_EMPTY_BRANCH, tau_bar="", closure_residual="",
-                       bar_closure_residual="", side_residual="",
-                       certificate="", verdict="")
-            rows.append(row)
-            continue
-        name, report = _certify_pose(config, cp)
-        side = max(abs(float(r)) for r in isogram_residuals(cp.quad))
-        row.update(
-            status="ok",
-            tau_bar=_scalar_str(cp.tau_bar),
-            closure_residual=_scalar_str(
-                loop_closure_residual(bib.design, tau)),
-            bar_closure_residual=_scalar_str(
-                loop_closure_residual(bib.bar_design, cp.tau_bar)),
-            side_residual=side,
-            certificate=name,
-            verdict="pass" if report.verdict else "fail",
-        )
+            row["status"] = _EMPTY_BRANCH
+        else:
+            name, report = _certify_pose(config, cp)
+            side = max(abs(float(r)) for r in isogram_residuals(cp.quad))
+            row.update(
+                status="ok",
+                tau_bar=_scalar_str(cp.tau_bar),
+                closure_residual=_scalar_str(
+                    loop_closure_residual(bib.design, tau)),
+                bar_closure_residual=_scalar_str(
+                    loop_closure_residual(bib.bar_design, cp.tau_bar)),
+                side_residual=side,
+                certificate=name,
+                verdict="pass" if report.verdict else "fail",
+            )
         rows.append(row)
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=SWEEP_HEADER)
@@ -508,5 +480,5 @@ def sweep_report(config: Config, tau_samples=None):
     for row in rows:
         writer.writerow({key: str(row[key]) for key in SWEEP_HEADER})
     report = {"schema": SCHEMA_VERSION, "family": config.family,
-              "rows": [dict(row) for row in rows]}
+              "rows": rows}
     return buffer.getvalue(), report

@@ -88,7 +88,7 @@ def prismatic_limit_AB(family: str, case: str, d1, d2,
                 "the parallelogramic branch of this pattern maps the prism "
                 "onto itself (trivial)")
         mu = MuSet(mu23, mu34, mu23, mu34)
-        return BiBennett("B", pd, mu, pd, mu, frozenset({"III1", "III2ii"}))
+        return BiBennett("B", pd, mu, mu, frozenset({"III1", "III2ii"}))
     if family != "A":
         raise ValueError("family must be 'A' or 'B'")
     if case == "anti":
@@ -104,7 +104,7 @@ def prismatic_limit_AB(family: str, case: str, d1, d2,
     mu = MuSet(mu14, mu12, mu23, mu34)
     if detect_trivial(mu):
         raise TrivialQuadError("mu-set is the trivial self-symmetric pattern")
-    return BiBennett("A", pd, mu, pd, mu, frozenset(labels))
+    return BiBennett("A", pd, mu, mu, frozenset(labels))
 
 
 def prismatic_limit_C(case: str, d1, d2, mu14, mu12, s: int,

@@ -16,6 +16,7 @@ import pytest
 
 from bibennett.bennett import (
     BennettDesign,
+    DegenerateDesignError,
     PlanarDesign,
     PoleError,
     loop_closure_residual,
@@ -147,8 +148,8 @@ def test_criterion_1_loop_closure():
             assert planar_loop_closure_residual(pd, tau) == 0
     # [TRIVIAL] the rhombus d1 = d2 is a transmission pole in cases 1a, 2a
     for case in ("1a", "2a"):
-        with pytest.raises(PoleError):
-            planar_K(PlanarDesign(F(1, 2), F(1, 2), case))
+        with pytest.raises(DegenerateDesignError):
+            PlanarDesign(F(1, 2), F(1, 2), case)
     assert time.monotonic() - start < 10.0
 
 

@@ -71,10 +71,10 @@ def test_planar_transmission_values():
 
 
 def test_planar_pole():
-    with pytest.raises(PoleError):
-        planar_K(PlanarDesign(F(1), F(1), "1a"))
-    with pytest.raises(PoleError):
-        planar_K(PlanarDesign(F(1), F(1), "2a"))
+    # the rhombus d1 = d2 is a pole of the transmission ratio in 1a and 2a
+    for case in ("1a", "2a"):
+        with pytest.raises(DegenerateDesignError):
+            PlanarDesign(F(1), F(1), case)
 
 
 def test_planar_closure_exact():

@@ -12,11 +12,10 @@ from bibennett.cli import (
     EXIT_CERTIFICATE,
     EXIT_INPUT,
     EXIT_OK,
-    TOL_ENV,
     fixture_path,
     main,
 )
-from bibennett.io_export import FAMILIES
+from bibennett.io_export import FAMILIES, parse_config
 
 
 def test_fixture_path_variants():
@@ -210,6 +209,54 @@ def test_sweep_csv_and_report(tmp_path, capsys):
     assert all(row["verdict"] == "pass" for row in data["rows"])
 
 
+_POLE_SWEEP = {"schema": 1, "family": "C", "a1": "1", "a2": "1/2", "k": "1",
+               "mu14": "1", "mu12": "1/3", "s": 1, "branch": -1,
+               "tau_samples": ["1/2", "3", "-3", "2"]}
+
+
+@pytest.mark.parametrize("offsets, poles", [
+    # tau = +-3 is the pole of the tau_bar relation
+    ({}, ["3/1", "-3/1"]),
+    # tau = 1 gives tau_bar = 0, the pole of the bar loop's substitution
+    ({"mu14": "1/3", "mu12": "1", "tau_samples": ["1/2", "1", "2"]},
+     ["1/1"]),
+])
+def test_sweep_marks_every_pole_row(tmp_path, capsys, offsets, poles):
+    path = tmp_path / "poles.json"
+    path.write_text(json.dumps({**_POLE_SWEEP, **offsets}))
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "-c", str(path), "--out", str(out)]) == EXIT_OK
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["tau"] for row in rows if row["status"] == "pole"] == poles
+    assert any(row["status"] == "ok" for row in rows)
+
+
+_DESIGNS = {"single": {"a2": "1/3", "k": "1"},
+            "planar": {"d1": "1/2"},
+            "C-prismatic": {"d1": "1/2", "mu14": "1", "mu12": "1/3"}}
+
+
+@pytest.mark.parametrize("family, keys", [
+    ("single", {"a1": "1/3"}),  # a1 = a2
+    ("single", {"a1": "0"}),
+    ("single", {"a1": "-1/2"}),
+    ("single", {"a1": "1/2", "k": "-1"}),
+    *(("planar", {"case": case, "d2": "1/2"}) for case in ("1a", "2a")),
+    ("C-prismatic", {"case": "anti", "d2": "1/2"}),
+])
+@pytest.mark.parametrize("command", ["validate", "construct", "sweep",
+                                     "certify", "limits", "export"])
+def test_every_subcommand_rejects_an_excluded_design(tmp_path, capsys, family,
+                                                     keys, command):
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps({"schema": 1, "family": family, "tau": "1/2",
+                                **_DESIGNS[family], **keys}))
+    parse_config(path.read_text())  # the schema holds; the builder rejects
+    argv = [command, "-c", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
 def test_certify_pass_and_report(tmp_path, capsys):
     out = tmp_path / "cert.json"
     assert main(["certify", "-c", "fig6", "--out", str(out)]) == EXIT_OK
@@ -299,38 +346,19 @@ def test_export_patch_density_is_input_error(tmp_path, capsys):
     assert "--patch-n" in capsys.readouterr().err
 
 
-def test_tol_env_default(tmp_path, monkeypatch):
-    # an absurdly tight tolerance from the environment fails a float-mode
-    # certificate; an explicit --tol override restores it
-    monkeypatch.setenv(TOL_ENV, "1e-300")
-    code = main(["certify", "-c", "fig6", "--mode", "float"])
-    assert code == EXIT_CERTIFICATE
-    code = main(["certify", "-c", "fig6", "--mode", "float", "--tol", "1e-9"])
-    assert code == EXIT_OK
-
-
-def test_bad_tol_env_is_input_error(monkeypatch, capsys):
-    monkeypatch.setenv(TOL_ENV, "abc")
-    assert main(["validate", "-c", "fig6"]) == EXIT_INPUT
-    assert TOL_ENV in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("source", ["config", "--tol", TOL_ENV])
-def test_negative_tol_is_input_error(tmp_path, monkeypatch, capsys, source):
+@pytest.mark.parametrize("source", ["config", "--tol"])
+def test_negative_tol_is_input_error(tmp_path, capsys, source):
     argv = ["certify", "-c", "fig4"]
     if source == "config":
         config = json.loads(fixture_path("fig4").read_text())
         path = tmp_path / "negative.json"
         path.write_text(json.dumps({**config, "tol": -1}))
         argv = ["certify", "-c", str(path)]
-    elif source == "--tol":
-        argv += ["--tol", "-1"]
     else:
-        monkeypatch.setenv(TOL_ENV, "-1e-9")
+        argv += ["--tol", "-1"]
     assert main(argv) == EXIT_INPUT
     assert "'tol' must be nonnegative" in capsys.readouterr().err
     # a zero tolerance stays valid: fig4's exact residuals are exact zeros
-    monkeypatch.delenv(TOL_ENV, raising=False)
     assert main(["certify", "-c", "fig4", "--tol", "0"]) == EXIT_OK
 
 

@@ -22,6 +22,7 @@ from bibennett.families import (
     NoRealBranchError,
     NoRealFamilyError,
     ZeroOffsetError,
+    _side_sq,
     bar_tau_squared,
     coupled_pose,
     coupling_quartic,
@@ -317,6 +318,10 @@ def test_diagonal_rational_is_the_squared_diagonal(design, mu, tau, which):
     assert den == ([kk * kk, 0, 1] if which == 0 else [1, 0, 1])
     assert _value(num, tau) / _value(den, tau) == \
         loop.quad(tau).diag_sq()[which]
+    # the oracle's sides, one link each, are the posed ones at every tau
+    posed = loop.quad(tau).side_sq()
+    assert [(type(x), x) for x in _side_sq(loop)] == \
+        [(type(x), x) for x in posed]
     # float parameters give the coefficients of the rationals they hold
     floating = _converted(loop, float)
     coeffs = diagonal_rational(floating, which)

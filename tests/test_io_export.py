@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -110,17 +111,20 @@ def test_parse_rejects_missing_required_key():
 
 
 def test_parse_rejects_degenerate_design():
-    text = json.dumps({"schema": 1, "family": "B", "a1": "1/2", "a2": "1/2",
-                       "k": "1", "mu23": "1/2", "mu34": "1/3"})
-    with pytest.raises(ConfigError, match="invalid design"):
-        parse_config(text)
+    # the schema holds; the builder rejects the design
+    config = parse_config(json.dumps({
+        "schema": 1, "family": "B", "a1": "1/2", "a2": "1/2", "k": "1",
+        "mu23": "1/2", "mu34": "1/3"}))
+    with pytest.raises(ConfigError, match="a1 == a2"):
+        build_structure(config)
 
 
 def test_parse_rejects_equal_planar_offsets():
-    text = json.dumps({"schema": 1, "family": "planar", "case": "1a",
-                       "d1": "1/2", "d2": "1/2"})
-    with pytest.raises(ConfigError, match="equal offsets"):
-        parse_config(text)
+    config = parse_config(json.dumps({
+        "schema": 1, "family": "planar", "case": "1a", "d1": "1/2",
+        "d2": "1/2"}))
+    with pytest.raises(ConfigError, match="rhombus"):
+        build_structure(config)
 
 
 @pytest.mark.parametrize("family, case", [
@@ -133,6 +137,7 @@ def test_parse_accepts_a_rhombus_off_the_pole(family, case):
         data.update(mu14="1/3", mu12="1/2")
     config = parse_config(json.dumps(data))
     assert config.d1 == config.d2 == Fraction(1, 2)
+    assert build_structure(config)
 
 
 def test_load_config_rejects_non_utf8_file(tmp_path):
@@ -250,7 +255,8 @@ def test_sweep_family_b_rows_pass():
 
 
 def test_sweep_pole_marker():
-    csv_text, report = sweep_report(_fixture("fig5"), tau_samples=(F(0), F(1, 2)))
+    csv_text, report = sweep_report(replace(_fixture("fig5"),
+                                            tau_samples=(F(0), F(1, 2))))
     rows = report["rows"]
     assert rows[0]["status"] == "pole"
     assert rows[0]["tau_bar"] == ""
@@ -264,25 +270,25 @@ def test_sweep_no_real_branch_marker():
     text = json.dumps({"schema": 1, "family": "C", "a1": "1/2", "a2": "1/3",
                        "k": "1", "mu14": "1/2", "mu12": "2/3",
                        "s": 1, "branch": -1})
-    config = parse_config(text)
-    _, report = sweep_report(config, tau_samples=(F(-2, 5), F(9, 10)))
+    config = replace(parse_config(text), tau_samples=(F(-2, 5), F(9, 10)))
+    _, report = sweep_report(config)
     assert report["rows"][0]["status"] == "no-real-branch"
     assert report["rows"][0]["tau_bar"] == ""
     assert report["rows"][1]["status"] == "ok"
 
 
 def test_sweep_requires_samples():
-    config = _fixture("fig8a")
-    if config.tau_samples is None:
-        with pytest.raises(ConfigError, match="tau samples"):
-            sweep_report(config)
-    csv_text, report = sweep_report(config, tau_samples=(config.tau,))
+    config = replace(_fixture("fig8a"), tau_samples=None)
+    _, report = sweep_report(config)
+    assert [row["tau"] for row in report["rows"]] == [str(config.tau)]
     assert report["rows"][0]["verdict"] == "pass"
+    with pytest.raises(ConfigError, match="tau samples"):
+        sweep_report(replace(config, tau=None))
 
 
 def test_sweep_rejects_single_loop():
     with pytest.raises(ConfigError):
-        sweep_report(_fixture("fig3"), tau_samples=(F(3, 5),))
+        sweep_report(replace(_fixture("fig3"), tau_samples=(F(3, 5),)))
 
 
 def test_certify_poses_loops_exactly():
