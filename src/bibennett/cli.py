@@ -6,16 +6,18 @@ Exit codes: 0 on success or all certificates passing, 1 on a certificate or
 math failure, 2 on input errors: a config that breaks the schema, or whose
 design its family's builder rejects.  A sweep keeps a drive value on a pole,
 or without a real companion parameter, as a marked row.  ``--tol`` overrides
-the config's residual tolerance.
+the config's residual tolerance; ``--tau`` replaces its drive values.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .appendix import verify_nonexistence
 from .bennett import PoleError, frame, loop_closure_residual
@@ -44,8 +46,7 @@ _MATH_ERRORS = (PoleError, NoRealBranchError)
 
 def fixture_path(name: str):
     """Path of a bundled figure config such as ``fig6`` or ``fig8a.json``."""
-    if not name.endswith(".json"):
-        name += ".json"
+    name = name.removesuffix(".json") + ".json"
     return importlib.resources.files("bibennett") / "fixtures" / name
 
 
@@ -67,7 +68,8 @@ def _load_config(args) -> Config:
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
-    return parse_config(json.dumps(data))
+    config = parse_config(json.dumps(data))
+    return config if args.tau is None else replace(config, tau_samples=None)
 
 
 def _require_tau(config: Config):
@@ -197,6 +199,7 @@ def _report(args, name, report) -> int:
     return EXIT_OK if report.verdict else EXIT_CERTIFICATE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bibennett",
@@ -237,10 +240,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except _MATH_ERRORS as exc:

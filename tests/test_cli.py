@@ -1,5 +1,6 @@
 """Command-line interface tests driven through main(argv)."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -209,6 +210,16 @@ def test_sweep_csv_and_report(tmp_path, capsys):
     assert all(row["verdict"] == "pass" for row in data["rows"])
 
 
+def test_sweep_tau_replaces_the_config_samples(capsys):
+    def taus(argv):
+        assert main(["sweep", "-c", "fig6", *argv]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        return [row.split(",")[0] for row in rows]
+
+    assert taus(["--tau", "1/3"]) == ["1/3"]
+    assert taus([]) == ["1/2", "3/4", "9/10"]
+
+
 _POLE_SWEEP = {"schema": 1, "family": "C", "a1": "1", "a2": "1/2", "k": "1",
                "mu14": "1", "mu12": "1/3", "s": 1, "branch": -1,
                "tau_samples": ["1/2", "3", "-3", "2"]}
@@ -331,12 +342,50 @@ def test_appendix_report(tmp_path, capsys):
 
 
 def test_export_obj(tmp_path, capsys):
+    # --patch-n 2 and then the default 4: no option carries into the next call
     out = tmp_path / "mesh.obj"
-    assert main(["export", "-c", "fig6", "--out", str(out),
-                 "--patch-n", "2"]) == EXIT_OK
-    text = out.read_text()
-    assert text.count("g ") == 8
-    assert sum(1 for l in text.splitlines() if l.startswith("v ")) == 8 * 9
+    for argv, n in ((["--patch-n", "2"], 2), ([], 4)):
+        assert main(["export", "-c", "fig6", "--out", str(out),
+                     *argv]) == EXIT_OK
+        text = out.read_text()
+        assert text.count("g ") == 8
+        assert sum(1 for l in text.splitlines()
+                   if l.startswith("v ")) == 8 * (n + 1) ** 2
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    assert main(["validate", "-c", "fig6"]) == EXIT_OK
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["validate", "-c", "fig6"], ["certify", "-c", "fig6"],
+                 ["sweep", "-c", "fig5"]):
+        assert main(argv) == EXIT_OK
+    assert built == []
+
+
+def test_certify_options_do_not_leak_into_the_next_call(capsys):
+    assert main(["certify", "-c", "fig6"]) == EXIT_OK
+    first = capsys.readouterr()
+    assert main(["certify", "-c", "fig6", "--mode", "float", "--tol", "1e-3",
+                 "--branch", "1"]) == EXIT_OK
+    overridden = capsys.readouterr()
+    assert main(["certify", "-c", "fig6"]) == EXIT_OK
+    assert overridden != first
+    assert capsys.readouterr() == first
+
+
+def test_a_rejected_option_is_rejected_again(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "-c", "fig6", "--branch", "3"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_export_patch_density_is_input_error(tmp_path, capsys):
