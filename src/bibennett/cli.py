@@ -20,16 +20,16 @@ import sys
 from dataclasses import replace
 
 from .appendix import verify_nonexistence
-from .bennett import PoleError, frame, loop_closure_residual
+from .bennett import AXIS_LABELS, PoleError, frame, loop_closure_residual
 from .families import BiBennett, NoRealBranchError, coupled_pose
 from .io_export import (
     Config,
     ConfigError,
+    _config_from_object,
     build_structure,
     certify,
     config_object,
     export_obj,
-    parse_config,
     sweep_report,
 )
 from .limits import limit_kind
@@ -68,7 +68,7 @@ def _load_config(args) -> Config:
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
-    config = parse_config(json.dumps(data))
+    config = _config_from_object(data)
     return config if args.tau is None else replace(config, tau_samples=None)
 
 
@@ -108,7 +108,7 @@ def _cmd_construct(args) -> int:
         cp = coupled_pose(structure, tau)
         print(f"tau     = {tau}")
         print(f"tau_bar = {cp.tau_bar}")
-        for label in ((1, 4), (1, 2), (2, 3), (3, 4)):
+        for label in AXIS_LABELS:
             coords = " ".join(f"{float(c):+.6f}" for c in cp.quad[label])
             print(f"P{label[0]}{label[1]}: {coords}")
         out["tau_bar"] = str(cp.tau_bar)

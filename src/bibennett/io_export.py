@@ -195,7 +195,11 @@ def parse_config(text) -> Config:
     """Parse a JSON configuration (text or UTF-8 bytes) and check its
     schema: the keys of its family and the type of each number, sign and
     sample list.  :func:`build_structure` checks the case and the design."""
-    data = config_object(text)
+    return _config_from_object(config_object(text))
+
+
+def _config_from_object(data: dict) -> Config:
+    """The Config of a parsed JSON object, by :func:`parse_config`'s checks."""
     if data.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"'schema' must be {SCHEMA_VERSION}")
     family = data.get("family")

@@ -22,7 +22,6 @@ from .algebra import (
     clear_denominators,
     det3,
     div,
-    v_add,
     v_cross,
     v_dot,
     v_norm_sq,
@@ -178,41 +177,14 @@ def deltoidal_certificate(bib: BiBennett, tau, tol: float = ISO_TOL
 # family-C adjacent-vertex half-turn certificate
 # ---------------------------------------------------------------------------
 
-def hat_points(quad: SkewQuad, bar_quad: SkewQuad, bar_points):
-    """Transfer points of the bar tube onto the first tube through the
-    affine frames of the two quads.
-
-    Each point is written in the frame (p14; e1, e2, n) of the bar quad,
-    with e1 = p12 - p14, e2 = p23 - p14 and n = e1 x e2, and re-assembled
-    with the same coordinates in that frame of the first quad.  The
-    coordinates are the dot products with the dual basis (e2 x n, n x e1, n)
-    / |n|^2, so no pivot is chosen.  The frame spans space whenever e1 and
-    e2 are not parallel, planar quads included; for a direct isometry
-    carrying the bar quad onto the first quad the transfer is that
-    isometry.  Exact for rational input.
-    """
-    def frame_vectors(q: SkewQuad):
-        e1, e2 = v_sub(q.p12, q.p14), v_sub(q.p23, q.p14)
-        return e1, e2, v_cross(e1, e2)
-
-    e1, e2, n = frame_vectors(bar_quad)
-    duals = (v_cross(e2, n), v_cross(n, e1), n)
-    norm_sq = v_norm_sq(n)
-    target = frame_vectors(quad)
-    images = []
-    for point in bar_points:
-        rel = v_sub(point, bar_quad.p14)
-        image = quad.p14
-        for dual, vec in zip(duals, target):
-            image = v_add(image, v_scale(v_dot(rel, dual) / norm_sq, vec))
-        images.append(image)
-    return images
-
-
 def _reflect_across_plane(point, p0, p1, p2):
     n = v_cross(v_sub(p1, p0), v_sub(p2, p0))
     coef = 2 * v_dot(v_sub(point, p0), n) / v_norm_sq(n)
     return v_sub(point, v_scale(coef, n))
+
+
+def _floats(point):
+    return tuple(map(float, point))
 
 
 def halfturn_certificate(bib: BiBennett, tau, tol: float = HALFTURN_TOL
@@ -234,24 +206,29 @@ def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:
       (w, v, Fhat_w, F_w)), its involution property, and the negative check
       that it does not extend to the remaining quad vertices, those being
       related by a reflection instead; the negative check asks for a gap
-      above ``tol`` times the longest side of the quad,
+      above ``tol`` times the longest side of the quad.  Where the quad's
+      two diagonals are equal (exactly, or within ``tol`` times the larger
+      for a float quad) the quad has a further half-turn, the negative
+      claim is false at that pose, and its entry is 0 "(equal diagonals)",
 
-    and that the hat anchors Fhat23 and Fhat34 agree with the transfer of
-    the bar anchors through the affine frames of the two quads
-    (:func:`hat_points`).
+    and that the partner map ``cp.delta``, which carries the bar anchors to
+    the hat anchors, is a direct isometry carrying the bar quad onto the
+    quad.  The angle entries are exact for an exact pose; every later entry
+    reads the points as floats, converted once.
     """
     residuals = []
-    quad = cp.quad
-    fquad = {label: tuple(map(float, quad[label])) for label in AXIS_LABELS}
-    fhat = {lab: tuple(map(float, a.point)) for lab, a in cp.hat_axes.items()}
-    min_gap = tol * max(math.dist(fquad[v], fquad[w])
-                        for v, _, _, w in VERTEX_ROLES)
-    angles = _anchor_angles(quad, cp.pose)
+    angles = _anchor_angles(cp.quad, cp.pose)
     bar_angles = _anchor_angles(cp.bar_quad, cp.bar_pose)
+    quad = {label: _floats(cp.quad[label]) for label in AXIS_LABELS}
+    anchor = {lab: _floats(a.point) for lab, a in cp.pose.axes.items()}
+    fhat = {lab: _floats(a.point) for lab, a in cp.hat_axes.items()}
+    min_gap = tol * max(math.dist(quad[v], quad[w])
+                        for v, _, _, w in VERTEX_ROLES)
+    d1, d2 = cp.quad.diag_sq()
+    slack = tol * max(d1, d2) if isinstance(d1, float) else 0
+    equal_diagonals = abs(d1 - d2) <= slack
     for v, opp_v, prev_v, w in VERTEX_ROLES:  # w is the next neighbor of v
         tag = f"P{v[0]}{v[1]}-P{w[0]}{w[1]}"
-        pv, pw = quad[v], quad[w]
-        fv, fw = cp.pose.axes[v].point, cp.pose.axes[w].point
         # tau-free angle equalities between the two tubes, each in its own
         # frame; the cleared normalizers agree by the shared side conditions.
         # The bar tube's terms swap v with w and prev_v with opp_v.
@@ -260,8 +237,9 @@ def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:
             residuals.append(ResidualEntry(
                 f"angle{i + 1} @ {tag}",
                 angles[pairs[i]] - bar_angles[pairs[i - 2]], tol))
+        pv, pw, fv, fw = quad[v], quad[w], anchor[v], anchor[w]
+        fhat_v, fhat_w = fhat[v], fhat[w]
         # diagonal angle equality at the hat anchors
-        fhat_v, fhat_w = cp.hat_axes[v].point, cp.hat_axes[w].point
         diag = (v_dot(v_sub(fv, pv), v_sub(fhat_v, pv))
                 - v_dot(v_sub(fw, pw), v_sub(fhat_w, pw)))
         residuals.append(ResidualEntry(f"diag @ {tag}", diag, tol))
@@ -278,24 +256,25 @@ def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:
             f"rho direct @ {tag}", rho.orientation - 1, 0.0))
         # negative check: rho must not map the previous neighbor of v onto
         # the opposite vertex ...
-        img = rho.apply_point(fquad[prev_v])
-        gap = math.dist(img, fquad[opp_v])
-        residuals.append(ResidualEntry(
-            f"rho(P{prev_v[0]}{prev_v[1]}) != P{opp_v[0]}{opp_v[1]} @ {tag}",
-            0.0 if gap > min_gap else 1.0, 0.5))
+        img = rho.apply_point(quad[prev_v])
+        gap = math.dist(img, quad[opp_v])
+        label = (f"rho(P{prev_v[0]}{prev_v[1]}) != P{opp_v[0]}{opp_v[1]}"
+                 f" @ {tag}")
+        residuals.append(
+            ResidualEntry(f"{label} (equal diagonals)", 0, 0.0)
+            if equal_diagonals
+            else ResidualEntry(label, 0 if gap > min_gap else 1, 0.5))
         # ... those two points are related by a reflection instead
-        mirrored = _reflect_across_plane(img, fquad[w],
-                                         tuple(map(float, fw)), fhat[w])
+        mirrored = _reflect_across_plane(img, pw, fw, fhat_w)
         residuals.append(ResidualEntry(
-            f"reflection relation @ {tag}",
-            math.dist(mirrored, fquad[opp_v]), tol))
-    # the frame transfer must agree with the rigid alignment
-    labels = ((2, 3), (3, 4))
-    transferred = hat_points(quad, cp.bar_quad,
-                             [cp.bar_pose.axes[label].point for label in labels])
-    for (i, j), point in zip(labels, transferred):
-        residuals.append(ResidualEntry(f"Fhat{i}{j} transfer", math.dist(
-            fhat[i, j], tuple(map(float, point))), tol))
+            f"reflection relation @ {tag}", math.dist(mirrored, quad[opp_v]),
+            tol))
+    # the partner map carries the bar quad onto the quad, directly
+    partner = max(math.dist(cp.delta.apply_point(_floats(cp.bar_quad[lab])),
+                            quad[lab]) for lab in AXIS_LABELS)
+    residuals.append(ResidualEntry("partner", partner, tol))
+    residuals.append(ResidualEntry(
+        "partner direct", cp.delta.orientation - 1, 0.0))
     return CertificateReport("halfturn", tuple(residuals))
 
 

@@ -281,6 +281,26 @@ def test_certify_float_mode(capsys):
     assert main(["certify", "-c", "fig6", "--mode", "float"]) == EXIT_OK
 
 
+def test_certify_decides_equal_diagonals(tmp_path, capsys):
+    # a genuine family-C coupling whose shared quad has equal diagonals at
+    # tau = 1 (tau_bar = 3): the negative half-turn entries name the reason
+    path = tmp_path / "equal.json"
+    path.write_text(json.dumps({
+        "schema": 1, "family": "C", "a1": "1/3", "a2": "2/3", "k": "0",
+        "mu14": "5/6", "mu12": "1/2", "s": 1, "branch": 1, "tau": "1"}))
+    assert main(["certify", "-c", str(path)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "halfturn: PASS"
+    negative = [line for line in lines if "rho(P" in line]
+    assert len(negative) == 4
+    assert all("(equal diagonals)" in line for line in negative)
+    # the fixture couplings have unequal diagonals: their check stays
+    for name in ("fig6", "fig7"):
+        for mode in ("exact", "float"):
+            assert main(["certify", "-c", name, "--mode", mode]) == EXIT_OK
+            assert "(equal diagonals)" not in capsys.readouterr().out
+
+
 def test_certify_branch_override(capsys):
     assert main(["certify", "-c", "fig6", "--branch", "1"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -557,13 +577,13 @@ GOLDEN_DIGESTS = {
     ("fig5", "float"):
         "8880591a79e8822254f29c7ac7919f47806e97fefbba6e63c65017d794aacffc",
     ("fig6", "exact"):
-        "7c267521e3962fda97bcee2d55176c87b1ddbdcff97af896d9f8203e0821e106",
+        "047dd41e3eef0f7b9b3ca51b60ab582a77d509b584183534fde680379db14674",
     ("fig6", "float"):
-        "c5f41a100a2feb558b759385ca54f11e8e8effec1055a39a7f4a56c1ab24dde6",
+        "fc51129ae3ac09b322e2457fcf29cdc370079acfb9ceaca340071d5a197caf53",
     ("fig7", "exact"):
-        "7c267521e3962fda97bcee2d55176c87b1ddbdcff97af896d9f8203e0821e106",
+        "047dd41e3eef0f7b9b3ca51b60ab582a77d509b584183534fde680379db14674",
     ("fig7", "float"):
-        "c5f41a100a2feb558b759385ca54f11e8e8effec1055a39a7f4a56c1ab24dde6",
+        "fc51129ae3ac09b322e2457fcf29cdc370079acfb9ceaca340071d5a197caf53",
     ("fig8a", "exact"):
         "8cd8febd610a153bc1607911fd057a6d7da903dceed12ced758b43fd9744f267",
     ("fig8a", "float"):

@@ -1,5 +1,6 @@
 """Unit tests for the vertex and coupling certificates."""
 
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -180,11 +181,38 @@ def test_halfturn_certificate_on_near_equal_diagonals():
 
 def test_halfturn_frame_transfer_with_a_rounding_zero():
     # in float mode the first frame vector of the bar quad has the x
-    # component -5.6e-17 where the exact value is 0; an elimination that
-    # takes it as the pivot moved Fhat23 by 6.3
+    # component -5.6e-17 where the exact value is 0, a rounding zero that
+    # an elimination taking it as the pivot would divide by
     args = (F(1, 2), F(1), F(11, 9), F(-2, 3), F(-2, 5), -1, -1, F(-9, 5))
     for scalar in (F, float):
         assert _family_c_certificates(*args, scalar).verdict
+
+
+def _fig6_pose(scalar):
+    """The coupling of the bundled fig6 config, posed at its tau."""
+    design = validate(scalar(F(1, 2)), scalar(F(1, 3)), scalar(F(1)))
+    return coupled_pose(family_c(design, scalar(F(2, 3)), scalar(F(1, 4)), 1,
+                                 -1), scalar(F(9, 10)))
+
+
+@pytest.mark.parametrize("scalar", (F, float))
+def test_partner_direct_catches_a_reversing_partner_map(scalar):
+    cp = _fig6_pose(scalar)
+    mirrored = replace(cp, delta=replace(cp.delta, orientation=-1))
+    report = halfturn_check(mirrored, HALFTURN_TOL)
+    assert [r.label for r in report.failed()] == ["partner direct"]
+
+
+@pytest.mark.parametrize("scalar", (F, float))
+def test_partner_catches_a_moved_partner_map(scalar):
+    cp = _fig6_pose(scalar)
+    assert halfturn_check(cp, 1e-13).verdict
+    rows = cp.delta.transform
+    shifted = (rows[0], (rows[1][0] + 1e-11, *rows[1][1:]), *rows[2:])
+    moved = replace(cp, delta=replace(cp.delta, transform=shifted))
+    entries = {r.label: r for r in halfturn_check(moved, 1e-13).residuals}
+    assert not entries["partner"].passed
+    assert entries["partner direct"].passed
 
 
 def _scalar_types(cp, report):
@@ -347,6 +375,22 @@ _RATIONAL_BAR = (
     (F(2, 3), F(2), F(1), F(1, 2), F(1), F(3)),
     (F(1, 3), F(1), F(2), F(-2), F(-1), F(2, 3)),
 )
+
+
+@pytest.mark.parametrize("params", _RATIONAL_BAR[:3])
+def test_halfturn_certificate_at_equal_diagonals(params):
+    # on the k = 0 rows the shared quad's two diagonals are equal at the
+    # row's tau: the quad has a further half-turn, so the negative entries
+    # are reported by reason instead of failing
+    a1, a2, k, mu14, mu12, tau = params
+    for s, branch, scalar in itertools.product((1, -1), (1, -1), (F, float)):
+        report = _family_c_certificates(a1, a2, k, mu14, mu12, s, branch, tau,
+                                        scalar)
+        assert report.verdict, (s, branch, scalar, report.lines())
+        negative = [r for r in report.residuals if r.label.startswith("rho(")]
+        assert len(negative) == 4
+        assert all(r.label.endswith(" (equal diagonals)") and r.value == 0
+                   for r in negative), report.lines()
 
 
 def _scaled(params, scale, sign14, sign12):
