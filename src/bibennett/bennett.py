@@ -23,9 +23,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from .algebra import (
+    clear_denominators,
+    det3,
     div,
     is_exact,
-    nullspace_vector,
     v_add,
     v_cross,
     v_dot,
@@ -33,8 +34,6 @@ from .algebra import (
     v_scale,
     v_sub,
 )
-
-FLOAT_TOL = 1e-9
 
 AXIS_LABELS = ((1, 4), (1, 2), (2, 3), (3, 4))
 
@@ -368,60 +367,30 @@ def planar_frame(pd: PlanarDesign, tau) -> Pose:
 
 
 # ---------------------------------------------------------------------------
-# line geometry: intersections, regulus, symmetry line
+# line geometry: regulus, symmetry line
 # ---------------------------------------------------------------------------
 
-def pluecker_product(axis_a: Axis, axis_b: Axis):
-    """Reciprocal product of the two axis lines; zero iff they intersect
-    (or are parallel)."""
-    ma = v_cross(axis_a.point, axis_a.direction)
-    mb = v_cross(axis_b.point, axis_b.direction)
-    return v_dot(axis_a.direction, mb) + v_dot(axis_b.direction, ma)
-
-
-class DegenerateQuadricError(ValueError):
-    """The first three axes do not span a unique ruled quadric."""
-
-
-def _quadric_row(point):
-    w, x, y, z = 1, point[0], point[1], point[2]
-    return [w * w, x * x, y * y, z * z,
-            w * x, w * y, w * z, x * y, x * z, y * z]
-
-
-def _quadric_value(q, point):
-    return sum(c * v for c, v in zip(q, _quadric_row(point)))
-
-
 def regulus_residual(pose: Pose):
-    """Deviation of axis (3,4) from the quadric spanned by the other three axes.
+    """Zero iff the four axes lie on one regulus, degenerate or not.
 
-    Zero for every Bennett pose.  Three pairwise skew lines lie on exactly
-    one quadric; raises DegenerateQuadricError when two of the first three
-    axes meet instead (their Pluecker product is 0, or below FLOAT_TOL in
-    float arithmetic): at k = 0, where all axes pass through the origin, and
-    on the a1 a2 = 1 subset, where opposite axes meet and the regulus splits
-    into two pencils of lines.
+    A regulus is the Klein quadric cut by a plane of P^5 (Pottmann and
+    Wallner, Computational Line Geometry, 2001), so the axes lie on one iff
+    their Pluecker vectors (r, F x r) have rank at most 3: every 4x4 minor
+    of the 4x6 matrix vanishes.  The rows are cleared to integers over one
+    denominator D and each minor is expanded along the first row; the
+    largest |minor| over the 4th power of the largest coordinate does not
+    depend on D, and exact input gives an exact value.
     """
-    first = [pose.axes[label] for label in AXIS_LABELS[:3]]
-    for a, b in combinations(first, 2):
-        side = pluecker_product(a, b)
-        if side == 0 or not is_exact(side) and abs(side) < FLOAT_TOL:
-            raise DegenerateQuadricError(
-                f"axes {a.label} and {b.label} meet; the regulus through "
-                "axes (1,4), (1,2), (2,3) is degenerate")
-    spans = []
-    for ax in first:
-        p0 = ax.point
-        p1 = v_add(p0, ax.direction)
-        p2 = v_add(p0, v_scale(2, ax.direction))
-        spans.extend([p0, p1, p2])
-    q = nullspace_vector([_quadric_row(p) for p in spans], 10)
-    ax4 = pose.axes[(3, 4)]
-    vals = [_quadric_value(q, v_add(ax4.point, v_scale(s, ax4.direction)))
-            for s in (0, 1, 2)]
-    scale = max(abs(c) for c in q)
-    return max(abs(v) for v in vals) / scale
+    rows, _ = clear_denominators(
+        [(*ax.direction, *v_cross(ax.point, ax.direction))
+         for ax in (pose.axes[label] for label in AXIS_LABELS)])
+    first, *rest = rows
+    lower = {cols: det3(*([row[c] for c in cols] for row in rest))
+             for cols in combinations(range(6), 3)}
+    worst = max(abs(sum((-1) ** j * first[c] * lower[cols[:j] + cols[j + 1:]]
+                        for j, c in enumerate(cols)))
+                for cols in combinations(range(6), 4))
+    return div(worst, max(abs(x) for row in rows for x in row) ** 4)
 
 
 def symmetry_line(pose: Pose):

@@ -25,11 +25,11 @@ from .families import BiBennett, NoRealBranchError, coupled_pose
 from .io_export import (
     Config,
     ConfigError,
-    _config_from_object,
     build_structure,
     certify,
     config_object,
     export_obj,
+    parse_config,
     sweep_report,
 )
 from .limits import limit_kind
@@ -68,7 +68,7 @@ def _load_config(args) -> Config:
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
-    config = _config_from_object(data)
+    config = parse_config(data)
     return config if args.tau is None else replace(config, tau_samples=None)
 
 

@@ -30,7 +30,6 @@ from .algebra import (
 from .bennett import (
     AXIS_INDEX,
     AXIS_LABELS,
-    FLOAT_TOL,
     Axis,
     BennettDesign,
     PlanarDesign,
@@ -43,6 +42,8 @@ from .bennett import (
 )
 
 FAMILIES = ("A", "B", "C", "TrivialLineSym")
+
+FLOAT_TOL = 1e-9
 
 
 class NoRealFamilyError(ValueError):

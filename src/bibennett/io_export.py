@@ -179,7 +179,10 @@ def _convert(key, convert, value):
 
 
 def config_object(raw) -> dict:
-    """The top-level JSON object of a config given as text or UTF-8 bytes."""
+    """The top-level JSON object of a config given as text or UTF-8 bytes;
+    a dict passes through."""
+    if isinstance(raw, dict):
+        return raw
     try:
         data = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
     except UnicodeDecodeError as exc:
@@ -191,15 +194,12 @@ def config_object(raw) -> dict:
     return data
 
 
-def parse_config(text) -> Config:
-    """Parse a JSON configuration (text or UTF-8 bytes) and check its
-    schema: the keys of its family and the type of each number, sign and
-    sample list.  :func:`build_structure` checks the case and the design."""
-    return _config_from_object(config_object(text))
-
-
-def _config_from_object(data: dict) -> Config:
-    """The Config of a parsed JSON object, by :func:`parse_config`'s checks."""
+def parse_config(raw) -> Config:
+    """Parse a JSON configuration (text, UTF-8 bytes or its parsed object)
+    and check its schema: the keys of its family and the type of each
+    number, sign and sample list.  :func:`build_structure` checks the case
+    and the design."""
+    data = config_object(raw)
     if data.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"'schema' must be {SCHEMA_VERSION}")
     family = data.get("family")

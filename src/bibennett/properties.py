@@ -31,10 +31,8 @@ from .algebra import (
 from .bennett import (
     AXIS_LABELS,
     VERTEX_ROLES,
-    DegenerateQuadricError,
     Pose,
     loop_closure_residual,
-    pluecker_product,
     regulus_residual,
     symmetry_residual,
 )
@@ -304,22 +302,14 @@ def bennett_loop_check(pose: Pose, tol) -> CertificateReport:
     """Bennett's facts about his loop at one pose of a BennettDesign
     (G. T. Bennett, "The skew isogram mechanism", Proc. London Math. Soc.
     13, 1914): the chain closes, the half-turn about the symmetry line swaps
-    opposite axes, and the axes lie on a regulus.  Where the regulus
-    degenerates (k = 0, or a1 a2 = 1) opposite axes meet instead, and their
-    two Pluecker products take its place."""
-    residuals = [
+    opposite axes, and the axes lie on a regulus, degenerate where axes
+    meet (all at the apex for k = 0, opposite ones for a1 a2 = 1)."""
+    return CertificateReport("bennett-loop", (
         ResidualEntry("closure",
                       loop_closure_residual(pose.design, pose.tau), tol),
         ResidualEntry("symmetry half-turn", symmetry_residual(pose), tol),
-    ]
-    try:
-        residuals.append(ResidualEntry("regulus", regulus_residual(pose), tol))
-    except DegenerateQuadricError:
-        for a, b in (((1, 4), (2, 3)), ((1, 2), (3, 4))):
-            residuals.append(ResidualEntry(
-                f"axes {a[0]}{a[1]} and {b[0]}{b[1]} meet",
-                pluecker_product(pose.axes[a], pose.axes[b]), tol))
-    return CertificateReport("bennett-loop", tuple(residuals))
+        ResidualEntry("regulus", regulus_residual(pose), tol),
+    ))
 
 
 def parallel_residual(directions):

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bibennett.algebra import div, is_exact, mat_mul
+from bibennett.algebra import det3, div, is_exact, mat_mul, v_sub
 from bibennett.bennett import (
     AXIS_LABELS,
     BennettDesign,
     DegenerateDesignError,
-    DegenerateQuadricError,
     PLANAR_CASES,
     PlanarDesign,
     PoleError,
@@ -20,16 +19,21 @@ from bibennett.bennett import (
     planar_frame,
     planar_K,
     planar_loop_closure_residual,
-    pluecker_product,
     regulus_residual,
     symmetry_line,
     symmetry_residual,
     transmission_K,
     validate,
 )
+from bibennett.properties import ISO_TOL
 
 F = Fraction
 DESIGN = BennettDesign(F(1, 2), F(1, 3), F(1))
+
+_NONZERO = st.builds(F, st.integers(-40, 40).filter(bool), st.integers(1, 30))
+_POSITIVE = st.builds(F, st.integers(1, 40), st.integers(1, 30))
+_SCALE = st.one_of(st.just(F(0)), st.just(0), _POSITIVE)
+_KERNEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 def test_validate_rejects_equal_twists():
@@ -109,9 +113,13 @@ def test_planar_frame_directions():
 
 
 def test_opposite_axes_skew():
+    # two lines are skew iff the segment between their points is not
+    # coplanar with their directions
     pose = frame(DESIGN, F(9, 10))
     for a, b in (((1, 4), (2, 3)), ((1, 2), (3, 4))):
-        assert pluecker_product(pose.axes[a], pose.axes[b]) != 0
+        ax, bx = pose.axes[a], pose.axes[b]
+        assert det3(v_sub(bx.point, ax.point), ax.direction,
+                    bx.direction) != 0
 
 
 def test_regulus_unique():
@@ -134,11 +142,37 @@ def test_regulus_residual_is_exact():
 @pytest.mark.parametrize("conv", [F, float])
 @pytest.mark.parametrize("a2, k", [(F(2), F(1)), (F(1, 3), F(0))])
 def test_regulus_degenerates_where_axes_meet(conv, a2, k):
-    # opposite axes meet when a1 a2 = 1, and all axes meet at k = 0
+    # opposite axes meet when a1 a2 = 1, and all axes meet at k = 0; the
+    # regulus degenerates there but the axes still lie on it
     pose = frame(BennettDesign(conv(F(1, 2)), conv(a2), conv(k)),
                  conv(F(9, 10)))
-    with pytest.raises(DegenerateQuadricError):
-        regulus_residual(pose)
+    residual = regulus_residual(pose)
+    if conv is F:
+        assert residual == 0 and type(residual) is Fraction
+    else:
+        assert isinstance(residual, float) and residual <= ISO_TOL
+
+
+@_KERNEL_SETTINGS
+@given(_POSITIVE, _POSITIVE, st.booleans(), _SCALE, _NONZERO)
+def test_regulus_is_exact_zero(a1, a2, reciprocal, k, tau):
+    # including k = 0, where all axes meet at the apex, and a1 a2 = 1,
+    # where opposite axes meet
+    a2 = 1 / a1 if reciprocal else a2
+    assume(a1 != a2)
+    residual = regulus_residual(frame(BennettDesign(a1, a2, k), tau))
+    assert residual == 0 and type(residual) is Fraction
+
+
+@_KERNEL_SETTINGS
+@given(_POSITIVE, st.floats(-1e-3, 1e-3), st.floats(0, 10), _NONZERO)
+def test_regulus_float_near_meeting_axes(a1, eps, k, tau):
+    # within 1e-3 of a1 a2 = 1 the opposite axes nearly meet
+    a1 = float(a1)
+    a2 = (1 + eps) / a1
+    assume(a1 != a2)
+    assert regulus_residual(
+        frame(BennettDesign(a1, a2, k), float(tau))) <= ISO_TOL
 
 
 def test_symmetry_line_at_zero_scale():
@@ -197,12 +231,6 @@ def _max_abs_diff(a, b):
 # ---------------------------------------------------------------------------
 # the two-column pose kernel against the full matrix chain
 # ---------------------------------------------------------------------------
-
-_NONZERO = st.builds(F, st.integers(-40, 40).filter(bool), st.integers(1, 30))
-_POSITIVE = st.builds(F, st.integers(1, 40), st.integers(1, 30))
-_SCALE = st.one_of(st.just(F(0)), st.just(0), _POSITIVE)
-_KERNEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
-
 
 def _chain_values(mats):
     """Point and direction entries of (identity, M12, M23, M34), flattened."""

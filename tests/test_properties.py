@@ -111,14 +111,19 @@ def test_certificates_on_random_instances():
 # ---------------------------------------------------------------------------
 
 def test_bennett_loop_check_rejects_a_moved_axis():
-    pose = frame(DESIGN, F(9, 10))
-    axis = pose.axes[(3, 4)]
-    moved = Axis(axis.label, v_add(axis.point, (0, 0, F(1, 10))),
-                 axis.direction)
-    report = bennett_loop_check(
-        replace(pose, axes={**pose.axes, (3, 4): moved}), ISO_TOL)
-    assert [r.label for r in report.failed()] == ["symmetry half-turn",
-                                                  "regulus"]
+    # a2 = 2 puts the design on a1 a2 = 1, where opposite axes meet
+    nudge = (0, 0, F(1, 10))
+    for a2, k in itertools.product((F(1, 3), F(2)), (F(1, 3), F(1), F(5))):
+        pose = frame(validate(F(1, 2), a2, k), F(9, 10))
+        axis = pose.axes[(3, 4)]
+        for moved in (Axis(axis.label, v_add(axis.point, nudge),
+                           axis.direction),
+                      Axis(axis.label, axis.point,
+                           v_add(axis.direction, nudge))):
+            report = bennett_loop_check(
+                replace(pose, axes={**pose.axes, (3, 4): moved}), ISO_TOL)
+            assert [r.label for r in report.failed()] == [
+                "symmetry half-turn", "regulus"], (a2, k, moved)
 
 
 @pytest.mark.parametrize("case", PLANAR_CASES)
