@@ -412,17 +412,32 @@ def symmetry_line(pose: Pose):
     return m1, v_sub(m2, m1)
 
 
-def half_turn_point(point, line_point, line_dir, dir_norm_sq):
-    """Image of a point under the half-turn about the given line, of squared
-    direction norm ``dir_norm_sq`` (exact when called with Fractions)."""
-    rel = v_sub(point, line_point)
-    coef = v_dot(rel, line_dir) / dir_norm_sq
-    return v_sub(v_add(v_scale(2, line_point), v_scale(2 * coef, line_dir)), point)
-
-
-def half_turn_direction(direction, line_dir, dir_norm_sq):
-    coef = v_dot(direction, line_dir) / dir_norm_sq
-    return v_sub(v_scale(2 * coef, line_dir), direction)
+def half_turn_images(points, directions, line_point, line_dir):
+    """(point images, direction images) under the half-turn about the line
+    through b = ``line_point`` along l = ``line_dir``: a point p goes to
+    2 b + 2 ((p - b).l / |l|^2) l - p, a direction r to 2 (r.l / |l|^2) l - r.
+    When every coordinate is an int or a Fraction, all vectors are first
+    cleared to integers over one denominator D, so that each image
+    coordinate is one integer over D |l|^2, normalised once (the
+    fraction-free scheme of Bareiss, Math. Comp. 22, 1968)."""
+    vectors = [line_point, line_dir, *points, *directions]
+    if not all(is_exact(x) for v in vectors for x in v):
+        ns = v_norm_sq(line_dir)
+        return ([v_sub(v_add(v_scale(2, line_point), v_scale(
+                    2 * (v_dot(v_sub(p, line_point), line_dir) / ns),
+                    line_dir)), p) for p in points],
+                [v_sub(v_scale(2 * (v_dot(r, line_dir) / ns), line_dir), r)
+                 for r in directions])
+    (b, l, *cleared), den = clear_denominators(vectors)
+    n = v_norm_sq(l)
+    images = []
+    for i, v in enumerate(cleared):
+        # a direction maps as a point would about the parallel line through 0
+        base = b if i < len(points) else (0, 0, 0)
+        c = v_dot(v_sub(v, base), l)
+        images.append(tuple(Fraction(2 * (bi * n + c * li) - vi * n, den * n)
+                            for bi, li, vi in zip(base, l, v)))
+    return images[:len(points)], images[len(points):]
 
 
 def symmetry_residual(pose: Pose):
@@ -431,13 +446,13 @@ def symmetry_residual(pose: Pose):
     Bennett poses.  No square root is taken, so exact input gives an exact
     0."""
     lp, ld = symmetry_line(pose)
-    ld_sq = v_norm_sq(ld)
+    sources = [pose.axes[label] for label in SWAP]
+    points, directions = half_turn_images([ax.point for ax in sources],
+                                          [ax.direction for ax in sources],
+                                          lp, ld)
     worst = 0
-    for label, target in SWAP.items():
-        src = pose.axes[label]
+    for target, img_p, img_d in zip(SWAP.values(), points, directions):
         dst = pose.axes[target]
-        img_p = half_turn_point(src.point, lp, ld, ld_sq)
-        img_d = half_turn_direction(src.direction, ld, ld_sq)
         # the image must lie on the target line with the same or opposite
         # direction: compare via cross products to stay orientation-free
         gaps = (v_cross(v_sub(img_p, dst.point), dst.direction)

@@ -21,7 +21,13 @@ from dataclasses import replace
 
 from .appendix import verify_nonexistence
 from .bennett import AXIS_LABELS, PoleError, frame, loop_closure_residual
-from .families import BiBennett, NoRealBranchError, coupled_pose
+from .families import (
+    BiBennett,
+    DegenerateQuadError,
+    NoRealBranchError,
+    NotIsometricError,
+    coupled_pose,
+)
 from .io_export import (
     Config,
     ConfigError,
@@ -38,10 +44,11 @@ EXIT_OK = 0
 EXIT_CERTIFICATE = 1
 EXIT_INPUT = 2
 
-# The math failures a valid config can reach: a drive value on a pole, and
-# a family-C drive value without a real companion parameter.  Any other
-# exception is a defect and propagates.
-_MATH_ERRORS = (PoleError, NoRealBranchError)
+# The math failures a valid config can reach: a drive value on a pole, a
+# family-C drive value without a real companion parameter, and a quad that
+# no rigid alignment fits.  Any other exception is a defect and propagates.
+_MATH_ERRORS = (PoleError, NoRealBranchError, DegenerateQuadError,
+                NotIsometricError)
 
 
 def fixture_path(name: str):
@@ -115,10 +122,13 @@ def _cmd_construct(args) -> int:
         out["axes"] = _axes_dict(cp.pose.axes)
         out["hat_axes"] = _axes_dict(cp.hat_axes)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(out, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.out, out)
     return EXIT_OK
+
+
+def _write_json(path, data):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _axes_dict(axes) -> dict:
@@ -135,9 +145,7 @@ def _cmd_sweep(args) -> int:
     csv_text, report = sweep_report(_load_config(args))
     print(csv_text, end="")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.out, report)
     bad = [row for row in report["rows"] if row.get("verdict") == "fail"]
     return EXIT_CERTIFICATE if bad else EXIT_OK
 
@@ -193,9 +201,7 @@ def _report(args, name, report) -> int:
                 for r in report.residuals
             ],
         }
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.out, data)
     return EXIT_OK if report.verdict else EXIT_CERTIFICATE
 
 
@@ -222,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("-c", "--config",
                            help="config path or bundled fixture name "
                                 "(fig3 ... fig9a)")
-            p.add_argument("--tau", help="drive value override, e.g. 9/10")
+            p.add_argument("--tau", help="drive value override, e.g. 9/10; "
+                           "write a negative one as --tau=-1/5")
             p.add_argument("--branch", type=int, choices=(-1, 1))
             p.add_argument("--s", type=int, choices=(-1, 1))
             p.add_argument("--mode", choices=("exact", "float"))

@@ -23,7 +23,6 @@ from .algebra import (
     v_add,
     v_cross,
     v_dist_sq,
-    v_norm_sq,
     v_scale,
     v_sub,
 )
@@ -36,8 +35,7 @@ from .bennett import (
     PoleError,
     Pose,
     frame,
-    half_turn_direction,
-    half_turn_point,
+    half_turn_images,
     validate,
 )
 
@@ -115,12 +113,8 @@ class SkewQuad:
 
     def side_sq(self):
         """Squared side lengths in the cyclic order 14-12, 12-23, 23-34, 34-14."""
-        return (
-            v_dist_sq(self.p14, self.p12),
-            v_dist_sq(self.p12, self.p23),
-            v_dist_sq(self.p23, self.p34),
-            v_dist_sq(self.p34, self.p14),
-        )
+        p = self.vertices()
+        return tuple(v_dist_sq(p[i], p[(i + 1) % 4]) for i in range(4))
 
     def diag_sq(self):
         """Squared diagonals 14-23 and 12-34."""
@@ -128,19 +122,13 @@ class SkewQuad:
 
     def orientation_det(self):
         """Signed volume (times six) of the tetrahedron P14, P12, P23, P34."""
-        return det3(
-            v_sub(self.p12, self.p14),
-            v_sub(self.p23, self.p14),
-            v_sub(self.p34, self.p14),
-        )
+        return det3(*(v_sub(p, self.p14) for p in self.vertices()[1:]))
 
 
 def points_on_axes(pose: Pose, mu: MuSet) -> SkewQuad:
-    pts = {}
-    for label in AXIS_LABELS:
-        ax = pose.axes[label]
-        pts[label] = v_add(ax.point, v_scale(mu[label], ax.direction))
-    return SkewQuad(pts[(1, 4)], pts[(1, 2)], pts[(2, 3)], pts[(3, 4)])
+    axes = (pose.axes[label] for label in AXIS_LABELS)
+    return SkewQuad(*(v_add(ax.point, v_scale(m, ax.direction))
+                      for ax, m in zip(axes, mu.as_tuple())))
 
 
 @dataclass(frozen=True)
@@ -356,28 +344,36 @@ def solve_bar_tau(q: CouplingQuartic, tau):
 # ---------------------------------------------------------------------------
 
 class _AxisMap:
-    """An isometry acting on axes through its point and direction maps."""
+    """An isometry acting on points and directions, one at a time or in
+    lists by ``images``."""
 
-    def apply_axis(self, ax: Axis) -> Axis:
-        return Axis(ax.label, self.apply_point(ax.point),
-                    self.apply_direction(ax.direction))
+    def images(self, points, directions):
+        """(point images, direction images) of the two lists."""
+        return ([self.apply_point(p) for p in points],
+                [self.apply_direction(d) for d in directions])
+
+    def apply_axes(self, axes: dict) -> dict:
+        """Images of ``axes`` (label -> Axis) from one call of ``images``."""
+        points, directions = self.images([ax.point for ax in axes.values()],
+                                         [ax.direction for ax in axes.values()])
+        return {label: Axis(label, p, d)
+                for label, p, d in zip(axes, points, directions)}
 
 
 @dataclass(frozen=True)
 class HalfTurn(_AxisMap):
     """Half-turn about the line through ``point`` with direction
-    ``direction`` of squared norm ``norm_sq``; exact for rational input."""
+    ``direction``; exact for rational input."""
 
     point: tuple
     direction: tuple
-    norm_sq: object
     orientation = 1
 
-    def apply_point(self, p):
-        return half_turn_point(p, self.point, self.direction, self.norm_sq)
+    def images(self, points, directions):
+        return half_turn_images(points, directions, self.point, self.direction)
 
-    def apply_direction(self, d):
-        return half_turn_direction(d, self.direction, self.norm_sq)
+    def apply_point(self, p):
+        return self.images([p], [])[0][0]
 
 
 @dataclass(frozen=True)
@@ -413,8 +409,9 @@ def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
     orientations, each with a volume above ALIGN_TOL times the cube of the
     longest distance; direct otherwise, so rounding noise on a (near)
     coplanar pair never mirrors the alignment.  Raises NotIsometricError
-    when the six pairwise distances disagree.  Gates and transform are
-    Python floats; numpy, imported on first use, builds the frames.
+    when the six pairwise distances disagree, or when a vertex misses its
+    image by more than 10 ALIGN_TOL times the longest distance (at least 1).
+    Gates and transform are Python floats; numpy builds the frames.
     """
     import numpy as np
 
@@ -460,7 +457,7 @@ def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
     motion = RigidMotion(((1.0, 0.0, 0.0, 0.0), *rows), sign)
     worst = max(math.dist(motion.apply_point(fsrc[lab]), fdst[lab])
                 for lab in AXIS_LABELS)
-    if worst > 10 * ALIGN_TOL * max(1.0, abs(vol_s) ** (1 / 3)):
+    if worst > 10 * ALIGN_TOL * max(1.0, math.sqrt(longest_sq)):
         raise NotIsometricError(f"alignment residual {worst} too large")
     return motion
 
@@ -492,8 +489,7 @@ class CoupledPose:
 
     @cached_property
     def hat_axes(self) -> dict:
-        return {label: self.delta.apply_axis(ax)
-                for label, ax in self.bar_pose.axes.items()}
+        return self.delta.apply_axes(self.bar_pose.axes)
 
 
 class NoRealBranchError(ValueError):
@@ -508,7 +504,7 @@ def coupled_pose(bib: BiBennett, tau) -> CoupledPose:
     if bib.family in ("A", "B", "TrivialLineSym"):
         tau_bar, bar_pose, bar_quad = tau, pose, quad
         line_point, line_dir = quad_symmetry_line(quad)
-        delta = HalfTurn(line_point, line_dir, v_norm_sq(line_dir))
+        delta = HalfTurn(line_point, line_dir)
     else:
         if isinstance(bib.design, PlanarDesign):
             roots = planar_bar_tau(bib, tau)

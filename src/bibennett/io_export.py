@@ -11,6 +11,7 @@ of drive values.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -309,86 +310,70 @@ def hp_patch(quad, n: int):
     """
     if n < 1:
         raise ValueError("patch density must be at least 1")
+    weights, faces = _patch_grid(n)
     q0, q1, q2, q3 = [tuple(float(x) for x in p) for p in quad]
-    vertices = []
-    for j in range(n + 1):
-        v = j / n
-        for i in range(n + 1):
-            u = i / n
-            vertices.append(tuple(
-                (1 - u) * (1 - v) * q0[c] + u * (1 - v) * q1[c]
-                + u * v * q2[c] + (1 - u) * v * q3[c]
-                for c in range(3)
-            ))
-    faces = []
-    for j in range(n):
-        for i in range(n):
-            a = j * (n + 1) + i
-            faces.append((a, a + 1, a + n + 2, a + n + 1))
-    return vertices, faces
+    return [tuple(w0 * q0[c] + w1 * q1[c] + w2 * q2[c] + w3 * q3[c]
+                  for c in range(3)) for w0, w1, w2, w3 in weights], list(faces)
+
+
+@functools.cache
+def _patch_grid(n: int):
+    """The corner weights at the grid points (i/n, j/n), row by row, and the
+    faces of the n x n grid."""
+    steps = [i / n for i in range(n + 1)]
+    weights = tuple(((1 - u) * (1 - v), u * (1 - v), u * v, (1 - u) * v)
+                    for v in steps for u in steps)
+    faces = tuple((a, a + 1, a + n + 2, a + n + 1)
+                  for a in (j * (n + 1) + i for j in range(n) for i in range(n)))
+    return weights, faces
 
 
 # Ribbon width as a fraction of the mean quad edge length.
 RIBBON_WIDTH = 0.1
 
 
-def _single_loop_ribbons(pose):
-    """Ribbon quads for one uncoupled loop, anchored at the frame origins."""
-    points = pose.points()
-    return _ribbons_from_anchors("tube1", points,
-                                 {l: pose.axes[l].direction for l in points})
-
-
 def _ribbons_from_anchors(group_prefix, anchors, directions):
-    labels = list(AXIS_LABELS)
-    mean_edge = sum(
-        _dist(anchors[labels[i]], anchors[labels[(i + 1) % 4]])
-        for i in range(4)
-    ) / 4.0
-    width = RIBBON_WIDTH * mean_edge
-    ribbons = []
-    for i in range(4):
-        la, lb = labels[i], labels[(i + 1) % 4]
-        corners = []
-        for label, sign in ((la, -1), (la, 1), (lb, 1), (lb, -1)):
-            p = anchors[label]
-            r = _unit(directions[label])
-            corners.append(tuple(
-                float(p[c]) + sign * width * r[c] for c in range(3)
-            ))
-        name = f"{group_prefix}_link_{la[0]}{la[1]}_{lb[0]}{lb[1]}"
-        ribbons.append((name, corners))
-    return ribbons
+    """The four ribbons of one tube between consecutive ``anchors``, offset
+    along the axis ``directions``; both lists in the order of AXIS_LABELS."""
+    points = [tuple(map(float, p)) for p in anchors]
+    width = RIBBON_WIDTH * (sum(
+        sum((p[c] - q[c]) ** 2 for c in range(3)) ** 0.5
+        for p, q in zip(points, points[1:] + points[:1])) / 4.0)
+    rails = []  # each anchor moved by -width and +width along its unit axis
+    for p, r in zip(points, directions):
+        r = tuple(map(float, r))
+        norm = sum(x * x for x in r) ** 0.5
+        rails.append([tuple(p[c] + sign * width * (r[c] / norm)
+                            for c in range(3)) for sign in (-1, 1)])
+    ends = AXIS_LABELS[1:] + AXIS_LABELS[:1]
+    return [(f"{group_prefix}_link_{la[0]}{la[1]}_{lb[0]}{lb[1]}",
+             [*rails[i], *rails[(i + 1) % 4][::-1]])
+            for i, (la, lb) in enumerate(zip(AXIS_LABELS, ends))]
 
 
-def _dist(p, q):
-    return sum((float(p[c]) - float(q[c])) ** 2 for c in range(3)) ** 0.5
-
-
-def _unit(v):
-    norm = sum(float(x) * float(x) for x in v) ** 0.5
-    return tuple(float(x) / norm for x in v)
+def _directions(pose):
+    return [pose.axes[label].direction for label in AXIS_LABELS]
 
 
 def coupling_ribbons(bib: BiBennett, tau):
     """Ribbon quads of both tubes of a coupling: 8 ribbons, 4 per tube,
     each spanned between consecutive anchor points offset along the axes."""
     cp = coupled_pose(bib, tau)
-    quad_points = {l: cp.quad[l] for l in AXIS_LABELS}
-    directions = {l: cp.pose.axes[l].direction for l in AXIS_LABELS}
-    ribbons = _ribbons_from_anchors("tube1", quad_points, directions)
-    hat_anchors = {l: cp.delta.apply_point(cp.bar_quad[l]) for l in AXIS_LABELS}
-    hat_directions = {l: cp.hat_axes[l].direction for l in AXIS_LABELS}
-    ribbons += _ribbons_from_anchors("tube2", hat_anchors, hat_directions)
-    return ribbons
+    hat = cp.delta.images(cp.bar_quad.vertices(), _directions(cp.bar_pose))
+    return (_ribbons_from_anchors("tube1", cp.quad.vertices(),
+                                  _directions(cp.pose))
+            + _ribbons_from_anchors("tube2", *hat))
 
 
-def export_obj_text(structure, tau, patch_n: int = 4) -> str:
+def export_obj_text(structure, tau, patch_n: int) -> str:
     """Deterministic OBJ text for a structure at drive value tau."""
     if isinstance(structure, BiBennett):
         ribbons = coupling_ribbons(structure, tau)
     elif isinstance(structure, (BennettDesign, PlanarDesign)):
-        ribbons = _single_loop_ribbons(frame(structure, tau))
+        pose = frame(structure, tau)
+        ribbons = _ribbons_from_anchors(
+            "tube1", [pose.axes[l].point for l in AXIS_LABELS],
+            _directions(pose))
     else:
         raise TypeError(f"cannot export {type(structure).__name__}")
     lines = []
@@ -396,15 +381,14 @@ def export_obj_text(structure, tau, patch_n: int = 4) -> str:
     for name, corners in ribbons:
         vertices, faces = hp_patch(corners, patch_n)
         lines.append(f"g {name}")
-        for v in vertices:
-            lines.append("v " + " ".join(f"{x:.12g}" for x in v))
-        for f in faces:
-            lines.append("f " + " ".join(str(offset + i + 1) for i in f))
+        lines += ["v %.12g %.12g %.12g" % v for v in vertices]
+        lines += ["f %d %d %d %d" % tuple(offset + 1 + i for i in face)
+                  for face in faces]
         offset += len(vertices)
     return "\n".join(lines) + "\n"
 
 
-def export_obj(structure, tau, path, patch_n: int = 4) -> None:
+def export_obj(structure, tau, path, patch_n: int) -> None:
     """Write the OBJ mesh of a structure to ``path``."""
     text = export_obj_text(structure, tau, patch_n)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:

@@ -23,11 +23,7 @@ from .algebra import (
     v_scale,
     v_sub,
 )
-from .bennett import (
-    AXIS_LABELS,
-    VERTEX_ROLES,
-    PlanarDesign,
-)
+from .bennett import AXIS_LABELS, VERTEX_ROLES, PlanarDesign
 from .families import (
     BiBennett,
     MuSet,

@@ -303,7 +303,9 @@ def bennett_loop_check(pose: Pose, tol) -> CertificateReport:
     (G. T. Bennett, "The skew isogram mechanism", Proc. London Math. Soc.
     13, 1914): the chain closes, the half-turn about the symmetry line swaps
     opposite axes, and the axes lie on a regulus, degenerate where axes
-    meet (all at the apex for k = 0, opposite ones for a1 a2 = 1)."""
+    meet (all at the apex for k = 0, opposite ones for a1 a2 = 1).  The
+    regulus entry cannot fail at k = 0, where the four axes run through the
+    apex: lines through one point have Pluecker rank at most 3."""
     return CertificateReport("bennett-loop", (
         ResidualEntry("closure",
                       loop_closure_residual(pose.design, pose.tau), tol),

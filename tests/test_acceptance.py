@@ -390,9 +390,9 @@ def test_criterion_8_nonexistence():
 
 def test_criterion_9_export_determinism():
     config = load_config(fixture_path("fig6"))
-    obj_a = export_obj_text(build_structure(config), config.tau)
+    obj_a = export_obj_text(build_structure(config), config.tau, patch_n=4)
     obj_b = export_obj_text(build_structure(load_config(fixture_path("fig6"))),
-                            config.tau)
+                            config.tau, patch_n=4)
     assert obj_a == obj_b
     csv_a, _ = sweep_report(config)
     csv_b, _ = sweep_report(load_config(fixture_path("fig6")))

@@ -6,7 +6,7 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bibennett.cli import (
@@ -164,11 +164,19 @@ def _family_config(draw):
     return data
 
 
+# fig7 with a tiny offset: its rho alignments meet collinear quad edges
+_TINY_OFFSET = {"schema": 1, "family": "C", "a1": "1/2", "a2": "1/3",
+                "k": "1", "mu14": "1e-300", "mu12": "1/4", "s": 1,
+                "branch": -1, "tau": "9/10", "mode": "exact"}
+
+
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(config=_family_config(),
        command=st.sampled_from(["validate", "construct", "sweep", "certify",
                                 "limits", "export"]))
+@example(config=_TINY_OFFSET, command="certify")
+@example(config=_TINY_OFFSET, command="sweep")
 def test_subcommands_keep_the_exit_code_contract(tmp_path, capsys, config,
                                                  command):
     # an exception other than the named math errors escapes main and fails
@@ -198,6 +206,37 @@ def test_construct_report_json(tmp_path):
 def test_construct_tau_override_pole(capsys):
     # tau = 0 sits at the transmission pole: math failure, exit 1
     assert main(["construct", "-c", "fig6", "--tau", "0"]) == EXIT_CERTIFICATE
+
+
+def test_negative_tau_override_is_one_token(capsys):
+    # "--tau -1/5" reads -1/5 as an option; "--tau=-1/5" is a value
+    assert main(["certify", "-c", "fig6", "--tau=-1/5"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("halfturn: PASS")
+
+
+def test_collinear_rho_alignment_is_a_math_failure(tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(_TINY_OFFSET))
+    for command in ("certify", "sweep"):
+        assert main([command, "-c", str(path)]) == EXIT_CERTIFICATE
+        assert capsys.readouterr().err.startswith("failure: collinear")
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("name, label", [("fig8a", "III2ii"),
+                                         ("fig8b", "III4ii")])
+def test_large_scale_prismatic_couplings_align(tmp_path, capsys, mode, name,
+                                               label):
+    # d1 = 100000: the alignment residual gate scales with the quad, as its
+    # distance gates do
+    data = json.loads(fixture_path(name).read_text())
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({**data, "d1": "100000", "mode": mode}))
+    for command in ("validate", "construct", "sweep", "certify", "limits",
+                    "export"):
+        argv = [command, "-c", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK, command
+    assert f"labels[{label}]: PASS" in capsys.readouterr().out
 
 
 def test_sweep_csv_and_report(tmp_path, capsys):

@@ -8,10 +8,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bibennett.algebra import is_exact
+from bibennett.algebra import (
+    is_exact,
+    v_add,
+    v_dot,
+    v_norm_sq,
+    v_scale,
+    v_sub,
+)
 from bibennett.bennett import (
     PLANAR_CASES,
     PlanarDesign,
+    half_turn_images,
     validate,
 )
 from bibennett.families import (
@@ -358,8 +366,84 @@ def _typed_axes(axes):
 def test_hat_axes_on_first_read_equal_the_eager_map(conv):
     for bib in _couplings(conv):
         cp = coupled_pose(bib, conv(F(3, 4)))
-        eager = {label: cp.delta.apply_axis(ax)
+        eager = {label: cp.delta.apply_axes({label: ax})[label]
                  for label, ax in cp.bar_pose.axes.items()}
         assert "hat_axes" not in vars(cp)
         assert _typed_axes(cp.hat_axes) == _typed_axes(eager), bib.family
         assert cp.hat_axes is cp.hat_axes
+
+
+# ---------------------------------------------------------------------------
+# the half-turn against its spelled-out formulas
+# ---------------------------------------------------------------------------
+
+def _reference_half_turn(points, directions, b, l):
+    """The half-turn about the line through b along l, spelled out: a point
+    p goes to 2 b + 2 c l - p with c = (p - b).l / |l|^2, a direction r to
+    2 c l - r with c = r.l / |l|^2.  Input without a float is read as
+    Fractions; float input runs as it is."""
+    groups = [points, directions, [b], [l]]
+    if all(is_exact(x) for vs in groups for v in vs for x in v):
+        groups = [[tuple(map(F, v)) for v in vs] for vs in groups]
+    points, directions, (b,), (l,) = groups
+    ns = v_norm_sq(l)
+    images = []
+    for p in points:
+        coef = v_dot(v_sub(p, b), l) / ns
+        images.append(v_sub(v_add(v_scale(2, b), v_scale(2 * coef, l)), p))
+    for r in directions:
+        coef = v_dot(r, l) / ns
+        images.append(v_sub(v_scale(2 * coef, l), r))
+    return images
+
+
+def _typed_bits(vectors):
+    """Each coordinate as its bits (a float) or its type and value."""
+    return [[x.hex() if isinstance(x, float) else (type(x), x) for x in v]
+            for v in vectors]
+
+
+_COORD = st.one_of(st.integers(-9, 9),
+                   st.builds(F, st.integers(-30, 30), st.integers(1, 12)))
+_VECTOR = st.tuples(_COORD, _COORD, _COORD)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_VECTOR, max_size=4), st.lists(_VECTOR, max_size=4), _VECTOR,
+       _VECTOR.filter(any))
+def test_half_turn_images_follow_the_formulas(points, directions, b, l):
+    # ints and Fractions give the formulas' Fractions; their floats give the
+    # formulas' floats, bit for bit
+    for conv in (lambda x: x, float):
+        args = [[tuple(map(conv, v)) for v in vs]
+                for vs in (points, directions, [b], [l])]
+        got = half_turn_images(args[0], args[1], args[2][0], args[3][0])
+        assert _typed_bits([*got[0], *got[1]]) == _typed_bits(
+            _reference_half_turn(args[0], args[1], args[2][0], args[3][0]))
+
+
+@pytest.mark.parametrize("conv", (F, float))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_POSITIVE, _POSITIVE, st.sampled_from((F(0), 0, F(1, 2), F(3))),
+       _POSITIVE, _POSITIVE, st.builds(F, st.integers(1, 40),
+                                       st.integers(1, 12)), st.booleans())
+def test_hat_axes_follow_the_half_turn_formulas(conv, a1, a2, k, mu1, mu2,
+                                                tau, parallelogram):
+    # family B at scale k, k = 0 included, or a prismatic family-A limit
+    # whose quad is a parallelogram, turning about the normal of its plane
+    if parallelogram:
+        bib = prismatic_limit_AB("A", "para", conv(a1), conv(a2),
+                                 mu12=conv(mu1), mu23=conv(mu2),
+                                 mu34=conv(k))
+    else:
+        assume(a1 != a2)
+        bib = make_family_b(conv(mu1), conv(mu2),
+                            validate(conv(a1), conv(a2), conv(k)))
+    cp = coupled_pose(bib, conv(tau))
+    axes = list(cp.bar_pose.axes.values())
+    want = _reference_half_turn([ax.point for ax in axes],
+                                [ax.direction for ax in axes],
+                                cp.delta.point, cp.delta.direction)
+    got = [*(ax.point for ax in cp.hat_axes.values()),
+           *(ax.direction for ax in cp.hat_axes.values())]
+    assert _typed_bits(got) == _typed_bits(want)

@@ -11,10 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bibennett import families
-from bibennett.bennett import PLANAR_CASES, SWAP
+from bibennett.algebra import v_add, v_dot, v_norm_sq, v_scale, v_sub
+from bibennett.bennett import AXIS_LABELS, PLANAR_CASES, SWAP, frame
 from bibennett.cli import fixture_path
 from bibennett.io_export import (
     FAMILIES,
+    RIBBON_WIDTH,
     ConfigError,
     build_structure,
     certify,
@@ -232,8 +234,135 @@ def test_export_obj_lint_and_determinism():
 
 
 def test_export_single_loop():
-    text = export_obj_text(build_structure(_fixture("fig3")), F(3, 5))
+    text = export_obj_text(build_structure(_fixture("fig3")), F(3, 5),
+                           patch_n=4)
     assert text.count("\ng ") + text.startswith("g ") == 4
+
+
+def _reference_obj_text(structure, tau, patch_n):
+    """The OBJ text as the earlier writer made it: each coordinate converted
+    to float where it is read, the half-turn partner by its formulas one
+    vector at a time, each token formatted on its own."""
+    def dist(p, q):
+        return sum((float(p[c]) - float(q[c])) ** 2 for c in range(3)) ** 0.5
+
+    def unit(v):
+        norm = sum(float(x) * float(x) for x in v) ** 0.5
+        return tuple(float(x) / norm for x in v)
+
+    def image(delta, v, point):
+        if not isinstance(delta, HalfTurn):
+            return (delta.apply_point if point else delta.apply_direction)(v)
+        b, l = delta.point, delta.direction
+        coef = v_dot(v_sub(v, b) if point else v, l) / v_norm_sq(l)
+        if point:
+            return v_sub(v_add(v_scale(2, b), v_scale(2 * coef, l)), v)
+        return v_sub(v_scale(2 * coef, l), v)
+
+    def ribbons(prefix, anchors, directions):
+        labels = list(AXIS_LABELS)
+        width = RIBBON_WIDTH * (sum(
+            dist(anchors[labels[i]], anchors[labels[(i + 1) % 4]])
+            for i in range(4)) / 4.0)
+        out = []
+        for i in range(4):
+            la, lb = labels[i], labels[(i + 1) % 4]
+            corners = []
+            for label, sign in ((la, -1), (la, 1), (lb, 1), (lb, -1)):
+                p, r = anchors[label], unit(directions[label])
+                corners.append(tuple(float(p[c]) + sign * width * r[c]
+                                     for c in range(3)))
+            out.append((f"{prefix}_link_{la[0]}{la[1]}_{lb[0]}{lb[1]}",
+                        corners))
+        return out
+
+    def patch(quad, n):
+        q0, q1, q2, q3 = [tuple(float(x) for x in p) for p in quad]
+        vertices = []
+        for j in range(n + 1):
+            v = j / n
+            for i in range(n + 1):
+                u = i / n
+                vertices.append(tuple(
+                    (1 - u) * (1 - v) * q0[c] + u * (1 - v) * q1[c]
+                    + u * v * q2[c] + (1 - u) * v * q3[c] for c in range(3)))
+        faces = [(a, a + 1, a + n + 2, a + n + 1)
+                 for a in (j * (n + 1) + i for j in range(n)
+                           for i in range(n))]
+        return vertices, faces
+
+    if isinstance(structure, families.BiBennett):
+        cp = coupled_pose(structure, tau)
+        tubes = ribbons("tube1", {l: cp.quad[l] for l in AXIS_LABELS},
+                        {l: cp.pose.axes[l].direction for l in AXIS_LABELS})
+        tubes += ribbons(
+            "tube2",
+            {l: image(cp.delta, cp.bar_quad[l], True) for l in AXIS_LABELS},
+            {l: image(cp.delta, cp.bar_pose.axes[l].direction, False)
+             for l in AXIS_LABELS})
+    else:
+        pose = frame(structure, tau)
+        tubes = ribbons("tube1", pose.points(),
+                        {l: pose.axes[l].direction for l in AXIS_LABELS})
+    lines = []
+    offset = 0
+    for name, corners in tubes:
+        vertices, faces = patch(corners, patch_n)
+        lines.append(f"g {name}")
+        for v in vertices:
+            lines.append("v " + " ".join(f"{x:.12g}" for x in v))
+        for f in faces:
+            lines.append("f " + " ".join(str(offset + i + 1) for i in f))
+        offset += len(vertices)
+    return "\n".join(lines) + "\n"
+
+
+def _assert_obj_matches_the_reference(structure, tau, patch_n):
+    try:
+        want = _reference_obj_text(structure, tau, patch_n)
+    except ValueError as exc:  # a pole, no real branch, a degenerate quad
+        with pytest.raises(type(exc)):
+            export_obj_text(structure, tau, patch_n)
+        return
+    assert export_obj_text(structure, tau, patch_n) == want
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig6", "fig7",
+                                  "fig8a", "fig8b", "fig9a"])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_obj_writer_matches_the_reference_on_fixtures(name, mode):
+    config = load_config(fixture_path(name))
+    config = parse_config({**json.loads(serialize_config(config)),
+                           "mode": mode})
+    structure = build_structure(config)
+    for patch_n in range(1, 6):
+        _assert_obj_matches_the_reference(structure, config.tau, patch_n)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_obj_writer_matches_the_reference_on_generated_configs(data):
+    family = data.draw(st.sampled_from(sorted(set(FAMILIES) - {"single",
+                                                               "planar"})))
+    required, optional, *_ = FAMILIES[family]
+    raw = {"schema": 1, "family": family,
+           "mode": data.draw(st.sampled_from(["exact", "float"]))}
+    for key in sorted(required | optional):
+        if key == "case":
+            raw[key] = data.draw(st.sampled_from(["anti", "para"]))
+        elif key in ("s", "branch"):
+            raw[key] = data.draw(st.sampled_from([-1, 1]))
+        elif key in ("a1", "a2", "k", "d1", "d2"):
+            raw[key] = data.draw(_POSITIVE)
+        else:
+            raw[key] = data.draw(_RATIONAL)
+    try:
+        structure = build_structure(parse_config(raw))
+    except ConfigError:
+        assume(False)
+    tau = parse_config({**raw, "tau": data.draw(_RATIONAL)}).tau
+    _assert_obj_matches_the_reference(structure, tau,
+                                      data.draw(st.integers(1, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +445,8 @@ def test_half_turn_partner_of_line_symmetric_fixtures(name):
     for label, partner in SWAP.items():
         assert cp.delta.apply_point(cp.quad[label]) == cp.quad[partner]
     for label, axis in cp.pose.axes.items():
-        assert cp.hat_axes[label] == cp.delta.apply_axis(axis)
-    text = export_obj_text(bib, config.tau)
+        assert cp.hat_axes[label] == cp.delta.apply_axes({label: axis})[label]
+    text = export_obj_text(bib, config.tau, patch_n=4)
     assert sum(1 for line in text.splitlines() if line.startswith("g ")) == 8
 
 

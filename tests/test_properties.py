@@ -126,6 +126,23 @@ def test_bennett_loop_check_rejects_a_moved_axis():
                 "symmetry half-turn", "regulus"], (a2, k, moved)
 
 
+def test_bennett_loop_regulus_cannot_fail_at_zero_scale():
+    # at k = 0 every axis runs through the apex, and four lines through one
+    # point have Pluecker rank at most 3: tilting an axis about the apex
+    # keeps the regulus entry at an exact 0, and the half-turn entry fails
+    pose = frame(validate(F(1, 2), F(1, 3), F(0)), F(9, 10))
+    axis = pose.axes[(3, 4)]
+    assert axis.point == (0, 0, 0)
+    tilted = Axis(axis.label, axis.point,
+                  v_add(axis.direction, (0, 0, F(1, 10))))
+    report = bennett_loop_check(
+        replace(pose, axes={**pose.axes, (3, 4): tilted}), ISO_TOL)
+    regulus = report.residuals[-1]
+    assert regulus.label == "regulus"
+    assert regulus.value == 0 and type(regulus.value) is Fraction
+    assert [r.label for r in report.failed()] == ["symmetry half-turn"]
+
+
 @pytest.mark.parametrize("case", PLANAR_CASES)
 def test_planar_loop_check_is_exact(case):
     for tau in (F(3, 5), F(-7, 3)):
@@ -319,13 +336,13 @@ def test_vertex_checks_equal_their_formulas(family, a1, a2, k, mu, tau):
 
 def test_vertex_certificates_build_no_hat_axis(monkeypatch):
     built = []
-    apply_axis = _AxisMap.apply_axis
+    apply_axes = _AxisMap.apply_axes
 
-    def counted(self, ax):
-        built.append(ax.label)
-        return apply_axis(self, ax)
+    def counted(self, axes):
+        built.extend(axes)
+        return apply_axes(self, axes)
 
-    monkeypatch.setattr(_AxisMap, "apply_axis", counted)
+    monkeypatch.setattr(_AxisMap, "apply_axes", counted)
     for scalar in (F, float):
         for family, mu, check in (
                 ("A", (F(37, 40), F(7, 8), F(1), F(1, 2)), isogonal_check),
