@@ -18,7 +18,7 @@ the closed chain to the four basis rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -47,6 +47,8 @@ VERTEX_ROLES = tuple((AXIS_LABELS[i], AXIS_LABELS[i - 2], AXIS_LABELS[i - 1],
 # axis relabelling by the half-turn about the symmetry line of a loop or quad
 SWAP = {(1, 4): (2, 3), (2, 3): (1, 4), (1, 2): (3, 4), (3, 4): (1, 2)}
 
+FLOAT_TOL = 1e-9
+
 
 class ConventionError(ValueError):
     """Design parameters violate the positivity convention."""
@@ -59,6 +61,10 @@ class DegenerateDesignError(ValueError):
 
 class PoleError(ValueError):
     """tau = 0 is a pole of the joint-angle substitution t_{1,2} = K/tau."""
+
+
+class DegenerateQuadError(ValueError):
+    """A quad without a spatial frame (collinear edges) or a symmetry line."""
 
 
 # ---------------------------------------------------------------------------
@@ -393,23 +399,25 @@ def regulus_residual(pose: Pose):
     return div(worst, max(abs(x) for row in rows for x in row) ** 4)
 
 
-def symmetry_line(pose: Pose):
-    """Point and direction of the line through the two diagonal midpoints.
-
-    Every Bennett pose admits a half-turn about this line swapping axes
-    (1,4) <-> (2,3) and (1,2) <-> (3,4).  At k = 0 every anchor, and with
-    it the line's point, sits at the origin; anchors scale with k and
-    directions do not, so the direction is that of the k = 1 line.
-    """
-    if pose.design.k == 0:
-        _, direction = symmetry_line(frame(replace(pose.design, k=1),
-                                           pose.tau))
-        return (0, 0, 0), direction
-    half = Fraction(1, 2)
-    p = pose.points()
-    m1 = v_scale(half, v_add(p[(1, 4)], p[(2, 3)]))
-    m2 = v_scale(half, v_add(p[(1, 2)], p[(3, 4)]))
-    return m1, v_sub(m2, m1)
+def symmetry_line(points):
+    """Point and direction of the axis of the half-turn swapping opposite
+    vertices of the skew isogram ``points`` (in AXIS_LABELS order): the line
+    through the midpoints of the two diagonals or, where they coincide (as
+    floats, within FLOAT_TOL times the largest diagonal coordinate), the
+    normal of the parallelogram's plane through its centre.  A direction
+    whose squared norm is not positive raises DegenerateQuadError."""
+    p14, p12, p23, p34 = points
+    m1 = v_scale(Fraction(1, 2), v_add(p14, p23))
+    d = v_sub(v_scale(Fraction(1, 2), v_add(p12, p34)), m1)
+    gap = max(map(abs, d))
+    if gap == 0 or not is_exact(gap) and gap <= FLOAT_TOL * max(
+            map(abs, v_sub(p23, p14) + v_sub(p34, p12))):
+        d = v_cross(v_sub(p12, p14), v_sub(p23, p14))
+    if not v_norm_sq(d) > 0:
+        raise DegenerateQuadError(
+            f"the squared norm of the symmetry direction {d} underflows"
+            if any(d) else "the quad degenerates to a segment")
+    return m1, d
 
 
 def half_turn_images(points, directions, line_point, line_dir):
@@ -440,22 +448,28 @@ def half_turn_images(points, directions, line_point, line_dir):
     return images[:len(points)], images[len(points):]
 
 
+def half_turn_residual(point, line, pairs):
+    """Zero iff the half-turn about the line through m = ``point`` along
+    l = ``line`` maps x to y for each (x, y) of ``pairs``, that is iff
+    (x - y).l = 0 and (x + y - 2m) x l = 0: on the points cleared to one
+    denominator D, the largest term over the largest |l| coordinate times D."""
+    (m, l, *points), den = clear_denominators(
+        [point, line, *(p for pair in pairs for p in pair)])
+    two_m, terms = v_scale(2, m), []
+    for x, y in zip(points[::2], points[1::2]):
+        terms.append(v_dot(v_sub(x, y), l))
+        terms.extend(v_cross(v_sub(v_add(x, y), two_m), l))
+    return div(max(map(abs, terms)), max(map(abs, l)) * den)
+
+
 def symmetry_residual(pose: Pose):
-    """Largest coordinate by which the half-turn about the symmetry line
-    misses the axis swap (1,4)<->(2,3), (1,2)<->(3,4); exactly zero for
-    Bennett poses.  No square root is taken, so exact input gives an exact
-    0."""
-    lp, ld = symmetry_line(pose)
-    sources = [pose.axes[label] for label in SWAP]
-    points, directions = half_turn_images([ax.point for ax in sources],
-                                          [ax.direction for ax in sources],
-                                          lp, ld)
-    worst = 0
-    for target, img_p, img_d in zip(SWAP.values(), points, directions):
-        dst = pose.axes[target]
-        # the image must lie on the target line with the same or opposite
-        # direction: compare via cross products to stay orientation-free
-        gaps = (v_cross(v_sub(img_p, dst.point), dst.direction)
-                + v_cross(img_d, dst.direction))
-        worst = max(worst, *(abs(g) for g in gaps))
-    return worst
+    """Zero iff Bennett's half-turn maps F_a to F_b and F_a + r_a to
+    F_b - r_b for (1,4) <-> (2,3) and (1,2) <-> (3,4), about the symmetry
+    line of F14 + r14, F12 + r12, F23 - r23, F34 - r34: that quad stays a
+    skew isogram at k = 0, where all anchors sit at the apex."""
+    axes = [pose.axes[label] for label in AXIS_LABELS]
+    tips = [v_add(ax.point, ax.direction) for ax in axes[:2]] + [
+        v_sub(ax.point, ax.direction) for ax in axes[2:]]
+    return half_turn_residual(*symmetry_line(tips), [
+        (axes[0].point, axes[2].point), (axes[1].point, axes[3].point),
+        (tips[0], tips[2]), (tips[1], tips[3])])

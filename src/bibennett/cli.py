@@ -20,10 +20,15 @@ import sys
 from dataclasses import replace
 
 from .appendix import verify_nonexistence
-from .bennett import AXIS_LABELS, PoleError, frame, loop_closure_residual
+from .bennett import (
+    AXIS_LABELS,
+    DegenerateQuadError,
+    PoleError,
+    frame,
+    loop_closure_residual,
+)
 from .families import (
     BiBennett,
-    DegenerateQuadError,
     NoRealBranchError,
     NotIsometricError,
     coupled_pose,

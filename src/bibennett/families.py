@@ -17,7 +17,6 @@ from functools import cached_property
 from .algebra import (
     DegenerateResultantError,
     det3,
-    is_exact,
     resultant_tau_bar,
     sqrt_scalar,
     v_add,
@@ -31,17 +30,17 @@ from .bennett import (
     AXIS_LABELS,
     Axis,
     BennettDesign,
+    DegenerateQuadError,
     PlanarDesign,
     PoleError,
     Pose,
     frame,
     half_turn_images,
+    symmetry_line,
     validate,
 )
 
 FAMILIES = ("A", "B", "C", "TrivialLineSym")
-
-FLOAT_TOL = 1e-9
 
 
 class NoRealFamilyError(ValueError):
@@ -59,10 +58,6 @@ class TrivialQuadError(ValueError):
 
 class NotIsometricError(ValueError):
     """Two quads with different distance sets cannot be rigidly aligned."""
-
-
-class DegenerateQuadError(ValueError):
-    """Coplanar/degenerate tetrahedron where a spatial frame is required."""
 
 
 class DegenerateCouplingError(ValueError):
@@ -182,27 +177,6 @@ def detect_trivial(mu: MuSet) -> bool:
     """The pattern mu14 = -mu23, mu12 = -mu34: the partner tube coincides
     with the original."""
     return mu.mu14 == -mu.mu23 and mu.mu12 == -mu.mu34
-
-
-def quad_symmetry_line(quad: SkewQuad):
-    """Symmetry line of a skew isogram.
-
-    Generically the line through the midpoints of the two diagonals; when the
-    quad is a parallelogram (midpoints coincide; as floats, within FLOAT_TOL
-    times the largest diagonal coordinate) the half-turn axis is the normal
-    of the quad plane through the common midpoint.
-    """
-    half = Fraction(1, 2)
-    m1 = v_scale(half, v_add(quad.p14, quad.p23))
-    m2 = v_scale(half, v_add(quad.p12, quad.p34))
-    d = v_sub(m2, m1)
-    gap = max(map(abs, d))
-    if gap == 0 or not is_exact(gap) and gap <= FLOAT_TOL * max(
-            map(abs, v_sub(quad.p23, quad.p14) + v_sub(quad.p34, quad.p12))):
-        d = v_cross(v_sub(quad.p12, quad.p14), v_sub(quad.p23, quad.p14))
-        if d == (0, 0, 0):
-            raise DegenerateQuadError("quad degenerates to a segment")
-    return m1, d
 
 
 def isogram_residuals(quad: SkewQuad):
@@ -503,8 +477,7 @@ def coupled_pose(bib: BiBennett, tau) -> CoupledPose:
     quad = points_on_axes(pose, bib.mu)
     if bib.family in ("A", "B", "TrivialLineSym"):
         tau_bar, bar_pose, bar_quad = tau, pose, quad
-        line_point, line_dir = quad_symmetry_line(quad)
-        delta = HalfTurn(line_point, line_dir)
+        delta = HalfTurn(*symmetry_line(quad.vertices()))
     else:
         if isinstance(bib.design, PlanarDesign):
             roots = planar_bar_tau(bib, tau)

@@ -23,7 +23,12 @@ from .algebra import (
     v_scale,
     v_sub,
 )
-from .bennett import AXIS_LABELS, VERTEX_ROLES, PlanarDesign
+from .bennett import (
+    AXIS_LABELS,
+    VERTEX_ROLES,
+    PlanarDesign,
+    half_turn_residual,
+)
 from .families import (
     BiBennett,
     MuSet,
@@ -224,18 +229,11 @@ def _sym_plane_parallel_edges_residual(cp, tol):
 
 def _line_symmetry_residual(cp, tol):
     """The half-turn ``cp.delta`` about the quad's symmetry line must swap
-    opposite quad vertices and carry each anchor onto its hat anchor.  The
-    half-turn about the line through m with direction l maps x to y iff
-    (x - y).l = 0 and (x + y - 2m) x l = 0: largest term over the largest
-    coordinate of l."""
-    quad, (m, line, *points), den = _cleared(
-        cp, cp.delta.point, cp.delta.direction, *_anchors(cp))
-    two_m, terms = v_scale(2, m), []
-    for x, y in [(quad.p14, quad.p23), (quad.p12, quad.p34),
-                 *zip(points[:4], points[4:])]:
-        terms.append(v_dot(v_sub(x, y), line))
-        terms.extend(v_cross(v_sub(v_add(x, y), two_m), line))
-    return _ratio(max(map(abs, terms)), _largest([line]) * den)
+    opposite quad vertices and carry each anchor onto its hat anchor."""
+    anchors, quad = _anchors(cp), cp.quad
+    return half_turn_residual(cp.delta.point, cp.delta.direction, [
+        (quad.p14, quad.p23), (quad.p12, quad.p34),
+        *zip(anchors[:4], anchors[4:])])
 
 
 def _mirror_residual(swapped, fixed, den):

@@ -1,20 +1,34 @@
 """Unit tests for single-loop construction, closure, and classification."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bibennett.algebra import det3, div, is_exact, mat_mul, v_sub
+from bibennett.algebra import (
+    det3,
+    div,
+    is_exact,
+    mat_mul,
+    v_add,
+    v_cross,
+    v_scale,
+    v_sub,
+)
 from bibennett.bennett import (
     AXIS_LABELS,
+    Axis,
     BennettDesign,
     DegenerateDesignError,
+    DegenerateQuadError,
     PLANAR_CASES,
     PlanarDesign,
     PoleError,
     frame,
+    half_turn_images,
+    half_turn_residual,
     loop_closure_residual,
     planar_frame,
     planar_K,
@@ -127,9 +141,18 @@ def test_regulus_unique():
     assert regulus_residual(pose) < 1e-9
 
 
+def _tips(pose):
+    """F14 + r14, F12 + r12, F23 - r23, F34 - r34: the quad whose symmetry
+    line is the loop's, a skew isogram at k = 0 too."""
+    axes = [pose.axes[label] for label in AXIS_LABELS]
+    return ([v_add(ax.point, ax.direction) for ax in axes[:2]]
+            + [v_sub(ax.point, ax.direction) for ax in axes[2:]])
+
+
 def test_symmetry_line_halfturn():
     pose = frame(DESIGN, F(9, 10))
-    point, direction = symmetry_line(pose)
+    point, direction = symmetry_line(
+        [pose.axes[label].point for label in AXIS_LABELS])
     assert any(abs(float(c)) > 0 for c in direction)
     assert symmetry_residual(pose) < 1e-12
 
@@ -176,13 +199,73 @@ def test_regulus_float_near_meeting_axes(a1, eps, k, tau):
 
 
 def test_symmetry_line_at_zero_scale():
-    # every anchor sits at the origin; the line keeps the k = 1 direction
+    # every anchor sits at the origin; the line runs through it, parallel to
+    # the k = 1 line
     pose = frame(BennettDesign(F(1, 2), F(1, 3), F(0)), F(9, 10))
-    point, direction = symmetry_line(pose)
-    assert point == (0, 0, 0)
-    assert direction == symmetry_line(frame(DESIGN, F(9, 10)))[1]
+    point, direction = symmetry_line(_tips(pose))
+    assert v_cross(point, direction) == (0, 0, 0)
+    _, unit_scale = symmetry_line(_tips(frame(DESIGN, F(9, 10))))
+    assert v_cross(direction, unit_scale) == (0, 0, 0)
     residual = symmetry_residual(pose)
     assert residual == 0 and not isinstance(residual, float)
+
+
+@_KERNEL_SETTINGS
+@given(_POSITIVE, _POSITIVE, st.booleans(), _SCALE, _NONZERO)
+def test_symmetry_residual_is_exact_zero(a1, a2, reciprocal, k, tau):
+    # including k = 0, where all anchors sit at the apex, and a1 a2 = 1,
+    # where opposite axes meet; the float copy stays within ISO_TOL
+    a2 = 1 / a1 if reciprocal else a2
+    assume(a1 != a2)
+    residual = symmetry_residual(frame(BennettDesign(a1, a2, k), tau))
+    assert residual == 0 and type(residual) is Fraction
+    residual = symmetry_residual(frame(
+        BennettDesign(float(a1), float(a2), float(k)), float(tau)))
+    assert isinstance(residual, float) and residual <= ISO_TOL
+
+
+@pytest.mark.parametrize("a2", [F(1, 3), F(2)])
+def test_symmetry_residual_is_oriented(a2):
+    # reversing r23 and r34 keeps every axis as a line, which the half-turn
+    # still swaps, but it must send F_a + r_a to F_b - r_b; a moved anchor
+    # fails as well
+    pose = frame(validate(F(1, 2), a2, F(1)), F(9, 10))
+    flipped = {label: Axis(label, pose.axes[label].point,
+                           v_scale(-1, pose.axes[label].direction))
+               for label in ((2, 3), (3, 4))}
+    axis = pose.axes[(3, 4)]
+    moved = Axis(axis.label, v_add(axis.point, (0, 0, F(1, 10))),
+                 axis.direction)
+    for axes in (flipped, {(3, 4): moved}):
+        assert symmetry_residual(replace(pose, axes={**pose.axes, **axes})) > 0
+
+
+_POINT = st.tuples(_NONZERO, _NONZERO, _NONZERO)
+
+
+@_KERNEL_SETTINGS
+@given(_POINT, _POINT, st.lists(_POINT, min_size=1, max_size=4),
+       st.integers(0, 3))
+def test_half_turn_residual_reads_half_turn_images(point, line, points, i):
+    images, _ = half_turn_images(points, [], point, line)
+    residual = half_turn_residual(point, line, list(zip(points, images)))
+    assert residual == 0 and type(residual) is Fraction
+    # a move along the line leaves the cross products at 0, a move across
+    # it may leave the dot product at 0
+    i %= len(points)
+    for step in (line, (0, 0, F(1, 7))):
+        moved = images[:i] + [v_add(images[i], step)] + images[i + 1:]
+        assert half_turn_residual(point, line, list(zip(points, moved))) > 0
+
+
+def test_symmetry_line_rejects_a_segment_and_an_underflow():
+    with pytest.raises(DegenerateQuadError, match="segment"):
+        symmetry_line([(0, 0, 0), (1, 0, 0), (2, 0, 0), (1, 0, 0)])
+    # the direction's coordinates are about 1e-200, their squares underflow
+    tiny = [tuple(float(c) * 1e-200 for c in p)
+            for p in _tips(frame(DESIGN, F(9, 10)))]
+    with pytest.raises(DegenerateQuadError, match="underflows"):
+        symmetry_line(tiny)
 
 
 # ---------------------------------------------------------------------------

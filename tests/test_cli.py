@@ -169,6 +169,14 @@ _TINY_OFFSET = {"schema": 1, "family": "C", "a1": "1/2", "a2": "1/3",
                 "k": "1", "mu14": "1e-300", "mu12": "1/4", "s": 1,
                 "branch": -1, "tau": "9/10", "mode": "exact"}
 
+# tiny half-tangents: in float mode the squared norm of the symmetry
+# direction underflows
+_TINY_SINGLE = {"schema": 1, "family": "single", "mode": "float",
+                "tau": "-1/1", "a1": "1e-300", "a2": "11/11", "k": "90/2"}
+_TINY_TRIVIAL = {"schema": 1, "family": "trivial", "mode": "float",
+                 "tau": "5/8", "a1": "2e-300", "a2": "5e-300", "k": "2000/4",
+                 "mu23": "-6/10", "mu34": "20/8"}
+
 
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -177,6 +185,8 @@ _TINY_OFFSET = {"schema": 1, "family": "C", "a1": "1/2", "a2": "1/3",
                                 "limits", "export"]))
 @example(config=_TINY_OFFSET, command="certify")
 @example(config=_TINY_OFFSET, command="sweep")
+@example(config=_TINY_SINGLE, command="certify")
+@example(config=_TINY_TRIVIAL, command="export")
 def test_subcommands_keep_the_exit_code_contract(tmp_path, capsys, config,
                                                  command):
     # an exception other than the named math errors escapes main and fails
@@ -220,6 +230,29 @@ def test_collinear_rho_alignment_is_a_math_failure(tmp_path, capsys):
     for command in ("certify", "sweep"):
         assert main([command, "-c", str(path)]) == EXIT_CERTIFICATE
         assert capsys.readouterr().err.startswith("failure: collinear")
+
+
+@pytest.mark.parametrize("config, command, obj_digest", [
+    (_TINY_SINGLE, "certify", None),
+    (_TINY_TRIVIAL, "export",
+     "7b6474ae6f1c9680d96103cd404f16f6a7ec125a33ad9fd09aedf0801f382ae9"),
+])
+def test_underflowing_symmetry_line_is_a_math_failure(tmp_path, capsys,
+                                                      config, command,
+                                                      obj_digest):
+    # float mode fails by name; exact mode passes, or writes this mesh
+    path, out = tmp_path / "tiny.json", tmp_path / "out"
+    path.write_text(json.dumps(config))
+    assert main([command, "-c", str(path)]) == EXIT_CERTIFICATE
+    assert capsys.readouterr().err.startswith(
+        "failure: the squared norm of the symmetry direction")
+    path.write_text(json.dumps({**config, "mode": "exact"}))
+    assert main([command, "-c", str(path), "--out", str(out)]) == EXIT_OK
+    if obj_digest:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == obj_digest
+    else:
+        assert "symmetry half-turn           0.000e+00" in (
+            capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
