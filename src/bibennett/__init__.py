@@ -20,9 +20,7 @@ from .bennett import (
     frame,
     loop_closure_residual,
     planar_frame,
-    planar_K,
     planar_loop_closure_residual,
-    transmission_K,
     validate,
 )
 from .families import (

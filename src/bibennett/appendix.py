@@ -29,7 +29,7 @@ from .algebra import (
     v_scale,
     v_sub,
 )
-from .bennett import AXIS_LABELS, BennettDesign, frame, transmission_K
+from .bennett import AXIS_LABELS, BennettDesign, frame
 from .families import MuSet
 from .properties import CertificateReport, ResidualEntry
 
@@ -119,7 +119,7 @@ def _expansion_forms(a1, a2):
         raise StructuralFactorError(
             "a1*a2*(a1-a2)*(a1+a2) must be nonzero to normalise the expansion")
     design = BennettDesign(a1, a2, Fraction(1))
-    big_k = transmission_K(design)
+    big_k = design.transmission()
     taus = _TAU_NODES + _TAU_CHECKS
     drives = {tau: _cleared_drive(design, big_k, tau) for tau in taus}
     n = [interpolate_polynomial(

@@ -44,9 +44,6 @@ AXIS_INDEX = {label: i for i, label in enumerate(AXIS_LABELS)}
 VERTEX_ROLES = tuple((AXIS_LABELS[i], AXIS_LABELS[i - 2], AXIS_LABELS[i - 1],
                       AXIS_LABELS[i - 3]) for i in range(4))
 
-# axis relabelling by the half-turn about the symmetry line of a loop or quad
-SWAP = {(1, 4): (2, 3), (2, 3): (1, 4), (1, 2): (3, 4), (3, 4): (1, 2)}
-
 FLOAT_TOL = 1e-9
 
 
@@ -83,20 +80,13 @@ class BennettDesign:
     a2: object
     k: object
 
-    @property
-    def d1(self):
-        return div(self.k * 2 * self.a1, 1 + self.a1 * self.a1)
-
-    @property
-    def d2(self):
-        return div(self.k * 2 * self.a2, 1 + self.a2 * self.a2)
-
     def links(self):
         """The links (cos, sin, offset) of twist alpha_i and offset d_i."""
         return _bennett_link(self.a1, self.k), _bennett_link(self.a2, self.k)
 
     def transmission(self):
-        return transmission_K(self)
+        """Constant product t_{1,2} t_{2,3} along the flex."""
+        return div(self.a1 + self.a2, self.a1 - self.a2)
 
 
 def validate(a1, a2, k) -> BennettDesign:
@@ -110,11 +100,6 @@ def validate(a1, a2, k) -> BennettDesign:
     if k < 0:
         raise ConventionError("scale k must be nonnegative")
     return BennettDesign(a1, a2, k)
-
-
-def transmission_K(design: BennettDesign):
-    """Constant product t_{1,2} t_{2,3} along the flex."""
-    return div(design.a1 + design.a2, design.a1 - design.a2)
 
 
 PLANAR_CASES = ("1a", "1b", "2a", "2b")
@@ -146,15 +131,12 @@ class PlanarDesign:
         return (cos1, 0, self.d1), (cos2, 0, self.d2)
 
     def transmission(self):
-        return planar_K(self)
-
-
-def planar_K(pd: PlanarDesign):
-    """Limit of the transmission ratio for each pinned-twist case."""
-    if pd.case in ("1a", "2a"):
-        num = pd.d1 + pd.d2
-        return div(num, pd.d2 - pd.d1 if pd.case == "1a" else pd.d1 - pd.d2)
-    return 1 if pd.case == "1b" else -1
+        """Limit of the transmission ratio for each pinned-twist case."""
+        if self.case in ("1a", "2a"):
+            num = self.d1 + self.d2
+            return div(num, self.d2 - self.d1 if self.case == "1a"
+                       else self.d1 - self.d2)
+        return 1 if self.case == "1b" else -1
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +220,6 @@ class Pose:
     design: object  # BennettDesign or PlanarDesign
     tau: object
     axes: dict  # label -> Axis
-
-    def points(self) -> dict:
-        return {label: ax.point for label, ax in self.axes.items()}
 
 
 # The kernel.  A pose needs only the point column M e0 and the direction

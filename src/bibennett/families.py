@@ -84,9 +84,6 @@ class MuSet:
     mu23: object
     mu34: object
 
-    def __getitem__(self, label):
-        return self.as_tuple()[AXIS_INDEX[label]]
-
     def as_tuple(self):
         return (self.mu14, self.mu12, self.mu23, self.mu34)
 
@@ -243,7 +240,7 @@ def make_trivial(mu23, mu34, design: BennettDesign) -> BiBennett:
     return BiBennett("TrivialLineSym", design, mu, mu, frozenset())
 
 
-def family_c(design, mu14, mu12, s: int, branch: int = -1) -> BiBennett:
+def family_c(design, mu14, mu12, s: int, branch: int) -> BiBennett:
     """Family C: same design twice, quad offsets (mu14, mu12, mu14, mu12) on
     the first tube and s-scaled swapped offsets on the second.
 
@@ -317,25 +314,8 @@ def solve_bar_tau(q: CouplingQuartic, tau):
 # partner maps: the half-turn and the rigid alignment of two quads
 # ---------------------------------------------------------------------------
 
-class _AxisMap:
-    """An isometry acting on points and directions, one at a time or in
-    lists by ``images``."""
-
-    def images(self, points, directions):
-        """(point images, direction images) of the two lists."""
-        return ([self.apply_point(p) for p in points],
-                [self.apply_direction(d) for d in directions])
-
-    def apply_axes(self, axes: dict) -> dict:
-        """Images of ``axes`` (label -> Axis) from one call of ``images``."""
-        points, directions = self.images([ax.point for ax in axes.values()],
-                                         [ax.direction for ax in axes.values()])
-        return {label: Axis(label, p, d)
-                for label, p, d in zip(axes, points, directions)}
-
-
 @dataclass(frozen=True)
-class HalfTurn(_AxisMap):
+class HalfTurn:
     """Half-turn about the line through ``point`` with direction
     ``direction``; exact for rational input."""
 
@@ -346,12 +326,9 @@ class HalfTurn(_AxisMap):
     def images(self, points, directions):
         return half_turn_images(points, directions, self.point, self.direction)
 
-    def apply_point(self, p):
-        return self.images([p], [])[0][0]
-
 
 @dataclass(frozen=True)
-class RigidMotion(_AxisMap):
+class RigidMotion:
     """Isometry of 3-space as a homogeneous transform (column convention)."""
 
     transform: tuple  # 4x4 rows acting on (w, x, y, z) columns
@@ -370,6 +347,11 @@ class RigidMotion(_AxisMap):
             m[i][1] * d[0] + m[i][2] * d[1] + m[i][3] * d[2]
             for i in (1, 2, 3)
         )
+
+    def images(self, points, directions):
+        """(point images, direction images) of the two lists."""
+        return ([self.apply_point(p) for p in points],
+                [self.apply_direction(d) for d in directions])
 
 
 # Relative tolerance of the float alignment's distance and residual checks.
@@ -463,7 +445,11 @@ class CoupledPose:
 
     @cached_property
     def hat_axes(self) -> dict:
-        return self.delta.apply_axes(self.bar_pose.axes)
+        labels, axes = zip(*self.bar_pose.axes.items())
+        points, directions = self.delta.images(
+            [ax.point for ax in axes], [ax.direction for ax in axes])
+        return {label: Axis(label, p, d)
+                for label, p, d in zip(labels, points, directions)}
 
 
 class NoRealBranchError(ValueError):
@@ -578,12 +564,6 @@ class NecessaryReport:
     def degenerate_resultant(self) -> bool:
         """Whether every coefficient of the eliminant is zero."""
         return not any(self.resultant_coeffs)
-
-    def residuals(self):
-        return self.side_residuals + self.resultant_coeffs
-
-    def all_zero(self) -> bool:
-        return all(r == 0 for r in self.residuals())
 
 
 def necessary_conditions(loop: Loop, bar_loop: Loop) -> NecessaryReport:

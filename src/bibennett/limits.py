@@ -26,6 +26,7 @@ from .algebra import (
 from .bennett import (
     AXIS_LABELS,
     VERTEX_ROLES,
+    DegenerateQuadError,
     PlanarDesign,
     half_turn_residual,
 )
@@ -109,7 +110,7 @@ def prismatic_limit_AB(family: str, case: str, d1, d2,
 
 
 def prismatic_limit_C(case: str, d1, d2, mu14, mu12, s: int,
-                      branch: int = 1) -> BiBennett:
+                      branch: int) -> BiBennett:
     """Prismatic limit of family C; the coupled prism shares both distances."""
     bib = family_c(_planar_design(case, d1, d2), mu14, mu12, s, branch)
     label = "III2ii" if case == "anti" else "III4ii"
@@ -147,7 +148,11 @@ def _ratio(num, den):
 
 
 def _vanishes(num, den, tol, exact) -> bool:
-    return num == 0 if exact else abs(div(num, den)) <= tol
+    if exact:
+        return num == 0
+    if den == 0:  # a zero-length ray, or a product of lengths underflowed
+        raise DegenerateQuadError("a limit predicate has a zero denominator")
+    return abs(div(num, den)) <= tol
 
 
 def _exact(points) -> bool:

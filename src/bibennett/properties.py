@@ -31,6 +31,7 @@ from .algebra import (
 from .bennett import (
     AXIS_LABELS,
     VERTEX_ROLES,
+    DegenerateQuadError,
     Pose,
     loop_closure_residual,
     regulus_residual,
@@ -175,10 +176,14 @@ def deltoidal_certificate(bib: BiBennett, tau, tol: float = ISO_TOL
 # family-C adjacent-vertex half-turn certificate
 # ---------------------------------------------------------------------------
 
-def _reflect_across_plane(point, p0, p1, p2):
+def _reflect_across_plane(point, w, p0, p1, p2):
+    """Mirror image of ``point`` across the plane of P_w, F_w, Fhat_w."""
     n = v_cross(v_sub(p1, p0), v_sub(p2, p0))
-    coef = 2 * v_dot(v_sub(point, p0), n) / v_norm_sq(n)
-    return v_sub(point, v_scale(coef, n))
+    norm_sq = v_norm_sq(n)
+    if not norm_sq > 0:
+        raise DegenerateQuadError("the plane P{0}{1} F{0}{1} Fhat{0}{1} has a"
+                                  " zero normal".format(*w))
+    return v_sub(point, v_scale(2 * v_dot(v_sub(point, p0), n) / norm_sq, n))
 
 
 def _floats(point):
@@ -263,7 +268,7 @@ def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:
             if equal_diagonals
             else ResidualEntry(label, 0 if gap > min_gap else 1, 0.5))
         # ... those two points are related by a reflection instead
-        mirrored = _reflect_across_plane(img, pw, fw, fhat_w)
+        mirrored = _reflect_across_plane(img, w, pw, fw, fhat_w)
         residuals.append(ResidualEntry(
             f"reflection relation @ {tag}", math.dist(mirrored, quad[opp_v]),
             tol))

@@ -20,7 +20,6 @@ from bibennett.bennett import (
     PlanarDesign,
     PoleError,
     loop_closure_residual,
-    planar_K,
     planar_loop_closure_residual,
     validate,
 )
@@ -117,7 +116,7 @@ def _rand_family_c(rng, k=None):
         mu12 = _rand_fraction(rng)
         if mu14 == mu12:
             continue
-        taus = _valid_taus(family_c(design, mu14, mu12, 1))
+        taus = _valid_taus(family_c(design, mu14, mu12, 1, -1))
         if taus is not None:
             return design, mu14, mu12, taus
 
@@ -143,7 +142,7 @@ def test_criterion_1_loop_closure():
     expected_K = {"1a": F(3), "1b": F(1), "2a": F(-3), "2b": F(-1)}
     for case, value in expected_K.items():
         pd = PlanarDesign(F(1, 2), F(1), case)
-        assert planar_K(pd) == value
+        assert pd.transmission() == value
         for tau in taus:
             assert planar_loop_closure_residual(pd, tau) == 0
     # [TRIVIAL] the rhombus d1 = d2 is a transmission pole in cases 1a, 2a
@@ -188,7 +187,7 @@ def test_criterion_3_family_c_regressions():
     assert bar_tau_squared(q0, F(3, 4)) == F(6319, 3281)
     # [DERIVED] prismatic anti case (1/2, 1/3) with mu14 = 2/3, mu12 = 1/2:
     # tau = 3/4 maps to tau_bar = 3/4 exactly
-    anti = prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1)
+    anti = prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1, 1)
     assert F(3, 4) in planar_bar_tau(anti, F(3, 4))
     # [DERIVED] prismatic para case (2/3, 3/4) with mu14 = 1/3, mu12 = 1/2:
     # tau = 3/4 maps to tau_bar = -sqrt(15281)/413
@@ -243,13 +242,13 @@ def _flex_instances_c(rng):
     out = []
     for _ in range(26):
         design, mu14, mu12, taus = _rand_family_c(rng)
-        out.append((family_c(design, mu14, mu12, 1), taus))
+        out.append((family_c(design, mu14, mu12, 1, -1), taus))
     for _ in range(2):
         design, mu14, mu12, taus = _rand_family_c(rng, k=F(0))
-        out.append((family_c(design, mu14, mu12, 1), taus))
+        out.append((family_c(design, mu14, mu12, 1, -1), taus))
     for bib in (
         prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3),
-                          F(1, 2), 1),
+                          F(1, 2), 1, 1),
         prismatic_limit_C("para", F(2, 3), F(3, 4), F(1, 3),
                           F(1, 2), 1, branch=-1),
     ):
@@ -348,13 +347,13 @@ def test_criterion_7_necessary_oracle():
     members = [
         make_family_a(MuSet(F(37, 40), F(7, 8), F(1), F(1, 2))),
         make_family_b(F(2, 3), F(1, 2), design),
-        family_c(design, F(2, 3), F(1, 4), 1),
+        family_c(design, F(2, 3), F(1, 4), 1, -1),
     ]
     for bib in members:
         report = necessary_conditions(bib.loop(), bib.bar_loop())
         # [TRIVIAL] all 13 residuals vanish identically for a real coupling,
         # and the eliminant degenerates (the two conditions are proportional)
-        assert report.all_zero()
+        assert not any(report.side_residuals + report.resultant_coeffs)
         assert report.degenerate_resultant
     rejected = 0
     attempts = 0
@@ -367,7 +366,7 @@ def test_criterion_7_necessary_oracle():
         bad_bar = MuSet(mu.mu14 + eps, mu.mu12, mu.mu23, mu.mu34)
         report = necessary_conditions(base.loop(),
                                       Loop(base.bar_design, bad_bar))
-        if not report.all_zero():
+        if any(report.side_residuals + report.resultant_coeffs):
             rejected += 1
     assert rejected == 50
 

@@ -44,7 +44,7 @@ from bibennett.algebra import (
     interpolate_polynomial,
     sylvester_resultant,
 )
-from bibennett.bennett import BennettDesign, frame, transmission_K
+from bibennett.bennett import BennettDesign, frame
 from bibennett.families import MuSet, points_on_axes
 
 F = Fraction
@@ -259,7 +259,7 @@ def _tau_interpolation(a1, a2, mu):
     the cleared determinant at those offsets and normalising as the
     CoplanarityExpansion docstring states."""
     design = BennettDesign(a1, a2, F(1))
-    big_k = transmission_K(design)
+    big_k = design.transmission()
     (offsets,), den = clear_denominators([mu.as_tuple()])
     n = interpolate_polynomial(
         lambda tau: _cleared_determinant(_cleared_drive(design, big_k, tau),
@@ -349,7 +349,7 @@ def test_a_perturbed_form_fails_the_entries_that_read_it(twist_forms, twist,
 def test_cleared_determinant_matches_orientation_det(a1, a2, offsets, tau):
     assume(a1 != a2)
     design = BennettDesign(a1, a2, F(1))
-    big_k = transmission_K(design)
+    big_k = design.transmission()
     mu = MuSet(*offsets)
     (ints,), den = clear_denominators([mu.as_tuple()])
     value = _cleared_determinant(_cleared_drive(design, big_k, tau), ints,

@@ -31,12 +31,10 @@ from bibennett.bennett import (
     half_turn_residual,
     loop_closure_residual,
     planar_frame,
-    planar_K,
     planar_loop_closure_residual,
     regulus_residual,
     symmetry_line,
     symmetry_residual,
-    transmission_K,
     validate,
 )
 from bibennett.properties import ISO_TOL
@@ -57,12 +55,12 @@ def test_validate_rejects_equal_twists():
 
 def test_angles_and_offsets():
     # alpha = 2*atan(a), d = 2*k*a/(1+a^2)
-    assert DESIGN.d1 == F(4, 5)
-    assert DESIGN.d2 == F(3, 5)
+    (_, _, d1), (_, _, d2) = DESIGN.links()
+    assert (d1, d2) == (F(4, 5), F(3, 5))
 
 
 def test_transmission_values():
-    assert transmission_K(DESIGN) == F(5)
+    assert DESIGN.transmission() == F(5)
 
 
 def test_loop_closure_exact_zero():
@@ -82,10 +80,10 @@ def test_loop_closure_zero_offset():
 
 def test_planar_transmission_values():
     d1, d2 = F(1, 2), F(1)
-    assert planar_K(PlanarDesign(d1, d2, "1a")) == F(3)
-    assert planar_K(PlanarDesign(d1, d2, "1b")) == 1
-    assert planar_K(PlanarDesign(d1, d2, "2a")) == F(-3)
-    assert planar_K(PlanarDesign(d1, d2, "2b")) == -1
+    assert PlanarDesign(d1, d2, "1a").transmission() == F(3)
+    assert PlanarDesign(d1, d2, "1b").transmission() == 1
+    assert PlanarDesign(d1, d2, "2a").transmission() == F(-3)
+    assert PlanarDesign(d1, d2, "2b").transmission() == -1
 
 
 def test_planar_pole():
@@ -104,7 +102,7 @@ def test_planar_closure_exact():
 
 def test_frame_quad_is_isogram():
     pose = frame(DESIGN, F(9, 10))
-    pts = pose.points()
+    pts = {label: ax.point for label, ax in pose.axes.items()}
 
     def d2(p, q):
         return sum((a - b) ** 2 for a, b in zip(p, q))
@@ -386,11 +384,12 @@ def test_one_chain_closes_exactly(a1, a2, k, tau, case):
 
 def test_int_designs_stay_exact():
     bennett = validate(2, 1, 1)
-    assert transmission_K(bennett) == 3
-    assert (bennett.d1, bennett.d2) == (F(4, 5), 1)
-    assert planar_K(PlanarDesign(2, 1, "1a")) == -3
-    for value in (transmission_K(bennett), bennett.d1, bennett.d2,
-                  planar_K(PlanarDesign(2, 1, "2a"))):
+    (_, _, d1), (_, _, d2) = bennett.links()
+    assert bennett.transmission() == 3
+    assert (d1, d2) == (F(4, 5), 1)
+    assert PlanarDesign(2, 1, "1a").transmission() == -3
+    for value in (bennett.transmission(), d1, d2,
+                  PlanarDesign(2, 1, "2a").transmission()):
         assert isinstance(value, Fraction)
     designs = [bennett, validate(3, 1, 0)]
     designs += [PlanarDesign(2, 1, case) for case in PLANAR_CASES]

@@ -177,6 +177,17 @@ _TINY_TRIVIAL = {"schema": 1, "family": "trivial", "mode": "float",
                  "tau": "5/8", "a1": "2e-300", "a2": "5e-300", "k": "2000/4",
                  "mu23": "-6/10", "mu34": "20/8"}
 
+# a tiny tau and offset: a reflection plane of the half-turn certificate
+# has a zero normal
+_FLAT_REFLECTION = {"schema": 1, "family": "C", "mode": "exact",
+                    "tau": "-4e-89", "k": "1", "a1": "63/24", "a2": "82/8",
+                    "mu14": "14/69", "mu12": "1e-204", "s": -1, "branch": 1}
+# P14 about 1e-200 from the apex: the hat apex lands on P23, and a ray of a
+# vertex figure has zero length
+_ZERO_RAY = {"schema": 1, "family": "A-pyramidal", "mode": "exact",
+             "tau": "3e-83", "mu14": "2e-200", "mu12": "9/2", "mu23": "14/3",
+             "mu34": "1"}
+
 
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -187,6 +198,8 @@ _TINY_TRIVIAL = {"schema": 1, "family": "trivial", "mode": "float",
 @example(config=_TINY_OFFSET, command="sweep")
 @example(config=_TINY_SINGLE, command="certify")
 @example(config=_TINY_TRIVIAL, command="export")
+@example(config=_FLAT_REFLECTION, command="certify")
+@example(config=_ZERO_RAY, command="certify")
 def test_subcommands_keep_the_exit_code_contract(tmp_path, capsys, config,
                                                  command):
     # an exception other than the named math errors escapes main and fails
@@ -195,6 +208,18 @@ def test_subcommands_keep_the_exit_code_contract(tmp_path, capsys, config,
     path.write_text(json.dumps(config))
     argv = [command, "-c", str(path), "--out", str(tmp_path / "out")]
     assert main(argv) in (EXIT_OK, EXIT_CERTIFICATE, EXIT_INPUT)
+
+
+@pytest.mark.parametrize("config, message", [
+    (_FLAT_REFLECTION, "the plane P12 F12 Fhat12 has a zero normal"),
+    (_ZERO_RAY, "a limit predicate has a zero denominator"),
+])
+def test_degenerate_certificate_geometry_is_a_math_failure(tmp_path, capsys,
+                                                           config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["certify", "-c", str(path)]) == EXIT_CERTIFICATE
+    assert capsys.readouterr().err == f"failure: {message}\n"
 
 
 def test_construct_prints_pose(capsys):

@@ -17,20 +17,25 @@ from bibennett.algebra import (
     v_sub,
 )
 from bibennett.bennett import (
+    AXIS_LABELS,
     PLANAR_CASES,
+    Axis,
     PlanarDesign,
     half_turn_images,
     validate,
 )
 from bibennett.families import (
+    ALIGN_TOL,
     DegenerateCouplingError,
     ExcludedBranchError,
     Loop,
     MuSet,
     NoRealBranchError,
     NoRealFamilyError,
+    SkewQuad,
     ZeroOffsetError,
     _side_sq,
+    align_isometry,
     bar_tau_squared,
     coupled_pose,
     coupling_quartic,
@@ -94,7 +99,7 @@ def test_family_quad_sides_rigid_exactly():
     instances = [
         make_family_a(MuSet(F(37, 40), F(7, 8), F(1), F(1, 2))),
         make_family_b(F(2, 3), F(1, 2), DESIGN),
-        family_c(DESIGN, F(2, 3), F(1, 4), 1),
+        family_c(DESIGN, F(2, 3), F(1, 4), 1, -1),
     ]
     taus = [F(1, 3), F(1, 2), F(9, 10), F(2), F(-5, 4)]
     for bib in instances:
@@ -107,7 +112,7 @@ def test_family_quad_sides_rigid_exactly():
 
 
 def test_cross_quad_congruence():
-    bib = family_c(DESIGN, F(2, 3), F(1, 4), 1)
+    bib = family_c(DESIGN, F(2, 3), F(1, 4), 1, -1)
     for tau in (F(1, 2), F(9, 10), F(2)):
         cp = coupled_pose(bib, tau)
         own = cp.quad.side_sq() + cp.quad.diag_sq()
@@ -141,7 +146,7 @@ def test_coupled_pose_branch_sign():
 
 
 def test_planar_companion_reference():
-    anti = prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1)
+    anti = prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1, 1)
     roots = planar_bar_tau(anti, F(3, 4))
     assert F(3, 4) in roots
     para = prismatic_limit_C("para", F(2, 3), F(3, 4), F(1, 3), F(1, 2), 1,
@@ -152,24 +157,43 @@ def test_planar_companion_reference():
 
 
 def test_align_isometry_roundtrip():
-    bib = family_c(DESIGN, F(2, 3), F(1, 4), 1)
+    bib = family_c(DESIGN, F(2, 3), F(1, 4), 1, -1)
     cp = coupled_pose(bib, F(9, 10))
     delta = cp.delta
     for label in ((1, 4), (1, 2), (2, 3), (3, 4)):
-        image = delta.apply_point(cp.bar_quad[label])
+        (image,), _ = delta.images([cp.bar_quad[label]], [])
         assert max(abs(float(a) - float(b))
                    for a, b in zip(image, cp.quad[label])) < 1e-12
+
+
+def _mirror(quad):
+    return SkewQuad(*((x, y, -z) for x, y, z in quad.vertices()))
+
+
+def test_align_isometry_reverses_onto_a_mirror_image():
+    bib = family_c(DESIGN, F(2, 3), F(1, 4), 1, -1)
+    bar_quad = coupled_pose(bib, F(9, 10)).bar_quad
+    mirror = _mirror(bar_quad)
+    motion = align_isometry(bar_quad, mirror)
+    assert motion.orientation == -1
+    for label in AXIS_LABELS:
+        image = motion.apply_point(tuple(map(float, bar_quad[label])))
+        assert math.dist(image, mirror[label]) <= 10 * ALIGN_TOL
+    # a pair below the flatness gate aligns directly, though mirrored
+    flat = SkewQuad((0, 0, 0), (1, 0, 0), (1, 1, 1e-12), (0, 1, 0))
+    assert flat.orientation_det() * _mirror(flat).orientation_det() < 0
+    assert align_isometry(flat, _mirror(flat)).orientation == 1
 
 
 def test_necessary_conditions_vanish_for_families():
     couplings = [
         make_family_a(MuSet(F(37, 40), F(7, 8), F(1), F(1, 2))),
         make_family_b(F(2, 3), F(1, 2), DESIGN),
-        family_c(DESIGN, F(2, 3), F(1, 4), 1),
+        family_c(DESIGN, F(2, 3), F(1, 4), 1, -1),
     ]
     for bib in couplings:
         report = necessary_conditions(bib.loop(), bib.bar_loop())
-        assert report.all_zero()
+        assert not any(report.side_residuals + report.resultant_coeffs)
         assert report.degenerate_resultant
 
 
@@ -179,7 +203,7 @@ def test_necessary_conditions_reject_perturbation():
     loop = Loop(DESIGN, mu)
     bar = Loop(DESIGN, bad_bar)
     report = necessary_conditions(loop, bar)
-    assert not report.all_zero()
+    assert any(report.side_residuals + report.resultant_coeffs)
 
 
 @pytest.mark.parametrize("conv", [F, float])
@@ -191,9 +215,9 @@ def test_family_c_rejects_zero_offsets_on_bennett_designs(k, conv):
     design = validate(F(1, 2), F(1, 3), conv(k))
     for mu14, mu12 in ((F(0), F(1, 4)), (F(2, 3), F(0))):
         with pytest.raises(ZeroOffsetError):
-            family_c(design, conv(mu14), conv(mu12), 1)
+            family_c(design, conv(mu14), conv(mu12), 1, -1)
     # the prismatic limit certifies its labels with a zero offset
-    bib = family_c(PlanarDesign(F(1, 2), F(1), "2a"), F(0), F(1, 4), 1)
+    bib = family_c(PlanarDesign(F(1, 2), F(1), "2a"), F(0), F(1, 4), 1, -1)
     assert bib.mu.mu14 == 0
 
 
@@ -206,7 +230,7 @@ def test_family_c_rejects_equal_offset_squares(design, mu12, conv):
     # tau_bar = +-tau, with offsets in the family-B pattern
     for s in (1, -1):
         with pytest.raises(DegenerateCouplingError):
-            family_c(design, conv(F(2, 3)), conv(mu12), s)
+            family_c(design, conv(F(2, 3)), conv(mu12), s, -1)
 
 # ---------------------------------------------------------------------------
 # the companion solvers return root sets closed under negation
@@ -345,7 +369,7 @@ def _couplings(conv):
     return [
         make_family_a(MuSet(*map(conv, (F(37, 40), F(7, 8), F(1), F(1, 2))))),
         make_family_b(conv(F(2, 3)), conv(F(1, 2)), design),
-        family_c(design, conv(F(2, 3)), conv(F(1, 4)), 1),
+        family_c(design, conv(F(2, 3)), conv(F(1, 4)), 1, -1),
         make_trivial(conv(F(2, 3)), conv(F(1, 2)), design),
         prismatic_limit_AB("A", "anti", conv(F(1, 2)), conv(F(1, 3)),
                            mu12=conv(F(1)), mu23=conv(F(3, 5)),
@@ -366,8 +390,11 @@ def _typed_axes(axes):
 def test_hat_axes_on_first_read_equal_the_eager_map(conv):
     for bib in _couplings(conv):
         cp = coupled_pose(bib, conv(F(3, 4)))
-        eager = {label: cp.delta.apply_axes({label: ax})[label]
-                 for label, ax in cp.bar_pose.axes.items()}
+        eager = {}
+        for label, ax in cp.bar_pose.axes.items():
+            (point,), (direction,) = cp.delta.images([ax.point],
+                                                     [ax.direction])
+            eager[label] = Axis(label, point, direction)
         assert "hat_axes" not in vars(cp)
         assert _typed_axes(cp.hat_axes) == _typed_axes(eager), bib.family
         assert cp.hat_axes is cp.hat_axes

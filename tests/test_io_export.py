@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from bibennett import families
 from bibennett.algebra import v_add, v_dot, v_norm_sq, v_scale, v_sub
-from bibennett.bennett import AXIS_LABELS, PLANAR_CASES, SWAP, frame
+from bibennett.bennett import AXIS_LABELS, PLANAR_CASES, Axis, frame
 from bibennett.cli import fixture_path
 from bibennett.io_export import (
     FAMILIES,
@@ -302,7 +302,8 @@ def _reference_obj_text(structure, tau, patch_n):
              for l in AXIS_LABELS})
     else:
         pose = frame(structure, tau)
-        tubes = ribbons("tube1", pose.points(),
+        tubes = ribbons("tube1",
+                        {l: pose.axes[l].point for l in AXIS_LABELS},
                         {l: pose.axes[l].direction for l in AXIS_LABELS})
     lines = []
     offset = 0
@@ -442,10 +443,15 @@ def test_half_turn_partner_of_line_symmetric_fixtures(name):
     bib = build_structure(config)
     cp = coupled_pose(bib, config.tau)
     assert isinstance(cp.delta, HalfTurn) and cp.delta.orientation == 1
-    for label, partner in SWAP.items():
-        assert cp.delta.apply_point(cp.quad[label]) == cp.quad[partner]
+    # the half-turn swaps opposite vertices of the quad
+    swap = {(1, 4): (2, 3), (2, 3): (1, 4), (1, 2): (3, 4), (3, 4): (1, 2)}
+    images, _ = cp.delta.images([cp.quad[label] for label in swap], [])
+    for partner, image in zip(swap.values(), images):
+        assert image == cp.quad[partner]
     for label, axis in cp.pose.axes.items():
-        assert cp.hat_axes[label] == cp.delta.apply_axes({label: axis})[label]
+        (point,), (direction,) = cp.delta.images([axis.point],
+                                                 [axis.direction])
+        assert cp.hat_axes[label] == Axis(label, point, direction)
     text = export_obj_text(bib, config.tau, patch_n=4)
     assert sum(1 for line in text.splitlines() if line.startswith("g ")) == 8
 

@@ -37,7 +37,7 @@ TAU = F(3, 4)
 
 
 def test_prismatic_c_anti_labels():
-    st = prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1)
+    st = prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1, 1)
     assert st.labels == {"III2ii"}
     report = verify_labels(st, TAU)
     assert report.verdict, report.lines()
@@ -86,7 +86,7 @@ def test_prismatic_b_para_is_trivial():
 
 
 def test_prism_directions_parallel_per_tube():
-    st = prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1)
+    st = prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1, 1)
     cp = coupled_pose(st, TAU)
     assert prism_parallel_residual(cp) < 1e-12
 
@@ -107,7 +107,7 @@ def test_pyramidal_labels():
 
 
 def test_labels_are_known():
-    st = prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1)
+    st = prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1, 1)
     assert st.labels <= set(_LABEL_ENTRIES)
 
 
@@ -119,7 +119,7 @@ def test_unlabelled_coupling_is_rejected():
 
 def test_limit_quad_sides_rigid():
     structures = [
-        prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1),
+        prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1, 1),
         prismatic_limit_AB("A", "para", F(1, 2), F(1, 3),
                            mu12=F(1, 4), mu23=F(2, 3), mu34=F(1, 2)),
         pyramidal_limit(family_c(validate(F(1, 2), F(1, 3), 0), F(2, 3),
@@ -282,7 +282,7 @@ _LABELLED = [
                        mu23=F(2, 3), mu34=F(1, 2)),
     prismatic_limit_AB("B", "anti", F(1, 2), F(1, 3), mu23=F(2, 3),
                        mu34=F(1, 2)),
-    prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1),
+    prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1, 1),
     prismatic_limit_C("para", F(2, 3), F(3, 4), F(1, 3), F(1, 2), 1, -1),
     pyramidal_limit(make_family_a(MuSet(F(37, 40), F(7, 8), F(1), F(1, 2)),
                                   k=0)),

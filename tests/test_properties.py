@@ -21,8 +21,8 @@ from bibennett.bennett import (
     validate,
 )
 from bibennett.families import (
+    CoupledPose,
     ExcludedBranchError,
-    _AxisMap,
     MuSet,
     NoRealBranchError,
     NoRealFamilyError,
@@ -51,7 +51,7 @@ F = Fraction
 DESIGN = validate(F(1, 2), F(1, 3), F(1))
 FAMILY_A = make_family_a(MuSet(F(37, 40), F(7, 8), F(1), F(1, 2)))
 FAMILY_B = make_family_b(F(2, 3), F(1, 2), DESIGN)
-FAMILY_C = family_c(DESIGN, F(2, 3), F(1, 4), 1)
+FAMILY_C = family_c(DESIGN, F(2, 3), F(1, 4), 1, -1)
 
 
 def test_family_a_vertices_isogonal():
@@ -336,13 +336,15 @@ def test_vertex_checks_equal_their_formulas(family, a1, a2, k, mu, tau):
 
 def test_vertex_certificates_build_no_hat_axis(monkeypatch):
     built = []
-    apply_axes = _AxisMap.apply_axes
+    hat_axes = vars(CoupledPose)["hat_axes"]  # a functools.cached_property
+    build = hat_axes.func
 
-    def counted(self, axes):
+    def counted(cp):
+        axes = build(cp)
         built.extend(axes)
-        return apply_axes(self, axes)
+        return axes
 
-    monkeypatch.setattr(_AxisMap, "apply_axes", counted)
+    monkeypatch.setattr(hat_axes, "func", counted)
     for scalar in (F, float):
         for family, mu, check in (
                 ("A", (F(37, 40), F(7, 8), F(1), F(1, 2)), isogonal_check),
