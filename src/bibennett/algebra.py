@@ -15,6 +15,9 @@ from functools import lru_cache
 from itertools import islice, product
 
 
+TOL = 1e-9  # the float tolerance of tolerance_of; a config's tol overrides it
+
+
 class DegenerateResultantError(ValueError):
     """Both polynomials have identically vanishing leading coefficients."""
 
@@ -29,6 +32,12 @@ class InterpolationNodeError(ValueError):
 
 def is_exact(x) -> bool:
     return isinstance(x, (Fraction, int))
+
+
+def tolerance_of(value, tol):
+    """The one pass rule: ``value`` passes when its magnitude is at most
+    this, ``tol`` for a float, 0 for an exact value (an int or a Fraction)."""
+    return tol if isinstance(value, float) else 0
 
 
 def div(n, d):
@@ -104,13 +113,11 @@ def v_dist_sq(a, b):
 
 def clear_denominators(vectors):
     """(integer vectors, D): ``vectors`` (of any lengths) over one positive
-    denominator D, floats among exact coordinates converted without
-    rounding.  Vectors of floats and ints come back as they are, with
-    D = 1.0."""
+    denominator D.  A float anywhere makes every coordinate a float, with
+    D = 1.0, so an int or Fraction result means no float entered it."""
     coords = [x for v in vectors for x in v]
-    kinds = set(map(type, coords))
-    if float in kinds and Fraction not in kinds:
-        return vectors, 1.0
+    if float in set(map(type, coords)):
+        return [tuple(map(float, v)) for v in vectors], 1.0
     ratios = [x.as_integer_ratio() for x in coords]
     den = math.lcm(*(d for _, d in ratios))
     ints = iter([n * (den // d) for n, d in ratios])

@@ -19,6 +19,7 @@ from math import prod
 from operator import mul, sub
 
 from .algebra import (
+    TOL,
     DegreeBoundError,
     clear_denominators,
     det3,
@@ -347,7 +348,7 @@ def _gap_entry(label, forms, gaps):
     """
     worst = max(abs(gap) for (a1, a2), twist_forms in forms.items()
                 for gap in gaps(a1, a2, twist_forms))
-    return ResidualEntry(label, worst, 0)
+    return ResidualEntry(label, worst, TOL)
 
 
 def _offset_split_gaps(a1, a2, forms):
@@ -399,7 +400,7 @@ def _identity_entry(label, gap, degree_bounds):
     """An entry proving ``gap`` identically zero by exact evaluation on a
     grid that its degree bounds make complete."""
     proved = function_identity_zero(gap, tuple(degree_bounds), degree_bounds)
-    return ResidualEntry(label, 0 if proved else 1, 0)
+    return ResidualEntry(label, 0 if proved else 1, TOL)
 
 
 def _resultant_entry(polys, swapped):
@@ -409,7 +410,8 @@ def _resultant_entry(polys, swapped):
                     - constrained_resultant_target(a1, a2, swapped))
                 for (a1, a2), (p0, p2) in polys.items())
     tag = "swapped" if swapped else "direct"
-    return ResidualEntry(f"resultant factorisation {tag} [exact]", worst, 0)
+    return ResidualEntry(f"resultant factorisation {tag} [exact]", worst,
+                         TOL)
 
 
 def _evaluate_squares(poly, a, b):
@@ -470,7 +472,8 @@ def _constrained_entry(polys, swapped):
                   * (1 + (big_b if swapped else big_a)))
         values[big_a, big_b] = [weight * c for c in p0[0::2]]
     tag = "swapped" if swapped else "direct"
-    entry = ResidualEntry(f"constrained polynomial {tag} [identity]", worst, 0)
+    entry = ResidualEntry(f"constrained polynomial {tag} [identity]", worst,
+                          TOL)
     return entry, _fit_squares(values, _TWIST_DEGREE)
 
 
@@ -498,7 +501,7 @@ def _curve_entry(label, even, curve, swapped):
         for poly in even) if any(q)]
     proved = (len({sum(q) > 0 for q in polys}) == 1
               and not any(map(count_positive_roots, polys)))
-    return ResidualEntry(label, 0 if proved else 1, 0)
+    return ResidualEntry(label, 0 if proved else 1, TOL)
 
 
 def verify_nonexistence() -> CertificateReport:

@@ -23,6 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .algebra import (
+    TOL,
     clear_denominators,
     det3,
     div,
@@ -43,9 +44,6 @@ AXIS_INDEX = {label: i for i, label in enumerate(AXIS_LABELS)}
 # (center, opposite, previous, next) labels of each quad vertex
 VERTEX_ROLES = tuple((AXIS_LABELS[i], AXIS_LABELS[i - 2], AXIS_LABELS[i - 1],
                       AXIS_LABELS[i - 3]) for i in range(4))
-
-FLOAT_TOL = 1e-9
-
 
 class ConventionError(ValueError):
     """Design parameters violate the positivity convention."""
@@ -382,14 +380,14 @@ def symmetry_line(points):
     """Point and direction of the axis of the half-turn swapping opposite
     vertices of the skew isogram ``points`` (in AXIS_LABELS order): the line
     through the midpoints of the two diagonals or, where they coincide (as
-    floats, within FLOAT_TOL times the largest diagonal coordinate), the
+    floats, within TOL times the largest diagonal coordinate), the
     normal of the parallelogram's plane through its centre.  A direction
     whose squared norm is not positive raises DegenerateQuadError."""
     p14, p12, p23, p34 = points
     m1 = v_scale(Fraction(1, 2), v_add(p14, p23))
     d = v_sub(v_scale(Fraction(1, 2), v_add(p12, p34)), m1)
     gap = max(map(abs, d))
-    if gap == 0 or not is_exact(gap) and gap <= FLOAT_TOL * max(
+    if gap == 0 or not is_exact(gap) and gap <= TOL * max(
             map(abs, v_sub(p23, p14) + v_sub(p34, p12))):
         d = v_cross(v_sub(p12, p14), v_sub(p23, p14))
     if not v_norm_sq(d) > 0:

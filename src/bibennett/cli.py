@@ -6,7 +6,8 @@ Exit codes: 0 on success or all certificates passing, 1 on a certificate or
 math failure, 2 on input errors: a config that breaks the schema, or whose
 design its family's builder rejects.  A sweep keeps a drive value on a pole,
 or without a real companion parameter, as a marked row.  ``--tol`` overrides
-the config's residual tolerance; ``--tau`` replaces its drive values.
+the config's float residual tolerance (an exact entry must be 0); ``--tau``
+replaces its drive values.
 """
 
 from __future__ import annotations
@@ -239,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--s", type=int, choices=(-1, 1))
             p.add_argument("--mode", choices=("exact", "float"))
             p.add_argument("--tol", type=float,
-                           help="residual tolerance override")
+                           help="float residual tolerance; exact entries "
+                                "must be 0")
         p.add_argument("--out", help="write a machine-readable report or mesh")
         if name == "export":
             p.add_argument("--patch-n", dest="patch_n", type=int, default=4,

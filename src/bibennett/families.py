@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import (
+    TOL,
     DegenerateResultantError,
     det3,
     resultant_tau_bar,
@@ -354,19 +355,15 @@ class RigidMotion:
                 [self.apply_direction(d) for d in directions])
 
 
-# Relative tolerance of the float alignment's distance and residual checks.
-ALIGN_TOL = 1e-9
-
-
 def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
     """Isometry delta with delta(src vertices) = dst vertices.
 
     Reversing (orientation -1) when the two tetrahedra have opposite
-    orientations, each with a volume above ALIGN_TOL times the cube of the
+    orientations, each with a volume above TOL times the cube of the
     longest distance; direct otherwise, so rounding noise on a (near)
     coplanar pair never mirrors the alignment.  Raises NotIsometricError
     when the six pairwise distances disagree, or when a vertex misses its
-    image by more than 10 ALIGN_TOL times the longest distance (at least 1).
+    image by more than 10 TOL times the longest distance (at least 1).
     Gates and transform are Python floats; numpy builds the frames.
     """
     import numpy as np
@@ -392,7 +389,7 @@ def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
         ds = v_dist_sq(fsrc[a], fsrc[b])
         dd = v_dist_sq(fdst[a], fdst[b])
         scale = max(1.0, abs(ds), abs(dd))
-        if abs(ds - dd) > ALIGN_TOL * scale:
+        if abs(ds - dd) > TOL * scale:
             raise NotIsometricError(  # reports the rounded exact distances
                 f"distance {a}-{b} differs: {float(v_dist_sq(src[a], src[b]))}"
                 f" vs {float(v_dist_sq(dst[a], dst[b]))}")
@@ -402,7 +399,7 @@ def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
     sign = 1
     vol_s = fsrc.orientation_det()
     vol_d = fdst.orientation_det()
-    flat = ALIGN_TOL * longest_sq ** 1.5
+    flat = TOL * longest_sq ** 1.5
     if vol_s * vol_d < 0 and min(abs(vol_s), abs(vol_d)) > flat:
         sign = -1
         fs = fs.copy()
@@ -413,7 +410,7 @@ def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
     motion = RigidMotion(((1.0, 0.0, 0.0, 0.0), *rows), sign)
     worst = max(math.dist(motion.apply_point(fsrc[lab]), fdst[lab])
                 for lab in AXIS_LABELS)
-    if worst > 10 * ALIGN_TOL * max(1.0, math.sqrt(longest_sq)):
+    if worst > 10 * TOL * max(1.0, math.sqrt(longest_sq)):
         raise NotIsometricError(f"alignment residual {worst} too large")
     return motion
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import parse_scalar
+from .algebra import TOL, parse_scalar
 from .bennett import (
     AXIS_LABELS,
     BennettDesign,
@@ -41,15 +41,12 @@ from .families import (
     make_trivial,
 )
 from .limits import (
-    PREDICATE_TOL,
     label_check,
     prismatic_limit_AB,
     prismatic_limit_C,
     pyramidal_limit,
 )
 from .properties import (
-    HALFTURN_TOL,
-    ISO_TOL,
     bennett_loop_check,
     deltoidal_check,
     halfturn_check,
@@ -96,9 +93,9 @@ class Family(NamedTuple):
     """A config family: its required and optional keys, the builder of the
     structure it describes from a Config (a BennettDesign or PlanarDesign for
     one loop, a BiBennett for a coupling, a labelled BiBennett for a limit),
-    and its certificate as (report name, check, default tolerance).  A check
-    is a pure function of one pose of the structure and a tolerance,
-    ``check(pose, tol)``: a Pose of a loop, a CoupledPose of a coupling."""
+    and its certificate as (report name, check).  A check is a pure function
+    of one pose of the structure and a float tolerance, ``check(pose, tol)``:
+    a Pose of a loop, a CoupledPose of a coupling."""
 
     required: set
     optional: set
@@ -106,21 +103,21 @@ class Family(NamedTuple):
     certificate: tuple
 
 
-_DELTOIDAL = ("deltoidal", deltoidal_check, ISO_TOL)
-_LIMIT_LABELS = ("limit-labels", label_check, PREDICATE_TOL)
+_DELTOIDAL = ("deltoidal", deltoidal_check)
+_LIMIT_LABELS = ("limit-labels", label_check)
 
 # Every config family, the one place one is defined.
 FAMILIES = {
     "single": Family({"a1", "a2", "k"}, set(),
                      lambda c: validate(c.a1, c.a2, c.k),
-                     ("bennett-loop", bennett_loop_check, ISO_TOL)),
+                     ("bennett-loop", bennett_loop_check)),
     "planar": Family({"case", "d1", "d2"}, set(),
                      lambda c: PlanarDesign(c.d1, c.d2, c.case),
-                     ("planar-loop", planar_loop_check, ISO_TOL)),
+                     ("planar-loop", planar_loop_check)),
     "A": Family({"k", "mu14", "mu12", "mu23", "mu34"}, set(),
                 lambda c: make_family_a(MuSet(c.mu14, c.mu12, c.mu23, c.mu34),
                                         k=c.k),
-                ("isogonal", isogonal_check, ISO_TOL)),
+                ("isogonal", isogonal_check)),
     "B": Family({"a1", "a2", "k", "mu23", "mu34"}, set(),
                 lambda c: make_family_b(c.mu23, c.mu34,
                                         validate(c.a1, c.a2, c.k)),
@@ -128,7 +125,7 @@ FAMILIES = {
     "C": Family({"a1", "a2", "k", "mu14", "mu12"}, {"s", "branch"},
                 lambda c: family_c(validate(c.a1, c.a2, c.k), c.mu14, c.mu12,
                                    c.s, c.branch),
-                ("halfturn", halfturn_check, HALFTURN_TOL)),
+                ("halfturn", halfturn_check)),
     "trivial": Family({"a1", "a2", "k", "mu23", "mu34"}, set(),
                       lambda c: make_trivial(c.mu23, c.mu34,
                                              validate(c.a1, c.a2, c.k)),
@@ -410,8 +407,8 @@ _POLE = "pole"
 def certify(config: Config, structure, tau):
     """(report name, report) of the certificate that FAMILIES gives the
     config's family, for its structure posed at tau: a loop by
-    :func:`frame`, a coupling by :func:`coupled_pose`.  The config's
-    ``tol``, when set, replaces the check's own tolerance."""
+    :func:`frame`, a coupling by :func:`coupled_pose`.  Float entries are
+    held to the config's ``tol``, or to ``TOL`` when it is not set."""
     pose = (coupled_pose(structure, tau) if isinstance(structure, BiBennett)
             else frame(structure, tau))
     return _certify_pose(config, pose)
@@ -419,8 +416,8 @@ def certify(config: Config, structure, tau):
 
 def _certify_pose(config: Config, pose):
     """:func:`certify` on ``pose``, a pose of the config's structure."""
-    name, check, tol = FAMILIES[config.family].certificate
-    return name, check(pose, tol if config.tol is None else config.tol)
+    name, check = FAMILIES[config.family].certificate
+    return name, check(pose, TOL if config.tol is None else config.tol)
 
 
 def sweep_report(config: Config):

@@ -14,8 +14,11 @@ from dataclasses import replace
 from itertools import combinations
 
 from .algebra import (
+    TOL,
     clear_denominators,
     div,
+    is_exact,
+    tolerance_of,
     v_add,
     v_cross,
     v_dot,
@@ -42,9 +45,6 @@ from .families import (
     isogram_residuals,
 )
 from .properties import CertificateReport, ResidualEntry, parallel_residual
-
-PARALLEL_TOL = 1e-12
-PREDICATE_TOL = 1e-9
 
 _PRISMATIC_KINDS = {"2a": "PrismaticAnti", "2b": "PrismaticPara"}
 
@@ -81,7 +81,8 @@ def prismatic_limit_AB(family: str, case: str, d1, d2,
     mu14 = mu23, mu12 = mu34 is the family-B pattern (anti case only) and the
     solved branches mu14 = mu12 -+ mu23 +- mu34 extend the family-A limits.
     On the anti branch, the extra factor condition that narrows the general
-    solution set down to isogonal (family-A style) vertices adds III3.
+    solution set down to isogonal (family-A style) vertices adds III3, where
+    d1 (mu12 - mu23) = +-d2 (mu23 - mu34) (floats: within TOL of the terms).
     """
     pd = _planar_design(case, d1, d2)
     if family == "B":
@@ -95,10 +96,10 @@ def prismatic_limit_AB(family: str, case: str, d1, d2,
         raise ValueError("family must be 'A' or 'B'")
     if case == "anti":
         mu14 = mu12 - mu23 + mu34
-        extra = ((d1 * mu12 - d1 * mu23 - d2 * mu23 + d2 * mu34)
-                 * (d1 * mu12 - d1 * mu23 + d2 * mu23 - d2 * mu34))
-        isogonal = (abs(extra) < 1e-12 if isinstance(extra, float)
-                    else extra == 0)
+        a, b = d1 * (mu12 - mu23), d2 * (mu23 - mu34)
+        size = d1 * (abs(mu12) + abs(mu23)) + d2 * (abs(mu23) + abs(mu34))
+        isogonal = any(abs(f) <= tolerance_of(f, TOL) * size
+                       for f in (a - b, a + b))
         labels = {"III1", "III3"} if isogonal else {"III1"}
     else:
         mu14 = mu12 + mu23 - mu34
@@ -137,26 +138,20 @@ def pyramidal_limit(bib: BiBennett) -> BiBennett:
 # Each predicate is a division-free polynomial in the points of one
 # CoupledPose, cleared to integers over one denominator D; its value is
 # formed once, over a power of D and a scale (the largest coordinate of a
-# vector, which keeps a length a length).  Exact points, with any float
-# among them (family-C hat points) read exactly, give an exact value; float
-# points run the same code with D = 1.0.  A yes/no decision tests 0 exactly
-# when no point it reads is a float, and within ``tol`` otherwise.
+# vector, which keeps a length a length).  Exact points give an exact
+# value; points with a float among them (family-C hat points) run the same
+# code on floats with D = 1.0, and so give a float.
 
 def _ratio(num, den):
     """num / den; 0/0 reads 0, as a scale vanishes only with its residual."""
     return div(num, den) if den else num
 
 
-def _vanishes(num, den, tol, exact) -> bool:
-    if exact:
-        return num == 0
-    if den == 0:  # a zero-length ray, or a product of lengths underflowed
+def _vanishes(num, den, tol) -> bool:
+    """Whether num / den passes :func:`tolerance_of`."""
+    if den == 0 and not is_exact(num):  # a zero-length ray, or underflow
         raise DegenerateQuadError("a limit predicate has a zero denominator")
-    return abs(div(num, den)) <= tol
-
-
-def _exact(points) -> bool:
-    return not any(isinstance(x, float) for p in points for x in p)
+    return abs(_ratio(num, den)) <= tolerance_of(num, tol)
 
 
 def _largest(vectors):
@@ -216,8 +211,7 @@ def _is_parallelogram_residual(cp, tol):
 
 def _not_parallelogram_residual(cp, tol) -> int:
     """0 when the quad is not a parallelogram, else 1."""
-    return int(_vanishes(*_parallelogram_gap(cp), tol,
-                         _exact(cp.quad.vertices())))
+    return int(_vanishes(*_parallelogram_gap(cp), tol))
 
 
 def _sym_plane_parallel_edges_residual(cp, tol):
@@ -285,7 +279,7 @@ def _flat_pose_pattern_residual(cp, tol):
                   _largest(crosses[0] + crosses[1]) * _largest([edge]) * den)
 
 
-def _vertex_class(center, targets, tol, exact):
+def _vertex_class(center, targets, tol):
     """(V-hedral, anti-V-hedral): the spherical quadrilateral of the rays
     r_j from ``center`` to the four ``targets`` has equal, resp.
     supplementary, opposite side arcs.  Arc j has cosine
@@ -300,9 +294,9 @@ def _vertex_class(center, targets, tol, exact):
     for j in (0, 1):
         n_a, n_b = norms[j] * norms[j + 1], norms[j + 2] * norms[j - 1]
         if not _vanishes(dots[j] ** 2 * n_b - dots[j + 2] ** 2 * n_a,
-                         n_a * n_b, tol, exact):
+                         n_a * n_b, tol):
             return False, False
-        if not _vanishes(dots[j] ** 2, n_a, tol, exact):
+        if not _vanishes(dots[j] ** 2, n_a, tol):
             sign = dots[j] * dots[j + 2]
             v_hedral, anti = v_hedral and sign > 0, anti and sign < 0
     return v_hedral, anti
@@ -317,17 +311,14 @@ def _i3_residual(cp, tol) -> int:
     one is anti-V-hedral, else 1.  A quad vertex's figure runs through its
     previous neighbor, the apex, its next neighbor and the hat apex; an
     apex's through the quad vertices."""
-    apexes = _anchors(cp)[::4]
-    exact = _exact([*cp.quad.vertices(), *apexes])
-    quad, (apex, apex_hat), _ = _cleared(cp, *apexes)
+    quad, (apex, apex_hat), _ = _cleared(cp, *_anchors(cp)[::4])
     classes = {
-        center: _vertex_class(quad[center],
-                              (quad[prev_n], apex, quad[next_n], apex_hat),
-                              tol, exact)
+        center: _vertex_class(
+            quad[center], (quad[prev_n], apex, quad[next_n], apex_hat), tol)
         for center, _, prev_n, next_n in VERTEX_ROLES}
     pair_classes = [(classes[center], classes[opposite])
                     for center, opposite, _, _ in VERTEX_ROLES[:2]]
-    pair_classes.append(tuple(_vertex_class(a, quad.vertices(), tol, exact)
+    pair_classes.append(tuple(_vertex_class(a, quad.vertices(), tol)
                               for a in (apex, apex_hat)))
     v_pairs = sum(a[0] and b[0] for a, b in pair_classes)
     anti_pairs = sum(a[1] and b[1] for a, b in pair_classes)
@@ -335,32 +326,30 @@ def _i3_residual(cp, tol) -> int:
 
 
 # Each class label's certificate entries: (entry name, predicate of a
-# CoupledPose and the tolerance, fixed tolerance or None for the caller's).
+# CoupledPose and the tolerance).
 _LABEL_ENTRIES = {
-    "I1": (("I1: line symmetry", _line_symmetry_residual, None),),
-    "I2": (("I2: plane symmetry", _plane_symmetry_residual, None),),
-    "I3": (("I3: two V-hedral pairs + one anti-V-hedral", _i3_residual,
-            0.5),),
-    "III1": (("III1: line symmetry", _line_symmetry_residual, None),),
+    "I1": (("I1: line symmetry", _line_symmetry_residual),),
+    "I2": (("I2: plane symmetry", _plane_symmetry_residual),),
+    "I3": (("I3: two V-hedral pairs + one anti-V-hedral", _i3_residual),),
+    "III1": (("III1: line symmetry", _line_symmetry_residual),),
     "III2ii": (
-        ("III2ii: vertices coplanar", _coplanarity_residual, None),
+        ("III2ii: vertices coplanar", _coplanarity_residual),
         ("III2ii: anti-parallelogram sides",
-         _antiparallelogram_sides_residual, None),
-        ("III2ii: not a parallelogram", _not_parallelogram_residual, 0.5),
+         _antiparallelogram_sides_residual),
+        ("III2ii: not a parallelogram", _not_parallelogram_residual),
         ("III2ii: symmetry plane parallel to edges",
-         _sym_plane_parallel_edges_residual, None),
+         _sym_plane_parallel_edges_residual),
     ),
-    "III3": (("III3: congruent cross-sections", _flat_pose_pattern_residual,
-              None),),
+    "III3": (("III3: congruent cross-sections",
+              _flat_pose_pattern_residual),),
     "III4ii": (
-        ("III4ii: vertices coplanar", _coplanarity_residual, None),
-        ("III4ii: parallelogram", _is_parallelogram_residual, None),
+        ("III4ii: vertices coplanar", _coplanarity_residual),
+        ("III4ii: parallelogram", _is_parallelogram_residual),
     ),
 }
 
 
-def verify_labels(bib: BiBennett, tau,
-                  tol: float = PREDICATE_TOL) -> CertificateReport:
+def verify_labels(bib: BiBennett, tau, tol: float = TOL) -> CertificateReport:
     """:func:`label_check` of the labelled coupling posed at tau."""
     return label_check(coupled_pose(bib, tau), tol)
 
@@ -373,7 +362,7 @@ def label_check(cp, tol) -> CertificateReport:
         raise ValueError("the coupling carries no class labels")
     if isinstance(cp.bib.design, PlanarDesign):
         residuals = [ResidualEntry(
-            "axes parallel", prism_parallel_residual(cp), PARALLEL_TOL)]
+            "axes parallel", prism_parallel_residual(cp), tol)]
     else:  # the largest anchor coordinate: the apex is the origin
         points, den = clear_denominators(_anchors(cp)[:4])
         residuals = [ResidualEntry("anchors copunctal",
@@ -381,8 +370,6 @@ def label_check(cp, tol) -> CertificateReport:
     for label in labels:
         if label not in _LABEL_ENTRIES:
             raise ValueError(f"no predicate for label {label!r}")
-        residuals.extend(
-            ResidualEntry(name, predicate(cp, tol),
-                          tol if fixed is None else fixed)
-            for name, predicate, fixed in _LABEL_ENTRIES[label])
+        residuals.extend(ResidualEntry(name, predicate(cp, tol), tol)
+                         for name, predicate in _LABEL_ENTRIES[label])
     return CertificateReport(f"labels[{','.join(labels)}]", tuple(residuals))

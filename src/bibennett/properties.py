@@ -19,9 +19,11 @@ import math
 from dataclasses import dataclass
 
 from .algebra import (
+    TOL,
     clear_denominators,
     det3,
     div,
+    tolerance_of,
     v_cross,
     v_dot,
     v_norm_sq,
@@ -46,16 +48,18 @@ from .families import (
     isogram_residuals,
 )
 
-ISO_TOL = 1e-10
-HALFTURN_TOL = 1e-9
-INVOLUTION_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class ResidualEntry:
+    """A named value of a certificate and the float tolerance of its check;
+    the value is held to ``tolerance_of(value, tol)``."""
+
     label: str
     value: float
-    tolerance: float
+    tol: float
+
+    @property
+    def tolerance(self):
+        return tolerance_of(self.value, self.tol)
 
     @property
     def passed(self) -> bool:
@@ -117,7 +121,8 @@ def _deltoidal_residuals(sides, dots):
 
 def _tube_integers(vectors):
     """:func:`clear_denominators` of an exact tube; a tube that holds a float
-    keeps its coordinates (D = 1): clearing would read its floats exactly."""
+    keeps its coordinates (D = 1), so that the entries reading only its exact
+    ones stay exact, where clearing would make every coordinate a float."""
     exact = not any(isinstance(x, float) for v in vectors for x in v)
     return clear_denominators(vectors) if exact else (vectors, 1)
 
@@ -160,13 +165,13 @@ def deltoidal_check(cp: CoupledPose, tol) -> CertificateReport:
     return _vertex_certificate("deltoidal", _deltoidal_residuals, 2, cp, tol)
 
 
-def isogonal_certificate(bib: BiBennett, tau, tol: float = ISO_TOL
+def isogonal_certificate(bib: BiBennett, tau, tol: float = TOL
                          ) -> CertificateReport:
     """:func:`isogonal_check` of the coupling posed at tau."""
     return isogonal_check(coupled_pose(bib, tau), tol)
 
 
-def deltoidal_certificate(bib: BiBennett, tau, tol: float = ISO_TOL
+def deltoidal_certificate(bib: BiBennett, tau, tol: float = TOL
                           ) -> CertificateReport:
     """:func:`deltoidal_check` of the coupling posed at tau."""
     return deltoidal_check(coupled_pose(bib, tau), tol)
@@ -190,7 +195,7 @@ def _floats(point):
     return tuple(map(float, point))
 
 
-def halfturn_certificate(bib: BiBennett, tau, tol: float = HALFTURN_TOL
+def halfturn_certificate(bib: BiBennett, tau, tol: float = TOL
                          ) -> CertificateReport:
     """:func:`halfturn_check` of the coupling posed at tau."""
     return halfturn_check(coupled_pose(bib, tau), tol)
@@ -228,8 +233,7 @@ def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:
     min_gap = tol * max(math.dist(quad[v], quad[w])
                         for v, _, _, w in VERTEX_ROLES)
     d1, d2 = cp.quad.diag_sq()
-    slack = tol * max(d1, d2) if isinstance(d1, float) else 0
-    equal_diagonals = abs(d1 - d2) <= slack
+    equal_diagonals = abs(d1 - d2) <= tolerance_of(d1 - d2, tol) * max(d1, d2)
     for v, opp_v, prev_v, w in VERTEX_ROLES:  # w is the next neighbor of v
         tag = f"P{v[0]}{v[1]}-P{w[0]}{w[1]}"
         # tau-free angle equalities between the two tubes, each in its own
@@ -254,9 +258,9 @@ def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:
         rho = align_isometry(SkewQuad(pv, pw, fv, fhat_v),
                              SkewQuad(pw, pv, fhat_w, fw))
         residuals.append(ResidualEntry(
-            f"rho involution @ {tag}", _compose_sq(rho), INVOLUTION_TOL))
+            f"rho involution @ {tag}", _compose_sq(rho), tol))
         residuals.append(ResidualEntry(
-            f"rho direct @ {tag}", rho.orientation - 1, 0.0))
+            f"rho direct @ {tag}", rho.orientation - 1, tol))
         # negative check: rho must not map the previous neighbor of v onto
         # the opposite vertex ...
         img = rho.apply_point(quad[prev_v])
@@ -264,9 +268,9 @@ def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:
         label = (f"rho(P{prev_v[0]}{prev_v[1]}) != P{opp_v[0]}{opp_v[1]}"
                  f" @ {tag}")
         residuals.append(
-            ResidualEntry(f"{label} (equal diagonals)", 0, 0.0)
+            ResidualEntry(f"{label} (equal diagonals)", 0, tol)
             if equal_diagonals
-            else ResidualEntry(label, 0 if gap > min_gap else 1, 0.5))
+            else ResidualEntry(label, 0 if gap > min_gap else 1, tol))
         # ... those two points are related by a reflection instead
         mirrored = _reflect_across_plane(img, w, pw, fw, fhat_w)
         residuals.append(ResidualEntry(
@@ -277,7 +281,7 @@ def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:
                             quad[lab]) for lab in AXIS_LABELS)
     residuals.append(ResidualEntry("partner", partner, tol))
     residuals.append(ResidualEntry(
-        "partner direct", cp.delta.orientation - 1, 0.0))
+        "partner direct", cp.delta.orientation - 1, tol))
     return CertificateReport("halfturn", tuple(residuals))
 
 
@@ -322,9 +326,10 @@ def bennett_loop_check(pose: Pose, tol) -> CertificateReport:
 def parallel_residual(directions):
     """Largest coordinate of the cross products of the first of
     ``directions`` with the others: 0 iff all are parallel.  No square root
-    is taken, so exact input gives an exact value."""
-    first, *rest = directions
-    return max(abs(c) for d in rest for c in v_cross(first, d))
+    is taken, and the directions are cleared to one denominator D first, so
+    exact input gives an exact value and input with a float a float."""
+    (first, *rest), den = clear_denominators(directions)
+    return div(max(abs(c) for d in rest for c in v_cross(first, d)), den * den)
 
 
 def planar_loop_check(pose: Pose, tol) -> CertificateReport:

@@ -61,14 +61,17 @@ def test_vector_helpers_exact():
 
 
 def test_clear_denominators():
-    # one denominator for every coordinate; a float among exact coordinates
-    # converts without rounding, vectors of floats and ints stay as they are
-    ints, den = clear_denominators([(F(1, 2), 0, 3), (F(-2, 3), 0.25, 1)])
+    # one denominator for every coordinate of exact vectors; a float anywhere
+    # makes every coordinate a float, with D = 1.0, and is never read exactly
+    ints, den = clear_denominators([(F(1, 2), 0, 3), (F(-2, 3), F(1, 4), 1)])
     assert (ints, den) == ([(6, 0, 36), (-8, 3, 12)], 12)
-    ints, den = clear_denominators([(F(1, 3), 0.1, 0)])
-    assert F(ints[0][1], den) == F(0.1) and F(ints[0][0], den) == F(1, 3)
+    assert all(type(x) is int for v in ints for x in v)
+    mixed, den = clear_denominators([(F(1, 3), 0.1, 0), (2,)])
+    assert (mixed, den) == ([(1 / 3, 0.1, 0.0), (2.0,)], 1.0)
+    assert all(type(x) is float for v in mixed for x in v)
+    assert type(den) is float
     floats = [(0.5, 0, 1.0)]
-    assert clear_denominators(floats) == (floats, 1.0)
+    assert clear_denominators(floats) == ([(0.5, 0.0, 1.0)], 1.0)
     # vectors keep their lengths
     assert clear_denominators([(F(1, 2), 1, F(1, 3), 0), (F(1, 4),)]) == (
         [(6, 12, 4, 0), (3,)], 12)

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bibennett.algebra import (
+    TOL,
     det3,
     div,
     is_exact,
@@ -37,7 +38,6 @@ from bibennett.bennett import (
     symmetry_residual,
     validate,
 )
-from bibennett.properties import ISO_TOL
 
 F = Fraction
 DESIGN = BennettDesign(F(1, 2), F(1, 3), F(1))
@@ -171,7 +171,7 @@ def test_regulus_degenerates_where_axes_meet(conv, a2, k):
     if conv is F:
         assert residual == 0 and type(residual) is Fraction
     else:
-        assert isinstance(residual, float) and residual <= ISO_TOL
+        assert isinstance(residual, float) and residual <= TOL
 
 
 @_KERNEL_SETTINGS
@@ -193,7 +193,7 @@ def test_regulus_float_near_meeting_axes(a1, eps, k, tau):
     a2 = (1 + eps) / a1
     assume(a1 != a2)
     assert regulus_residual(
-        frame(BennettDesign(a1, a2, k), float(tau))) <= ISO_TOL
+        frame(BennettDesign(a1, a2, k), float(tau))) <= TOL
 
 
 def test_symmetry_line_at_zero_scale():
@@ -212,14 +212,14 @@ def test_symmetry_line_at_zero_scale():
 @given(_POSITIVE, _POSITIVE, st.booleans(), _SCALE, _NONZERO)
 def test_symmetry_residual_is_exact_zero(a1, a2, reciprocal, k, tau):
     # including k = 0, where all anchors sit at the apex, and a1 a2 = 1,
-    # where opposite axes meet; the float copy stays within ISO_TOL
+    # where opposite axes meet; the float copy stays within TOL
     a2 = 1 / a1 if reciprocal else a2
     assume(a1 != a2)
     residual = symmetry_residual(frame(BennettDesign(a1, a2, k), tau))
     assert residual == 0 and type(residual) is Fraction
     residual = symmetry_residual(frame(
         BennettDesign(float(a1), float(a2), float(k)), float(tau)))
-    assert isinstance(residual, float) and residual <= ISO_TOL
+    assert isinstance(residual, float) and residual <= TOL
 
 
 @pytest.mark.parametrize("a2", [F(1, 3), F(2)])

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bibennett.algebra import (
+    TOL,
     is_exact,
     v_add,
     v_dot,
@@ -25,7 +26,6 @@ from bibennett.bennett import (
     validate,
 )
 from bibennett.families import (
-    ALIGN_TOL,
     DegenerateCouplingError,
     ExcludedBranchError,
     Loop,
@@ -178,7 +178,7 @@ def test_align_isometry_reverses_onto_a_mirror_image():
     assert motion.orientation == -1
     for label in AXIS_LABELS:
         image = motion.apply_point(tuple(map(float, bar_quad[label])))
-        assert math.dist(image, mirror[label]) <= 10 * ALIGN_TOL
+        assert math.dist(image, mirror[label]) <= 10 * TOL
     # a pair below the flatness gate aligns directly, though mirrored
     flat = SkewQuad((0, 0, 0), (1, 0, 0), (1, 1, 1e-12), (0, 1, 0))
     assert flat.orientation_det() * _mirror(flat).orientation_det() < 0

@@ -1,8 +1,10 @@
 """Source hygiene: no module of the package or of the tests imports a name
 it never uses, no public function, class, constant, method or property of
-the package is used only by the tests, and neither the package's defaulted
-parameters nor its line count grow.  The package's ``__init__`` is exempt
-from the first two, since its imports are the public re-exports."""
+the package is used only by the tests, neither the package's defaulted
+parameters nor its line count grow, and the package holds one tolerance
+constant and no other bound written as a scientific float literal.  The
+package's ``__init__`` is exempt from the first two, since its imports are
+the public re-exports."""
 
 import ast
 import re
@@ -91,7 +93,7 @@ def test_defaulted_parameters_do_not_grow():
 
 # Lines of the package's modules, ``__init__`` included: the count may
 # fall, never rise.  Lower it whenever code goes.
-MAX_PACKAGE_LINES = 3549
+MAX_PACKAGE_LINES = 3545
 
 
 def test_package_lines_do_not_grow():
@@ -213,3 +215,75 @@ def test_test_only_scan():
                                                   ["the points"])
     assert "a.py:Quad.points" not in _test_only_names(sources, [],
                                                       ["`q.points()`"])
+
+
+_TOLERANCE_NAME = re.compile(r"(^|_)(TOL|TOLERANCE|EPS|EPSILON)(_|$)")
+
+# The scientific float literals the package may hold, by the name of the
+# constant or function that holds them: TOL's value, and the collinearity
+# guard of align_isometry's numpy frames, which goes with that float
+# alignment (ROADMAP item 2).
+ALLOWED_SCIENTIFIC_LITERALS = {
+    "algebra.py:TOL": "1e-9",
+    "families.py:align_isometry.frame_matrix": "1e-12",
+}
+
+
+def _tolerance_scan(sources):
+    """(tolerance constants, scientific float literals) of the modules
+    ``sources`` (file name -> source): each constant as ``module:NAME``,
+    each literal as ``module:holder`` -> its text, the holder being the
+    dotted name of the enclosing functions and classes or the constant it
+    is assigned to."""
+    constants, literals = [], {}
+
+    def visit(module, source, node, holder):
+        for child in ast.iter_child_nodes(node):
+            name = holder
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = f"{holder}.{child.name}" if holder else child.name
+            elif isinstance(child, (ast.Assign, ast.AnnAssign)):
+                targets = (child.targets if isinstance(child, ast.Assign)
+                           else [child.target])
+                for target in targets:
+                    if not isinstance(target, ast.Name):
+                        continue
+                    name = holder or target.id
+                    if (target.id.isupper()
+                            and _TOLERANCE_NAME.search(target.id)):
+                        constants.append(f"{module}:{target.id}")
+            elif (isinstance(child, ast.Constant)
+                    and isinstance(child.value, float)):
+                text = ast.get_source_segment(source, child)
+                if "e" in text.lower():
+                    literals.setdefault(f"{module}:{holder}", []).append(text)
+            visit(module, source, child, name)
+
+    for module, source in sources.items():
+        visit(module, source, ast.parse(source), "")
+    return sorted(constants), {
+        key: ", ".join(texts) for key, texts in sorted(literals.items())}
+
+
+def test_one_tolerance_constant_and_no_other_scientific_literal():
+    sources = {path.name: path.read_text("utf-8")
+               for path in sorted((ROOT / "src" / "bibennett").glob("*.py"))}
+    constants, literals = _tolerance_scan(sources)
+    assert constants == ["algebra.py:TOL"]
+    assert literals == ALLOWED_SCIENTIFIC_LITERALS
+
+
+def test_tolerance_scan():
+    sources = {
+        "a.py": "TOL = 1e-9\nEDGE_TOL = 1e-10\nHALF = 0.5\nBIG = 2.5E3\n\n"
+                "def f(x):\n    return abs(x) < 1e-12 or x > 1.0\n\n"
+                "class Q:\n    def g(self):\n        return 3e-8\n",
+        "b.py": "def h():\n    def k():\n        return 1e-6\n"
+                "    return k\nEPS = 0.001\nTOTAL = 3\n",
+    }
+    constants, literals = _tolerance_scan(sources)
+    assert constants == ["a.py:EDGE_TOL", "a.py:TOL", "b.py:EPS"]
+    assert literals == {"a.py:BIG": "2.5E3", "a.py:EDGE_TOL": "1e-10",
+                        "a.py:Q.g": "3e-8", "a.py:TOL": "1e-9",
+                        "a.py:f": "1e-12", "b.py:h.k": "1e-6"}

@@ -11,9 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bibennett import families
-from bibennett.algebra import v_add, v_dot, v_norm_sq, v_scale, v_sub
+from bibennett.algebra import TOL, v_add, v_dot, v_norm_sq, v_scale, v_sub
 from bibennett.bennett import AXIS_LABELS, PLANAR_CASES, Axis, frame
-from bibennett.cli import fixture_path
+from bibennett.cli import _MATH_ERRORS, fixture_path
 from bibennett.io_export import (
     FAMILIES,
     RIBBON_WIDTH,
@@ -366,6 +366,39 @@ def test_obj_writer_matches_the_reference_on_generated_configs(data):
                                       data.draw(st.integers(1, 5)))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_exact_entries_of_exact_configs_are_zero(data):
+    # an int or Fraction entry is exact and passes only at 0; on an exact
+    # config of a family whose claim holds, each one is 0
+    family = data.draw(st.sampled_from(sorted(FAMILIES)))
+    required, optional, *_ = FAMILIES[family]
+    raw = {"schema": 1, "family": family, "mode": "exact",
+           "tau": data.draw(_RATIONAL)}
+    for key in sorted(required | optional):
+        if key == "case":
+            raw[key] = data.draw(st.sampled_from(
+                PLANAR_CASES if family == "planar" else ("anti", "para")))
+        elif key in ("s", "branch"):
+            raw[key] = data.draw(st.sampled_from([-1, 1]))
+        elif key in ("a1", "a2", "k", "d1", "d2"):
+            raw[key] = data.draw(_POSITIVE)
+        else:
+            raw[key] = data.draw(_RATIONAL)
+    try:
+        config = parse_config(raw)
+        _, report = certify(config, build_structure(config), config.tau)
+    except (ConfigError, *_MATH_ERRORS):
+        assume(False)
+    exact = [r for r in report.residuals
+             if isinstance(r.value, (int, Fraction))]
+    assert all(r.passed == (r.value == 0) for r in exact), report.lines()
+    # the trivial pattern maps a tube onto itself: no claim is made for it,
+    # and its deltoidal entries are nonzero
+    if family != "trivial":
+        assert all(r.value == 0 for r in exact), report.lines()
+
+
 # ---------------------------------------------------------------------------
 # sweep reports
 # ---------------------------------------------------------------------------
@@ -511,10 +544,10 @@ def test_pose_checks_match_public_certificates(name, mode):
     data = json.loads(fixture_path(name).read_text())
     config = parse_config(json.dumps(dict(data, mode=mode)))
     structure = build_structure(config)
-    report_name, check, default_tol = FAMILIES[config.family].certificate
+    report_name, check = FAMILIES[config.family].certificate
     public = _PUBLIC_CERTIFICATES[report_name]
     cp = coupled_pose(structure, config.tau)
-    assert _typed_report(check(cp, default_tol)) == _typed_report(
+    assert _typed_report(check(cp, TOL)) == _typed_report(
         public(structure, config.tau))
     assert _typed_report(check(cp, 1e-3)) == _typed_report(
         public(structure, config.tau, tol=1e-3))

@@ -4,11 +4,16 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bibennett.algebra import v_add, v_sub
-from bibennett.bennett import AXIS_LABELS, PoleError, validate
+from bibennett.algebra import TOL, v_add, v_sub
+from bibennett.bennett import (
+    AXIS_LABELS,
+    DegenerateDesignError,
+    PoleError,
+    validate,
+)
 from bibennett.families import (
     MuSet,
     NoRealBranchError,
@@ -21,7 +26,6 @@ from bibennett.families import (
 )
 from bibennett.limits import (
     _LABEL_ENTRIES,
-    PREDICATE_TOL,
     _mirror_residual,
     label_check,
     limit_kind,
@@ -296,7 +300,7 @@ _LABELLED = [
 def _failed(cp, reads):
     """The entries of the label check of ``cp`` that fail, and those of its
     labels that read one of ``reads``."""
-    report = label_check(cp, PREDICATE_TOL)
+    report = label_check(cp, TOL)
     expected = {r.label for r in report.residuals
                 if _READS[r.label.partition(": ")[2] or r.label] & reads}
     return {r.label for r in report.failed()}, expected
@@ -306,7 +310,7 @@ def _failed(cp, reads):
     [b.family, limit_kind(b), *sorted(b.labels)]))
 def test_moved_points_refute_the_labels_that_read_them(bib):
     cp = coupled_pose(bib, TAU)
-    assert label_check(cp, PREDICATE_TOL).verdict
+    assert label_check(cp, TOL).verdict
     for label in AXIS_LABELS:
         vertices = dict(zip(AXIS_LABELS, cp.quad.vertices()))
         vertices[label] = v_add(vertices[label], _MOVE)
@@ -335,3 +339,30 @@ def test_mirror_needs_one_plane_for_both_swapped_pairs():
     u, fixed = ((1, 0, 0), (-1, 0, 0)), ((0, 0, 1), (0, 0, -1))
     assert _mirror_residual((u, ((0, 1, 0), (0, -1, 0))), fixed, 1) == 2
     assert _mirror_residual((u, ((1, 1, 0), (-1, 1, 0))), fixed, 1) == 0
+
+
+_DISTANCE = st.builds(F, st.integers(1, 9), st.integers(1, 9))
+_PRISM_OFFSET = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.tuples(_DISTANCE, _DISTANCE, _PRISM_OFFSET, _PRISM_OFFSET,
+                 _PRISM_OFFSET), st.booleans(),
+       st.sampled_from((F(1, 10**7), F(1, 10**4), F(10**4), F(10**7))))
+@example((F(1e-7 / 3), F(2e-7 / 7), F(1, 2), F(1), F(2)), False, F(1))
+def test_prismatic_anti_labels_agree_in_both_modes_at_every_scale(
+        values, isogonal, scale):
+    # III3 asks that a factor of the isogonal condition vanish; a float
+    # factor is held to TOL times the size of its own terms, so the float
+    # labels follow the exact ones at every scale of lengths and offsets
+    d1, d2, mu12, mu23, mu34 = values
+    if isogonal:  # d1 (mu12 - mu23) = d2 (mu23 - mu34)
+        mu34 = mu23 - d1 * (mu12 - mu23) / d2
+    exact = [scale * v for v in (d1, d2, mu12, mu23, mu34)]
+    try:
+        labels = prismatic_limit_AB("A", "anti", *exact).labels
+    except (DegenerateDesignError, TrivialQuadError):
+        assume(False)
+    assert ("III3" in labels) >= isogonal
+    floats = prismatic_limit_AB("A", "anti", *map(float, exact)).labels
+    assert floats == labels, (values, isogonal, scale)

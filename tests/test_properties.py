@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bibennett.algebra import v_add, v_dot, v_norm_sq, v_sub
+from bibennett.algebra import TOL, v_add, v_dot, v_norm_sq, v_sub
 from bibennett.bennett import (
     AXIS_LABELS,
     PLANAR_CASES,
@@ -34,9 +34,8 @@ from bibennett.families import (
     make_family_a,
     make_family_b,
 )
+from bibennett.limits import prismatic_limit_C, verify_labels
 from bibennett.properties import (
-    HALFTURN_TOL,
-    ISO_TOL,
     bennett_loop_check,
     deltoidal_certificate,
     deltoidal_check,
@@ -121,7 +120,7 @@ def test_bennett_loop_check_rejects_a_moved_axis():
                       Axis(axis.label, axis.point,
                            v_add(axis.direction, nudge))):
             report = bennett_loop_check(
-                replace(pose, axes={**pose.axes, (3, 4): moved}), ISO_TOL)
+                replace(pose, axes={**pose.axes, (3, 4): moved}), TOL)
             assert [r.label for r in report.failed()] == [
                 "symmetry half-turn", "regulus"], (a2, k, moved)
 
@@ -136,7 +135,7 @@ def test_bennett_loop_regulus_cannot_fail_at_zero_scale():
     tilted = Axis(axis.label, axis.point,
                   v_add(axis.direction, (0, 0, F(1, 10))))
     report = bennett_loop_check(
-        replace(pose, axes={**pose.axes, (3, 4): tilted}), ISO_TOL)
+        replace(pose, axes={**pose.axes, (3, 4): tilted}), TOL)
     regulus = report.residuals[-1]
     assert regulus.label == "regulus"
     assert regulus.value == 0 and type(regulus.value) is Fraction
@@ -147,10 +146,15 @@ def test_bennett_loop_regulus_cannot_fail_at_zero_scale():
 def test_planar_loop_check_is_exact(case):
     for tau in (F(3, 5), F(-7, 3)):
         pose = frame(PlanarDesign(F(1, 2), F(1), case), tau)
-        report = planar_loop_check(pose, ISO_TOL)
+        report = planar_loop_check(pose, TOL)
         assert report.verdict, report.lines()
         assert all(type(r.value) in (int, Fraction) and r.value == 0
                    for r in report.residuals), report.lines()
+        # the float loop's int axis coordinates do not make an entry exact
+        fpose = frame(PlanarDesign(0.5, 1.0, case), float(tau))
+        report = planar_loop_check(fpose, TOL)
+        assert report.verdict, report.lines()
+        assert all(type(r.value) is float for r in report.residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +225,7 @@ def _fig6_pose(scalar):
 def test_partner_direct_catches_a_reversing_partner_map(scalar):
     cp = _fig6_pose(scalar)
     mirrored = replace(cp, delta=replace(cp.delta, orientation=-1))
-    report = halfturn_check(mirrored, HALFTURN_TOL)
+    report = halfturn_check(mirrored, TOL)
     assert [r.label for r in report.failed()] == ["partner direct"]
 
 
@@ -260,7 +264,7 @@ def test_no_numpy_scalar_reaches_a_family_c_report(a1, a2, k, mu14, mu12, s,
             cp = coupled_pose(bib, scalar(tau))
         except (NoRealBranchError, PoleError):
             assume(False)
-        types = _scalar_types(cp, halfturn_check(cp, HALFTURN_TOL))
+        types = _scalar_types(cp, halfturn_check(cp, TOL))
         assert types <= {int, Fraction, float}, (scalar, types)
 
 
@@ -325,7 +329,7 @@ def test_vertex_checks_equal_their_formulas(family, a1, a2, k, mu, tau):
             assume(False)
         reference = _reference_vertex_entries(cp)
         for check in (isogonal_check, deltoidal_check):
-            for entry in check(cp, ISO_TOL).residuals:
+            for entry in check(cp, TOL).residuals:
                 expected = reference[entry.label]
                 assert type(entry.value) is type(expected), entry.label
                 assert entry.value == expected, (scalar, entry.label)
@@ -352,7 +356,7 @@ def test_vertex_certificates_build_no_hat_axis(monkeypatch):
             bib = _line_symmetric_coupling(family, F(1, 2), F(1, 3), F(1),
                                            mu, scalar)
             cp = coupled_pose(bib, scalar(F(7, 5)))
-            assert check(cp, ISO_TOL).verdict
+            assert check(cp, TOL).verdict
         assert built == []
     # the half-turn certificate reads the hat axes: each is built once
     assert halfturn_certificate(FAMILY_C, F(7, 5)).verdict
@@ -446,7 +450,7 @@ def test_halfturn_angle_entries_equal_their_formulas(params, s, branch):
             assume(False)
         reference = _reference_angle_entries(cp)
         entries = {entry.label: entry.value
-                   for entry in halfturn_check(cp, HALFTURN_TOL).residuals
+                   for entry in halfturn_check(cp, TOL).residuals
                    if entry.label.startswith("angle")}
         assert entries.keys() == reference.keys()
         for label, value in entries.items():
@@ -459,3 +463,37 @@ def test_halfturn_angle_entries_equal_their_formulas(params, s, branch):
             types = {type(value) for value in entries.values()}
             assert types == ({F, float} if isinstance(cp.tau_bar, float)
                              else {F}), types
+
+
+# ---------------------------------------------------------------------------
+# the pass rule: an exact entry passes only at 0
+# ---------------------------------------------------------------------------
+
+_EXACT_REPORTS = {
+    "isogonal": (lambda: isogonal_certificate(FAMILY_A, F(9, 10)), "iso"),
+    # a rational tau_bar: every angle entry is exact
+    "halfturn": (lambda: halfturn_certificate(family_c(
+        validate(*_RATIONAL_BAR[3][:3]), *_RATIONAL_BAR[3][3:5], 1, 1),
+        _RATIONAL_BAR[3][5]), "angle"),
+    "labels": (lambda: verify_labels(prismatic_limit_C(
+        "para", F(2, 3), F(3, 4), F(1, 3), F(1, 2), 1, -1), F(3, 4)),
+        "III4ii"),
+    "bennett-loop": (lambda: bennett_loop_check(frame(DESIGN, F(9, 10)), TOL),
+                     "closure"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_REPORTS))
+def test_an_exact_entry_off_zero_fails(name):
+    # however far below the float tolerance, an exact nonzero value fails
+    make, prefix = _EXACT_REPORTS[name]
+    report = make()
+    assert report.verdict, report.lines()
+    entry = next(r for r in report.residuals if r.label.startswith(prefix)
+                 and isinstance(r.value, (int, Fraction)))
+    assert entry.value == 0 and entry.tolerance == 0
+    nudged = replace(entry, value=entry.value + Fraction(1, 10**30))
+    mutant = replace(report, residuals=tuple(
+        nudged if r is entry else r for r in report.residuals))
+    assert not mutant.verdict
+    assert mutant.failed() == [nudged]
