@@ -30,8 +30,8 @@ class InterpolationNodeError(ValueError):
     """Fewer interpolation points than the degree needs, or a repeated node."""
 
 
-def is_exact(x) -> bool:
-    return isinstance(x, (Fraction, int))
+def is_exact(x) -> bool:  # a float fails before Fraction's slow ABC check
+    return not isinstance(x, float) and isinstance(x, (Fraction, int))
 
 
 def tolerance_of(value, tol):
@@ -122,6 +122,30 @@ def clear_denominators(vectors):
     den = math.lcm(*(d for _, d in ratios))
     ints = iter([n * (den // d) for n, d in ratios])
     return [tuple(islice(ints, len(v))) for v in vectors], den
+
+
+def one_denominator(groups):
+    """(vectors, D): the vectors of ``groups``, pairs (numerators, den), as
+    numerators over the lcm D of the dens, or as they are (over 1) where each
+    group holds a float; a float in some groups only makes every coordinate
+    a float, over D = 1.0."""
+    floats = [float in {type(x) for v in vs for x in v} for vs, _ in groups]
+    if any(floats):
+        return ([v for vs, _ in groups for v in vs], 1) if all(floats) else (
+            [to_floats(v, den) for vs, den in groups for v in vs], 1.0)
+    den = math.lcm(*{d for _, d in groups})
+    return [v if d == den else tuple(den // d * x for x in v)
+            for vs, d in groups for v in vs], den
+
+
+def coordinates(v, den):
+    """The numerators ``v`` over ``den`` as Fractions, or ``v`` over 1."""
+    return v if den == 1 else tuple(Fraction(n, den) for n in v)
+
+
+def to_floats(v, den):
+    """Each n / den of ``v``, rounded once like float(Fraction(n, den))."""
+    return tuple(map(float, v) if den == 1 else (float(n / den) for n in v))
 
 
 def det3(r0, r1, r2):

@@ -21,7 +21,6 @@ from operator import mul, sub
 from .algebra import (
     TOL,
     DegreeBoundError,
-    clear_denominators,
     det3,
     function_identity_zero,
     interpolate_polynomial,
@@ -30,7 +29,7 @@ from .algebra import (
     v_scale,
     v_sub,
 )
-from .bennett import AXIS_LABELS, BennettDesign, frame
+from .bennett import BennettDesign, frame
 from .families import MuSet
 from .properties import CertificateReport, ResidualEntry
 
@@ -81,16 +80,12 @@ class CoplanarityExpansion:
 
 
 def _cleared_drive(design, big_k, tau):
-    """(anchors, directions, weight) of the drive frame at ``tau``: the four
-    anchor points and directions in axis order, cleared to integers over one
-    denominator D, and the weight (tau^2 + K^2)(1 + tau^2) / D^3, which
-    clears the coplanarity determinant's denominator in tau."""
+    """(anchors, directions, weight) of the drive frame at ``tau``: the
+    pose's integers over its D, and the weight (tau^2 + K^2)(1 + tau^2) /
+    D^3, which clears the coplanarity determinant's denominator in tau."""
     pose = frame(design, tau)
-    axes = [pose.axes[label] for label in AXIS_LABELS]
-    vectors, den = clear_denominators([ax.point for ax in axes]
-                                      + [ax.direction for ax in axes])
-    weight = (tau * tau + big_k * big_k) * (1 + tau * tau) / den ** 3
-    return vectors[:4], vectors[4:], weight
+    weight = (tau * tau + big_k * big_k) * (1 + tau * tau) / pose.den ** 3
+    return pose.points, pose.directions, weight
 
 
 def _cleared_determinant(drive, offsets, den):

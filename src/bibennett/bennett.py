@@ -3,16 +3,10 @@ closure, symmetries.
 
 All kinematic quantities are rational functions of the design parameters and
 the motion parameter tau, so every operation here is exact when called with
-Fractions or ints.
-
-A planar loop is the Bennett loop with its twists pinned to 0 or pi, so the
-two kinds of design differ only in what they answer to ``links()`` (the two
-links as (cos, sin, offset)) and ``transmission()``; ``frame`` and
-``loop_closure_residual`` take either.  Both run through one kernel that
-applies the sparse factors of the DH chain to basis vectors, fraction-free
-for rational input: ``frame`` applies the open chain to the reference point
-and direction, and ``loop_closure_residual`` applies the eight factors of
-the closed chain to the four basis rows.
+Fractions or ints.  A planar loop is the Bennett loop with its twists pinned
+to 0 or pi: the two kinds of design differ only in ``links()`` (the two links
+as (cos, sin, offset)) and ``transmission()``, and ``frame`` and
+``loop_closure_residual`` run either through one fraction-free kernel.
 """
 
 from __future__ import annotations
@@ -20,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .algebra import (
     TOL,
-    clear_denominators,
+    coordinates,
     det3,
     div,
     is_exact,
@@ -150,18 +145,11 @@ def _rotation(t, exact):
     return (1 - t * t) / den, 2 * t / den, 1
 
 
-def _cos_sin(t):
-    """Cosine and sine of the angle with half-tangent t."""
-    exact = is_exact(t)
-    c, s, h = _rotation(t, exact)
-    return (Fraction(c, h), Fraction(s, h)) if exact else (c, s)
-
-
 def _bennett_link(a, k):
     """(cos, sin, offset) of the link with half-tangent twist a and offset
     k sin(alpha)."""
-    c, s = _cos_sin(a)
-    return c, s, k * s
+    c, s, h = _rotation(a, is_exact(a))
+    return div(c, h), div(s, h), k * div(s, h)
 
 
 def _joint_half_tangents(design, tau):
@@ -179,7 +167,7 @@ def loop_closure_residual(design, tau):
     the multiplied-out 4x4 product row by row, without its zero terms.
     Exact input gives a Fraction.
     """
-    _, exact, (l1, j12, l2, j23) = _kernel_factors(design, tau)
+    exact, (l1, j12, l2, j23) = _kernel_factors(design, tau)
     factors = (l1, j12, l2, j23, l1, _inverse_joint(j12), l2,
                _inverse_joint(j23))
     rows = []
@@ -212,12 +200,21 @@ class Axis:
 
 @dataclass(frozen=True)
 class Pose:
-    """A configured loop at motion parameter tau: all four axes as (F, r);
-    ``design`` is the loop posed."""
+    """A configured loop at motion parameter tau: the ``points`` F and
+    ``directions`` r of its axes in AXIS_LABELS order, integers over ``den``
+    (other coordinates over 1), viewed by label in ``axes`` on first read."""
 
     design: object  # BennettDesign or PlanarDesign
     tau: object
-    axes: dict  # label -> Axis
+    points: tuple
+    directions: tuple
+    den: object
+
+    @cached_property
+    def axes(self) -> dict:
+        return {lab: Axis(lab, coordinates(p, self.den),
+                          coordinates(r, self.den)) for lab, p, r
+                in zip(AXIS_LABELS, self.points, self.directions)}
 
 
 # The kernel.  A pose needs only the point column M e0 and the direction
@@ -233,13 +230,12 @@ class Pose:
 #                           [0, 0, -s, c]], the rotation about x with cos c/h
 #                          and sin s/h
 #
-# When every scalar is an int or a Fraction the entries are integers (a
-# half-tangent p/q enters as q^2 - p^2, 2pq and q^2 + p^2), and each output
-# is one Fraction over the w component of M e0, the product of all h: the
-# fraction-free scheme of Bareiss (Math. Comp. 22, 1968).  Any other scalar
-# type runs the same code with h = 1.  The closure residual applies the
-# eight factors of the closed chain to the four basis rows, left to right,
-# so its float sums are those of the multiplied-out 4x4 product.
+# For ints and Fractions the entries are integers (a half-tangent p/q enters
+# as q^2 - p^2, 2pq and q^2 + p^2), and each output is an integer over the
+# w of M e0, the product of all h, which the w of a shorter chain divides:
+# the fraction-free scheme of Bareiss (Math. Comp. 22, 1968).  Other scalars
+# run with h = 1.  The closure residual applies the closed chain's eight
+# factors to the basis rows, so its float sums are those of the 4x4 product.
 
 def _link_factor(link, exact):
     """Kernel factor (c, s, off, h) of a link given as (cos, sin, offset)."""
@@ -303,45 +299,37 @@ def _apply_factors(factors, vectors):
 
 
 def _kernel_factors(design, tau):
-    """The first link (cos, sin, offset) of ``design``, whether its chain at
-    tau is exact, and the kernel factors (link1, J(t12), link2, J(t23)) as
-    (kind, values) pairs."""
+    """Whether the chain of ``design`` at tau is exact, and its kernel
+    factors (link1, J(t12), link2, J(t23)) as (kind, values) pairs."""
     t12, t23 = _joint_half_tangents(design, tau)
     link1, link2 = design.links()
     exact = all(is_exact(v) for v in (*link1, *link2, t12, t23))
-    return link1, exact, ((_LINK, _link_factor(link1, exact)),
-                          (_JOINT, _rotation(t12, exact)),
-                          (_LINK, _link_factor(link2, exact)),
-                          (_JOINT, _rotation(t23, exact)))
-
-
-def _kernel_axis(label, factors, exact) -> Axis:
-    """Axis of the product of ``factors`` ((kind, values) pairs, leftmost
-    first) from its columns on e0 and e1."""
-    (den, *point), (_, *direction) = _apply_factors(factors, _BASIS[:2])
-    if exact:
-        return Axis(label, tuple(Fraction(n, den) for n in point),
-                    tuple(Fraction(n, den) for n in direction))
-    # the sums of a 4x4 matrix product start from int 0 and so never end on
-    # -0.0; starting from 0 here as well keeps the float zeros of a pose
-    # equal to those of the multiplied-out chain
-    return Axis(label, tuple(0 + n for n in point),
-                tuple(0 + n for n in direction))
+    return exact, ((_LINK, _link_factor(link1, exact)),
+                   (_JOINT, _rotation(t12, exact)),
+                   (_LINK, _link_factor(link2, exact)),
+                   (_JOINT, _rotation(t23, exact)))
 
 
 def frame(design, tau) -> Pose:
-    """Points F_ij and unit directions r_ij of all four axes at tau: the
-    pose of the DH chain link1 J(t12) link2 J(t23) link1, for a
-    BennettDesign or a PlanarDesign."""
-    link1, exact, (l1, j12, l2, j23) = _kernel_factors(design, tau)
-    cos1, sin1, off1 = link1
-    axes = {
-        (1, 4): Axis((1, 4), (0, 0, 0), (1, 0, 0)),
-        (1, 2): Axis((1, 2), (0, 0, off1), (cos1, sin1, 0)),
-        (2, 3): _kernel_axis((2, 3), (l1, j12, l2), exact),
-        (3, 4): _kernel_axis((3, 4), (l1, j12, l2, j23, l1), exact),
-    }
-    return Pose(design, tau, axes)
+    """Points F_ij and unit directions r_ij of all four axes at tau, over
+    the w of M34: the pose of the DH chain link1 J(t12) link2 J(t23) link1,
+    for a BennettDesign or a PlanarDesign."""
+    _, (l1, j12, l2, j23) = _kernel_factors(design, tau)
+    c, s, off, h = l1[1]
+    chains = [_apply_factors(factors, _BASIS[:2])
+              for factors in ((l1, j12, l2), (l1, j12, l2, j23, l1))]
+    den = chains[-1][0][0]
+    points = [(0, 0, 0), tuple(den // h * x for x in (0, 0, off))]
+    directions = [(den, 0, 0), tuple(den // h * x for x in (c, s, 0))]
+    for (w, *point), (_, *direction) in chains:
+        # as the sums of a 4x4 matrix product, start from int 0: a float
+        # zero of the pose is then never -0.0
+        points.append(tuple(0 + den // w * n for n in point))
+        directions.append(tuple(0 + den // w * n for n in direction))
+    if any(isinstance(x, float) for x in l1[1] + l2[1]):  # every one a float
+        points, directions = ([tuple(map(float, v)) for v in vectors]
+                              for vectors in (points, directions))
+    return Pose(design, tau, tuple(points), tuple(directions), den)
 
 
 def planar_frame(pd: PlanarDesign, tau) -> Pose:
@@ -354,19 +342,16 @@ def planar_frame(pd: PlanarDesign, tau) -> Pose:
 # ---------------------------------------------------------------------------
 
 def regulus_residual(pose: Pose):
-    """Zero iff the four axes lie on one regulus, degenerate or not.
-
-    A regulus is the Klein quadric cut by a plane of P^5 (Pottmann and
-    Wallner, Computational Line Geometry, 2001), so the axes lie on one iff
-    their Pluecker vectors (r, F x r) have rank at most 3: every 4x4 minor
-    of the 4x6 matrix vanishes.  The rows are cleared to integers over one
-    denominator D and each minor is expanded along the first row; the
-    largest |minor| over the 4th power of the largest coordinate does not
-    depend on D, and exact input gives an exact value.
+    """Zero iff the four axes lie on one regulus, degenerate or not: a
+    regulus is the Klein quadric cut by a plane of P^5 (Pottmann and
+    Wallner, Computational Line Geometry, 2001), so iff their Pluecker
+    vectors (r, F x r) have rank at most 3, every 4x4 minor vanishing.  On
+    the pose's integers over D the rows are (D r, F x r), over D^2; each
+    minor is expanded along the first row, and the largest |minor| over the
+    4th power of the largest coordinate is exact for exact input.
     """
-    rows, _ = clear_denominators(
-        [(*ax.direction, *v_cross(ax.point, ax.direction))
-         for ax in (pose.axes[label] for label in AXIS_LABELS)])
+    rows = [(*v_scale(pose.den, r), *v_cross(p, r))
+            for p, r in zip(pose.points, pose.directions)]
     first, *rest = rows
     lower = {cols: det3(*([row[c] for c in cols] for row in rest))
              for cols in combinations(range(6), 3)}
@@ -377,76 +362,51 @@ def regulus_residual(pose: Pose):
 
 
 def symmetry_line(points):
-    """Point and direction of the axis of the half-turn swapping opposite
-    vertices of the skew isogram ``points`` (in AXIS_LABELS order): the line
-    through the midpoints of the two diagonals or, where they coincide (as
-    floats, within TOL times the largest diagonal coordinate), the
-    normal of the parallelogram's plane through its centre.  A direction
-    whose squared norm is not positive raises DegenerateQuadError."""
+    """(P14 + P23, l): twice a point and a direction l of the axis of the
+    half-turn swapping opposite vertices of the skew isogram ``points``
+    (AXIS_LABELS order, over one denominator): l is twice the gap of the
+    diagonals' midpoints or, where that is 0 (a float within TOL of the
+    largest diagonal coordinate), the parallelogram's normal.  An l of
+    squared norm not above 0 raises DegenerateQuadError."""
     p14, p12, p23, p34 = points
-    m1 = v_scale(Fraction(1, 2), v_add(p14, p23))
-    d = v_sub(v_scale(Fraction(1, 2), v_add(p12, p34)), m1)
+    through = v_add(p14, p23)
+    d = v_sub(v_add(p12, p34), through)
     gap = max(map(abs, d))
-    if gap == 0 or not is_exact(gap) and gap <= TOL * max(
+    if gap == 0 or not is_exact(gap) and gap <= 2 * TOL * max(
             map(abs, v_sub(p23, p14) + v_sub(p34, p12))):
         d = v_cross(v_sub(p12, p14), v_sub(p23, p14))
     if not v_norm_sq(d) > 0:
         raise DegenerateQuadError(
             f"the squared norm of the symmetry direction {d} underflows"
             if any(d) else "the quad degenerates to a segment")
-    return m1, d
+    return through, d
 
 
-def half_turn_images(points, directions, line_point, line_dir):
-    """(point images, direction images) under the half-turn about the line
-    through b = ``line_point`` along l = ``line_dir``: a point p goes to
-    2 b + 2 ((p - b).l / |l|^2) l - p, a direction r to 2 (r.l / |l|^2) l - r.
-    When every coordinate is an int or a Fraction, all vectors are first
-    cleared to integers over one denominator D, so that each image
-    coordinate is one integer over D |l|^2, normalised once (the
-    fraction-free scheme of Bareiss, Math. Comp. 22, 1968)."""
-    vectors = [line_point, line_dir, *points, *directions]
-    if not all(is_exact(x) for v in vectors for x in v):
-        ns = v_norm_sq(line_dir)
-        return ([v_sub(v_add(v_scale(2, line_point), v_scale(
-                    2 * (v_dot(v_sub(p, line_point), line_dir) / ns),
-                    line_dir)), p) for p in points],
-                [v_sub(v_scale(2 * (v_dot(r, line_dir) / ns), line_dir), r)
-                 for r in directions])
-    (b, l, *cleared), den = clear_denominators(vectors)
-    n = v_norm_sq(l)
-    images = []
-    for i, v in enumerate(cleared):
-        # a direction maps as a point would about the parallel line through 0
-        base = b if i < len(points) else (0, 0, 0)
-        c = v_dot(v_sub(v, base), l)
-        images.append(tuple(Fraction(2 * (bi * n + c * li) - vi * n, den * n)
-                            for bi, li, vi in zip(base, l, v)))
-    return images[:len(points)], images[len(points):]
+def half_turn_residual(through, line, pairs, den):
+    """Zero iff the half-turn about the line through m = ``through`` / 2
+    along l = ``line`` maps x to y for each (x, y) of ``pairs``, iff
+    (x - y).l = 0 and (x + y - 2m) x l = 0 (numerators over ``den``): the
+    largest term over the largest |l| coordinate times den."""
+    terms = []
+    for x, y in pairs:
+        terms.append(v_dot(v_sub(x, y), line))
+        terms.extend(v_cross(v_sub(v_add(x, y), through), line))
+    return div(max(map(abs, terms)), max(map(abs, line)) * den)
 
 
-def half_turn_residual(point, line, pairs):
-    """Zero iff the half-turn about the line through m = ``point`` along
-    l = ``line`` maps x to y for each (x, y) of ``pairs``, that is iff
-    (x - y).l = 0 and (x + y - 2m) x l = 0: on the points cleared to one
-    denominator D, the largest term over the largest |l| coordinate times D."""
-    (m, l, *points), den = clear_denominators(
-        [point, line, *(p for pair in pairs for p in pair)])
-    two_m, terms = v_scale(2, m), []
-    for x, y in zip(points[::2], points[1::2]):
-        terms.append(v_dot(v_sub(x, y), l))
-        terms.extend(v_cross(v_sub(v_add(x, y), two_m), l))
-    return div(max(map(abs, terms)), max(map(abs, l)) * den)
+def bennett_pairs(points, directions):
+    """The pairs Bennett's half-turn swaps, from the axes' ``points`` F and
+    ``directions`` r: F14, F23; F12, F34; F14 + r14, F23 - r23; and so on."""
+    (f14, f12, f23, f34), (r14, r12, r23, r34) = points, directions
+    return [(f14, f23), (f12, f34), (v_add(f14, r14), v_sub(f23, r23)),
+            (v_add(f12, r12), v_sub(f34, r34))]
 
 
 def symmetry_residual(pose: Pose):
-    """Zero iff Bennett's half-turn maps F_a to F_b and F_a + r_a to
-    F_b - r_b for (1,4) <-> (2,3) and (1,2) <-> (3,4), about the symmetry
-    line of F14 + r14, F12 + r12, F23 - r23, F34 - r34: that quad stays a
-    skew isogram at k = 0, where all anchors sit at the apex."""
-    axes = [pose.axes[label] for label in AXIS_LABELS]
-    tips = [v_add(ax.point, ax.direction) for ax in axes[:2]] + [
-        v_sub(ax.point, ax.direction) for ax in axes[2:]]
-    return half_turn_residual(*symmetry_line(tips), [
-        (axes[0].point, axes[2].point), (axes[1].point, axes[3].point),
-        (tips[0], tips[2]), (tips[1], tips[3])])
+    """Zero iff Bennett's half-turn swaps the :func:`bennett_pairs`, about
+    the symmetry line of F14 + r14, F12 + r12, F23 - r23, F34 - r34: that
+    quad stays a skew isogram at k = 0, where all anchors sit at the apex."""
+    pairs = bennett_pairs(pose.points, pose.directions)
+    (t14, t23), (t12, t34) = pairs[2:]
+    return half_turn_residual(*symmetry_line([t14, t12, t23, t34]), pairs,
+                              pose.den)

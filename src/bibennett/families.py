@@ -17,26 +17,32 @@ from functools import cached_property
 from .algebra import (
     TOL,
     DegenerateResultantError,
+    clear_denominators,
+    coordinates,
     det3,
+    div,
+    is_exact,
+    one_denominator,
     resultant_tau_bar,
     sqrt_scalar,
+    to_floats,
     v_add,
     v_cross,
     v_dist_sq,
+    v_dot,
+    v_norm_sq,
     v_scale,
     v_sub,
 )
 from .bennett import (
     AXIS_INDEX,
     AXIS_LABELS,
-    Axis,
     BennettDesign,
     DegenerateQuadError,
     PlanarDesign,
     PoleError,
     Pose,
     frame,
-    half_turn_images,
     symmetry_line,
     validate,
 )
@@ -91,37 +97,46 @@ class MuSet:
 
 @dataclass(frozen=True)
 class SkewQuad:
-    """Vertex quadrilateral P14, P12, P23, P34 on the four axes."""
+    """Vertex quadrilateral P14, P12, P23, P34 on the four axes: ``points``
+    are integers over ``den``, or any other coordinates over 1."""
 
-    p14: tuple
-    p12: tuple
-    p23: tuple
-    p34: tuple
+    points: tuple
+    den: object
 
     def __getitem__(self, label):
-        return self.vertices()[AXIS_INDEX[label]]
+        return coordinates(self.points[AXIS_INDEX[label]], self.den)
 
     def vertices(self):
-        return (self.p14, self.p12, self.p23, self.p34)
+        return tuple(coordinates(p, self.den) for p in self.points)
+
+    def _dist_sq(self, i, j):
+        return div(v_dist_sq(self.points[i], self.points[j]), self.den ** 2)
 
     def side_sq(self):
         """Squared side lengths in the cyclic order 14-12, 12-23, 23-34, 34-14."""
-        p = self.vertices()
-        return tuple(v_dist_sq(p[i], p[(i + 1) % 4]) for i in range(4))
+        return tuple(self._dist_sq(i, (i + 1) % 4) for i in range(4))
 
     def diag_sq(self):
         """Squared diagonals 14-23 and 12-34."""
-        return (v_dist_sq(self.p14, self.p23), v_dist_sq(self.p12, self.p34))
+        return self._dist_sq(0, 2), self._dist_sq(1, 3)
 
     def orientation_det(self):
         """Signed volume (times six) of the tetrahedron P14, P12, P23, P34."""
-        return det3(*(v_sub(p, self.p14) for p in self.vertices()[1:]))
+        p14, *rest = self.points
+        return div(det3(*(v_sub(p, p14) for p in rest)), self.den ** 3)
 
 
 def points_on_axes(pose: Pose, mu: MuSet) -> SkewQuad:
-    axes = (pose.axes[label] for label in AXIS_LABELS)
-    return SkewQuad(*(v_add(ax.point, v_scale(m, ax.direction))
-                      for ax, m in zip(axes, mu.as_tuple())))
+    """The quad at offsets ``mu`` on the axes of ``pose``: integers over D m
+    from a pose over D and offsets over m, else the coordinates F + mu r."""
+    mus, den = mu.as_tuple(), pose.den
+    if den == 1 or not all(map(is_exact, mus)):
+        return SkewQuad(tuple(
+            v_add(coordinates(p, den), v_scale(m, coordinates(r, den)))
+            for p, r, m in zip(pose.points, pose.directions, mus)), 1)
+    (mus,), m = clear_denominators([mus])
+    return SkewQuad(tuple(v_add(v_scale(m, p), v_scale(n, r)) for p, r, n
+                          in zip(pose.points, pose.directions, mus)), den * m)
 
 
 @dataclass(frozen=True)
@@ -190,14 +205,12 @@ def isogram_residuals(quad: SkewQuad):
 @dataclass(frozen=True)
 class BiBennett:
     """A coupled pair of Bennett tubes of one design, with quad offsets
-    ``mu`` on the first tube and ``bar_mu`` on the partner.
-
-    For families A, B and the trivial branch the partner tube is the
-    half-turn image of the first (the bar loop is a congruent copy, coupled at
-    tau_bar = tau).  For family C the bar loop carries swapped offsets and a
-    genuinely different companion parameter tau_bar.  A coupling in a
-    prismatic or pyramidal limit carries its symmetry class ``labels``
-    (see :mod:`bibennett.limits`); a plain coupling carries none.
+    ``mu`` on the first tube and ``bar_mu`` on the partner.  For families A,
+    B and the trivial branch the partner tube is the half-turn image of the
+    first (a congruent copy, coupled at tau_bar = tau); for family C the bar
+    loop carries swapped offsets and its own companion parameter tau_bar.
+    A coupling in a prismatic or pyramidal limit carries its symmetry class
+    ``labels`` (see :mod:`bibennett.limits`); a plain coupling carries none.
     """
 
     family: str
@@ -317,15 +330,37 @@ def solve_bar_tau(q: CouplingQuartic, tau):
 
 @dataclass(frozen=True)
 class HalfTurn:
-    """Half-turn about the line through ``point`` with direction
-    ``direction``; exact for rational input."""
+    """Half-turn about the ``line`` (P, l) through P / 2 along l, integers
+    over ``den`` (:func:`symmetry_line`); exact for rational input."""
 
-    point: tuple
-    direction: tuple
+    line: tuple
+    den: object
     orientation = 1
 
-    def images(self, points, directions):
-        return half_turn_images(points, directions, self.point, self.direction)
+    def images(self, points, directions, den):
+        """(point images, direction images, their denominator D n) of
+        ``points`` and ``directions`` over ``den``, all over one D with the
+        line: p goes to 2 b + 2 ((p - b).l / |l|^2) l - p, r to
+        2 (r.l / |l|^2) l - r, integers over n = |l|^2 for exact input
+        (Bareiss, Math. Comp. 22, 1968), floats over n = 1 otherwise."""
+        (through, l, *vectors), common = one_denominator([
+            (self.line, self.den), ((*points, *directions), den)])
+        points, directions = vectors[:len(points)], vectors[len(points):]
+        if float in {type(x) for v in (through, l, *vectors) for x in v}:
+            b, ns = v_scale(Fraction(1, 2), through), v_norm_sq(l)
+            return ([v_sub(v_add(v_scale(2, b), v_scale(
+                        2 * (v_dot(v_sub(p, b), l) / ns), l)), p)
+                     for p in points],
+                    [v_sub(v_scale(2 * (v_dot(r, l) / ns), l), r)
+                     for r in directions], 1.0)
+        n, images = v_norm_sq(l), []
+        # a direction maps as a point would about the parallel line through 0
+        for v, base in zip(vectors, [through] * len(points)
+                           + [(0, 0, 0)] * len(directions)):
+            c = v_dot(v_sub(v_scale(2, v), base), l)
+            images.append(tuple(bi * n + c * li - vi * n
+                                for bi, li, vi in zip(base, l, v)))
+        return images[:len(points)], images[len(points):], common * n
 
 
 @dataclass(frozen=True)
@@ -337,22 +372,20 @@ class RigidMotion:
 
     def apply_point(self, p):
         m = self.transform
-        return tuple(
-            m[i][0] + m[i][1] * p[0] + m[i][2] * p[1] + m[i][3] * p[2]
-            for i in (1, 2, 3)
-        )
+        return tuple(m[i][0] + m[i][1] * p[0] + m[i][2] * p[1]
+                     + m[i][3] * p[2] for i in (1, 2, 3))
 
     def apply_direction(self, d):
         m = self.transform
-        return tuple(
-            m[i][1] * d[0] + m[i][2] * d[1] + m[i][3] * d[2]
-            for i in (1, 2, 3)
-        )
+        return tuple(m[i][1] * d[0] + m[i][2] * d[1] + m[i][3] * d[2]
+                     for i in (1, 2, 3))
 
-    def images(self, points, directions):
-        """(point images, direction images) of the two lists."""
-        return ([self.apply_point(p) for p in points],
-                [self.apply_direction(d) for d in directions])
+    def images(self, points, directions, den):
+        """(point images, direction images, 1): floats, of ``points`` and
+        ``directions`` over ``den``."""
+        return ([self.apply_point(to_floats(p, den)) for p in points],
+                [self.apply_direction(to_floats(d, den)) for d in directions],
+                1)
 
 
 def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
@@ -370,8 +403,9 @@ def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
 
     def frame_matrix(quad: SkewQuad):
         """Orthonormal frame from the tetrahedron edges (Gram-Schmidt)."""
-        e1 = np.array([float(x) for x in v_sub(quad.p12, quad.p14)])
-        e2 = np.array([float(x) for x in v_sub(quad.p23, quad.p14)])
+        p14, p12, p23, _ = quad.points
+        e1 = np.array(to_floats(v_sub(p12, p14), quad.den))
+        e2 = np.array(to_floats(v_sub(p23, p14), quad.den))
         u1 = e1 / np.linalg.norm(e1)
         u2 = e2 - np.dot(e2, u1) * u1
         n2 = np.linalg.norm(u2)
@@ -380,7 +414,7 @@ def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
         u2 /= n2
         return np.column_stack([u1, u2, v_cross(u1, u2)])
 
-    fsrc, fdst = (SkewQuad(*(tuple(map(float, p)) for p in q.vertices()))
+    fsrc, fdst = (SkewQuad(tuple(to_floats(p, q.den) for p in q.points), 1)
                   for q in (src, dst))
     pairs = [((1, 4), (1, 2)), ((1, 2), (2, 3)), ((2, 3), (3, 4)),
              ((3, 4), (1, 4)), ((1, 4), (2, 3)), ((1, 2), (3, 4))]
@@ -405,7 +439,7 @@ def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
         fs = fs.copy()
         fs[:, 2] = -fs[:, 2]
     rot = fd @ fs.T
-    trans = np.array(fdst.p14) - rot @ np.array(fsrc.p14)
+    trans = np.array(fdst.points[0]) - rot @ np.array(fsrc.points[0])
     rows = ((t, *r) for t, r in zip(trans.tolist(), rot.tolist()))
     motion = RigidMotion(((1.0, 0.0, 0.0, 0.0), *rows), sign)
     worst = max(math.dist(motion.apply_point(fsrc[lab]), fdst[lab])
@@ -425,10 +459,9 @@ class CoupledPose:
 
     ``delta`` carries the partner tube onto the shared quad: the half-turn
     about the quad's symmetry line for families A, B and the trivial branch
-    (whose partner is the first tube itself, at tau_bar = tau), the rigid
-    alignment of the bar quad for family C.  ``hat_axes`` are the bar axes
-    moved by ``delta`` into the frame of the first tube, on first read;
-    ``bib`` is the coupling posed.
+    (the first tube itself, at tau_bar = tau), the rigid alignment of the
+    bar quad for family C.  ``hat_pose``, built on first read, is the bar
+    pose moved by ``delta``, and ``hat_axes`` its axes.
     """
 
     bib: BiBennett
@@ -441,12 +474,14 @@ class CoupledPose:
     delta: object  # HalfTurn or RigidMotion
 
     @cached_property
+    def hat_pose(self) -> Pose:
+        bar = self.bar_pose
+        return Pose(bar.design, self.tau_bar,
+                    *self.delta.images(bar.points, bar.directions, bar.den))
+
+    @property
     def hat_axes(self) -> dict:
-        labels, axes = zip(*self.bar_pose.axes.items())
-        points, directions = self.delta.images(
-            [ax.point for ax in axes], [ax.direction for ax in axes])
-        return {label: Axis(label, p, d)
-                for label, p, d in zip(labels, points, directions)}
+        return self.hat_pose.axes
 
 
 class NoRealBranchError(ValueError):
@@ -460,7 +495,7 @@ def coupled_pose(bib: BiBennett, tau) -> CoupledPose:
     quad = points_on_axes(pose, bib.mu)
     if bib.family in ("A", "B", "TrivialLineSym"):
         tau_bar, bar_pose, bar_quad = tau, pose, quad
-        delta = HalfTurn(*symmetry_line(quad.vertices()))
+        delta = HalfTurn(symmetry_line(quad.points), quad.den)
     else:
         if isinstance(bib.design, PlanarDesign):
             roots = planar_bar_tau(bib, tau)

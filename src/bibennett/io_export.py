@@ -1,11 +1,9 @@
 """Configuration parsing, OBJ geometry export, and sweep reports.
 
 Configs are JSON objects with a versioned schema; rationals may be written as
-"p/q" strings and are kept exact in exact mode.  Geometry export renders each
-link of a coupling as a slim ribbon of bilinear (hyperbolic-paraboloid)
-patches spanned between consecutive anchor points, and sweep reports tabulate
-closure residuals, companion parameters, and certificate verdicts over a list
-of drive values.
+"p/q" strings and are kept exact in exact mode.  Export renders each link as
+a slim ribbon of bilinear patches between consecutive anchor points; sweep
+reports tabulate residuals, companion parameters and verdicts over taus.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import TOL, parse_scalar
+from .algebra import TOL, parse_scalar, to_floats
 from .bennett import (
     AXIS_LABELS,
     BennettDesign,
@@ -52,6 +50,7 @@ from .properties import (
     halfturn_check,
     isogonal_check,
     planar_loop_check,
+    trivial_check,
 )
 
 
@@ -103,7 +102,6 @@ class Family(NamedTuple):
     certificate: tuple
 
 
-_DELTOIDAL = ("deltoidal", deltoidal_check)
 _LIMIT_LABELS = ("limit-labels", label_check)
 
 # Every config family, the one place one is defined.
@@ -121,7 +119,7 @@ FAMILIES = {
     "B": Family({"a1", "a2", "k", "mu23", "mu34"}, set(),
                 lambda c: make_family_b(c.mu23, c.mu34,
                                         validate(c.a1, c.a2, c.k)),
-                _DELTOIDAL),
+                ("deltoidal", deltoidal_check)),
     "C": Family({"a1", "a2", "k", "mu14", "mu12"}, {"s", "branch"},
                 lambda c: family_c(validate(c.a1, c.a2, c.k), c.mu14, c.mu12,
                                    c.s, c.branch),
@@ -129,7 +127,7 @@ FAMILIES = {
     "trivial": Family({"a1", "a2", "k", "mu23", "mu34"}, set(),
                       lambda c: make_trivial(c.mu23, c.mu34,
                                              validate(c.a1, c.a2, c.k)),
-                      _DELTOIDAL),
+                      ("trivial", trivial_check)),
     "A-prismatic": Family({"case", "d1", "d2", "mu12", "mu23", "mu34"}, set(),
                           lambda c: prismatic_limit_AB(
                               "A", c.case, c.d1, c.d2, mu12=c.mu12,
@@ -331,14 +329,15 @@ RIBBON_WIDTH = 0.1
 
 def _ribbons_from_anchors(group_prefix, anchors, directions):
     """The four ribbons of one tube between consecutive ``anchors``, offset
-    along the axis ``directions``; both lists in the order of AXIS_LABELS."""
-    points = [tuple(map(float, p)) for p in anchors]
+    along the axis ``directions``: both (numerators, den) pairs, in the
+    order of AXIS_LABELS."""
+    points = [to_floats(p, anchors[1]) for p in anchors[0]]
     width = RIBBON_WIDTH * (sum(
         sum((p[c] - q[c]) ** 2 for c in range(3)) ** 0.5
         for p, q in zip(points, points[1:] + points[:1])) / 4.0)
     rails = []  # each anchor moved by -width and +width along its unit axis
-    for p, r in zip(points, directions):
-        r = tuple(map(float, r))
+    for p, r in zip(points, directions[0]):
+        r = to_floats(r, directions[1])
         norm = sum(x * x for x in r) ** 0.5
         rails.append([tuple(p[c] + sign * width * (r[c] / norm)
                             for c in range(3)) for sign in (-1, 1)])
@@ -348,18 +347,16 @@ def _ribbons_from_anchors(group_prefix, anchors, directions):
             for i, (la, lb) in enumerate(zip(AXIS_LABELS, ends))]
 
 
-def _directions(pose):
-    return [pose.axes[label].direction for label in AXIS_LABELS]
-
-
 def coupling_ribbons(bib: BiBennett, tau):
     """Ribbon quads of both tubes of a coupling: 8 ribbons, 4 per tube,
     each spanned between consecutive anchor points offset along the axes."""
     cp = coupled_pose(bib, tau)
-    hat = cp.delta.images(cp.bar_quad.vertices(), _directions(cp.bar_pose))
-    return (_ribbons_from_anchors("tube1", cp.quad.vertices(),
-                                  _directions(cp.pose))
-            + _ribbons_from_anchors("tube2", *hat))
+    points, _, pden = cp.delta.images(cp.bar_quad.points, [], cp.bar_quad.den)
+    _, dirs, dden = cp.delta.images([], cp.bar_pose.directions,
+                                    cp.bar_pose.den)
+    return (_ribbons_from_anchors("tube1", (cp.quad.points, cp.quad.den),
+                                  (cp.pose.directions, cp.pose.den))
+            + _ribbons_from_anchors("tube2", (points, pden), (dirs, dden)))
 
 
 def export_obj_text(structure, tau, patch_n: int) -> str:
@@ -368,9 +365,8 @@ def export_obj_text(structure, tau, patch_n: int) -> str:
         ribbons = coupling_ribbons(structure, tau)
     elif isinstance(structure, (BennettDesign, PlanarDesign)):
         pose = frame(structure, tau)
-        ribbons = _ribbons_from_anchors(
-            "tube1", [pose.axes[l].point for l in AXIS_LABELS],
-            _directions(pose))
+        ribbons = _ribbons_from_anchors("tube1", (pose.points, pose.den),
+                                        (pose.directions, pose.den))
     else:
         raise TypeError(f"cannot export {type(structure).__name__}")
     lines = []
@@ -453,7 +449,7 @@ def sweep_report(config: Config):
                 closure_residual=_scalar_str(
                     loop_closure_residual(bib.design, tau)),
                 bar_closure_residual=_scalar_str(
-                    loop_closure_residual(bib.bar_design, cp.tau_bar)),
+                    loop_closure_residual(bib.design, cp.tau_bar)),
                 side_residual=side,
                 certificate=name,
                 verdict="pass" if report.verdict else "fail",

@@ -1,11 +1,10 @@
 """Prismatic (planar) and pyramidal (spherical) limits of the coupling families.
 
 Sending all axes parallel turns a Bennett tube into a quadrilateral prism,
-sending the scale k to zero into a quadrilateral pyramid.  The coupling
-constructions survive both limits; this module builds them as couplings that
-carry their symmetry class labels, and re-verifies those labels by direct
-geometric predicates rather than trusting the construction path.  The kind
-of limit is read off the design (:func:`limit_kind`).
+sending the scale k to zero into a quadrilateral pyramid.  This module builds
+the couplings of both limits with their symmetry class labels, and verifies
+those labels by direct geometric predicates.  The kind of limit is read off
+the design (:func:`limit_kind`).
 """
 
 from __future__ import annotations
@@ -15,9 +14,10 @@ from itertools import combinations
 
 from .algebra import (
     TOL,
-    clear_denominators,
+    det3,
     div,
     is_exact,
+    one_denominator,
     tolerance_of,
     v_add,
     v_cross,
@@ -136,11 +136,10 @@ def pyramidal_limit(bib: BiBennett) -> BiBennett:
 # geometric predicates for the class labels
 # ---------------------------------------------------------------------------
 # Each predicate is a division-free polynomial in the points of one
-# CoupledPose, cleared to integers over one denominator D; its value is
-# formed once, over a power of D and a scale (the largest coordinate of a
-# vector, which keeps a length a length).  Exact points give an exact
-# value; points with a float among them (family-C hat points) run the same
-# code on floats with D = 1.0, and so give a float.
+# CoupledPose as integers over one D (:func:`one_denominator`), formed once,
+# over a power of D and a scale (the largest coordinate of a vector, which
+# keeps a length a length): exact for exact points, else (family-C hat
+# points) a float.
 
 def _ratio(num, den):
     """num / den; 0/0 reads 0, as a scale vanishes only with its residual."""
@@ -158,51 +157,43 @@ def _largest(vectors):
     return max(abs(c) for v in vectors for c in v)
 
 
-def _cleared(cp, *points):
-    """(quad, points, D): the quad of ``cp`` and ``points`` cleared to D."""
-    cleared, den = clear_denominators([*cp.quad.vertices(), *points])
-    return SkewQuad(*cleared[:4]), cleared[4:], den
-
-
-def _anchors(cp):
-    """The anchors of the first tube, then the hat anchors; ``[::4]`` are
-    the anchors (1,4), the apexes of a pyramidal limit."""
-    return ([cp.pose.axes[label].point for label in AXIS_LABELS]
-            + [cp.hat_axes[label].point for label in AXIS_LABELS])
+def _over_one(*records):
+    """(vectors, D): the points of ``records`` (SkewQuads and Poses), then
+    the directions of the Poses, over one D."""
+    return one_denominator([(r.points, r.den) for r in records] + [
+        (r.directions, r.den) for r in records if not isinstance(r, SkewQuad)])
 
 
 def prism_parallel_residual(cp):
     """Largest coordinate of the cross products of each prism's first (unit)
     edge direction with its others.  Each tube becomes a prism on its own;
     like the two apexes of a bipyramid, the two keep distinct directions."""
-    axes = [*cp.pose.axes.values(), *cp.hat_axes.values()]
-    dirs, den = clear_denominators([ax.direction for ax in axes])
-    return div(max(parallel_residual(dirs[:4]), parallel_residual(dirs[4:])),
-               den * den)
+    v, den = _over_one(cp.pose, cp.hat_pose)
+    return max(parallel_residual(v[8:12], den), parallel_residual(v[12:], den))
 
 
 def _coplanarity_residual(cp, tol):
     """Orientation determinant over the cube of the largest coordinate of
     the edges from P14."""
-    quad, _, _ = _cleared(cp)
-    edges = [v_sub(v, quad.p14) for v in quad.vertices()[1:]]
-    return _ratio(abs(quad.orientation_det()), _largest(edges) ** 3)
+    p14, *rest = cp.quad.points
+    edges = [v_sub(v, p14) for v in rest]
+    return _ratio(abs(det3(*edges)), _largest(edges) ** 3)
 
 
 def _antiparallelogram_sides_residual(cp, tol):
     """Largest difference of opposite squared sides over the largest side
     coordinate."""
-    quad, _, den = _cleared(cp)
-    v = quad.vertices()
+    v = cp.quad.points
     sides = [v_sub(v[i - 1], v[i]) for i in range(4)]
-    return _ratio(max(isogram_residuals(quad)), _largest(sides) * den)
+    return _ratio(max(isogram_residuals(SkewQuad(v, 1))),
+                  _largest(sides) * cp.quad.den)
 
 
 def _parallelogram_gap(cp):
     """(largest coordinate of P12 - P14 - (P23 - P34), D)."""
-    quad, _, den = _cleared(cp)
-    gap = v_sub(v_sub(quad.p12, quad.p14), v_sub(quad.p23, quad.p34))
-    return max(map(abs, gap)), den
+    p14, p12, p23, p34 = cp.quad.points
+    gap = v_sub(v_sub(p12, p14), v_sub(p23, p34))
+    return max(map(abs, gap)), cp.quad.den
 
 
 def _is_parallelogram_residual(cp, tol):
@@ -220,8 +211,9 @@ def _sym_plane_parallel_edges_residual(cp, tol):
     both diagonals at right angles, and the edge direction r14 is normal to
     both: largest |diagonal . r14| over the largest coordinates of the
     diagonals and of r14."""
-    quad, (edge,), _ = _cleared(cp, cp.pose.axes[(1, 4)].direction)
-    diagonals = (v_sub(quad.p23, quad.p14), v_sub(quad.p34, quad.p12))
+    (p14, p12, p23, p34, edge), _ = one_denominator([
+        (cp.quad.points, cp.quad.den), (cp.pose.directions[:1], cp.pose.den)])
+    diagonals = (v_sub(p23, p14), v_sub(p34, p12))
     return _ratio(max(abs(v_dot(d, edge)) for d in diagonals),
                   _largest(diagonals) * _largest([edge]))
 
@@ -229,10 +221,12 @@ def _sym_plane_parallel_edges_residual(cp, tol):
 def _line_symmetry_residual(cp, tol):
     """The half-turn ``cp.delta`` about the quad's symmetry line must swap
     opposite quad vertices and carry each anchor onto its hat anchor."""
-    anchors, quad = _anchors(cp), cp.quad
-    return half_turn_residual(cp.delta.point, cp.delta.direction, [
-        (quad.p14, quad.p23), (quad.p12, quad.p34),
-        *zip(anchors[:4], anchors[4:])])
+    (through, line, *vectors), den = one_denominator([
+        (cp.delta.line, cp.delta.den)] + [
+        (rec.points, rec.den) for rec in (cp.quad, cp.pose, cp.hat_pose)])
+    p14, p12, p23, p34 = vectors[:4]
+    return half_turn_residual(through, line, [
+        (p14, p23), (p12, p34), *zip(vectors[4:8], vectors[8:])], den)
 
 
 def _mirror_residual(swapped, fixed, den):
@@ -256,21 +250,20 @@ def _plane_symmetry_residual(cp, tol):
     """Best residual over the three choices of the opposite pair of the
     bipyramid in the mirror, (P14, P23), (P12, P34) or the apexes; the
     mirror swaps the other two pairs."""
-    quad, (apex, apex_hat), den = _cleared(cp, *_anchors(cp)[::4])
-    pairs = [(quad.p14, quad.p23), (quad.p12, quad.p34), (apex, apex_hat)]
+    # the anchors (1,4), [4] and [8], are the apexes of a pyramidal limit
+    v, den = _over_one(cp.quad, cp.pose, cp.hat_pose)
+    pairs = [(v[0], v[2]), (v[1], v[3]), (v[4], v[8])]
     return min(_mirror_residual(pairs[:i] + pairs[i + 1:], pairs[i], den)
                for i in range(3))
 
 
 def _flat_pose_pattern_residual(cp, tol):
     """Congruence of the two orthogonal prism cross-sections (the hallmark of
-    the two-flat-pose prismatic class).  Projected along the edge direction
-    r = r14, two anchors lie |(x - y) x r| / |r| apart, so the sorted
-    |(x - y) x r|^2 over the sides and diagonals of the two sections must
-    agree: largest difference over the largest coordinate of those cross
-    products times that of r."""
-    points, den = clear_denominators(
-        [*_anchors(cp), cp.pose.axes[(1, 4)].direction])
+    the two-flat-pose prismatic class).  Along the edge direction r = r14,
+    two anchors lie |(x - y) x r| / |r| apart, so the sorted |(x - y) x r|^2
+    over the sides and diagonals of the two sections must agree: largest
+    difference over the largest coordinate of those products times r's."""
+    points, den = _over_one(cp.pose, cp.hat_pose)
     edge = points[8]
     crosses = [[v_cross(v_sub(x, y), edge) for x, y in combinations(sec, 2)]
                for sec in (points[:4], points[4:8])]
@@ -311,14 +304,16 @@ def _i3_residual(cp, tol) -> int:
     one is anti-V-hedral, else 1.  A quad vertex's figure runs through its
     previous neighbor, the apex, its next neighbor and the hat apex; an
     apex's through the quad vertices."""
-    quad, (apex, apex_hat), _ = _cleared(cp, *_anchors(cp)[::4])
+    v, _ = _over_one(cp.quad, cp.pose, cp.hat_pose)
+    vertices, apex, apex_hat = v[:4], v[4], v[8]
+    quad = dict(zip(AXIS_LABELS, vertices))
     classes = {
         center: _vertex_class(
             quad[center], (quad[prev_n], apex, quad[next_n], apex_hat), tol)
         for center, _, prev_n, next_n in VERTEX_ROLES}
     pair_classes = [(classes[center], classes[opposite])
                     for center, opposite, _, _ in VERTEX_ROLES[:2]]
-    pair_classes.append(tuple(_vertex_class(a, quad.vertices(), tol)
+    pair_classes.append(tuple(_vertex_class(a, vertices, tol)
                               for a in (apex, apex_hat)))
     v_pairs = sum(a[0] and b[0] for a, b in pair_classes)
     anti_pairs = sum(a[1] and b[1] for a, b in pair_classes)
@@ -364,9 +359,8 @@ def label_check(cp, tol) -> CertificateReport:
         residuals = [ResidualEntry(
             "axes parallel", prism_parallel_residual(cp), tol)]
     else:  # the largest anchor coordinate: the apex is the origin
-        points, den = clear_denominators(_anchors(cp)[:4])
-        residuals = [ResidualEntry("anchors copunctal",
-                                   div(_largest(points), den), tol)]
+        residuals = [ResidualEntry("anchors copunctal", div(
+            _largest(cp.pose.points), cp.pose.den), tol)]
     for label in labels:
         if label not in _LABEL_ENTRIES:
             raise ValueError(f"no predicate for label {label!r}")

@@ -5,12 +5,10 @@ figures; family C's adjacent vertices are related by a half-turn.  Each
 displayed condition of the underlying arguments is evaluated as one named
 residual so that a certificate is a direct numerical transcript of the claim.
 
-Each certificate is a pure function of one ``CoupledPose`` and a tolerance
-(``isogonal_check``, ``deltoidal_check``, ``halfturn_check``), so a caller
-that already holds the pose does not solve it again; the public
-``*_certificate`` functions pose the coupling at tau and run the check.  A
-single loop certifies its own pose the same way: ``bennett_loop_check`` and
-``planar_loop_check`` are pure functions of one ``Pose``.
+Each certificate is a pure function of one ``CoupledPose`` (or, for one
+loop, of one ``Pose``) and a tolerance, such as ``isogonal_check`` or
+``bennett_loop_check``; the public ``*_certificate`` functions pose the
+coupling at tau and run the check.
 """
 
 from __future__ import annotations
@@ -20,9 +18,10 @@ from dataclasses import dataclass
 
 from .algebra import (
     TOL,
-    clear_denominators,
     det3,
     div,
+    one_denominator,
+    to_floats,
     tolerance_of,
     v_cross,
     v_dot,
@@ -35,6 +34,8 @@ from .bennett import (
     VERTEX_ROLES,
     DegenerateQuadError,
     Pose,
+    bennett_pairs,
+    half_turn_residual,
     loop_closure_residual,
     regulus_residual,
     symmetry_residual,
@@ -119,14 +120,6 @@ def _deltoidal_residuals(sides, dots):
     return {"delto1": uc_c - wo_o, "delto2": wc_c - uo_o}
 
 
-def _tube_integers(vectors):
-    """:func:`clear_denominators` of an exact tube; a tube that holds a float
-    keeps its coordinates (D = 1), so that the entries reading only its exact
-    ones stay exact, where clearing would make every coordinate a float."""
-    exact = not any(isinstance(x, float) for v in vectors for x in v)
-    return clear_denominators(vectors) if exact else (vectors, 1)
-
-
 def _vertex_certificate(name, residuals, power, cp: CoupledPose, tol
                         ) -> CertificateReport:
     """The labelled values ``residuals(sides, dots)`` at all four quad
@@ -134,12 +127,10 @@ def _vertex_certificate(name, residuals, power, cp: CoupledPose, tol
 
     With c the vertex, o its opposite, u and w its neighbors, and r_c, r_o
     the axis directions at c and o, ``sides`` are (u-c, w-c, u-o, w-o) and
-    ``dots`` are (<u-c, r_c>, <w-c, r_c>, <u-o, r_o>, <w-o, r_o>), each
-    computed once per vertex on the vertices and directions cleared to one
-    D (:func:`_tube_integers`): each residual is an integer over D^power.
-    """
-    cleared, den = _tube_integers([*cp.quad.vertices(), *(
-        cp.pose.axes[label].direction for label in AXIS_LABELS)])
+    ``dots`` (<u-c, r_c>, <w-c, r_c>, <u-o, r_o>, <w-o, r_o>), on integers
+    over one D (:func:`one_denominator`): each residual is over D^power."""
+    cleared, den = one_denominator([(cp.quad.points, cp.quad.den),
+                                    (cp.pose.directions, cp.pose.den)])
     quad = dict(zip(AXIS_LABELS, cleared))
     axes = dict(zip(AXIS_LABELS, cleared[4:]))
     scale = den ** power
@@ -163,6 +154,18 @@ def isogonal_check(cp: CoupledPose, tol) -> CertificateReport:
 def deltoidal_check(cp: CoupledPose, tol) -> CertificateReport:
     """Equal-adjacent-angle certificate at all four quad vertices."""
     return _vertex_certificate("deltoidal", _deltoidal_residuals, 2, cp, tol)
+
+
+def trivial_check(cp: CoupledPose, tol) -> CertificateReport:
+    """The trivial pattern's claim, that the partner tube is the first one:
+    the half-turn ``cp.delta`` swaps the tube's :func:`bennett_pairs`."""
+    (through, line, *vectors), den = one_denominator([
+        (cp.delta.line, cp.delta.den),
+        (cp.pose.points + cp.pose.directions, cp.pose.den)])
+    pairs = bennett_pairs(vectors[:4], vectors[4:])
+    return CertificateReport("trivial", (ResidualEntry(
+        "partner tube is the first",
+        half_turn_residual(through, line, pairs, den), tol),))
 
 
 def isogonal_certificate(bib: BiBennett, tau, tol: float = TOL
@@ -191,10 +194,6 @@ def _reflect_across_plane(point, w, p0, p1, p2):
     return v_sub(point, v_scale(2 * v_dot(v_sub(point, p0), n) / norm_sq, n))
 
 
-def _floats(point):
-    return tuple(map(float, point))
-
-
 def halfturn_certificate(bib: BiBennett, tau, tol: float = TOL
                          ) -> CertificateReport:
     """:func:`halfturn_check` of the coupling posed at tau."""
@@ -204,32 +203,27 @@ def halfturn_certificate(bib: BiBennett, tau, tol: float = TOL
 def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:
     """Half-turn relating adjacent vertices of a family-C coupling.
 
-    Checks, at each adjacent vertex pair (v, w):
-
-    * four tau-free angle equalities between rotary joints around v and w
-      (each tube against the bar copy in its own frame),
-    * the equality of the diagonal angles at v and w,
-    * the orientation equality of the two anchor tetrahedra,
-    * existence of the half-turn itself (aligning (v, w, F_v, Fhat_v) with
-      (w, v, Fhat_w, F_w)), its involution property, and the negative check
-      that it does not extend to the remaining quad vertices, those being
-      related by a reflection instead; the negative check asks for a gap
-      above ``tol`` times the longest side of the quad.  Where the quad's
-      two diagonals are equal (exactly, or within ``tol`` times the larger
-      for a float quad) the quad has a further half-turn, the negative
-      claim is false at that pose, and its entry is 0 "(equal diagonals)",
-
-    and that the partner map ``cp.delta``, which carries the bar anchors to
-    the hat anchors, is a direct isometry carrying the bar quad onto the
-    quad.  The angle entries are exact for an exact pose; every later entry
-    reads the points as floats, converted once.
+    Checks, at each adjacent vertex pair (v, w): four tau-free angle
+    equalities between rotary joints around v and w (each tube against the
+    bar copy in its own frame); the equality of the diagonal angles at v
+    and w; the orientation equality of the two anchor tetrahedra; the
+    half-turn itself (aligning (v, w, F_v, Fhat_v) with (w, v, Fhat_w,
+    F_w)), its involution property, and the negative check that it does not
+    extend to the remaining quad vertices (a gap above ``tol`` times the
+    longest side), which a reflection relates instead.  Where the quad's
+    diagonals are equal (exactly, or within ``tol`` times the larger for a
+    float quad) a further half-turn makes the negative claim false, and its
+    entry is 0 "(equal diagonals)".  Last, the partner map ``cp.delta`` must
+    be a direct isometry carrying the bar quad onto the quad.  The angle
+    entries are exact for an exact pose; every later entry reads floats.
     """
     residuals = []
     angles = _anchor_angles(cp.quad, cp.pose)
     bar_angles = _anchor_angles(cp.bar_quad, cp.bar_pose)
-    quad = {label: _floats(cp.quad[label]) for label in AXIS_LABELS}
-    anchor = {lab: _floats(a.point) for lab, a in cp.pose.axes.items()}
-    fhat = {lab: _floats(a.point) for lab, a in cp.hat_axes.items()}
+    quad, anchor, fhat, bar = (
+        {label: to_floats(p, rec.den) for label, p in zip(AXIS_LABELS,
+                                                          rec.points)}
+        for rec in (cp.quad, cp.pose, cp.hat_pose, cp.bar_quad))
     min_gap = tol * max(math.dist(quad[v], quad[w])
                         for v, _, _, w in VERTEX_ROLES)
     d1, d2 = cp.quad.diag_sq()
@@ -255,8 +249,8 @@ def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:
                   - det3(v_sub(pv, pw), v_sub(fhat_w, pw), v_sub(fw, pw)))
         residuals.append(ResidualEntry(f"orient @ {tag}", orient, tol))
         # the half-turn itself
-        rho = align_isometry(SkewQuad(pv, pw, fv, fhat_v),
-                             SkewQuad(pw, pv, fhat_w, fw))
+        rho = align_isometry(SkewQuad((pv, pw, fv, fhat_v), 1),
+                             SkewQuad((pw, pv, fhat_w, fw), 1))
         residuals.append(ResidualEntry(
             f"rho involution @ {tag}", _compose_sq(rho), tol))
         residuals.append(ResidualEntry(
@@ -277,8 +271,8 @@ def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:
             f"reflection relation @ {tag}", math.dist(mirrored, quad[opp_v]),
             tol))
     # the partner map carries the bar quad onto the quad, directly
-    partner = max(math.dist(cp.delta.apply_point(_floats(cp.bar_quad[lab])),
-                            quad[lab]) for lab in AXIS_LABELS)
+    partner = max(math.dist(cp.delta.apply_point(bar[lab]), quad[lab])
+                  for lab in AXIS_LABELS)
     residuals.append(ResidualEntry("partner", partner, tol))
     residuals.append(ResidualEntry(
         "partner direct", cp.delta.orientation - 1, tol))
@@ -287,9 +281,10 @@ def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:
 
 def _anchor_angles(quad: SkewQuad, pose: Pose):
     """{(x, y): <P_y - P_x, F_x - P_x>} for each quad vertex P_x, anchor F_x
-    and neighbor P_y, each an integer over D^2 (:func:`_tube_integers`)."""
-    cleared, den = _tube_integers(
-        [*quad.vertices(), *(pose.axes[lab].point for lab in AXIS_LABELS)])
+    and neighbor P_y, over D^2 (:func:`one_denominator`); a tube holding a
+    float is over 1, so the values reading only exact points stay exact."""
+    cleared, den = one_denominator([(quad.points, quad.den),
+                                    (pose.points, pose.den)])
     return {(AXIS_LABELS[i], AXIS_LABELS[j]): div(v_dot(
         v_sub(cleared[j], cleared[i]), v_sub(cleared[4 + i], cleared[i])),
         den * den) for i in range(4) for j in ((i - 1) % 4, (i + 1) % 4)}
@@ -323,12 +318,11 @@ def bennett_loop_check(pose: Pose, tol) -> CertificateReport:
     ))
 
 
-def parallel_residual(directions):
+def parallel_residual(directions, den):
     """Largest coordinate of the cross products of the first of
-    ``directions`` with the others: 0 iff all are parallel.  No square root
-    is taken, and the directions are cleared to one denominator D first, so
-    exact input gives an exact value and input with a float a float."""
-    (first, *rest), den = clear_denominators(directions)
+    ``directions`` (numerators over ``den``) with the others: 0 iff all are
+    parallel, exact for exact input."""
+    first, *rest = directions
     return div(max(abs(c) for d in rest for c in v_cross(first, d)), den * den)
 
 
@@ -336,9 +330,8 @@ def planar_loop_check(pose: Pose, tol) -> CertificateReport:
     """A planar loop at one pose: the chain closes, the axes are parallel,
     the anchors are coplanar and their opposite sides are equal, so they
     form a parallelogram or an antiparallelogram."""
-    axes = [pose.axes[label] for label in AXIS_LABELS]
-    anchors = SkewQuad(*(ax.point for ax in axes))
-    parallel = parallel_residual([ax.direction for ax in axes])
+    anchors = SkewQuad(pose.points, pose.den)
+    parallel = parallel_residual(pose.directions, pose.den)
     side_a, side_b = isogram_residuals(anchors)
     return CertificateReport("planar-loop", (
         ResidualEntry("closure",

@@ -28,7 +28,6 @@ from bibennett.bennett import (
     PlanarDesign,
     PoleError,
     frame,
-    half_turn_images,
     half_turn_residual,
     loop_closure_residual,
     planar_frame,
@@ -38,6 +37,7 @@ from bibennett.bennett import (
     symmetry_residual,
     validate,
 )
+from bibennett.families import HalfTurn
 
 F = Fraction
 DESIGN = BennettDesign(F(1, 2), F(1, 3), F(1))
@@ -222,12 +222,21 @@ def test_symmetry_residual_is_exact_zero(a1, a2, reciprocal, k, tau):
     assert isinstance(residual, float) and residual <= TOL
 
 
+def _with_axes(pose, axes):
+    """``pose`` with ``axes`` (label -> Axis) in place of its own: a pose
+    built from the Fraction coordinates of its axes, over 1."""
+    axes = [{**pose.axes, **axes}[label] for label in AXIS_LABELS]
+    return replace(pose, points=tuple(ax.point for ax in axes),
+                   directions=tuple(ax.direction for ax in axes), den=1)
+
+
 @pytest.mark.parametrize("a2", [F(1, 3), F(2)])
 def test_symmetry_residual_is_oriented(a2):
     # reversing r23 and r34 keeps every axis as a line, which the half-turn
     # still swaps, but it must send F_a + r_a to F_b - r_b; a moved anchor
     # fails as well
     pose = frame(validate(F(1, 2), a2, F(1)), F(9, 10))
+    assert symmetry_residual(_with_axes(pose, {})) == 0
     flipped = {label: Axis(label, pose.axes[label].point,
                            v_scale(-1, pose.axes[label].direction))
                for label in ((2, 3), (3, 4))}
@@ -235,7 +244,7 @@ def test_symmetry_residual_is_oriented(a2):
     moved = Axis(axis.label, v_add(axis.point, (0, 0, F(1, 10))),
                  axis.direction)
     for axes in (flipped, {(3, 4): moved}):
-        assert symmetry_residual(replace(pose, axes={**pose.axes, **axes})) > 0
+        assert symmetry_residual(_with_axes(pose, axes)) > 0
 
 
 _POINT = st.tuples(_NONZERO, _NONZERO, _NONZERO)
@@ -245,15 +254,20 @@ _POINT = st.tuples(_NONZERO, _NONZERO, _NONZERO)
 @given(_POINT, _POINT, st.lists(_POINT, min_size=1, max_size=4),
        st.integers(0, 3))
 def test_half_turn_residual_reads_half_turn_images(point, line, points, i):
-    images, _ = half_turn_images(points, [], point, line)
-    residual = half_turn_residual(point, line, list(zip(points, images)))
+    # the images are over n; the points and the line go over n as well
+    images, _, n = HalfTurn((v_scale(2, point), line), 1).images(points, [],
+                                                                  1)
+    points = [v_scale(n, p) for p in points]
+    through = v_scale(2 * n, point)
+    residual = half_turn_residual(through, line, list(zip(points, images)), n)
     assert residual == 0 and type(residual) is Fraction
     # a move along the line leaves the cross products at 0, a move across
     # it may leave the dot product at 0
     i %= len(points)
     for step in (line, (0, 0, F(1, 7))):
         moved = images[:i] + [v_add(images[i], step)] + images[i + 1:]
-        assert half_turn_residual(point, line, list(zip(points, moved))) > 0
+        assert half_turn_residual(through, line, list(zip(points, moved)),
+                                  n) > 0
 
 
 def test_symmetry_line_rejects_a_segment_and_an_underflow():
@@ -328,6 +342,11 @@ def _typed(values):
     return [(type(x), x) for x in values]
 
 
+def _exact_views(values, chain):
+    """Whether the pose ``values`` are the ``chain`` values as Fractions."""
+    return values == chain and all(type(x) is Fraction for x in values)
+
+
 def _close(values, reference):
     return all(abs(x - y) <= 1e-12 for x, y in zip(values, reference))
 
@@ -337,8 +356,8 @@ def _close(values, reference):
 def test_frame_matches_dh_chain(a1, a2, k, tau):
     assume(a1 != a2)
     design = BennettDesign(a1, a2, k)
-    assert _typed(_pose_values(frame(design, tau))) == _typed(
-        _chain_values(dh_chain(design, tau)))
+    assert _exact_views(_pose_values(frame(design, tau)),
+                        _chain_values(dh_chain(design, tau)))
     fdesign = BennettDesign(float(a1), float(a2), float(k))
     assert _close(_pose_values(frame(fdesign, float(tau))),
                   _chain_values(dh_chain(fdesign, float(tau))))
@@ -349,8 +368,8 @@ def test_frame_matches_dh_chain(a1, a2, k, tau):
 def test_planar_frame_matches_planar_chain(d1, d2, case, tau):
     assume(d1 != d2)
     pd = PlanarDesign(d1, d2, case)
-    assert _typed(_pose_values(planar_frame(pd, tau))) == _typed(
-        _chain_values(planar_chain(pd, tau)))
+    assert _exact_views(_pose_values(planar_frame(pd, tau)),
+                        _chain_values(planar_chain(pd, tau)))
     fpd = PlanarDesign(float(d1), float(d2), case)
     assert _close(_pose_values(planar_frame(fpd, float(tau))),
                   _chain_values(planar_chain(fpd, float(tau))))

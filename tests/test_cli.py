@@ -222,6 +222,23 @@ def test_degenerate_certificate_geometry_is_a_math_failure(tmp_path, capsys,
     assert capsys.readouterr().err == f"failure: {message}\n"
 
 
+_TRIVIAL = {"schema": 1, "family": "trivial", "a1": "1/3", "a2": "1/2",
+            "k": "1", "mu23": "2/3", "mu34": "1/4", "tau": "3/5"}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("command", ["certify", "sweep"])
+def test_trivial_pattern_certifies(tmp_path, capsys, mode, command):
+    # the trivial pattern's one claim, that the partner tube is the first
+    # tube, holds: the config exits 0
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps(dict(_TRIVIAL, mode=mode)))
+    assert main([command, "-c", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert ("trivial: PASS" in out if command == "certify"
+            else out.splitlines()[1].endswith(",trivial,pass"))
+
+
 def test_construct_prints_pose(capsys):
     assert main(["construct", "-c", "fig6"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from bibennett.algebra import (
     TOL,
+    coordinates,
+    div,
     is_exact,
     v_add,
     v_dot,
@@ -22,12 +24,12 @@ from bibennett.bennett import (
     PLANAR_CASES,
     Axis,
     PlanarDesign,
-    half_turn_images,
     validate,
 )
 from bibennett.families import (
     DegenerateCouplingError,
     ExcludedBranchError,
+    HalfTurn,
     Loop,
     MuSet,
     NoRealBranchError,
@@ -161,13 +163,13 @@ def test_align_isometry_roundtrip():
     cp = coupled_pose(bib, F(9, 10))
     delta = cp.delta
     for label in ((1, 4), (1, 2), (2, 3), (3, 4)):
-        (image,), _ = delta.images([cp.bar_quad[label]], [])
+        (image,), _, _ = delta.images([cp.bar_quad[label]], [], 1)
         assert max(abs(float(a) - float(b))
                    for a, b in zip(image, cp.quad[label])) < 1e-12
 
 
 def _mirror(quad):
-    return SkewQuad(*((x, y, -z) for x, y, z in quad.vertices()))
+    return SkewQuad(tuple((x, y, -z) for x, y, z in quad.vertices()), 1)
 
 
 def test_align_isometry_reverses_onto_a_mirror_image():
@@ -180,7 +182,7 @@ def test_align_isometry_reverses_onto_a_mirror_image():
         image = motion.apply_point(tuple(map(float, bar_quad[label])))
         assert math.dist(image, mirror[label]) <= 10 * TOL
     # a pair below the flatness gate aligns directly, though mirrored
-    flat = SkewQuad((0, 0, 0), (1, 0, 0), (1, 1, 1e-12), (0, 1, 0))
+    flat = SkewQuad(((0, 0, 0), (1, 0, 0), (1, 1, 1e-12), (0, 1, 0)), 1)
     assert flat.orientation_det() * _mirror(flat).orientation_det() < 0
     assert align_isometry(flat, _mirror(flat)).orientation == 1
 
@@ -392,10 +394,11 @@ def test_hat_axes_on_first_read_equal_the_eager_map(conv):
         cp = coupled_pose(bib, conv(F(3, 4)))
         eager = {}
         for label, ax in cp.bar_pose.axes.items():
-            (point,), (direction,) = cp.delta.images([ax.point],
-                                                     [ax.direction])
-            eager[label] = Axis(label, point, direction)
-        assert "hat_axes" not in vars(cp)
+            (point,), (direction,), den = cp.delta.images(
+                [ax.point], [ax.direction], 1)
+            eager[label] = Axis(label, coordinates(point, den),
+                                coordinates(direction, den))
+        assert "hat_pose" not in vars(cp)
         assert _typed_axes(cp.hat_axes) == _typed_axes(eager), bib.family
         assert cp.hat_axes is cp.hat_axes
 
@@ -444,8 +447,10 @@ def test_half_turn_images_follow_the_formulas(points, directions, b, l):
     for conv in (lambda x: x, float):
         args = [[tuple(map(conv, v)) for v in vs]
                 for vs in (points, directions, [b], [l])]
-        got = half_turn_images(args[0], args[1], args[2][0], args[3][0])
-        assert _typed_bits([*got[0], *got[1]]) == _typed_bits(
+        *images, n = HalfTurn((v_scale(2, args[2][0]), args[3][0]),
+                              1).images(args[0], args[1], 1)
+        got = [tuple(div(x, n) for x in v) for v in images[0] + images[1]]
+        assert _typed_bits(got) == _typed_bits(
             _reference_half_turn(args[0], args[1], args[2][0], args[3][0]))
 
 
@@ -468,9 +473,11 @@ def test_hat_axes_follow_the_half_turn_formulas(conv, a1, a2, k, mu1, mu2,
                             validate(conv(a1), conv(a2), conv(k)))
     cp = coupled_pose(bib, conv(tau))
     axes = list(cp.bar_pose.axes.values())
+    through, direction = cp.delta.line
+    point = tuple(div(x, 2 * cp.delta.den) for x in through)
     want = _reference_half_turn([ax.point for ax in axes],
                                 [ax.direction for ax in axes],
-                                cp.delta.point, cp.delta.direction)
+                                point, direction)
     got = [*(ax.point for ax in cp.hat_axes.values()),
            *(ax.direction for ax in cp.hat_axes.values())]
     assert _typed_bits(got) == _typed_bits(want)

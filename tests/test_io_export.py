@@ -11,7 +11,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bibennett import families
-from bibennett.algebra import TOL, v_add, v_dot, v_norm_sq, v_scale, v_sub
+from bibennett.algebra import (
+    TOL,
+    coordinates,
+    div,
+    v_add,
+    v_dot,
+    v_norm_sq,
+    v_scale,
+    v_sub,
+)
 from bibennett.bennett import AXIS_LABELS, PLANAR_CASES, Axis, frame
 from bibennett.cli import _MATH_ERRORS, fixture_path
 from bibennett.io_export import (
@@ -253,7 +262,8 @@ def _reference_obj_text(structure, tau, patch_n):
     def image(delta, v, point):
         if not isinstance(delta, HalfTurn):
             return (delta.apply_point if point else delta.apply_direction)(v)
-        b, l = delta.point, delta.direction
+        through, l = delta.line
+        b = tuple(div(x, 2 * delta.den) for x in through)
         coef = v_dot(v_sub(v, b) if point else v, l) / v_norm_sq(l)
         if point:
             return v_sub(v_add(v_scale(2, b), v_scale(2 * coef, l)), v)
@@ -393,10 +403,7 @@ def test_exact_entries_of_exact_configs_are_zero(data):
     exact = [r for r in report.residuals
              if isinstance(r.value, (int, Fraction))]
     assert all(r.passed == (r.value == 0) for r in exact), report.lines()
-    # the trivial pattern maps a tube onto itself: no claim is made for it,
-    # and its deltoidal entries are nonzero
-    if family != "trivial":
-        assert all(r.value == 0 for r in exact), report.lines()
+    assert all(r.value == 0 for r in exact), report.lines()
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +485,15 @@ def test_half_turn_partner_of_line_symmetric_fixtures(name):
     assert isinstance(cp.delta, HalfTurn) and cp.delta.orientation == 1
     # the half-turn swaps opposite vertices of the quad
     swap = {(1, 4): (2, 3), (2, 3): (1, 4), (1, 2): (3, 4), (3, 4): (1, 2)}
-    images, _ = cp.delta.images([cp.quad[label] for label in swap], [])
+    images, _, den = cp.delta.images([cp.quad[label] for label in swap], [],
+                                     1)
     for partner, image in zip(swap.values(), images):
-        assert image == cp.quad[partner]
+        assert coordinates(image, den) == cp.quad[partner]
     for label, axis in cp.pose.axes.items():
-        (point,), (direction,) = cp.delta.images([axis.point],
-                                                 [axis.direction])
-        assert cp.hat_axes[label] == Axis(label, point, direction)
+        (point,), (direction,), den = cp.delta.images([axis.point],
+                                                      [axis.direction], 1)
+        assert cp.hat_axes[label] == Axis(label, coordinates(point, den),
+                                          coordinates(direction, den))
     text = export_obj_text(bib, config.tau, patch_n=4)
     assert sum(1 for line in text.splitlines() if line.startswith("g ")) == 8
 

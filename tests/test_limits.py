@@ -311,24 +311,30 @@ def _failed(cp, reads):
 def test_moved_points_refute_the_labels_that_read_them(bib):
     cp = coupled_pose(bib, TAU)
     assert label_check(cp, TOL).verdict
-    for label in AXIS_LABELS:
-        vertices = dict(zip(AXIS_LABELS, cp.quad.vertices()))
-        vertices[label] = v_add(vertices[label], _MOVE)
+    # the moved records are built from the Fraction coordinates, over 1
+    hat = [cp.hat_axes[label] for label in AXIS_LABELS]
+    for i, label in enumerate(AXIS_LABELS):
+        vertices = list(cp.quad.vertices())
+        vertices[i] = v_add(vertices[i], _MOVE)
         failed, expected = _failed(
-            replace(cp, quad=SkewQuad(*vertices.values())), {"quad"})
+            replace(cp, quad=SkewQuad(tuple(vertices), 1)), {"quad"})
         assert failed == expected, ("quad", label)
-        hat = cp.hat_axes[label]
-        moved = replace(cp)  # hat_axes is computed on first read; preset it
-        vars(moved)["hat_axes"] = {**cp.hat_axes, label: replace(
-            hat, point=v_add(hat.point, _MOVE))}
+        points = [ax.point for ax in hat]
+        points[i] = v_add(points[i], _MOVE)
+        moved = replace(cp)  # hat_pose is computed on first read; preset it
+        vars(moved)["hat_pose"] = replace(
+            cp.hat_pose, points=tuple(points),
+            directions=tuple(ax.direction for ax in hat), den=1)
         failed, expected = _failed(moved, {
             "hats", "hat apex"} if label == (1, 4) else {"hats"})
         assert failed == expected, ("hat", label)
     # a quad that is not a parallelogram is made one by moving P12 onto
     # P14 + P23 - P34
-    p12 = v_add(cp.quad.p14, v_sub(cp.quad.p23, cp.quad.p34))
-    failed, expected = _failed(replace(cp, quad=replace(cp.quad, p12=p12)),
-                               {"parallelogram move"})
+    p14, _, p23, p34 = cp.quad.vertices()
+    p12 = v_add(p14, v_sub(p23, p34))
+    failed, expected = _failed(
+        replace(cp, quad=SkewQuad((p14, p12, p23, p34), 1)),
+        {"parallelogram move"})
     assert expected <= failed
 
 

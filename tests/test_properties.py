@@ -14,6 +14,7 @@ from bibennett.bennett import (
     AXIS_LABELS,
     PLANAR_CASES,
     Axis,
+    BennettDesign,
     DegenerateDesignError,
     PlanarDesign,
     PoleError,
@@ -21,20 +22,32 @@ from bibennett.bennett import (
     validate,
 )
 from bibennett.families import (
+    BiBennett,
     CoupledPose,
     ExcludedBranchError,
     MuSet,
     NoRealBranchError,
     NoRealFamilyError,
     NotIsometricError,
+    SkewQuad,
     TrivialQuadError,
     align_isometry,
+    bar_tau_squared,
     coupled_pose,
+    coupling_quartic,
     family_c,
     make_family_a,
     make_family_b,
+    make_trivial,
+    necessary_conditions,
 )
-from bibennett.limits import prismatic_limit_C, verify_labels
+from bibennett.limits import (
+    label_check,
+    prismatic_limit_AB,
+    prismatic_limit_C,
+    pyramidal_limit,
+    verify_labels,
+)
 from bibennett.properties import (
     bennett_loop_check,
     deltoidal_certificate,
@@ -44,7 +57,9 @@ from bibennett.properties import (
     isogonal_certificate,
     isogonal_check,
     planar_loop_check,
+    trivial_check,
 )
+from test_bennett import _chain_values, _pose_values, dh_chain
 
 F = Fraction
 DESIGN = validate(F(1, 2), F(1, 3), F(1))
@@ -66,6 +81,25 @@ def test_family_a_vertices_not_deltoidal():
 def test_family_b_vertices_deltoidal():
     report = deltoidal_certificate(FAMILY_B, F(9, 10))
     assert report.verdict, report.lines()
+
+
+@pytest.mark.parametrize("scalar", (F, float))
+def test_trivial_check_holds_for_the_trivial_pattern_only(scalar):
+    # the same parameters with the family-B offsets pose a partner tube that
+    # is not the first: the check fails there
+    design = validate(scalar(F(1, 3)), scalar(F(1, 2)), scalar(1))
+    tau = scalar(F(3, 5))
+    trivial = trivial_check(coupled_pose(make_trivial(
+        scalar(F(2, 3)), scalar(F(1, 4)), design), tau), TOL)
+    family_b = trivial_check(coupled_pose(make_family_b(
+        scalar(F(2, 3)), scalar(F(1, 4)), design), tau), TOL)
+    assert trivial.verdict, trivial.lines()
+    assert not family_b.verdict, family_b.lines()
+    if scalar is F:
+        assert [r.value for r in trivial.residuals] == [0]
+        assert type(trivial.residuals[0].value) is Fraction
+        # the largest term is that of F14 + r14 <-> F23 - r23
+        assert [r.value for r in family_b.residuals] == [F(33166, 20183)]
 
 
 def test_family_b_vertices_not_isogonal():
@@ -109,6 +143,14 @@ def test_certificates_on_random_instances():
 # single-loop certificates
 # ---------------------------------------------------------------------------
 
+def _with_axis(pose, axis):
+    """``pose`` with ``axis`` in place of its own: a pose built from the
+    Fraction coordinates of its axes, over 1."""
+    axes = [{**pose.axes, axis.label: axis}[label] for label in AXIS_LABELS]
+    return replace(pose, points=tuple(ax.point for ax in axes),
+                   directions=tuple(ax.direction for ax in axes), den=1)
+
+
 def test_bennett_loop_check_rejects_a_moved_axis():
     # a2 = 2 puts the design on a1 a2 = 1, where opposite axes meet
     nudge = (0, 0, F(1, 10))
@@ -119,8 +161,8 @@ def test_bennett_loop_check_rejects_a_moved_axis():
                            axis.direction),
                       Axis(axis.label, axis.point,
                            v_add(axis.direction, nudge))):
-            report = bennett_loop_check(
-                replace(pose, axes={**pose.axes, (3, 4): moved}), TOL)
+            assert bennett_loop_check(_with_axis(pose, axis), TOL).verdict
+            report = bennett_loop_check(_with_axis(pose, moved), TOL)
             assert [r.label for r in report.failed()] == [
                 "symmetry half-turn", "regulus"], (a2, k, moved)
 
@@ -134,8 +176,7 @@ def test_bennett_loop_regulus_cannot_fail_at_zero_scale():
     assert axis.point == (0, 0, 0)
     tilted = Axis(axis.label, axis.point,
                   v_add(axis.direction, (0, 0, F(1, 10))))
-    report = bennett_loop_check(
-        replace(pose, axes={**pose.axes, (3, 4): tilted}), TOL)
+    report = bennett_loop_check(_with_axis(pose, tilted), TOL)
     regulus = report.residuals[-1]
     assert regulus.label == "regulus"
     assert regulus.value == 0 and type(regulus.value) is Fraction
@@ -340,15 +381,15 @@ def test_vertex_checks_equal_their_formulas(family, a1, a2, k, mu, tau):
 
 def test_vertex_certificates_build_no_hat_axis(monkeypatch):
     built = []
-    hat_axes = vars(CoupledPose)["hat_axes"]  # a functools.cached_property
-    build = hat_axes.func
+    hat_pose = vars(CoupledPose)["hat_pose"]  # a functools.cached_property
+    build = hat_pose.func
 
     def counted(cp):
-        axes = build(cp)
-        built.extend(axes)
-        return axes
+        pose = build(cp)
+        built.extend(pose.axes)
+        return pose
 
-    monkeypatch.setattr(hat_axes, "func", counted)
+    monkeypatch.setattr(hat_pose, "func", counted)
     for scalar in (F, float):
         for family, mu, check in (
                 ("A", (F(37, 40), F(7, 8), F(1), F(1, 2)), isogonal_check),
@@ -421,18 +462,56 @@ def test_halfturn_certificate_at_equal_diagonals(params):
                    for r in negative), report.lines()
 
 
-def _scaled(params, scale, sign14, sign12):
+def _conic_chord(params, direction):
+    """A family-C coupling (a1, a2, k, mu14, mu12, tau) with a rational
+    tau_bar, or None.  At fixed (a1, a2, tau, tau_bar) the coupling
+    relation is the conic (P+Q) X^2 + (Q-P) Y^2 + 2Q Z^2 = 0 in
+    (X, Y, Z) = (mu14, mu12, k), with
+    P = (a1-a2)^2 tau^2 tau_bar^2 + (a1^2+a2^2)(tau^2+tau_bar^2) + (a1+a2)^2
+    and Q = 2 a1 a2 (tau^2 - tau_bar^2): the rational line through the
+    ``_RATIONAL_BAR`` row ``params`` along ``direction`` meets it again in
+    a rational point (the chord method), taken with k >= 0.  None where the
+    line does not cut the conic twice."""
     a1, a2, k, mu14, mu12, tau = params
-    return a1, a2, scale * k, sign14 * scale * mu14, sign12 * scale * mu12, tau
+    bar_sq = bar_tau_squared(
+        coupling_quartic(validate(a1, a2, k), mu14, mu12), tau)
+    p = ((a1 - a2) ** 2 * tau ** 2 * bar_sq
+         + (a1 * a1 + a2 * a2) * (tau ** 2 + bar_sq) + (a1 + a2) ** 2)
+    q = 2 * a1 * a2 * (tau ** 2 - bar_sq)
+    form, point = (p + q, q - p, 2 * q), (mu14, mu12, k)
+    square = sum(c * d * d for c, d in zip(form, direction))
+    if square == 0:
+        return None
+    t = -2 * sum(c * x * d for c, x, d in zip(form, point, direction)) / square
+    x, y, z = (x + t * d for x, d in zip(point, direction))
+    return a1, a2, abs(z), x, y, tau
 
 
+_CHORDS = st.builds(_conic_chord, st.sampled_from(_RATIONAL_BAR),
+                    st.tuples(_OFFSET, _OFFSET, _OFFSET)).filter(bool)
 _SIGN = st.sampled_from((1, -1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_CHORDS, _SIGN, _SIGN)
+def test_conic_chords_have_a_rational_tau_bar(params, s, branch):
+    a1, a2, k, mu14, mu12, tau = params
+    assume(mu14 * mu14 != mu12 * mu12 and mu14 * mu12 != 0)
+    for scalar in (F, float):
+        bib = family_c(validate(scalar(a1), scalar(a2), scalar(k)),
+                       scalar(mu14), scalar(mu12), s, branch)
+        cp = coupled_pose(bib, scalar(tau))
+        assert halfturn_check(cp, TOL).verdict, (scalar, params)
+        if scalar is F:
+            assert type(cp.tau_bar) is Fraction, params
+            report = necessary_conditions(bib.loop(), bib.bar_loop())
+            values = report.side_residuals + report.resultant_coeffs
+            assert len(values) == 13 and not any(values)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.one_of(
-    st.builds(_scaled, st.sampled_from(_RATIONAL_BAR), _POSITIVE, _SIGN,
-              _SIGN),
+    _CHORDS,
     st.tuples(_POSITIVE, _POSITIVE, st.one_of(st.just(F(0)), _POSITIVE),
               _OFFSET, _OFFSET, _TAU)), _SIGN, _SIGN)
 @example(_RATIONAL_BAR[0], 1, 1)
@@ -440,7 +519,7 @@ _SIGN = st.sampled_from((1, -1))
 @example((F(1, 2), F(1, 3), F(1), F(2, 3), F(1, 4), F(7, 5)), 1, 1)
 def test_halfturn_angle_entries_equal_their_formulas(params, s, branch):
     a1, a2, k, mu14, mu12, tau = params
-    assume(a1 != a2 and mu14 * mu14 != mu12 * mu12)
+    assume(a1 != a2 and mu14 * mu14 != mu12 * mu12 and mu14 * mu12 != 0)
     for scalar in (F, float):
         design = validate(scalar(a1), scalar(a2), scalar(k))
         bib = family_c(design, scalar(mu14), scalar(mu12), s, branch)
@@ -497,3 +576,95 @@ def test_an_exact_entry_off_zero_fails(name):
         nudged if r is entry else r for r in report.residuals))
     assert not mutant.verdict
     assert mutant.failed() == [nudged]
+
+
+# ---------------------------------------------------------------------------
+# integer poses: their views are the chain's, and they certify as their views
+# ---------------------------------------------------------------------------
+
+def _exact_family_a(a1, a2, t, k):
+    """Family A with the rational twists (a1, a2): the sums s1 .. s4 of its
+    offsets are (-a1 a2, t a1, 1, t a2), which make family_a's squared
+    half-tangents the squares a1^2 and a2^2."""
+    s1, s2, s3, s4 = -a1 * a2, t * a1, 1, t * a2
+    return make_family_a(MuSet((s1 + s2 + s3 + s4) / 4,
+                               (s3 + s4 - s1 - s2) / 4,
+                               (s1 - s2 + s3 - s4) / 4,
+                               (s2 + s3 - s1 - s4) / 4), k=k)
+
+
+@st.composite
+def _exact_structures(draw, kind):
+    """(build, tau): ``build()`` gives, by ``kind``, an exact single or
+    planar design, or an exact coupling of family A, B or C (C on a conic
+    chord), or a limit of one; it raises ValueError on an excluded draw."""
+    a1, a2, d1, d2 = (draw(_POSITIVE) for _ in range(4))
+    k, mu1, mu2, mu3 = draw(_POSITIVE), draw(_OFFSET), draw(_OFFSET), draw(
+        _OFFSET)
+    tau, s, branch = draw(_TAU), draw(_SIGN), draw(_SIGN)
+    case = draw(st.sampled_from(("anti", "para")))
+    chord = draw(_CHORDS)
+    family = draw(st.sampled_from("AB"))
+    row = draw(st.sampled_from(_RATIONAL_BAR[:3]))  # the k = 0 rows
+    if kind in (6, 7):
+        tau = chord[5] if kind == 6 else row[5]
+    builders = (
+        lambda: validate(a1, a2, draw(st.sampled_from((0, k)))),
+        lambda: PlanarDesign(d1, d2, draw(st.sampled_from(PLANAR_CASES))),
+        lambda: _exact_family_a(a1, a2, mu1, k),
+        lambda: pyramidal_limit(_exact_family_a(a1, a2, mu1, 0)),
+        lambda: make_family_b(mu1, mu2, validate(a1, a2, k)),
+        lambda: pyramidal_limit(make_family_b(mu1, mu2, validate(a1, a2, 0))),
+        lambda: family_c(validate(*chord[:3]), *chord[3:5], s, branch),
+        lambda: pyramidal_limit(family_c(validate(*row[:3]), *row[3:5], s,
+                                         branch)),
+        lambda: prismatic_limit_AB(family, case, d1, d2, mu12=mu1, mu23=mu2,
+                                   mu34=mu3),
+        lambda: prismatic_limit_C(case, d1, d2, mu1, mu2, s, branch))
+    return builders[kind], tau
+
+
+def _from_views(pose):
+    """``pose`` built from the Fraction views of its axes, over 1."""
+    axes = [pose.axes[label] for label in AXIS_LABELS]
+    return replace(pose, points=tuple(ax.point for ax in axes),
+                   directions=tuple(ax.direction for ax in axes), den=1)
+
+
+def _typed_entries(report):
+    return [(r.label, type(r.value), r.value) for r in report.residuals]
+
+
+@pytest.mark.parametrize("kind", range(10))
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_integer_poses_view_the_chain_and_certify_as_their_views(kind, data):
+    build, tau = data.draw(_exact_structures(kind))
+    try:
+        structure = build()
+        if isinstance(structure, BiBennett):
+            cp = coupled_pose(structure, tau)
+            poses = [cp.pose, cp.bar_pose]
+            rebuilt = replace(
+                cp, pose=_from_views(cp.pose),
+                quad=SkewQuad(cp.quad.vertices(), 1),
+                bar_pose=_from_views(cp.bar_pose),
+                bar_quad=SkewQuad(cp.bar_quad.vertices(), 1))
+            checks = ([halfturn_check] if structure.family == "C" else
+                      [isogonal_check, deltoidal_check, trivial_check])
+            checks += [label_check] if structure.labels else []
+        else:
+            cp = frame(structure, tau)
+            poses, rebuilt = [cp], _from_views(cp)
+            checks = [bennett_loop_check if isinstance(
+                structure, BennettDesign) else planar_loop_check]
+        reports = [(check(cp, TOL), check(rebuilt, TOL)) for check in checks]
+    except ValueError:  # a pole, no real branch, an excluded pattern
+        assume(False)
+    for pose in poses:
+        if pose.den != 1:  # a family-C bar tube at an irrational tau_bar
+            assert all(type(c) is Fraction for c in _pose_values(pose))
+            assert _pose_values(pose) == _chain_values(
+                dh_chain(pose.design, pose.tau))
+    for own, views in reports:
+        assert _typed_entries(own) == _typed_entries(views), own.name
