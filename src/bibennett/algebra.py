@@ -12,7 +12,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product
+from itertools import islice
 
 
 TOL = 1e-9  # the float tolerance of tolerance_of; a config's tol overrides it
@@ -308,28 +308,6 @@ def fit_rational(fun, num_deg: int, den_deg: int, points):
             raise DegreeBoundError(
                 f"function is not rational of degree ({num_deg},{den_deg})")
     return num, den
-
-
-# ---------------------------------------------------------------------------
-# polynomial identities
-# ---------------------------------------------------------------------------
-
-def function_identity_zero(fun, var_names, degree_bounds) -> bool:
-    """Decide whether a polynomial function, a callable taking keyword scalar
-    arguments, is identically zero by exact evaluation on a grid.
-
-    ``degree_bounds`` maps each variable to an upper bound of its degree; a
-    grid of (bound+1) distinct rationals per variable is then a proof, not a
-    probabilistic test.  The verdict rests on the caller's degree bounds.
-    """
-    grids = [
-        [Fraction(2 * i + 1, 3) for i in range(degree_bounds[name] + 1)]
-        for name in var_names
-    ]
-    for point in product(*grids):
-        if fun(**dict(zip(var_names, point))) != 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

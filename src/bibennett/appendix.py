@@ -22,7 +22,6 @@ from .algebra import (
     TOL,
     DegreeBoundError,
     det3,
-    function_identity_zero,
     interpolate_polynomial,
     sylvester_resultant,
     v_add,
@@ -184,7 +183,7 @@ def quartic_g3(a1, a2):
     return a1 * a1 * a2 * a2 - a1 * a1 + 3 * a2 * a2 + 1
 
 
-def constrained_mu_product(a1, a2, swapped: bool = False):
+def constrained_mu_product(a1, a2, swapped: bool):
     """Offset product forced by the vanishing of one splitting factor.
 
     The direct case kills :func:`splitting_f2`; the index-swapped case kills
@@ -194,7 +193,7 @@ def constrained_mu_product(a1, a2, swapped: bool = False):
     return -factor(a1, a2, 0) / ((1 + a1 * a1) * (1 + a2 * a2))
 
 
-def constrained_case_polynomials(a1, a2, swapped: bool = False):
+def constrained_case_polynomials(a1, a2, swapped: bool):
     """The two even polynomials of degree 4 (in the one remaining free
     offset x) whose simultaneous vanishing the constrained case would
     require: ascending coefficients of x^2 times the constant and the
@@ -222,7 +221,7 @@ def _constrained_polynomials(forms, a1, a2, swapped):
     return polys
 
 
-def constrained_resultant_target(a1, a2, swapped: bool = False):
+def constrained_resultant_target(a1, a2, swapped: bool):
     """Printed factorisation of the constrained-case resultant, rescaled by
     the normalisation factor (1+a1^2)^16 (1+a2^2)^8 of this module's cleared
     polynomials (roles exchanged in the swapped case)."""
@@ -329,20 +328,21 @@ _CURVES = {
 _CURVE_NODES = tuple(range(1, 2 * _TWIST_DEGREE + 2))
 
 
-def _gap_entry(label, forms, gaps):
-    """An entry proving an identity between the expansion forms:
-    ``gaps(a1, a2, twist_forms)`` lists its coefficient gaps in the offsets
-    at one twist, and the value is the largest |gap| over ``forms``
-    ({(a1, a2): twist_forms}).
+def _gap_entry(label, table, gaps):
+    """An entry whose value is the largest |gap| over ``table`` ({(a1, a2):
+    the expansion forms or the constrained polynomials of that twist}):
+    ``gaps(a1, a2, twist_table)`` lists the gaps at one twist.
 
-    Degree bound: the coefficients of c0 and c4 have degree at most 4 in a1
-    and in a2, those of c1 and c3 at most 3, so each gap, printed side
-    included, is a polynomial of degree at most 4 in a1 and in a2.  Zeros on
-    the 5 x 5 grid of ``_TWISTS`` then prove it zero, and the off-grid
-    twists confirm the bound.
+    An ``[identity]`` entry rests on a degree bound: the coefficients of c0
+    and c4 have degree at most 4 in a1 and in a2, those of c1 and c3 at most
+    3, so each gap of the forms, printed side included, is a polynomial of
+    degree at most 4 in a1 and in a2 (the splitting difference and the first
+    quartic have degree at most 2).  Zeros on the 5 x 5 grid of ``_TWISTS``
+    then prove it zero, and the off-grid twists confirm the bound.  An
+    ``[exact]`` entry claims only the 27 listed twists.
     """
-    worst = max(abs(gap) for (a1, a2), twist_forms in forms.items()
-                for gap in gaps(a1, a2, twist_forms))
+    worst = max(abs(gap) for (a1, a2), twist_table in table.items()
+                for gap in gaps(a1, a2, twist_table))
     return ResidualEntry(label, worst, TOL)
 
 
@@ -391,22 +391,23 @@ def _equal_offsets_gaps(a1, a2, forms):
     return sums
 
 
-def _identity_entry(label, gap, degree_bounds):
-    """An entry proving ``gap`` identically zero by exact evaluation on a
-    grid that its degree bounds make complete."""
-    proved = function_identity_zero(gap, tuple(degree_bounds), degree_bounds)
-    return ResidualEntry(label, 0 if proved else 1, TOL)
+def _splitting_difference_gaps(a1, a2, _):
+    """f1 - f2 = 4*(a1^2 - a2^2) at the offset products m = 0 and m = 1; both
+    sides are linear in m."""
+    return [splitting_f1(a1, a2, m) - splitting_f2(a1, a2, m)
+            - 4 * (a1 * a1 - a2 * a2) for m in (0, 1)]
 
 
-def _resultant_entry(polys, swapped):
-    """Exact check of the printed factorisation of the constrained-case
-    resultant at every twist of ``polys`` ({(a1, a2): (p0, p2)})."""
-    worst = max(abs(sylvester_resultant(p0, p2)
-                    - constrained_resultant_target(a1, a2, swapped))
-                for (a1, a2), (p0, p2) in polys.items())
-    tag = "swapped" if swapped else "direct"
-    return ResidualEntry(f"resultant factorisation {tag} [exact]", worst,
-                         TOL)
+def _first_quartic_gaps(a1, a2, _):
+    """quartic_g1 - 1 = (a1*a2)^2 + 2*a2^2, a sum of squares, so
+    quartic_g1 >= 1."""
+    return [quartic_g1(a1, a2) - 1 - (a1 * a2) ** 2 - 2 * a2 * a2]
+
+
+def _odd_offset_gaps(a1, a2, polys):
+    """The odd coefficients of the constrained polynomial p0 in the offset
+    x, which vanish when p0 is even in x."""
+    return polys[0][1::2]
 
 
 def _evaluate_squares(poly, a, b):
@@ -442,34 +443,28 @@ def _fit_squares(values, degree):
     return fits
 
 
-def _constrained_entry(polys, swapped):
-    """(entry, even part) of the constrained polynomial p0 of one case,
-    from ``polys`` ({(a1, a2): (p0, p2)}, in ``_TWISTS`` order).
+def _even_part(polys, swapped):
+    """Coefficient grids of e0, e1 and e2 for the constrained polynomial p0
+    of one case, from ``polys`` ({(a1, a2): (p0, p2)}, in ``_TWISTS``
+    order).
 
-    p0 is even in the offset x, so p0 = (e0 + e1*y + e2*y^2) / W with
-    y = x^2 and the weight W = (1+A)^2 (1+B) in the direct case and
-    (1+A) (1+B)^2 in the swapped one, (A, B) = (a1^2, a2^2).  Parity: p0 is
-    unchanged under a1 -> -a1 and under a2 -> -a2, so each e_k is a function
-    of (A, B).  Degree bound: each e_k is a polynomial of degree at most 4
-    in A and at most 4 in B.  The e_k are interpolated once on the 5 x 5
-    grid of the twists, and the off-grid twists, one with a negative a1
-    and one with a negative a2, confirm the bound and the parity (else
-    DegreeBoundError).  The entry fails when p0 has an odd coefficient at
-    any twist; the even part comes back as the coefficient grids of e0, e1
-    and e2.
+    p0 is even in the offset x (``_odd_offset_gaps``), so
+    p0 = (e0 + e1*y + e2*y^2) / W with y = x^2 and the weight
+    W = (1+A)^2 (1+B) in the direct case and (1+A) (1+B)^2 in the swapped
+    one, (A, B) = (a1^2, a2^2).  Parity: p0 is unchanged under a1 -> -a1
+    and under a2 -> -a2, so each e_k is a function of (A, B).  Degree
+    bound: each e_k is a polynomial of degree at most 4 in A and at most 4
+    in B.  The e_k are interpolated once on the 5 x 5 grid of the twists,
+    and the off-grid twists, one with a negative a1 and one with a negative
+    a2, confirm the bound and the parity (else DegreeBoundError).
     """
-    worst = 0
     values = {}
     for (a1, a2), (p0, _) in polys.items():
-        worst = max([worst, *map(abs, p0[1::2])])
         big_a, big_b = a1 * a1, a2 * a2
         weight = ((1 + big_a) * (1 + big_b)
                   * (1 + (big_b if swapped else big_a)))
         values[big_a, big_b] = [weight * c for c in p0[0::2]]
-    tag = "swapped" if swapped else "direct"
-    entry = ResidualEntry(f"constrained polynomial {tag} [identity]", worst,
-                          TOL)
-    return entry, _fit_squares(values, _TWIST_DEGREE)
+    return _fit_squares(values, _TWIST_DEGREE)
 
 
 def _curve_entry(label, even, curve, swapped):
@@ -503,38 +498,41 @@ def verify_nonexistence() -> CertificateReport:
     """Run the full case analysis ruling out plane-symmetric couplings.
 
     Each report entry is tagged with its argument strength: ``identity`` for
-    polynomial identities (resting on their stated degree bounds), ``exact``
-    for exact evaluation at every twist of ``_TWISTS``, and ``curve proof``
-    for exact root counts along a whole constraint curve.  The expansion
-    forms and the constrained polynomials of each twist are built once per
-    call.  Every value is exact, and nothing is drawn at random.
+    polynomial identities (resting on the degree bounds of ``_gap_entry``
+    and ``_even_part``), ``exact`` for exact evaluation at the 27 twists of
+    ``_TWISTS`` only, and ``curve proof`` for exact root counts along a
+    whole constraint curve.  Every entry but a curve proof is the largest
+    gap over the expansion forms or the constrained polynomials of each
+    twist, which a call builds once.  Every value is exact, and nothing is
+    drawn at random.
     """
     forms = {twist: _expansion_forms(*twist) for twist in _TWISTS}
     polys = {s: {t: _constrained_polynomials(forms[t], *t, s) for t in _TWISTS}
              for s in (False, True)}
-    constrained = [_constrained_entry(p, s) for s, p in polys.items()]
+    tags = {False: "direct", True: "swapped"}
     entries = [
         _gap_entry("offset product split [identity]", forms,
                    _offset_split_gaps),
         _gap_entry("odd coefficient factors [identity]", forms,
                    _odd_factor_gaps),
-        _identity_entry("splitting difference [identity]",
-                        lambda a1, a2, m: splitting_f1(a1, a2, m)
-                        - splitting_f2(a1, a2, m) - 4 * (a1 * a1 - a2 * a2),
-                        {"a1": 2, "a2": 2, "m": 1}),
+        _gap_entry("splitting difference [identity]", forms,
+                   _splitting_difference_gaps),
         _gap_entry("equal offsets coefficient [identity]", forms,
                    _equal_offsets_gaps),
-        # quartic_g1 - 1 is a sum of squares, so quartic_g1 >= 1
-        _identity_entry("first quartic positive [identity]",
-                        lambda a1, a2: quartic_g1(a1, a2) - 1
-                        - (a1 * a2) ** 2 - 2 * a2 * a2, {"a1": 2, "a2": 2}),
-        *(_resultant_entry(p, s) for s, p in polys.items()),
-        *(entry for entry, _ in constrained),
+        _gap_entry("first quartic positive [identity]", forms,
+                   _first_quartic_gaps),
+        *(_gap_entry(
+            f"resultant factorisation {tag} [exact]", polys[s],
+            lambda a1, a2, p: [sylvester_resultant(*p)
+                               - constrained_resultant_target(a1, a2, s)])
+          for s, tag in tags.items()),
+        *(_gap_entry(f"constrained polynomial {tag} [identity]", polys[s],
+                     _odd_offset_gaps) for s, tag in tags.items()),
     ]
+    even = {s: _even_part(polys[s], s) for s in tags}
     for name, curve in _CURVES.items():
-        for (_, even), swapped in zip(constrained, (False, True)):
-            tag = "swapped" if swapped else "direct"
+        for s, tag in tags.items():
             entries.append(_curve_entry(
-                f"{name} quartic roots {tag} [curve proof]", even, curve,
-                swapped))
+                f"{name} quartic roots {tag} [curve proof]", even[s], curve,
+                s))
     return CertificateReport("plane-symmetric non-existence", tuple(entries))

@@ -14,7 +14,6 @@ from bibennett.algebra import (
     _inverse_vandermonde,
     clear_denominators,
     fit_rational,
-    function_identity_zero,
     interpolate_polynomial,
     is_exact,
     mat_mul,
@@ -221,16 +220,6 @@ def test_fit_rational_degree_violation():
     with pytest.raises(DegreeBoundError):
         fit_rational(lambda x: x ** 4, 2, 0,
                      [F(1), F(2), F(3), F(5), F(7), F(9)])
-
-
-def test_function_identity_zero():
-    assert function_identity_zero(
-        lambda x, y: (x + y) ** 2 - x * x - 2 * x * y - y * y,
-        ("x", "y"), {"x": 2, "y": 2},
-    )
-    assert not function_identity_zero(
-        lambda x, y: x - y, ("x", "y"), {"x": 1, "y": 1}
-    )
 
 
 def test_sylvester_resultant_common_root():

@@ -19,13 +19,16 @@ from bibennett.appendix import (
     ZeroPolynomialError,
     _cleared_determinant,
     _cleared_drive,
-    _constrained_entry,
     _curve_entry,
     _equal_offsets_gaps,
+    _even_part,
+    _first_quartic_gaps,
     _fit_squares,
     _gap_entry,
     _odd_factor_gaps,
+    _odd_offset_gaps,
     _offset_split_gaps,
+    _splitting_difference_gaps,
     constrained_case_polynomials,
     constrained_mu_product,
     constrained_resultant_target,
@@ -118,21 +121,25 @@ def test_first_quartic_positive():
 
 def test_constrained_resultant_matches_target():
     a1, a2 = F(4, 7), F(5, 7)
-    p0, p2 = constrained_case_polynomials(a1, a2)
-    res = sylvester_resultant(list(p0), list(p2))
-    assert res == constrained_resultant_target(a1, a2)
+    for swapped in (False, True):
+        p0, p2 = constrained_case_polynomials(a1, a2, swapped)
+        res = sylvester_resultant(list(p0), list(p2))
+        assert res == constrained_resultant_target(a1, a2, swapped)
 
 
 def test_second_quartic_exact_point_has_no_real_offset():
-    # (1/2, 1/3) lies exactly on the curve where the second factor vanishes
+    # (1/2, 1/3) lies exactly on the curve where the second factor vanishes;
+    # the swapped case exchanges the twists
     assert quartic_g2(F(1, 2), F(1, 3)) == 0
-    p0, _ = constrained_case_polynomials(F(1, 2), F(1, 3))
-    assert count_real_roots(p0) == 0
+    for swapped, twists in ((False, (F(1, 2), F(1, 3))),
+                            (True, (F(1, 3), F(1, 2)))):
+        p0, _ = constrained_case_polynomials(*twists, swapped)
+        assert count_real_roots(p0) == 0
 
 
 def test_mu_product_kills_splitting_factor():
     a1, a2 = F(2, 5), F(3, 4)
-    assert splitting_f2(a1, a2, constrained_mu_product(a1, a2)) == 0
+    assert splitting_f2(a1, a2, constrained_mu_product(a1, a2, False)) == 0
     assert splitting_f1(a1, a2, constrained_mu_product(a1, a2, True)) == 0
 
 
@@ -178,9 +185,9 @@ def test_zero_constrained_polynomial_fails_the_curve_proofs():
     # a zero p0 is even, so the identity entry holds, but every offset is a
     # root: no curve entry may pass
     polys = dict.fromkeys(_TWISTS, ([F(0)] * 5, [F(0)] * 5))
+    assert _gap_entry("zero", polys, _odd_offset_gaps).passed
     for swapped in (False, True):
-        entry, even = _constrained_entry(polys, swapped)
-        assert entry.passed
+        even = _even_part(polys, swapped)
         for curve in _CURVES.values():
             assert _curve_entry("zero", even, curve, swapped).value == 1.0
 
@@ -231,9 +238,8 @@ def test_fit_squares_recovers_and_confirms_its_degree():
 def test_non_even_constrained_polynomial_fails_the_identity_entry():
     polys = dict.fromkeys(_TWISTS, ([F(1), F(1), F(1), F(0), F(0)],
                                     [F(0)] * 5))
-    for swapped in (False, True):
-        entry, _ = _constrained_entry(polys, swapped)
-        assert entry.value == 1.0 and not entry.passed
+    entry = _gap_entry("odd", polys, _odd_offset_gaps)
+    assert entry.value == 1.0 and not entry.passed
 
 
 def test_constrained_polynomial_is_even_in_the_offset_and_the_twists():
@@ -316,7 +322,9 @@ def test_constrained_polynomials_match_the_offset_interpolation(a1, a2,
 
 
 _GAP_ENTRIES = {"split": _offset_split_gaps, "odd": _odd_factor_gaps,
-                "equal": _equal_offsets_gaps}
+                "equal": _equal_offsets_gaps,
+                "difference": _splitting_difference_gaps,
+                "quartic": _first_quartic_gaps}
 
 
 @pytest.fixture(scope="module")
@@ -341,6 +349,42 @@ def test_a_perturbed_form_fails_the_entries_that_read_it(twist_forms, twist,
     perturbed[k][0b0110] += F(1, 1000)
     forms[twist] = tuple(perturbed)
     assert _failing(forms) == failing
+
+
+def _largest_targets():
+    return {f"resultant factorisation {tag} [exact]":
+            max(abs(constrained_resultant_target(*twist, swapped))
+                for twist in _TWISTS)
+            for swapped, tag in ((False, "direct"), (True, "swapped"))}
+
+
+# each mutant, and the largest gap of each entry it fails over the twists
+_MUTANTS = {
+    "splitting_f2": (
+        lambda a1, a2, m: splitting_f2(a1, a2, m) + a1 * a2 * m,
+        lambda: {"splitting difference [identity]": F(5, 2)}),
+    "quartic_g1": (
+        lambda a1, a2: quartic_g1(a1, a2) + a1 * a1 * a2,
+        lambda: {"first quartic positive [identity]": F(25, 2)}),
+    "constrained_resultant_target": (
+        lambda a1, a2, swapped: 2 * constrained_resultant_target(a1, a2,
+                                                                 swapped),
+        _largest_targets),
+}
+
+
+@pytest.mark.parametrize("name", _MUTANTS)
+def test_a_mutant_fails_its_entry_by_its_largest_gap(monkeypatch, name):
+    # the value of a failing entry is the largest gap over the twists (for
+    # the first two, |a1*a2| and a1^2*a2 at a1 = 5, a2 = 1/2), not a flag
+    mutant, worst = _MUTANTS[name]
+    expected = worst()
+    monkeypatch.setattr(appendix, name, mutant)
+    entries = {entry.label: entry for entry in verify_nonexistence().residuals}
+    for label, value in expected.items():
+        assert not entries[label].passed
+        assert type(entries[label].value) is F
+        assert entries[label].value == value
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

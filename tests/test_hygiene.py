@@ -51,7 +51,7 @@ def test_scan_finds_an_unused_import():
 # Keyword parameters with defaults in the package, counting the defaulted
 # fields of dataclasses and NamedTuples, which are constructor parameters
 # too: the count may fall, never rise.  Lower it whenever one goes.
-MAX_DEFAULTED_PARAMETERS = 29
+MAX_DEFAULTED_PARAMETERS = 26
 
 
 def _is_record(node) -> bool:
@@ -94,7 +94,7 @@ def test_defaulted_parameters_do_not_grow():
 
 # Lines of the package's modules, ``__init__`` included: the count may
 # fall, never rise.  Lower it whenever code goes.
-MAX_PACKAGE_LINES = 3542
+MAX_PACKAGE_LINES = 3518
 
 
 def test_package_lines_do_not_grow():
