@@ -316,27 +316,22 @@ def fit_rational(fun, num_deg: int, den_deg: int, points):
 
 def sylvester_resultant(p, q):
     """Resultant of two univariate polynomials given as ascending coefficient
-    lists of scalars; exact for Fraction input.
-
-    The Sylvester determinant is taken by Bareiss fraction-free elimination
-    (Math. Comp. 22, 1968) on p and q cleared to integers over one
-    denominator each, and divided by the row scales once; floats run the
-    same elimination with scale 1.0 and true division."""
-    p = list(p)
-    q = list(q)
+    lists of scalars; exact for Fraction input.  The Sylvester determinant
+    is taken by Bareiss fraction-free elimination (Math. Comp. 22, 1968) on
+    p and q cleared to integers over one denominator D, and divided once by
+    D^(m+n), m and n their degrees; floats run the same elimination with
+    D = 1.0 and true division."""
+    p, q = list(p), list(q)
     while p and p[-1] == 0:
         p.pop()
     while q and q[-1] == 0:
         q.pop()
     if len(p) < 2 and len(q) < 2:
         raise DegenerateResultantError("both polynomials are constant")
-    (p,), p_den = clear_denominators([p])
-    (q,), q_den = clear_denominators([q])
-    m = len(p) - 1
-    n = len(q) - 1
+    (p, q), den = clear_denominators([p, q])
+    m, n = len(p) - 1, len(q) - 1
     if m < 0 or n < 0:  # the zero polynomial shares every root
-        return div(0, p_den * q_den)
-    scale = p_den ** n * q_den ** m
+        return div(0, den)
     size = m + n
     a = []
     for coeffs, count in ((p, n), (q, m)):
@@ -345,13 +340,12 @@ def sylvester_resultant(p, q):
             row[i:i + len(coeffs)] = reversed(coeffs)
             a.append(row)
     # integer rows divide exactly; a float row makes every quotient a float
-    exact = isinstance(p_den, int) and isinstance(q_den, int)
-    divide = operator.floordiv if exact else operator.truediv
+    divide = operator.floordiv if isinstance(den, int) else operator.truediv
     sign, prev = 1, 1
     for c in range(size):
         piv = next((r for r in range(c, size) if a[r][c] != 0), None)
         if piv is None:
-            return div(0 * prev, scale)
+            return div(0 * prev, den ** size)
         if piv != c:
             a[c], a[piv] = a[piv], a[c]
             sign = -sign
@@ -362,7 +356,7 @@ def sylvester_resultant(p, q):
                 divide(pv * x - f * y, prev)
                 for x, y in zip(a[r][c + 1:], a[c][c + 1:])]
         prev = pv
-    return div(sign * prev, scale)
+    return div(sign * prev, den ** size)
 
 
 def _poly_mul(a, b):
@@ -388,10 +382,9 @@ def resultant_tau_bar(p, q):
     Returns the nine coefficients (tau^0 .. tau^8) of the closed form
     (p2 q0 - p0 q2)^2 - (p2 q1 - p1 q2)(p1 q0 - p0 q1) of the resultant of
     two quadratics p2 x^2 + p1 x + p0 and q2 x^2 + q1 x + q0, where each pj
-    is the coefficient list in tau of tau_bar^j.  Raises
-    DegenerateResultantError when both leading tau_bar^2 coefficients vanish
-    identically.
-    """
+    is the coefficient list in tau of tau_bar^j: integers for integer forms,
+    as the oracle passes them.  Raises DegenerateResultantError when both
+    leading tau_bar^2 coefficients vanish identically."""
     p0, p1, p2 = ([row[j] for row in p] for j in range(3))
     q0, q1, q2 = ([row[j] for row in q] for j in range(3))
     if not any(p2) and not any(q2):

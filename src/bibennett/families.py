@@ -331,11 +331,16 @@ def solve_bar_tau(q: CouplingQuartic, tau):
 @dataclass(frozen=True)
 class HalfTurn:
     """Half-turn about the ``line`` (P, l) through P / 2 along l, integers
-    over ``den`` (:func:`symmetry_line`); exact for rational input."""
+    over an int ``den`` (:func:`symmetry_line`) or floats."""
 
     line: tuple
     den: object
     orientation = 1
+
+    def __post_init__(self):
+        kinds = {type(x) for v in self.line for x in v}
+        if float not in kinds and not kinds | {type(self.den)} <= {int}:
+            raise ValueError("line is neither ints over an int den nor floats")
 
     def images(self, points, directions, den):
         """(point images, direction images, their denominator D n) of
@@ -572,13 +577,6 @@ def _side_sq(loop: Loop):
                  for (c, _, d), ma, mb in zip(links, mu, mu[1:] + mu[:1]))
 
 
-def _coupling_form(num, den, bar_num, bar_den):
-    """N(tau) Mbar(tau_bar) - Nbar(tau_bar) M(tau) as a bidegree-(2,2) form,
-    the 3x3 nested list of its coefficients of tau^i tau_bar^j."""
-    return [[num[i] * bar_den[j] - bar_num[j] * den[i] for j in range(3)]
-            for i in range(3)]
-
-
 @dataclass(frozen=True)
 class NecessaryReport:
     """The thirteen necessary conditions for a flexible coupling.
@@ -600,17 +598,26 @@ class NecessaryReport:
 
 def necessary_conditions(loop: Loop, bar_loop: Loop) -> NecessaryReport:
     """Evaluate the 13-equation necessary system for flexible coupling,
-    exactly: float parameters convert to the rationals they represent."""
+    exactly: float parameters convert to the rationals they represent.  The
+    diagonals' coefficient lists clear to integers over one L; each coupling
+    form N(tau) Mbar(tau_bar) - Nbar(tau_bar) M(tau), 3x3 over L^2, is
+    divided by its content g_w; as Res(x p, y q) = x^2 y^2 Res(p, q) for
+    quadratics, the eliminant takes one scale (g_0 g_1 / L^4)^2 at the end."""
     loop, bar_loop = _exact_loop(loop), _exact_loop(bar_loop)
     side_res = tuple(s - b for s, b in zip(_side_sq(loop), _side_sq(bar_loop)))
-
-    forms = []
-    for which in (0, 1):
-        num, den = diagonal_rational(loop, which)
-        bnum, bden = diagonal_rational(bar_loop, which)
-        forms.append(_coupling_form(num, den, bnum, bden))
+    lists, common = clear_denominators([
+        c for which in (0, 1) for part in (loop, bar_loop)
+        for c in diagonal_rational(part, which)])
+    forms, contents = [], 1
+    for num, den, bar_num, bar_den in (lists[:4], lists[4:]):
+        form = [[num[i] * bar_den[j] - bar_num[j] * den[i] for j in range(3)]
+                for i in range(3)]
+        content = math.gcd(*form[0], *form[1], *form[2]) or 1
+        forms.append([[c // content for c in row] for row in form])
+        contents *= content
+    scale = Fraction(contents, common ** 4) ** 2
     try:
-        coeffs = resultant_tau_bar(forms[0], forms[1])
+        coeffs = [scale * c if c else 0 for c in resultant_tau_bar(*forms)]
     except DegenerateResultantError:
         coeffs = [0] * 9
     return NecessaryReport(side_res, tuple(coeffs))

@@ -342,3 +342,39 @@ def test_resultant_tau_bar_matches_sylvester_at_samples():
                 continue  # a dropped degree changes the Sylvester matrix
             value = sum(c * tau ** i for i, c in enumerate(res))
             assert value == sylvester_resultant(pa, pb)
+
+
+def _forms(entry):
+    """Two 3x3 forms with entries drawn from ``entry``."""
+    form = st.lists(st.lists(entry, min_size=3, max_size=3), min_size=3,
+                    max_size=3)
+    return st.tuples(form, form)
+
+
+_NONZERO_INT = st.integers(-6, 6).filter(bool)
+_INT_FORMS = _forms(st.integers(-9, 9))
+_FRACTION_FORMS = _forms(st.builds(F, st.integers(-9, 9), st.integers(1, 6)))
+_FACTOR = st.one_of(_NONZERO_INT, st.builds(F, _NONZERO_INT,
+                                            st.integers(1, 6)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(_INT_FORMS, _FRACTION_FORMS), _FACTOR, _FACTOR,
+       st.booleans())
+def test_resultant_tau_bar_scales_by_the_squares_of_the_factors(forms, x, y,
+                                                                 flat):
+    # Res(x p, y q) = x^2 y^2 Res(p, q), so the oracle may divide each form
+    # by its content and scale the eliminant once; forms without a tau_bar^2
+    # term degenerate, scaled or not
+    p, q = ([row[:2] + [0] if flat else row for row in form] for form in forms)
+    scaled = [[[f * c for c in row] for row in form]
+              for f, form in ((x, p), (y, q))]
+    if not any(row[2] for row in p + q):
+        for pair in ((p, q), scaled):
+            with pytest.raises(DegenerateResultantError):
+                resultant_tau_bar(*pair)
+        return
+    res = resultant_tau_bar(p, q)
+    if all(type(c) is int for row in p + q for c in row):
+        assert all(type(c) is int for c in res), res
+    assert resultant_tau_bar(*scaled) == [x * x * y * y * c for c in res]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bibennett.algebra import (
     TOL,
+    clear_denominators,
     det3,
     div,
     is_exact,
@@ -255,8 +256,8 @@ _POINT = st.tuples(_NONZERO, _NONZERO, _NONZERO)
        st.integers(0, 3))
 def test_half_turn_residual_reads_half_turn_images(point, line, points, i):
     # the images are over n; the points and the line go over n as well
-    images, _, n = HalfTurn((v_scale(2, point), line), 1).images(points, [],
-                                                                  1)
+    ints, den = clear_denominators([v_scale(2, point), line])
+    images, _, n = HalfTurn(tuple(ints), den).images(points, [], 1)
     points = [v_scale(n, p) for p in points]
     through = v_scale(2 * n, point)
     residual = half_turn_residual(through, line, list(zip(points, images)), n)

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from bibennett.algebra import (
     TOL,
+    clear_denominators,
     coordinates,
     div,
     is_exact,
+    to_floats,
     v_add,
     v_dot,
     v_norm_sq,
@@ -54,6 +56,7 @@ from bibennett.families import (
     solve_bar_tau,
 )
 from bibennett.limits import (
+    label_check,
     prismatic_limit_AB,
     prismatic_limit_C,
     pyramidal_limit,
@@ -443,15 +446,33 @@ _VECTOR = st.tuples(_COORD, _COORD, _COORD)
        _VECTOR.filter(any))
 def test_half_turn_images_follow_the_formulas(points, directions, b, l):
     # ints and Fractions give the formulas' Fractions; their floats give the
-    # formulas' floats, bit for bit
+    # formulas' floats, bit for bit; the line goes over one denominator
     for conv in (lambda x: x, float):
         args = [[tuple(map(conv, v)) for v in vs]
                 for vs in (points, directions, [b], [l])]
-        *images, n = HalfTurn((v_scale(2, args[2][0]), args[3][0]),
-                              1).images(args[0], args[1], 1)
+        line, den = clear_denominators([v_scale(2, args[2][0]), args[3][0]])
+        *images, n = HalfTurn(tuple(line), den).images(args[0], args[1], 1)
         got = [tuple(div(x, n) for x in v) for v in images[0] + images[1]]
         assert _typed_bits(got) == _typed_bits(
             _reference_half_turn(args[0], args[1], args[2][0], args[3][0]))
+
+
+def test_half_turn_line_is_ints_over_an_int_den_or_floats():
+    # a Fraction line gave images a Fraction denominator, on which
+    # label_check's one_denominator raised TypeError in math.lcm
+    bib = pyramidal_limit(make_family_b(F(2, 3), F(1, 2),
+                                        validate(F(1, 2), F(1, 3), 0)))
+    cp = coupled_pose(bib, F(3, 4))
+    assert label_check(cp, TOL).verdict
+    line, den = cp.delta.line, cp.delta.den
+    with pytest.raises(ValueError, match="line"):
+        label_check(replace(cp, delta=HalfTurn(
+            tuple(coordinates(v, den) for v in line), 1)), TOL)
+    for bad_den in (F(den), float(den)):
+        with pytest.raises(ValueError, match="line"):
+            HalfTurn(line, bad_den)
+    floats = HalfTurn(tuple(to_floats(v, den) for v in line), 1)
+    assert label_check(replace(cp, delta=floats), TOL).verdict
 
 
 @pytest.mark.parametrize("conv", (F, float))

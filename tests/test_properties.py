@@ -9,7 +9,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bibennett.algebra import TOL, v_add, v_dot, v_norm_sq, v_sub
+from bibennett.algebra import (
+    TOL,
+    DegenerateResultantError,
+    resultant_tau_bar,
+    v_add,
+    v_dot,
+    v_norm_sq,
+    v_sub,
+)
 from bibennett.bennett import (
     AXIS_LABELS,
     PLANAR_CASES,
@@ -25,6 +33,7 @@ from bibennett.families import (
     BiBennett,
     CoupledPose,
     ExcludedBranchError,
+    Loop,
     MuSet,
     NoRealBranchError,
     NoRealFamilyError,
@@ -35,6 +44,7 @@ from bibennett.families import (
     bar_tau_squared,
     coupled_pose,
     coupling_quartic,
+    diagonal_rational,
     family_c,
     make_family_a,
     make_family_b,
@@ -542,6 +552,75 @@ def test_halfturn_angle_entries_equal_their_formulas(params, s, branch):
             types = {type(value) for value in entries.values()}
             assert types == ({F, float} if isinstance(cp.tau_bar, float)
                              else {F}), types
+
+
+# ---------------------------------------------------------------------------
+# the 13-condition oracle, by value, against its eliminant over Fractions
+# ---------------------------------------------------------------------------
+
+def _loop_as(loop, conv):
+    """``loop`` with ``conv`` applied to its design's scalars and offsets."""
+    design = replace(loop.design, **{name: conv(v) for name, v
+                                     in vars(loop.design).items()})
+    return Loop(design, MuSet(*map(conv, loop.mu.as_tuple())))
+
+
+def _reference_oracle(loop, bar_loop):
+    """The oracle's thirteen values on exact loops, all over Fractions: the
+    differences of their quads' sides, then resultant_tau_bar of the two
+    coupling forms N(tau) Mbar(tau_bar) - Nbar(tau_bar) M(tau) built from
+    the Fraction coefficients of diagonal_rational."""
+    sides = [part.quad(F(1, 3)).side_sq() for part in (loop, bar_loop)]
+    forms = []
+    for which in (0, 1):
+        (num, den), (bar_num, bar_den) = (diagonal_rational(part, which)
+                                          for part in (loop, bar_loop))
+        forms.append([[num[i] * bar_den[j] - bar_num[j] * den[i]
+                       for j in range(3)] for i in range(3)])
+    try:
+        coeffs = resultant_tau_bar(*forms)
+    except DegenerateResultantError:
+        coeffs = [0] * 9
+    return [s - b for s, b in zip(*sides)] + coeffs
+
+
+@st.composite
+def _oracle_inputs(draw):
+    """(build, eps, conv): ``build()`` gives an exact coupling of family A,
+    B or C (C on a conic chord), k = 0 or not, or raises ValueError on an
+    excluded draw; the companion's first offset moves by ``eps`` (0 or
+    not), and ``conv`` (Fraction or float) makes both loops' scalars."""
+    a1, a2, mu1, mu2 = draw(_POSITIVE), draw(_POSITIVE), draw(_OFFSET), draw(
+        _OFFSET)
+    k = draw(st.one_of(st.just(F(0)), _POSITIVE))
+    chord, s = draw(_CHORDS), draw(_SIGN)
+    build = draw(st.sampled_from((
+        lambda: _exact_family_a(a1, a2, mu1, k),
+        lambda: make_family_b(mu1, mu2, validate(a1, a2, k)),
+        lambda: family_c(validate(*chord[:3]), *chord[3:5], s, -1))))
+    eps = draw(st.one_of(st.just(0), _OFFSET))
+    return build, eps, draw(st.sampled_from((F, float)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_oracle_inputs())
+def test_oracle_values_equal_the_fraction_eliminant(inputs):
+    build, eps, conv = inputs
+    try:
+        bib = build()
+    except ValueError:
+        assume(False)
+    mu = bib.bar_mu
+    bar = Loop(bib.design, MuSet(mu.mu14 + eps, mu.mu12, mu.mu23, mu.mu34))
+    loop, bar = _loop_as(bib.loop(), conv), _loop_as(bar, conv)
+    report = necessary_conditions(loop, bar)
+    values = report.side_residuals + report.resultant_coeffs
+    assert all(type(v) in (int, Fraction) for v in values), values
+    # a float loop is read as the rationals its floats represent
+    assert list(values) == _reference_oracle(_loop_as(loop, F),
+                                             _loop_as(bar, F))
+    if eps:  # a moved offset leaves a nonzero eliminant to scale
+        assert any(report.resultant_coeffs), values
 
 
 # ---------------------------------------------------------------------------
