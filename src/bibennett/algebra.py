@@ -239,27 +239,31 @@ def nullspace_vector(rows, ncols):
 
 @lru_cache(maxsize=32)  # the appendix uses four node tuples
 def _inverse_vandermonde(nodes):
-    """Exact inverse of the Vandermonde matrix of ``nodes``, as row tuples:
-    row j gives coefficient j from the values at the nodes.  Float nodes are
-    taken at their exact binary values.  Built on first use, never at
-    import."""
+    """(rows, L): the exact inverse of the Vandermonde matrix of ``nodes``,
+    integer row tuples over one L, row j giving L times coefficient j from
+    the values at the nodes.  Float nodes are taken at their exact binary
+    values.  Built on first use, never at import."""
     n = len(nodes)
     m = [[Fraction(x) ** j for j in range(n)]
          + [Fraction(int(i == k)) for k in range(n)]
          for i, x in enumerate(nodes)]
     _row_reduce(m, n)
-    return tuple(tuple(row[n:]) for row in m)
+    scale = math.lcm(*(w.denominator for row in m for w in row[n:]))
+    return tuple(tuple(w.numerator * (scale // w.denominator) for w in row[n:])
+                 for row in m), scale
 
 
 def interpolate_polynomial(fun, degree: int, points):
     """Coefficients (ascending) of the degree-``degree`` polynomial matching
     ``fun`` on the first ``degree+1`` of ``points``, verified on the rest.
 
-    The coefficients are the exact inverse Vandermonde matrix of the first
-    ``degree+1`` points, built once per node tuple, times the values: exact
-    when ``fun`` returns exact scalars, and floats when it returns floats,
-    each weight rounded once by its product with a float value.  Raises
-    InterpolationNodeError on too few points or a repeated node.
+    The inverse Vandermonde matrix of the first ``degree+1`` points,
+    integers over one L built once per node tuple, times the values: exact
+    values meet over one denominator Y, give each coefficient as one
+    Fraction over L*Y and are checked in integers at each further point's
+    exact value; a float value makes every coefficient a float, each weight
+    n/L rounded as float(Fraction(n, L)) is, then by its product with the
+    value.  Too few points or a repeated node raise InterpolationNodeError.
     """
     xs = list(points)
     n = degree + 1
@@ -268,11 +272,22 @@ def interpolate_polynomial(fun, degree: int, points):
         raise InterpolationNodeError(
             f"degree {degree} needs {n} distinct points, got {nodes}")
     ys = [fun(x) for x in xs]
-    coeffs = [sum(w * y for w, y in zip(row, ys))
-              for row in _inverse_vandermonde(nodes)]
-    for x, y in zip(xs[n:], ys[n:]):
-        if sum(coeffs[j] * x ** j for j in range(n)) != y:
-            raise DegreeBoundError(f"function is not a degree-{degree} polynomial")
+    rows, scale = _inverse_vandermonde(nodes)
+    if any(isinstance(y, float) for y in ys):
+        coeffs = [sum(w / scale * y for w, y in zip(row, ys)) for row in rows]
+        wrong = any(sum(c * x ** j for j, c in enumerate(coeffs)) != y
+                    for x, y in zip(xs[n:], ys[n:]))
+    else:
+        den = math.lcm(*(y.denominator for y in ys))
+        values = [y.numerator * (den // y.denominator) for y in ys]
+        sums = [sum(map(operator.mul, row, values)) for row in rows]
+        coeffs = [Fraction(s, scale * den) for s in sums]
+        wrong = any(sum(s * a ** j * b ** (degree - j)
+                        for j, s in enumerate(sums)) != scale * v * b ** degree
+                    for x, v in zip(xs[n:], values[n:])
+                    for a, b in [x.as_integer_ratio()])
+    if wrong:
+        raise DegreeBoundError(f"function is not a degree-{degree} polynomial")
     return coeffs
 
 

@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from operator import mul, sub
+from operator import mul
 
 from .algebra import (
     TOL,
@@ -24,9 +24,6 @@ from .algebra import (
     det3,
     interpolate_polynomial,
     sylvester_resultant,
-    v_add,
-    v_scale,
-    v_sub,
 )
 from .bennett import BennettDesign, frame
 from .families import MuSet
@@ -87,47 +84,36 @@ def _cleared_drive(design, big_k, tau):
     return pose.points, pose.directions, weight
 
 
-def _cleared_determinant(drive, offsets, den):
-    """den^3 times the weighted coplanarity determinant of the quad at the
-    offsets ``offsets`` / ``den`` on the cleared ``drive``: the orientation
-    determinant of the points den*F + offset*r, integers on exact input,
-    times the drive's weight."""
-    anchors, directions, weight = drive
-    p14, p12, p23, p34 = (v_add(v_scale(den, point), v_scale(m, direction))
-                          for point, direction, m
-                          in zip(anchors, directions, offsets))
-    return det3(v_sub(p12, p14), v_sub(p23, p14), v_sub(p34, p14)) * weight
-
-
 def _expansion_forms(a1, a2):
     """The normalised coefficients c0 ... c4 of the exact design (a1, a2) as
     multilinear forms in the offsets: ``forms[k][mask]`` is the coefficient
     in c_k of the product of the offsets whose bits are set in ``mask``, bit
     i standing for offset i of (mu14, mu12, mu23, mu34).
 
-    Each anchor is one row of the 4x4 orientation determinant, so the
-    determinant is linear in each offset and its values at the 16 corners
-    {0, 1}^4 fix it.  Each corner is interpolated in tau (extra nodes
-    confirm the degree bound), and inclusion-exclusion over the corners
-    gives the coefficients."""
+    The anchors p_i = F_i + m_i*r_i are the rows (1, p_i) of the 4x4
+    orientation determinant, so the coefficient of the offsets in ``mask``
+    is that determinant with each row i in ``mask`` read as (0, r_i): the
+    sum over i not in ``mask`` of (-1)^i times the 3x3 minor of the other
+    rows, on the drive frame's integers, interpolated in tau (extra nodes
+    confirm the degree bound)."""
     if a1 * a2 * (a1 - a2) * (a1 + a2) == 0:
         raise StructuralFactorError(
             "a1*a2*(a1-a2)*(a1+a2) must be nonzero to normalise the expansion")
     design = BennettDesign(a1, a2, Fraction(1))
     big_k = design.transmission()
     taus = _TAU_NODES + _TAU_CHECKS
-    drives = {tau: _cleared_drive(design, big_k, tau) for tau in taus}
-    n = [interpolate_polynomial(
-        lambda tau: _cleared_determinant(
-            drives[tau], [mask >> i & 1 for i in range(4)], 1), 4, taus)
-        for mask in range(16)]
-    for bit in (1, 2, 4, 8):
-        for mask in range(16):
-            if mask & bit:
-                n[mask] = list(map(sub, n[mask], n[mask ^ bit]))
+    values = {}
+    for tau in taus:
+        anchors, directions, weight = _cleared_drive(design, big_k, tau)
+        values[tau] = [weight * sum(
+            (-1) ** i * det3(*((directions if mask >> j & 1 else anchors)[j]
+                               for j in range(4) if j != i))
+            for i in range(4) if not mask >> i & 1) for mask in range(16)]
     lam = -((1 + a1 * a1) ** 2) * (1 + a2 * a2) ** 2 * (a1 - a2) ** 2
     scales = (lam / (a1 + a2) ** 2, -lam / (a1 * a2 * (a1 + a2)), lam,
               -lam / (a1 * a2 * (a1 - a2)), lam / (a1 - a2) ** 2)
+    n = [interpolate_polynomial(lambda tau: values[tau][mask], 4, taus)
+         for mask in range(16)]
     return tuple([scale * coeffs[k] for coeffs in n]
                  for k, scale in enumerate(scales))
 
@@ -143,9 +129,8 @@ def coplanarity_coeffs(a1, a2, mu: MuSet) -> CoplanarityExpansion:
     mu = MuSet(*map(Fraction, mu.as_tuple()))
     monomials = [prod(m for i, m in enumerate(mu.as_tuple()) if mask >> i & 1)
                  for mask in range(16)]
-    c0, c1, c2, c3, c4 = (sum(map(mul, form, monomials))
-                          for form in _expansion_forms(a1, a2))
-    return CoplanarityExpansion(a1=a1, a2=a2, mu=mu, c0=c0, c1=c1, c2=c2, c3=c3, c4=c4)
+    return CoplanarityExpansion(a1, a2, mu, *(
+        sum(map(mul, form, monomials)) for form in _expansion_forms(a1, a2)))
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ def _gauss_jordan_interpolation(fun, degree, points):
     """Reference: the Vandermonde system of the first degree+1 points solved
     by Gauss-Jordan elimination with first-nonzero pivots."""
     n = degree + 1
-    m = [[x ** j for j in range(n)] + [fun(x)] for x in points[:n]]
+    m = [[F(x) ** j for j in range(n)] + [fun(x)] for x in points[:n]]
     for c in range(n):
         piv = next(r for r in range(c, n) if m[r][c] != 0)
         m[c], m[piv] = m[piv], m[c]
@@ -140,7 +140,19 @@ def _gauss_jordan_interpolation(fun, degree, points):
     return [row[n] for row in m]
 
 
+def _fraction_inverse(nodes):
+    """Reference: the inverse Vandermonde matrix of ``nodes`` as Fraction
+    rows; column k interpolates the values that are 1 at node k only."""
+    return list(zip(*(
+        _gauss_jordan_interpolation(lambda x, node=node: F(x == node),
+                                    len(nodes) - 1, nodes)
+        for node in nodes)))
+
+
 _RATIONAL = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+# int nodes (negative ones included) or Fraction nodes, and int or Fraction
+# coefficients, so that the values are ints where every term is one
+_SCALAR = st.one_of(st.integers(-20, 20), _RATIONAL)
 # the tau nodes, and the squared twists on and off the appendix's grid
 _APPENDIX_NODES = st.sampled_from(
     [_TAU_NODES + _TAU_CHECKS]
@@ -153,15 +165,15 @@ _INTERPOLATION_SETTINGS = settings(max_examples=120, deadline=None,
 @st.composite
 def _poly_and_nodes(draw):
     """(ascending coefficients of degree at most ``degree``, degree, nodes):
-    random distinct rational nodes with two checks, or an appendix tuple."""
+    random distinct nodes with two checks, or an appendix tuple."""
     if draw(st.booleans()):
         nodes = draw(_APPENDIX_NODES)
         degree = len(nodes) - 3
     else:
         degree = draw(st.integers(0, 6))
-        nodes = tuple(draw(st.lists(_RATIONAL, min_size=degree + 3,
-                                    max_size=degree + 3, unique=True)))
-    coeffs = draw(st.lists(_RATIONAL, min_size=degree + 1,
+        nodes = tuple(draw(st.lists(_SCALAR, min_size=degree + 3,
+                                    max_size=degree + 3, unique_by=F)))
+    coeffs = draw(st.lists(_SCALAR, min_size=degree + 1,
                            max_size=degree + 1))
     return coeffs, degree, nodes
 
@@ -178,18 +190,36 @@ def test_interpolation_matches_gauss_jordan(case, lead):
     reference = _gauss_jordan_interpolation(_evaluate(coeffs), degree, nodes)
     assert [(type(c), c) for c in got] == [(type(c), c) for c in reference]
     assert got == coeffs and all(type(c) is Fraction for c in got)
+    # the Fraction inverse times the values, as the integer rows over one
+    # denominator must give
+    inverse = _fraction_inverse(nodes[:degree + 1])
+    ys = [_evaluate(coeffs)(x) for x in nodes[:degree + 1]]
+    assert got == [sum(w * y for w, y in zip(row, ys)) for row in inverse]
     # float values meet the exact inverse, and each product rounds its
     # weight once: the same bits as a table of the inverse rounded once
     floats = interpolate_polynomial(
         lambda x: float(_evaluate(coeffs)(x)), degree, nodes[:degree + 1])
-    ys = [float(_evaluate(coeffs)(x)) for x in nodes[:degree + 1]]
-    rounded = [sum(float(w) * y for w, y in zip(row, ys))
-               for row in _inverse_vandermonde(nodes[:degree + 1])]
+    ys = [float(y) for y in ys]
+    rounded = [sum(float(w) * y for w, y in zip(row, ys)) for row in inverse]
     assert [c.hex() for c in floats] == [c.hex() for c in rounded]
     scale = max(1, *map(abs, coeffs))
     assert all(abs(c - e) <= 1e-6 * scale for c, e in zip(floats, coeffs))
+    # a polynomial of degree + 1 fails at the check nodes, and passes
+    # without them
+    higher = _evaluate(coeffs + [F(lead)])
+    interpolate_polynomial(higher, degree, nodes[:degree + 1])
     with pytest.raises(DegreeBoundError):
-        interpolate_polynomial(_evaluate(coeffs + [F(lead)]), degree, nodes)
+        interpolate_polynomial(higher, degree, nodes)
+
+
+def test_exact_values_at_float_nodes_use_the_nodes_exact_values():
+    # a degree-2 polynomial in the exact binary values of the float nodes,
+    # confirmed at the exact value of the check node 0.7
+    got = interpolate_polynomial(lambda x: F(x) ** 2 + F(1, 3), 2,
+                                 [0.1, 0.2, 0.3, 0.7])
+    assert got == [F(1, 3), 0, 1] and all(type(c) is F for c in got)
+    with pytest.raises(DegreeBoundError):
+        interpolate_polynomial(lambda x: F(x) ** 3, 2, [0.1, 0.2, 0.3, 0.7])
 
 
 def test_interpolation_node_errors_come_before_the_inverse():

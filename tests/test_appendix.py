@@ -17,7 +17,6 @@ from bibennett.appendix import (
     _TWISTS,
     StructuralFactorError,
     ZeroPolynomialError,
-    _cleared_determinant,
     _cleared_drive,
     _curve_entry,
     _equal_offsets_gaps,
@@ -44,8 +43,12 @@ from bibennett.appendix import (
 from bibennett.algebra import (
     DegreeBoundError,
     clear_denominators,
+    det3,
     interpolate_polynomial,
     sylvester_resultant,
+    v_add,
+    v_scale,
+    v_sub,
 )
 from bibennett.bennett import BennettDesign, frame
 from bibennett.families import MuSet, points_on_axes
@@ -260,6 +263,42 @@ _TWIST = st.builds(F, st.integers(-40, 40).filter(bool), st.integers(1, 30))
 _OFFSET_OR_ZERO = st.one_of(st.just(F(0)), _OFFSET)
 
 
+def _cleared_determinant(drive, offsets, den):
+    """Reference: den^3 times the weighted coplanarity determinant of the
+    quad at the offsets ``offsets`` / ``den`` on the cleared ``drive``, the
+    orientation determinant of the points den*F + offset*r (integers on
+    exact input) times the drive's weight."""
+    anchors, directions, weight = drive
+    p14, p12, p23, p34 = (v_add(v_scale(den, point), v_scale(m, direction))
+                          for point, direction, m
+                          in zip(anchors, directions, offsets))
+    return det3(v_sub(p12, p14), v_sub(p23, p14), v_sub(p34, p14)) * weight
+
+
+def _corner_forms(a1, a2):
+    """Reference: the expansion forms of (a1, a2) from the determinant's
+    values at the 16 offset corners {0, 1}^4, each interpolated in tau, and
+    inclusion-exclusion over the corners; normalised as the
+    CoplanarityExpansion docstring states."""
+    design = BennettDesign(a1, a2, F(1))
+    big_k = design.transmission()
+    taus = _TAU_NODES + _TAU_CHECKS
+    drives = {tau: _cleared_drive(design, big_k, tau) for tau in taus}
+    n = [interpolate_polynomial(
+        lambda tau: _cleared_determinant(
+            drives[tau], [mask >> i & 1 for i in range(4)], 1), 4, taus)
+        for mask in range(16)]
+    for bit in (1, 2, 4, 8):
+        for mask in range(16):
+            if mask & bit:
+                n[mask] = [x - y for x, y in zip(n[mask], n[mask ^ bit])]
+    lam = -((1 + a1 * a1) ** 2) * (1 + a2 * a2) ** 2 * (a1 - a2) ** 2
+    scales = (lam / (a1 + a2) ** 2, -lam / (a1 * a2 * (a1 + a2)), lam,
+              -lam / (a1 * a2 * (a1 - a2)), lam / (a1 - a2) ** 2)
+    return tuple([scale * coeffs[k] for coeffs in n]
+                 for k, scale in enumerate(scales))
+
+
 def _tau_interpolation(a1, a2, mu):
     """Reference: c0 ... c4 at the offsets ``mu``, by interpolating in tau
     the cleared determinant at those offsets and normalising as the
@@ -308,6 +347,18 @@ def test_expansion_forms_match_the_tau_interpolation(a1, a2, offsets):
     exp = coplanarity_coeffs(a1, a2, MuSet(*offsets))
     assert _typed((exp.c0, exp.c1, exp.c2, exp.c3, exp.c4)) == _typed(
         _tau_interpolation(a1, a2, MuSet(*offsets)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_TWIST, _TWIST)
+def test_expansion_forms_match_the_corner_construction(a1, a2):
+    # each coefficient read as signed minors of the drive frame equals the
+    # corner values undone by inclusion-exclusion, by value and as a Fraction
+    assume(a1 * a2 * (a1 - a2) * (a1 + a2) != 0)
+    got = appendix._expansion_forms(a1, a2)
+    assert type(got) is tuple and all(type(form) is list for form in got)
+    assert [_typed(form) for form in got] == [
+        _typed(form) for form in _corner_forms(a1, a2)]
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
