@@ -253,40 +253,55 @@ def _inverse_vandermonde(nodes):
                  for row in m), scale
 
 
+def _inverse(points, degree):
+    """``_inverse_vandermonde`` of the first degree+1 points, if distinct."""
+    nodes = tuple(points[:degree + 1])
+    if len(nodes) <= degree or len(set(nodes)) <= degree:
+        raise InterpolationNodeError(
+            f"degree {degree} needs {degree + 1} distinct points, got {nodes}")
+    return _inverse_vandermonde(nodes)
+
+
+def interpolate_integers(columns, degree: int, points):
+    """(coefficients, L): for each list in ``columns`` of int values at
+    ``points``, the ascending coefficients of the degree-``degree``
+    polynomial through the first degree+1 of them, integers over one L > 0
+    (the inverse Vandermonde rows times the values), checked in integers at
+    each further point's exact value (else DegreeBoundError)."""
+    rows, scale = _inverse(points, degree)
+    checks = [x.as_integer_ratio() for x in points[degree + 1:]]
+    coeffs = [[sum(map(operator.mul, row, values)) for row in rows]
+              for values in columns]
+    if any(sum(s * a ** j * b ** (degree - j) for j, s in enumerate(sums))
+           != scale * v * b ** degree for sums, values in zip(coeffs, columns)
+           for (a, b), v in zip(checks, values[degree + 1:])):
+        raise DegreeBoundError(f"values are not of degree {degree}")
+    return coeffs, scale
+
+
 def interpolate_polynomial(fun, degree: int, points):
     """Coefficients (ascending) of the degree-``degree`` polynomial matching
     ``fun`` on the first ``degree+1`` of ``points``, verified on the rest.
 
-    The inverse Vandermonde matrix of the first ``degree+1`` points,
-    integers over one L built once per node tuple, times the values: exact
-    values meet over one denominator Y, give each coefficient as one
-    Fraction over L*Y and are checked in integers at each further point's
-    exact value; a float value makes every coefficient a float, each weight
-    n/L rounded as float(Fraction(n, L)) is, then by its product with the
-    value.  Too few points or a repeated node raise InterpolationNodeError.
+    Exact values meet over one denominator Y and go through
+    ``interpolate_integers``, each coefficient one Fraction over L*Y.  A
+    float value makes every coefficient a float, each weight n/L rounded as
+    float(Fraction(n, L)) is, then by its product with the value, and a
+    further point's gap passes by ``tolerance_of`` times the largest
+    |value|.  Too few points or a repeated node raise InterpolationNodeError.
     """
     xs = list(points)
-    n = degree + 1
-    nodes = tuple(xs[:n])
-    if len(nodes) < n or len(set(nodes)) < n:
-        raise InterpolationNodeError(
-            f"degree {degree} needs {n} distinct points, got {nodes}")
+    rows, scale = _inverse(xs, degree)
     ys = [fun(x) for x in xs]
-    rows, scale = _inverse_vandermonde(nodes)
-    if any(isinstance(y, float) for y in ys):
-        coeffs = [sum(w / scale * y for w, y in zip(row, ys)) for row in rows]
-        wrong = any(sum(c * x ** j for j, c in enumerate(coeffs)) != y
-                    for x, y in zip(xs[n:], ys[n:]))
-    else:
+    if not any(isinstance(y, float) for y in ys):
         den = math.lcm(*(y.denominator for y in ys))
-        values = [y.numerator * (den // y.denominator) for y in ys]
-        sums = [sum(map(operator.mul, row, values)) for row in rows]
-        coeffs = [Fraction(s, scale * den) for s in sums]
-        wrong = any(sum(s * a ** j * b ** (degree - j)
-                        for j, s in enumerate(sums)) != scale * v * b ** degree
-                    for x, v in zip(xs[n:], values[n:])
-                    for a, b in [x.as_integer_ratio()])
-    if wrong:
+        (sums,), scale = interpolate_integers(
+            [[y.numerator * (den // y.denominator) for y in ys]], degree, xs)
+        return [Fraction(s, scale * den) for s in sums]
+    coeffs = [sum(w / scale * y for w, y in zip(row, ys)) for row in rows]
+    gaps = [sum(c * x ** j for j, c in enumerate(coeffs)) - y
+            for x, y in zip(xs[degree + 1:], ys[degree + 1:])]
+    if any(abs(g) > tolerance_of(g, TOL) * max(map(abs, ys)) for g in gaps):
         raise DegreeBoundError(f"function is not a degree-{degree} polynomial")
     return coeffs
 

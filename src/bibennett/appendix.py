@@ -4,10 +4,10 @@ A coupling whose two tubes are related by a reflection would force the four
 moving anchor points to stay coplanar for every drive parameter.  Expanding
 that coplanarity determinant in the drive half-tangent gives five coefficient
 conditions whose case analysis rules every candidate out.  This module
-recomputes the expansion with rational arithmetic and re-derives each step of
-the case analysis in exact arithmetic, labelling every entry of the
-resulting report with its argument's strength: a polynomial identity, exact
-evaluation at fixed twists, or a whole-curve proof by exact root counts.
+recomputes the expansion and each step of the case analysis on integers,
+labelling every entry of the report with its argument's strength: a
+polynomial identity, exact evaluation at fixed twists, or a whole-curve
+proof by exact root counts.
 """
 
 from __future__ import annotations
@@ -15,16 +15,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
-from operator import mul
+from math import gcd, lcm, prod
+from operator import mul, sub
 
-from .algebra import (
-    TOL,
-    DegreeBoundError,
-    det3,
-    interpolate_polynomial,
-    sylvester_resultant,
-)
+from .algebra import (TOL, DegreeBoundError, interpolate_integers,
+                      one_denominator, sylvester_resultant)
 from .bennett import BennettDesign, frame
 from .families import MuSet
 from .properties import CertificateReport, ResidualEntry
@@ -40,16 +35,14 @@ class ZeroPolynomialError(ValueError):
     every point."""
 
 
-# Interpolation nodes for the degree-4 drive polynomial hidden inside the
-# coplanarity determinant, plus extra points that confirm the degree bound.
-_TAU_NODES = (
-    Fraction(1, 2),
-    Fraction(1, 3),
-    Fraction(2),
-    Fraction(3),
-    Fraction(5, 7),
-)
+# Nodes of the degree-4 drive polynomial, and checks of the degree bound.
+_TAU_NODES = tuple(map(Fraction, ("1/2", "1/3", "2", "3", "5/7")))
 _TAU_CHECKS = (Fraction(9, 10), Fraction(4, 5))
+
+# Laplace by rows 0, 1: their 2x2 minor in each column pair of _TOP times
+# that of rows 2, 3 in the complementary pair of _BOTTOM, which holds the sign.
+_TOP = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_BOTTOM = ((2, 3), (3, 1), (1, 2), (0, 3), (2, 0), (0, 1))
 
 
 @dataclass(frozen=True)
@@ -75,62 +68,62 @@ class CoplanarityExpansion:
     c4: Fraction
 
 
-def _cleared_drive(design, big_k, tau):
-    """(anchors, directions, weight) of the drive frame at ``tau``: the
-    pose's integers over its D, and the weight (tau^2 + K^2)(1 + tau^2) /
-    D^3, which clears the coplanarity determinant's denominator in tau."""
-    pose = frame(design, tau)
-    weight = (tau * tau + big_k * big_k) * (1 + tau * tau) / pose.den ** 3
-    return pose.points, pose.directions, weight
-
-
 def _expansion_forms(a1, a2):
-    """The normalised coefficients c0 ... c4 of the exact design (a1, a2) as
-    multilinear forms in the offsets: ``forms[k][mask]`` is the coefficient
-    in c_k of the product of the offsets whose bits are set in ``mask``, bit
-    i standing for offset i of (mu14, mu12, mu23, mu34).
+    """(forms, den): c0 ... c4 of the exact design (a1, a2) as multilinear
+    forms in the offsets over one den: ``forms[k][mask]`` / den is the
+    coefficient in c_k of the product of the offsets whose bits are set in
+    ``mask``, bit i standing for offset i of (mu14, mu12, mu23, mu34).
 
     The anchors p_i = F_i + m_i*r_i are the rows (1, p_i) of the 4x4
     orientation determinant, so the coefficient of the offsets in ``mask``
-    is that determinant with each row i in ``mask`` read as (0, r_i): the
-    sum over i not in ``mask`` of (-1)^i times the 3x3 minor of the other
-    rows, on the drive frame's integers, interpolated in tau (extra nodes
-    confirm the degree bound)."""
-    if a1 * a2 * (a1 - a2) * (a1 + a2) == 0:
+    is that determinant with each row i in ``mask`` read as (0, r_i), on
+    the drive frame's integers, times (tau^2 + K^2)(1 + tau^2) / D^3; the
+    tau nodes' values meet over one integer and are interpolated at once."""
+    (n1, d1), (n2, d2) = a1.as_integer_ratio(), a2.as_integer_ratio()
+    u, r = d1 * d2, n1 * n2  # r = u*a1*a2, minus and plus u*(a1 -+ a2)
+    minus, plus = n1 * d2 - n2 * d1, n1 * d2 + n2 * d1
+    if r * minus * plus == 0:
         raise StructuralFactorError(
             "a1*a2*(a1-a2)*(a1+a2) must be nonzero to normalise the expansion")
     design = BennettDesign(a1, a2, Fraction(1))
-    big_k = design.transmission()
-    taus = _TAU_NODES + _TAU_CHECKS
-    values = {}
-    for tau in taus:
-        anchors, directions, weight = _cleared_drive(design, big_k, tau)
-        values[tau] = [weight * sum(
-            (-1) ** i * det3(*((directions if mask >> j & 1 else anchors)[j]
-                               for j in range(4) if j != i))
-            for i in range(4) if not mask >> i & 1) for mask in range(16)]
-    lam = -((1 + a1 * a1) ** 2) * (1 + a2 * a2) ** 2 * (a1 - a2) ** 2
-    scales = (lam / (a1 + a2) ** 2, -lam / (a1 * a2 * (a1 + a2)), lam,
-              -lam / (a1 * a2 * (a1 - a2)), lam / (a1 - a2) ** 2)
-    n = [interpolate_polynomial(lambda tau: values[tau][mask], 4, taus)
-         for mask in range(16)]
-    return tuple([scale * coeffs[k] for coeffs in n]
-                 for k, scale in enumerate(scales))
+    kn, kd = design.transmission().as_integer_ratio()
+    groups = []
+    for tau in _TAU_NODES + _TAU_CHECKS:
+        pose, (p, q) = frame(design, tau), tau.as_integer_ratio()
+        rows = [((1, *point), (0, *direction))
+                for point, direction in zip(pose.points, pose.directions)]
+        top, bottom = ([[x[c] * y[e] - x[e] * y[c] for c, e in pairs]
+                        for y in rows[j + 1] for x in rows[j]]
+                       for j, pairs in ((0, _TOP), (2, _BOTTOM)))
+        weight = ((p * kd) ** 2 + (kn * q) ** 2) * (q * q + p * p)
+        groups.append(([[weight * sum(map(
+            mul, top[mask & 3], bottom[mask >> 2]))
+            for mask in range(16)]], (q * q * kd) ** 2 * pose.den ** 3))
+    values, den = one_denominator(groups)
+    coeffs, scale = interpolate_integers(list(zip(*values)), 4,
+                                         _TAU_NODES + _TAU_CHECKS)
+    # c_k is lam (CoplanarityExpansion), over u^6, / its factor, over u^2
+    lam = -((d1 * d1 + n1 * n1) * (d2 * d2 + n2 * n2) * minus) ** 2
+    printed = (plus * plus, -r * plus, u * u, -r * minus, minus * minus)
+    big = lcm(*printed)
+    forms = [[lam * (big // f) * n[k] for n in coeffs]
+             for k, f in enumerate(printed)]
+    den *= u ** 4 * big * scale
+    g = gcd(den, *(x for f in forms for x in f))
+    return tuple([x // g for x in f] for f in forms), den // g
 
 
 def coplanarity_coeffs(a1, a2, mu: MuSet) -> CoplanarityExpansion:
-    """Normalised quartic coefficients of the coplanarity determinant.
-
-    Works with the scale factor pinned to one; requires the structural factor
-    ``a1*a2*(a1-a2)*(a1+a2)`` to be nonzero.  Float parameters are first
-    converted to the rationals they represent.
-    """
+    """Normalised quartic coefficients of the coplanarity determinant, with
+    the scale pinned to one; the structural factor ``a1*a2*(a1-a2)*(a1+a2)``
+    must be nonzero.  Floats are taken at the rationals they represent."""
     a1, a2 = Fraction(a1), Fraction(a2)
     mu = MuSet(*map(Fraction, mu.as_tuple()))
     monomials = [prod(m for i, m in enumerate(mu.as_tuple()) if mask >> i & 1)
                  for mask in range(16)]
+    forms, den = _expansion_forms(a1, a2)
     return CoplanarityExpansion(a1, a2, mu, *(
-        sum(map(mul, form, monomials)) for form in _expansion_forms(a1, a2)))
+        sum(map(mul, form, monomials)) / den for form in forms))
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +133,14 @@ def coplanarity_coeffs(a1, a2, mu: MuSet) -> CoplanarityExpansion:
 def splitting_f1(a1, a2, mu_product):
     """First splitting factor of the odd expansion coefficients, a function of
     the product of the two outer anchor offsets."""
-    return (1 + a1 * a1) * (1 + a2 * a2) * mu_product + (
-        a1 * a1 * a2 * a2 + 3 * a1 * a1 - a2 * a2 + 1
-    )
+    return ((1 + a1 * a1) * (1 + a2 * a2) * mu_product
+            + a1 * a1 * a2 * a2 + 3 * a1 * a1 - a2 * a2 + 1)
 
 
 def splitting_f2(a1, a2, mu_product):
     """Second splitting factor; the mirror of :func:`splitting_f1`."""
-    return (1 + a1 * a1) * (1 + a2 * a2) * mu_product + (
-        a1 * a1 * a2 * a2 + 3 * a2 * a2 - a1 * a1 + 1
-    )
+    return ((1 + a1 * a1) * (1 + a2 * a2) * mu_product
+            + a1 * a1 * a2 * a2 + 3 * a2 * a2 - a1 * a1 + 1)
 
 
 def quartic_g1(a1, a2):
@@ -169,11 +160,9 @@ def quartic_g3(a1, a2):
 
 
 def constrained_mu_product(a1, a2, swapped: bool):
-    """Offset product forced by the vanishing of one splitting factor.
-
-    The direct case kills :func:`splitting_f2`; the index-swapped case kills
-    :func:`splitting_f1` and is obtained by exchanging the twist roles.
-    """
+    """Offset product forced by the vanishing of one splitting factor: the
+    direct case kills :func:`splitting_f2`, the index-swapped case (the
+    twist roles exchanged) :func:`splitting_f1`."""
     factor = splitting_f1 if swapped else splitting_f2
     return -factor(a1, a2, 0) / ((1 + a1 * a1) * (1 + a2 * a2))
 
@@ -182,28 +171,30 @@ def constrained_case_polynomials(a1, a2, swapped: bool):
     """The two even polynomials of degree 4 (in the one remaining free
     offset x) whose simultaneous vanishing the constrained case would
     require: ascending coefficients of x^2 times the constant and the
-    quadratic expansion coefficients.  Float twists are first converted to
-    the rationals they represent.
-    """
+    quadratic expansion coefficients.  Float twists are taken at the
+    rationals they represent."""
     a1, a2 = Fraction(a1), Fraction(a2)
-    return _constrained_polynomials(_expansion_forms(a1, a2), a1, a2, swapped)
+    polys, den = _constrained_polynomials(_expansion_forms(a1, a2), a1, a2,
+                                          swapped)
+    return tuple([Fraction(c, den) for c in poly] for poly in polys)
 
 
 def _constrained_polynomials(forms, a1, a2, swapped):
-    """:func:`constrained_case_polynomials` read off the expansion forms of
+    """(polys, den): :func:`constrained_case_polynomials` off the forms of
     (a1, a2).  The offsets are x, x, P/x, P/x (direct) or P/x, x, x, P/x
-    (swapped) for the forced product P, so a monomial of a form with i
-    offsets x and j offsets P/x adds its coefficient times P^j to the
-    coefficient of x^(2+i-j)."""
-    forced = constrained_mu_product(a1, a2, swapped)
+    (swapped) for the forced P = n/d, so a monomial with i offsets x and j
+    P/x adds n^j d^(2-j) times its coefficient to that of x^(2+i-j)."""
+    (c0, _, c2, _, _), den = forms
+    n, d = constrained_mu_product(a1, a2, swapped).as_integer_ratio()
+    powers = (d * d, n * d, n * n)
     over_x = 0b1001 if swapped else 0b1100  # the offsets P/x
     polys = ([0] * 5, [0] * 5)
     for mask in range(16):
         j = (mask & over_x).bit_count()
         power = 2 + mask.bit_count() - 2 * j
-        for poly, form in zip(polys, (forms[0], forms[2])):
-            poly[power] += form[mask] * forced ** j
-    return polys
+        polys[0][power] += c0[mask] * powers[j]
+        polys[1][power] += c2[mask] * powers[j]
+    return polys, den * d * d
 
 
 def constrained_resultant_target(a1, a2, swapped: bool):
@@ -212,17 +203,10 @@ def constrained_resultant_target(a1, a2, swapped: bool):
     polynomials (roles exchanged in the swapped case)."""
     if swapped:
         a1, a2 = a2, a1
-    value = (
-        2 ** 36
-        * a1 ** 16
-        * a2 ** 8
-        * (a1 * a1 + 1) ** 8
-        * (a2 * a2 + 1) ** 4
-        * (a1 * a1 - a2 * a2) ** 4
-        * quartic_g1(a1, a2) ** 4
-        * quartic_g2(a1, a2) ** 4
-        * quartic_g3(a1, a2) ** 4
-    )
+    value = (2 ** 36 * a1 ** 16 * a2 ** 8 * (a1 * a1 + 1) ** 8
+             * (a2 * a2 + 1) ** 4 * (a1 * a1 - a2 * a2) ** 4
+             * quartic_g1(a1, a2) ** 4 * quartic_g2(a1, a2) ** 4
+             * quartic_g3(a1, a2) ** 4)
     return value / ((1 + a1 * a1) ** 16 * (1 + a2 * a2) ** 8)
 
 
@@ -231,27 +215,29 @@ def constrained_resultant_target(a1, a2, swapped: bool):
 # ---------------------------------------------------------------------------
 
 def _poly_rem(num, den):
-    num = list(num)
+    """A positive multiple, without content, of the remainder of ``num`` by
+    ``den`` (integer ascending coefficients): each step scales by lead^2."""
+    lead = den[-1]
     while len(num) >= len(den):
-        factor = num[-1] / den[-1]
-        shift = len(num) - len(den)
+        factor, shift = lead * num[-1], len(num) - len(den)
+        num = [lead * lead * c for c in num]
         for i, c in enumerate(den):
             num[shift + i] -= factor * c
         num.pop()
         while num and num[-1] == 0:
             num.pop()
-    return num
+    content = gcd(*num)
+    return [c // content for c in num]
 
 
 def count_positive_roots(poly) -> int:
     """Number of distinct real roots of ``poly`` (ascending coefficients) in
-    the open interval (0, oo), via a Sturm chain.
-
-    Float coefficients are taken at their exact rational values, so the
-    count is exact for the polynomial the floats denote.  Raises
-    ZeroPolynomialError on the zero polynomial, every point of which is a
-    root."""
-    p = [Fraction(c) for c in poly]
+    (0, oo), by a Sturm chain on integers: floats are taken at their exact
+    values, so the count is exact for the polynomial they denote.  Raises
+    ZeroPolynomialError on the zero polynomial, which vanishes everywhere."""
+    ratios = [c.as_integer_ratio() for c in poly]
+    den = lcm(*(d for _, d in ratios))
+    p = [n * (den // d) for n, d in ratios]
     while p and p[-1] == 0:
         p.pop()
     if not p:
@@ -266,24 +252,17 @@ def count_positive_roots(poly) -> int:
         if not rem:
             break
         chain.append([-c for c in rem])
-
-    def variations(signs):
-        signs = [s for s in signs if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-    at_zero = variations(
-        [next((1 if c > 0 else -1) for c in q if c != 0) for q in chain]
-    )
-    at_inf = variations([1 if q[-1] > 0 else -1 for q in chain])
+    at_zero, at_inf = (sum(a != b for a, b in zip(signs, signs[1:])) for signs
+                       in ([next(c > 0 for c in q if c) for q in chain],
+                           [q[-1] > 0 for q in chain]))
     return at_zero - at_inf
 
 
 def count_real_roots(poly) -> int:
     """Number of distinct nonzero real roots of an even polynomial given by
-    ascending coefficients."""
+    ascending coefficients: +/- pairs from positive roots of its even part."""
     if any(c != 0 for c in poly[1::2]):
         raise ValueError("expected an even polynomial")
-    # Real offsets come in +/- pairs from positive roots of the even part.
     return 2 * count_positive_roots(list(poly[0::2]))
 
 
@@ -292,52 +271,55 @@ def count_real_roots(poly) -> int:
 # ---------------------------------------------------------------------------
 
 # The twists (a1, a2) at which every entry reads the expansion forms: a
-# 5 x 5 grid, on which each identity entry's gaps vanish and the even part
-# of each constrained polynomial is interpolated in (A, B) = (a1^2, a2^2),
-# then off-grid twists, one with a negative a1 and one with a negative a2,
-# that confirm the degree bounds.
+# 5 x 5 grid, on which each identity entry's gaps vanish and each even part
+# is interpolated in (A, B) = (a1^2, a2^2), then two off-grid twists, one
+# with a negative a1 and one with a negative a2, that confirm the bounds.
 _TWISTS = tuple((Fraction(n1), Fraction(1, n2))
                 for n1 in range(1, 6) for n2 in range(2, 7)) + (
     (Fraction(-6), Fraction(1, 7)), (Fraction(7), Fraction(-1, 8)))
 _TWIST_DEGREE = 4
 
 # The resultant-factor curves as (numerator, denominator) of A and of B,
-# linear in a parameter t that covers the whole curve as t runs over
-# (0, oo): the second factor vanishes on B = A/(A+2) (A = t), the third on
-# B = (A-1)/(A+3) (A = 1 + t, where B > 0).  On a curve, a polynomial of
-# degree 4 in A and in B has degree at most 8 in t: nine nodes fix it.
-_CURVES = {
-    "second": lambda t: ((t, 1), (t, t + 2)),
-    "third": lambda t: ((1 + t, 1), (t, t + 4)),
-}
+# linear in t, covered whole as t runs over (0, oo): the second factor
+# vanishes on B = A/(A+2) (A = t), the third on B = (A-1)/(A+3) (A = 1 + t).
+# Degree 4 in A and in B gives degree at most 8 in t: nine nodes fix it.
+_CURVES = {"second": lambda t: ((t, 1), (t, t + 2)),
+           "third": lambda t: ((1 + t, 1), (t, t + 4))}
 _CURVE_NODES = tuple(range(1, 2 * _TWIST_DEGREE + 2))
 
 
 def _gap_entry(label, table, gaps):
     """An entry whose value is the largest |gap| over ``table`` ({(a1, a2):
     the expansion forms or the constrained polynomials of that twist}):
-    ``gaps(a1, a2, twist_table)`` lists the gaps at one twist.
+    ``gaps(a1, a2, twist_table)`` lists the gaps at one twist over one den.
 
-    An ``[identity]`` entry rests on a degree bound: the coefficients of c0
-    and c4 have degree at most 4 in a1 and in a2, those of c1 and c3 at most
-    3, so each gap of the forms, printed side included, is a polynomial of
-    degree at most 4 in a1 and in a2 (the splitting difference and the first
-    quartic have degree at most 2).  Zeros on the 5 x 5 grid of ``_TWISTS``
-    then prove it zero, and the off-grid twists confirm the bound.  An
-    ``[exact]`` entry claims only the 27 listed twists.
-    """
-    worst = max(abs(gap) for (a1, a2), twist_table in table.items()
-                for gap in gaps(a1, a2, twist_table))
+    An ``[identity]`` entry rests on a degree bound: c0 and c4 have degree
+    at most 4 in a1 and in a2, c1 and c3 at most 3, so each gap of the
+    forms, printed side included, has degree at most 4 in a1 and in a2 (the
+    splitting difference and the first quartic at most 2); zeros on the
+    5 x 5 grid of ``_TWISTS`` prove it zero, and the off-grid twists confirm
+    the bound.  An ``[exact]`` entry claims only the 27 listed twists."""
+    worst = max(Fraction(max(map(abs, numerators)), den) for twist, t in
+                table.items() for numerators, den in [gaps(*twist, t)])
     return ResidualEntry(label, worst, TOL)
+
+
+def _minus(values, den, targets):
+    """(gaps, D): ``values`` / ``den`` minus ``targets``, over one lcm D."""
+    ratios = [target.as_integer_ratio() for target in targets]
+    big = lcm(den, *(d for _, d in ratios))
+    return [v * (big // den) - n * (big // d)
+            for v, (n, d) in zip(values, ratios)], big
 
 
 def _offset_split_gaps(a1, a2, forms):
     """c0 - c4 = -16*a1*a2*(a1-a2)*(a1+a2)*(mu14*mu23 - mu12*mu34), by
     coefficient in the offsets."""
+    (c0, _, _, _, c4), den = forms
     scale = 16 * a1 * a2 * (a1 - a2) * (a1 + a2)
     target = {0b0101: -scale, 0b1010: scale}
-    return [c0 - c4 - target.get(mask, 0)
-            for mask, (c0, c4) in enumerate(zip(forms[0], forms[4]))]
+    return _minus(map(sub, c0, c4), den,
+                 [target.get(mask, 0) for mask in range(16)])
 
 
 def _odd_factor_gaps(a1, a2, forms):
@@ -347,52 +329,62 @@ def _odd_factor_gaps(a1, a2, forms):
         mu12*(c1 - c3) = 16*a2*(mu12 + mu23)*(mu14 - mu12)*f1(mu14*mu23)
         mu12*(c1 + c3) = 16*a1*(mu12 - mu23)*(mu14 + mu12)*f2(mu14*mu23)
     """
-    gaps = []
+    (_, c1, _, c3, _), den = forms
+    poly, printed = defaultdict(int), defaultdict(int)
     for sign, a, factor in ((1, a2, splitting_f1), (-1, a1, splitting_f2)):
-        poly = defaultdict(int)
-        for mask, (c1, c3) in enumerate(zip(forms[1], forms[3])):
+        for mask, (x, y) in enumerate(zip(c1, c3)):
             b14, b12, b23, b34 = (mask >> i & 1 for i in range(4))
-            poly[b14 + b34, 1 + b12 - b34, b23 + b34] += c1 - sign * c3
+            poly[sign, b14 + b34, 1 + b12 - b34, b23 + b34] += x - sign * y
         # (mu12 + sign*mu23)*(mu14 - sign*mu12) times beta + alpha*mu14*mu23
-        beta = factor(a1, a2, 0)
-        alpha = factor(a1, a2, 1) - beta
+        beta = 16 * a * factor(a1, a2, 0)
+        alpha = 16 * a * factor(a1, a2, 1) - beta
         for (i, j, k), c in (((1, 1, 0), 1), ((0, 2, 0), -sign),
                              ((1, 0, 1), sign), ((0, 1, 1), -1)):
-            poly[i, j, k] -= 16 * a * c * beta
-            poly[i + 1, j, k + 1] -= 16 * a * c * alpha
-        gaps += poly.values()
-    return gaps
+            printed[sign, i, j, k] += c * beta
+            printed[sign, i + 1, j, k + 1] += c * alpha
+    keys = poly.keys() | printed.keys()
+    return _minus([poly[key] for key in keys], den,
+                 [printed[key] for key in keys])
 
 
 def _equal_offsets_gaps(a1, a2, forms):
-    """With all offsets equal to m, c4 is the factor
-    4*a1^2*a2^2*m^2*(a1^2 - a2^2) up to this module's normalisation (-4),
-    which cannot vanish for a valid design with a nonzero offset; by
-    coefficient of m^k, the sum of c4's coefficients over masks of k bits."""
+    """With all offsets m, c4 is -4 * 4*a1^2*a2^2*m^2*(a1^2 - a2^2), nonzero
+    for a valid design and offset; by coefficient of m^k, the sum of c4's
+    coefficients over masks of k bits."""
+    (*_, c4), den = forms
     sums = [0] * 5
-    for mask, c4 in enumerate(forms[4]):
-        sums[mask.bit_count()] += c4
-    sums[2] += 16 * a1 * a1 * a2 * a2 * (a1 * a1 - a2 * a2)
-    return sums
+    for mask, c in enumerate(c4):
+        sums[mask.bit_count()] += c
+    return _minus(sums, den, [0, 0, -16 * a1 * a1 * a2 * a2
+                             * (a1 * a1 - a2 * a2), 0, 0])
 
 
 def _splitting_difference_gaps(a1, a2, _):
     """f1 - f2 = 4*(a1^2 - a2^2) at the offset products m = 0 and m = 1; both
     sides are linear in m."""
     return [splitting_f1(a1, a2, m) - splitting_f2(a1, a2, m)
-            - 4 * (a1 * a1 - a2 * a2) for m in (0, 1)]
+            - 4 * (a1 * a1 - a2 * a2) for m in (0, 1)], 1
 
 
 def _first_quartic_gaps(a1, a2, _):
-    """quartic_g1 - 1 = (a1*a2)^2 + 2*a2^2, a sum of squares, so
-    quartic_g1 >= 1."""
-    return [quartic_g1(a1, a2) - 1 - (a1 * a2) ** 2 - 2 * a2 * a2]
+    """quartic_g1 - 1 = (a1*a2)^2 + 2*a2^2, a sum of squares: g1 >= 1."""
+    return [quartic_g1(a1, a2) - 1 - (a1 * a2) ** 2 - 2 * a2 * a2], 1
 
 
 def _odd_offset_gaps(a1, a2, polys):
-    """The odd coefficients of the constrained polynomial p0 in the offset
-    x, which vanish when p0 is even in x."""
-    return polys[0][1::2]
+    """The odd coefficients of p0 in the offset x: zero when p0 is even."""
+    (p0, _), den = polys
+    return p0[1::2], den
+
+
+def _resultant_gaps(a1, a2, polys, swapped):
+    """Res(p0, p2) of the numerators over den^(m+n), m and n their degrees,
+    minus the printed ``constrained_resultant_target``."""
+    (p0, p2), den = polys
+    size = sum(max((i for i, c in enumerate(p) if c), default=0)
+               for p in (p0, p2))
+    return _minus([int(sylvester_resultant(p0, p2))], den ** size,
+                  [constrained_resultant_target(a1, a2, swapped)])
 
 
 def _evaluate_squares(poly, a, b):
@@ -406,49 +398,51 @@ def _evaluate_squares(poly, a, b):
 
 
 def _fit_squares(values, degree):
-    """Coefficient grids poly[i][j] of A^i B^j (i, j <= ``degree``) of the
-    polynomials in (A, B) taking the value lists of ``values`` ({(A, B):
-    list}).  The first (degree+1)^2 keys form a tensor grid, on which the
-    polynomials are interpolated exactly; each further key confirms them,
-    and a disagreement raises DegreeBoundError."""
-    points = list(values)
-    size = (degree + 1) ** 2
+    """(grids, den): coefficient grids poly[i][j] of A^i B^j (i, j <=
+    ``degree``) over one den of the polynomials in (A, B) taking the values
+    of ``values`` ({(A, B) as ratios ((n_a, d_a), (n_b, d_b)): (list, its
+    den)}).  The first (degree+1)^2 keys form a tensor grid, interpolated in
+    A, then in B; each further key confirms the fit (else DegreeBoundError)."""
+    n, points = degree + 1, list(values)
     a_nodes, b_nodes = (tuple(dict.fromkeys(axis))
-                        for axis in zip(*points[:size]))
-    fits = []
-    for k in range(len(values[points[0]])):
-        rows = {b: interpolate_polynomial(lambda a: values[a, b][k], degree,
-                                          a_nodes) for b in b_nodes}
-        fits.append([interpolate_polynomial(lambda b: rows[b][i], degree,
-                                            b_nodes)
-                     for i in range(degree + 1)])
-    if any([_evaluate_squares(p, (a, 1), (b, 1)) for p in fits] != values[a, b]
-           for a, b in points[size:]):
+                        for axis in zip(*points[:n * n]))
+    grid, den = one_denominator([([values[p][0]], values[p][1])
+                                 for p in points[:n * n]])
+    at = dict(zip(points, grid))
+    rows, scale_a = interpolate_integers(
+        [[at[a, b][k] for a in a_nodes] for k in range(len(grid[0]))
+         for b in b_nodes], degree, [Fraction(*a) for a in a_nodes])
+    cols, scale_b = interpolate_integers(
+        [c for k in range(0, len(rows), n) for c in zip(*rows[k:k + n])],
+        degree, [Fraction(*b) for b in b_nodes])
+    fits, den = [cols[k:k + n] for k in range(0, len(cols), n)], (
+        den * scale_a * scale_b)
+    if any(_evaluate_squares(p, a, b) * values[a, b][1]
+           != v * (a[1] * b[1]) ** degree * den
+           for a, b in points[n * n:] for p, v in zip(fits, values[a, b][0])):
         raise DegreeBoundError(f"values are not of degree {degree} in A, B")
-    return fits
+    return fits, den
 
 
 def _even_part(polys, swapped):
-    """Coefficient grids of e0, e1 and e2 for the constrained polynomial p0
-    of one case, from ``polys`` ({(a1, a2): (p0, p2)}, in ``_TWISTS``
-    order).
+    """(grids, den): coefficient grids of e0, e1 and e2 for the constrained
+    polynomial p0 of one case, from ``polys`` ({(a1, a2): ((p0, p2), den)},
+    in ``_TWISTS`` order).
 
-    p0 is even in the offset x (``_odd_offset_gaps``), so
-    p0 = (e0 + e1*y + e2*y^2) / W with y = x^2 and the weight
-    W = (1+A)^2 (1+B) in the direct case and (1+A) (1+B)^2 in the swapped
-    one, (A, B) = (a1^2, a2^2).  Parity: p0 is unchanged under a1 -> -a1
-    and under a2 -> -a2, so each e_k is a function of (A, B).  Degree
-    bound: each e_k is a polynomial of degree at most 4 in A and at most 4
-    in B.  The e_k are interpolated once on the 5 x 5 grid of the twists,
-    and the off-grid twists, one with a negative a1 and one with a negative
-    a2, confirm the bound and the parity (else DegreeBoundError).
-    """
+    p0 is even in the offset x (``_odd_offset_gaps``), so p0 = (e0 + e1*y +
+    e2*y^2) / W with y = x^2 and W = (1+A)^2 (1+B) (direct) or (1+A) (1+B)^2
+    (swapped), (A, B) = (a1^2, a2^2).  p0 is unchanged under a1 -> -a1 and
+    under a2 -> -a2, so each e_k is a polynomial in (A, B), of degree at
+    most 4 in each: interpolated on the 5 x 5 grid of the twists, confirmed
+    (bound and parity) at the off-grid twists, else DegreeBoundError."""
     values = {}
-    for (a1, a2), (p0, _) in polys.items():
-        big_a, big_b = a1 * a1, a2 * a2
-        weight = ((1 + big_a) * (1 + big_b)
-                  * (1 + (big_b if swapped else big_a)))
-        values[big_a, big_b] = [weight * c for c in p0[0::2]]
+    for (a1, a2), ((p0, _), den) in polys.items():
+        (n1, d1), (n2, d2) = a1.as_integer_ratio(), a2.as_integer_ratio()
+        one_a, one_b = d1 * d1 + n1 * n1, d2 * d2 + n2 * n2  # (1+A)*d1^2
+        weight = one_a * one_b * (one_b if swapped else one_a)
+        values[(n1 * n1, d1 * d1), (n2 * n2, d2 * d2)] = (
+            [weight * c for c in p0[0::2]],
+            den * (d1 * d2) ** 2 * (d2 * d2 if swapped else d1 * d1))
     return _fit_squares(values, _TWIST_DEGREE)
 
 
@@ -456,24 +450,24 @@ def _curve_entry(label, even, curve, swapped):
     """Proof that along a whole resultant-factor curve the constrained
     polynomial keeps no nonzero real offset root.
 
-    On the curve, each coefficient of the even part ``even`` times the
-    curve's positive denominators is a polynomial q_k of degree at most 8 in
-    the curve parameter t > 0 (the swapped case exchanges A and B).  If at
-    least one q_k is not identically zero, none that is has a root in
-    (0, oo) (a Sturm count), and all these share the sign of q_k(1), the
-    sum of the coefficients, then e0 + e1*y + e2*y^2 has that sign for
-    every y > 0 at every point of the curve (Descartes' rule of signs), so
-    no real offset x = +-sqrt(y) is a root.  On the second curve all three
-    keep one sign; on the third e0 and e1 vanish identically.
+    On the curve, each coefficient of the even part ``even`` (grids over a
+    positive den) times den and the curve's positive denominators is a
+    polynomial q_k of degree at most 8 in its parameter t > 0 (swapped: A
+    and B exchanged).  If some q_k is not identically zero, none that is
+    has a root in (0, oo) (Sturm), and all share the sign of q_k(1), then
+    e0 + e1*y + e2*y^2 has that sign for every y > 0 along the curve
+    (Descartes' rule of signs): no real offset x = +-sqrt(y) is a root.  On
+    the second curve all three keep one sign; on the third e0 and e1 vanish.
     """
 
     def on_curve(poly, t):
         a, b = curve(t)
         return _evaluate_squares(poly, *((b, a) if swapped else (a, b)))
 
-    polys = [q for q in (interpolate_polynomial(
-        lambda t: on_curve(poly, t), 2 * _TWIST_DEGREE, _CURVE_NODES)
-        for poly in even) if any(q)]
+    coeffs, _ = interpolate_integers(
+        [[on_curve(poly, t) for t in _CURVE_NODES] for poly in even],
+        2 * _TWIST_DEGREE, _CURVE_NODES)
+    polys = [q for q in coeffs if any(q)]
     proved = (len({sum(q) > 0 for q in polys}) == 1
               and not any(map(count_positive_roots, polys)))
     return ResidualEntry(label, 0 if proved else 1, TOL)
@@ -482,42 +476,33 @@ def _curve_entry(label, even, curve, swapped):
 def verify_nonexistence() -> CertificateReport:
     """Run the full case analysis ruling out plane-symmetric couplings.
 
-    Each report entry is tagged with its argument strength: ``identity`` for
-    polynomial identities (resting on the degree bounds of ``_gap_entry``
-    and ``_even_part``), ``exact`` for exact evaluation at the 27 twists of
-    ``_TWISTS`` only, and ``curve proof`` for exact root counts along a
-    whole constraint curve.  Every entry but a curve proof is the largest
-    gap over the expansion forms or the constrained polynomials of each
-    twist, which a call builds once.  Every value is exact, and nothing is
-    drawn at random.
+    Each entry is tagged with its argument strength: ``identity`` for
+    polynomial identities (on the degree bounds of ``_gap_entry`` and
+    ``_even_part``), ``exact`` for exact evaluation at the 27 ``_TWISTS``
+    only, and ``curve proof`` for exact root counts along a whole curve.
+    Every other entry is the largest gap over the expansion forms or the
+    constrained polynomials of each twist, built once per call on integers
+    over one denominator.  Every value is exact; nothing is random.
     """
     forms = {twist: _expansion_forms(*twist) for twist in _TWISTS}
     polys = {s: {t: _constrained_polynomials(forms[t], *t, s) for t in _TWISTS}
              for s in (False, True)}
     tags = {False: "direct", True: "swapped"}
     entries = [
-        _gap_entry("offset product split [identity]", forms,
-                   _offset_split_gaps),
-        _gap_entry("odd coefficient factors [identity]", forms,
-                   _odd_factor_gaps),
-        _gap_entry("splitting difference [identity]", forms,
-                   _splitting_difference_gaps),
-        _gap_entry("equal offsets coefficient [identity]", forms,
-                   _equal_offsets_gaps),
-        _gap_entry("first quartic positive [identity]", forms,
-                   _first_quartic_gaps),
-        *(_gap_entry(
-            f"resultant factorisation {tag} [exact]", polys[s],
-            lambda a1, a2, p: [sylvester_resultant(*p)
-                               - constrained_resultant_target(a1, a2, s)])
+        *(_gap_entry(f"{name} [identity]", forms, gaps) for name, gaps in (
+            ("offset product split", _offset_split_gaps),
+            ("odd coefficient factors", _odd_factor_gaps),
+            ("splitting difference", _splitting_difference_gaps),
+            ("equal offsets coefficient", _equal_offsets_gaps),
+            ("first quartic positive", _first_quartic_gaps))),
+        *(_gap_entry(f"resultant factorisation {tag} [exact]", polys[s],
+                     lambda a1, a2, p: _resultant_gaps(a1, a2, p, s))
           for s, tag in tags.items()),
         *(_gap_entry(f"constrained polynomial {tag} [identity]", polys[s],
                      _odd_offset_gaps) for s, tag in tags.items()),
     ]
-    even = {s: _even_part(polys[s], s) for s in tags}
-    for name, curve in _CURVES.items():
-        for s, tag in tags.items():
-            entries.append(_curve_entry(
-                f"{name} quartic roots {tag} [curve proof]", even[s], curve,
-                s))
+    even = {s: _even_part(polys[s], s)[0] for s in tags}
+    entries += [_curve_entry(f"{name} quartic roots {tag} [curve proof]",
+                             even[s], curve, s)
+                for name, curve in _CURVES.items() for s, tag in tags.items()]
     return CertificateReport("plane-symmetric non-existence", tuple(entries))

@@ -14,6 +14,7 @@ from bibennett.algebra import (
     _inverse_vandermonde,
     clear_denominators,
     fit_rational,
+    interpolate_integers,
     interpolate_polynomial,
     is_exact,
     mat_mul,
@@ -210,6 +211,46 @@ def test_interpolation_matches_gauss_jordan(case, lead):
     interpolate_polynomial(higher, degree, nodes[:degree + 1])
     with pytest.raises(DegreeBoundError):
         interpolate_polynomial(higher, degree, nodes)
+
+
+@_INTERPOLATION_SETTINGS
+@given(st.lists(st.floats(-100, 100), min_size=3, max_size=3),
+       st.integers(-9, 9).filter(bool))
+def test_float_values_pass_their_check_nodes(coeffs, lead):
+    # a float quadratic sampled at the tau nodes: the two check nodes pass
+    # within TOL of the largest value, where an exact != failed almost
+    # every draw; a cubic still fails them
+    def quadratic(x):
+        return sum(c * float(x) ** i for i, c in enumerate(coeffs))
+
+    nodes = _TAU_NODES
+    got = interpolate_polynomial(quadratic, 2, nodes)
+    assert got == interpolate_polynomial(quadratic, 2, nodes[:3])
+    scale = max(1, *map(abs, coeffs))
+    assert all(abs(c - e) <= 1e-9 * scale for c, e in zip(got, coeffs))
+    with pytest.raises(DegreeBoundError):
+        interpolate_polynomial(lambda x: quadratic(x) + lead * float(x) ** 3,
+                               2, nodes)
+
+
+def test_interpolate_integers_shares_one_denominator():
+    nodes = (F(1, 2), F(1, 3), F(2), F(5, 7))
+    polys = ([F(1, 3), F(-2), F(7, 5)], [4, 0, F(-1, 6)], [0, 0, 0])
+    den = 2 ** 3 * 3 ** 3 * 5 * 7 ** 3  # clears every value at the nodes
+
+    def column(poly):
+        return [int(den * sum(c * x ** i for i, c in enumerate(poly)))
+                for x in nodes]
+
+    coeffs, scale = interpolate_integers(list(map(column, polys)), 2, nodes)
+    assert scale > 0 and all(type(c) is int for q in coeffs for c in q)
+    assert [[F(c, scale * den) for c in q] for q in coeffs] == [
+        list(poly) for poly in polys]
+    cubic = [v + int(den * x ** 3) for v, x in zip(column(polys[0]), nodes)]
+    with pytest.raises(DegreeBoundError):
+        interpolate_integers([column(polys[1]), cubic], 2, nodes)
+    with pytest.raises(InterpolationNodeError):
+        interpolate_integers([[1, 2, 3]], 2, (F(1), F(2), F(1)))
 
 
 def test_exact_values_at_float_nodes_use_the_nodes_exact_values():

@@ -3,6 +3,8 @@
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd, prod
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -15,10 +17,11 @@ from bibennett.appendix import (
     _TAU_CHECKS,
     _TAU_NODES,
     _TWISTS,
+    CoplanarityExpansion,
     StructuralFactorError,
     ZeroPolynomialError,
-    _cleared_drive,
     _curve_entry,
+    _constrained_polynomials,
     _equal_offsets_gaps,
     _even_part,
     _first_quartic_gaps,
@@ -164,6 +167,31 @@ def test_sturm_root_counts_on_float_coefficients():
     assert count_positive_roots([0.25, -1.0, 1.0]) == 1
 
 
+def _times(poly, factor):
+    """The product of two ascending coefficient lists."""
+    out = [0] * (len(poly) + len(factor) - 1)
+    for i, x in enumerate(poly):
+        for j, y in enumerate(factor):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(st.builds(F, st.integers(-30, 30), st.integers(1, 9)),
+                max_size=6, unique=True),
+       st.integers(-4, 4).filter(bool), st.booleans(), st.booleans())
+def test_sturm_counts_each_positive_root_once(roots, lead, twice, complex_):
+    # lead * prod(x - r) over distinct rationals r (zero among them), one of
+    # them twice, times x^2 + 1: a negative lead flips every sign of the
+    # chain, which the integer remainders must keep
+    poly = [lead]
+    for r in roots + roots[:int(twice)]:
+        poly = _times(poly, [-r, 1])
+    if complex_:
+        poly = _times(poly, [1, 0, 1])
+    assert count_positive_roots(poly) == sum(1 for r in roots if r > 0)
+
+
 def test_zero_polynomial_has_no_root_count():
     with pytest.raises(ZeroPolynomialError):
         count_positive_roots([0, 0, 0])
@@ -179,18 +207,23 @@ def test_zero_polynomial_has_no_root_count():
 
 
 def _squares(terms):
-    """5 x 5 coefficient grid in (A, B) = (a1^2, a2^2) with the terms
-    {(i, j): coefficient of A^i B^j}."""
-    return [[F(terms.get((i, j), 0)) for j in range(5)] for i in range(5)]
+    """5 x 5 integer coefficient grid in (A, B) = (a1^2, a2^2) with the
+    terms {(i, j): coefficient of A^i B^j}."""
+    return [[terms.get((i, j), 0) for j in range(5)] for i in range(5)]
+
+
+def _grid_values(grids, den):
+    """The Fraction values of integer coefficient grids over ``den``."""
+    return [[[F(c, den) for c in row] for row in grid] for grid in grids]
 
 
 def test_zero_constrained_polynomial_fails_the_curve_proofs():
     # a zero p0 is even, so the identity entry holds, but every offset is a
     # root: no curve entry may pass
-    polys = dict.fromkeys(_TWISTS, ([F(0)] * 5, [F(0)] * 5))
+    polys = dict.fromkeys(_TWISTS, (([0] * 5, [0] * 5), 1))
     assert _gap_entry("zero", polys, _odd_offset_gaps).passed
     for swapped in (False, True):
-        even = _even_part(polys, swapped)
+        even, _ = _even_part(polys, swapped)
         for curve in _CURVES.values():
             assert _curve_entry("zero", even, curve, swapped).value == 1.0
 
@@ -227,9 +260,13 @@ def test_fit_squares_recovers_and_confirms_its_degree():
     checks = [(F(7), F(1, 8)), (F(9), F(3))]
 
     def values(fun):
-        return {(a, b): [fun(a, b), 3 * fun(a, b)] for a, b in grid + checks}
+        # each value list over its own denominator, keyed by integer ratios
+        return {(a.as_integer_ratio(), b.as_integer_ratio()):
+                ([v.numerator, 3 * v.numerator], v.denominator)
+                for a, b in grid + checks for v in [F(fun(a, b))]}
 
-    fit = _fit_squares(values(lambda a, b: a ** 4 * b - 2 * b ** 3 + 1), 4)
+    fit = _grid_values(*_fit_squares(
+        values(lambda a, b: a ** 4 * b - 2 * b ** 3 + 1), 4))
     assert fit[0] == _squares({(4, 1): 1, (0, 3): -2, (0, 0): 1})
     assert fit[1] == _squares({(4, 1): 3, (0, 3): -6, (0, 0): 3})
     with pytest.raises(DegreeBoundError):
@@ -239,10 +276,12 @@ def test_fit_squares_recovers_and_confirms_its_degree():
 
 
 def test_non_even_constrained_polynomial_fails_the_identity_entry():
-    polys = dict.fromkeys(_TWISTS, ([F(1), F(1), F(1), F(0), F(0)],
-                                    [F(0)] * 5))
+    polys = dict.fromkeys(_TWISTS, (([1, 1, 1, 0, 0], [0] * 5), 1))
     entry = _gap_entry("odd", polys, _odd_offset_gaps)
     assert entry.value == 1.0 and not entry.passed
+    # the gap is read over the twist's denominator
+    polys = dict.fromkeys(_TWISTS, (([1, 3, 1, 0, 0], [0] * 5), 4))
+    assert _gap_entry("odd", polys, _odd_offset_gaps).value == F(3, 4)
 
 
 def test_constrained_polynomial_is_even_in_the_offset_and_the_twists():
@@ -261,6 +300,16 @@ _OFFSET = st.builds(F, st.integers(-40, 40), st.integers(1, 30))
 
 _TWIST = st.builds(F, st.integers(-40, 40).filter(bool), st.integers(1, 30))
 _OFFSET_OR_ZERO = st.one_of(st.just(F(0)), _OFFSET)
+
+
+def _cleared_drive(design, big_k, tau):
+    """Reference: (anchors, directions, weight) of the drive frame at
+    ``tau``, the pose's integers over its D and the Fraction weight
+    (tau^2 + K^2)(1 + tau^2) / D^3 that clears the coplanarity
+    determinant's denominator in tau."""
+    pose = frame(design, tau)
+    weight = (tau * tau + big_k * big_k) * (1 + tau * tau) / pose.den ** 3
+    return pose.points, pose.directions, weight
 
 
 def _cleared_determinant(drive, offsets, den):
@@ -352,13 +401,16 @@ def test_expansion_forms_match_the_tau_interpolation(a1, a2, offsets):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_TWIST, _TWIST)
 def test_expansion_forms_match_the_corner_construction(a1, a2):
-    # each coefficient read as signed minors of the drive frame equals the
-    # corner values undone by inclusion-exclusion, by value and as a Fraction
+    # each coefficient read as minors of the drive frame equals the corner
+    # values undone by inclusion-exclusion: integers over one den in lowest
+    # terms
     assume(a1 * a2 * (a1 - a2) * (a1 + a2) != 0)
-    got = appendix._expansion_forms(a1, a2)
-    assert type(got) is tuple and all(type(form) is list for form in got)
-    assert [_typed(form) for form in got] == [
-        _typed(form) for form in _corner_forms(a1, a2)]
+    forms, den = appendix._expansion_forms(a1, a2)
+    assert type(forms) is tuple and all(type(form) is list for form in forms)
+    assert {type(c) for form in forms for c in form} == {int}
+    assert den > 0 and gcd(den, *(c for form in forms for c in form)) == 1
+    assert [[F(c, den) for c in form] for form in forms] == [
+        list(form) for form in _corner_forms(a1, a2)]
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -370,6 +422,114 @@ def test_constrained_polynomials_match_the_offset_interpolation(a1, a2,
     reference = _offset_interpolation(a1, a2, swapped)
     assert type(got) is tuple and all(type(p) is list for p in got)
     assert [_typed(p) for p in got] == [_typed(p) for p in reference]
+
+
+def _fraction_forms(a1, a2):
+    """Reference: the expansion forms as Fractions, as the suite built them
+    before it ran on integers: each tau node's signed 3x3 minors of the
+    drive frame times its Fraction weight, interpolated in tau mask by mask,
+    and scaled by lam over the printed factors."""
+    design = BennettDesign(a1, a2, F(1))
+    big_k = design.transmission()
+    taus = _TAU_NODES + _TAU_CHECKS
+    values = {}
+    for tau in taus:
+        anchors, directions, weight = _cleared_drive(design, big_k, tau)
+        values[tau] = [weight * sum(
+            (-1) ** i * det3(*((directions if mask >> j & 1 else anchors)[j]
+                               for j in range(4) if j != i))
+            for i in range(4) if not mask >> i & 1) for mask in range(16)]
+    lam = -((1 + a1 * a1) ** 2) * (1 + a2 * a2) ** 2 * (a1 - a2) ** 2
+    scales = (lam / (a1 + a2) ** 2, -lam / (a1 * a2 * (a1 + a2)), lam,
+              -lam / (a1 * a2 * (a1 - a2)), lam / (a1 - a2) ** 2)
+    n = [interpolate_polynomial(lambda tau: values[tau][mask], 4, taus)
+         for mask in range(16)]
+    return tuple([scale * coeffs[k] for coeffs in n]
+                 for k, scale in enumerate(scales))
+
+
+def _fraction_coeffs(a1, a2, mu):
+    """Reference: coplanarity_coeffs read off the Fraction forms."""
+    a1, a2 = F(a1), F(a2)
+    mu = MuSet(*map(F, mu.as_tuple()))
+    monomials = [prod(m for i, m in enumerate(mu.as_tuple()) if mask >> i & 1)
+                 for mask in range(16)]
+    return CoplanarityExpansion(a1, a2, mu, *(
+        sum(map(mul, form, monomials)) for form in _fraction_forms(a1, a2)))
+
+
+def _fraction_polynomials(forms, a1, a2, swapped):
+    """Reference: the constrained polynomials read off the Fraction forms,
+    each monomial with j offsets P/x adding its coefficient times P^j."""
+    forced = constrained_mu_product(a1, a2, swapped)
+    over_x = 0b1001 if swapped else 0b1100
+    polys = ([0] * 5, [0] * 5)
+    for mask in range(16):
+        j = (mask & over_x).bit_count()
+        power = 2 + mask.bit_count() - 2 * j
+        for poly, form in zip(polys, (forms[0], forms[2])):
+            poly[power] += form[mask] * forced ** j
+    return polys
+
+
+def _fraction_even_part(polys, swapped):
+    """Reference: the Fraction grids of e0, e1 and e2 from the Fraction
+    constrained polynomials p0 of the 5 x 5 grid twists, interpolated in
+    A = a1^2 at each B = a2^2, then in B."""
+    values = {}
+    for (a1, a2), (p0, _) in polys.items():
+        big_a, big_b = a1 * a1, a2 * a2
+        weight = ((1 + big_a) * (1 + big_b)
+                  * (1 + (big_b if swapped else big_a)))
+        values[big_a, big_b] = [weight * c for c in p0[0::2]]
+    a_nodes, b_nodes = (tuple(dict.fromkeys(axis))
+                        for axis in zip(*list(values)[:25]))
+    grids = []
+    for k in range(3):
+        rows = {b: interpolate_polynomial(lambda a: values[a, b][k], 4,
+                                          a_nodes) for b in b_nodes}
+        grids.append([interpolate_polynomial(lambda b: rows[b][i], 4,
+                                             b_nodes) for i in range(5)])
+    return grids
+
+
+# float twists and offsets of half precision, taken at their binary values
+_HALF = st.floats(-8, 8, width=16)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.one_of(_TWIST, _HALF), st.one_of(_TWIST, _HALF),
+       st.lists(st.one_of(_OFFSET_OR_ZERO, _HALF), min_size=4, max_size=4))
+def test_public_values_equal_the_fraction_construction(a1, a2, offsets):
+    b1, b2 = F(a1), F(a2)
+    assume(b1 * b2 * (b1 - b2) * (b1 + b2) != 0)
+    mu = MuSet(*offsets)
+    got, reference = coplanarity_coeffs(a1, a2, mu), _fraction_coeffs(a1, a2,
+                                                                       mu)
+    assert got == reference
+    assert _typed(vars(got).values()) == _typed(vars(reference).values())
+    forms = _fraction_forms(b1, b2)
+    for swapped in (False, True):
+        got = constrained_case_polynomials(a1, a2, swapped)
+        reference = _fraction_polynomials(forms, b1, b2, swapped)
+        assert type(got) is tuple and all(type(p) is list for p in got)
+        assert [_typed(p) for p in got] == [_typed(p) for p in reference]
+
+
+def test_even_parts_equal_the_fraction_construction(twist_forms):
+    # the suite's integer grids over one den, by value, against the grids
+    # interpolated on the Fraction forms of the same twists
+    fraction_forms = {twist: _fraction_forms(*twist) for twist in _TWISTS}
+    for swapped in (False, True):
+        polys = {twist: _constrained_polynomials(twist_forms[twist], *twist,
+                                                 swapped)
+                 for twist in _TWISTS}
+        grids, den = _even_part(polys, swapped)
+        assert den > 0 and {type(c) for g in grids for r in g for c in r} == {
+            int}
+        assert _grid_values(grids, den) == _fraction_even_part(
+            {twist: _fraction_polynomials(forms, *twist, swapped)
+             for twist, forms in fraction_forms.items()}, swapped)
 
 
 _GAP_ENTRIES = {"split": _offset_split_gaps, "odd": _odd_factor_gaps,
@@ -394,12 +554,19 @@ def _failing(forms):
                                         (4, {"split", "equal"})))
 def test_a_perturbed_form_fails_the_entries_that_read_it(twist_forms, twist,
                                                          k, failing):
+    # 1/1000 added to one coefficient of one form, over 1000 times its
+    # denominator: each entry that reads it fails by 1/1000, the largest gap
+    # the Fraction forms give
     assert _failing(twist_forms) == set()
     forms = dict(twist_forms)
-    perturbed = [list(form) for form in forms[twist]]
-    perturbed[k][0b0110] += F(1, 1000)
-    forms[twist] = tuple(perturbed)
+    ints, den = forms[twist]
+    perturbed = [[1000 * c for c in form] for form in ints]
+    perturbed[k][0b0110] += den
+    forms[twist] = tuple(perturbed), 1000 * den
     assert _failing(forms) == failing
+    for name in failing:
+        entry = _gap_entry(name, forms, _GAP_ENTRIES[name])
+        assert type(entry.value) is F and entry.value == F(1, 1000)
 
 
 def _largest_targets():

@@ -1,16 +1,22 @@
 """Source hygiene: no module of the package or of the tests imports a name
 it never uses, no public function, class, constant, method or property of
 the package is used only by the tests, neither the package's defaulted
-parameters nor its line count nor its calls of ``clear_denominators`` grow,
-and the package holds one tolerance constant and no other bound written as
-a scientific float literal.  The
+parameters nor its line count nor its calls of ``clear_denominators`` nor
+the ``Fraction`` constructions of a non-existence suite call grow, and the
+package holds one tolerance constant and no other bound written as a
+scientific float literal.  The
 package's ``__init__`` is exempt from the first two, since its imports are
 the public re-exports."""
 
 import ast
+import cProfile
+import fractions
+import pstats
 import re
 from collections import Counter
 from pathlib import Path
+
+from bibennett import verify_nonexistence
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -124,6 +130,24 @@ def test_clear_denominators_calls_do_not_grow():
              for path in sorted((ROOT / "src" / "bibennett").glob("*.py"))
              for line in _calls(path.read_text("utf-8"), "clear_denominators")]
     assert len(calls) <= MAX_CLEAR_DENOMINATORS_CALLS, calls
+
+
+# Fraction constructions (calls of Fraction.__new__, counted by cProfile) in
+# one warm verify_nonexistence() call.  The suite runs on integers from the
+# drive frames to its entries, so Fractions are built only by the frames'
+# kernel, the printed twist polynomials and the entries' values.  The count
+# may fall, never rise.
+MAX_SUITE_FRACTIONS = 12683
+
+
+def test_suite_fractions_do_not_grow():
+    verify_nonexistence()  # builds the cached inverse Vandermonde tables
+    profile = cProfile.Profile()
+    profile.runcall(verify_nonexistence)
+    built = sum(calls for (path, _, name), (_, calls, *_)
+                in pstats.Stats(profile).stats.items()
+                if path == fractions.__file__ and name == "__new__")
+    assert 0 < built <= MAX_SUITE_FRACTIONS, built
 
 
 def test_call_scan():
