@@ -317,24 +317,19 @@ def fit_rational(fun, num_deg: int, den_deg: int, points):
     need = num_deg + den_deg + 2
     xs = list(points)
     ys = [fun(x) for x in xs]
-    rows = []
-    for x, y in zip(xs[:need], ys[:need]):
-        rows.append([x ** i for i in range(num_deg + 1)]
-                    + [-y * x ** i for i in range(den_deg + 1)])
-    sol = nullspace_vector(rows, num_deg + den_deg + 2)
+    sol = nullspace_vector([[x ** i for i in range(num_deg + 1)]
+                            + [-y * x ** i for i in range(den_deg + 1)]
+                            for x, y in zip(xs[:need], ys[:need])], need)
     if sol is None:
         raise DegreeBoundError("no rational fit at the given degrees")
-    num = sol[:num_deg + 1]
-    den = sol[num_deg + 1:]
-    lead = next((c for c in reversed(den) if c != 0), None)
+    lead = next((c for c in reversed(sol[num_deg + 1:]) if c != 0), None)
     if lead is None:
         raise DegreeBoundError("vanishing denominator in rational fit")
-    num = [c / lead for c in num]
-    den = [c / lead for c in den]
+    num, den = ([c / lead for c in part]
+                for part in (sol[:num_deg + 1], sol[num_deg + 1:]))
     for x, y in zip(xs[need:], ys[need:]):
-        nv = sum(num[i] * x ** i for i in range(num_deg + 1))
-        dv = sum(den[i] * x ** i for i in range(den_deg + 1))
-        if nv != y * dv:
+        if (sum(c * x ** i for i, c in enumerate(num))
+                != y * sum(c * x ** i for i, c in enumerate(den))):
             raise DegreeBoundError(
                 f"function is not rational of degree ({num_deg},{den_deg})")
     return num, den

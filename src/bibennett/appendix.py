@@ -130,6 +130,49 @@ def coplanarity_coeffs(a1, a2, mu: MuSet) -> CoplanarityExpansion:
 # splitting polynomials and contradiction quartics
 # ---------------------------------------------------------------------------
 
+def _operators(combine):
+    """Forward and reflected :class:`_Ratio` operators from ``combine(n, d,
+    m, e)``, the unreduced pair of n/d op m/e, m/e an int or a Fraction."""
+
+    def forward(x, y):
+        m, e = (y.n, y.d) if type(y) is _Ratio else y.as_integer_ratio()
+        return _Ratio(*combine(x.n, x.d, m, e))
+
+    def reflected(x, y):  # y is not a _Ratio, else forward would have run
+        return _Ratio(*combine(*y.as_integer_ratio(), x.n, x.d))
+
+    return forward, reflected
+
+
+class _Ratio:
+    """An exact rational n/d (d nonzero, of either sign) kept unreduced: the
+    operators cross-multiply, and only ``as_integer_ratio`` runs a gcd, the
+    delayed reduction of Knuth (TAOCP Vol. 2, 4.5.1)."""
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n, d):
+        if not d:
+            raise ZeroDivisionError(f"{n}/0")
+        self.n, self.d = n, d
+
+    def as_integer_ratio(self):
+        g = gcd(self.n, self.d) if self.d > 0 else -gcd(self.n, self.d)
+        return self.n // g, self.d // g
+
+    __add__, __radd__ = _operators(lambda n, d, m, e: (n * e + m * d, d * e))
+    __sub__, __rsub__ = _operators(lambda n, d, m, e: (n * e - m * d, d * e))
+    __mul__, __rmul__ = _operators(lambda n, d, m, e: (n * m, d * e))
+    __truediv__, __rtruediv__ = _operators(lambda n, d, m, e: (n * e, d * m))
+
+    def __pow__(self, k):
+        n, d = (self.n, self.d) if k >= 0 else (self.d, self.n)
+        return _Ratio(n ** abs(k), d ** abs(k))
+
+    def __neg__(self):
+        return _Ratio(-self.n, self.d)
+
+
 def splitting_f1(a1, a2, mu_product):
     """First splitting factor of the odd expansion coefficients, a function of
     the product of the two outer anchor offsets."""
@@ -185,7 +228,8 @@ def _constrained_polynomials(forms, a1, a2, swapped):
     (swapped) for the forced P = n/d, so a monomial with i offsets x and j
     P/x adds n^j d^(2-j) times its coefficient to that of x^(2+i-j)."""
     (c0, _, c2, _, _), den = forms
-    n, d = constrained_mu_product(a1, a2, swapped).as_integer_ratio()
+    twist = (_Ratio(*a.as_integer_ratio()) for a in (a1, a2))
+    n, d = constrained_mu_product(*twist, swapped).as_integer_ratio()
     powers = (d * d, n * d, n * n)
     over_x = 0b1001 if swapped else 0b1100  # the offsets P/x
     polys = ([0] * 5, [0] * 5)
@@ -299,9 +343,14 @@ def _gap_entry(label, table, gaps):
     splitting difference and the first quartic at most 2); zeros on the
     5 x 5 grid of ``_TWISTS`` prove it zero, and the off-grid twists confirm
     the bound.  An ``[exact]`` entry claims only the 27 listed twists."""
-    worst = max(Fraction(max(map(abs, numerators)), den) for twist, t in
-                table.items() for numerators, den in [gaps(*twist, t)])
-    return ResidualEntry(label, worst, TOL)
+    worst = 0, 1
+    for twist, t in table.items():
+        numerators, den = gaps(*(_Ratio(*a.as_integer_ratio())
+                                 for a in twist), t)
+        top = max(map(abs, numerators))
+        if top * worst[1] > worst[0] * den:  # dens are positive
+            worst = top, den
+    return ResidualEntry(label, Fraction(*worst), TOL)
 
 
 def _minus(values, den, targets):
@@ -362,13 +411,13 @@ def _equal_offsets_gaps(a1, a2, forms):
 def _splitting_difference_gaps(a1, a2, _):
     """f1 - f2 = 4*(a1^2 - a2^2) at the offset products m = 0 and m = 1; both
     sides are linear in m."""
-    return [splitting_f1(a1, a2, m) - splitting_f2(a1, a2, m)
-            - 4 * (a1 * a1 - a2 * a2) for m in (0, 1)], 1
+    return _minus([0, 0], 1, [4 * (a1 * a1 - a2 * a2) - splitting_f1(a1, a2, m)
+                              + splitting_f2(a1, a2, m) for m in (0, 1)])
 
 
 def _first_quartic_gaps(a1, a2, _):
     """quartic_g1 - 1 = (a1*a2)^2 + 2*a2^2, a sum of squares: g1 >= 1."""
-    return [quartic_g1(a1, a2) - 1 - (a1 * a2) ** 2 - 2 * a2 * a2], 1
+    return _minus([1], 1, [quartic_g1(a1, a2) - (a1 * a2) ** 2 - 2 * a2 * a2])
 
 
 def _odd_offset_gaps(a1, a2, polys):
@@ -436,13 +485,11 @@ def _even_part(polys, swapped):
     most 4 in each: interpolated on the 5 x 5 grid of the twists, confirmed
     (bound and parity) at the off-grid twists, else DegreeBoundError."""
     values = {}
-    for (a1, a2), ((p0, _), den) in polys.items():
-        (n1, d1), (n2, d2) = a1.as_integer_ratio(), a2.as_integer_ratio()
-        one_a, one_b = d1 * d1 + n1 * n1, d2 * d2 + n2 * n2  # (1+A)*d1^2
-        weight = one_a * one_b * (one_b if swapped else one_a)
-        values[(n1 * n1, d1 * d1), (n2 * n2, d2 * d2)] = (
-            [weight * c for c in p0[0::2]],
-            den * (d1 * d2) ** 2 * (d2 * d2 if swapped else d1 * d1))
+    for twist, ((p0, _), den) in polys.items():
+        sq_a, sq_b = (_Ratio(*a.as_integer_ratio()) ** 2 for a in twist)
+        weight = (1 + sq_a) * (1 + sq_b) * (1 + (sq_b if swapped else sq_a))
+        values[(sq_a.n, sq_a.d), (sq_b.n, sq_b.d)] = (
+            [weight.n * c for c in p0[0::2]], den * weight.d)
     return _fit_squares(values, _TWIST_DEGREE)
 
 

@@ -17,19 +17,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .algebra import (
-    TOL,
-    coordinates,
-    det3,
-    div,
-    is_exact,
-    v_add,
-    v_cross,
-    v_dot,
-    v_norm_sq,
-    v_scale,
-    v_sub,
-)
+from .algebra import (TOL, coordinates, det3, div, is_exact, v_add, v_cross,
+                      v_dot, v_norm_sq, v_scale, v_sub)
 
 AXIS_LABELS = ((1, 4), (1, 2), (2, 3), (3, 4))
 
@@ -73,13 +62,21 @@ class BennettDesign:
     a2: object
     k: object
 
+    # built once per design, kept in its dict (``replace`` makes a new one);
+    # functools.cached_property would lock on each first read before 3.12
     def links(self):
         """The links (cos, sin, offset) of twist alpha_i and offset d_i."""
-        return _bennett_link(self.a1, self.k), _bennett_link(self.a2, self.k)
+        if "_links" not in self.__dict__:
+            self.__dict__["_links"] = (_bennett_link(self.a1, self.k),
+                                       _bennett_link(self.a2, self.k))
+        return self.__dict__["_links"]
 
     def transmission(self):
         """Constant product t_{1,2} t_{2,3} along the flex."""
-        return div(self.a1 + self.a2, self.a1 - self.a2)
+        if "_transmission" not in self.__dict__:
+            self.__dict__["_transmission"] = div(self.a1 + self.a2,
+                                                 self.a1 - self.a2)
+        return self.__dict__["_transmission"]
 
 
 def validate(a1, a2, k) -> BennettDesign:
@@ -152,13 +149,6 @@ def _bennett_link(a, k):
     return div(c, h), div(s, h), k * div(s, h)
 
 
-def _joint_half_tangents(design, tau):
-    if tau == 0:
-        raise PoleError(
-            "tau = 0 is a pole of the substitution t_{1,2} = K / tau")
-    return div(design.transmission(), tau), tau
-
-
 def loop_closure_residual(design, tau):
     """Max-abs deviation of the 8-factor chain product link1 J(t12) link2
     J(t23) link1 J(-t12) link2 J(-t23) from the identity.
@@ -168,8 +158,9 @@ def loop_closure_residual(design, tau):
     Exact input gives a Fraction.
     """
     exact, (l1, j12, l2, j23) = _kernel_factors(design, tau)
-    factors = (l1, j12, l2, j23, l1, _inverse_joint(j12), l2,
-               _inverse_joint(j23))
+    # J(-t): the joint factors of the opposite angles
+    inverse = [(kind, (c, -s, h)) for kind, (c, s, h) in (j12, j23)]
+    factors = (l1, j12, l2, j23, l1, inverse[0], l2, inverse[1])
     rows = []
     for row in _BASIS:
         for (_, apply), factor in factors:
@@ -278,12 +269,6 @@ _LINK = (_link_column, _link_row)
 _JOINT = (_joint_column, _joint_row)
 
 
-def _inverse_joint(joint):
-    """The joint factor of the opposite angle."""
-    kind, (c, s, h) = joint
-    return kind, (c, -s, h)
-
-
 _BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
@@ -301,7 +286,10 @@ def _apply_factors(factors, vectors):
 def _kernel_factors(design, tau):
     """Whether the chain of ``design`` at tau is exact, and its kernel
     factors (link1, J(t12), link2, J(t23)) as (kind, values) pairs."""
-    t12, t23 = _joint_half_tangents(design, tau)
+    if tau == 0:
+        raise PoleError(
+            "tau = 0 is a pole of the substitution t_{1,2} = K / tau")
+    t12, t23 = div(design.transmission(), tau), tau
     link1, link2 = design.links()
     exact = all(is_exact(v) for v in (*link1, *link2, t12, t23))
     return exact, ((_LINK, _link_factor(link1, exact)),

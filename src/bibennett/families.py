@@ -10,42 +10,17 @@ orientation-preserving isometry with a companion motion parameter tau_bar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import (
-    TOL,
-    DegenerateResultantError,
-    clear_denominators,
-    coordinates,
-    det3,
-    div,
-    is_exact,
-    one_denominator,
-    resultant_tau_bar,
-    sqrt_scalar,
-    to_floats,
-    v_add,
-    v_cross,
-    v_dist_sq,
-    v_dot,
-    v_norm_sq,
-    v_scale,
-    v_sub,
-)
-from .bennett import (
-    AXIS_INDEX,
-    AXIS_LABELS,
-    BennettDesign,
-    DegenerateQuadError,
-    PlanarDesign,
-    PoleError,
-    Pose,
-    frame,
-    symmetry_line,
-    validate,
-)
+from .algebra import (TOL, DegenerateResultantError, clear_denominators,
+                      coordinates, det3, div, is_exact, one_denominator,
+                      resultant_tau_bar, sqrt_scalar, to_floats, v_add,
+                      v_cross, v_dist_sq, v_dot, v_norm_sq, v_scale, v_sub)
+from .bennett import (AXIS_INDEX, AXIS_LABELS, BennettDesign,
+                      DegenerateQuadError, PlanarDesign, PoleError, Pose,
+                      frame, symmetry_line, validate)
 
 FAMILIES = ("A", "B", "C", "TrivialLineSym")
 
@@ -526,8 +501,9 @@ def coupled_pose(bib: BiBennett, tau) -> CoupledPose:
 
 def _exact_loop(loop: Loop) -> Loop:
     """Rationalize a loop's parameters; floats convert without rounding."""
-    scalars = {name: v for name, v in vars(loop.design).items()
-               if not isinstance(v, str)}  # PlanarDesign.case is a label
+    # fields, not the values a design caches; PlanarDesign.case is a label
+    scalars = {f.name: v for f in fields(loop.design)
+               if not isinstance(v := getattr(loop.design, f.name), str)}
     if not any(isinstance(v, float)
                for v in (*scalars.values(), *loop.mu.as_tuple())):
         return loop
@@ -633,16 +609,10 @@ def planar_bar_tau(bib: BiBennett, tau):
     target = bib.loop().quad(tau).diag_sq()[0]
     bnum, bden = diagonal_rational(bib.bar_loop(), 0)
     # bnum(tb)/bden(tb) = target  ->  quadratic in tb
-    roots = _real_quadratic_roots(
-        *(n - target * d for n, d in zip(bnum, bden)))
-    return sorted(roots, key=float, reverse=True)
-
-
-def _real_quadratic_roots(c0, c1, c2):
-    if c2 == 0:  # the diagonals are even in tau_bar, so c1 is 0 as well
-        return []
+    c0, c1, c2 = (n - target * d for n, d in zip(bnum, bden))
     disc = c1 * c1 - 4 * c2 * c0
-    if disc < 0:
+    if c2 == 0 or disc < 0:  # c2 = 0 makes c1 0: the diagonals are even
         return []
     root = sqrt_scalar(disc)
-    return [(-c1 + root) / (2 * c2), (-c1 - root) / (2 * c2)]
+    return sorted([(-c1 + root) / (2 * c2), (-c1 - root) / (2 * c2)],
+                  key=float, reverse=True)

@@ -20,6 +20,7 @@ from bibennett.appendix import (
     CoplanarityExpansion,
     StructuralFactorError,
     ZeroPolynomialError,
+    _Ratio,
     _curve_entry,
     _constrained_polynomials,
     _equal_offsets_gaps,
@@ -39,6 +40,7 @@ from bibennett.appendix import (
     count_real_roots,
     quartic_g1,
     quartic_g2,
+    quartic_g3,
     splitting_f1,
     splitting_f2,
     verify_nonexistence,
@@ -576,7 +578,8 @@ def _largest_targets():
             for swapped, tag in ((False, "direct"), (True, "swapped"))}
 
 
-# each mutant, and the largest gap of each entry it fails over the twists
+# each mutant, and the largest gap of each entry it fails over the twists;
+# the two last are pinned at the gaps the suite computes on Fraction twists
 _MUTANTS = {
     "splitting_f2": (
         lambda a1, a2, m: splitting_f2(a1, a2, m) + a1 * a2 * m,
@@ -588,6 +591,16 @@ _MUTANTS = {
         lambda a1, a2, swapped: 2 * constrained_resultant_target(a1, a2,
                                                                  swapped),
         _largest_targets),
+    "splitting_f1": (
+        lambda a1, a2, m: splitting_f1(a1, a2, m) + a1 * a2 * m,
+        lambda: {"odd coefficient factors [identity]": F(20),
+                 "splitting difference [identity]": F(5, 2)}),
+    "quartic_g2": (
+        lambda a1, a2: quartic_g2(a1, a2) + a1 * a2,
+        lambda: {"resultant factorisation direct [exact]": F(
+                     365992110928873862070845625000000000, 815730721),
+                 "resultant factorisation swapped [exact]": F(
+                     1469438827507579319966127266148188160, 28561)}),
 }
 
 
@@ -603,6 +616,62 @@ def test_a_mutant_fails_its_entry_by_its_largest_gap(monkeypatch, name):
         assert not entries[label].passed
         assert type(entries[label].value) is F
         assert entries[label].value == value
+
+
+# a twist as an int, or as (n, d) with d of either sign, such as 7 and
+# (-1, 8) or (1, -8); a splitting factor's offset product as an int or a
+# Fraction
+_RATIO_TWIST = st.one_of(st.integers(-12, 12), st.tuples(
+    st.integers(-40, 40), st.integers(-30, 30).filter(bool)))
+_PRODUCT = st.one_of(st.integers(-5, 5), _OFFSET)
+
+
+def _both(twist):
+    """(the scalar the printed polynomials take, its Fraction value)."""
+    if isinstance(twist, int):
+        return twist, F(twist)
+    return _Ratio(*twist), F(*twist)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_RATIO_TWIST, _RATIO_TWIST, _PRODUCT, st.booleans())
+def test_printed_polynomials_on_ratios_reduce_to_their_fraction_values(
+        t1, t2, product, swapped):
+    # each printed function, the two that divide included, gives on
+    # unreduced ratios, or on one ratio and one int, exactly the lowest
+    # terms of its Fraction value (two ints would divide as floats)
+    assume(not (isinstance(t1, int) and isinstance(t2, int)))
+    (r1, f1), (r2, f2) = _both(t1), _both(t2)
+    for name, ratio, fraction in (
+            ("f1", splitting_f1(r1, r2, product),
+             splitting_f1(f1, f2, product)),
+            ("f2", splitting_f2(r1, r2, product),
+             splitting_f2(f1, f2, product)),
+            ("g1", quartic_g1(r1, r2), quartic_g1(f1, f2)),
+            ("g2", quartic_g2(r1, r2), quartic_g2(f1, f2)),
+            ("g3", quartic_g3(r1, r2), quartic_g3(f1, f2)),
+            ("mu", constrained_mu_product(r1, r2, swapped),
+             constrained_mu_product(f1, f2, swapped)),
+            ("target", constrained_resultant_target(r1, r2, swapped),
+             constrained_resultant_target(f1, f2, swapped)),
+            # odd in each twist, so a negative denominator shows
+            ("odd", r1 * r2 / (1 + r1 * r1), f1 * f2 / (1 + f1 * f1))):
+        assert ratio.as_integer_ratio() == fraction.as_integer_ratio(), name
+
+
+def test_ratio_operators_follow_fraction():
+    x, y = _Ratio(3, -4), _Ratio(-2, -6)
+    for ratio, fraction in ((x + y, F(-5, 12)), (x - y, F(-13, 12)),
+                            (2 - x, F(11, 4)), (x * y, F(-1, 4)),
+                            (x / y, F(-9, 4)), (1 / x, F(-4, 3)),
+                            (-x, F(3, 4)), (x ** 3, F(-27, 64)),
+                            (y ** -2, F(9)), (x + F(1, 2), F(-1, 4)),
+                            (x ** 0, F(1)), (_Ratio(0, -5), F(0))):
+        assert ratio.as_integer_ratio() == fraction.as_integer_ratio()
+    for divide in (lambda: x / 0, lambda: 1 / _Ratio(0, 3),
+                   lambda: _Ratio(0, 1) ** -1, lambda: x / _Ratio(0, 2)):
+        with pytest.raises(ZeroDivisionError):
+            divide()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

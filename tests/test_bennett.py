@@ -1,6 +1,6 @@
 """Unit tests for single-loop construction, closure, and classification."""
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import pytest
@@ -28,6 +28,7 @@ from bibennett.bennett import (
     PLANAR_CASES,
     PlanarDesign,
     PoleError,
+    _bennett_link,
     frame,
     half_turn_residual,
     loop_closure_residual,
@@ -452,7 +453,39 @@ def test_closure_residual_matches_chain(a1, a2, k, tau, case):
         assert type(residual) is Fraction
         # float tau, with an exact and with a float design, keeps the chain
         fdesign = type(design)(*(float(v) if is_exact(v) else v
-                                 for v in vars(design).values()))
+                                 for v in astuple(design)))
         for d in (design, fdesign):
             assert repr(loop_closure_residual(d, float(tau))) == repr(
                 _chain_closure_residual(d, float(tau)))
+
+
+def _fresh(design):
+    """Links and transmission recomputed from the fields of ``design``."""
+    return ((_bennett_link(design.a1, design.k),
+             _bennett_link(design.a2, design.k)),
+            div(design.a1 + design.a2, design.a1 - design.a2))
+
+
+def _typed_links(links):
+    return [_typed(link) for link in links]
+
+
+@_KERNEL_SETTINGS
+@given(_EXACT_POSITIVE, _EXACT_POSITIVE, _SCALE, st.booleans(),
+       _EXACT_POSITIVE)
+def test_links_are_built_once_per_design(a1, a2, k, floats, moved_a1):
+    # exact or float, a design's links and transmission are those of its
+    # fields, built on the first read and returned as they are after it; a
+    # design made by replace builds its own from its own fields
+    assume(a1 != a2 and moved_a1 != a2)
+    conv = float if floats else (lambda v: v)
+    design = BennettDesign(conv(a1), conv(a2), conv(k))
+    links, transmission = _fresh(design)
+    assert _typed_links(design.links()) == _typed_links(links)
+    assert _typed([design.transmission()]) == _typed([transmission])
+    assert design.links() is design.links()
+    moved = replace(design, a1=conv(moved_a1))
+    links, transmission = _fresh(moved)
+    assert _typed_links(moved.links()) == _typed_links(links)
+    assert _typed([moved.transmission()]) == _typed([transmission])
+    assert moved.links() is not design.links()

@@ -1,7 +1,7 @@
 """Unit tests for the coupling families and the necessary-condition oracle."""
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
@@ -25,6 +25,7 @@ from bibennett.bennett import (
     AXIS_LABELS,
     PLANAR_CASES,
     Axis,
+    BennettDesign,
     PlanarDesign,
     validate,
 )
@@ -211,6 +212,22 @@ def test_necessary_conditions_reject_perturbation():
     assert any(report.side_residuals + report.resultant_coeffs)
 
 
+@pytest.mark.parametrize("fields", [(0.5, 0.25, 1.0), (0.5, 0.75, "2a")])
+def test_a_float_design_read_before_goes_through_the_oracle(fields):
+    # the oracle rationalises a design by its dataclass fields: the links
+    # and transmission a design keeps once read are not parameters
+    kind = PlanarDesign if "2a" in fields else BennettDesign
+    mu, bar_mu = MuSet(0.5, 0.25, 0.75, -1.5), MuSet(0.25, 0.5, -1.5, 0.75)
+    read, fresh = kind(*fields), kind(*fields)
+    read.links(), read.transmission()
+    report = necessary_conditions(Loop(read, mu), Loop(read, bar_mu))
+    assert report == necessary_conditions(Loop(fresh, mu), Loop(fresh, bar_mu))
+    exact = kind(*(v if isinstance(v, str) else F(v) for v in fields))
+    assert report == necessary_conditions(
+        Loop(exact, MuSet(*map(F, mu.as_tuple()))),
+        Loop(exact, MuSet(*map(F, bar_mu.as_tuple()))))
+
+
 @pytest.mark.parametrize("conv", [F, float])
 @pytest.mark.parametrize("k", [F(1), F(0)])
 def test_family_c_rejects_zero_offsets_on_bennett_designs(k, conv):
@@ -335,7 +352,7 @@ _OFFSETS = st.builds(MuSet, *[st.builds(F, st.integers(-30, 30),
 
 def _converted(loop, conv):
     """The loop with every scalar parameter passed through conv."""
-    scalars = {name: conv(v) for name, v in vars(loop.design).items()
+    scalars = {name: conv(v) for name, v in asdict(loop.design).items()
                if not isinstance(v, str)}  # PlanarDesign.case is a label
     return Loop(replace(loop.design, **scalars),
                 MuSet(*map(conv, loop.mu.as_tuple())))

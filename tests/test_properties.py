@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
@@ -561,7 +561,7 @@ def test_halfturn_angle_entries_equal_their_formulas(params, s, branch):
 def _loop_as(loop, conv):
     """``loop`` with ``conv`` applied to its design's scalars and offsets."""
     design = replace(loop.design, **{name: conv(v) for name, v
-                                     in vars(loop.design).items()})
+                                     in asdict(loop.design).items()})
     return Loop(design, MuSet(*map(conv, loop.mu.as_tuple())))
 
 
