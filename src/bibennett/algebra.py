@@ -47,6 +47,49 @@ def div(n, d):
     return n / d
 
 
+def _operators(combine):
+    """Forward and reflected :class:`_Ratio` operators from ``combine(n, d,
+    m, e)``, the unreduced pair of n/d op m/e, m/e an int or a Fraction."""
+
+    def forward(x, y):
+        m, e = (y.n, y.d) if type(y) is _Ratio else y.as_integer_ratio()
+        return _Ratio(*combine(x.n, x.d, m, e))
+
+    def reflected(x, y):  # y is not a _Ratio, else forward would have run
+        return _Ratio(*combine(*y.as_integer_ratio(), x.n, x.d))
+
+    return forward, reflected
+
+
+class _Ratio:
+    """An exact rational n/d (d nonzero, of either sign) kept unreduced: the
+    operators cross-multiply, and only ``as_integer_ratio`` runs a gcd, the
+    delayed reduction of Knuth (TAOCP Vol. 2, 4.5.1)."""
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n, d):
+        if not d:
+            raise ZeroDivisionError(f"{n}/0")
+        self.n, self.d = n, d
+
+    def as_integer_ratio(self):
+        g = math.gcd(self.n, self.d) * (1 if self.d > 0 else -1)
+        return self.n // g, self.d // g
+
+    __add__, __radd__ = _operators(lambda n, d, m, e: (n * e + m * d, d * e))
+    __sub__, __rsub__ = _operators(lambda n, d, m, e: (n * e - m * d, d * e))
+    __mul__, __rmul__ = _operators(lambda n, d, m, e: (n * m, d * e))
+    __truediv__, __rtruediv__ = _operators(lambda n, d, m, e: (n * e, d * m))
+
+    def __pow__(self, k):
+        n, d = (self.n, self.d) if k >= 0 else (self.d, self.n)
+        return _Ratio(n ** abs(k), d ** abs(k))
+
+    def __neg__(self):
+        return _Ratio(-self.n, self.d)
+
+
 def parse_scalar(value, exact: bool):
     """Parse a config number: int, float, or a "p/q" or decimal string.
 
@@ -269,12 +312,14 @@ def interpolate_integers(columns, degree: int, points):
     (the inverse Vandermonde rows times the values), checked in integers at
     each further point's exact value (else DegreeBoundError)."""
     rows, scale = _inverse(points, degree)
-    checks = [x.as_integer_ratio() for x in points[degree + 1:]]
+    checks = [([a ** j * b ** (degree - j) for j in range(degree + 1)],
+               scale * b ** degree)
+              for a, b in (x.as_integer_ratio() for x in points[degree + 1:])]
     coeffs = [[sum(map(operator.mul, row, values)) for row in rows]
               for values in columns]
-    if any(sum(s * a ** j * b ** (degree - j) for j, s in enumerate(sums))
-           != scale * v * b ** degree for sums, values in zip(coeffs, columns)
-           for (a, b), v in zip(checks, values[degree + 1:])):
+    if any(sum(map(operator.mul, weights, sums)) != top * v
+           for sums, values in zip(coeffs, columns)
+           for (weights, top), v in zip(checks, values[degree + 1:])):
         raise DegreeBoundError(f"values are not of degree {degree}")
     return coeffs, scale
 
@@ -347,10 +392,9 @@ def sylvester_resultant(p, q):
     D^(m+n), m and n their degrees; floats run the same elimination with
     D = 1.0 and true division."""
     p, q = list(p), list(q)
-    while p and p[-1] == 0:
-        p.pop()
-    while q and q[-1] == 0:
-        q.pop()
+    for r in (p, q):
+        while r and r[-1] == 0:
+            r.pop()
     if len(p) < 2 and len(q) < 2:
         raise DegenerateResultantError("both polynomials are constant")
     (p, q), den = clear_denominators([p, q])

@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul, sub
 
-from .algebra import (TOL, DegreeBoundError, interpolate_integers,
-                      one_denominator, sylvester_resultant)
+from .algebra import (TOL, DegreeBoundError, _Ratio, interpolate_integers,
+                      one_denominator)
 from .bennett import BennettDesign, frame
 from .families import MuSet
 from .properties import CertificateReport, ResidualEntry
@@ -86,19 +86,18 @@ def _expansion_forms(a1, a2):
         raise StructuralFactorError(
             "a1*a2*(a1-a2)*(a1+a2) must be nonzero to normalise the expansion")
     design = BennettDesign(a1, a2, Fraction(1))
-    kn, kd = design.transmission().as_integer_ratio()
     groups = []
-    for tau in _TAU_NODES + _TAU_CHECKS:
+    for tau in _TAU_NODES + _TAU_CHECKS:  # K = plus / minus
         pose, (p, q) = frame(design, tau), tau.as_integer_ratio()
         rows = [((1, *point), (0, *direction))
                 for point, direction in zip(pose.points, pose.directions)]
         top, bottom = ([[x[c] * y[e] - x[e] * y[c] for c, e in pairs]
                         for y in rows[j + 1] for x in rows[j]]
                        for j, pairs in ((0, _TOP), (2, _BOTTOM)))
-        weight = ((p * kd) ** 2 + (kn * q) ** 2) * (q * q + p * p)
+        weight = ((p * minus) ** 2 + (plus * q) ** 2) * (q * q + p * p)
         groups.append(([[weight * sum(map(
             mul, top[mask & 3], bottom[mask >> 2]))
-            for mask in range(16)]], (q * q * kd) ** 2 * pose.den ** 3))
+            for mask in range(16)]], (q * q * minus) ** 2 * pose.den ** 3))
     values, den = one_denominator(groups)
     coeffs, scale = interpolate_integers(list(zip(*values)), 4,
                                          _TAU_NODES + _TAU_CHECKS)
@@ -129,49 +128,6 @@ def coplanarity_coeffs(a1, a2, mu: MuSet) -> CoplanarityExpansion:
 # ---------------------------------------------------------------------------
 # splitting polynomials and contradiction quartics
 # ---------------------------------------------------------------------------
-
-def _operators(combine):
-    """Forward and reflected :class:`_Ratio` operators from ``combine(n, d,
-    m, e)``, the unreduced pair of n/d op m/e, m/e an int or a Fraction."""
-
-    def forward(x, y):
-        m, e = (y.n, y.d) if type(y) is _Ratio else y.as_integer_ratio()
-        return _Ratio(*combine(x.n, x.d, m, e))
-
-    def reflected(x, y):  # y is not a _Ratio, else forward would have run
-        return _Ratio(*combine(*y.as_integer_ratio(), x.n, x.d))
-
-    return forward, reflected
-
-
-class _Ratio:
-    """An exact rational n/d (d nonzero, of either sign) kept unreduced: the
-    operators cross-multiply, and only ``as_integer_ratio`` runs a gcd, the
-    delayed reduction of Knuth (TAOCP Vol. 2, 4.5.1)."""
-
-    __slots__ = ("n", "d")
-
-    def __init__(self, n, d):
-        if not d:
-            raise ZeroDivisionError(f"{n}/0")
-        self.n, self.d = n, d
-
-    def as_integer_ratio(self):
-        g = gcd(self.n, self.d) if self.d > 0 else -gcd(self.n, self.d)
-        return self.n // g, self.d // g
-
-    __add__, __radd__ = _operators(lambda n, d, m, e: (n * e + m * d, d * e))
-    __sub__, __rsub__ = _operators(lambda n, d, m, e: (n * e - m * d, d * e))
-    __mul__, __rmul__ = _operators(lambda n, d, m, e: (n * m, d * e))
-    __truediv__, __rtruediv__ = _operators(lambda n, d, m, e: (n * e, d * m))
-
-    def __pow__(self, k):
-        n, d = (self.n, self.d) if k >= 0 else (self.d, self.n)
-        return _Ratio(n ** abs(k), d ** abs(k))
-
-    def __neg__(self):
-        return _Ratio(-self.n, self.d)
-
 
 def splitting_f1(a1, a2, mu_product):
     """First splitting factor of the odd expansion coefficients, a function of
@@ -381,8 +337,8 @@ def _odd_factor_gaps(a1, a2, forms):
     (_, c1, _, c3, _), den = forms
     poly, printed = defaultdict(int), defaultdict(int)
     for sign, a, factor in ((1, a2, splitting_f1), (-1, a1, splitting_f2)):
-        for mask, (x, y) in enumerate(zip(c1, c3)):
-            b14, b12, b23, b34 = (mask >> i & 1 for i in range(4))
+        for m, (x, y) in enumerate(zip(c1, c3)):  # m: the offsets' mask
+            b14, b12, b23, b34 = m & 1, m >> 1 & 1, m >> 2 & 1, m >> 3
             poly[sign, b14 + b34, 1 + b12 - b34, b23 + b34] += x - sign * y
         # (mu12 + sign*mu23)*(mu14 - sign*mu12) times beta + alpha*mu14*mu23
         beta = 16 * a * factor(a1, a2, 0)
@@ -427,23 +383,25 @@ def _odd_offset_gaps(a1, a2, polys):
 
 
 def _resultant_gaps(a1, a2, polys, swapped):
-    """Res(p0, p2) of the numerators over den^(m+n), m and n their degrees,
-    minus the printed ``constrained_resultant_target``."""
+    """Res(p0, p2) = Res(E, F)^2 over den^8 for p0 = E(x^2), p2 = F(x^2) less
+    the target (Cohen, GTM 138, 3.3), the odd coefficients, 1 if degree < 4."""
     (p0, p2), den = polys
-    size = sum(max((i for i, c in enumerate(p) if c), default=0)
-               for p in (p0, p2))
-    return _minus([int(sylvester_resultant(p0, p2))], den ** size,
-                  [constrained_resultant_target(a1, a2, swapped)])
+    (e0, e1, e2), (f0, f1, f2) = p0[0::2], p2[0::2]
+    res = (e2 * f0 - e0 * f2) ** 2 - (e2 * f1 - e1 * f2) * (e1 * f0 - e0 * f1)
+    (gap,), big = _minus([res * res], den ** 8,
+                         [constrained_resultant_target(a1, a2, swapped)])
+    return [gap, *(big // den * c for c in p0[1::2] + p2[1::2]),
+            0 if p0[4] and p2[4] else big], big
 
 
 def _evaluate_squares(poly, a, b):
     """d_a^I d_b^J times the polynomial with coefficients poly[i][j] of
     A^i B^j (i <= I, j <= J) at A = n_a/d_a and B = n_b/d_b, given as
     ``a`` = (n_a, d_a) and ``b`` = (n_b, d_b)."""
-    (na, da), (nb, db) = a, b
-    top_a, top_b = len(poly) - 1, len(poly[0]) - 1
-    return sum(c * na ** i * da ** (top_a - i) * nb ** j * db ** (top_b - j)
-               for i, row in enumerate(poly) for j, c in enumerate(row))
+    (na, da), (nb, db), top_b = a, b, len(poly[0]) - 1
+    powers = [nb ** j * db ** (top_b - j) for j in range(top_b + 1)]
+    return sum(na ** i * da ** (len(poly) - 1 - i) * sum(map(mul, row, powers))
+               for i, row in enumerate(poly))
 
 
 def _fit_squares(values, degree):

@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .algebra import (TOL, coordinates, det3, div, is_exact, v_add, v_cross,
-                      v_dot, v_norm_sq, v_scale, v_sub)
+from .algebra import (TOL, _Ratio, coordinates, det3, div, is_exact, v_add,
+                      v_cross, v_dot, v_norm_sq, v_scale, v_sub)
 
 AXIS_LABELS = ((1, 4), (1, 2), (2, 3), (3, 4))
 
@@ -136,7 +136,7 @@ class PlanarDesign:
 def _rotation(t, exact):
     """(c, s, h): cos c/h and sin s/h of the angle with half-tangent t."""
     if exact:
-        p, q = t.numerator, t.denominator
+        p, q = t.as_integer_ratio()
         return q * q - p * p, 2 * p * q, q * q + p * p
     den = 1 + t * t
     return (1 - t * t) / den, 2 * t / den, 1
@@ -230,13 +230,11 @@ class Pose:
 
 def _link_factor(link, exact):
     """Kernel factor (c, s, off, h) of a link given as (cos, sin, offset)."""
-    c, s, off = link
     if not exact:
-        return c, s, off, 1
-    h = math.lcm(c.denominator, s.denominator, off.denominator)
-    return (c.numerator * (h // c.denominator),
-            s.numerator * (h // s.denominator),
-            off.numerator * (h // off.denominator), h)
+        return link + (1,)
+    (c, cd), (s, sd), (off, od) = [x.as_integer_ratio() for x in link]
+    h = math.lcm(cd, sd, od)
+    return c * (h // cd), s * (h // sd), off * (h // od), h
 
 
 def _link_column(factor, v):
@@ -289,13 +287,13 @@ def _kernel_factors(design, tau):
     if tau == 0:
         raise PoleError(
             "tau = 0 is a pole of the substitution t_{1,2} = K / tau")
-    t12, t23 = div(design.transmission(), tau), tau
-    link1, link2 = design.links()
-    exact = all(is_exact(v) for v in (*link1, *link2, t12, t23))
+    kk, (link1, link2) = design.transmission(), design.links()
+    exact = all(map(is_exact, (*link1, *link2, kk, tau)))
+    t12 = _Ratio(*kk.as_integer_ratio()) / tau if exact else div(kk, tau)
     return exact, ((_LINK, _link_factor(link1, exact)),
                    (_JOINT, _rotation(t12, exact)),
                    (_LINK, _link_factor(link2, exact)),
-                   (_JOINT, _rotation(t23, exact)))
+                   (_JOINT, _rotation(tau, exact)))
 
 
 def frame(design, tau) -> Pose:

@@ -253,6 +253,31 @@ def test_interpolate_integers_shares_one_denominator():
         interpolate_integers([[1, 2, 3]], 2, (F(1), F(2), F(1)))
 
 
+def test_interpolate_integers_checks_every_column_at_every_check_node():
+    # the check weights are built once per call and serve every column: a
+    # later column that holds its degree at the first check node and breaks
+    # it at the second still raises, and with one check node it passes
+    nodes = (F(1, 2), F(2), F(-3), F(5, 7), F(7, 3))
+    quadratic = [3 * x * x - x + 2 for x in nodes]
+    # plus a multiple of (x - 1/2)(x - 2)(x + 3)(x - 5/7), zero at the first
+    # four nodes
+    bump = [quadratic[i] + (x - nodes[0]) * (x - nodes[1]) * (x - nodes[2])
+            * (x - nodes[3]) for i, x in enumerate(nodes)]
+    den = 3 ** 4 * 7 ** 4 * 2 ** 4
+
+    def column(values):
+        return [int(den * v) for v in values]
+
+    assert all(den * v == int(den * v) for v in quadratic + bump)
+    coeffs, scale = interpolate_integers([column(quadratic), column(bump)], 2,
+                                         nodes[:4])
+    assert coeffs[0] == coeffs[1]
+    assert [F(c, scale * den) for c in coeffs[0]] == [2, -1, 3]
+    with pytest.raises(DegreeBoundError):
+        interpolate_integers([column(quadratic), column(bump)], 2, nodes)
+    interpolate_integers([column(quadratic)] * 3, 2, nodes)
+
+
 def test_exact_values_at_float_nodes_use_the_nodes_exact_values():
     # a degree-2 polynomial in the exact binary values of the float nodes,
     # confirmed at the exact value of the check node 0.7

@@ -31,6 +31,7 @@ from bibennett.appendix import (
     _odd_factor_gaps,
     _odd_offset_gaps,
     _offset_split_gaps,
+    _resultant_gaps,
     _splitting_difference_gaps,
     constrained_case_polynomials,
     constrained_mu_product,
@@ -616,6 +617,87 @@ def test_a_mutant_fails_its_entry_by_its_largest_gap(monkeypatch, name):
         assert not entries[label].passed
         assert type(entries[label].value) is F
         assert entries[label].value == value
+
+
+def _suite_resultant(p0, p2, den=1):
+    """The resultant the suite's entry computes for ``p0``, ``p2`` (integer
+    numerators over ``den``): its gap plus the printed target it subtracts,
+    at a twist where that target is known."""
+    twist = (F(2), F(1, 3))
+    (gap, *guards), big = _resultant_gaps(*twist, ((p0, p2), den), False)
+    return F(gap, big) + constrained_resultant_target(*twist, False), guards
+
+
+@pytest.mark.parametrize("swapped", (False, True))
+def test_suite_resultant_is_sylvester_at_every_twist(twist_forms, swapped):
+    # the closed form in y = x^2, squared, against the Sylvester determinant
+    # of the two quartics themselves, at each of the 27 twists
+    for twist in _TWISTS:
+        (p0, p2), den = _constrained_polynomials(twist_forms[twist], *twist,
+                                                 swapped)
+        value, guards = _suite_resultant(p0, p2, den)
+        assert not any(guards)
+        assert value == sylvester_resultant([F(c, den) for c in p0],
+                                            [F(c, den) for c in p2])
+
+
+_COEFFICIENT = st.integers(-50, 50)
+_LEAD = _COEFFICIENT.filter(bool)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.tuples(_COEFFICIENT, _COEFFICIENT, _LEAD),
+       st.tuples(_COEFFICIENT, _COEFFICIENT, _LEAD))
+def test_suite_resultant_is_sylvester_on_even_quartics(e, f):
+    # any even integer quartics with nonzero leading coefficients, common
+    # roots and repeated roots included
+    p0, p2 = ([c for k in part for c in (k, 0)][:5] for part in (e, f))
+    value, guards = _suite_resultant(p0, p2)
+    assert not any(guards)
+    assert value == sylvester_resultant(p0, p2)
+
+
+def _resultant_entry(polys, swapped=False):
+    return _gap_entry("resultant", polys,
+                      lambda a1, a2, p: _resultant_gaps(a1, a2, p, swapped))
+
+
+def test_resultant_entry_fails_an_odd_coefficient(twist_forms):
+    polys = {twist: _constrained_polynomials(forms, *twist, False)
+             for twist, forms in twist_forms.items()}
+    assert _resultant_entry(polys).passed
+    twist = _TWISTS[11]
+    (p0, p2), den = polys[twist]
+    # the even parts, and so the resultant's gap, are unchanged: the entry
+    # fails by the odd coefficient alone, read over the twist's denominator
+    polys[twist] = (p0, [*p2[:3], 1, p2[4]]), den
+    entry = _resultant_entry(polys)
+    assert not entry.passed and entry.value == F(1, den)
+
+
+def test_resultant_entry_fails_where_a_degree_drops(monkeypatch):
+    # p0 = 2y + 1 and p2 = 2y^2 + y + 3 in y = x^2: the closed form of two
+    # quadratics reads 24^2, which the target is made to equal, while the
+    # Sylvester resultant of the quadratic and the quartic in x is 144; the
+    # entry fails on the degree alone instead of changing its formula
+    p0, p2 = [1, 0, 2, 0, 0], [3, 0, 1, 0, 2]
+    assert sylvester_resultant(p0, p2) == 144
+    monkeypatch.setattr(appendix, "constrained_resultant_target",
+                        lambda a1, a2, swapped: 576)
+    for swapped in (False, True):
+        for pair in ((p0, p2), (p2, p0)):
+            entry = _resultant_entry(dict.fromkeys(_TWISTS, (pair, 1)),
+                                     swapped)
+            assert not entry.passed and entry.value == 1
+    # the control: both of degree 4, the same closed form, no gap
+    p0 = [1, 0, 2, 0, 5]
+    (e0, e1, e2), (f0, f1, f2) = p0[0::2], p2[0::2]
+    target = ((e2 * f0 - e0 * f2) ** 2
+              - (e2 * f1 - e1 * f2) * (e1 * f0 - e0 * f1)) ** 2
+    monkeypatch.setattr(appendix, "constrained_resultant_target",
+                        lambda a1, a2, swapped: target)
+    assert _resultant_entry(dict.fromkeys(_TWISTS, ((p0, p2), 1))).passed
+    assert target == sylvester_resultant(p0, p2)
 
 
 # a twist as an int, or as (n, d) with d of either sign, such as 7 and

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bibennett.bennett as bennett
 from bibennett.algebra import (
     TOL,
     clear_denominators,
@@ -29,6 +30,8 @@ from bibennett.bennett import (
     PlanarDesign,
     PoleError,
     _bennett_link,
+    _kernel_factors,
+    _rotation,
     frame,
     half_turn_residual,
     loop_closure_residual,
@@ -489,3 +492,67 @@ def test_links_are_built_once_per_design(a1, a2, k, floats, moved_a1):
     assert _typed_links(moved.links()) == _typed_links(links)
     assert _typed([moved.transmission()]) == _typed([transmission])
     assert moved.links() is not design.links()
+
+
+def _kernel_values(design, tau):
+    """The pose and closure residual of ``design`` at tau, each value with
+    its type by repr (a float overflow's nan then equals itself)."""
+    pose = frame(design, tau)
+    return [(type(x), repr(x))
+            for x in [x for v in pose.points + pose.directions for x in v]
+            + [pose.den, loop_closure_residual(design, tau)]]
+
+
+@_KERNEL_SETTINGS
+@given(_EXACT_POSITIVE, _EXACT_POSITIVE, _SCALE, st.sampled_from(PLANAR_CASES),
+       st.tuples(_EXACT_NONZERO, st.floats(-8, 8).filter(bool),
+                 _EXACT_NONZERO), _EXACT_POSITIVE)
+def test_kernel_reads_of_one_design_match_a_fresh_design(a1, a2, k, case,
+                                                        taus, moved_a1):
+    # exact tau, float tau (on an exact design, the mixed bar pose), then
+    # exact tau again, and float tau first on a second design: one
+    # design's poses and residuals are those of a fresh design, by value and
+    # type, for Bennett and planar designs, exact and float, K and tau of
+    # either sign (a1 < a2 makes K negative), and for a design made by
+    # replace after the first was posed
+    assume(a1 != a2 and moved_a1 != a2)
+    designs = [BennettDesign(a1, a2, k), PlanarDesign(a1, a2, case)]
+    designs += [type(d)(*(float(v) if is_exact(v) else v for v in astuple(d)))
+                for d in designs]
+    for design, start in ((d, i) for d in designs for i in (0, 1)):
+        design = replace(design)
+        for tau in taus[start:] + taus[:start]:
+            assert _kernel_values(design, tau) == _kernel_values(
+                replace(design), tau)
+        # a float tau makes the chain inexact, each factor over h = 1
+        assert frame(design, taus[1]).den == 1
+    _kernel_values(designs[0], taus[0])
+    moved = replace(designs[0], a1=moved_a1)
+    for tau in taus:
+        assert _kernel_values(moved, tau) == _kernel_values(replace(moved),
+                                                            tau)
+
+
+@pytest.mark.parametrize("design", (
+    BennettDesign(F(1, 3), F(1, 2), F(1)), BennettDesign(3, 1, 2),
+    PlanarDesign(F(2), F(3, 2), "2b"), PlanarDesign(2, 5, "1a")))
+@pytest.mark.parametrize("tau", (F(-6, 35), F(10, 21), -4, 3, F(-2, 9)))
+def test_exact_t12_is_the_reduced_fraction(monkeypatch, design, tau):
+    # K / tau from the integer ratios, reduced by one gcd, is the (p, q) of
+    # the Fraction K / tau, its sign in p, and gives that joint factor; K is
+    # -5, 2, -1 and 7/3 here, tau cancels against it or not
+    design.links()  # built before the spy, once per design
+    half_tangents = []
+
+    def rotation(t, exact):
+        half_tangents.append(t.as_integer_ratio())
+        return _rotation(t, exact)
+
+    monkeypatch.setattr(bennett, "_rotation", rotation)
+    exact, (_, (_, j12), _, (_, j23)) = _kernel_factors(design, tau)
+    t12 = div(design.transmission(), tau)
+    assert exact and half_tangents == [t12.as_integer_ratio(),
+                                       tau.as_integer_ratio()]
+    p, q = t12.as_integer_ratio()
+    assert j12 == (q * q - p * p, 2 * p * q, q * q + p * p)
+    assert all(type(x) is int for x in j12 + j23)

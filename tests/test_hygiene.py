@@ -134,12 +134,12 @@ def test_clear_denominators_calls_do_not_grow():
 
 # Fraction constructions (calls of Fraction.__new__, counted by cProfile) in
 # one warm verify_nonexistence() call.  The suite runs on integers from the
-# drive frames to its entries, and the printed twist polynomials run on
-# unreduced integer ratios, so Fractions are built only for the frames'
-# kernel (each drive design's links and transmission, once per design), the
-# even parts' interpolation nodes and one value per entry.  The count may
-# fall, never rise.
-MAX_SUITE_FRACTIONS = 596
+# drive frames to its entries, the printed twist polynomials and each drive
+# frame's t12 = K / tau run on unreduced integer ratios, so Fractions are
+# built only for the drive designs' links and transmission (once per
+# design), the even parts' interpolation nodes and one value per entry.  The
+# count may fall, never rise.
+MAX_SUITE_FRACTIONS = 353
 
 
 def test_suite_fractions_do_not_grow():
