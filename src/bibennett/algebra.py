@@ -110,10 +110,9 @@ def sqrt_scalar(x):
     if x < 0:
         raise ValueError("negative radicand")
     if is_exact(x):
-        f = Fraction(x)
-        rn = math.isqrt(f.numerator)
-        rd = math.isqrt(f.denominator)
-        if rn * rn == f.numerator and rd * rd == f.denominator:
+        n, d = x.as_integer_ratio()
+        rn, rd = math.isqrt(n), math.isqrt(d)
+        if rn * rn == n and rd * rd == d:
             return Fraction(rn, rd)
     return math.sqrt(float(x))
 
@@ -281,40 +280,40 @@ def nullspace_vector(rows, ncols):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)  # the appendix uses four node tuples
-def _inverse_vandermonde(nodes):
-    """(rows, L): the exact inverse of the Vandermonde matrix of ``nodes``,
-    integer row tuples over one L, row j giving L times coefficient j from
-    the values at the nodes.  Float nodes are taken at their exact binary
-    values.  Built on first use, never at import."""
-    n = len(nodes)
-    m = [[Fraction(x) ** j for j in range(n)]
-         + [Fraction(int(i == k)) for k in range(n)]
-         for i, x in enumerate(nodes)]
-    _row_reduce(m, n)
-    scale = math.lcm(*(w.denominator for row in m for w in row[n:]))
-    return tuple(tuple(w.numerator * (scale // w.denominator) for w in row[n:])
-                 for row in m), scale
+def _inverse_vandermonde(ratios):
+    """(rows, L): the inverse Vandermonde matrix of the nodes p_i/q_i of
+    ``ratios``, integer rows over one L (row j: L times coefficient j from
+    the values).  Column i is the Lagrange basis q_i^(n-1) prod_k (q_k x -
+    p_k) / (q_k p_i - p_k q_i), k != i, in lowest terms; built on first use."""
+    columns = []
+    for i, (p, q) in enumerate(ratios):
+        num, den = [q ** (len(ratios) - 1)], 1
+        for pk, qk in ratios[:i] + ratios[i + 1:]:
+            num, den = _poly_mul(num, (-pk, qk)), den * (qk * p - pk * q)
+        columns.append((num, den, den // math.gcd(den, *num)))
+    scale = math.lcm(*(reduced for *_, reduced in columns))
+    return tuple(zip(*([a * scale // den for a in num]
+                       for num, den, _ in columns))), scale
 
 
-def _inverse(points, degree):
-    """``_inverse_vandermonde`` of the first degree+1 points, if distinct."""
-    nodes = tuple(points[:degree + 1])
-    if len(nodes) <= degree or len(set(nodes)) <= degree:
+def _inverse(ratios, degree):
+    """``_inverse_vandermonde`` of the first degree+1 ratios, if distinct."""
+    nodes = tuple(ratios[:degree + 1])
+    if len(set(nodes)) <= degree:  # too few points, or a repeated node
         raise InterpolationNodeError(
             f"degree {degree} needs {degree + 1} distinct points, got {nodes}")
     return _inverse_vandermonde(nodes)
 
 
-def interpolate_integers(columns, degree: int, points):
-    """(coefficients, L): for each list in ``columns`` of int values at
-    ``points``, the ascending coefficients of the degree-``degree``
-    polynomial through the first degree+1 of them, integers over one L > 0
-    (the inverse Vandermonde rows times the values), checked in integers at
-    each further point's exact value (else DegreeBoundError)."""
-    rows, scale = _inverse(points, degree)
+def interpolate_integers(columns, degree: int, ratios):
+    """(coefficients, L): for each list in ``columns`` of int values at the
+    points p/q of ``ratios`` ((p, q) in lowest terms, q > 0), the ascending
+    coefficients of the degree-``degree`` polynomial through the first
+    degree+1 of them, integers over one L > 0 (the inverse Vandermonde rows
+    times the values), checked at each further point, else DegreeBoundError."""
+    rows, scale = _inverse(ratios, degree)
     checks = [([a ** j * b ** (degree - j) for j in range(degree + 1)],
-               scale * b ** degree)
-              for a, b in (x.as_integer_ratio() for x in points[degree + 1:])]
+               scale * b ** degree) for a, b in ratios[degree + 1:]]
     coeffs = [[sum(map(operator.mul, row, values)) for row in rows]
               for values in columns]
     if any(sum(map(operator.mul, weights, sums)) != top * v
@@ -336,12 +335,13 @@ def interpolate_polynomial(fun, degree: int, points):
     |value|.  Too few points or a repeated node raise InterpolationNodeError.
     """
     xs = list(points)
-    rows, scale = _inverse(xs, degree)
+    ratios = [x.as_integer_ratio() for x in xs]
+    rows, scale = _inverse(ratios, degree)
     ys = [fun(x) for x in xs]
     if not any(isinstance(y, float) for y in ys):
         den = math.lcm(*(y.denominator for y in ys))
-        (sums,), scale = interpolate_integers(
-            [[y.numerator * (den // y.denominator) for y in ys]], degree, xs)
+        (sums,), scale = interpolate_integers([[
+            y.numerator * (den // y.denominator) for y in ys]], degree, ratios)
         return [Fraction(s, scale * den) for s in sums]
     coeffs = [sum(w / scale * y for w, y in zip(row, ys)) for row in rows]
     gaps = [sum(c * x ** j for j, c in enumerate(coeffs)) - y

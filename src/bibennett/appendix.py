@@ -99,8 +99,8 @@ def _expansion_forms(a1, a2):
             mul, top[mask & 3], bottom[mask >> 2]))
             for mask in range(16)]], (q * q * minus) ** 2 * pose.den ** 3))
     values, den = one_denominator(groups)
-    coeffs, scale = interpolate_integers(list(zip(*values)), 4,
-                                         _TAU_NODES + _TAU_CHECKS)
+    coeffs, scale = interpolate_integers(list(zip(*values)), 4, [
+        tau.as_integer_ratio() for tau in _TAU_NODES + _TAU_CHECKS])
     # c_k is lam (CoplanarityExpansion), over u^6, / its factor, over u^2
     lam = -((d1 * d1 + n1 * n1) * (d2 * d2 + n2 * n2) * minus) ** 2
     printed = (plus * plus, -r * plus, u * u, -r * minus, minus * minus)
@@ -418,10 +418,10 @@ def _fit_squares(values, degree):
     at = dict(zip(points, grid))
     rows, scale_a = interpolate_integers(
         [[at[a, b][k] for a in a_nodes] for k in range(len(grid[0]))
-         for b in b_nodes], degree, [Fraction(*a) for a in a_nodes])
+         for b in b_nodes], degree, a_nodes)
     cols, scale_b = interpolate_integers(
         [c for k in range(0, len(rows), n) for c in zip(*rows[k:k + n])],
-        degree, [Fraction(*b) for b in b_nodes])
+        degree, b_nodes)
     fits, den = [cols[k:k + n] for k in range(0, len(cols), n)], (
         den * scale_a * scale_b)
     if any(_evaluate_squares(p, a, b) * values[a, b][1]
@@ -471,7 +471,7 @@ def _curve_entry(label, even, curve, swapped):
 
     coeffs, _ = interpolate_integers(
         [[on_curve(poly, t) for t in _CURVE_NODES] for poly in even],
-        2 * _TWIST_DEGREE, _CURVE_NODES)
+        2 * _TWIST_DEGREE, [(t, 1) for t in _CURVE_NODES])
     polys = [q for q in coeffs if any(q)]
     proved = (len({sum(q) > 0 for q in polys}) == 1
               and not any(map(count_positive_roots, polys)))

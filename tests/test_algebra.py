@@ -1,5 +1,6 @@
 """Unit tests for the exact/float scalar and polynomial toolbox."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -28,7 +29,13 @@ from bibennett.algebra import (
     v_dot,
     v_norm_sq,
 )
-from bibennett.appendix import _TAU_CHECKS, _TAU_NODES, _TWISTS
+from bibennett.appendix import (
+    _CURVE_NODES,
+    _TAU_CHECKS,
+    _TAU_NODES,
+    _TWIST_DEGREE,
+    _TWISTS,
+)
 
 F = Fraction
 
@@ -154,11 +161,19 @@ _RATIONAL = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
 # int nodes (negative ones included) or Fraction nodes, and int or Fraction
 # coefficients, so that the values are ints where every term is one
 _SCALAR = st.one_of(st.integers(-20, 20), _RATIONAL)
+# the squared twists along each axis: the appendix's grid, then its checks
+_SQUARED_TWISTS = [tuple(dict.fromkeys(twist[i] ** 2 for twist in _TWISTS))
+                   for i in (0, 1)]
 # the tau nodes, and the squared twists on and off the appendix's grid
-_APPENDIX_NODES = st.sampled_from(
-    [_TAU_NODES + _TAU_CHECKS]
-    + [tuple(dict.fromkeys(twist[i] ** 2 for twist in _TWISTS))
-       for i in (0, 1)])
+_APPENDIX_NODES = st.sampled_from([_TAU_NODES + _TAU_CHECKS]
+                                  + _SQUARED_TWISTS)
+# the four node tuples whose inverse Vandermonde the non-existence suite
+# builds: the tau nodes, each axis of the twist grid squared, the curve nodes
+_SUITE_NODES = [_TAU_NODES, _CURVE_NODES,
+                *(nodes[:_TWIST_DEGREE + 1] for nodes in _SQUARED_TWISTS)]
+# int, Fraction and float nodes, negative ones included
+_NODE = st.one_of(st.integers(-30, 30), _RATIONAL,
+                  st.floats(-50, 50))
 _INTERPOLATION_SETTINGS = settings(max_examples=120, deadline=None,
                                    derandomize=True)
 
@@ -242,15 +257,16 @@ def test_interpolate_integers_shares_one_denominator():
         return [int(den * sum(c * x ** i for i, c in enumerate(poly)))
                 for x in nodes]
 
-    coeffs, scale = interpolate_integers(list(map(column, polys)), 2, nodes)
+    ratios = [x.as_integer_ratio() for x in nodes]
+    coeffs, scale = interpolate_integers(list(map(column, polys)), 2, ratios)
     assert scale > 0 and all(type(c) is int for q in coeffs for c in q)
     assert [[F(c, scale * den) for c in q] for q in coeffs] == [
         list(poly) for poly in polys]
     cubic = [v + int(den * x ** 3) for v, x in zip(column(polys[0]), nodes)]
     with pytest.raises(DegreeBoundError):
-        interpolate_integers([column(polys[1]), cubic], 2, nodes)
+        interpolate_integers([column(polys[1]), cubic], 2, ratios)
     with pytest.raises(InterpolationNodeError):
-        interpolate_integers([[1, 2, 3]], 2, (F(1), F(2), F(1)))
+        interpolate_integers([[1, 2, 3]], 2, ((1, 1), (2, 1), (1, 1)))
 
 
 def test_interpolate_integers_checks_every_column_at_every_check_node():
@@ -269,13 +285,14 @@ def test_interpolate_integers_checks_every_column_at_every_check_node():
         return [int(den * v) for v in values]
 
     assert all(den * v == int(den * v) for v in quadratic + bump)
+    ratios = [x.as_integer_ratio() for x in nodes]
     coeffs, scale = interpolate_integers([column(quadratic), column(bump)], 2,
-                                         nodes[:4])
+                                         ratios[:4])
     assert coeffs[0] == coeffs[1]
     assert [F(c, scale * den) for c in coeffs[0]] == [2, -1, 3]
     with pytest.raises(DegreeBoundError):
-        interpolate_integers([column(quadratic), column(bump)], 2, nodes)
-    interpolate_integers([column(quadratic)] * 3, 2, nodes)
+        interpolate_integers([column(quadratic), column(bump)], 2, ratios)
+    interpolate_integers([column(quadratic)] * 3, 2, ratios)
 
 
 def test_exact_values_at_float_nodes_use_the_nodes_exact_values():
@@ -286,6 +303,22 @@ def test_exact_values_at_float_nodes_use_the_nodes_exact_values():
     assert got == [F(1, 3), 0, 1] and all(type(c) is F for c in got)
     with pytest.raises(DegreeBoundError):
         interpolate_polynomial(lambda x: F(x) ** 3, 2, [0.1, 0.2, 0.3, 0.7])
+
+
+@_INTERPOLATION_SETTINGS
+@given(st.one_of(st.sampled_from(_SUITE_NODES),
+                 st.lists(_NODE, min_size=1, max_size=9, unique_by=F)))
+def test_inverse_vandermonde_matches_the_fraction_inverse(nodes):
+    # the Lagrange basis on integers gives the unique reduced inverse: the
+    # Fraction inverse over the lcm of its denominators, all of it ints
+    rows, scale = _inverse_vandermonde(
+        tuple(x.as_integer_ratio() for x in nodes))
+    inverse = _fraction_inverse(nodes)
+    assert scale == math.lcm(*(w.denominator for row in inverse
+                               for w in row))
+    assert rows == tuple(tuple(w * scale for w in row) for row in inverse)
+    assert type(scale) is int and all(type(w) is int
+                                      for row in rows for w in row)
 
 
 def test_interpolation_node_errors_come_before_the_inverse():

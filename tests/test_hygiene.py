@@ -17,6 +17,7 @@ from collections import Counter
 from pathlib import Path
 
 from bibennett import verify_nonexistence
+from bibennett.algebra import _inverse_vandermonde
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -135,21 +136,36 @@ def test_clear_denominators_calls_do_not_grow():
 # Fraction constructions (calls of Fraction.__new__, counted by cProfile) in
 # one warm verify_nonexistence() call.  The suite runs on integers from the
 # drive frames to its entries, the printed twist polynomials and each drive
-# frame's t12 = K / tau run on unreduced integer ratios, so Fractions are
-# built only for the drive designs' links and transmission (once per
-# design), the even parts' interpolation nodes and one value per entry.  The
-# count may fall, never rise.
-MAX_SUITE_FRACTIONS = 353
+# frame's t12 = K / tau run on unreduced integer ratios, and its nodes reach
+# the interpolation as integer ratios, so Fractions are built only for the
+# drive designs' links and transmission (once per design) and one value per
+# entry.  The count may fall, never rise.
+MAX_SUITE_FRACTIONS = 333
+# The same count for a first call, right after the cached inverse
+# Vandermonde tables are dropped: they are rebuilt from the Lagrange basis
+# on integers, without a Fraction.  The count may fall, never rise.
+MAX_COLD_SUITE_FRACTIONS = 333
+
+
+def _suite_fractions():
+    """Fraction constructions of one verify_nonexistence() call."""
+    profile = cProfile.Profile()
+    profile.runcall(verify_nonexistence)
+    return sum(calls for (path, _, name), (_, calls, *_)
+               in pstats.Stats(profile).stats.items()
+               if path == fractions.__file__ and name == "__new__")
 
 
 def test_suite_fractions_do_not_grow():
     verify_nonexistence()  # builds the cached inverse Vandermonde tables
-    profile = cProfile.Profile()
-    profile.runcall(verify_nonexistence)
-    built = sum(calls for (path, _, name), (_, calls, *_)
-                in pstats.Stats(profile).stats.items()
-                if path == fractions.__file__ and name == "__new__")
+    built = _suite_fractions()
     assert 0 < built <= MAX_SUITE_FRACTIONS, built
+
+
+def test_cold_suite_fractions_do_not_grow():
+    _inverse_vandermonde.cache_clear()
+    built = _suite_fractions()
+    assert 0 < built <= MAX_COLD_SUITE_FRACTIONS, built
 
 
 def test_call_scan():
