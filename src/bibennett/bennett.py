@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
@@ -154,23 +153,19 @@ def loop_closure_residual(design, tau):
     J(t23) link1 J(-t12) link2 J(-t23) from the identity.
 
     The kernel applies the factors to the four basis rows left to right:
-    the multiplied-out 4x4 product row by row, without its zero terms.
-    Exact input gives a Fraction.
+    the multiplied-out 4x4 product row by row, without its zero terms.  A
+    joint acts on a row as its column form at the opposite angle, J(t)^T =
+    J(-t), with the same float operations.  Exact input gives a Fraction.
     """
-    exact, (l1, j12, l2, j23) = _kernel_factors(design, tau)
-    # J(-t): the joint factors of the opposite angles
-    inverse = [(kind, (c, -s, h)) for kind, (c, s, h) in (j12, j23)]
-    factors = (l1, j12, l2, j23, l1, inverse[0], l2, inverse[1])
-    rows = []
-    for row in _BASIS:
-        for (_, apply), factor in factors:
-            row = apply(factor, row)
-        rows.append(row)
+    (_, l1), j12, (_, l2), j23 = _kernel_factors(design, tau)
+    o12, o23 = [(_joint_column, (c, -s, h)) for _, (c, s, h) in (j12, j23)]
+    l1, l2 = (_link_row, l1), (_link_row, l2)
+    rows = _apply_factors([l1, o12, l2, o23, l1, j12, l2, j23][::-1], _BASIS)
     # every factor scales w by its h, so e0 ends with w = their product
     den = rows[0][0]
     gap = max(abs(v - den * (i == j))
               for i, row in enumerate(rows) for j, v in enumerate(row))
-    return Fraction(gap, den) if exact else gap
+    return div(gap, den)
 
 
 def planar_loop_closure_residual(pd: PlanarDesign, tau):
@@ -255,52 +250,40 @@ def _joint_column(factor, v):
     return (h * w, h * x, c * y + s * z, c * z - s * y)
 
 
-def _joint_row(factor, v):
-    c, s, h = factor
-    w, x, y, z = v
-    return (w * h, x * h, y * c - z * s, y * s + z * c)
-
-
-# a factor is a (kind, values) pair; its kind applies it to a column vector
-# (from the left) and to a row vector (from the right)
-_LINK = (_link_column, _link_row)
-_JOINT = (_joint_column, _joint_row)
-
-
 _BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def _apply_factors(factors, vectors):
     """Images of the column ``vectors`` under the product of ``factors``
-    ((kind, values) pairs, leftmost first)."""
+    ((application, values) pairs, leftmost first)."""
     images = []
     for v in vectors:
-        for (apply, _), factor in reversed(factors):
+        for apply, factor in reversed(factors):
             v = apply(factor, v)
         images.append(v)
     return images
 
 
 def _kernel_factors(design, tau):
-    """Whether the chain of ``design`` at tau is exact, and its kernel
-    factors (link1, J(t12), link2, J(t23)) as (kind, values) pairs."""
+    """The kernel factors (link1, J(t12), link2, J(t23)) of the chain of
+    ``design`` at tau, as (column application, values) pairs."""
     if tau == 0:
         raise PoleError(
             "tau = 0 is a pole of the substitution t_{1,2} = K / tau")
     kk, (link1, link2) = design.transmission(), design.links()
     exact = all(map(is_exact, (*link1, *link2, kk, tau)))
     t12 = _Ratio(*kk.as_integer_ratio()) / tau if exact else div(kk, tau)
-    return exact, ((_LINK, _link_factor(link1, exact)),
-                   (_JOINT, _rotation(t12, exact)),
-                   (_LINK, _link_factor(link2, exact)),
-                   (_JOINT, _rotation(tau, exact)))
+    return ((_link_column, _link_factor(link1, exact)),
+            (_joint_column, _rotation(t12, exact)),
+            (_link_column, _link_factor(link2, exact)),
+            (_joint_column, _rotation(tau, exact)))
 
 
 def frame(design, tau) -> Pose:
     """Points F_ij and unit directions r_ij of all four axes at tau, over
     the w of M34: the pose of the DH chain link1 J(t12) link2 J(t23) link1,
     for a BennettDesign or a PlanarDesign."""
-    _, (l1, j12, l2, j23) = _kernel_factors(design, tau)
+    l1, j12, l2, j23 = _kernel_factors(design, tau)
     c, s, off, h = l1[1]
     chains = [_apply_factors(factors, _BASIS[:2])
               for factors in ((l1, j12, l2), (l1, j12, l2, j23, l1))]

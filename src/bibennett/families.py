@@ -310,7 +310,6 @@ class HalfTurn:
 
     line: tuple
     den: object
-    orientation = 1
 
     def __post_init__(self):
         kinds = {type(x) for v in self.line for x in v}
@@ -345,20 +344,20 @@ class HalfTurn:
 
 @dataclass(frozen=True)
 class RigidMotion:
-    """Isometry of 3-space as a homogeneous transform (column convention)."""
+    """Isometry of 3-space, p to t + R p: the ``rotation`` R as three rows
+    and the ``translation`` t."""
 
-    transform: tuple  # 4x4 rows acting on (w, x, y, z) columns
+    rotation: tuple
+    translation: tuple
     orientation: int  # +1 direct, -1 reversing
 
     def apply_point(self, p):
-        m = self.transform
-        return tuple(m[i][0] + m[i][1] * p[0] + m[i][2] * p[1]
-                     + m[i][3] * p[2] for i in (1, 2, 3))
+        return tuple([t + r[0] * p[0] + r[1] * p[1] + r[2] * p[2]
+                      for t, r in zip(self.translation, self.rotation)])
 
     def apply_direction(self, d):
-        m = self.transform
-        return tuple(m[i][1] * d[0] + m[i][2] * d[1] + m[i][3] * d[2]
-                     for i in (1, 2, 3))
+        return tuple([r[0] * d[0] + r[1] * d[1] + r[2] * d[2]
+                      for r in self.rotation])
 
     def images(self, points, directions, den):
         """(point images, direction images, 1): floats, of ``points`` and
@@ -377,7 +376,7 @@ def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
     coplanar pair never mirrors the alignment.  Raises NotIsometricError
     when the six pairwise distances disagree, or when a vertex misses its
     image by more than 10 TOL times the longest distance (at least 1).
-    Gates and transform are Python floats; numpy builds the frames.
+    Gates and motion are Python floats; numpy builds the frames.
     """
     import numpy as np
 
@@ -420,8 +419,8 @@ def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
         fs[:, 2] = -fs[:, 2]
     rot = fd @ fs.T
     trans = np.array(fdst.points[0]) - rot @ np.array(fsrc.points[0])
-    rows = ((t, *r) for t, r in zip(trans.tolist(), rot.tolist()))
-    motion = RigidMotion(((1.0, 0.0, 0.0, 0.0), *rows), sign)
+    motion = RigidMotion(tuple(map(tuple, rot.tolist())),
+                         tuple(trans.tolist()), sign)
     worst = max(math.dist(motion.apply_point(fsrc[lab]), fdst[lab])
                 for lab in AXIS_LABELS)
     if worst > 10 * TOL * max(1.0, math.sqrt(longest_sq)):

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -16,7 +17,11 @@ from bibennett.cli import (
     fixture_path,
     main,
 )
-from bibennett.io_export import FAMILIES, parse_config
+from bibennett.algebra import TOL, v_cross, v_sub
+from bibennett.bennett import frame
+from bibennett.families import points_on_axes
+from bibennett.io_export import FAMILIES, build_structure, parse_config
+from bibennett.properties import bennett_loop_check
 
 
 def test_fixture_path_variants():
@@ -743,3 +748,32 @@ def test_appendix_report_digest(capsys):
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_DIGESTS[
         "appendix"]
+
+
+def test_trivial_coupling_on_a_collinear_quad_fails_in_the_quad(tmp_path,
+                                                                capsys):
+    # a trivial config whose four quad vertices lie on one line: the loop
+    # closes, but the quad has no symmetry line, so the commands that pose
+    # the coupling exit 1 (whether it should be posed at all is still open)
+    config = {"schema": 1, "family": "trivial", "a1": "2/1", "a2": "1/1",
+              "k": "1/2", "mu23": "1/1", "mu34": "-3/1", "tau": "6/1",
+              "mode": "exact"}
+    path = tmp_path / "collinear.json"
+    path.write_text(json.dumps(config))
+    assert main(["validate", "-c", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    for command in ("construct", "export"):
+        out = str(tmp_path / f"{command}.out")
+        assert main([command, "-c", str(path), "--out", out]) == (
+            EXIT_CERTIFICATE)
+        assert capsys.readouterr().err == (
+            "failure: the quad degenerates to a segment\n")
+    parsed = parse_config(config)
+    bib = build_structure(parsed)
+    pose = frame(bib.design, parsed.tau)
+    p14, *others = points_on_axes(pose, bib.mu).vertices()
+    assert all(v_cross(v_sub(p, p14), v_sub(others[0], p14)) == (0, 0, 0)
+               for p in others)
+    report = bennett_loop_check(pose, TOL)
+    assert [r.value for r in report.residuals] == [0, 0, 0]
+    assert all(type(r.value) is Fraction for r in report.residuals)

@@ -104,7 +104,8 @@ def _chord(rng, row):
     (P+Q) X^2 + (Q-P) Y^2 + 2Q Z^2 = 0 in (X, Y, Z) = (mu14, mu12, k), with
     P = (a1-a2)^2 tau^2 b + (a1^2+a2^2)(tau^2+b) + (a1+a2)^2 and
     Q = 2 a1 a2 (tau^2 - b), b = tau_bar^2; the relation is linear in b,
-    so the row gives b."""
+    so the row gives b without the package's solver, whose output the
+    corpus pins."""
     a1, a2, k, mu14, mu12, tau = row
     t2 = tau * tau
     p0, p1 = (a1 * a1 + a2 * a2) * t2 + (a1 + a2) ** 2, (
@@ -177,8 +178,7 @@ def run(config, mode):
                          "--out", "out"])
         written = Path("out")
         data = written.read_bytes() if written.exists() else b""
-        if written.exists():
-            written.unlink()
+        written.unlink(missing_ok=True)
         record = (f"{command} {code}\n{out.getvalue()}\0{err.getvalue()}\0"
                   f"{len(data)}\0").encode() + data
         digest.update(record)

@@ -101,7 +101,7 @@ def test_defaulted_parameters_do_not_grow():
 
 # Lines of the package's modules, ``__init__`` included: the count may
 # fall, never rise.  Lower it whenever code goes.
-MAX_PACKAGE_LINES = 3518
+MAX_PACKAGE_LINES = 3500
 
 
 def test_package_lines_do_not_grow():

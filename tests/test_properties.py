@@ -284,19 +284,20 @@ def test_partner_direct_catches_a_reversing_partner_map(scalar):
 def test_partner_catches_a_moved_partner_map(scalar):
     cp = _fig6_pose(scalar)
     assert halfturn_check(cp, 1e-13).verdict
-    rows = cp.delta.transform
-    shifted = (rows[0], (rows[1][0] + 1e-11, *rows[1][1:]), *rows[2:])
-    moved = replace(cp, delta=replace(cp.delta, transform=shifted))
+    x, y, z = cp.delta.translation
+    moved = replace(cp, delta=replace(cp.delta, translation=(x + 1e-11, y, z)))
     entries = {r.label: r for r in halfturn_check(moved, 1e-13).residuals}
     assert not entries["partner"].passed
     assert entries["partner direct"].passed
 
 
 def _scalar_types(cp, report):
-    """Types of every residual value, partner-map transform entry and hat
-    axis coordinate of a family-C pose and its half-turn report."""
+    """Types of every residual value, partner-map rotation and translation
+    entry and hat axis coordinate of a family-C pose and its half-turn
+    report."""
     values = [r.value for r in report.residuals]
-    values += [x for row in cp.delta.transform for x in row]
+    values += [x for row in cp.delta.rotation for x in row]
+    values += cp.delta.translation
     for ax in cp.hat_axes.values():
         values += [*ax.point, *ax.direction]
     return {type(x) for x in values}
