@@ -21,9 +21,6 @@ from .algebra import (TOL, _Ratio, coordinates, det3, div, is_exact, v_add,
 
 AXIS_LABELS = ((1, 4), (1, 2), (2, 3), (3, 4))
 
-# position of each label in the cyclic order of the quad
-AXIS_INDEX = {label: i for i, label in enumerate(AXIS_LABELS)}
-
 # (center, opposite, previous, next) labels of each quad vertex
 VERTEX_ROLES = tuple((AXIS_LABELS[i], AXIS_LABELS[i - 2], AXIS_LABELS[i - 1],
                       AXIS_LABELS[i - 3]) for i in range(4))

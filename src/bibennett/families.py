@@ -18,9 +18,9 @@ from .algebra import (TOL, DegenerateResultantError, clear_denominators,
                       coordinates, det3, div, is_exact, one_denominator,
                       resultant_tau_bar, sqrt_scalar, to_floats, v_add,
                       v_cross, v_dist_sq, v_dot, v_norm_sq, v_scale, v_sub)
-from .bennett import (AXIS_INDEX, AXIS_LABELS, BennettDesign,
-                      DegenerateQuadError, PlanarDesign, PoleError, Pose,
-                      frame, symmetry_line, validate)
+from .bennett import (AXIS_LABELS, BennettDesign, DegenerateQuadError,
+                      PlanarDesign, PoleError, Pose, frame, symmetry_line,
+                      validate)
 
 FAMILIES = ("A", "B", "C", "TrivialLineSym")
 
@@ -79,7 +79,7 @@ class SkewQuad:
     den: object
 
     def __getitem__(self, label):
-        return coordinates(self.points[AXIS_INDEX[label]], self.den)
+        return coordinates(self.points[AXIS_LABELS.index(label)], self.den)
 
     def vertices(self):
         return tuple(coordinates(p, self.den) for p in self.points)
@@ -367,6 +367,27 @@ class RigidMotion:
                 1)
 
 
+def _fma(a, b, c):
+    """a * b + c rounded once, an IEEE fused multiply-add: Dekker's exact
+    product of Veltkamp's halves (Numer. Math. 18, 1971) plus c by fsum, or
+    Fractions where a half or a product could leave the float range."""
+    if 2.0 ** -900 < abs(a * b) < 2.0 ** 995 > abs(a) + abs(b) + abs(c):
+        ah, bh = a * (2.0 ** 27 + 1), b * (2.0 ** 27 + 1)
+        ah, bh = ah - (ah - a), bh - (bh - b)
+        al, bl = a - ah, b - bh
+        return math.fsum((ah * bh, ah * bl, al * bh, al * bl, c))
+    if not (a and b and math.isfinite(a) and math.isfinite(b)) or c != c:
+        return a * b + c  # a * b exact (a zero or non-finite factor), or c NaN
+    try:
+        return float(Fraction(a) * Fraction(b) + Fraction(c))
+    except OverflowError:  # c is +-inf, or the sum rounds past the floats
+        return c if math.isinf(c) else math.copysign(math.inf, a * b)
+
+
+def _dot(a, b):  # two 3-vectors, as a fused chain (README)
+    return _fma(a[2], b[2], _fma(a[1], b[1], 0.0 + a[0] * b[0]))
+
+
 def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
     """Isometry delta with delta(src vertices) = dst vertices.
 
@@ -376,53 +397,42 @@ def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
     coplanar pair never mirrors the alignment.  Raises NotIsometricError
     when the six pairwise distances disagree, or when a vertex misses its
     image by more than 10 TOL times the longest distance (at least 1).
-    Gates and motion are Python floats; numpy builds the frames.
+    Gates and motion are Python floats, in the fused forms of the README.
     """
-    import numpy as np
 
     def frame_matrix(quad: SkewQuad):
         """Orthonormal frame from the tetrahedron edges (Gram-Schmidt)."""
         p14, p12, p23, _ = quad.points
-        e1 = np.array(to_floats(v_sub(p12, p14), quad.den))
-        e2 = np.array(to_floats(v_sub(p23, p14), quad.den))
-        u1 = e1 / np.linalg.norm(e1)
-        u2 = e2 - np.dot(e2, u1) * u1
-        n2 = np.linalg.norm(u2)
+        e1, e2 = (to_floats(v_sub(p, p14), quad.den) for p in (p12, p23))
+        n1 = math.sqrt(_dot(e1, e1)) or math.nan  # P12 = P14: NaNs
+        u1 = e1[0] / n1, e1[1] / n1, e1[2] / n1
+        u2 = v_sub(e2, v_scale(_dot(e2, u1), u1))
+        n2 = math.sqrt(_dot(u2, u2))
         if n2 < 1e-12:
             raise DegenerateQuadError("collinear quad edges; no spatial frame")
-        u2 /= n2
-        return np.column_stack([u1, u2, v_cross(u1, u2)])
+        u2 = u2[0] / n2, u2[1] / n2, u2[2] / n2
+        return u1, u2, v_cross(u1, u2)
 
-    fsrc, fdst = (SkewQuad(tuple(to_floats(p, q.den) for p in q.points), 1)
-                  for q in (src, dst))
-    pairs = [((1, 4), (1, 2)), ((1, 2), (2, 3)), ((2, 3), (3, 4)),
-             ((3, 4), (1, 4)), ((1, 4), (2, 3)), ((1, 2), (3, 4))]
+    ps, pd = ([to_floats(p, q.den) for p in q.points] for q in (src, dst))
     longest_sq = 0.0
-    for a, b in pairs:
-        ds = v_dist_sq(fsrc[a], fsrc[b])
-        dd = v_dist_sq(fdst[a], fdst[b])
-        scale = max(1.0, abs(ds), abs(dd))
-        if abs(ds - dd) > TOL * scale:
+    for i, j in ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)):
+        ds, dd = v_dist_sq(ps[i], ps[j]), v_dist_sq(pd[i], pd[j])
+        if abs(ds - dd) > TOL * max(1.0, abs(ds), abs(dd)):
             raise NotIsometricError(  # reports the rounded exact distances
-                f"distance {a}-{b} differs: {float(v_dist_sq(src[a], src[b]))}"
-                f" vs {float(v_dist_sq(dst[a], dst[b]))}")
+                f"distance {AXIS_LABELS[i]}-{AXIS_LABELS[j]} differs: "
+                f"{float(src._dist_sq(i, j))} vs {float(dst._dist_sq(i, j))}")
         longest_sq = max(longest_sq, ds, dd)
-    fs = frame_matrix(src)
-    fd = frame_matrix(dst)
-    sign = 1
-    vol_s = fsrc.orientation_det()
-    vol_d = fdst.orientation_det()
-    flat = TOL * longest_sq ** 1.5
+    fs, fd = frame_matrix(src), frame_matrix(dst)
+    vol_s, vol_d = (det3(*(v_sub(p, q[0]) for p in q[1:])) for q in (ps, pd))
+    sign, flat = 1, TOL * longest_sq ** 1.5
     if vol_s * vol_d < 0 and min(abs(vol_s), abs(vol_d)) > flat:
-        sign = -1
-        fs = fs.copy()
-        fs[:, 2] = -fs[:, 2]
-    rot = fd @ fs.T
-    trans = np.array(fdst.points[0]) - rot @ np.array(fsrc.points[0])
-    motion = RigidMotion(tuple(map(tuple, rot.tolist())),
-                         tuple(trans.tolist()), sign)
-    worst = max(math.dist(motion.apply_point(fsrc[lab]), fdst[lab])
-                for lab in AXIS_LABELS)
+        sign, fs = -1, (fs[0], fs[1], v_scale(-1, fs[2]))
+    rot = tuple(tuple(_dot(a, b) for b in zip(*fs)) for a in zip(*fd))
+    p = ps[0]
+    trans = tuple(x - (0.0 + _fma(r[2], p[2], _fma(r[0], p[0], r[1] * p[1])))
+                  for x, r in zip(pd[0], rot))
+    motion = RigidMotion(rot, trans, sign)
+    worst = max(math.dist(motion.apply_point(p), q) for p, q in zip(ps, pd))
     if worst > 10 * TOL * max(1.0, math.sqrt(longest_sq)):
         raise NotIsometricError(f"alignment residual {worst} too large")
     return motion

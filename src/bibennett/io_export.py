@@ -215,11 +215,7 @@ def parse_config(raw) -> Config:
     mode = data.get("mode", "exact")
     if mode not in ("exact", "float"):
         raise ConfigError("'mode' must be 'exact' or 'float'")
-    exact = mode == "exact"
-
-    def scalar(v):
-        return parse_scalar(v, exact)
-
+    scalar = functools.partial(parse_scalar, exact=mode == "exact")
     values = {"family": family, "mode": mode}
     for key in _SCALAR_KEYS:
         if key in data:
@@ -352,11 +348,11 @@ def coupling_ribbons(bib: BiBennett, tau):
     each spanned between consecutive anchor points offset along the axes."""
     cp = coupled_pose(bib, tau)
     points, _, pden = cp.delta.images(cp.bar_quad.points, [], cp.bar_quad.den)
-    _, dirs, dden = cp.delta.images([], cp.bar_pose.directions,
-                                    cp.bar_pose.den)
+    hat = cp.hat_pose  # the bar pose moved by delta: its axis directions
     return (_ribbons_from_anchors("tube1", (cp.quad.points, cp.quad.den),
                                   (cp.pose.directions, cp.pose.den))
-            + _ribbons_from_anchors("tube2", (points, pden), (dirs, dden)))
+            + _ribbons_from_anchors("tube2", (points, pden),
+                                    (hat.directions, hat.den)))
 
 
 def export_obj_text(structure, tau, patch_n: int) -> str:
@@ -396,9 +392,6 @@ SWEEP_HEADER = ("tau", "status", "tau_bar", "closure_residual",
                 "bar_closure_residual", "side_residual", "certificate",
                 "verdict")
 
-_EMPTY_BRANCH = "no-real-branch"
-_POLE = "pole"
-
 
 def certify(config: Config, structure, tau):
     """(report name, report) of the certificate that FAMILIES gives the
@@ -437,9 +430,9 @@ def sweep_report(config: Config):
         try:
             cp = coupled_pose(bib, tau)
         except PoleError:
-            row["status"] = _POLE
+            row["status"] = "pole"
         except NoRealBranchError:
-            row["status"] = _EMPTY_BRANCH
+            row["status"] = "no-real-branch"
         else:
             name, report = _certify_pose(config, cp)
             side = max(abs(float(r)) for r in isogram_residuals(cp.quad))

@@ -4,7 +4,10 @@ import argparse
 import hashlib
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -748,6 +751,59 @@ def test_appendix_report_digest(capsys):
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_DIGESTS[
         "appendix"]
+
+
+# Runs in a fresh interpreter where ``import numpy`` raises ImportError:
+# the report digests (as test_fixture_report_digests forms them), the sweep
+# output digest and the OBJ digest of each family-C fixture, with the exit
+# codes of sweep and export, as JSON.
+_NUMPY_BLOCKED_RUN = """
+import hashlib, json, sys, tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+sys.modules["numpy"] = None
+from bibennett.cli import main
+
+def run(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+found = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for name in ("fig6", "fig8a", "fig8b", "fig9a"):
+        for mode in ("exact", "float"):
+            digest = hashlib.sha256()
+            for command in ("validate", "construct", "certify", "limits"):
+                code, out, err = run([command, "-c", name, "--mode", mode])
+                digest.update(f"{command} {code}\\n{out}\\0{err}\\0".encode())
+            found[f"{name} {mode}"] = digest.hexdigest()
+        code, out, _ = run(["sweep", "-c", name])
+        found[f"{name} sweep"] = [code, hashlib.sha256(out.encode()).hexdigest()]
+        obj = Path(tmp) / f"{name}.obj"
+        code, _, _ = run(["export", "-c", name, "--out", str(obj)])
+        found[f"{name} export"] = [
+            code, hashlib.sha256(obj.read_bytes()).hexdigest()]
+print(json.dumps(found))
+"""
+
+
+def test_family_c_fixtures_run_without_numpy():
+    src = Path(__import__("bibennett").__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", _NUMPY_BLOCKED_RUN, str(src)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    found = json.loads(done.stdout)
+    for name in ("fig6", "fig8a", "fig8b", "fig9a"):
+        for mode in ("exact", "float"):
+            assert found[f"{name} {mode}"] == GOLDEN_DIGESTS[name, mode]
+        for command in ("sweep", "export"):
+            assert found[f"{name} {command}"] == [
+                EXIT_OK, FIXTURE_DIGESTS[name, command]]
 
 
 def test_trivial_coupling_on_a_collinear_quad_fails_in_the_quad(tmp_path,

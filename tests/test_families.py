@@ -1,11 +1,12 @@
 """Unit tests for the coupling families and the necessary-condition oracle."""
 
 import math
+import struct
 from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bibennett.algebra import (
@@ -39,6 +40,8 @@ from bibennett.families import (
     NoRealFamilyError,
     SkewQuad,
     ZeroOffsetError,
+    _dot,
+    _fma,
     _side_sq,
     align_isometry,
     bar_tau_squared,
@@ -189,6 +192,68 @@ def test_align_isometry_reverses_onto_a_mirror_image():
     flat = SkewQuad(((0, 0, 0), (1, 0, 0), (1, 1, 1e-12), (0, 1, 0)), 1)
     assert flat.orientation_det() * _mirror(flat).orientation_det() < 0
     assert align_isometry(flat, _mirror(flat)).orientation == 1
+
+
+def _rounded_once(a, b, c):
+    """a * b + c of finite floats, exact through Fractions and rounded once
+    to the nearest float (ties to even), +-inf past the largest float; with
+    a zero factor the product is an exact signed zero."""
+    if a == 0 or b == 0:
+        return a * b + c
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    if abs(exact) >= 2 ** 1024 - 2 ** 970:
+        return math.inf if exact > 0 else -math.inf
+    return float(exact)
+
+
+_DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(_DOUBLES, _DOUBLES, _DOUBLES)
+@example(1 + 2.0 ** -30, 1 - 2.0 ** -30, -1.0)  # split halves: -2**-60
+@example(2.0 ** 1000, 2.0 ** 23, -(2.0 ** 1023))  # exact path: +0.0
+@example(2.0 ** 512, 2.0 ** 512, -1.7976931348623157e308)  # 2**971
+@example(-(2.0 ** 1000), 2.0 ** 30, 0.0)  # overflows: -inf
+@example(2.0 ** -1074, 1.5, 0.0)  # a subnormal tie, to even: 2**-1073
+# a product near 2**-1031, whose split would lose a product of halves
+@example(4.779289230309717e-163, 6.604517221849312e-151, 0.0)
+@example(2.0 ** -1074, -0.5, 0.0)  # underflows to -0.0
+@example(-0.0, 1.0, -0.0)  # -0.0
+@example(0.0, -1.0, 0.0)  # +0.0
+def test_fma_rounds_once(a, b, c):
+    assert (struct.pack("<d", _fma(a, b, c))
+            == struct.pack("<d", _rounded_once(a, b, c)))
+
+
+def test_fma_keeps_a_non_finite_addend():
+    # 2**600 * 2**600 overflows as a float product but is finite exactly,
+    # so the fused result is the addend itself
+    assert _fma(2.0 ** 600, 2.0 ** 600, -math.inf) == -math.inf
+    assert math.isnan(_fma(2.0 ** 600, 2.0 ** 600, math.nan))
+    assert math.isnan(_fma(math.inf, 0.0, 1.0))
+
+
+# Bits of numpy 2.4.6 on OpenBLAS 0.3.31's FMA (Haswell) kernel, where the
+# plain products and left-to-right sums round otherwise.
+def test_dot_is_the_fused_chain():
+    a, b = (0.3, 0.2, -0.3), (0.2, -0.9, -0.9)
+    assert a[0] * b[0] + a[1] * b[1] + a[2] * b[2] == 0.15
+    assert _dot(a, b) == 0.14999999999999997
+
+
+def test_alignment_maps_with_the_fused_rotation_product():
+    # dst = R src + t for the rotation of the quaternion (1, 1, -1, 2),
+    # over 7; the plain R p would give -3.0000000000000013 in t
+    src = SkewQuad(((-5, -1, -5), (-4, -4, 4), (3, -5, -2), (1, -1, 4)), 1)
+    dst = SkewQuad(((-24, 22, -54), (21, 7, -7), (-38, -20, -5),
+                    (12, -32, -15)), 7)
+    motion = align_isometry(src, dst)
+    assert motion.rotation == (
+        (-0.42857142857142855, 0.2857142857142858, 0.8571428571428573),
+        (-0.8571428571428572, -0.4285714285714286, -0.2857142857142857),
+        (0.28571428571428564, -0.8571428571428572, 0.42857142857142866))
+    assert motion.translation == (-0.9999999999999987, -3.0000000000000004,
+                                  -5.0)
 
 
 def test_necessary_conditions_vanish_for_families():

@@ -2,17 +2,18 @@
 it never uses, no public function, class, constant, method or property of
 the package is used only by the tests, neither the package's defaulted
 parameters nor its line count nor its calls of ``clear_denominators`` nor
-the ``Fraction`` constructions of a non-existence suite call grow, and the
-package holds one tolerance constant and no other bound written as a
-scientific float literal.  The
-package's ``__init__`` is exempt from the first two, since its imports are
-the public re-exports."""
+the ``Fraction`` constructions of a non-existence suite call grow, the
+package imports only the standard library and itself, and it holds one
+tolerance constant and no other bound written as a scientific float
+literal.  The package's ``__init__`` is exempt from the first two, since
+its imports are the public re-exports."""
 
 import ast
 import cProfile
 import fractions
 import pstats
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -53,6 +54,40 @@ def test_scan_finds_an_unused_import():
     source = ("import math\nimport os.path\nfrom sys import argv, path\n\n"
               "print(os.sep, path)\n")
     assert _unused_imports(source) == [(1, "math"), (3, "argv")]
+
+
+def _foreign_imports(source: str):
+    """(line, module) of each import statement of ``source`` whose top-level
+    module is neither in the standard library nor ``bibennett``; relative
+    imports are the package's own."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.partition(".")[0] not in
+                  sys.stdlib_module_names | {"bibennett"}]
+    return found
+
+
+def test_package_imports_only_the_standard_library():
+    foreign = [f"{path.relative_to(ROOT)}:{line}: {name}"
+               for path in sorted((ROOT / "src" / "bibennett").glob("*.py"))
+               for line, name in _foreign_imports(path.read_text("utf-8"))]
+    assert not foreign, "\n".join(foreign)
+
+
+def test_foreign_import_scan():
+    source = ("import math, numpy as np\nimport os.path\n"
+              "from scipy.linalg import norm\nfrom . import algebra\n"
+              "from bibennett.algebra import TOL\n\n"
+              "def f():\n    import sympy\n")
+    assert _foreign_imports(source) == [
+        (1, "numpy"), (3, "scipy.linalg"), (8, "sympy")]
 
 
 # Keyword parameters with defaults in the package, counting the defaulted
@@ -292,7 +327,7 @@ _TOLERANCE_NAME = re.compile(r"(^|_)(TOL|TOLERANCE|EPS|EPSILON)(_|$)")
 
 # The scientific float literals the package may hold, by the name of the
 # constant or function that holds them: TOL's value, and the collinearity
-# guard of align_isometry's numpy frames, which goes with that float
+# guard of align_isometry's float frames, which goes with that float
 # alignment (ROADMAP item 2).
 ALLOWED_SCIENTIFIC_LITERALS = {
     "algebra.py:TOL": "1e-9",
