@@ -13,10 +13,10 @@ proof by exact root counts.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul, sub
+from typing import NamedTuple
 
 from .algebra import (TOL, DegreeBoundError, _Ratio, interpolate_integers,
                       one_denominator)
@@ -45,8 +45,7 @@ _TOP = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _BOTTOM = ((2, 3), (3, 1), (1, 2), (0, 3), (2, 0), (0, 1))
 
 
-@dataclass(frozen=True)
-class CoplanarityExpansion:
+class CoplanarityExpansion(NamedTuple):
     """Normalised coefficients of the quartic drive polynomial obtained from
     the coplanarity determinant of the four anchor points.
 
@@ -117,8 +116,8 @@ def coplanarity_coeffs(a1, a2, mu: MuSet) -> CoplanarityExpansion:
     the scale pinned to one; the structural factor ``a1*a2*(a1-a2)*(a1+a2)``
     must be nonzero.  Floats are taken at the rationals they represent."""
     a1, a2 = Fraction(a1), Fraction(a2)
-    mu = MuSet(*map(Fraction, mu.as_tuple()))
-    monomials = [prod(m for i, m in enumerate(mu.as_tuple()) if mask >> i & 1)
+    mu = MuSet(*map(Fraction, mu))
+    monomials = [prod(m for i, m in enumerate(mu) if mask >> i & 1)
                  for mask in range(16)]
     forms, den = _expansion_forms(a1, a2)
     return CoplanarityExpansion(a1, a2, mu, *(

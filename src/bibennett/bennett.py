@@ -12,9 +12,9 @@ as (cos, sin, offset)) and ``transmission()``, and ``frame`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .algebra import (TOL, _Ratio, coordinates, det3, div, is_exact, v_add,
                       v_cross, v_dot, v_norm_sq, v_scale, v_sub)
@@ -46,20 +46,21 @@ class DegenerateQuadError(ValueError):
 # designs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BennettDesign:
+class _BennettDesign(NamedTuple):
+    a1: object
+    a2: object
+    k: object
+
+
+class BennettDesign(_BennettDesign):
     """Intrinsic Bennett loop parameters via half-tangents a_i = tan(alpha_i/2).
 
     The scale k fixes the common normal lengths d_i = k sin(alpha_i); k = 0 is
     the spherical (pyramidal) limit.
     """
 
-    a1: object
-    a2: object
-    k: object
-
-    # built once per design, kept in its dict (``replace`` makes a new one);
-    # functools.cached_property would lock on each first read before 3.12
+    # built once per design in the dict of this subclass (``_replace`` makes
+    # a new one); functools.cached_property would lock before 3.12
     def links(self):
         """The links (cos, sin, offset) of twist alpha_i and offset d_i."""
         if "_links" not in self.__dict__:
@@ -94,15 +95,19 @@ PLANAR_CASES = ("1a", "1b", "2a", "2b")
 _PLANAR_COS = {"1a": (-1, -1), "1b": (-1, 1), "2a": (1, 1), "2b": (1, -1)}
 
 
-@dataclass(frozen=True)
-class PlanarDesign:
-    """Planar 4R limit: free distances d1, d2 with twists pinned to 0 or pi."""
-
+class _PlanarDesign(NamedTuple):
     d1: object
     d2: object
     case: str
 
-    def __post_init__(self):
+
+class PlanarDesign(_PlanarDesign):
+    """Planar 4R limit: free distances d1, d2 with twists pinned to 0 or pi."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):  # ``_replace`` skips the checks
+        self = super().__new__(cls, *args, **kwargs)
         if self.case not in PLANAR_CASES:
             raise ValueError(f"unknown planar case {self.case!r}")
         if self.d1 <= 0 or self.d2 <= 0:
@@ -110,6 +115,7 @@ class PlanarDesign:
         if self.case in ("1a", "2a") and self.d1 == self.d2:
             raise DegenerateDesignError(
                 "d1 == d2 (rhombus) makes the transmission ratio infinite")
+        return self
 
     def links(self):
         """The links (cos, sin, offset) of the pinned twists, offsets d_i."""
@@ -174,24 +180,24 @@ def planar_loop_closure_residual(pd: PlanarDesign, tau):
 # poses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Axis:
+class Axis(NamedTuple):
     label: tuple
     point: tuple
     direction: tuple
 
 
-@dataclass(frozen=True)
-class Pose:
-    """A configured loop at motion parameter tau: the ``points`` F and
-    ``directions`` r of its axes in AXIS_LABELS order, integers over ``den``
-    (other coordinates over 1), viewed by label in ``axes`` on first read."""
-
+class _Pose(NamedTuple):
     design: object  # BennettDesign or PlanarDesign
     tau: object
     points: tuple
     directions: tuple
     den: object
+
+
+class Pose(_Pose):
+    """A configured loop at motion parameter tau: the ``points`` F and
+    ``directions`` r of its axes in AXIS_LABELS order, integers over ``den``
+    (other coordinates over 1), viewed by label in ``axes`` on first read."""
 
     @cached_property
     def axes(self) -> dict:

@@ -18,7 +18,6 @@ import importlib.resources
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .appendix import verify_nonexistence
 from .bennett import (
@@ -82,7 +81,7 @@ def _load_config(args) -> Config:
         if value is not None:
             data[key] = value
     config = parse_config(data)
-    return config if args.tau is None else replace(config, tau_samples=None)
+    return config if args.tau is None else config._replace(tau_samples=None)
 
 
 def _require_tau(config: Config):

@@ -10,9 +10,9 @@ orientation-preserving isometry with a companion motion parameter tau_bar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .algebra import (TOL, DegenerateResultantError, clear_denominators,
                       coordinates, det3, div, is_exact, one_denominator,
@@ -57,8 +57,7 @@ class ZeroOffsetError(ValueError):
 # quads on axes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MuSet:
+class MuSet(NamedTuple):
     """Signed offsets mu_ij of the quad vertices along the four axes."""
 
     mu14: object
@@ -67,11 +66,10 @@ class MuSet:
     mu34: object
 
     def as_tuple(self):
-        return (self.mu14, self.mu12, self.mu23, self.mu34)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class SkewQuad:
+class SkewQuad(NamedTuple):
     """Vertex quadrilateral P14, P12, P23, P34 on the four axes: ``points``
     are integers over ``den``, or any other coordinates over 1."""
 
@@ -104,18 +102,17 @@ class SkewQuad:
 def points_on_axes(pose: Pose, mu: MuSet) -> SkewQuad:
     """The quad at offsets ``mu`` on the axes of ``pose``: integers over D m
     from a pose over D and offsets over m, else the coordinates F + mu r."""
-    mus, den = mu.as_tuple(), pose.den
-    if den == 1 or not all(map(is_exact, mus)):
+    den = pose.den
+    if den == 1 or not all(map(is_exact, mu)):
         return SkewQuad(tuple(
             v_add(coordinates(p, den), v_scale(m, coordinates(r, den)))
-            for p, r, m in zip(pose.points, pose.directions, mus)), 1)
-    (mus,), m = clear_denominators([mus])
+            for p, r, m in zip(pose.points, pose.directions, mu)), 1)
+    (mus,), m = clear_denominators([mu])
     return SkewQuad(tuple(v_add(v_scale(m, p), v_scale(n, r)) for p, r, n
                           in zip(pose.points, pose.directions, mus)), den * m)
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(NamedTuple):
     """A Bennett (or planar-limit) loop together with its quad offsets."""
 
     design: object  # BennettDesign or PlanarDesign
@@ -177,8 +174,16 @@ def isogram_residuals(quad: SkewQuad):
 # bi-Bennett records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BiBennett:
+class _BiBennett(NamedTuple):
+    family: str
+    design: object
+    mu: MuSet
+    bar_mu: MuSet
+    labels: frozenset
+    branch: int = -1  # sign of the tau_bar root followed by default
+
+
+class BiBennett(_BiBennett):
     """A coupled pair of Bennett tubes of one design, with quad offsets
     ``mu`` on the first tube and ``bar_mu`` on the partner.  For families A,
     B and the trivial branch the partner tube is the half-turn image of the
@@ -188,18 +193,16 @@ class BiBennett:
     ``labels`` (see :mod:`bibennett.limits`); a plain coupling carries none.
     """
 
-    family: str
-    design: object
-    mu: MuSet
-    bar_mu: MuSet
-    labels: frozenset
-    branch: int = -1  # sign of the tau_bar root followed by default
+    __slots__ = ()
 
-    def __post_init__(self):
+    # ``_replace`` skips these checks; the package replaces only ``labels``
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.branch not in (-1, 1):
             raise ValueError("branch must be -1 or +1")
+        return self
 
     @property
     def bar_design(self):
@@ -254,8 +257,7 @@ def family_c(design, mu14, mu12, s: int, branch: int) -> BiBennett:
 # the coupling quartic and tau_bar
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CouplingQuartic:
+class CouplingQuartic(NamedTuple):
     """Coefficients of A tau^2 tau_bar^2 + B tau^2 + C tau_bar^2 + D."""
 
     a: object
@@ -303,18 +305,23 @@ def solve_bar_tau(q: CouplingQuartic, tau):
 # partner maps: the half-turn and the rigid alignment of two quads
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HalfTurn:
-    """Half-turn about the ``line`` (P, l) through P / 2 along l, integers
-    over an int ``den`` (:func:`symmetry_line`) or floats."""
-
+class _HalfTurn(NamedTuple):
     line: tuple
     den: object
 
-    def __post_init__(self):
+
+class HalfTurn(_HalfTurn):
+    """Half-turn about the ``line`` (P, l) through P / 2 along l, integers
+    over an int ``den`` (:func:`symmetry_line`) or floats."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):  # ``_replace`` skips the check
+        self = super().__new__(cls, *args, **kwargs)
         kinds = {type(x) for v in self.line for x in v}
-        if float not in kinds and not kinds | {type(self.den)} <= {int}:
+        if kinds != {float} and not kinds | {type(self.den)} <= {int}:
             raise ValueError("line is neither ints over an int den nor floats")
+        return self
 
     def images(self, points, directions, den):
         """(point images, direction images, their denominator D n) of
@@ -342,8 +349,7 @@ class HalfTurn:
         return images[:len(points)], images[len(points):], common * n
 
 
-@dataclass(frozen=True)
-class RigidMotion:
+class RigidMotion(NamedTuple):
     """Isometry of 3-space, p to t + R p: the ``rotation`` R as three rows
     and the ``translation`` t."""
 
@@ -408,7 +414,7 @@ def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
         u1 = e1[0] / n1, e1[1] / n1, e1[2] / n1
         u2 = v_sub(e2, v_scale(_dot(e2, u1), u1))
         n2 = math.sqrt(_dot(u2, u2))
-        if n2 < 1e-12:
+        if not n2 >= 1e-12:  # NaN where P12 = P14
             raise DegenerateQuadError("collinear quad edges; no spatial frame")
         u2 = u2[0] / n2, u2[1] / n2, u2[2] / n2
         return u1, u2, v_cross(u1, u2)
@@ -433,7 +439,7 @@ def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
                   for x, r in zip(pd[0], rot))
     motion = RigidMotion(rot, trans, sign)
     worst = max(math.dist(motion.apply_point(p), q) for p, q in zip(ps, pd))
-    if worst > 10 * TOL * max(1.0, math.sqrt(longest_sq)):
+    if not worst <= 10 * TOL * max(1.0, math.sqrt(longest_sq)):
         raise NotIsometricError(f"alignment residual {worst} too large")
     return motion
 
@@ -442,17 +448,7 @@ def align_isometry(src: SkewQuad, dst: SkewQuad) -> RigidMotion:
 # the coupled pose
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoupledPose:
-    """Both tubes at matched motion parameters, glued along the shared quad.
-
-    ``delta`` carries the partner tube onto the shared quad: the half-turn
-    about the quad's symmetry line for families A, B and the trivial branch
-    (the first tube itself, at tau_bar = tau), the rigid alignment of the
-    bar quad for family C.  ``hat_pose``, built on first read, is the bar
-    pose moved by ``delta``, and ``hat_axes`` its axes.
-    """
-
+class _CoupledPose(NamedTuple):
     bib: BiBennett
     tau: object
     tau_bar: object
@@ -461,6 +457,17 @@ class CoupledPose:
     bar_pose: Pose
     bar_quad: SkewQuad
     delta: object  # HalfTurn or RigidMotion
+
+
+class CoupledPose(_CoupledPose):
+    """Both tubes at matched motion parameters, glued along the shared quad.
+
+    ``delta`` carries the partner tube onto the shared quad: the half-turn
+    about the quad's symmetry line for families A, B and the trivial branch
+    (the first tube itself, at tau_bar = tau), the rigid alignment of the
+    bar quad for family C.  ``hat_pose``, built on first read, is the bar
+    pose moved by ``delta``, and ``hat_axes`` its axes.
+    """
 
     @cached_property
     def hat_pose(self) -> Pose:
@@ -510,15 +517,12 @@ def coupled_pose(bib: BiBennett, tau) -> CoupledPose:
 
 def _exact_loop(loop: Loop) -> Loop:
     """Rationalize a loop's parameters; floats convert without rounding."""
-    # fields, not the values a design caches; PlanarDesign.case is a label
-    scalars = {f.name: v for f in fields(loop.design)
-               if not isinstance(v := getattr(loop.design, f.name), str)}
-    if not any(isinstance(v, float)
-               for v in (*scalars.values(), *loop.mu.as_tuple())):
+    design, mu = loop
+    if not any(isinstance(v, float) for v in (*design, *mu)):
         return loop
-    design = replace(loop.design,
-                     **{name: Fraction(v) for name, v in scalars.items()})
-    return Loop(design, MuSet(*(Fraction(m) for m in loop.mu.as_tuple())))
+    # the fields, not the values a design caches; PlanarDesign.case is a label
+    return Loop(type(design)(*(v if isinstance(v, str) else Fraction(v)
+                               for v in design)), MuSet(*map(Fraction, mu)))
 
 
 def diagonal_rational(loop: Loop, which: int):
@@ -533,9 +537,8 @@ def diagonal_rational(loop: Loop, which: int):
     half-tangent tau, since the joint at axis (1,2) fixes P12.  Float
     parameters are first converted to the rationals they represent.
     """
-    loop = _exact_loop(loop)
-    link1, link2 = loop.design.links()
-    mu = loop.mu
+    design, mu = _exact_loop(loop)
+    link1, link2 = design.links()
     if which == 0:
         (ca, sa, da), (cb, sb, db), ma, mb = link1, link2, mu.mu14, mu.mu23
     else:
@@ -544,7 +547,7 @@ def diagonal_rational(loop: Loop, which: int):
     p = 2 * da * db + 2 * ma * mb * sa * sb
     q = 2 * ma * sa * db - 2 * mb * sb * da
     if which == 0:
-        kk = loop.design.transmission()
+        kk = design.transmission()
         num, den = [kk * kk * (e - p), 2 * kk * q, e + p], [kk * kk, 0, 1]
     else:
         num, den = [e + p, 2 * q, e - p], [1, 0, 1]
@@ -556,14 +559,12 @@ def _side_sq(loop: Loop):
     not depend on tau: side i spans link i mod 2 + 1, (c, s, d), between the
     points at offsets m_a, m_b on its two axes, at squared distance
     d^2 + m_a^2 + m_b^2 - 2 m_a m_b c."""
-    links = loop.design.links() * 2
-    mu = loop.mu.as_tuple()
+    links, mu = loop.design.links() * 2, loop.mu
     return tuple(Fraction(d * d + ma * ma + mb * mb - 2 * ma * mb * c)
                  for (c, _, d), ma, mb in zip(links, mu, mu[1:] + mu[:1]))
 
 
-@dataclass(frozen=True)
-class NecessaryReport:
+class NecessaryReport(NamedTuple):
     """The thirteen necessary conditions for a flexible coupling.
 
     Four tau-free side conditions plus the nine coefficients of the

@@ -13,7 +13,6 @@ import functools
 import io
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -61,8 +60,7 @@ class ConfigError(ValueError):
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     """A validated run configuration; numeric fields are exact Fractions in
     exact mode and floats in float mode."""
 

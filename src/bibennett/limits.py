@@ -9,7 +9,6 @@ the design (:func:`limit_kind`).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import combinations
 
 from .algebra import (
@@ -115,7 +114,7 @@ def prismatic_limit_C(case: str, d1, d2, mu14, mu12, s: int,
     """Prismatic limit of family C; the coupled prism shares both distances."""
     bib = family_c(_planar_design(case, d1, d2), mu14, mu12, s, branch)
     label = "III2ii" if case == "anti" else "III4ii"
-    return replace(bib, labels=frozenset({label}))
+    return bib._replace(labels=frozenset({label}))
 
 
 def pyramidal_limit(bib: BiBennett) -> BiBennett:
@@ -126,10 +125,10 @@ def pyramidal_limit(bib: BiBennett) -> BiBennett:
         raise ValueError("a pyramidal limit needs a Bennett design with k = 0")
     if bib.family not in _PYRAMIDAL_LABELS:
         raise ValueError("family must be 'A', 'B' or 'C'")
-    if 0 in bib.mu.as_tuple():
+    if 0 in bib.mu:
         raise ZeroOffsetError(
             "a zero offset puts its quad vertex on the apex of the pyramid")
-    return replace(bib, labels=_PYRAMIDAL_LABELS[bib.family])
+    return bib._replace(labels=_PYRAMIDAL_LABELS[bib.family])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ coupling at tau and run the check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     TOL,
@@ -49,8 +49,7 @@ from .families import (
     isogram_residuals,
 )
 
-@dataclass(frozen=True)
-class ResidualEntry:
+class ResidualEntry(NamedTuple):
     """A named value of a certificate and the float tolerance of its check;
     the value is held to ``tolerance_of(value, tol)``."""
 
@@ -67,8 +66,7 @@ class ResidualEntry:
         return abs(self.value) <= self.tolerance
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     name: str
     residuals: tuple
 

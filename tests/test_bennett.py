@@ -1,6 +1,5 @@
 """Unit tests for single-loop construction, closure, and classification."""
 
-from dataclasses import astuple, replace
 from fractions import Fraction
 
 import pytest
@@ -24,6 +23,7 @@ from bibennett.bennett import (
     AXIS_LABELS,
     Axis,
     BennettDesign,
+    ConventionError,
     DegenerateDesignError,
     DegenerateQuadError,
     PLANAR_CASES,
@@ -96,6 +96,16 @@ def test_planar_pole():
     for case in ("1a", "2a"):
         with pytest.raises(DegenerateDesignError):
             PlanarDesign(F(1), F(1), case)
+    for case in ("1b", "2b"):  # a finite ratio there
+        assert PlanarDesign(F(1), F(1), case).transmission() in (1, -1)
+
+
+def test_planar_design_rejects_an_unknown_case_and_a_nonpositive_distance():
+    with pytest.raises(ValueError, match="unknown planar case"):
+        PlanarDesign(F(1, 2), F(1), "3a")
+    for d1, d2 in ((F(0), F(1)), (F(1), F(-1, 2)), (-0.5, 1.0)):
+        with pytest.raises(ConventionError):
+            PlanarDesign(d1, d2, "2b")
 
 
 def test_planar_closure_exact():
@@ -231,8 +241,8 @@ def _with_axes(pose, axes):
     """``pose`` with ``axes`` (label -> Axis) in place of its own: a pose
     built from the Fraction coordinates of its axes, over 1."""
     axes = [{**pose.axes, **axes}[label] for label in AXIS_LABELS]
-    return replace(pose, points=tuple(ax.point for ax in axes),
-                   directions=tuple(ax.direction for ax in axes), den=1)
+    return pose._replace(points=tuple(ax.point for ax in axes),
+                         directions=tuple(ax.direction for ax in axes), den=1)
 
 
 @pytest.mark.parametrize("a2", [F(1, 3), F(2)])
@@ -456,7 +466,7 @@ def test_closure_residual_matches_chain(a1, a2, k, tau, case):
         assert type(residual) is Fraction
         # float tau, with an exact and with a float design, keeps the chain
         fdesign = type(design)(*(float(v) if is_exact(v) else v
-                                 for v in astuple(design)))
+                                 for v in design))
         for d in (design, fdesign):
             assert repr(loop_closure_residual(d, float(tau))) == repr(
                 _chain_closure_residual(d, float(tau)))
@@ -487,7 +497,7 @@ def test_links_are_built_once_per_design(a1, a2, k, floats, moved_a1):
     assert _typed_links(design.links()) == _typed_links(links)
     assert _typed([design.transmission()]) == _typed([transmission])
     assert design.links() is design.links()
-    moved = replace(design, a1=conv(moved_a1))
+    moved = design._replace(a1=conv(moved_a1))
     links, transmission = _fresh(moved)
     assert _typed_links(moved.links()) == _typed_links(links)
     assert _typed([moved.transmission()]) == _typed([transmission])
@@ -517,19 +527,19 @@ def test_kernel_reads_of_one_design_match_a_fresh_design(a1, a2, k, case,
     # replace after the first was posed
     assume(a1 != a2 and moved_a1 != a2)
     designs = [BennettDesign(a1, a2, k), PlanarDesign(a1, a2, case)]
-    designs += [type(d)(*(float(v) if is_exact(v) else v for v in astuple(d)))
+    designs += [type(d)(*(float(v) if is_exact(v) else v for v in d))
                 for d in designs]
     for design, start in ((d, i) for d in designs for i in (0, 1)):
-        design = replace(design)
+        design = design._replace()
         for tau in taus[start:] + taus[:start]:
             assert _kernel_values(design, tau) == _kernel_values(
-                replace(design), tau)
+                design._replace(), tau)
         # a float tau makes the chain inexact, each factor over h = 1
         assert frame(design, taus[1]).den == 1
     _kernel_values(designs[0], taus[0])
-    moved = replace(designs[0], a1=moved_a1)
+    moved = designs[0]._replace(a1=moved_a1)
     for tau in taus:
-        assert _kernel_values(moved, tau) == _kernel_values(replace(moved),
+        assert _kernel_values(moved, tau) == _kernel_values(moved._replace(),
                                                             tau)
 
 

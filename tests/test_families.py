@@ -2,7 +2,6 @@
 
 import math
 import struct
-from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
@@ -27,10 +26,12 @@ from bibennett.bennett import (
     PLANAR_CASES,
     Axis,
     BennettDesign,
+    DegenerateQuadError,
     PlanarDesign,
     validate,
 )
 from bibennett.families import (
+    BiBennett,
     DegenerateCouplingError,
     ExcludedBranchError,
     HalfTurn,
@@ -256,6 +257,16 @@ def test_alignment_maps_with_the_fused_rotation_product():
                                   -5.0)
 
 
+def test_alignment_of_a_quad_without_a_first_edge_raises():
+    # P12 = P14, or a first edge whose squared length underflows to 0, once
+    # gave a RigidMotion of NaNs
+    for p12 in ((0, 0, 0), (1e-170, 0, 0)):
+        src = SkewQuad(((0, 0, 0), p12, (1, 2, 0.5), (0.3, 1, 2)), 1)
+        dst = SkewQuad(tuple((x + 1, y, z) for x, y, z in src.points), 1)
+        with pytest.raises(DegenerateQuadError, match="collinear"):
+            align_isometry(src, dst)
+
+
 def test_necessary_conditions_vanish_for_families():
     couplings = [
         make_family_a(MuSet(F(37, 40), F(7, 8), F(1), F(1, 2))),
@@ -279,7 +290,7 @@ def test_necessary_conditions_reject_perturbation():
 
 @pytest.mark.parametrize("fields", [(0.5, 0.25, 1.0), (0.5, 0.75, "2a")])
 def test_a_float_design_read_before_goes_through_the_oracle(fields):
-    # the oracle rationalises a design by its dataclass fields: the links
+    # the oracle rationalises a design by its record fields: the links
     # and transmission a design keeps once read are not parameters
     kind = PlanarDesign if "2a" in fields else BennettDesign
     mu, bar_mu = MuSet(0.5, 0.25, 0.75, -1.5), MuSet(0.25, 0.5, -1.5, 0.75)
@@ -417,9 +428,9 @@ _OFFSETS = st.builds(MuSet, *[st.builds(F, st.integers(-30, 30),
 
 def _converted(loop, conv):
     """The loop with every scalar parameter passed through conv."""
-    scalars = {name: conv(v) for name, v in asdict(loop.design).items()
+    scalars = {name: conv(v) for name, v in loop.design._asdict().items()
                if not isinstance(v, str)}  # PlanarDesign.case is a label
-    return Loop(replace(loop.design, **scalars),
+    return Loop(loop.design._replace(**scalars),
                 MuSet(*map(conv, loop.mu.as_tuple())))
 
 
@@ -539,6 +550,31 @@ def test_half_turn_images_follow_the_formulas(points, directions, b, l):
             _reference_half_turn(args[0], args[1], args[2][0], args[3][0]))
 
 
+def test_bibennett_rejects_an_unknown_family_and_branch():
+    mu = MuSet(F(2, 3), F(1, 4), F(2, 3), F(1, 4))
+    assert BiBennett("C", DESIGN, mu, mu, frozenset(), 1).branch == 1
+    with pytest.raises(ValueError, match="unknown family"):
+        BiBennett("D", DESIGN, mu, mu, frozenset())
+    for branch in (0, 2, -2):
+        with pytest.raises(ValueError, match="branch"):
+            BiBennett("C", DESIGN, mu, mu, frozenset(), branch)
+
+
+def test_family_c_rejects_a_sign_other_than_plus_or_minus_one():
+    for s in (0, 2, -2):
+        with pytest.raises(ValueError, match="s must be"):
+            family_c(DESIGN, F(2, 3), F(1, 4), s, -1)
+
+
+def test_half_turn_line_mixing_ints_and_floats_is_rejected():
+    HalfTurn(((2, 0, 0), (1, 2, 0)), 3)
+    HalfTurn(((2.0, 0.0, 0.0), (0.5, 1.0, 0.0)), 1)
+    for line in (((2, 0, 0), (0.5, 1.0, 0.0)),
+                 ((2.0, 0, 0.0), (0.5, 1.0, 0.0))):
+        with pytest.raises(ValueError, match="line"):
+            HalfTurn(line, 1)
+
+
 def test_half_turn_line_is_ints_over_an_int_den_or_floats():
     # a Fraction line gave images a Fraction denominator, on which
     # label_check's one_denominator raised TypeError in math.lcm
@@ -548,13 +584,13 @@ def test_half_turn_line_is_ints_over_an_int_den_or_floats():
     assert label_check(cp, TOL).verdict
     line, den = cp.delta.line, cp.delta.den
     with pytest.raises(ValueError, match="line"):
-        label_check(replace(cp, delta=HalfTurn(
+        label_check(cp._replace(delta=HalfTurn(
             tuple(coordinates(v, den) for v in line), 1)), TOL)
     for bad_den in (F(den), float(den)):
         with pytest.raises(ValueError, match="line"):
             HalfTurn(line, bad_den)
     floats = HalfTurn(tuple(to_floats(v, den) for v in line), 1)
-    assert label_check(replace(cp, delta=floats), TOL).verdict
+    assert label_check(cp._replace(delta=floats), TOL).verdict
 
 
 @pytest.mark.parametrize("conv", (F, float))

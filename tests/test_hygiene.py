@@ -3,16 +3,18 @@ it never uses, no public function, class, constant, method or property of
 the package is used only by the tests, neither the package's defaulted
 parameters nor its line count nor its calls of ``clear_denominators`` nor
 the ``Fraction`` constructions of a non-existence suite call grow, the
-package imports only the standard library and itself, and it holds one
-tolerance constant and no other bound written as a scientific float
-literal.  The package's ``__init__`` is exempt from the first two, since
-its imports are the public re-exports."""
+package imports only the standard library and itself and loads neither
+dataclasses nor numpy on import, and it holds one tolerance constant and
+no other bound written as a scientific float literal.  The package's
+``__init__`` is exempt from the first two, since its imports are the
+public re-exports."""
 
 import ast
 import cProfile
 import fractions
 import pstats
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -79,6 +81,27 @@ def test_package_imports_only_the_standard_library():
                for path in sorted((ROOT / "src" / "bibennett").glob("*.py"))
                for line, name in _foreign_imports(path.read_text("utf-8"))]
     assert not foreign, "\n".join(foreign)
+
+
+# Modules that importing the package must not load: the records are
+# NamedTuples, so dataclasses and what it imports (inspect, ast, dis) stay
+# off the import path, and no package code needs numpy.
+UNLOADED_ON_IMPORT = ("dataclasses", "inspect", "ast", "dis", "numpy")
+
+_IMPORT_PROBE = """import sys
+sys.path.insert(0, sys.argv[1])
+import bibennett
+print(*(name for name in sys.argv[2:] if name in sys.modules))
+"""
+
+
+def test_import_loads_no_record_machinery_or_numpy():
+    # a fresh interpreter: this one has imported ast and the test tools
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(ROOT / "src"),
+         *UNLOADED_ON_IMPORT], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 def test_foreign_import_scan():

@@ -3,7 +3,6 @@
 import json
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -425,8 +424,8 @@ def test_sweep_family_b_rows_pass():
 
 
 def test_sweep_pole_marker():
-    csv_text, report = sweep_report(replace(_fixture("fig5"),
-                                            tau_samples=(F(0), F(1, 2))))
+    csv_text, report = sweep_report(_fixture("fig5")._replace(
+        tau_samples=(F(0), F(1, 2))))
     rows = report["rows"]
     assert rows[0]["status"] == "pole"
     assert rows[0]["tau_bar"] == ""
@@ -440,7 +439,7 @@ def test_sweep_no_real_branch_marker():
     text = json.dumps({"schema": 1, "family": "C", "a1": "1/2", "a2": "1/3",
                        "k": "1", "mu14": "1/2", "mu12": "2/3",
                        "s": 1, "branch": -1})
-    config = replace(parse_config(text), tau_samples=(F(-2, 5), F(9, 10)))
+    config = parse_config(text)._replace(tau_samples=(F(-2, 5), F(9, 10)))
     _, report = sweep_report(config)
     assert report["rows"][0]["status"] == "no-real-branch"
     assert report["rows"][0]["tau_bar"] == ""
@@ -448,17 +447,17 @@ def test_sweep_no_real_branch_marker():
 
 
 def test_sweep_requires_samples():
-    config = replace(_fixture("fig8a"), tau_samples=None)
+    config = _fixture("fig8a")._replace(tau_samples=None)
     _, report = sweep_report(config)
     assert [row["tau"] for row in report["rows"]] == [str(config.tau)]
     assert report["rows"][0]["verdict"] == "pass"
     with pytest.raises(ConfigError, match="tau samples"):
-        sweep_report(replace(config, tau=None))
+        sweep_report(config._replace(tau=None))
 
 
 def test_sweep_rejects_single_loop():
     with pytest.raises(ConfigError):
-        sweep_report(replace(_fixture("fig3"), tau_samples=(F(3, 5),)))
+        sweep_report(_fixture("fig3")._replace(tau_samples=(F(3, 5),)))
 
 
 def test_certify_poses_loops_exactly():

@@ -1,6 +1,5 @@
 """Unit tests for the prismatic and pyramidal limit structures."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -317,13 +316,13 @@ def test_moved_points_refute_the_labels_that_read_them(bib):
         vertices = list(cp.quad.vertices())
         vertices[i] = v_add(vertices[i], _MOVE)
         failed, expected = _failed(
-            replace(cp, quad=SkewQuad(tuple(vertices), 1)), {"quad"})
+            cp._replace(quad=SkewQuad(tuple(vertices), 1)), {"quad"})
         assert failed == expected, ("quad", label)
         points = [ax.point for ax in hat]
         points[i] = v_add(points[i], _MOVE)
-        moved = replace(cp)  # hat_pose is computed on first read; preset it
-        vars(moved)["hat_pose"] = replace(
-            cp.hat_pose, points=tuple(points),
+        moved = cp._replace()  # hat_pose is computed on first read; preset it
+        vars(moved)["hat_pose"] = cp.hat_pose._replace(
+            points=tuple(points),
             directions=tuple(ax.direction for ax in hat), den=1)
         failed, expected = _failed(moved, {
             "hats", "hat apex"} if label == (1, 4) else {"hats"})
@@ -333,7 +332,7 @@ def test_moved_points_refute_the_labels_that_read_them(bib):
     p14, _, p23, p34 = cp.quad.vertices()
     p12 = v_add(p14, v_sub(p23, p34))
     failed, expected = _failed(
-        replace(cp, quad=SkewQuad((p14, p12, p23, p34), 1)),
+        cp._replace(quad=SkewQuad((p14, p12, p23, p34), 1)),
         {"parallelogram move"})
     assert expected <= failed
 

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
@@ -157,8 +156,8 @@ def _with_axis(pose, axis):
     """``pose`` with ``axis`` in place of its own: a pose built from the
     Fraction coordinates of its axes, over 1."""
     axes = [{**pose.axes, axis.label: axis}[label] for label in AXIS_LABELS]
-    return replace(pose, points=tuple(ax.point for ax in axes),
-                   directions=tuple(ax.direction for ax in axes), den=1)
+    return pose._replace(points=tuple(ax.point for ax in axes),
+                         directions=tuple(ax.direction for ax in axes), den=1)
 
 
 def test_bennett_loop_check_rejects_a_moved_axis():
@@ -275,7 +274,7 @@ def _fig6_pose(scalar):
 @pytest.mark.parametrize("scalar", (F, float))
 def test_partner_direct_catches_a_reversing_partner_map(scalar):
     cp = _fig6_pose(scalar)
-    mirrored = replace(cp, delta=replace(cp.delta, orientation=-1))
+    mirrored = cp._replace(delta=cp.delta._replace(orientation=-1))
     report = halfturn_check(mirrored, TOL)
     assert [r.label for r in report.failed()] == ["partner direct"]
 
@@ -285,7 +284,7 @@ def test_partner_catches_a_moved_partner_map(scalar):
     cp = _fig6_pose(scalar)
     assert halfturn_check(cp, 1e-13).verdict
     x, y, z = cp.delta.translation
-    moved = replace(cp, delta=replace(cp.delta, translation=(x + 1e-11, y, z)))
+    moved = cp._replace(delta=cp.delta._replace(translation=(x + 1e-11, y, z)))
     entries = {r.label: r for r in halfturn_check(moved, 1e-13).residuals}
     assert not entries["partner"].passed
     assert entries["partner direct"].passed
@@ -561,8 +560,8 @@ def test_halfturn_angle_entries_equal_their_formulas(params, s, branch):
 
 def _loop_as(loop, conv):
     """``loop`` with ``conv`` applied to its design's scalars and offsets."""
-    design = replace(loop.design, **{name: conv(v) for name, v
-                                     in asdict(loop.design).items()})
+    design = loop.design._replace(**{name: conv(v) for name, v
+                                     in loop.design._asdict().items()})
     return Loop(design, MuSet(*map(conv, loop.mu.as_tuple())))
 
 
@@ -651,8 +650,8 @@ def test_an_exact_entry_off_zero_fails(name):
     entry = next(r for r in report.residuals if r.label.startswith(prefix)
                  and isinstance(r.value, (int, Fraction)))
     assert entry.value == 0 and entry.tolerance == 0
-    nudged = replace(entry, value=entry.value + Fraction(1, 10**30))
-    mutant = replace(report, residuals=tuple(
+    nudged = entry._replace(value=entry.value + Fraction(1, 10**30))
+    mutant = report._replace(residuals=tuple(
         nudged if r is entry else r for r in report.residuals))
     assert not mutant.verdict
     assert mutant.failed() == [nudged]
@@ -707,8 +706,8 @@ def _exact_structures(draw, kind):
 def _from_views(pose):
     """``pose`` built from the Fraction views of its axes, over 1."""
     axes = [pose.axes[label] for label in AXIS_LABELS]
-    return replace(pose, points=tuple(ax.point for ax in axes),
-                   directions=tuple(ax.direction for ax in axes), den=1)
+    return pose._replace(points=tuple(ax.point for ax in axes),
+                         directions=tuple(ax.direction for ax in axes), den=1)
 
 
 def _typed_entries(report):
@@ -725,8 +724,8 @@ def test_integer_poses_view_the_chain_and_certify_as_their_views(kind, data):
         if isinstance(structure, BiBennett):
             cp = coupled_pose(structure, tau)
             poses = [cp.pose, cp.bar_pose]
-            rebuilt = replace(
-                cp, pose=_from_views(cp.pose),
+            rebuilt = cp._replace(
+                pose=_from_views(cp.pose),
                 quad=SkewQuad(cp.quad.vertices(), 1),
                 bar_pose=_from_views(cp.bar_pose),
                 bar_quad=SkewQuad(cp.bar_quad.vertices(), 1))
