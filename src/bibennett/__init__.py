@@ -70,7 +70,6 @@ from .io_export import (
     export_obj,
     export_obj_text,
     hp_patch,
-    load_config,
     parse_config,
     serialize_config,
     sweep_report,

@@ -12,7 +12,6 @@ as (cos, sin, offset)) and ``transmission()``, and ``frame`` and
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
@@ -186,20 +185,18 @@ class Axis(NamedTuple):
     direction: tuple
 
 
-class _Pose(NamedTuple):
+class Pose(NamedTuple):
+    """A configured loop at motion parameter tau: the ``points`` F and
+    ``directions`` r of its axes in AXIS_LABELS order, integers over ``den``
+    (other coordinates over 1), viewed by label in ``axes``."""
+
     design: object  # BennettDesign or PlanarDesign
     tau: object
     points: tuple
     directions: tuple
     den: object
 
-
-class Pose(_Pose):
-    """A configured loop at motion parameter tau: the ``points`` F and
-    ``directions`` r of its axes in AXIS_LABELS order, integers over ``den``
-    (other coordinates over 1), viewed by label in ``axes`` on first read."""
-
-    @cached_property
+    @property
     def axes(self) -> dict:
         return {lab: Axis(lab, coordinates(p, self.den),
                           coordinates(r, self.den)) for lab, p, r

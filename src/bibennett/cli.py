@@ -121,7 +121,7 @@ def _cmd_construct(args) -> int:
         print(f"tau     = {tau}")
         print(f"tau_bar = {cp.tau_bar}")
         for label in AXIS_LABELS:
-            coords = " ".join(f"{float(c):+.6f}" for c in cp.quad[label])
+            coords = " ".join(f"{float(c):+.6f}" for c in cp.quad.vertex(label))
             print(f"P{label[0]}{label[1]}: {coords}")
         out["tau_bar"] = str(cp.tau_bar)
         out["axes"] = _axes_dict(cp.pose.axes)

@@ -76,7 +76,7 @@ class SkewQuad(NamedTuple):
     points: tuple
     den: object
 
-    def __getitem__(self, label):
+    def vertex(self, label):
         return coordinates(self.points[AXIS_LABELS.index(label)], self.den)
 
     def vertices(self):
@@ -118,11 +118,8 @@ class Loop(NamedTuple):
     design: object  # BennettDesign or PlanarDesign
     mu: MuSet
 
-    def pose(self, tau) -> Pose:
-        return frame(self.design, tau)
-
     def quad(self, tau) -> SkewQuad:
-        return points_on_axes(self.pose(tau), self.mu)
+        return points_on_axes(frame(self.design, tau), self.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +219,7 @@ def make_family_a(mu: MuSet, k=1) -> BiBennett:
     return BiBennett("A", design, mu, mu, frozenset())
 
 
-def make_family_b(mu23, mu34, design: BennettDesign) -> BiBennett:
+def make_family_b(mu23, mu34, design) -> BiBennett:
     mu = family_b(mu23, mu34)
     return BiBennett("B", design, mu, mu, frozenset())
 
@@ -487,7 +484,7 @@ class NoRealBranchError(ValueError):
 def coupled_pose(bib: BiBennett, tau) -> CoupledPose:
     """Resolve the coupling at tau, solving for tau_bar on the coupling's
     branch."""
-    pose = bib.loop().pose(tau)
+    pose = frame(bib.design, tau)
     quad = points_on_axes(pose, bib.mu)
     if bib.family in ("A", "B", "TrivialLineSym"):
         tau_bar, bar_pose, bar_quad = tau, pose, quad
@@ -504,7 +501,7 @@ def coupled_pose(bib: BiBennett, tau) -> CoupledPose:
         if not roots:
             raise NoRealBranchError(f"no real tau_bar at tau = {tau}")
         tau_bar = roots[0]
-        bar_pose = bib.bar_loop().pose(tau_bar)
+        bar_pose = frame(bib.design, tau_bar)
         bar_quad = points_on_axes(bar_pose, bib.bar_mu)
         delta = align_isometry(bar_quad, quad)
     return CoupledPose(bib, tau, tau_bar, pose, quad, bar_pose, bar_quad,

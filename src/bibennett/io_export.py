@@ -263,12 +263,6 @@ def _scalar_str(value):
     return value
 
 
-def load_config(path) -> Config:
-    """Parse the config file at ``path`` by :func:`parse_config`."""
-    with open(path, "rb") as handle:
-        return parse_config(handle.read())
-
-
 # ---------------------------------------------------------------------------
 # structure construction
 # ---------------------------------------------------------------------------

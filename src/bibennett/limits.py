@@ -42,6 +42,7 @@ from .families import (
     detect_trivial,
     family_c,
     isogram_residuals,
+    make_family_b,
 )
 from .properties import CertificateReport, ResidualEntry, parallel_residual
 
@@ -89,8 +90,8 @@ def prismatic_limit_AB(family: str, case: str, d1, d2,
             raise TrivialQuadError(
                 "the parallelogramic branch of this pattern maps the prism "
                 "onto itself (trivial)")
-        mu = MuSet(mu23, mu34, mu23, mu34)
-        return BiBennett("B", pd, mu, mu, frozenset({"III1", "III2ii"}))
+        return make_family_b(mu23, mu34, pd)._replace(
+            labels=frozenset({"III1", "III2ii"}))
     if family != "A":
         raise ValueError("family must be 'A' or 'B'")
     if case == "anti":

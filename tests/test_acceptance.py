@@ -45,7 +45,7 @@ from bibennett.cli import fixture_path
 from bibennett.io_export import (
     build_structure,
     export_obj_text,
-    load_config,
+    parse_config,
     sweep_report,
 )
 from bibennett.limits import (
@@ -388,11 +388,12 @@ def test_criterion_8_nonexistence():
 # ---------------------------------------------------------------------------
 
 def test_criterion_9_export_determinism():
-    config = load_config(fixture_path("fig6"))
+    raw = fixture_path("fig6").read_bytes()
+    config = parse_config(raw)
     obj_a = export_obj_text(build_structure(config), config.tau, patch_n=4)
-    obj_b = export_obj_text(build_structure(load_config(fixture_path("fig6"))),
-                            config.tau, patch_n=4)
+    obj_b = export_obj_text(build_structure(parse_config(raw)), config.tau,
+                            patch_n=4)
     assert obj_a == obj_b
     csv_a, _ = sweep_report(config)
-    csv_b, _ = sweep_report(load_config(fixture_path("fig6")))
+    csv_b, _ = sweep_report(parse_config(raw))
     assert csv_a == csv_b

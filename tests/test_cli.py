@@ -466,6 +466,29 @@ def test_pyramidal_zero_offset_is_input_error(tmp_path, capsys, command):
     assert "apex" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "certify", "export"])
+def test_prismatic_b_zero_offsets_are_input_error(tmp_path, capsys, command):
+    # the prismatic limit of family B rejects the offsets family B rejects
+    path = tmp_path / "prism.json"
+    path.write_text(json.dumps({
+        "schema": 1, "family": "B-prismatic", "case": "anti", "d1": "1",
+        "d2": "2", "mu23": "0", "mu34": "0", "tau": "1/2"}))
+    argv = [command, "-c", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_INPUT
+    assert "mu23 = mu34 = 0 collapses the quad onto F" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["construct", "certify", "export"])
+def test_a_subcommand_at_one_tau_needs_a_tau(tmp_path, capsys, command):
+    path = tmp_path / "no_tau.json"
+    path.write_text(json.dumps({"schema": 1, "family": "single",
+                                "a1": "1/2", **_DESIGNS["single"]}))
+    argv = [command, "-c", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_INPUT
+    assert "needs a tau" in capsys.readouterr().err
+
+
 def test_limits_fixture(capsys):
     assert main(["limits", "-c", "fig8a"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -25,13 +25,14 @@ from bibennett.cli import _MATH_ERRORS, fixture_path
 from bibennett.io_export import (
     FAMILIES,
     RIBBON_WIDTH,
+    Config,
     ConfigError,
     build_structure,
     certify,
+    config_object,
     coupling_ribbons,
     export_obj_text,
     hp_patch,
-    load_config,
     parse_config,
     serialize_config,
     sweep_report,
@@ -49,7 +50,7 @@ F = Fraction
 
 
 def _fixture(name):
-    return load_config(fixture_path(name))
+    return parse_config(fixture_path(name).read_bytes())
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +151,21 @@ def test_parse_accepts_a_rhombus_off_the_pole(family, case):
     assert build_structure(config)
 
 
-def test_load_config_rejects_non_utf8_file(tmp_path):
+def test_parse_config_rejects_non_utf8_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_bytes(b'\xff\xfe{"schema": 1}')
     with pytest.raises(ConfigError, match="not UTF-8"):
-        load_config(path)
+        parse_config(path.read_bytes())
+
+
+def test_a_config_that_is_not_an_object_is_rejected():
+    with pytest.raises(ConfigError, match="must be an object"):
+        config_object("[1]")
+
+
+def test_build_structure_rejects_an_unsupported_family():
+    with pytest.raises(ConfigError, match="unsupported family 'X'"):
+        build_structure(Config("X"))
 
 
 def test_float_mode_scalars():
@@ -176,6 +187,16 @@ def test_hp_patch_n1_is_quad():
         tuple(float(x) for x in p) for p in (quad[0], quad[1], quad[3], quad[2])
     ) or len(vertices) == 4
     assert faces == [(0, 1, 3, 2)]
+
+
+def test_hp_patch_needs_a_positive_density():
+    with pytest.raises(ValueError, match="at least 1"):
+        hp_patch(((0, 0, 0), (1, 0, 0), (1, 1, 1), (0, 1, 0)), 0)
+
+
+def test_export_rejects_a_structure_it_cannot_mesh():
+    with pytest.raises(TypeError, match="cannot export object"):
+        export_obj_text(object(), F(1, 2), 4)
 
 
 def test_hp_patch_center_is_bilinear_midpoint():
@@ -302,11 +323,12 @@ def _reference_obj_text(structure, tau, patch_n):
 
     if isinstance(structure, families.BiBennett):
         cp = coupled_pose(structure, tau)
-        tubes = ribbons("tube1", {l: cp.quad[l] for l in AXIS_LABELS},
+        tubes = ribbons("tube1", {l: cp.quad.vertex(l) for l in AXIS_LABELS},
                         {l: cp.pose.axes[l].direction for l in AXIS_LABELS})
         tubes += ribbons(
             "tube2",
-            {l: image(cp.delta, cp.bar_quad[l], True) for l in AXIS_LABELS},
+            {l: image(cp.delta, cp.bar_quad.vertex(l), True)
+             for l in AXIS_LABELS},
             {l: image(cp.delta, cp.bar_pose.axes[l].direction, False)
              for l in AXIS_LABELS})
     else:
@@ -341,8 +363,7 @@ def _assert_obj_matches_the_reference(structure, tau, patch_n):
                                   "fig8a", "fig8b", "fig9a"])
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_obj_writer_matches_the_reference_on_fixtures(name, mode):
-    config = load_config(fixture_path(name))
-    config = parse_config({**json.loads(serialize_config(config)),
+    config = parse_config({**json.loads(serialize_config(_fixture(name))),
                            "mode": mode})
     structure = build_structure(config)
     for patch_n in range(1, 6):
@@ -484,10 +505,10 @@ def test_half_turn_partner_of_line_symmetric_fixtures(name):
     assert isinstance(cp.delta, HalfTurn)
     # the half-turn swaps opposite vertices of the quad
     swap = {(1, 4): (2, 3), (2, 3): (1, 4), (1, 2): (3, 4), (3, 4): (1, 2)}
-    images, _, den = cp.delta.images([cp.quad[label] for label in swap], [],
-                                     1)
+    images, _, den = cp.delta.images(
+        [cp.quad.vertex(label) for label in swap], [], 1)
     for partner, image in zip(swap.values(), images):
-        assert coordinates(image, den) == cp.quad[partner]
+        assert coordinates(image, den) == cp.quad.vertex(partner)
     for label, axis in cp.pose.axes.items():
         (point,), (direction,), den = cp.delta.images([axis.point],
                                                       [axis.direction], 1)

@@ -22,6 +22,7 @@ from bibennett.families import (
     family_c,
     make_family_a,
     make_family_b,
+    make_trivial,
 )
 from bibennett.limits import (
     _LABEL_ENTRIES,
@@ -88,6 +89,17 @@ def test_prismatic_b_para_is_trivial():
                            mu23=F(2, 3), mu34=F(1, 2))
 
 
+def test_prismatic_b_rejects_the_offsets_family_b_rejects():
+    with pytest.raises(TrivialQuadError, match="mu23 = mu34 = 0"):
+        prismatic_limit_AB("B", "anti", F(1), F(2), mu23=0, mu34=0)
+
+
+def test_prismatic_limit_of_an_unknown_family_is_rejected():
+    with pytest.raises(ValueError, match="family must be 'A' or 'B'"):
+        prismatic_limit_AB("C", "anti", F(1, 2), F(1, 3), mu12=F(1, 4),
+                           mu23=F(2, 3), mu34=F(1, 2))
+
+
 def test_prism_directions_parallel_per_tube():
     st = prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1, 1)
     cp = coupled_pose(st, TAU)
@@ -118,6 +130,25 @@ def test_unlabelled_coupling_is_rejected():
     plain = make_family_a(MuSet(F(37, 40), F(7, 8), F(1), F(1, 2)), k=0)
     with pytest.raises(ValueError, match="no class labels"):
         verify_labels(plain, TAU)
+
+
+@pytest.mark.parametrize("bib, message", [
+    (make_family_b(F(2, 3), F(1, 2), validate(F(1, 2), F(1, 3), 1)), "k = 0"),
+    (prismatic_limit_AB("B", "anti", F(1, 2), F(1, 3), mu23=F(2, 3),
+                        mu34=F(1, 2)), "k = 0"),
+    (make_trivial(F(2, 3), F(1, 2), validate(F(1, 2), F(1, 3), 0)),
+     "family must be 'A', 'B' or 'C'"),
+])
+def test_pyramidal_limit_rejects_a_coupling_outside_it(bib, message):
+    with pytest.raises(ValueError, match=message):
+        pyramidal_limit(bib)
+
+
+def test_label_check_rejects_an_unknown_label():
+    bib = prismatic_limit_C("anti", F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1, 1)
+    cp = coupled_pose(bib._replace(labels=frozenset({"III2ii", "X"})), TAU)
+    with pytest.raises(ValueError, match="no predicate for label 'X'"):
+        label_check(cp, TOL)
 
 
 def test_limit_quad_sides_rigid():

@@ -327,8 +327,7 @@ def _reference_vertex_residuals(cp, center, opposite, prev_n, next_n):
     """iso1, iso2, iso3, delto1, delto2 at one vertex, each written out in
     full as in the certificate's docstrings."""
     quad = cp.quad
-    c, o = quad[center], quad[opposite]
-    u, w = quad[prev_n], quad[next_n]
+    c, o, u, w = map(quad.vertex, (center, opposite, prev_n, next_n))
     r_c = cp.pose.axes[center].direction
     r_o = cp.pose.axes[opposite].direction
     uc, uo = v_sub(u, c), v_sub(u, o)
@@ -425,9 +424,8 @@ def _reference_angle_entries(cp):
     entries = {}
     for i, v in enumerate(AXIS_LABELS):
         w, prev_v, opp_v = (AXIS_LABELS[(i + shift) % 4] for shift in (1, 3, 2))
-        pv, pw, pu, po = quad[v], quad[w], quad[prev_v], quad[opp_v]
-        bv, bw, bu, bo = (bar_quad[v], bar_quad[w], bar_quad[prev_v],
-                          bar_quad[opp_v])
+        pv, pw, pu, po = map(quad.vertex, (v, w, prev_v, opp_v))
+        bv, bw, bu, bo = map(bar_quad.vertex, (v, w, prev_v, opp_v))
         fv, fw = cp.pose.axes[v].point, cp.pose.axes[w].point
         bfv, bfw = cp.bar_pose.axes[v].point, cp.bar_pose.axes[w].point
         values = (v_dot(v_sub(pw, pv), v_sub(fv, pv))
