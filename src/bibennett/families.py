@@ -19,8 +19,8 @@ from .algebra import (TOL, DegenerateResultantError, clear_denominators,
                       resultant_tau_bar, sqrt_scalar, to_floats, v_add,
                       v_cross, v_dist_sq, v_dot, v_norm_sq, v_scale, v_sub)
 from .bennett import (AXIS_LABELS, BennettDesign, DegenerateQuadError,
-                      PlanarDesign, PoleError, Pose, frame, symmetry_line,
-                      validate)
+                      PlanarDesign, PoleError, Pose, _link_factor, frame,
+                      symmetry_line, validate)
 
 FAMILIES = ("A", "B", "C", "TrivialLineSym")
 
@@ -552,13 +552,15 @@ def diagonal_rational(loop: Loop, which: int):
 
 
 def _side_sq(loop: Loop):
-    """Squared sides 14-12, 12-23, 23-34, 34-14 of the loop's quad, which do
-    not depend on tau: side i spans link i mod 2 + 1, (c, s, d), between the
-    points at offsets m_a, m_b on its two axes, at squared distance
-    d^2 + m_a^2 + m_b^2 - 2 m_a m_b c."""
-    links, mu = loop.design.links() * 2, loop.mu
-    return tuple(Fraction(d * d + ma * ma + mb * mb - 2 * ma * mb * c)
-                 for (c, _, d), ma, mb in zip(links, mu, mu[1:] + mu[:1]))
+    """Squared sides 14-12, 12-23, 23-34, 34-14 of an exact loop's quad, free
+    of tau: side i joins offsets n_a / g, n_b / g across link i mod 2 + 1, of
+    kernel factor (c, s, off, h), as one integer over (h g)^2."""
+    g = math.lcm(*(m.denominator for m in loop.mu))
+    n = [m.numerator * (g // m.denominator) for m in loop.mu]
+    links = [_link_factor(x, exact=True) for x in loop.design.links()] * 2
+    return tuple(Fraction((off * g) ** 2 + (na * na + nb * nb) * h * h
+                          - 2 * na * nb * c * h, (h * g) ** 2)
+                 for (c, _, off, h), na, nb in zip(links, n, n[1:] + n[:1]))
 
 
 class NecessaryReport(NamedTuple):

@@ -428,13 +428,13 @@ def sweep_report(config: Config):
         else:
             name, report = _certify_pose(config, cp)
             side = max(abs(float(r)) for r in isogram_residuals(cp.quad))
+            closure = _scalar_str(loop_closure_residual(bib.design, tau))
             row.update(
                 status="ok",
                 tau_bar=_scalar_str(cp.tau_bar),
-                closure_residual=_scalar_str(
-                    loop_closure_residual(bib.design, tau)),
-                bar_closure_residual=_scalar_str(
-                    loop_closure_residual(bib.design, cp.tau_bar)),
+                closure_residual=closure,
+                bar_closure_residual=closure if cp.bar_pose is cp.pose else
+                _scalar_str(loop_closure_residual(bib.design, cp.tau_bar)),
                 side_residual=side,
                 certificate=name,
                 verdict="pass" if report.verdict else "fail",
@@ -443,8 +443,6 @@ def sweep_report(config: Config):
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=SWEEP_HEADER)
     writer.writeheader()
-    for row in rows:
-        writer.writerow({key: str(row[key]) for key in SWEEP_HEADER})
-    report = {"schema": SCHEMA_VERSION, "family": config.family,
-              "rows": rows}
-    return buffer.getvalue(), report
+    writer.writerows(rows)  # csv writes each value as str() does
+    return buffer.getvalue(), {"schema": SCHEMA_VERSION,
+                               "family": config.family, "rows": rows}

@@ -111,6 +111,11 @@ def test_solve_linear_float_pivots_on_the_largest_entry():
     assert x == pytest.approx([1.0, 1.0], rel=1e-12)
 
 
+def test_solve_linear_rejects_a_singular_system():
+    with pytest.raises(ValueError, match="singular"):
+        solve_linear([[F(1), F(2)], [F(2), F(4)]], [F(1), F(1)])
+
+
 def test_nullspace():
     rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)]]
     vec = nullspace_vector(rows, 3)
@@ -349,6 +354,25 @@ def test_fit_rational_degree_violation():
     with pytest.raises(DegreeBoundError):
         fit_rational(lambda x: x ** 4, 2, 0,
                      [F(1), F(2), F(3), F(5), F(7), F(9)])
+
+
+def test_fit_rational_rejects_a_later_miss_and_a_zero_denominator():
+    # the first three points fit x over 1, the later ones miss it
+    with pytest.raises(DegreeBoundError, match=r"degree \(1,0\)"):
+        fit_rational(lambda x: x if x < 5 else 0, 1, 0,
+                     [F(n) for n in range(1, 7)])
+    # a repeated point leaves only fits with a zero denominator
+    with pytest.raises(DegreeBoundError, match="vanishing denominator"):
+        fit_rational(lambda x: F(0), 1, 0, [F(1)] * 3)
+
+
+def test_sylvester_resultant_of_constants_and_of_the_zero_polynomial():
+    with pytest.raises(DegenerateResultantError, match="constant"):
+        sylvester_resultant([F(3)], [F(5)])
+    # the zero polynomial shares every root of the other
+    for p, q in (([0, 0], [F(1), F(2)]), ([F(1), F(1)], [0])):
+        got = sylvester_resultant(p, q)
+        assert type(got) is Fraction and got == 0
 
 
 def test_sylvester_resultant_common_root():

@@ -195,6 +195,12 @@ def test_sturm_counts_each_positive_root_once(roots, lead, twice, complex_):
     assert count_positive_roots(poly) == sum(1 for r in roots if r > 0)
 
 
+def test_count_real_roots_rejects_an_odd_polynomial():
+    for poly in ([F(1), F(2), F(1)], [1.0, 0.0, -1.0, 0.5, 0.25]):
+        with pytest.raises(ValueError, match="expected an even polynomial"):
+            count_real_roots(poly)
+
+
 def test_zero_polynomial_has_no_root_count():
     with pytest.raises(ZeroPolynomialError):
         count_positive_roots([0, 0, 0])

@@ -1,6 +1,8 @@
 """Unit tests for the coupling families and the necessary-condition oracle."""
 
+import hashlib
 import math
+import random
 import struct
 from fractions import Fraction
 
@@ -37,8 +39,10 @@ from bibennett.families import (
     HalfTurn,
     Loop,
     MuSet,
+    NecessaryReport,
     NoRealBranchError,
     NoRealFamilyError,
+    NotIsometricError,
     SkewQuad,
     ZeroOffsetError,
     _dot,
@@ -267,6 +271,17 @@ def test_alignment_of_a_quad_without_a_first_edge_raises():
             align_isometry(src, dst)
 
 
+def test_alignment_of_a_near_flat_mirror_image_misses_a_vertex():
+    # the volumes sit below the flatness gate, so the mirror image is
+    # aligned by a direct motion, which misses P34 by twice its height
+    # over the plane of the other three vertices
+    src = SkewQuad(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, 1e-4, 0.0),
+                    (0.3, 0.5, 5e-6)), 1)
+    dst = SkewQuad(tuple((x, y, -z) for x, y, z in src.points), 1)
+    with pytest.raises(NotIsometricError, match="alignment residual"):
+        align_isometry(src, dst)
+
+
 def test_necessary_conditions_vanish_for_families():
     couplings = [
         make_family_a(MuSet(F(37, 40), F(7, 8), F(1), F(1, 2))),
@@ -286,6 +301,91 @@ def test_necessary_conditions_reject_perturbation():
     bar = Loop(DESIGN, bad_bar)
     report = necessary_conditions(loop, bar)
     assert any(report.side_residuals + report.resultant_coeffs)
+
+
+def _oracle_coupling(rng, kind):
+    """A random coupling of ``kind``: family A with the reference offsets
+    scaled (twists 1/2 and 1/3) or random ones (mostly float twists), B,
+    C, the trivial branch, or a prismatic limit of A, B or C; k = 0 on
+    about half the Bennett designs."""
+    pos = lambda: F(rng.randint(1, 30), rng.randint(1, 20))
+    nonzero = lambda: rng.choice((-1, 1)) * pos()
+    k = rng.choice((F(0), pos()))
+    if kind == "A":
+        r = nonzero()
+        return make_family_a(MuSet(*(r * m for m in (F(37, 40), F(7, 8), F(1),
+                                                     F(1, 2)))), k)
+    if kind == "A-float":
+        return make_family_a(MuSet(*(nonzero() for _ in range(4))), k)
+    case, d1, d2 = rng.choice(("anti", "para")), pos(), pos()
+    if kind == "prism-A":
+        return prismatic_limit_AB("A", case, d1, d2, nonzero(), nonzero(),
+                                  nonzero())
+    if kind == "prism-B":
+        return prismatic_limit_AB("B", "anti", d1, d2, None, nonzero(),
+                                  nonzero())
+    if kind == "prism-C":
+        return prismatic_limit_C(case, d1, d2, nonzero(), nonzero(),
+                                 rng.choice((-1, 1)), -1)
+    design = validate(pos(), pos(), k)
+    if kind == "B":
+        return make_family_b(nonzero(), nonzero(), design)
+    if kind == "trivial":
+        return make_trivial(nonzero(), nonzero(), design)
+    return family_c(design, nonzero(), nonzero(), rng.choice((-1, 1)), -1)
+
+
+def _oracle_digest(seed, rounds):
+    """sha256 over the type and value of every entry of the oracle's
+    reports on ``rounds`` couplings of each kind: a member, its companion
+    with one offset perturbed by 1/100 to 9/100, and on a quarter of them
+    both pairs again with every scalar a float."""
+    rng, digest = random.Random(seed), hashlib.sha256()
+    kinds = ("A", "A-float", "B", "C", "trivial", "prism-A", "prism-B",
+             "prism-C")
+    for kind in kinds * rounds:
+        while True:
+            try:
+                bib = _oracle_coupling(rng, kind)
+                break
+            except ValueError:  # a degenerate or excluded draw
+                pass
+        bar, i = bib.bar_loop(), rng.randrange(4)
+        mu = list(bar.mu)
+        mu[i] += F(rng.randint(1, 9), 100)
+        pairs = [(bib.loop(), bar), (bib.loop(), Loop(bar.design, MuSet(*mu)))]
+        if rng.random() < 0.25:
+            pairs += [tuple(_converted(loop, float) for loop in pair)
+                      for pair in pairs]
+        for loop, bar_loop in pairs:
+            report = necessary_conditions(loop, bar_loop)
+            assert type(report) is NecessaryReport
+            digest.update(kind.encode() + b"".join(
+                f";{type(x).__name__}:{x}".encode()
+                for x in report.side_residuals + report.resultant_coeffs))
+    return digest.hexdigest()
+
+
+# The digest of the reports with the sides built from Fraction links: a
+# change to the oracle must keep every entry's value and type.
+ORACLE_DIGEST = (
+    "0f33c01cb12e36dd6579563fafd2c40cc26ff3a93a22c6eb00c74f556dc7f57d")
+
+
+def test_oracle_reports_are_pinned():
+    assert _oracle_digest(20250615, 25) == ORACLE_DIGEST
+
+
+def test_an_apex_loop_with_zero_offsets_has_a_degenerate_eliminant():
+    # k = 0 and every offset 0 put the whole quad on the apex: every
+    # coupling form vanishes, resultant_tau_bar raises, and the oracle
+    # reports nine int zeros
+    for k, zero in ((F(0), F(0)), (0, 0)):
+        loop = Loop(validate(F(1, 2), F(1, 3), k), MuSet(*[zero] * 4))
+        report = necessary_conditions(loop, loop)
+        entries = report.side_residuals + report.resultant_coeffs
+        assert [(type(x), x) for x in entries] == [(F, 0)] * 4 + [(int, 0)] * 9
+        assert report.degenerate_resultant
 
 
 @pytest.mark.parametrize("fields", [(0.5, 0.25, 1.0), (0.5, 0.75, "2a")])

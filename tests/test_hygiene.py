@@ -2,12 +2,13 @@
 it never uses, no public function, class, constant, method or property of
 the package is used only by the tests, neither the package's defaulted
 parameters nor its line count nor its calls of ``clear_denominators`` nor
-the ``Fraction`` constructions of a non-existence suite call grow, the
-package imports only the standard library and itself and loads neither
-dataclasses nor numpy on import, it holds one tolerance constant and no
-other bound written as a scientific float literal, and no record overrides
-a method of the tuple protocol.  The package's ``__init__`` is exempt from
-the first two, since its imports are the public re-exports."""
+the ``Fraction`` constructions of a non-existence suite call or of an
+oracle call grow, the package imports only the standard library and itself
+and loads neither dataclasses nor numpy on import, it holds one tolerance
+constant and no other bound written as a scientific float literal, and no
+record overrides a method of the tuple protocol.  The package's
+``__init__`` is exempt from the first two, since its imports are the public
+re-exports."""
 
 import ast
 import cProfile
@@ -21,6 +22,8 @@ from pathlib import Path
 
 from bibennett import verify_nonexistence
 from bibennett.algebra import _inverse_vandermonde
+from bibennett.bennett import validate
+from bibennett.families import Loop, make_family_b, necessary_conditions
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -259,12 +262,18 @@ MAX_SUITE_FRACTIONS = 333
 # Vandermonde tables are dropped: they are rebuilt from the Lagrange basis
 # on integers, without a Fraction.  The count may fall, never rise.
 MAX_COLD_SUITE_FRACTIONS = 333
+# The same count for one necessary_conditions() call on a family-B loop
+# and its companion with the first offset perturbed.  Each side condition
+# is one Fraction per side, an integer from the links' kernel factors and
+# the offsets over one denominator; the diagonals and the eliminant build
+# the rest.  The count may fall, never rise.
+MAX_ORACLE_FRACTIONS = 178
 
 
-def _suite_fractions():
-    """Fraction constructions of one verify_nonexistence() call."""
+def _fractions(call, *args):
+    """Fraction constructions of one call(*args)."""
     profile = cProfile.Profile()
-    profile.runcall(verify_nonexistence)
+    profile.runcall(call, *args)
     return sum(calls for (path, _, name), (_, calls, *_)
                in pstats.Stats(profile).stats.items()
                if path == fractions.__file__ and name == "__new__")
@@ -272,14 +281,22 @@ def _suite_fractions():
 
 def test_suite_fractions_do_not_grow():
     verify_nonexistence()  # builds the cached inverse Vandermonde tables
-    built = _suite_fractions()
+    built = _fractions(verify_nonexistence)
     assert 0 < built <= MAX_SUITE_FRACTIONS, built
 
 
 def test_cold_suite_fractions_do_not_grow():
     _inverse_vandermonde.cache_clear()
-    built = _suite_fractions()
+    built = _fractions(verify_nonexistence)
     assert 0 < built <= MAX_COLD_SUITE_FRACTIONS, built
+
+
+def test_oracle_fractions_do_not_grow():
+    F = fractions.Fraction
+    bib = make_family_b(F(2, 3), F(1, 2), validate(F(3, 7), F(5, 4), F(2, 3)))
+    bar = Loop(bib.design, bib.bar_mu._replace(mu14=bib.mu.mu14 + F(1, 100)))
+    built = _fractions(necessary_conditions, bib.loop(), bar)
+    assert 0 < built <= MAX_ORACLE_FRACTIONS, built
 
 
 def test_call_scan():
