@@ -24,15 +24,9 @@ from .bennett import (
     AXIS_LABELS,
     DegenerateQuadError,
     PoleError,
-    frame,
     loop_closure_residual,
 )
-from .families import (
-    BiBennett,
-    NoRealBranchError,
-    NotIsometricError,
-    coupled_pose,
-)
+from .families import BiBennett, NoRealBranchError, NotIsometricError
 from .io_export import (
     Config,
     ConfigError,
@@ -41,6 +35,7 @@ from .io_export import (
     config_object,
     export_obj,
     parse_config,
+    pose_at,
     sweep_report,
 )
 from .limits import limit_kind
@@ -84,6 +79,11 @@ def _load_config(args) -> Config:
     return config if args.tau is None else config._replace(tau_samples=None)
 
 
+def _load_structure(args):
+    config = _load_config(args)
+    return config, build_structure(config)
+
+
 def _require_tau(config: Config):
     if config.tau is None:
         raise ConfigError("this subcommand needs a tau: set it in the config "
@@ -92,8 +92,7 @@ def _require_tau(config: Config):
 
 
 def _cmd_validate(args) -> int:
-    config = _load_config(args)
-    structure = build_structure(config)
+    config, structure = _load_structure(args)
     print(f"config ok: family {config.family}, mode {config.mode}")
     design = structure
     if isinstance(structure, BiBennett):
@@ -106,26 +105,24 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    config = _load_config(args)
-    structure = build_structure(config)
+    config, structure = _load_structure(args)
     tau = _require_tau(config)
+    pose = pose_at(structure, tau)
     out = {"family": config.family, "tau": str(tau)}
     if not isinstance(structure, BiBennett):
-        pose = frame(structure, tau)
         residual = loop_closure_residual(structure, tau)
         print(f"loop closure residual: {residual}")
         out["closure_residual"] = str(residual)
         out["axes"] = _axes_dict(pose.axes)
     else:
-        cp = coupled_pose(structure, tau)
         print(f"tau     = {tau}")
-        print(f"tau_bar = {cp.tau_bar}")
+        print(f"tau_bar = {pose.tau_bar}")
         for label in AXIS_LABELS:
-            coords = " ".join(f"{float(c):+.6f}" for c in cp.quad.vertex(label))
-            print(f"P{label[0]}{label[1]}: {coords}")
-        out["tau_bar"] = str(cp.tau_bar)
-        out["axes"] = _axes_dict(cp.pose.axes)
-        out["hat_axes"] = _axes_dict(cp.hat_axes)
+            coords = (f"{float(c):+.6f}" for c in pose.quad.vertex(label))
+            print(f"P{label[0]}{label[1]}: {' '.join(coords)}")
+        out["tau_bar"] = str(pose.tau_bar)
+        out["axes"] = _axes_dict(pose.pose.axes)
+        out["hat_axes"] = _axes_dict(pose.hat_axes)
     if args.out:
         _write_json(args.out, out)
     return EXIT_OK
@@ -156,23 +153,20 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    config = _load_config(args)
-    structure = build_structure(config)
-    tau = _require_tau(config)
-    return _report(args, *certify(config, structure, tau))
+    config, structure = _load_structure(args)
+    return _report(args, *certify(
+        config, pose_at(structure, _require_tau(config))))
 
 
 def _cmd_limits(args) -> int:
-    config = _load_config(args)
-    structure = build_structure(config)
+    config, structure = _load_structure(args)
     if not (isinstance(structure, BiBennett) and structure.labels):
-        raise ConfigError(
-            f"family {config.family!r} is not a prismatic or pyramidal limit"
-        )
+        raise ConfigError(f"family {config.family!r} is not a prismatic or "
+                          "pyramidal limit")
     tau = _require_tau(config)
     print(f"kind {limit_kind(structure)} from family {structure.family}; "
           f"labels {sorted(structure.labels)}")
-    return _report(args, *certify(config, structure, tau))
+    return _report(args, *certify(config, pose_at(structure, tau)))
 
 
 def _cmd_appendix(args) -> int:
@@ -182,11 +176,9 @@ def _cmd_appendix(args) -> int:
 def _cmd_export(args) -> int:
     if args.patch_n < 1:
         raise ConfigError("--patch-n must be at least 1")
-    config = _load_config(args)
-    structure = build_structure(config)
-    tau = _require_tau(config)
+    config, structure = _load_structure(args)
     path = args.out or "bibennett.obj"
-    export_obj(structure, tau, path, patch_n=args.patch_n)
+    export_obj(structure, _require_tau(config), path, patch_n=args.patch_n)
     print(f"wrote {path}")
     return EXIT_OK
 

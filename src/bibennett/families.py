@@ -213,7 +213,7 @@ class BiBennett(_BiBennett):
         return Loop(self.design, self.bar_mu)
 
 
-def make_family_a(mu: MuSet, k=1) -> BiBennett:
+def make_family_a(mu: MuSet, k) -> BiBennett:
     a1, a2 = family_a(mu)
     design = validate(a1, a2, k)
     return BiBennett("A", design, mu, mu, frozenset())

@@ -28,6 +28,7 @@ from .bennett import (
 )
 from .families import (
     BiBennett,
+    CoupledPose,
     MuSet,
     NoRealBranchError,
     coupled_pose,
@@ -279,6 +280,16 @@ def build_structure(config: Config):
             f"cannot build family {config.family!r}: {exc}") from exc
 
 
+def pose_at(structure, tau):
+    """A structure posed at drive value tau: a BiBennett by
+    :func:`coupled_pose`, a BennettDesign or PlanarDesign by :func:`frame`."""
+    if isinstance(structure, BiBennett):
+        return coupled_pose(structure, tau)
+    if isinstance(structure, (BennettDesign, PlanarDesign)):
+        return frame(structure, tau)
+    raise TypeError(f"cannot pose {type(structure).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # meshes
 # ---------------------------------------------------------------------------
@@ -335,10 +346,9 @@ def _ribbons_from_anchors(group_prefix, anchors, directions):
             for i, (la, lb) in enumerate(zip(AXIS_LABELS, ends))]
 
 
-def coupling_ribbons(bib: BiBennett, tau):
-    """Ribbon quads of both tubes of a coupling: 8 ribbons, 4 per tube,
+def coupling_ribbons(cp: CoupledPose):
+    """Ribbon quads of both tubes of a coupled pose: 8 ribbons, 4 per tube,
     each spanned between consecutive anchor points offset along the axes."""
-    cp = coupled_pose(bib, tau)
     points, _, pden = cp.delta.images(cp.bar_quad.points, [], cp.bar_quad.den)
     hat = cp.hat_pose  # the bar pose moved by delta: its axis directions
     return (_ribbons_from_anchors("tube1", (cp.quad.points, cp.quad.den),
@@ -349,14 +359,10 @@ def coupling_ribbons(bib: BiBennett, tau):
 
 def export_obj_text(structure, tau, patch_n: int) -> str:
     """Deterministic OBJ text for a structure at drive value tau."""
-    if isinstance(structure, BiBennett):
-        ribbons = coupling_ribbons(structure, tau)
-    elif isinstance(structure, (BennettDesign, PlanarDesign)):
-        pose = frame(structure, tau)
-        ribbons = _ribbons_from_anchors("tube1", (pose.points, pose.den),
-                                        (pose.directions, pose.den))
-    else:
-        raise TypeError(f"cannot export {type(structure).__name__}")
+    pose = pose_at(structure, tau)
+    ribbons = (coupling_ribbons(pose) if isinstance(pose, CoupledPose) else
+               _ribbons_from_anchors("tube1", (pose.points, pose.den),
+                                     (pose.directions, pose.den)))
     lines = []
     offset = 0
     for name, corners in ribbons:
@@ -385,18 +391,10 @@ SWEEP_HEADER = ("tau", "status", "tau_bar", "closure_residual",
                 "verdict")
 
 
-def certify(config: Config, structure, tau):
+def certify(config: Config, pose):
     """(report name, report) of the certificate that FAMILIES gives the
-    config's family, for its structure posed at tau: a loop by
-    :func:`frame`, a coupling by :func:`coupled_pose`.  Float entries are
-    held to the config's ``tol``, or to ``TOL`` when it is not set."""
-    pose = (coupled_pose(structure, tau) if isinstance(structure, BiBennett)
-            else frame(structure, tau))
-    return _certify_pose(config, pose)
-
-
-def _certify_pose(config: Config, pose):
-    """:func:`certify` on ``pose``, a pose of the config's structure."""
+    config's family on ``pose``, its structure's :func:`pose_at`; float
+    entries are held to the config's ``tol``, or to ``TOL`` if it is unset."""
     name, check = FAMILIES[config.family].certificate
     return name, check(pose, TOL if config.tol is None else config.tol)
 
@@ -426,7 +424,7 @@ def sweep_report(config: Config):
         except NoRealBranchError:
             row["status"] = "no-real-branch"
         else:
-            name, report = _certify_pose(config, cp)
+            name, report = certify(config, cp)
             side = max(abs(float(r)) for r in isogram_residuals(cp.quad))
             closure = _scalar_str(loop_closure_residual(bib.design, tau))
             row.update(

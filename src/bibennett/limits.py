@@ -344,9 +344,9 @@ _LABEL_ENTRIES = {
 }
 
 
-def verify_labels(bib: BiBennett, tau, tol: float = TOL) -> CertificateReport:
-    """:func:`label_check` of the labelled coupling posed at tau."""
-    return label_check(coupled_pose(bib, tau), tol)
+def verify_labels(bib: BiBennett, tau) -> CertificateReport:
+    """:func:`label_check` of the coupling at tau, held to ``TOL``."""
+    return label_check(coupled_pose(bib, tau), TOL)
 
 
 def label_check(cp, tol) -> CertificateReport:

@@ -7,8 +7,8 @@ residual so that a certificate is a direct numerical transcript of the claim.
 
 Each certificate is a pure function of one ``CoupledPose`` (or, for one
 loop, of one ``Pose``) and a tolerance, such as ``isogonal_check`` or
-``bennett_loop_check``; the public ``*_certificate`` functions pose the
-coupling at tau and run the check.
+``bennett_loop_check``; the public ``*_certificate(bib, tau)`` functions
+pose the coupling at tau and hold the check to ``TOL``.
 """
 
 from __future__ import annotations
@@ -166,16 +166,14 @@ def trivial_check(cp: CoupledPose, tol) -> CertificateReport:
         half_turn_residual(through, line, pairs, den), tol),))
 
 
-def isogonal_certificate(bib: BiBennett, tau, tol: float = TOL
-                         ) -> CertificateReport:
-    """:func:`isogonal_check` of the coupling posed at tau."""
-    return isogonal_check(coupled_pose(bib, tau), tol)
+def isogonal_certificate(bib: BiBennett, tau) -> CertificateReport:
+    """:func:`isogonal_check` of the coupling at tau, held to ``TOL``."""
+    return isogonal_check(coupled_pose(bib, tau), TOL)
 
 
-def deltoidal_certificate(bib: BiBennett, tau, tol: float = TOL
-                          ) -> CertificateReport:
-    """:func:`deltoidal_check` of the coupling posed at tau."""
-    return deltoidal_check(coupled_pose(bib, tau), tol)
+def deltoidal_certificate(bib: BiBennett, tau) -> CertificateReport:
+    """:func:`deltoidal_check` of the coupling at tau, held to ``TOL``."""
+    return deltoidal_check(coupled_pose(bib, tau), TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +190,9 @@ def _reflect_across_plane(point, w, p0, p1, p2):
     return v_sub(point, v_scale(2 * v_dot(v_sub(point, p0), n) / norm_sq, n))
 
 
-def halfturn_certificate(bib: BiBennett, tau, tol: float = TOL
-                         ) -> CertificateReport:
-    """:func:`halfturn_check` of the coupling posed at tau."""
-    return halfturn_check(coupled_pose(bib, tau), tol)
+def halfturn_certificate(bib: BiBennett, tau) -> CertificateReport:
+    """:func:`halfturn_check` of the coupling at tau, held to ``TOL``."""
+    return halfturn_check(coupled_pose(bib, tau), TOL)
 
 
 def halfturn_check(cp: CoupledPose, tol) -> CertificateReport:

@@ -54,9 +54,9 @@ from bibennett.limits import (
     pyramidal_limit,
 )
 from bibennett.properties import (
-    deltoidal_certificate,
-    halfturn_certificate,
-    isogonal_certificate,
+    deltoidal_check,
+    halfturn_check,
+    isogonal_check,
 )
 
 F = Fraction
@@ -160,7 +160,7 @@ def test_criterion_2_family_a_reference():
     # [PAPER] the offsets (37/40, 7/8, 1, 1/2) force half-tangents (1/2, 1/3)
     mu = MuSet(F(37, 40), F(7, 8), F(1), F(1, 2))
     assert family_a(mu) == (F(1, 2), F(1, 3))
-    bib = make_family_a(mu)
+    bib = make_family_a(mu, k=1)
     # [TRIVIAL] the defining isogram conditions hold exactly along the motion
     for tau in TAUS:
         assert isogram_residuals(bib.loop().quad(tau)) == (0, 0)
@@ -206,7 +206,7 @@ def test_criterion_3_family_c_regressions():
 def _flex_instances_a(rng):
     out = []
     for _ in range(24):
-        out.append(make_family_a(_rand_family_a_mu(rng)))
+        out.append(make_family_a(_rand_family_a_mu(rng), k=1))
     for _ in range(3):
         out.append(pyramidal_limit(make_family_a(_rand_family_a_mu(rng), k=0)))
     out.append(prismatic_limit_AB("A", "anti", F(1, 2), F(1, 3),
@@ -312,14 +312,15 @@ def test_criterion_5_isogonal_vs_deltoidal():
     rng = random.Random(505)
     tau = F(9, 10)
     for _ in range(20):
-        bib = make_family_a(_rand_family_a_mu(rng))
-        assert isogonal_certificate(bib, tau, tol=1e-10).verdict
-        assert not deltoidal_certificate(bib, tau, tol=1e-10).verdict
+        cp = coupled_pose(make_family_a(_rand_family_a_mu(rng), k=1), tau)
+        assert isogonal_check(cp, 1e-10).verdict
+        assert not deltoidal_check(cp, 1e-10).verdict
     for _ in range(20):
         bib = make_family_b(_rand_fraction(rng), _rand_fraction(rng),
                             _rand_design(rng))
-        assert deltoidal_certificate(bib, tau, tol=1e-10).verdict
-        assert not isogonal_certificate(bib, tau, tol=1e-10).verdict
+        cp = coupled_pose(bib, tau)
+        assert deltoidal_check(cp, 1e-10).verdict
+        assert not isogonal_check(cp, 1e-10).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +334,7 @@ def test_criterion_6_halfturn():
         for s in (1, -1):
             for branch in (1, -1):
                 bib = family_c(design, s * mu14, s * mu12, s, branch=branch)
-                report = halfturn_certificate(bib, taus[0], tol=1e-9)
+                report = halfturn_check(coupled_pose(bib, taus[0]), 1e-9)
                 assert report.verdict, report.lines()
 
 
@@ -345,7 +346,7 @@ def test_criterion_7_necessary_oracle():
     rng = random.Random(707)
     design = validate(F(1, 2), F(1, 3), F(1))
     members = [
-        make_family_a(MuSet(F(37, 40), F(7, 8), F(1), F(1, 2))),
+        make_family_a(MuSet(F(37, 40), F(7, 8), F(1), F(1, 2)), k=1),
         make_family_b(F(2, 3), F(1, 2), design),
         family_c(design, F(2, 3), F(1, 4), 1, -1),
     ]

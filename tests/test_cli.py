@@ -499,6 +499,21 @@ def test_limits_rejects_non_limit(capsys):
     assert main(["limits", "-c", "fig6"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("config, message", [
+    # a config that is no limit is rejected as such, before its missing tau
+    ({"family": "B", "a1": "1/2", "a2": "1/3", "k": "1", "mu23": "1",
+      "mu34": "2"}, "family 'B' is not a prismatic or pyramidal limit"),
+    ({"family": "B-pyramidal", "a1": "1/2", "a2": "1/3", "mu23": "1",
+      "mu34": "2"}, "needs a tau"),
+])
+def test_limits_rejects_a_non_limit_before_a_missing_tau(tmp_path, capsys,
+                                                        config, message):
+    path = tmp_path / "no_tau.json"
+    path.write_text(json.dumps({"schema": 1, **config}))
+    assert main(["limits", "-c", str(path)]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
 def test_appendix_report(tmp_path, capsys):
     out = tmp_path / "appendix.json"
     assert main(["appendix", "--out", str(out)]) == EXIT_OK

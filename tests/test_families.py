@@ -111,7 +111,7 @@ def test_family_quad_sides_rigid_exactly():
     # the anchor quad change with the drive, and the coupling instead keeps
     # the two tubes' quads congruent (checked in test_cross_quad_congruence).
     instances = [
-        make_family_a(MuSet(F(37, 40), F(7, 8), F(1), F(1, 2))),
+        make_family_a(MuSet(F(37, 40), F(7, 8), F(1), F(1, 2)), k=1),
         make_family_b(F(2, 3), F(1, 2), DESIGN),
         family_c(DESIGN, F(2, 3), F(1, 4), 1, -1),
     ]
@@ -284,7 +284,7 @@ def test_alignment_of_a_near_flat_mirror_image_misses_a_vertex():
 
 def test_necessary_conditions_vanish_for_families():
     couplings = [
-        make_family_a(MuSet(F(37, 40), F(7, 8), F(1), F(1, 2))),
+        make_family_a(MuSet(F(37, 40), F(7, 8), F(1), F(1, 2)), k=1),
         make_family_b(F(2, 3), F(1, 2), DESIGN),
         family_c(DESIGN, F(2, 3), F(1, 4), 1, -1),
     ]
@@ -565,7 +565,8 @@ def _couplings(conv):
     design = validate(conv(F(1, 2)), conv(F(1, 3)), conv(F(1)))
     apex = validate(conv(F(1, 2)), conv(F(1, 3)), conv(F(0)))
     return [
-        make_family_a(MuSet(*map(conv, (F(37, 40), F(7, 8), F(1), F(1, 2))))),
+        make_family_a(MuSet(*map(conv, (F(37, 40), F(7, 8), F(1), F(1, 2)))),
+                      k=1),
         make_family_b(conv(F(2, 3)), conv(F(1, 2)), design),
         family_c(design, conv(F(2, 3)), conv(F(1, 4)), 1, -1),
         make_trivial(conv(F(2, 3)), conv(F(1, 2)), design),

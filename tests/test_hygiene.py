@@ -119,7 +119,7 @@ def test_foreign_import_scan():
 # Keyword parameters with defaults in the package, counting the defaulted
 # fields of dataclasses and NamedTuples, which are constructor parameters
 # too: the count may fall, never rise.  Lower it whenever one goes.
-MAX_DEFAULTED_PARAMETERS = 26
+MAX_DEFAULTED_PARAMETERS = 21
 
 
 def _is_record(node) -> bool:
@@ -218,7 +218,7 @@ def test_tuple_override_scan():
 
 # Lines of the package's modules, ``__init__`` included: the count may
 # fall, never rise.  Lower it whenever code goes.
-MAX_PACKAGE_LINES = 3488
+MAX_PACKAGE_LINES = 3475
 
 
 def test_package_lines_do_not_grow():

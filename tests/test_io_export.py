@@ -20,7 +20,7 @@ from bibennett.algebra import (
     v_scale,
     v_sub,
 )
-from bibennett.bennett import AXIS_LABELS, PLANAR_CASES, Axis, frame
+from bibennett.bennett import AXIS_LABELS, PLANAR_CASES, Axis, Pose, frame
 from bibennett.cli import _MATH_ERRORS, fixture_path
 from bibennett.io_export import (
     FAMILIES,
@@ -34,11 +34,12 @@ from bibennett.io_export import (
     export_obj_text,
     hp_patch,
     parse_config,
+    pose_at,
     serialize_config,
     sweep_report,
     SWEEP_HEADER,
 )
-from bibennett.families import HalfTurn, coupled_pose
+from bibennett.families import CoupledPose, HalfTurn, coupled_pose
 from bibennett.limits import verify_labels
 from bibennett.properties import (
     deltoidal_certificate,
@@ -195,8 +196,14 @@ def test_hp_patch_needs_a_positive_density():
 
 
 def test_export_rejects_a_structure_it_cannot_mesh():
-    with pytest.raises(TypeError, match="cannot export object"):
+    with pytest.raises(TypeError, match="cannot pose object"):
         export_obj_text(object(), F(1, 2), 4)
+    # only a coupling or a loop design has a pose
+    pose = coupled_pose(build_structure(_fixture("fig6")), F(9, 10))
+    for other in (None, F(1, 2), pose, pose.pose, pose.quad):
+        with pytest.raises(TypeError,
+                           match=f"cannot pose {type(other).__name__}"):
+            pose_at(other, F(9, 10))
 
 
 def test_hp_patch_center_is_bilinear_midpoint():
@@ -227,7 +234,7 @@ def test_hp_patch_vertices_on_hyperbolic_paraboloid():
 
 def test_coupling_ribbons_structure():
     bib = build_structure(_fixture("fig6"))
-    ribbons = coupling_ribbons(bib, F(9, 10))
+    ribbons = coupling_ribbons(coupled_pose(bib, F(9, 10)))
     assert len(ribbons) == 8
     names = [name for name, _ in ribbons]
     assert len(set(names)) == 8
@@ -417,7 +424,8 @@ def test_exact_entries_of_exact_configs_are_zero(data):
             raw[key] = data.draw(_RATIONAL)
     try:
         config = parse_config(raw)
-        _, report = certify(config, build_structure(config), config.tau)
+        _, report = certify(config,
+                            pose_at(build_structure(config), config.tau))
     except (ConfigError, *_MATH_ERRORS):
         assume(False)
     exact = [r for r in report.residuals
@@ -490,7 +498,11 @@ def test_certify_poses_loops_exactly():
         parse_config(json.dumps({"schema": 1, "family": "single", **keys}))
         for keys in singles]
     for config in configs:
-        name, report = certify(config, build_structure(config), config.tau)
+        structure = build_structure(config)
+        pose = pose_at(structure, config.tau)
+        assert isinstance(pose, Pose)
+        assert pose == frame(structure, config.tau)
+        name, report = certify(config, pose)
         assert name == FAMILIES[config.family].certificate[0]
         assert report.verdict, report.lines()
         assert all(type(r.value) in (int, Fraction) and r.value == 0
@@ -575,11 +587,14 @@ def test_pose_checks_match_public_certificates(name, mode):
     structure = build_structure(config)
     report_name, check = FAMILIES[config.family].certificate
     public = _PUBLIC_CERTIFICATES[report_name]
-    cp = coupled_pose(structure, config.tau)
+    cp = pose_at(structure, config.tau)
+    assert isinstance(cp, CoupledPose)
+    assert cp == coupled_pose(structure, config.tau)
     assert _typed_report(check(cp, TOL)) == _typed_report(
         public(structure, config.tau))
-    assert _typed_report(check(cp, 1e-3)) == _typed_report(
-        public(structure, config.tau, tol=1e-3))
-    name_, report = certify(config, structure, config.tau)
+    name_, report = certify(config, cp)
     assert (name_, _typed_report(report)) == (
         report_name, _typed_report(public(structure, config.tau)))
+    # a config's tol reaches the check of the pose
+    _, report = certify(config._replace(tol=1e-3), cp)
+    assert _typed_report(report) == _typed_report(check(cp, 1e-3))

@@ -72,7 +72,7 @@ from test_bennett import _chain_values, _pose_values, dh_chain
 
 F = Fraction
 DESIGN = validate(F(1, 2), F(1, 3), F(1))
-FAMILY_A = make_family_a(MuSet(F(37, 40), F(7, 8), F(1), F(1, 2)))
+FAMILY_A = make_family_a(MuSet(F(37, 40), F(7, 8), F(1), F(1, 2)), k=1)
 FAMILY_B = make_family_b(F(2, 3), F(1, 2), DESIGN)
 FAMILY_C = family_c(DESIGN, F(2, 3), F(1, 4), 1, -1)
 
